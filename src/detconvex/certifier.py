@@ -200,15 +200,17 @@ def analytic_convexity(f, n: int) -> bool | None:
 def certify(f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BASE) -> CertificationReport:
     """Evaluate both convexity conditions at every grid point.
 
-    Per-point tolerance band: tol * (1 + |f'(s)| + |f''(s)|).  Any
-    violation triggers witness construction at the first violating point of
-    its kind; Refuted requires a confirmed witness.  Scalar domain failures
-    annotate the report and force Inconclusive.
+    Per-point tolerance band: tol * (1 + |f'(s)| + |f''(s)|), with
+    0 < tol < 1.  Any violation triggers witness construction at the first
+    violating point of its kind; Refuted requires a confirmed witness.
+    Scalar domain failures annotate the report and force Inconclusive.
     """
     if n < 1:
         raise ParameterError(f"dimension n={n} must be >= 1")
-    if not (tol > 0):
-        raise ParameterError(f"tolerance {tol} must be positive")
+    # a band of tol * (1 + |f'| + |f''|) with tol >= 1 swallows violations
+    # as large as the derivatives themselves
+    if not (0 < tol < 1):
+        raise ParameterError(f"tolerance {tol} must be positive and below 1")
     if isinstance(f, FamilyA) and f.n != n:
         raise ParameterError(f"family dimension {f.n} does not match certification dimension {n}")
     if grid is None:
@@ -340,6 +342,11 @@ def reduction_check(f, c: PosDefMatrix, h):
     return full, reduced
 
 
+# Samples per stacked block of the sweep; the stacks, not the sample count,
+# set the sweep's working memory.
+SWEEP_BLOCK = 256
+
+
 @dataclass(frozen=True, eq=False)
 class ConvexitySampleDiagnostics:
     """Outcome of a randomized convexity sweep.
@@ -347,7 +354,11 @@ class ConvexitySampleDiagnostics:
     ``min_hess_form`` is the smallest sampled quadratic form (theory says
     >= 0 for convex f); midpoint residuals are g((C1+C2)/2) -
     (g(C1)+g(C2))/2, non-positive for convex f.  Failures list samples
-    beyond ``fail_tol``.
+    beyond ``fail_tol`` as ``(index, C, H, value)`` and ``(index, C1, C2,
+    residual)`` with plain arrays; sample i draws its four matrices from
+    ``SeedSequence(seed).generate_state(4 * num_samples, dtype=np.uint64)``
+    words 4i .. 4i+3, so ``random_posdef_array`` and ``random_sym`` replay
+    it.
     """
 
     samples_run: int
@@ -371,8 +382,11 @@ def sample_convexity(
     """Randomized corroboration of the grid verdict.
 
     Draws (C, H) pairs for the quadratic form and PD pairs (C1, C2) for a
-    midpoint-convexity check; domain failures skip the sample and are
-    counted rather than aborting the sweep.
+    midpoint-convexity check, in stacked blocks of SWEEP_BLOCK samples:
+    determinants and the inner products of D2g come from LAPACK on the
+    stacks, the scalar jets from one evaluation per sample.  Domain
+    failures skip the sample and are counted rather than aborting the
+    sweep.
     """
     if num_samples < 1:
         raise ParameterError("num_samples must be >= 1")
@@ -384,28 +398,42 @@ def sample_convexity(
     mid_failures = []
     run = 0
     skipped = 0
-    for i in range(num_samples):
-        c = linalg.random_posdef(n, log_eig_range, int(seeds[4 * i]))
-        h = linalg.random_sym(n, 1.0, int(seeds[4 * i + 1]))
-        a1 = linalg.random_posdef_array(n, log_eig_range, int(seeds[4 * i + 2]))
-        a2 = linalg.random_posdef_array(n, log_eig_range, int(seeds[4 * i + 3]))
-        try:
-            v = detcalculus.g_hess_form(f, c, h)
-            g1 = scalarfun.eval_value(f, linalg.det(a1))
-            g2 = scalarfun.eval_value(f, linalg.det(a2))
-            gm = scalarfun.eval_value(f, linalg.det(0.5 * (a1 + a2)))
-        except (DomainError, NonFiniteError):
-            skipped += 1
-            continue
-        run += 1
-        min_hess = min(min_hess, v)
-        if v < -fail_tol:
-            hess_failures.append((c, h, v))
-        r = gm - 0.5 * (g1 + g2)
-        min_mid = min(min_mid, r)
-        max_mid = max(max_mid, r)
-        if r > fail_tol:
-            mid_failures.append((SymMatrix(a1), SymMatrix(a2), r))
+    for start in range(0, num_samples, SWEEP_BLOCK):
+        block = seeds[4 * start : 4 * min(start + SWEEP_BLOCK, num_samples)]
+        c = linalg.random_posdef_stack(n, log_eig_range, block[0::4])
+        h = linalg.random_sym_stack(n, 1.0, block[1::4])
+        a1 = linalg.random_posdef_stack(n, log_eig_range, block[2::4])
+        a2 = linalg.random_posdef_stack(n, log_eig_range, block[3::4])
+        linalg.require_posdef_stack(c)
+        inner, cross = detcalculus.hess_terms(c, h)
+        # .tolist() hands Python floats to the scalar jets
+        columns = (
+            np.linalg.det(c).tolist(),
+            np.linalg.det(a1).tolist(),
+            np.linalg.det(a2).tolist(),
+            np.linalg.det(0.5 * (a1 + a2)).tolist(),
+            inner.tolist(),
+            cross.tolist(),
+        )
+        for j, (s, s1, s2, sm, inner_j, cross_j) in enumerate(zip(*columns)):
+            try:
+                jet = scalarfun.eval_jet(f, s)
+                g1 = scalarfun.eval_value(f, s1)
+                g2 = scalarfun.eval_value(f, s2)
+                gm = scalarfun.eval_value(f, sm)
+            except (DomainError, NonFiniteError):
+                skipped += 1
+                continue
+            run += 1
+            v = s * detcalculus.condition_bracket(jet, s, inner_j, cross_j)
+            min_hess = min(min_hess, v)
+            if v < -fail_tol:
+                hess_failures.append((start + j, c[j].copy(), h[j].copy(), v))
+            r = gm - 0.5 * (g1 + g2)
+            min_mid = min(min_mid, r)
+            max_mid = max(max_mid, r)
+            if r > fail_tol:
+                mid_failures.append((start + j, a1[j].copy(), a2[j].copy(), r))
     return ConvexitySampleDiagnostics(
         samples_run=run,
         samples_skipped=skipped,

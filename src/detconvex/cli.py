@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__, certifier, detcalculus, odelimit, scalarfun, selftest
 from .certifier import CERTIFIED, INCONCLUSIVE, REFUTED, GridSpec
-from .errors import ParameterError, ParseError
+from .errors import DimensionError, ParameterError, ParseError
 from .linalg import RNG_ALGORITHM
 
 EXIT_CERTIFIED = 0
@@ -363,7 +363,7 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"error: cannot parse function: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (UsageError, ParameterError) as e:
+    except (UsageError, ParameterError, DimensionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -8,7 +8,9 @@ The second directional derivative in a symmetric direction H is
 
 where <.,.> is the trace inner product.  ``condition_lhs_full`` is the same
 bracket without the leading det C factor; ``condition_lhs_diag`` is its
-diagonalized normal form (divided once more by det C).
+diagonalized normal form (divided once more by det C).  ``g_hess_form``
+and ``condition_lhs_full`` take both inner products from ``hess_terms``,
+the one kernel shared by single pairs and the stacked randomized sweep.
 """
 
 from __future__ import annotations
@@ -51,15 +53,32 @@ def g_grad_form(f, c: PosDefMatrix, h) -> float:
     return jet.d1 * c.det * frob_inner(c.inverse, harr)
 
 
+def hess_terms(c, h):
+    """(<C^-1, H>, <H C^-1, C^-1 H>) for a symmetric pair or for stacks of
+    pairs of shape (..., n, n).
+
+    With X = C^-1 H from one LAPACK solve (no explicit inverse) and C, H
+    symmetric, <C^-1, H> = tr X and <H C^-1, C^-1 H> = sum(X * X^T).
+    """
+    x = np.linalg.solve(c, h)
+    return x.trace(axis1=-2, axis2=-1), (x * x.swapaxes(-1, -2)).sum(axis=(-2, -1))
+
+
+def condition_bracket(jet, s: float, inner: float, cross: float) -> float:
+    """[f''(s) s + f'(s)] inner^2 - f'(s) cross, from the jet of f at s."""
+    return (jet.d2 * s + jet.d1) * inner * inner - jet.d1 * cross
+
+
+def _pair_terms(c: PosDefMatrix, h):
+    inner, cross = hess_terms(c.base.a, _check_pair(c, h))
+    return float(inner), float(cross)
+
+
 def g_hess_form(f, c: PosDefMatrix, h) -> float:
     """D2g(C).(H,H); quadratic in H."""
-    harr = _check_pair(c, h)
+    inner, cross = _pair_terms(c, h)
     jet = scalarfun.eval_jet(f, c.det)
-    s = c.det
-    inv = c.inverse.a
-    inner = frob_inner(inv, harr)
-    cross = frob_inner(harr @ inv, inv @ harr)
-    return s * ((jet.d2 * s + jet.d1) * inner * inner - jet.d1 * cross)
+    return c.det * condition_bracket(jet, c.det, inner, cross)
 
 
 def condition_lhs_full(f, c: PosDefMatrix, h) -> float:
@@ -68,12 +87,8 @@ def condition_lhs_full(f, c: PosDefMatrix, h) -> float:
 
     Identity: condition_lhs_full * det C == g_hess_form.
     """
-    harr = _check_pair(c, h)
-    jet = scalarfun.eval_jet(f, c.det)
-    inv = c.inverse.a
-    inner = frob_inner(inv, harr)
-    cross = frob_inner(harr @ inv, inv @ harr)
-    return (jet.d2 * c.det + jet.d1) * inner * inner - jet.d1 * cross
+    inner, cross = _pair_terms(c, h)
+    return condition_bracket(scalarfun.eval_jet(f, c.det), c.det, inner, cross)
 
 
 def condition_lhs_diag(f, dvec, h) -> float:

@@ -3,8 +3,9 @@
 Everything here is sized for the certification workloads (n up to ~16):
 plain dense numpy storage, a hand-rolled cyclic Jacobi eigensolver for
 symmetric matrices, inverses through the eigendecomposition, and seeded
-sampling of test matrices.  All values are immutable after construction and
-all operations are pure functions.
+sampling of test matrices, one at a time or as (N, n, n) stacks.  All
+values are immutable after construction and all operations are pure
+functions.
 """
 
 from __future__ import annotations
@@ -28,6 +29,18 @@ RNG_ALGORITHM = "numpy-pcg64"
 JACOBI_SWEEP_TOL = 1e-14
 JACOBI_MAX_SWEEPS = 100
 POSDEF_EIG_FLOOR = 1e-12  # relative to the Frobenius norm
+
+
+def _check_finite(a: np.ndarray):
+    if not np.all(np.isfinite(a)):
+        raise ParameterError("matrix entries must be finite")
+
+
+def _mirror_lower(a: np.ndarray) -> np.ndarray:
+    """Copy the lower triangle of a matrix, or of each matrix in a stack,
+    onto the upper one."""
+    idx = np.arange(a.shape[-1])
+    return np.where(idx[:, None] >= idx, a, np.swapaxes(a, -1, -2))
 
 
 def _as_array(m) -> np.ndarray:
@@ -56,10 +69,8 @@ class SymMatrix:
             raise DimensionError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise DimensionError("dimension must be >= 1")
-        if not np.all(np.isfinite(a)):
-            raise ParameterError("matrix entries must be finite")
-        low = np.tril(a)
-        sym = low + low.T - np.diag(np.diag(a))
+        _check_finite(a)
+        sym = _mirror_lower(a)
         sym.setflags(write=False)
         object.__setattr__(self, "a", sym)
 
@@ -302,25 +313,73 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def random_posdef_array(n: int, log_eig_range: tuple, seed: int) -> np.ndarray:
-    """Raw positive definite sample as a plain symmetric ndarray.
+def random_posdef_stack(n: int, log_eig_range: tuple, seeds) -> np.ndarray:
+    """Positive definite samples as an (N, n, n) stack, one per seed.
 
-    Eigenvalues are exp of uniform draws over ``log_eig_range``; the
-    orthogonal frame is the QR factor of a Gaussian matrix with the
-    positive-diagonal sign convention.  Identical seeds give identical
-    output.
+    Each seed drives its own PCG64 stream: n uniform draws over
+    ``log_eig_range`` whose exp gives the eigenvalues, then an n x n
+    Gaussian matrix whose QR factor, with the positive-diagonal sign
+    convention, gives the orthogonal frame.  The QR and the products run
+    on the whole stack; every matrix is the one its seed gives alone.
     """
     if n < 1:
         raise DimensionError("dimension must be >= 1")
     lo, hi = float(log_eig_range[0]), float(log_eig_range[1])
     if lo > hi:
         raise ParameterError(f"log eigenvalue range has lo={lo} > hi={hi}")
-    gen = _rng(seed)
-    eigs = np.exp(gen.uniform(lo, hi, size=n))
-    g = gen.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diag(r))
-    return SymMatrix((q * eigs) @ q.T).a
+    logs = np.empty((len(seeds), n))
+    gauss = np.empty((len(seeds), n, n))
+    for i, seed in enumerate(seeds):
+        gen = _rng(int(seed))
+        logs[i] = gen.uniform(lo, hi, size=n)
+        gauss[i] = gen.standard_normal((n, n))
+    q, r = np.linalg.qr(gauss)
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+    out = _mirror_lower((q * np.exp(logs)[:, None, :]) @ np.swapaxes(q, -1, -2))
+    _check_finite(out)
+    return out
+
+
+def random_sym_stack(n: int, scale: float, seeds) -> np.ndarray:
+    """Symmetric samples as an (N, n, n) stack, entries uniform in
+    [-scale, scale], one PCG64 stream per seed.
+
+    Each stream fills the i <= j entries row-major; they are mirrored.
+    """
+    if n < 1:
+        raise DimensionError("dimension must be >= 1")
+    if scale < 0:
+        raise ParameterError("scale must be >= 0")
+    rows, cols = np.triu_indices(n)
+    out = np.zeros((len(seeds), n, n))
+    for i, seed in enumerate(seeds):
+        vals = _rng(int(seed)).uniform(-scale, scale, size=rows.size)
+        out[i, rows, cols] = vals
+        out[i, cols, rows] = vals
+    _check_finite(out)
+    return out
+
+
+def require_posdef_stack(a: np.ndarray):
+    """Apply the eigenvalue floor of ``PosDefMatrix.from_sym`` to every
+    matrix of an (N, n, n) stack; raises NotPositiveDefiniteError naming
+    the first sample below it."""
+    smallest = np.linalg.eigvalsh(a)[:, 0]
+    floors = POSDEF_EIG_FLOOR * np.sqrt(np.sum(a**2, axis=(-2, -1)))
+    below = np.flatnonzero(smallest <= floors)
+    if below.size:
+        i = int(below[0])
+        raise NotPositiveDefiniteError(
+            f"sample {i}: smallest eigenvalue {smallest[i]:.3e} below the "
+            f"positivity floor {floors[i]:.3e}"
+        )
+
+
+def random_posdef_array(n: int, log_eig_range: tuple, seed: int) -> np.ndarray:
+    """Raw positive definite sample as a plain symmetric ndarray; the
+    single-seed case of ``random_posdef_stack``.  Identical seeds give
+    identical output."""
+    return random_posdef_stack(n, log_eig_range, [seed])[0]
 
 
 def random_posdef(n: int, log_eig_range: tuple, seed: int) -> PosDefMatrix:
@@ -329,18 +388,6 @@ def random_posdef(n: int, log_eig_range: tuple, seed: int) -> PosDefMatrix:
 
 
 def random_sym(n: int, scale: float, seed: int) -> SymMatrix:
-    """Seeded symmetric sample with entries uniform in [-scale, scale].
-
-    Draws the i <= j entries row-major and mirrors them.
-    """
-    if n < 1:
-        raise DimensionError("dimension must be >= 1")
-    if scale < 0:
-        raise ParameterError("scale must be >= 0")
-    gen = _rng(seed)
-    out = np.zeros((n, n))
-    for i in range(n):
-        vals = gen.uniform(-scale, scale, size=n - i)
-        out[i, i:] = vals
-        out[i:, i] = vals
-    return SymMatrix(out)
+    """Seeded symmetric sample with entries uniform in [-scale, scale]; the
+    single-seed case of ``random_sym_stack``."""
+    return SymMatrix(random_sym_stack(n, scale, [seed])[0])

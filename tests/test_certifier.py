@@ -106,8 +106,9 @@ class TestCertify:
             assert [(p.fprime_ok, p.lhs_ok) for p in scaled.points] == base_flags
 
     def test_requires_positive_tolerance(self):
-        with pytest.raises(ParameterError):
-            certify(parse("s"), 3, SMALL_GRID, tol=0.0)
+        for tol in (0.0, -1e-9, 1.0, 1e30, float("inf"), float("nan")):
+            with pytest.raises(ParameterError):
+                certify(parse("s"), 3, SMALL_GRID, tol=tol)
 
     def test_tie_break_prefers_slope_witness(self):
         # s^(1/5) violates both conditions at every grid point; the shared

@@ -156,6 +156,19 @@ class TestUsageErrors:
     def test_negative_samples_rejected(self, capsys):
         assert run(capsys, "certify", "-f", "s", "--samples", "-5")[0] == 3
 
+    def test_unbounded_tolerance_rejected(self, capsys):
+        # an unbounded band used to certify the increasing function s
+        for tol in ("inf", "1e30", "1", "nan"):
+            code, out, err = run(capsys, "certify", "-f", "s", "--tol", tol, *CERT_FAST)
+            assert code == 3, tol
+            assert out == "" and "tolerance" in err
+
+    def test_witness_dimension_error_is_usage_error(self, capsys):
+        # n = 1 has no slope witness; this used to end in a traceback
+        code, out, err = run(capsys, "witness", "-f", "s", "--dim", "1", "--grid-count", "50")
+        assert code == 3
+        assert "n >= 2" in err
+
 
 class TestWitnessCommand:
     def test_prints_pair_for_violation(self, capsys):

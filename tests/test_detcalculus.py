@@ -109,6 +109,33 @@ class TestHessForm:
         assert g_hess_form(NEG_LN, c, h) == g_hess_form(NEG_LN, c, SymMatrix(-h.a))
 
 
+class TestHessTerms:
+    def test_stack_equals_single_pairs(self):
+        # the sweep's stacked kernel gives each pair exactly the terms
+        # that g_hess_form uses for it alone
+        for n in (2, 3, 5):
+            pairs = list(_samples(n, 30, seed=40 + n))
+            c = np.stack([p[0].base.a for p in pairs])
+            h = np.stack([p[1].a for p in pairs])
+            inner, cross = detcalculus.hess_terms(c, h)
+            for i, (ci, hi) in enumerate(pairs):
+                one_inner, one_cross = detcalculus.hess_terms(ci.base.a, hi.a)
+                assert inner[i] == one_inner and cross[i] == one_cross
+                one_inner, one_cross = float(one_inner), float(one_cross)
+                want = ci.det * (one_inner * one_inner - one_cross)
+                assert g_hess_form(IDENT, ci, hi) == want
+
+    def test_matches_explicit_inverse(self):
+        for n in (2, 3, 5):
+            for c, h in _samples(n, 30, seed=50 + n):
+                inv = c.inverse.a
+                inner, cross = detcalculus.hess_terms(c.base.a, h.a)
+                want_inner = frob_inner(inv, h)
+                want_cross = frob_inner(h.a @ inv, inv @ h.a)
+                assert abs(inner - want_inner) <= 1e-12 * max(1.0, abs(want_inner))
+                assert abs(cross - want_cross) <= 1e-12 * max(1.0, abs(want_cross))
+
+
 class TestConditionForms:
     def test_full_neg_ln_identity(self):
         c = PosDefMatrix.from_diag([1.0, 1.0, 1.0])

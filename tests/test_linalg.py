@@ -226,6 +226,22 @@ class TestRandomPosdef:
         with pytest.raises(DimensionError):
             random_posdef(0, LOG_RANGE, seed=1)
 
+    def test_overflowing_range_rejected(self):
+        # exp of the log eigenvalues overflows to inf
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ParameterError):
+            random_posdef(3, (800.0, 800.0), seed=1)
+
+
+class TestRequirePosdefStack:
+    def test_accepts_draws(self):
+        seeds = np.random.SeedSequence(8).generate_state(20, dtype=np.uint64)
+        linalg.require_posdef_stack(linalg.random_posdef_stack(4, LOG_RANGE, seeds))
+
+    def test_names_first_sample_below_floor(self):
+        stack = np.stack([np.eye(3), np.diag([1.0, 1.0, 1e-13]), np.diag([1.0, -1.0, 1.0])])
+        with pytest.raises(NotPositiveDefiniteError, match="sample 1"):
+            linalg.require_posdef_stack(stack)
+
 
 class TestRandomSym:
     def test_deterministic(self):
