@@ -16,6 +16,7 @@ finite-difference oracle; otherwise the verdict is Inconclusive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +63,7 @@ class GridSpec:
         return np.geomspace(self.s_min, self.s_max, self.count)
 
 
-@dataclass(frozen=True)
-class GridPointRecord:
+class GridPointRecord(NamedTuple):
     s: float
     fprime: float
     lhs: float
@@ -223,66 +223,62 @@ def certify(f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BA
             "the classical statement fixes n=3"
         )
 
-    records = []
-    try:
-        for s in grid.points():
-            s = float(s)
-            jet = scalarfun.eval_jet(f, s)
-            lhs = _lhs_from_jet(jet, s, n)
-            tol_p = tol * (1.0 + abs(jet.d1) + abs(jet.d2))
-            records.append(
-                GridPointRecord(
-                    s=s,
-                    fprime=jet.d1,
-                    lhs=lhs,
-                    tol=tol_p,
-                    fprime_ok=jet.d1 <= tol_p,
-                    lhs_ok=lhs >= -tol_p,
-                )
-            )
-    except (DomainError, NonFiniteError) as e:
-        annotations.append(f"domain failure during grid evaluation: {e}")
+    s = grid.points()
+    jet = scalarfun.eval_jet(f, s)
+    # overflow goes to inf without a warning, as in float arithmetic
+    with np.errstate(all="ignore"):
+        lhs = _lhs_from_jet(jet, s, n)
+        tol_p = tol * (1.0 + np.abs(jet.d1) + np.abs(jet.d2))
+    fprime_ok = jet.d1 <= tol_p
+    lhs_ok = lhs >= -tol_p
+    failed = np.isnan(jet.v)
+    cut = int(np.argmax(failed)) if failed.any() else len(s)
+    columns = (s, jet.d1, lhs, tol_p, fprime_ok, lhs_ok)
+    records = tuple(map(GridPointRecord._make, zip(*(c[:cut].tolist() for c in columns))))
+    if cut < len(s):
+        # the point evaluated alone raises the error that made it NaN
+        annotations.append(
+            f"domain failure during grid evaluation: {scalarfun.failure_at(f, float(s[cut]))}"
+        )
         return CertificationReport(
             verdict=INCONCLUSIVE,
             n=n,
             grid=grid,
-            points=tuple(records),
+            points=records,
             witnesses=(),
             tol=tol,
             analytic_convex=analytic_convexity(f, n),
             annotations=tuple(annotations),
         )
 
-    fprime_viol = [r.s for r in records if not r.fprime_ok]
-    lhs_viol = [r.s for r in records if not r.lhs_ok]
-
+    fprime_bad = ~fprime_ok
+    lhs_bad = ~lhs_ok
     witnesses = []
-    if fprime_viol:
-        w = _confirmed_witness(f, KIND_POSITIVE_FPRIME, fprime_viol[0], n)
+    if fprime_bad.any():
+        s_bad = float(s[np.argmax(fprime_bad)])
+        w = _confirmed_witness(f, KIND_POSITIVE_FPRIME, s_bad, n)
         if w is not None:
             witnesses.append(w)
         else:
-            annotations.append(
-                f"slope violation at s={fprime_viol[0]:.6g} not confirmed by the fd oracle"
-            )
-    if lhs_viol:
+            annotations.append(f"slope violation at s={s_bad:.6g} not confirmed by the fd oracle")
+    if lhs_bad.any():
         # points already covered by a slope witness prefer that construction
-        fprime_set = set(fprime_viol)
-        candidates = [s for s in lhs_viol if s not in fprime_set]
-        if not candidates and not witnesses:
-            candidates = lhs_viol
-        if candidates:
-            w = _confirmed_witness(f, KIND_SECOND_ORDER, candidates[0], n)
+        candidates = lhs_bad & fprime_ok
+        if not candidates.any() and not witnesses:
+            candidates = lhs_bad
+        if candidates.any():
+            s_bad = float(s[np.argmax(candidates)])
+            w = _confirmed_witness(f, KIND_SECOND_ORDER, s_bad, n)
             if w is not None:
                 witnesses.append(w)
             else:
                 annotations.append(
-                    f"second-order violation at s={candidates[0]:.6g} not confirmed by the fd oracle"
+                    f"second-order violation at s={s_bad:.6g} not confirmed by the fd oracle"
                 )
 
     if witnesses:
         verdict = REFUTED
-    elif fprime_viol or lhs_viol:
+    elif fprime_bad.any() or lhs_bad.any():
         verdict = INCONCLUSIVE
     else:
         verdict = CERTIFIED
@@ -290,7 +286,7 @@ def certify(f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BA
         verdict=verdict,
         n=n,
         grid=grid,
-        points=tuple(records),
+        points=records,
         witnesses=tuple(witnesses),
         tol=tol,
         analytic_convex=analytic_convexity(f, n),
@@ -384,9 +380,9 @@ def sample_convexity(
     Draws (C, H) pairs for the quadratic form and PD pairs (C1, C2) for a
     midpoint-convexity check, in stacked blocks of SWEEP_BLOCK samples:
     determinants and the inner products of D2g come from LAPACK on the
-    stacks, the scalar jets from one evaluation per sample.  Domain
-    failures skip the sample and are counted rather than aborting the
-    sweep.
+    stacks, the scalar jets from four array evaluations per block.  A
+    sample whose jets fail at any of its four points is skipped and
+    counted rather than aborting the sweep.
     """
     if num_samples < 1:
         raise ParameterError("num_samples must be >= 1")
@@ -406,34 +402,28 @@ def sample_convexity(
         a2 = linalg.random_posdef_stack(n, log_eig_range, block[3::4])
         linalg.require_posdef_stack(c)
         inner, cross = detcalculus.hess_terms(c, h)
-        # .tolist() hands Python floats to the scalar jets
-        columns = (
-            np.linalg.det(c).tolist(),
-            np.linalg.det(a1).tolist(),
-            np.linalg.det(a2).tolist(),
-            np.linalg.det(0.5 * (a1 + a2)).tolist(),
-            inner.tolist(),
-            cross.tolist(),
-        )
-        for j, (s, s1, s2, sm, inner_j, cross_j) in enumerate(zip(*columns)):
-            try:
-                jet = scalarfun.eval_jet(f, s)
-                g1 = scalarfun.eval_value(f, s1)
-                g2 = scalarfun.eval_value(f, s2)
-                gm = scalarfun.eval_value(f, sm)
-            except (DomainError, NonFiniteError):
-                skipped += 1
-                continue
-            run += 1
-            v = s * detcalculus.condition_bracket(jet, s, inner_j, cross_j)
-            min_hess = min(min_hess, v)
-            if v < -fail_tol:
-                hess_failures.append((start + j, c[j].copy(), h[j].copy(), v))
+        s = np.linalg.det(c)
+        jet = scalarfun.eval_jet(f, s)
+        g1 = scalarfun.eval_value(f, np.linalg.det(a1))
+        g2 = scalarfun.eval_value(f, np.linalg.det(a2))
+        gm = scalarfun.eval_value(f, np.linalg.det(0.5 * (a1 + a2)))
+        # a sample whose jets failed at any point is NaN there and skipped
+        ok = ~(np.isnan(jet.v) | np.isnan(g1) | np.isnan(g2) | np.isnan(gm))
+        k = int(ok.sum())
+        run += k
+        skipped += len(s) - k
+        if k == 0:
+            continue
+        with np.errstate(all="ignore"):
+            v = s * detcalculus.condition_bracket(jet, s, inner, cross)
             r = gm - 0.5 * (g1 + g2)
-            min_mid = min(min_mid, r)
-            max_mid = max(max_mid, r)
-            if r > fail_tol:
-                mid_failures.append((start + j, a1[j].copy(), a2[j].copy(), r))
+        min_hess = min(min_hess, float(v[ok].min()))
+        min_mid = min(min_mid, float(r[ok].min()))
+        max_mid = max(max_mid, float(r[ok].max()))
+        for j in np.flatnonzero(ok & (v < -fail_tol)).tolist():
+            hess_failures.append((start + j, c[j].copy(), h[j].copy(), float(v[j])))
+        for j in np.flatnonzero(ok & (r > fail_tol)).tolist():
+            mid_failures.append((start + j, a1[j].copy(), a2[j].copy(), float(r[j])))
     return ConvexitySampleDiagnostics(
         samples_run=run,
         samples_skipped=skipped,

@@ -29,6 +29,14 @@ EXIT_USAGE = 3
 
 _VERDICT_EXIT = {CERTIFIED: EXIT_CERTIFIED, REFUTED: EXIT_REFUTED, INCONCLUSIVE: EXIT_INCONCLUSIVE}
 
+# Largest sizes the commands accept; larger values exit 3 before anything
+# is allocated.  The grid pass holds several arrays of --grid-count floats,
+# the sweep makes 32 bytes of seed words per sample up front, and the
+# Jacobi eigensolver is a Python loop of O(n^3) per sweep.
+MAX_DIM = 64
+MAX_GRID_COUNT = 200_000
+MAX_SAMPLES = 1_000_000
+
 
 class UsageError(Exception):
     pass
@@ -341,6 +349,16 @@ def _normalize_argv(argv):
     return out
 
 
+def _check_sizes(config: CliConfig):
+    for flag, value, limit in (
+        ("--dim", config.n, MAX_DIM),
+        ("--grid-count", config.grid_count, MAX_GRID_COUNT),
+        ("--samples", config.samples, MAX_SAMPLES),
+    ):
+        if value > limit:
+            raise UsageError(f"{flag} {value} exceeds the limit {limit}")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     if argv is None:
@@ -351,6 +369,7 @@ def main(argv=None) -> int:
         return EXIT_CERTIFIED if e.code in (0, None) else EXIT_USAGE
     config = _config_from_args(args)
     try:
+        _check_sizes(config)
         if config.command == "certify":
             return _cmd_certify(config)
         if config.command == "witness":

@@ -150,11 +150,22 @@ def _admissible_step(c: PosDefMatrix, harr: np.ndarray, h: float) -> float:
     )
 
 
-def _g_at(f, m: np.ndarray) -> float:
+def _det_in_cone(m: np.ndarray) -> float:
     s = linalg.det(m)
     if s <= 0.0:
         raise DomainError(f"perturbed matrix left the positive cone (det={s})")
-    return scalarfun.eval_value(f, s)
+    return s
+
+
+def _f_values(f, dets) -> list:
+    """f at each determinant, from one evaluator call; the first point that
+    fails raises its own error."""
+    dets = np.array(dets)
+    values = scalarfun.eval_value(f, dets)
+    failed = np.isnan(values)
+    if failed.any():
+        raise scalarfun.failure_at(f, float(dets[np.argmax(failed)]))
+    return values.tolist()
 
 
 def fd_second_directional_with_step(f, c: PosDefMatrix, h, step: float | None = None):
@@ -165,9 +176,9 @@ def fd_second_directional_with_step(f, c: PosDefMatrix, h, step: float | None = 
         raise ParameterError("finite-difference step must be positive")
     h_used = _admissible_step(c, harr, h0)
     base = c.base.a
-    g0 = scalarfun.eval_value(f, c.det)
-    gp = _g_at(f, base + h_used * harr)
-    gm = _g_at(f, base - h_used * harr)
+    g0, gp, gm = _f_values(
+        f, (c.det, _det_in_cone(base + h_used * harr), _det_in_cone(base - h_used * harr))
+    )
     return (gp - 2.0 * g0 + gm) / (h_used * h_used), h_used
 
 
@@ -184,8 +195,7 @@ def fd_first_directional(f, c: PosDefMatrix, h, step: float | None = None) -> fl
         raise ParameterError("finite-difference step must be positive")
     h_used = _admissible_step(c, harr, h0)
     base = c.base.a
-    gp = _g_at(f, base + h_used * harr)
-    gm = _g_at(f, base - h_used * harr)
+    gp, gm = _f_values(f, (_det_in_cone(base + h_used * harr), _det_in_cone(base - h_used * harr)))
     return (gp - gm) / (2.0 * h_used)
 
 

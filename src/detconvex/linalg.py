@@ -159,10 +159,6 @@ def frob_norm(m) -> float:
     return float(np.sqrt(np.sum(_as_array(m) ** 2)))
 
 
-def max_abs(m) -> float:
-    return float(np.max(np.abs(_as_array(m))))
-
-
 def frob_inner(a, b) -> float:
     """Trace inner product <A,B> = tr(A B^T) = sum_ij A_ij B_ij."""
     aa, bb = _as_array(a), _as_array(b)

@@ -2,9 +2,18 @@
 derivatives.
 
 Two input channels: a small expression language over the single variable
-``s`` (parsed to an AST and evaluated with truncated second-order Taylor
-jets), and closed-form built-in families.  Either kind evaluates through
-:func:`eval_jet` to a (value, f', f'') triple exact up to roundoff.
+``s``, parsed to an AST, and four closed-form built-in families, each of
+which lowers to the same AST once per instance.  One evaluator,
+:func:`eval_jet`, walks the AST with truncated second-order Taylor (jet)
+arithmetic on numpy ufuncs and returns the (value, f', f'') triple exact
+up to roundoff.
+
+``eval_jet`` takes a float or a 1-D float array of points, and both walk
+the same AST with the same ufuncs, so a point gives the same bits either
+way.  A float outside the domain raises DomainError, an overflow
+NonFiniteError.  An array returns a Jet2 of arrays in which a point that
+failed at any node is NaN in all three fields; evaluating that point as a
+float raises its error.
 """
 
 from __future__ import annotations
@@ -12,19 +21,28 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DomainError, NonFiniteError, ParameterError, ParseError, UnknownIdentifierError
 
 BRANCH_TOL = 1e-12  # |a - 1/n| below this selects the logarithmic branch
 
+# Node checks compare with infinity through operators, which are cheap on
+# the numpy scalar of a float input and elementwise on an array.
+_INF = float("inf")
 
-@dataclass(frozen=True)
-class Jet2:
-    """Second-order Taylor triple (value, first, second derivative)."""
 
-    v: float
-    d1: float
-    d2: float
+class Jet2(NamedTuple):
+    """Second-order Taylor triple (value, first, second derivative); the
+    fields are floats, or arrays with one entry per point.  A named tuple
+    is the cheapest immutable record to build once per node."""
+
+    v: float | np.ndarray
+    d1: float | np.ndarray
+    d2: float | np.ndarray
 
     def __add__(self, o):
         return Jet2(self.v + o.v, self.d1 + o.d1, self.d2 + o.d2)
@@ -42,77 +60,121 @@ class Jet2:
             self.d2 * o.v + 2.0 * self.d1 * o.d1 + self.v * o.d2,
         )
 
-    def __truediv__(self, o):
-        if o.v == 0.0:
-            raise DomainError("division by zero")
-        q = self.v / o.v
-        q1 = (self.d1 - q * o.d1) / o.v
-        q2 = (self.d2 - 2.0 * q1 * o.d1 - q * o.d2) / o.v
-        return Jet2(q, q1, q2)
+
+_ZERO = np.float64(0.0)
+_ONE = np.float64(1.0)
 
 
-def jet_const(c: float) -> Jet2:
-    return Jet2(float(c), 0.0, 0.0)
+class _Walk:
+    """Failure bookkeeping of one evaluation.
+
+    A float input walks as a numpy scalar (``raises``) and raises at the
+    first failing node, with the point's value in the message.  An array
+    input marks the point in ``failed`` and goes on.  Constants stay numpy
+    scalars either way, so the nodes run the same ufuncs on the same kinds
+    of operands: np.power with a scalar exponent gives an array the bits of
+    the scalar call, which an array exponent does not.  ``scope`` restricts
+    a check to the points that a per-point branch applies to.  Overflow
+    inside exp and pow is a failure; elsewhere an infinity only fails the
+    point if the final jet is not finite.
+    """
+
+    def __init__(self, s):
+        self.s = s
+        self.raises = s.ndim == 0
+        self.failed = False if self.raises else ~((s > 0.0) & np.isfinite(s))
+
+    def all(self, mask) -> bool:
+        return bool(mask) if self.raises else bool(mask.all())
+
+    def select(self, mask, a, b):
+        """a where mask holds, else b."""
+        if self.raises or mask is True:
+            return a if mask else b
+        return np.where(mask, a, b)
+
+    def fail(self, bad, scope, error, template, *values):
+        bad = bad & scope
+        if self.raises:
+            if bad:
+                raise error(template.format(*map(float, values)))
+        else:
+            self.failed |= bad
 
 
-def jet_var(s: float) -> Jet2:
-    return Jet2(float(s), 1.0, 0.0)
+def jet_div(walk: _Walk, a: Jet2, b: Jet2) -> Jet2:
+    walk.fail(b.v == 0.0, True, DomainError, "division by zero")
+    q = a.v / b.v
+    q1 = (a.d1 - q * b.d1) / b.v
+    q2 = (a.d2 - 2.0 * q1 * b.d1 - q * b.d2) / b.v
+    return Jet2(q, q1, q2)
 
 
-def jet_ln(u: Jet2) -> Jet2:
-    if u.v <= 0.0:
-        raise DomainError(f"ln of non-positive value {u.v}")
-    w1 = u.d1 / u.v
-    return Jet2(math.log(u.v), w1, u.d2 / u.v - w1 * w1)
+def jet_ln(walk: _Walk, u: Jet2, scope=True, c: float = 1.0) -> Jet2:
+    """c * ln(u); the constant factor enters before the divisions by u, so
+    c * ln(s) has the closed-form slope c/s."""
+    walk.fail(u.v <= 0.0, scope, DomainError, "ln of non-positive value {}", u.v)
+    r1 = u.d1 / u.v
+    w1 = c * u.d1 / u.v
+    return Jet2(c * np.log(u.v), w1, c * u.d2 / u.v - w1 * r1)
 
 
-def jet_exp(u: Jet2) -> Jet2:
-    try:
-        w = math.exp(u.v)
-    except OverflowError as e:
-        raise NonFiniteError(f"exp overflow at {u.v}") from e
+def jet_exp(walk: _Walk, u: Jet2, scope=True) -> Jet2:
+    w = np.exp(u.v)
+    walk.fail((w == _INF) & (u.v < _INF), scope, NonFiniteError, "exp overflow at {}", u.v)
     return Jet2(w, w * u.d1, w * (u.d2 + u.d1 * u.d1))
 
 
-def jet_sqrt(u: Jet2) -> Jet2:
-    if u.v <= 0.0:
-        raise DomainError(f"sqrt of non-positive value {u.v}")
-    w = math.sqrt(u.v)
+def jet_sqrt(walk: _Walk, u: Jet2) -> Jet2:
+    walk.fail(u.v <= 0.0, True, DomainError, "sqrt of non-positive value {}", u.v)
+    w = np.sqrt(u.v)
     w1 = u.d1 / (2.0 * w)
     return Jet2(w, w1, (u.d2 - 2.0 * w1 * w1) / (2.0 * w))
 
 
-def jet_pow_const(u: Jet2, p: float) -> Jet2:
-    """Monomial rule u^p for a constant exponent.
+def jet_pow_const(walk: _Walk, u: Jet2, p: np.ndarray, scope=True) -> Jet2:
+    """Monomial rule u^p for an exponent p that is constant at each point.
 
     Valid for u > 0 with any real p, and for u < 0 / u == 0 when p is an
     integer (non-negative in the zero case).
     """
-    try:
-        if u.v > 0.0:
-            w = math.pow(u.v, p)
-            wp1 = p * math.pow(u.v, p - 1.0)
-            wp2 = p * (p - 1.0) * math.pow(u.v, p - 2.0)
-        elif float(p).is_integer():
-            k = int(p)
-            if u.v == 0.0 and k < 0:
-                raise DomainError("0 raised to a negative power")
-            w = u.v**k
-            wp1 = p * u.v ** (k - 1) if k != 0 else 0.0
-            wp2 = p * (p - 1.0) * u.v ** (k - 2) if k not in (0, 1) else 0.0
-        else:
-            raise DomainError(f"{u.v} raised to non-integer power {p}")
-    except OverflowError as e:
-        raise NonFiniteError(f"overflow in {u.v} ** {p}") from e
+    pos = u.v > 0.0
+    used1 = used2 = True
+    if not walk.all(pos):
+        # p % 1 is nan for nan and inf exponents, which are not integers either
+        fractional = p % 1.0 != 0.0
+        walk.fail(
+            ~pos & fractional, scope, DomainError, "{} raised to non-integer power {}", u.v, p
+        )
+        walk.fail((u.v == 0.0) & (p < 0.0), scope, DomainError, "0 raised to a negative power")
+        # an integer power skips the factors that its zero coefficient cancels
+        used1 = pos | (p != 0.0)
+        used2 = used1 & (pos | (p != 1.0))
+    w = np.power(u.v, p)
+    pw1 = np.power(u.v, p - 1.0)
+    pw2 = np.power(u.v, p - 2.0)
+    # math.pow and ** raise on an infinite result from finite arguments
+    over = (abs(w) == _INF) | used1 & (abs(pw1) == _INF) | used2 & (abs(pw2) == _INF)
+    over &= (abs(u.v) < _INF) & (abs(p) < _INF)
+    walk.fail(over, scope, NonFiniteError, "overflow in {} ** {}", u.v, p)
+    wp1 = walk.select(used1, p * pw1, 0.0)
+    wp2 = walk.select(used2, p * (p - 1.0) * pw2, 0.0)
     return Jet2(w, wp1 * u.d1, wp2 * u.d1 * u.d1 + wp1 * u.d2)
 
 
-def jet_pow(base: Jet2, expo: Jet2) -> Jet2:
-    """General power; falls back to exp(expo * ln(base)) when the exponent
-    actually varies (requires base > 0)."""
-    if expo.d1 == 0.0 and expo.d2 == 0.0:
-        return jet_pow_const(base, expo.v)
-    return jet_exp(expo * jet_ln(base))
+def jet_pow(walk: _Walk, base: Jet2, expo: Jet2) -> Jet2:
+    """General power, chosen per point: the monomial rule where the
+    exponent's jet is constant, exp(expo * ln(base)) (base > 0) where it
+    varies."""
+    const = (expo.d1 == 0.0) & (expo.d2 == 0.0)
+    if walk.all(const):
+        return jet_pow_const(walk, base, expo.v)
+    varying = ~const
+    w = jet_exp(walk, expo * jet_ln(walk, base, varying), varying)
+    if walk.all(varying):
+        return w
+    m = jet_pow_const(walk, base, expo.v, const)
+    return Jet2(*(np.where(const, a, b) for a, b in zip(m, w)))
 
 
 # --------------------------------------------------------------------------
@@ -122,7 +184,7 @@ def jet_pow(base: Jet2, expo: Jet2) -> Jet2:
 class Expr:
     """Base class for expression nodes over the single variable ``s``."""
 
-    def eval_jet(self, s: float) -> Jet2:
+    def eval_jet(self, s):
         return eval_jet(self, s)
 
 
@@ -186,30 +248,32 @@ class Sqrt(Expr):
     arg: Expr
 
 
-def _eval_node(node: Expr, s: Jet2) -> Jet2:
+def _eval_node(node: Expr, walk: _Walk) -> Jet2:
     match node:
         case Constant(value=v):
-            return jet_const(v)
+            return Jet2(np.float64(v), _ZERO, _ZERO)
         case Variable():
-            return s
+            return Jet2(walk.s, _ONE, _ZERO)
         case Negate(arg=a):
-            return -_eval_node(a, s)
+            return -_eval_node(a, walk)
         case Add(left=l, right=r):
-            return _eval_node(l, s) + _eval_node(r, s)
+            return _eval_node(l, walk) + _eval_node(r, walk)
         case Sub(left=l, right=r):
-            return _eval_node(l, s) - _eval_node(r, s)
+            return _eval_node(l, walk) - _eval_node(r, walk)
+        case Mul(left=Constant(value=c), right=Ln(arg=a)):
+            return jet_ln(walk, _eval_node(a, walk), c=float(c))
         case Mul(left=l, right=r):
-            return _eval_node(l, s) * _eval_node(r, s)
+            return _eval_node(l, walk) * _eval_node(r, walk)
         case Div(left=l, right=r):
-            return _eval_node(l, s) / _eval_node(r, s)
+            return jet_div(walk, _eval_node(l, walk), _eval_node(r, walk))
         case Pow(base=b, exponent=e):
-            return jet_pow(_eval_node(b, s), _eval_node(e, s))
+            return jet_pow(walk, _eval_node(b, walk), _eval_node(e, walk))
         case Ln(arg=a):
-            return jet_ln(_eval_node(a, s))
+            return jet_ln(walk, _eval_node(a, walk))
         case Exp(arg=a):
-            return jet_exp(_eval_node(a, s))
+            return jet_exp(walk, _eval_node(a, walk))
         case Sqrt(arg=a):
-            return jet_sqrt(_eval_node(a, s))
+            return jet_sqrt(walk, _eval_node(a, walk))
     raise TypeError(f"unknown expression node {node!r}")
 
 
@@ -349,13 +413,14 @@ def parse(text: str) -> Expr:
 
 # --------------------------------------------------------------------------
 # built-in families
+#
+# Each family keeps its parameters and validation and lowers to the
+# expression AST once per instance (``expr``); eval_jet walks that AST.
 
 
-def _pow(s: float, p: float) -> float:
-    try:
-        return math.pow(s, p)
-    except OverflowError as e:
-        raise NonFiniteError(f"overflow in {s} ** {p}") from e
+def _affine(d: float, c: float, g: Expr) -> Expr:
+    """d + c * g."""
+    return Add(Constant(d), Mul(Constant(c), g))
 
 
 @dataclass(frozen=True)
@@ -366,13 +431,9 @@ class PowerLaw:
     p: float
     d: float = 0.0
 
-    def eval_jet(self, s: float) -> Jet2:
-        _check_point(s)
-        return Jet2(
-            self.d + self.c * _pow(s, self.p),
-            self.c * self.p * _pow(s, self.p - 1.0),
-            self.c * self.p * (self.p - 1.0) * _pow(s, self.p - 2.0),
-        )
+    @cached_property
+    def expr(self) -> Expr:
+        return _affine(self.d, self.c, Pow(Variable(), Constant(self.p)))
 
 
 @dataclass(frozen=True)
@@ -382,9 +443,9 @@ class LogFamily:
     c: float
     d: float = 0.0
 
-    def eval_jet(self, s: float) -> Jet2:
-        _check_point(s)
-        return Jet2(self.d + self.c * math.log(s), self.c / s, -self.c / (s * s))
+    @cached_property
+    def expr(self) -> Expr:
+        return _affine(self.d, self.c, Ln(Variable()))
 
 
 @dataclass(frozen=True)
@@ -419,18 +480,13 @@ class FamilyA:
             return "log"
         return "power" if self.a < inv_n else "inverted-power"
 
-    def eval_jet(self, s: float) -> Jet2:
-        _check_point(s)
+    @cached_property
+    def expr(self) -> Expr:
         br = self.branch
         if br == "log":
-            return Jet2(self.d + self.c * math.log(s), self.c / s, -self.c / (s * s))
-        q = 1.0 / self.n - self.a
+            return _affine(self.d, self.c, Ln(Variable()))
         coeff = self.c if br == "power" else -self.c
-        return Jet2(
-            self.d + coeff * _pow(s, q),
-            coeff * q * _pow(s, q - 1.0),
-            coeff * q * (q - 1.0) * _pow(s, q - 2.0),
-        )
+        return _affine(self.d, coeff, Pow(Variable(), Constant(1.0 / self.n - self.a)))
 
 
 @dataclass(frozen=True)
@@ -444,9 +500,9 @@ class NeoHookeVolumetric:
         if self.mu <= 0:
             raise ParameterError(f"shear modulus mu={self.mu} must be > 0")
 
-    def eval_jet(self, s: float) -> Jet2:
-        _check_point(s)
-        return Jet2(-self.mu * math.log(s), -self.mu / s, self.mu / (s * s))
+    @cached_property
+    def expr(self) -> Expr:
+        return Mul(Constant(-self.mu), Ln(Variable()))
 
 
 BuiltinFamily = PowerLaw | LogFamily | FamilyA | NeoHookeVolumetric
@@ -463,22 +519,52 @@ def _check_point(s: float):
         raise DomainError(f"scalar functions are defined for s > 0, got s={s}")
 
 
-def eval_jet(f, s: float) -> Jet2:
-    """Evaluate f to (f(s), f'(s), f''(s)); s must be positive.
+def eval_jet(f, s) -> Jet2:
+    """Evaluate f to (f(s), f'(s), f''(s)) at a float s or at each point of
+    a 1-D float array s; s must be positive.
 
-    Works for parsed expressions and built-in families alike; raises
+    Works for parsed expressions and built-in families alike; any other
+    object's own ``eval_jet`` receives s, float or array.  A float raises
     DomainError outside the domain and NonFiniteError if evaluation
-    overflows.
+    overflows; an array is NaN in all three fields at such points.
     """
-    _check_point(s)
+    raises = not isinstance(s, np.ndarray) or s.ndim == 0
+    if raises:
+        _check_point(s)
+        s = float(s)
+    if isinstance(f, BuiltinFamily):
+        f = f.expr
+    failed = False
     if isinstance(f, Expr):
-        jet = _eval_node(f, jet_var(float(s)))
+        walk = _Walk(np.float64(s) if raises else np.array(s, dtype=float))
+        with np.errstate(all="ignore"):
+            jet = _eval_node(f, walk)
+        failed = walk.failed
+        if raises:
+            jet = Jet2(float(jet.v), float(jet.d1), float(jet.d2))
     else:
-        jet = f.eval_jet(float(s))
-    if not (math.isfinite(jet.v) and math.isfinite(jet.d1) and math.isfinite(jet.d2)):
-        raise NonFiniteError(f"non-finite jet {jet} at s={s}")
+        jet = f.eval_jet(s)
+    if raises:
+        if not (math.isfinite(jet.v) and math.isfinite(jet.d1) and math.isfinite(jet.d2)):
+            raise NonFiniteError(f"non-finite jet {jet} at s={s}")
+        return jet
+    # a field that never met s, like the slope of a constant, is a scalar
+    jet = Jet2(*(x if isinstance(x, np.ndarray) and x.ndim else np.full(s.shape, x) for x in jet))
+    bad = failed | ~(np.isfinite(jet.v) & np.isfinite(jet.d1) & np.isfinite(jet.d2))
+    if bad.any():
+        jet = Jet2(*(np.where(bad, np.nan, x) for x in jet))
     return jet
 
 
-def eval_value(f, s: float) -> float:
+def eval_value(f, s):
     return eval_jet(f, s).v
+
+
+def failure_at(f, s: float) -> DomainError | NonFiniteError:
+    """The error that evaluating f at the float s raises: the reason for a
+    point that an array evaluation returned as NaN."""
+    try:
+        eval_jet(f, s)
+    except (DomainError, NonFiniteError) as e:
+        return e
+    return NonFiniteError(f"non-finite jet at s={s}")

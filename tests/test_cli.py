@@ -163,6 +163,36 @@ class TestUsageErrors:
             assert code == 3, tol
             assert out == "" and "tolerance" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("certify", "-f", "s", "--dim", str(cli.MAX_DIM + 1)),
+            ("certify", "-f", "s", "--grid-count", str(cli.MAX_GRID_COUNT + 1)),
+            ("certify", "-f", "s", "--samples", str(cli.MAX_SAMPLES + 1)),
+            ("witness", "-f", "s", "--grid-count", str(cli.MAX_GRID_COUNT + 1)),
+            ("oracle", "--dim", str(cli.MAX_DIM + 1)),
+            ("oracle", "--samples", str(cli.MAX_SAMPLES + 1)),
+            ("curves", "--dim", str(cli.MAX_DIM + 1)),
+        ],
+    )
+    def test_oversized_run_rejected_before_any_work(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oversized run started")
+
+        monkeypatch.setattr(cli, "parse_function_spec", refuse)
+        monkeypatch.setattr(cli.certifier, "certify", refuse)
+        monkeypatch.setattr(cli.detcalculus, "oracle_sweep", refuse)
+        monkeypatch.setattr(cli.odelimit, "export_family_curves", refuse)
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == "" and "exceeds the limit" in err
+
+    def test_sizes_at_the_limits_pass_the_check(self):
+        config = cli.CliConfig(
+            command="certify", n=cli.MAX_DIM, grid_count=cli.MAX_GRID_COUNT, samples=cli.MAX_SAMPLES
+        )
+        cli._check_sizes(config)
+
     def test_witness_dimension_error_is_usage_error(self, capsys):
         # n = 1 has no slope witness; this used to end in a traceback
         code, out, err = run(capsys, "witness", "-f", "s", "--dim", "1", "--grid-count", "50")
