@@ -4,7 +4,10 @@ Subcommands: certify, witness, curves, oracle, selftest.  Reports are
 deterministic given the same flags and seed: JSON field order is fixed,
 floats serialize as shortest round-trip decimals, and the timestamp can be
 suppressed with --no-timestamp.  Exit codes for certify: 0 certified on
-grid, 1 refuted, 2 inconclusive, 3 usage or parse error.
+grid, 1 refuted, 2 inconclusive, 3 usage or parse error.  Any command that
+cannot finish because a function fails to evaluate, no finite-difference
+step exists, an eigensolver does not converge or a witness matrix falls
+below the positivity floor exits 2.
 """
 
 from __future__ import annotations
@@ -19,7 +22,16 @@ from pathlib import Path
 
 from . import __version__, certifier, detcalculus, odelimit, scalarfun, selftest
 from .certifier import CERTIFIED, INCONCLUSIVE, REFUTED, GridSpec
-from .errors import DimensionError, ParameterError, ParseError
+from .errors import (
+    ConvergenceError,
+    DegenerateDirectionError,
+    DimensionError,
+    DomainError,
+    NonFiniteError,
+    NotPositiveDefiniteError,
+    ParameterError,
+    ParseError,
+)
 from .linalg import RNG_ALGORITHM
 
 EXIT_CERTIFIED = 0
@@ -31,8 +43,9 @@ _VERDICT_EXIT = {CERTIFIED: EXIT_CERTIFIED, REFUTED: EXIT_REFUTED, INCONCLUSIVE:
 
 # Largest sizes the commands accept; larger values exit 3 before anything
 # is allocated.  The grid pass holds several arrays of --grid-count floats,
-# the sweep makes 32 bytes of seed words per sample up front, and the
-# Jacobi eigensolver is a Python loop of O(n^3) per sweep.
+# the curve export evaluates --count points per curve one at a time, the
+# sweep makes 32 bytes of seed words per sample up front, and the work per
+# sample (solves, eigendecompositions, determinants) grows as n^3.
 MAX_DIM = 64
 MAX_GRID_COUNT = 200_000
 MAX_SAMPLES = 1_000_000
@@ -353,6 +366,7 @@ def _check_sizes(config: CliConfig):
     for flag, value, limit in (
         ("--dim", config.n, MAX_DIM),
         ("--grid-count", config.grid_count, MAX_GRID_COUNT),
+        ("--count", config.count, MAX_GRID_COUNT),
         ("--samples", config.samples, MAX_SAMPLES),
     ):
         if value > limit:
@@ -385,6 +399,17 @@ def main(argv=None) -> int:
     except (UsageError, ParameterError, DimensionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except (
+        DomainError,
+        NonFiniteError,
+        DegenerateDirectionError,
+        ConvergenceError,
+        NotPositiveDefiniteError,
+    ) as e:
+        # the run cannot reach an answer; 1 would claim a refutation or a
+        # discrepancy
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, scalarfun
-from .errors import DegenerateDirectionError, DimensionError, DomainError, ParameterError
+from .errors import (
+    DegenerateDirectionError,
+    DimensionError,
+    DomainError,
+    NonFiniteError,
+    ParameterError,
+)
 from .linalg import PosDefMatrix, SymMatrix, frob_inner, frob_norm
 
 _EPS = float(np.finfo(float).eps)
@@ -262,7 +268,9 @@ def oracle_sweep(
     seeded random (C, H) pairs.
 
     Discrepancies are |analytic - fd| / max(1, |analytic|); a sample is
-    ``agreeing`` when its Hessian discrepancy is within ``hess_tol``.
+    ``agreeing`` when its Hessian discrepancy is within ``hess_tol``.  A
+    sample whose function fails to evaluate (outside its domain or
+    overflowing) or that admits no finite-difference step is skipped.
     """
     if num_samples < 1:
         raise ParameterError("num_samples must be >= 1")
@@ -281,7 +289,7 @@ def oracle_sweep(
             fd, h_used = fd_second_directional_with_step(f, c, h)
             grad = g_grad_form(f, c, h)
             fd_grad = fd_first_directional(f, c, h)
-        except (DomainError, DegenerateDirectionError):
+        except (DomainError, NonFiniteError, DegenerateDirectionError):
             skipped += 1
             continue
         hd = abs(analytic - fd) / max(1.0, abs(analytic))

@@ -315,11 +315,27 @@ def _tokenize(text: str):
     return tokens
 
 
+# Deepest expression the parser accepts, counting every operator, function
+# call and parenthesis pair on the way from the root to a leaf.  Parsing
+# and evaluation recurse once or a few times per level, so a deeper input
+# would exhaust the interpreter's recursion limit.
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent that also tracks the depth of what it builds.
+
+    The grammar methods return (expr, depth).  ``level`` counts the
+    constructs open on the way down, so excessive nesting is refused
+    before it recurses; ``_node`` checks the finished depth, which also
+    covers the iteratively built left-associative chains.
+    """
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.level = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -335,76 +351,100 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
         return self.advance()
 
+    @staticmethod
+    def _too_deep(pos: int) -> ParseError:
+        return ParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+
+    def _nested(self, parse, pos: int) -> tuple[Expr, int]:
+        """Run ``parse`` one level further down; pos is where that level
+        opens."""
+        if self.level >= MAX_DEPTH:
+            raise self._too_deep(pos)
+        self.level += 1
+        e, depth = parse()
+        self.level -= 1
+        return e, depth
+
+    def _node(self, cls, pos: int, *parts) -> tuple[Expr, int]:
+        """Build cls over (expr, depth) parts; pos is its operator."""
+        depth = 1 + max(d for _, d in parts)
+        if depth > MAX_DEPTH:
+            raise self._too_deep(pos)
+        return cls(*(e for e, _ in parts)), depth
+
     def parse(self) -> Expr:
-        e = self.additive()
+        e, _ = self.additive()
         kind, text, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {text!r}", pos)
         return e
 
-    def additive(self) -> Expr:
+    def additive(self) -> tuple[Expr, int]:
         e = self.multiplicative()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, pos = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
                 rhs = self.multiplicative()
-                e = Add(e, rhs) if text == "+" else Sub(e, rhs)
+                e = self._node(Add if text == "+" else Sub, pos, e, rhs)
             else:
                 return e
 
-    def multiplicative(self) -> Expr:
+    def multiplicative(self) -> tuple[Expr, int]:
         e = self.unary()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, pos = self.peek()
             if kind == "op" and text in "*/":
                 self.advance()
                 rhs = self.unary()
-                e = Mul(e, rhs) if text == "*" else Div(e, rhs)
+                e = self._node(Mul if text == "*" else Div, pos, e, rhs)
             else:
                 return e
 
-    def unary(self) -> Expr:
-        kind, text, _ = self.peek()
+    def unary(self) -> tuple[Expr, int]:
+        kind, text, pos = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Negate(self.unary())
+            return self._node(Negate, pos, self._nested(self.unary, pos))
         return self.power()
 
-    def power(self) -> Expr:
+    def power(self) -> tuple[Expr, int]:
         base = self.atom()
-        kind, text, _ = self.peek()
+        kind, text, pos = self.peek()
         if kind == "op" and text == "^":
             self.advance()
             # right associative; the exponent may carry a unary minus
-            return Pow(base, self.unary())
+            return self._node(Pow, pos, base, self._nested(self.unary, pos))
         return base
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         kind, text, pos = self.advance()
         if kind == "num":
-            return Constant(float(text))
+            return Constant(float(text)), 0
         if kind == "ident":
             if text == "s":
-                return Variable()
+                return Variable(), 0
             if text in _FUNCTIONS:
                 self.expect_op("(")
-                arg = self.additive()
+                arg = self._nested(self.additive, pos)
                 self.expect_op(")")
-                return _FUNCTIONS[text](arg)
+                return self._node(_FUNCTIONS[text], pos, arg)
             raise UnknownIdentifierError(f"unknown identifier {text!r}", pos)
         if kind == "op" and text == "(":
-            e = self.additive()
+            e, depth = self._nested(self.additive, pos)
             self.expect_op(")")
-            return e
+            if depth + 1 > MAX_DEPTH:
+                raise self._too_deep(pos)
+            return e, depth + 1
         raise ParseError(f"expected a value, got {text!r}" if text else "unexpected end of input", pos)
 
 
 def parse(text: str) -> Expr:
     """Parse an expression in the variable ``s``.
 
-    Raises ParseError (with byte offset) on malformed input and
-    UnknownIdentifierError for identifiers other than s/ln/exp/sqrt.
+    Raises ParseError (with byte offset) on malformed input or on nesting
+    deeper than ``MAX_DEPTH``, and UnknownIdentifierError for identifiers
+    other than s/ln/exp/sqrt.
     """
     if not text or not text.strip():
         raise ParseError("empty expression", 0)

@@ -153,6 +153,22 @@ class TestUsageErrors:
         code, _, err = run(capsys, "certify", "-f", "s", "--s-min", "-1")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(" * 3000 + "s" + ")" * 3000,
+            "-" * 3000 + "s",
+            "+".join(["s"] * 3000),
+            "^".join(["s"] * 3000),
+        ],
+        ids=["parentheses", "unary-minus", "sum-chain", "power-chain"],
+    )
+    def test_deep_expression_rejected(self, capsys, text):
+        # these ended in a RecursionError traceback, exit 1
+        code, out, err = run(capsys, "certify", "-f", text, *CERT_FAST)
+        assert code == 3
+        assert out == "" and "nested deeper" in err and "offset" in err
+
     def test_negative_samples_rejected(self, capsys):
         assert run(capsys, "certify", "-f", "s", "--samples", "-5")[0] == 3
 
@@ -173,6 +189,7 @@ class TestUsageErrors:
             ("oracle", "--dim", str(cli.MAX_DIM + 1)),
             ("oracle", "--samples", str(cli.MAX_SAMPLES + 1)),
             ("curves", "--dim", str(cli.MAX_DIM + 1)),
+            ("curves", "--count", str(cli.MAX_GRID_COUNT + 1)),
         ],
     )
     def test_oversized_run_rejected_before_any_work(self, capsys, monkeypatch, argv):
@@ -189,7 +206,11 @@ class TestUsageErrors:
 
     def test_sizes_at_the_limits_pass_the_check(self):
         config = cli.CliConfig(
-            command="certify", n=cli.MAX_DIM, grid_count=cli.MAX_GRID_COUNT, samples=cli.MAX_SAMPLES
+            command="certify",
+            n=cli.MAX_DIM,
+            grid_count=cli.MAX_GRID_COUNT,
+            samples=cli.MAX_SAMPLES,
+            count=cli.MAX_GRID_COUNT,
         )
         cli._check_sizes(config)
 
@@ -212,6 +233,15 @@ class TestWitnessCommand:
         code, out, _ = run(capsys, "witness", "-f", "-s", "--grid-count", "50")
         assert code == 0
         assert "kind=SecondOrderDeficit" in out
+
+    def test_witness_below_positivity_floor_exits_two(self, capsys):
+        # diag(1, 1, s) at s < 1e-12 fails the eigenvalue floor; this ended
+        # in a NotPositiveDefiniteError traceback, exit 1
+        argv = ("-f", "s", "--s-min", "1e-20", "--s-max", "1e-15", "--grid-count", "5")
+        for command in ("witness", "certify"):
+            code, out, err = run(capsys, command, *argv)
+            assert code == 2, command
+            assert out == "" and err.startswith("error: smallest eigenvalue")
 
     def test_no_violation_message(self, capsys):
         code, out, _ = run(capsys, "witness", "-f", "-ln(s)", "--grid-count", "50")
@@ -255,6 +285,13 @@ class TestCurvesCommand:
         code, _, err = run(capsys, "curves", "-f", "-ln(s)", "--outdir", str(tmp_path / "x"))
         assert code == 3
 
+    def test_overflowing_curve_exits_two(self, capsys, tmp_path):
+        # f'' overflows near s = 1e-300; this ended in a NonFiniteError
+        # traceback, exit 1
+        code, _, err = run(capsys, "curves", "--s-min", "1e-300", "--outdir", str(tmp_path / "x"))
+        assert code == 2
+        assert err.startswith("error: non-finite jet")
+
 
 class TestOracleCommand:
     def test_builtin_sweep(self, capsys):
@@ -266,6 +303,18 @@ class TestOracleCommand:
     def test_explicit_function(self, capsys):
         code, out, _ = run(capsys, "oracle", "-f", "-ln(s)", "--dim", "3", "--samples", "40")
         assert code == 0
+
+    def test_overflowing_sample_skipped(self, capsys):
+        # exp(exp(s)) overflows at one of these determinants; the sample
+        # ended in a NonFiniteError traceback, exit 1 ("discrepancy")
+        code, out, _ = run(capsys, "oracle", "-f", "exp(exp(s))", "--samples", "5")
+        assert code == 0
+        assert "skipped: 1" in out
+
+    def test_every_sample_skipped_exits_two(self, capsys):
+        code, out, err = run(capsys, "oracle", "-f", "ln(s-1e9)", "--samples", "3")
+        assert code == 2
+        assert out == "" and err.startswith("error: every sample was skipped")
 
 
 class TestSelftestCommand:

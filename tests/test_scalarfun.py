@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from detconvex.errors import DomainError, NonFiniteError, ParameterError, ParseError, UnknownIdentifierError
 from detconvex.scalarfun import (
+    MAX_DEPTH,
     Add,
     FamilyA,
     LogFamily,
@@ -53,6 +54,33 @@ class TestParser:
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert exc.value.offset == offset
+
+    # each of these overflowed the interpreter's recursion limit, in the
+    # parser or in the evaluator; the offset is the operator or parenthesis
+    # that opens level MAX_DEPTH + 1
+    @pytest.mark.parametrize(
+        "text,offset",
+        [
+            ("(" * 3000 + "s" + ")" * 3000, MAX_DEPTH),
+            ("-" * 3000 + "s", MAX_DEPTH),
+            ("+".join(["s"] * 3000), 2 * MAX_DEPTH + 1),
+            ("^".join(["s"] * 3000), 2 * MAX_DEPTH + 1),
+        ],
+        ids=["parentheses", "unary-minus", "sum-chain", "power-chain"],
+    )
+    def test_deep_nesting_rejected_with_offset(self, text, offset):
+        with pytest.raises(ParseError, match="nested deeper") as exc:
+            parse(text)
+        assert exc.value.offset == offset
+
+    def test_depth_limit_itself_parses_and_evaluates(self):
+        for text, value in (
+            ("(" * MAX_DEPTH + "s" + ")" * MAX_DEPTH, 1.0),
+            ("-" * MAX_DEPTH + "s", 1.0),
+            ("+".join(["s"] * (MAX_DEPTH + 1)), MAX_DEPTH + 1.0),
+            ("^".join(["s"] * (MAX_DEPTH + 1)), 1.0),
+        ):
+            assert eval_jet(parse(text), 1.0).v == value
 
     def test_unknown_identifier(self):
         with pytest.raises(UnknownIdentifierError) as exc:
