@@ -118,25 +118,27 @@ def witness_positive_fprime(s: float, n: int):
     C = diag(1,...,1,s), H = diag(1,-1,0,...,0); then <C^-1,H> = 0 and
     <HC^-1,C^-1H> = 2 exactly, so D2g(C).(H,H) = -2 s f'(s).
 
-    The (+1,-1) slots of H must avoid the s slot, which needs n >= 3; for
-    n = 2 the pair degenerates to C = sqrt(s) I, H = diag(sqrt(s),
-    -sqrt(s)), which keeps det C = s and all three identities (the inner
-    product cancels exactly, the cross term is 2 up to one rounding).
+    The (+1,-1) slots of H must avoid the s slot, which needs n >= 3, and
+    s must clear the positivity floor of C (POSDEF_EIG_FLOOR times its
+    Frobenius norm, so s below about 1.4e-12 does not).  Otherwise the
+    pair is C = r I, H = r diag(1,-1,0,...,0) with r = s^(1/n) (sqrt(s)
+    for n = 2), which keeps det C = s up to rounding and both identities
+    (the inner product cancels exactly, the cross term is 2 up to one
+    rounding).
     """
     if n < 2:
         raise DimensionError("the slope witness needs n >= 2 (two free diagonal slots)")
     if not (s > 0):
         raise ParameterError(f"s={s} must be positive")
-    if n == 2:
-        root = float(np.sqrt(s))
-        diag_c = np.array([root, root])
-        diag_h = np.array([root, -root])
+    diag_c = np.ones(n)
+    diag_c[-1] = s
+    diag_h = np.zeros(n)
+    if n > 2 and s > linalg.POSDEF_EIG_FLOOR * linalg.frob_norm(np.diag(diag_c)):
+        diag_h[:2] = (1.0, -1.0)
     else:
-        diag_c = np.ones(n)
-        diag_c[-1] = s
-        diag_h = np.zeros(n)
-        diag_h[0] = 1.0
-        diag_h[1] = -1.0
+        root = float(np.sqrt(s)) if n == 2 else s ** (1.0 / n)
+        diag_c = np.full(n, root)
+        diag_h[:2] = (root, -root)
     return PosDefMatrix.from_diag(diag_c), SymMatrix.from_diag(diag_h)
 
 

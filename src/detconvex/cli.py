@@ -3,11 +3,20 @@
 Subcommands: certify, witness, curves, oracle, selftest.  Reports are
 deterministic given the same flags and seed: JSON field order is fixed,
 floats serialize as shortest round-trip decimals, and the timestamp can be
-suppressed with --no-timestamp.  Exit codes for certify: 0 certified on
-grid, 1 refuted, 2 inconclusive, 3 usage or parse error.  Any command that
-cannot finish because a function fails to evaluate, no finite-difference
-step exists, an eigensolver does not converge or a witness matrix falls
-below the positivity floor exits 2.
+suppressed with --no-timestamp.
+
+The certify report is the text of ``json.dumps(report, indent=2)``.
+``indent`` sends json to its pure-Python encoder, which took most of a
+large grid run walking one object per failing point, so ``_report_text``
+dumps only the rest of the report that way.  It writes the failing points
+from three float columns: ``float.__repr__`` in C gives json's own
+spelling of each finite float (with a table for NaN and the infinities),
+and one fixed template places them at json's indentation.
+
+Exit codes for certify: 0 certified on grid, 1 refuted, 2 inconclusive,
+3 usage or parse error.  Any command that cannot finish because a function
+fails to evaluate, no finite-difference step exists, an eigensolver does
+not converge or a matrix falls below the positivity floor exits 2.
 """
 
 from __future__ import annotations
@@ -130,6 +139,8 @@ def _function_annotations(f):
 
 
 def _report_json(config: CliConfig, report, diagnostics) -> dict:
+    """The report document for ``_report_text``; ``failing_points`` holds
+    the grid records themselves, not one dict per point."""
     doc = {
         "version": __version__,
         "function_source": config.function,
@@ -141,9 +152,7 @@ def _report_json(config: CliConfig, report, diagnostics) -> dict:
         },
         "tol": report.tol,
         "verdict": report.verdict,
-        "failing_points": [
-            {"s": p.s, "fprime": p.fprime, "lhs": p.lhs} for p in report.failing_points
-        ],
+        "failing_points": report.failing_points,
         "witnesses": [
             {
                 "kind": w.kind,
@@ -170,6 +179,44 @@ def _report_json(config: CliConfig, report, diagnostics) -> dict:
     return doc
 
 
+# One failing point at indent levels 2 and 3 of json.dumps(indent=2).
+_POINT_TEMPLATE = '    {\n      "s": %s,\n      "fprime": %s,\n      "lhs": %s\n    }'
+_EMPTY_POINTS = '"failing_points": []'
+# float.__repr__ spells finite floats as json does (shortest round-trip
+# decimals, -0.0 included) but not the non-finite ones
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(column) -> list:
+    """The JSON text of each float of ``column``."""
+    out = list(map(float.__repr__, column))
+    if not _NONFINITE.keys().isdisjoint(out):
+        out = [_NONFINITE.get(r, r) for r in out]
+    return out
+
+
+def _report_text(doc: dict) -> str:
+    """The report as json.dumps with indent=2 writes it, byte for byte.
+    ``doc["failing_points"]`` holds rows whose first three fields (s, f'(s)
+    and the condition's left-hand side, all floats) are written as the
+    object {"s", "fprime", "lhs"}.
+
+    The rest of the document goes through json.dumps with an empty list in
+    place of the points.  The points are three columns, each formatted by
+    ``float.__repr__`` in C and joined through one template.  The text
+    '"failing_points": []' occurs once in the dumped head, as the key:
+    inside a JSON string every quote is escaped.
+    """
+    rows = doc["failing_points"]
+    head = json.dumps({**doc, "failing_points": []}, indent=2)
+    if not rows:
+        return head
+    columns = list(zip(*rows))[:3]
+    points = map(_POINT_TEMPLATE.__mod__, zip(*map(_json_floats, columns)))
+    block = '"failing_points": [\n' + ",\n".join(points) + "\n  ]"
+    return head.replace(_EMPTY_POINTS, block, 1)
+
+
 def _emit(text: str, path: str):
     if path == "-":
         sys.stdout.write(text)
@@ -190,7 +237,7 @@ def _cmd_certify(config: CliConfig) -> int:
         diagnostics = certifier.sample_convexity(f, config.n, config.samples, config.seed)
     doc = _report_json(config, report, diagnostics)
     doc["annotations"] = list(report.annotations) + _function_annotations(f)
-    _emit(json.dumps(doc, indent=2), config.output)
+    _emit(_report_text(doc), config.output)
     print(f"verdict: {report.verdict}", file=sys.stderr)
     return _VERDICT_EXIT[report.verdict]
 

@@ -10,6 +10,8 @@ construction and all operations are pure functions.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +28,8 @@ from .errors import (
 RNG_ALGORITHM = "numpy-pcg64"
 
 POSDEF_EIG_FLOOR = 1e-12  # relative to the Frobenius norm
+
+_FLOAT_TINY = sys.float_info.min  # smallest normal float
 
 
 def _check_finite(a: np.ndarray):
@@ -150,8 +154,25 @@ class PosDefMatrix:
         return PosDefMatrix.from_sym(SymMatrix.from_diag(d))
 
 
+def _rescaled_norms(a: np.ndarray) -> np.ndarray:
+    """Frobenius norms over the last two axes of ``a``, with the entries
+    divided by their largest absolute value before they are squared."""
+    scale = np.max(np.abs(a), axis=(-2, -1))
+    scale = np.where(np.isfinite(scale) & (scale > 0), scale, 1.0)
+    return scale * np.sqrt(np.sum((a / scale[..., None, None]) ** 2, axis=(-2, -1)))
+
+
 def frob_norm(m) -> float:
-    return float(np.sqrt(np.sum(_as_array(m) ** 2)))
+    """Frobenius norm: the square root of the plain sum of squares, unless
+    that sum is not a finite normal float (entries beyond about 1e154
+    overflow the squares, below about 1e-154 they underflow); then the
+    entries are rescaled first."""
+    a = _as_array(m)
+    with np.errstate(over="ignore"):
+        squares = float(np.add.reduce(a * a, axis=None))
+    if _FLOAT_TINY <= squares < math.inf:
+        return math.sqrt(squares)
+    return float(_rescaled_norms(a))
 
 
 def frob_inner(a, b) -> float:
@@ -277,7 +298,14 @@ def require_posdef_stack(a: np.ndarray):
     matrix of an (N, n, n) stack; raises NotPositiveDefiniteError naming
     the first sample below it."""
     smallest = np.linalg.eigvalsh(a)[:, 0]
-    floors = POSDEF_EIG_FLOOR * np.sqrt(np.sum(a**2, axis=(-2, -1)))
+    with np.errstate(over="ignore"):
+        squares = np.sum(a**2, axis=(-2, -1))
+    norms = np.sqrt(squares)
+    # the rule of frob_norm, per matrix
+    redo = ~((squares >= _FLOAT_TINY) & (squares < np.inf))
+    if redo.any():
+        norms = np.where(redo, _rescaled_norms(a), norms)
+    floors = POSDEF_EIG_FLOOR * norms
     below = np.flatnonzero(smallest <= floors)
     if below.size:
         i = int(below[0])

@@ -190,6 +190,29 @@ class TestWitnessConstructions:
                     # rounding each
                     assert abs(cross - 2.0) <= 8e-16
 
+    def test_slope_witness_below_positivity_floor(self):
+        # diag(1, ..., 1, s) fails the eigenvalue floor below s ~ 1.4e-12;
+        # there the pair is r I, r diag(1, -1, 0, ...) with r = s^(1/n)
+        for n in range(2, 7):
+            for s in (1.3e-12, 1e-15, 1e-20, 1e-100, 1e-300, 5e-324):
+                c, h = witness_positive_fprime(s, n)
+                root = np.sqrt(s) if n == 2 else s ** (1.0 / n)
+                assert np.array_equal(c.base.a, root * np.eye(n))
+                assert np.array_equal(np.diag(h.a)[:2], [root, -root])
+                assert not np.any(np.diag(h.a)[2:])
+                # the rounded exponent 1/n costs about |ln s| eps in r
+                assert abs(c.det - s) <= 1e-12 * s
+                assert frob_inner(c.inverse, h) == 0.0
+                cross = frob_inner(h.a @ c.inverse.a, c.inverse.a @ h.a)
+                assert abs(cross - 2.0) <= 8e-16
+
+    def test_slope_witness_shape_kept_above_positivity_floor(self):
+        for n in range(3, 7):
+            for s in (3e-12, 1e-9, 1e-3):
+                c, h = witness_positive_fprime(s, n)
+                assert np.array_equal(np.diag(c.base.a), [1.0] * (n - 1) + [s])
+                assert np.array_equal(np.diag(h.a)[:2], [1.0, -1.0])
+
     def test_slope_witness_needs_two_slots(self):
         with pytest.raises(DimensionError):
             witness_positive_fprime(1.0, 1)

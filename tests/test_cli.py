@@ -234,14 +234,23 @@ class TestWitnessCommand:
         assert code == 0
         assert "kind=SecondOrderDeficit" in out
 
-    def test_witness_below_positivity_floor_exits_two(self, capsys):
-        # diag(1, 1, s) at s < 1e-12 fails the eigenvalue floor; this ended
-        # in a NotPositiveDefiniteError traceback, exit 1
-        argv = ("-f", "s", "--s-min", "1e-20", "--s-max", "1e-15", "--grid-count", "5")
-        for command in ("witness", "certify"):
-            code, out, err = run(capsys, command, *argv)
-            assert code == 2, command
-            assert out == "" and err.startswith("error: smallest eigenvalue")
+    def test_witness_below_positivity_floor_refutes(self, capsys):
+        # diag(1, 1, s) at s < 1e-12 fails the eigenvalue floor, so both
+        # commands exited 2; the slope witness is s^(1/n) I there
+        argv = ("-f", "s", "--s-min", "1e-20", "--s-max", "1e-15")
+        code, out, _ = run(capsys, "witness", *argv, "--grid-count", "5")
+        assert code == 0
+        assert "kind=PositiveFPrime at s=1e-20" in out and "confirmed: yes" in out
+        code, out, err = run(capsys, "certify", *argv, "--samples", "0")
+        assert code == 1 and "verdict: Refuted" in err
+        doc = json.loads(out)
+        assert doc["verdict"] == "Refuted"
+        w = doc["witnesses"][0]
+        assert w["kind"] == "PositiveFPrime" and w["s"] == 1e-20
+        c = np.array(w["C"])
+        assert np.linalg.det(c) == pytest.approx(w["s"], rel=1e-9)
+        assert np.all(np.linalg.eigvalsh(c) > 0)
+        assert w["analytic"] < 0
 
     def test_no_violation_message(self, capsys):
         code, out, _ = run(capsys, "witness", "-f", "-ln(s)", "--grid-count", "50")

@@ -33,6 +33,28 @@ def sym_matrices(max_n=6, scale=10.0):
     ).map(SymMatrix)
 
 
+class TestFrobNorm:
+    @given(sym_matrices(scale=1e100))
+    @settings(max_examples=200, deadline=None)
+    def test_plain_sum_of_squares_where_normal(self, m):
+        squares = np.sum(m.a**2)
+        if np.isfinite(squares) and squares >= np.finfo(float).tiny:
+            assert linalg.frob_norm(m) == float(np.sqrt(squares))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300])
+    def test_extreme_scales(self, scale):
+        a = np.array([[3.0, 1.0], [1.0, -2.0]])
+        assert linalg.frob_norm(a * scale) == pytest.approx(math.sqrt(15.0) * scale, rel=1e-15)
+
+    def test_rescaled_norms_on_a_stack(self):
+        stack = np.stack([np.diag([1e200, 3.0]), np.diag([1e-200, 3e-200]), np.eye(2) * 7.0])
+        expected = [linalg.frob_norm(m) for m in stack[:2]] + [7.0 * math.sqrt(2.0)]
+        assert linalg._rescaled_norms(stack).tolist() == expected
+
+    def test_zero_matrix(self):
+        assert linalg.frob_norm(np.zeros((3, 3))) == 0.0
+
+
 class TestSymMatrix:
     def test_lower_triangle_authoritative(self):
         m = SymMatrix(np.array([[1.0, 99.0], [2.0, 3.0]]))
@@ -173,6 +195,16 @@ class TestPosDefMatrix:
             PosDefMatrix.from_diag([1.0, 1e-14])
         PosDefMatrix.from_diag([1.0, 1e-10])  # above the floor
 
+    def test_floor_at_extreme_scales(self):
+        # the Frobenius norm squared the entries: 1e200 gave the floor inf,
+        # 1e-200 the floor 0
+        big = PosDefMatrix.from_diag([1e200, 1e200])
+        assert big.eigenvalues[0] == 1e200
+        tiny = PosDefMatrix.from_diag([1e-200, 1e-200])
+        assert linalg.POSDEF_EIG_FLOOR * linalg.frob_norm(tiny.base) > 0
+        with pytest.raises(NotPositiveDefiniteError, match="floor 1.000e\\+188"):
+            PosDefMatrix.from_diag([1e200, 1.0])
+
     def test_inverse_roundtrip(self):
         for seed in range(8):
             c = random_posdef(5, LOG_RANGE, seed=seed)
@@ -222,6 +254,14 @@ class TestRequirePosdefStack:
         stack = np.stack([np.eye(3), np.diag([1.0, 1.0, 1e-13]), np.diag([1.0, -1.0, 1.0])])
         with pytest.raises(NotPositiveDefiniteError, match="sample 1"):
             linalg.require_posdef_stack(stack)
+
+
+    def test_floor_at_extreme_scales(self):
+        linalg.require_posdef_stack(np.stack([np.diag([1e200, 1e200]), np.diag([1e-200, 1e-200])]))
+        with pytest.raises(NotPositiveDefiniteError, match="sample 1: .* floor 1.000e\\+188"):
+            linalg.require_posdef_stack(np.stack([np.eye(2), np.diag([1e200, 1.0])]))
+        with pytest.raises(NotPositiveDefiniteError, match="sample 0: .* floor 1.000e-212"):
+            linalg.require_posdef_stack(np.diag([1e-200, 1e-215])[None])
 
 
 class TestRandomSym:
