@@ -15,8 +15,8 @@ finite-difference oracle; otherwise the verdict is Inconclusive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import (
     NonFiniteError,
     ParameterError,
 )
-from .linalg import PosDefMatrix, SymMatrix, frob_inner
+from .linalg import PosDefMatrix, frob_inner
 from .scalarfun import FamilyA, LogFamily, NeoHookeVolumetric, PowerLaw
 
 CERTIFIED = "CertifiedOnGrid"
@@ -54,22 +54,15 @@ class GridSpec:
     def __post_init__(self):
         if not (self.s_min > 0):
             raise ParameterError(f"s_min={self.s_min} must be positive")
-        if not (self.s_max > self.s_min):
-            raise ParameterError(f"s_max={self.s_max} must exceed s_min={self.s_min}")
+        if not (self.s_min < self.s_max < math.inf):
+            raise ParameterError(
+                f"s_max={self.s_max} must be finite and exceed s_min={self.s_min}"
+            )
         if self.count < 2:
             raise ParameterError(f"grid count={self.count} must be >= 2")
 
     def points(self) -> np.ndarray:
         return np.geomspace(self.s_min, self.s_max, self.count)
-
-
-class GridPointRecord(NamedTuple):
-    s: float
-    fprime: float
-    lhs: float
-    tol: float
-    fprime_ok: bool
-    lhs_ok: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,25 +73,36 @@ class Witness:
     kind: str
     s_star: float
     c: PosDefMatrix
-    h: SymMatrix
+    h: np.ndarray
     analytic_value: float
     fd_value: float
 
 
 @dataclass(frozen=True, eq=False)
 class CertificationReport:
+    """Verdict with the grid pass as 1-D columns, one entry per evaluated
+    point: s, f'(s), the condition's left-hand side, the tolerance band and
+    the two condition flags.  A domain failure cuts the columns before the
+    first point that failed to evaluate."""
+
     verdict: str
     n: int
     grid: GridSpec
-    points: tuple
+    s: np.ndarray
+    fprime: np.ndarray
+    lhs: np.ndarray
+    band: np.ndarray
+    fprime_ok: np.ndarray
+    lhs_ok: np.ndarray
     witnesses: tuple
     tol: float
     analytic_convex: bool | None
     annotations: tuple
 
     @property
-    def failing_points(self) -> tuple:
-        return tuple(p for p in self.points if not (p.fprime_ok and p.lhs_ok))
+    def failing_points(self) -> np.ndarray:
+        """Indices into the columns of the points failing either condition."""
+        return np.flatnonzero(~(self.fprime_ok & self.lhs_ok))
 
 
 def _lhs_from_jet(jet, s: float, n: int) -> float:
@@ -139,7 +143,7 @@ def witness_positive_fprime(s: float, n: int):
         root = float(np.sqrt(s)) if n == 2 else s ** (1.0 / n)
         diag_c = np.full(n, root)
         diag_h[:2] = (root, -root)
-    return PosDefMatrix.from_diag(diag_c), SymMatrix.from_diag(diag_h)
+    return PosDefMatrix.from_diag(diag_c), np.diag(diag_h)
 
 
 def witness_second_order(s: float, n: int, k: float = 1.0):
@@ -155,29 +159,38 @@ def witness_second_order(s: float, n: int, k: float = 1.0):
     if not (s > 0):
         raise ParameterError(f"s={s} must be positive")
     root = s ** (1.0 / n)
-    c = PosDefMatrix.from_diag(np.full(n, root))
-    h = SymMatrix.from_diag(np.full(n, k / root))
-    return c, h
+    return PosDefMatrix.from_diag(np.full(n, root)), np.diag(np.full(n, k / root))
+
+
+def witness_attempt(f, kind: str, s: float, n: int):
+    """(C, H, analytic, fd, h_used, confirmed) for the pair of ``kind`` at s.
+
+    ``analytic`` is D2g(C).(H,H) and ``fd`` its central second difference
+    with step ``h_used``.  The pair is confirmed when the analytic form is
+    strictly negative and the two agree within WITNESS_CONFIRM_TOL
+    relative.  Errors of the construction (DimensionError for a slope
+    witness at n = 1) and of the evaluations propagate.
+    """
+    if kind == KIND_POSITIVE_FPRIME:
+        c, h = witness_positive_fprime(s, n)
+    else:
+        c, h = witness_second_order(s, n)
+    analytic = detcalculus.g_hess_form(f, c, h)
+    fd, h_used = detcalculus.fd_second_directional_with_step(f, c, h)
+    confirmed = analytic < 0 and abs(analytic - fd) <= WITNESS_CONFIRM_TOL * max(
+        1.0, abs(analytic)
+    )
+    return c, h, analytic, fd, h_used, confirmed
 
 
 def _confirmed_witness(f, kind: str, s: float, n: int) -> Witness | None:
-    """Build the pair for ``kind`` at s and confirm it numerically.
-
-    Confirmation requires a strictly negative analytic quadratic form and
-    finite-difference agreement within WITNESS_CONFIRM_TOL relative.
-    """
+    """The confirmed pair for ``kind`` at s, or None when it cannot be
+    built, evaluated or confirmed."""
     try:
-        if kind == KIND_POSITIVE_FPRIME:
-            c, h = witness_positive_fprime(s, n)
-        else:
-            c, h = witness_second_order(s, n)
-        analytic = detcalculus.g_hess_form(f, c, h)
-        fd = detcalculus.fd_second_directional(f, c, h)
+        c, h, analytic, fd, _, confirmed = witness_attempt(f, kind, s, n)
     except (DomainError, NonFiniteError, DegenerateDirectionError, DimensionError):
         return None
-    if not analytic < 0:
-        return None
-    if abs(analytic - fd) > WITNESS_CONFIRM_TOL * max(1.0, abs(analytic)):
+    if not confirmed:
         return None
     return Witness(kind=kind, s_star=float(s), c=c, h=h, analytic_value=analytic, fd_value=fd)
 
@@ -235,8 +248,14 @@ def certify(f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BA
     lhs_ok = lhs >= -tol_p
     failed = np.isnan(jet.v)
     cut = int(np.argmax(failed)) if failed.any() else len(s)
-    columns = (s, jet.d1, lhs, tol_p, fprime_ok, lhs_ok)
-    records = tuple(map(GridPointRecord._make, zip(*(c[:cut].tolist() for c in columns))))
+    columns = dict(
+        s=s[:cut],
+        fprime=jet.d1[:cut],
+        lhs=lhs[:cut],
+        band=tol_p[:cut],
+        fprime_ok=fprime_ok[:cut],
+        lhs_ok=lhs_ok[:cut],
+    )
     if cut < len(s):
         # the point evaluated alone raises the error that made it NaN
         annotations.append(
@@ -246,7 +265,7 @@ def certify(f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BA
             verdict=INCONCLUSIVE,
             n=n,
             grid=grid,
-            points=records,
+            **columns,
             witnesses=(),
             tol=tol,
             analytic_convex=analytic_convexity(f, n),
@@ -288,7 +307,7 @@ def certify(f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BA
         verdict=verdict,
         n=n,
         grid=grid,
-        points=records,
+        **columns,
         witnesses=tuple(witnesses),
         tol=tol,
         analytic_convex=analytic_convexity(f, n),
@@ -334,9 +353,8 @@ def reduction_check(f, c: PosDefMatrix, h):
     """
     harr = linalg._as_array(h)
     full = detcalculus.condition_lhs_full(f, c, harr) / c.det
-    q = c.eigen.q
-    h_rot = q.T @ harr @ q
-    reduced = detcalculus.condition_lhs_diag(f, 1.0 / c.eigen.eigenvalues, h_rot)
+    h_rot = c.q.T @ harr @ c.q
+    reduced = detcalculus.condition_lhs_diag(f, 1.0 / c.eigenvalues, h_rot)
     return full, reduced
 
 
@@ -388,6 +406,8 @@ def sample_convexity(
     """
     if num_samples < 1:
         raise ParameterError("num_samples must be >= 1")
+    if seed < 0:
+        raise ParameterError(f"seed {seed} must be >= 0")
     seeds = np.random.SeedSequence(seed).generate_state(4 * num_samples, dtype=np.uint64)
     min_hess = np.inf
     min_mid = np.inf

@@ -25,7 +25,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -62,23 +61,6 @@ MAX_SAMPLES = 1_000_000
 
 class UsageError(Exception):
     pass
-
-
-@dataclass
-class CliConfig:
-    command: str
-    function: str | None = None
-    n: int = 3
-    s_min: float = 1e-3
-    s_max: float = 1e3
-    grid_count: int = 1000
-    tol: float = certifier.DEFAULT_TOL_BASE
-    samples: int = 1000
-    seed: int = 42
-    output: str = "-"
-    no_timestamp: bool = False
-    outdir: str = "curves"
-    count: int = 200
 
 
 _FAMILY_DEFAULTS = {
@@ -138,12 +120,12 @@ def _function_annotations(f):
     return notes
 
 
-def _report_json(config: CliConfig, report, diagnostics) -> dict:
-    """The report document for ``_report_text``; ``failing_points`` holds
-    the grid records themselves, not one dict per point."""
+def _report_json(args, report, diagnostics) -> dict:
+    """The report document for ``_report_text``, which writes the failing
+    points into its empty ``failing_points`` list."""
     doc = {
         "version": __version__,
-        "function_source": config.function,
+        "function_source": args.function,
         "n": report.n,
         "grid": {
             "s_min": report.grid.s_min,
@@ -152,13 +134,13 @@ def _report_json(config: CliConfig, report, diagnostics) -> dict:
         },
         "tol": report.tol,
         "verdict": report.verdict,
-        "failing_points": report.failing_points,
+        "failing_points": [],
         "witnesses": [
             {
                 "kind": w.kind,
                 "s": w.s_star,
-                "C": w.c.base.a.tolist(),
-                "H": w.h.a.tolist(),
+                "C": w.c.a.tolist(),
+                "H": w.h.tolist(),
                 "analytic": w.analytic_value,
                 "fd": w.fd_value,
             }
@@ -171,10 +153,10 @@ def _report_json(config: CliConfig, report, diagnostics) -> dict:
         },
         "analytic_convex": report.analytic_convex,
         "annotations": list(report.annotations),
-        "seed": config.seed,
+        "seed": args.seed,
         "rng": RNG_ALGORITHM,
     }
-    if not config.no_timestamp:
+    if not args.no_timestamp:
         doc["timestamp"] = datetime.now(timezone.utc).isoformat()
     return doc
 
@@ -188,30 +170,28 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_floats(column) -> list:
-    """The JSON text of each float of ``column``."""
-    out = list(map(float.__repr__, column))
+    """The JSON text of each float of the 1-D array ``column``."""
+    out = list(map(float.__repr__, column.tolist()))
     if not _NONFINITE.keys().isdisjoint(out):
         out = [_NONFINITE.get(r, r) for r in out]
     return out
 
 
-def _report_text(doc: dict) -> str:
-    """The report as json.dumps with indent=2 writes it, byte for byte.
-    ``doc["failing_points"]`` holds rows whose first three fields (s, f'(s)
-    and the condition's left-hand side, all floats) are written as the
-    object {"s", "fprime", "lhs"}.
+def _report_text(doc: dict, columns) -> str:
+    """The report as json.dumps with indent=2 writes it, byte for byte,
+    with ``columns`` (s, f'(s) and the condition's left-hand side of the
+    failing points, three 1-D float arrays) as the objects {"s", "fprime",
+    "lhs"} of ``failing_points``.
 
-    The rest of the document goes through json.dumps with an empty list in
-    place of the points.  The points are three columns, each formatted by
-    ``float.__repr__`` in C and joined through one template.  The text
+    ``doc`` holds an empty ``failing_points`` list and goes through
+    json.dumps.  Each column is formatted by ``float.__repr__`` in C and
+    the three are joined through one template.  The text
     '"failing_points": []' occurs once in the dumped head, as the key:
     inside a JSON string every quote is escaped.
     """
-    rows = doc["failing_points"]
-    head = json.dumps({**doc, "failing_points": []}, indent=2)
-    if not rows:
+    head = json.dumps(doc, indent=2)
+    if not len(columns[0]):
         return head
-    columns = list(zip(*rows))[:3]
     points = map(_POINT_TEMPLATE.__mod__, zip(*map(_json_floats, columns)))
     block = '"failing_points": [\n' + ",\n".join(points) + "\n  ]"
     return head.replace(_EMPTY_POINTS, block, 1)
@@ -226,18 +206,20 @@ def _emit(text: str, path: str):
         Path(path).write_text(text if text.endswith("\n") else text + "\n")
 
 
-def _cmd_certify(config: CliConfig) -> int:
-    if config.samples < 0:
-        raise UsageError(f"--samples must be >= 0, got {config.samples}")
-    f = parse_function_spec(config.function, config.n)
-    grid = GridSpec(config.s_min, config.s_max, config.grid_count)
-    report = certifier.certify(f, config.n, grid, config.tol)
+def _cmd_certify(args) -> int:
+    if args.samples < 0:
+        raise UsageError(f"--samples must be >= 0, got {args.samples}")
+    f = parse_function_spec(args.function, args.dim)
+    grid = GridSpec(args.s_min, args.s_max, args.grid_count)
+    report = certifier.certify(f, args.dim, grid, args.tol)
     diagnostics = None
-    if config.samples > 0 and not any("domain failure" in a for a in report.annotations):
-        diagnostics = certifier.sample_convexity(f, config.n, config.samples, config.seed)
-    doc = _report_json(config, report, diagnostics)
+    if args.samples > 0 and not any("domain failure" in a for a in report.annotations):
+        diagnostics = certifier.sample_convexity(f, args.dim, args.samples, args.seed)
+    doc = _report_json(args, report, diagnostics)
     doc["annotations"] = list(report.annotations) + _function_annotations(f)
-    _emit(_report_text(doc), config.output)
+    failing = report.failing_points
+    columns = (report.s[failing], report.fprime[failing], report.lhs[failing])
+    _emit(_report_text(doc, columns), args.output)
     print(f"verdict: {report.verdict}", file=sys.stderr)
     return _VERDICT_EXIT[report.verdict]
 
@@ -246,35 +228,30 @@ def _fmt_matrix(m) -> str:
     return "\n".join("  [" + ", ".join(repr(v) for v in row) + "]" for row in m.tolist())
 
 
-def _cmd_witness(config: CliConfig) -> int:
-    f = parse_function_spec(config.function, config.n)
-    grid = GridSpec(config.s_min, config.s_max, config.grid_count)
-    report = certifier.certify(f, config.n, grid, config.tol)
+def _cmd_witness(args) -> int:
+    f = parse_function_spec(args.function, args.dim)
+    grid = GridSpec(args.s_min, args.s_max, args.grid_count)
+    report = certifier.certify(f, args.dim, grid, args.tol)
     if any("domain failure" in a for a in report.annotations):
         print(report.annotations[-1])
         return EXIT_INCONCLUSIVE
     failing = report.failing_points
-    if not failing:
+    if not failing.size:
         print("no violation found on grid")
         return EXIT_CERTIFIED
     first = failing[0]
+    s = float(report.s[first])
     # slope violations take precedence at a shared point
-    if not first.fprime_ok:
-        kind = certifier.KIND_POSITIVE_FPRIME
-        c, h = certifier.witness_positive_fprime(first.s, config.n)
-    else:
+    if report.fprime_ok[first]:
         kind = certifier.KIND_SECOND_ORDER
-        c, h = certifier.witness_second_order(first.s, config.n)
-    analytic = detcalculus.g_hess_form(f, c, h)
-    fd, h_used = detcalculus.fd_second_directional_with_step(f, c, h)
-    confirmed = analytic < 0 and abs(analytic - fd) <= certifier.WITNESS_CONFIRM_TOL * max(
-        1.0, abs(analytic)
-    )
-    print(f"witness kind={kind} at s={first.s!r}")
+    else:
+        kind = certifier.KIND_POSITIVE_FPRIME
+    c, h, analytic, fd, h_used, confirmed = certifier.witness_attempt(f, kind, s, args.dim)
+    print(f"witness kind={kind} at s={s!r}")
     print("C =")
-    print(_fmt_matrix(c.base.a))
+    print(_fmt_matrix(c.a))
     print("H =")
-    print(_fmt_matrix(h.a))
+    print(_fmt_matrix(h))
     print(f"analytic D2g(C).(H,H) = {analytic!r}")
     print(f"fd oracle (h={h_used!r}) = {fd!r}")
     print(f"confirmed: {'yes' if confirmed else 'no'}")
@@ -286,15 +263,15 @@ def _slug(label: str) -> str:
     return out or "curve"
 
 
-def _cmd_curves(config: CliConfig) -> int:
+def _cmd_curves(args) -> int:
     extras = []
-    if config.function:
-        f = parse_function_spec(config.function, config.n)
+    if args.function:
+        f = parse_function_spec(args.function, args.dim)
         if not isinstance(f, scalarfun.FamilyA):
             raise UsageError("curves accepts only family:fa:... extra members")
         extras.append(f)
-    curves = odelimit.export_family_curves(extras, (config.s_min, config.s_max), config.count)
-    outdir = Path(config.outdir)
+    curves = odelimit.export_family_curves(extras, (args.s_min, args.s_max), args.count)
+    outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for i, curve in enumerate(curves):
         path = outdir / f"curve{i:02d}_{_slug(curve.label)}.csv"
@@ -303,14 +280,14 @@ def _cmd_curves(config: CliConfig) -> int:
     return EXIT_CERTIFIED
 
 
-def _cmd_oracle(config: CliConfig) -> int:
+def _cmd_oracle(args) -> int:
     functions = None
     label = "builtin corpus"
-    if config.function:
-        functions = [parse_function_spec(config.function, config.n)]
-        label = config.function
-    res = detcalculus.oracle_sweep(config.n, config.samples, config.seed, functions=functions)
-    print(f"oracle sweep: n={config.n} samples={config.samples} seed={config.seed} f={label}")
+    if args.function:
+        functions = [parse_function_spec(args.function, args.dim)]
+        label = args.function
+    res = detcalculus.oracle_sweep(args.dim, args.samples, args.seed, functions=functions)
+    print(f"oracle sweep: n={args.dim} samples={args.samples} seed={args.seed} f={label}")
     print(
         f"hess discrepancy: min={res.min_hess_disc!r} max={res.max_hess_disc!r} "
         f"tol={res.hess_tol!r}"
@@ -329,6 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Certify or refute convexity of C -> f(det C) on positive definite matrices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the sizes _check_sizes reads, for the subcommands that lack them
+    parser.set_defaults(dim=0, grid_count=0, count=0, samples=0)
 
     def add_common(p, function_required=True):
         p.add_argument(
@@ -372,27 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> CliConfig:
-    config = CliConfig(command=args.command)
-    for src, dst in (
-        ("function", "function"),
-        ("dim", "n"),
-        ("s_min", "s_min"),
-        ("s_max", "s_max"),
-        ("grid_count", "grid_count"),
-        ("tol", "tol"),
-        ("samples", "samples"),
-        ("seed", "seed"),
-        ("output", "output"),
-        ("no_timestamp", "no_timestamp"),
-        ("outdir", "outdir"),
-        ("count", "count"),
-    ):
-        if hasattr(args, src):
-            setattr(config, dst, getattr(args, src))
-    return config
-
-
 def _normalize_argv(argv):
     """Join '--function VALUE' into one token so expressions starting with
     a minus sign (like -ln(s)) are not mistaken for flags."""
@@ -409,12 +367,12 @@ def _normalize_argv(argv):
     return out
 
 
-def _check_sizes(config: CliConfig):
+def _check_sizes(args):
     for flag, value, limit in (
-        ("--dim", config.n, MAX_DIM),
-        ("--grid-count", config.grid_count, MAX_GRID_COUNT),
-        ("--count", config.count, MAX_GRID_COUNT),
-        ("--samples", config.samples, MAX_SAMPLES),
+        ("--dim", args.dim, MAX_DIM),
+        ("--grid-count", args.grid_count, MAX_GRID_COUNT),
+        ("--count", args.count, MAX_GRID_COUNT),
+        ("--samples", args.samples, MAX_SAMPLES),
     ):
         if value > limit:
             raise UsageError(f"{flag} {value} exceeds the limit {limit}")
@@ -428,17 +386,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(_normalize_argv(list(argv)))
     except SystemExit as e:
         return EXIT_CERTIFIED if e.code in (0, None) else EXIT_USAGE
-    config = _config_from_args(args)
     try:
-        _check_sizes(config)
-        if config.command == "certify":
-            return _cmd_certify(config)
-        if config.command == "witness":
-            return _cmd_witness(config)
-        if config.command == "curves":
-            return _cmd_curves(config)
-        if config.command == "oracle":
-            return _cmd_oracle(config)
+        _check_sizes(args)
+        if args.command == "certify":
+            return _cmd_certify(args)
+        if args.command == "witness":
+            return _cmd_witness(args)
+        if args.command == "curves":
+            return _cmd_curves(args)
+        if args.command == "oracle":
+            return _cmd_oracle(args)
         return selftest.run_selftest()
     except ParseError as e:
         print(f"error: cannot parse function: {e}", file=sys.stderr)

@@ -27,7 +27,7 @@ from .errors import (
     NonFiniteError,
     ParameterError,
 )
-from .linalg import PosDefMatrix, SymMatrix, frob_inner, frob_norm
+from .linalg import PosDefMatrix, frob_inner, frob_norm
 
 _EPS = float(np.finfo(float).eps)
 FD_MAX_HALVINGS = 40
@@ -45,11 +45,6 @@ def _check_pair(c: PosDefMatrix, h) -> np.ndarray:
     if harr.shape != (c.n, c.n):
         raise DimensionError(f"direction shape {harr.shape} does not match n={c.n}")
     return harr
-
-
-def g_value(f, c: PosDefMatrix) -> float:
-    """g(C) = f(det C)."""
-    return scalarfun.eval_value(f, c.det)
 
 
 def g_grad_form(f, c: PosDefMatrix, h) -> float:
@@ -76,7 +71,7 @@ def condition_bracket(jet, s: float, inner: float, cross: float) -> float:
 
 
 def _pair_terms(c: PosDefMatrix, h):
-    inner, cross = hess_terms(c.base.a, _check_pair(c, h))
+    inner, cross = hess_terms(c.a, _check_pair(c, h))
     return float(inner), float(cross)
 
 
@@ -131,17 +126,17 @@ def condition_lhs_diag(f, dvec, h) -> float:
 
 def default_second_step(c: PosDefMatrix, h) -> float:
     """Direction-scaled step for second central differences."""
-    return FD_SECOND_SCALE * (1.0 + frob_norm(c.base)) / (1.0 + frob_norm(h))
+    return FD_SECOND_SCALE * (1.0 + frob_norm(c.a)) / (1.0 + frob_norm(h))
 
 
 def default_first_step(c: PosDefMatrix, h) -> float:
     """Direction-scaled step for first central differences."""
-    return FD_FIRST_SCALE * (1.0 + frob_norm(c.base)) / (1.0 + frob_norm(h))
+    return FD_FIRST_SCALE * (1.0 + frob_norm(c.a)) / (1.0 + frob_norm(h))
 
 
 def _admissible_step(c: PosDefMatrix, harr: np.ndarray, h: float) -> float:
     """Halve h until C +/- h H stays positive definite."""
-    base = c.base.a
+    base = c.a
     if not np.any(harr):
         return h
     for _ in range(FD_MAX_HALVINGS + 1):
@@ -181,7 +176,7 @@ def fd_second_directional_with_step(f, c: PosDefMatrix, h, step: float | None = 
     if h0 <= 0:
         raise ParameterError("finite-difference step must be positive")
     h_used = _admissible_step(c, harr, h0)
-    base = c.base.a
+    base = c.a
     g0, gp, gm = _f_values(
         f, (c.det, _det_in_cone(base + h_used * harr), _det_in_cone(base - h_used * harr))
     )
@@ -200,7 +195,7 @@ def fd_first_directional(f, c: PosDefMatrix, h, step: float | None = None) -> fl
     if h0 <= 0:
         raise ParameterError("finite-difference step must be positive")
     h_used = _admissible_step(c, harr, h0)
-    base = c.base.a
+    base = c.a
     gp, gm = _f_values(f, (_det_in_cone(base + h_used * harr), _det_in_cone(base - h_used * harr)))
     return (gp - gm) / (2.0 * h_used)
 
@@ -214,7 +209,7 @@ class QuadFormSample:
     """One (C, H) draw with the analytic quadratic form and its oracle."""
 
     c: PosDefMatrix
-    h: SymMatrix
+    h: np.ndarray
     analytic: float
     fd: float
     h_used: float
@@ -274,6 +269,8 @@ def oracle_sweep(
     """
     if num_samples < 1:
         raise ParameterError("num_samples must be >= 1")
+    if seed < 0:
+        raise ParameterError(f"seed {seed} must be >= 0")
     funcs = builtin_corpus(n) if functions is None else tuple(functions)
     seeds = np.random.SeedSequence(seed).generate_state(2 * num_samples, dtype=np.uint64)
     samples = []

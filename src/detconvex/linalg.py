@@ -1,11 +1,14 @@
-"""Dense symmetric matrix arithmetic for small n.
+"""Dense symmetric matrix arithmetic for small n, on plain ndarrays.
 
 Everything here is sized for the certification workloads (n up to ~16):
-plain dense numpy storage, LAPACK eigendecompositions of symmetric
-matrices, inverses through the eigendecomposition, a hand LU determinant
-that is exact on diagonal input, and seeded sampling of test matrices,
-one at a time or as (N, n, n) stacks.  All values are immutable after
-construction and all operations are pure functions.
+LAPACK eigendecompositions of symmetric matrices, inverses through the
+eigendecomposition, a hand LU determinant that is exact on diagonal
+input, and seeded sampling of test matrices, one at a time or as
+(N, n, n) stacks.  There is no matrix wrapper: a matrix is validated once
+where it enters, by ``symmetric`` (square, finite, lower triangle
+mirrored, read-only) or by the seeded draws, and is passed on as a plain
+array.  ``PosDefMatrix`` adds the cached determinant, inverse and
+spectrum of a positive definite one.  All operations are pure functions.
 """
 
 from __future__ import annotations
@@ -45,113 +48,67 @@ def _mirror_lower(a: np.ndarray) -> np.ndarray:
 
 
 def _as_array(m) -> np.ndarray:
-    """Accept SymMatrix or any array-like and return a float ndarray."""
-    if isinstance(m, SymMatrix):
-        return m.a
+    """Any array-like as a 2-d float ndarray."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
         raise DimensionError(f"expected a 2-d matrix, got ndim={a.ndim}")
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class SymMatrix:
-    """Real symmetric n x n matrix; the lower triangle is authoritative.
+def symmetric(a) -> np.ndarray:
+    """A matrix entering the package: square, n >= 1 and finite.  Returns
+    a read-only copy with the lower triangle mirrored onto the upper one,
+    so ``m[i, j] == m[j, i]`` holds exactly."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] < 1:
+        raise DimensionError("dimension must be >= 1")
+    _check_finite(a)
+    sym = _mirror_lower(a)
+    sym.setflags(write=False)
+    return sym
 
-    The constructor mirrors the lower triangle onto the upper one, so
-    ``entry(i,j) == entry(j,i)`` holds exactly by construction.
+
+@dataclass(frozen=True, eq=False)
+class PosDefMatrix:
+    """Symmetric positive definite matrix ``a`` with cached spectral data.
+
+    ``det`` comes from a hand LU factorization and is independently
+    checked against the eigenvalue product by the test suite; ``inverse``
+    is Q diag(1/eig) Q^T from the LAPACK decomposition (``jacobi_eigen``)
+    with eigenvalues ascending and A = Q diag(eig) Q^T.  Both are exact on
+    diagonal input.  Every array is read-only.
     """
 
     a: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] < 1:
-            raise DimensionError("dimension must be >= 1")
-        _check_finite(a)
-        sym = _mirror_lower(a)
-        sym.setflags(write=False)
-        object.__setattr__(self, "a", sym)
+    det: float
+    inverse: np.ndarray
+    eigenvalues: np.ndarray = field(repr=False)
+    q: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
         return self.a.shape[0]
 
     @staticmethod
-    def from_diag(d) -> "SymMatrix":
-        return SymMatrix(np.diag(np.asarray(d, dtype=float)))
-
-    @staticmethod
-    def identity(n: int) -> "SymMatrix":
-        return SymMatrix(np.eye(n))
-
-    @staticmethod
-    def zero(n: int) -> "SymMatrix":
-        return SymMatrix(np.zeros((n, n)))
-
-    def scaled(self, t: float) -> "SymMatrix":
-        return SymMatrix(self.a * t)
-
-    def __add__(self, other: "SymMatrix") -> "SymMatrix":
-        if self.n != other.n:
-            raise DimensionError("dimension mismatch in matrix addition")
-        return SymMatrix(self.a + other.a)
-
-
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Orthogonal Q and eigenvalues (ascending) with A = Q diag(eig) Q^T."""
-
-    q: np.ndarray
-    eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        self.q.setflags(write=False)
-        self.eigenvalues.setflags(write=False)
-
-
-@dataclass(frozen=True, eq=False)
-class PosDefMatrix:
-    """Symmetric positive definite matrix with cached spectral data.
-
-    ``det`` comes from a hand LU factorization and is independently
-    checked against the eigenvalue product by the test suite; ``inverse``
-    is Q diag(1/eig) Q^T from the LAPACK decomposition (``jacobi_eigen``).
-    Both are exact on diagonal input.
-    """
-
-    base: SymMatrix
-    det: float
-    inverse: SymMatrix
-    eigen: EigenDecomposition = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.eigen.eigenvalues
-
-    @staticmethod
-    def from_sym(sym: SymMatrix) -> "PosDefMatrix":
-        if not isinstance(sym, SymMatrix):
-            sym = SymMatrix(sym)
-        eig = jacobi_eigen(sym)
-        floor = POSDEF_EIG_FLOOR * frob_norm(sym.a)
-        if eig.eigenvalues[0] <= floor:
+    def from_sym(a) -> "PosDefMatrix":
+        a = symmetric(a)
+        eigenvalues, q = jacobi_eigen(a)
+        floor = POSDEF_EIG_FLOOR * frob_norm(a)
+        if eigenvalues[0] <= floor:
             raise NotPositiveDefiniteError(
-                f"smallest eigenvalue {eig.eigenvalues[0]:.3e} below the "
+                f"smallest eigenvalue {eigenvalues[0]:.3e} below the "
                 f"positivity floor {floor:.3e}"
             )
-        inv = SymMatrix((eig.q / eig.eigenvalues) @ eig.q.T)
-        return PosDefMatrix(base=sym, det=det(sym.a), inverse=inv, eigen=eig)
+        eigenvalues.setflags(write=False)
+        q.setflags(write=False)
+        inverse = symmetric((q / eigenvalues) @ q.T)
+        return PosDefMatrix(a=a, det=det(a), inverse=inverse, eigenvalues=eigenvalues, q=q)
 
     @staticmethod
     def from_diag(d) -> "PosDefMatrix":
-        return PosDefMatrix.from_sym(SymMatrix.from_diag(d))
+        return PosDefMatrix.from_sym(np.diag(np.asarray(d, dtype=float)))
 
 
 def _rescaled_norms(a: np.ndarray) -> np.ndarray:
@@ -212,22 +169,21 @@ def det(a) -> float:
     return d
 
 
-def jacobi_eigen(a) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix by LAPACK syevd
-    (``np.linalg.eigh``), eigenvalues ascending.
+def jacobi_eigen(a):
+    """(eigenvalues, q) of a symmetric matrix by LAPACK syevd, as
+    ``np.linalg.eigh`` returns them: eigenvalues ascending, A = Q diag(eig)
+    Q^T.  Only the lower triangle is read, the one ``symmetric`` keeps.
 
     The name is historical (this was a cyclic Jacobi solver); the
     benchmark's trace still records the call under it.  Exact on diagonal
     input: the eigenvalues are the sorted entries and Q is a signed
     permutation.  Raises ConvergenceError if LAPACK does not converge.
     """
-    if not isinstance(a, SymMatrix):
-        a = SymMatrix(_as_array(a))  # mirror lower triangle, validate
     try:
-        eigs, q = np.linalg.eigh(a.a)
+        eigenvalues, q = np.linalg.eigh(_as_array(a))
     except np.linalg.LinAlgError as e:
         raise ConvergenceError(f"symmetric eigensolver failed: {e}") from e
-    return EigenDecomposition(q=q, eigenvalues=eigs)
+    return eigenvalues, q
 
 
 def cholesky_posdef(a) -> bool:
@@ -324,10 +280,10 @@ def random_posdef_array(n: int, log_eig_range: tuple, seed: int) -> np.ndarray:
 
 def random_posdef(n: int, log_eig_range: tuple, seed: int) -> PosDefMatrix:
     """Seeded positive definite sample with cached spectral data."""
-    return PosDefMatrix.from_sym(SymMatrix(random_posdef_array(n, log_eig_range, seed)))
+    return PosDefMatrix.from_sym(random_posdef_array(n, log_eig_range, seed))
 
 
-def random_sym(n: int, scale: float, seed: int) -> SymMatrix:
+def random_sym(n: int, scale: float, seed: int) -> np.ndarray:
     """Seeded symmetric sample with entries uniform in [-scale, scale]; the
     single-seed case of ``random_sym_stack``."""
-    return SymMatrix(random_sym_stack(n, scale, [seed])[0])
+    return random_sym_stack(n, scale, [seed])[0]

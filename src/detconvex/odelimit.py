@@ -10,6 +10,7 @@ a curve exporter writes the standard family members as CSV tables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -282,11 +283,11 @@ def export_family_curves(params, s_range=(0.05, 8.0), count: int = 200):
     """Curve tables for the standard figure set plus any extra members.
 
     ``params`` is a sequence of FamilyA instances appended after the four
-    standard curves; ``s_range`` must be positive.
+    standard curves; ``s_range`` must be finite, positive and increasing.
     """
     lo, hi = float(s_range[0]), float(s_range[1])
-    if not (0 < lo < hi):
-        raise ParameterError(f"s_range ({lo}, {hi}) must be positive and increasing")
+    if not (0 < lo < hi < math.inf):
+        raise ParameterError(f"s_range ({lo}, {hi}) must be finite, positive and increasing")
     if count < 2:
         raise ParameterError("count must be >= 2")
     ss = np.geomspace(lo, hi, count)

@@ -549,11 +549,6 @@ BuiltinFamily = PowerLaw | LogFamily | FamilyA | NeoHookeVolumetric
 ScalarFunction = Expr | BuiltinFamily
 
 
-def family_f_a(a: float, c: float, d: float, n: int = 3) -> FamilyA:
-    """Construct the three-branch family member; a >= 0 and c <= 0."""
-    return FamilyA(a=a, c=c, d=d, n=n)
-
-
 def _check_point(s: float):
     if not (s > 0.0) or not math.isfinite(s):
         raise DomainError(f"scalar functions are defined for s > 0, got s={s}")

@@ -54,16 +54,16 @@ def check_known_convex():
     if rep.verdict != CERTIFIED:
         failures.append(f"verdict {rep.verdict} != {CERTIFIED}")
     worst = 0.0
-    for r in rep.points:
-        closed = 1.0 / (3.0 * r.s * r.s)
-        lhs = certifier.diff_ineq_lhs(f, r.s, 3)
-        if lhs != r.lhs:
-            failures.append(f"report lhs differs from diff_ineq_lhs at s={r.s:.3e}")
+    for s, reported in zip(rep.s.tolist(), rep.lhs.tolist()):
+        closed = 1.0 / (3.0 * s * s)
+        lhs = certifier.diff_ineq_lhs(f, s, 3)
+        if lhs != reported:
+            failures.append(f"report lhs differs from diff_ineq_lhs at s={s:.3e}")
             break
         err = abs(lhs - closed) / closed
         worst = max(worst, err)
         if err > 1e-12:
-            failures.append(f"lhs mismatch at s={r.s:.3e}: rel err {err:.2e}")
+            failures.append(f"lhs mismatch at s={s:.3e}: rel err {err:.2e}")
             break
     return _result("c01", "known convex -ln(s)", failures, f"max closed-form rel err {worst:.2e}")
 
@@ -87,7 +87,7 @@ def check_necessity_witness_slope():
     if w.s_star != s0:
         failures.append(f"witness at s={w.s_star}, expected first grid point {s0}")
     inner = linalg.frob_inner(w.c.inverse, w.h)
-    cross = linalg.frob_inner(w.h.a @ w.c.inverse.a, w.c.inverse.a @ w.h.a)
+    cross = linalg.frob_inner(w.h @ w.c.inverse, w.c.inverse @ w.h)
     if inner != 0.0:
         failures.append(f"<C^-1,H> = {inner!r} != 0 exactly")
     if cross != 2.0:
@@ -144,7 +144,7 @@ def check_family_end_to_end():
     failures = []
     mins = []
     for a in (0.0, 0.1, 1.0 / 3.0, 0.5, 1.0, 2.0):
-        f = scalarfun.family_f_a(a, -1.0, 0.0, 3)
+        f = FamilyA(a=a, c=-1.0, d=0.0, n=3)
         rep = certifier.certify(f, n=3)
         if rep.verdict != CERTIFIED:
             failures.append(f"a={a}: verdict {rep.verdict}")
@@ -206,7 +206,7 @@ def check_identity_suite():
             if err > 1e-12:
                 failures.append(f"n={n} sample {i}: identity rel err {err:.3e}")
                 break
-            cross = linalg.frob_inner(h.a @ c.inverse.a, c.inverse.a @ h.a)
+            cross = linalg.frob_inner(h @ c.inverse, c.inverse @ h)
             log_hess = detcalculus.g_hess_form(neg_log, c, h)
             err2 = abs(log_hess - cross) / max(1.0, abs(cross))
             worst_log = max(worst_log, err2)

@@ -21,11 +21,15 @@ from detconvex.certifier import (
     witness_second_order,
 )
 from detconvex.errors import DimensionError, ParameterError
-from detconvex.linalg import SymMatrix, frob_inner, random_posdef, random_sym
+from detconvex.linalg import frob_inner, random_posdef, random_sym
 from detconvex.scalarfun import FamilyA, Jet2, LogFamily, NeoHookeVolumetric, PowerLaw, eval_jet, parse
 
 LOG_RANGE = certifier.DEFAULT_LOG_EIG_RANGE
 SMALL_GRID = GridSpec(1e-3, 1e3, 200)
+
+
+def _flags(rep):
+    return list(zip(rep.fprime_ok.tolist(), rep.lhs_ok.tolist()))
 
 
 class _Scaled:
@@ -63,7 +67,8 @@ class TestCertify:
         rep = certify(parse("-ln(s)"), 3, SMALL_GRID)
         assert rep.verdict == CERTIFIED
         assert rep.witnesses == ()
-        assert rep.failing_points == ()
+        assert rep.failing_points.size == 0
+        assert len(rep.s) == len(rep.lhs_ok) == SMALL_GRID.count
 
     def test_increasing_refuted_with_slope_witness(self):
         rep = certify(parse("s"), 3, SMALL_GRID)
@@ -84,6 +89,16 @@ class TestCertify:
         assert rep.verdict == INCONCLUSIVE
         assert any("domain failure" in a for a in rep.annotations)
 
+    def test_domain_failure_cuts_the_columns(self):
+        # exp(s) overflows near s = 709.8: the columns stop before it
+        rep = certify(parse("exp(s)"), 3, SMALL_GRID)
+        cut = len(rep.s)
+        assert 0 < cut < SMALL_GRID.count
+        assert np.array_equal(rep.s, SMALL_GRID.points()[:cut]) and rep.s[-1] < 709.8
+        columns = (rep.fprime, rep.lhs, rep.band, rep.fprime_ok, rep.lhs_ok)
+        assert all(len(c) == cut for c in columns)
+        assert np.array_equal(rep.failing_points, np.arange(cut))
+
     def test_family_dimension_must_match(self):
         with pytest.raises(ParameterError):
             certify(FamilyA(a=0.5, c=-1.0, d=0.0, n=3), 4, SMALL_GRID)
@@ -97,13 +112,13 @@ class TestCertify:
         # the violation set rescales with s: index-wise identical flags
         f = parse("0.1*s - ln(s)")
         base = certify(f, 3, GridSpec(1e-2, 1e3, 120))
-        base_flags = [(p.fprime_ok, p.lhs_ok) for p in base.points]
+        base_flags = _flags(base)
         assert any(not a for a, _ in base_flags) and any(a for a, _ in base_flags)
         for lam in (0.5, 2.0):
             scaled = certify(
                 _Scaled(f, lam), 3, GridSpec(1e-2 / lam, 1e3 / lam, 120)
             )
-            assert [(p.fprime_ok, p.lhs_ok) for p in scaled.points] == base_flags
+            assert _flags(scaled) == base_flags
 
     def test_requires_positive_tolerance(self):
         for tol in (0.0, -1e-9, 1.0, 1e30, float("inf"), float("nan")):
@@ -116,7 +131,7 @@ class TestCertify:
         # that witness is attached
         rep = certify(parse("s^(1/5)"), 3, SMALL_GRID)
         assert rep.verdict == REFUTED
-        assert all(not p.fprime_ok and not p.lhs_ok for p in rep.points)
+        assert not rep.fprime_ok.any() and not rep.lhs_ok.any()
         assert [w.kind for w in rep.witnesses] == [KIND_POSITIVE_FPRIME]
 
     def test_disjoint_violations_attach_both_witnesses(self):
@@ -152,7 +167,18 @@ class TestGridSpec:
         ratios = pts[1:] / pts[:-1]
         assert np.allclose(ratios, ratios[0], rtol=1e-12)
 
-    @pytest.mark.parametrize("bad", [dict(s_min=0.0), dict(s_max=1e-4), dict(count=1)])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(s_min=0.0),
+            dict(s_max=1e-4),
+            dict(count=1),
+            dict(s_max=math.inf),
+            dict(s_min=math.inf),
+            dict(s_max=math.nan),
+            dict(s_min=-math.inf),
+        ],
+    )
     def test_validation(self, bad):
         with pytest.raises(ParameterError):
             GridSpec(**{**dict(s_min=1e-3, s_max=1e3, count=10), **bad})
@@ -161,13 +187,13 @@ class TestGridSpec:
 class TestWitnessConstructions:
     def test_slope_witness_shape(self):
         c, h = witness_positive_fprime(2.0, 3)
-        assert np.array_equal(c.base.a, np.diag([1.0, 1.0, 2.0]))
-        assert np.array_equal(h.a, np.diag([1.0, -1.0, 0.0]))
+        assert np.array_equal(c.a, np.diag([1.0, 1.0, 2.0]))
+        assert np.array_equal(h, np.diag([1.0, -1.0, 0.0]))
         assert frob_inner(c.inverse, h) == 0.0
 
     def test_slope_witness_two_dims(self):
         c, h = witness_positive_fprime(1.0, 2)
-        assert frob_inner(h.a @ c.inverse.a, c.inverse.a @ h.a) == 2.0
+        assert frob_inner(h @ c.inverse, c.inverse @ h) == 2.0
 
     def test_slope_witness_det_equals_s(self):
         for s in (1e-3, 0.25, 7.0, 1e3):
@@ -182,7 +208,7 @@ class TestWitnessConstructions:
             for s in np.geomspace(1e-2, 1e2, 9):
                 c, h = witness_positive_fprime(float(s), n)
                 assert frob_inner(c.inverse, h) == 0.0
-                cross = frob_inner(h.a @ c.inverse.a, c.inverse.a @ h.a)
+                cross = frob_inner(h @ c.inverse, c.inverse @ h)
                 if n >= 3:
                     assert cross == 2.0
                 else:
@@ -197,21 +223,21 @@ class TestWitnessConstructions:
             for s in (1.3e-12, 1e-15, 1e-20, 1e-100, 1e-300, 5e-324):
                 c, h = witness_positive_fprime(s, n)
                 root = np.sqrt(s) if n == 2 else s ** (1.0 / n)
-                assert np.array_equal(c.base.a, root * np.eye(n))
-                assert np.array_equal(np.diag(h.a)[:2], [root, -root])
-                assert not np.any(np.diag(h.a)[2:])
+                assert np.array_equal(c.a, root * np.eye(n))
+                assert np.array_equal(np.diag(h)[:2], [root, -root])
+                assert not np.any(np.diag(h)[2:])
                 # the rounded exponent 1/n costs about |ln s| eps in r
                 assert abs(c.det - s) <= 1e-12 * s
                 assert frob_inner(c.inverse, h) == 0.0
-                cross = frob_inner(h.a @ c.inverse.a, c.inverse.a @ h.a)
+                cross = frob_inner(h @ c.inverse, c.inverse @ h)
                 assert abs(cross - 2.0) <= 8e-16
 
     def test_slope_witness_shape_kept_above_positivity_floor(self):
         for n in range(3, 7):
             for s in (3e-12, 1e-9, 1e-3):
                 c, h = witness_positive_fprime(s, n)
-                assert np.array_equal(np.diag(c.base.a), [1.0] * (n - 1) + [s])
-                assert np.array_equal(np.diag(h.a)[:2], [1.0, -1.0])
+                assert np.array_equal(np.diag(c.a), [1.0] * (n - 1) + [s])
+                assert np.array_equal(np.diag(h)[:2], [1.0, -1.0])
 
     def test_slope_witness_needs_two_slots(self):
         with pytest.raises(DimensionError):
@@ -219,12 +245,28 @@ class TestWitnessConstructions:
 
     def test_second_order_witness_shape(self):
         c, h = witness_second_order(1.0, 3, 1.0)
-        assert np.array_equal(c.base.a, np.eye(3))
-        assert np.array_equal(h.a, np.eye(3))
+        assert np.array_equal(c.a, np.eye(3))
+        assert np.array_equal(h, np.eye(3))
         c8, h8 = witness_second_order(8.0, 3, 1.0)
-        assert np.array_equal(c8.base.a, 2.0 * np.eye(3))
-        assert np.array_equal(h8.a, 0.5 * np.eye(3))
+        assert np.array_equal(c8.a, 2.0 * np.eye(3))
+        assert np.array_equal(h8, 0.5 * np.eye(3))
         assert c8.det == 8.0
+
+    def test_witness_attempt_matches_the_attached_witness(self):
+        for text, kind in (("s", KIND_POSITIVE_FPRIME), ("-s", KIND_SECOND_ORDER)):
+            f = parse(text)
+            w = certify(f, 3, SMALL_GRID).witnesses[0]
+            c, h, analytic, fd, h_used, confirmed = certifier.witness_attempt(f, kind, w.s_star, 3)
+            assert confirmed and h_used > 0
+            assert (analytic, fd) == (w.analytic_value, w.fd_value)
+            assert np.array_equal(c.a, w.c.a) and np.array_equal(h, w.h)
+
+    def test_witness_attempt_unconfirmed_and_dimension_error(self):
+        # -ln(s) is convex: its second-order pair has a positive form
+        *_, confirmed = certifier.witness_attempt(parse("-ln(s)"), KIND_SECOND_ORDER, 1.0, 3)
+        assert not confirmed
+        with pytest.raises(DimensionError):
+            certifier.witness_attempt(parse("s"), KIND_POSITIVE_FPRIME, 1.0, 1)
 
     def test_second_order_witness_rejects_zero_scaling(self):
         with pytest.raises(ParameterError):
@@ -304,7 +346,7 @@ class TestReductionCheck:
 
     def test_zero_direction(self):
         c = random_posdef(3, LOG_RANGE, seed=10)
-        assert reduction_check(parse("-ln(s)"), c, SymMatrix.zero(3)) == (0.0, 0.0)
+        assert reduction_check(parse("-ln(s)"), c, np.zeros((3, 3))) == (0.0, 0.0)
 
     def test_random_sweep(self):
         for n in (2, 3, 5):
@@ -335,6 +377,12 @@ class TestSampleConvexity:
     def test_sample_count_validated(self):
         with pytest.raises(ParameterError):
             sample_convexity(parse("s"), 3, 0, seed=4)
+
+    def test_rejects_negative_seed(self):
+        # SeedSequence raised a bare ValueError, which the CLI reported as
+        # a traceback with exit 1
+        with pytest.raises(ParameterError, match="seed -1"):
+            sample_convexity(parse("s"), 3, 5, seed=-1)
 
     def test_domain_errors_skipped(self):
         diag = sample_convexity(parse("ln(s-5)"), 3, 50, seed=4)

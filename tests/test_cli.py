@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -205,14 +206,46 @@ class TestUsageErrors:
         assert out == "" and "exceeds the limit" in err
 
     def test_sizes_at_the_limits_pass_the_check(self):
-        config = cli.CliConfig(
-            command="certify",
-            n=cli.MAX_DIM,
+        args = argparse.Namespace(
+            dim=cli.MAX_DIM,
             grid_count=cli.MAX_GRID_COUNT,
             samples=cli.MAX_SAMPLES,
             count=cli.MAX_GRID_COUNT,
         )
-        cli._check_sizes(config)
+        cli._check_sizes(args)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("certify", "-f", "-ln(s)", "--seed", "-1", *CERT_FAST),
+            ("oracle", "--seed", "-1", "--samples", "3"),
+        ],
+        ids=["certify", "oracle"],
+    )
+    def test_negative_seed_is_usage_error(self, capsys, argv):
+        # SeedSequence raised a bare ValueError: a traceback with exit 1
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == "" and err == "error: seed -1 must be >= 0\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("certify", "-f", "-ln(s)", "--samples", "0"),
+            ("witness", "-f", "s", "--grid-count", "50"),
+            ("curves", "--count", "20"),
+        ],
+        ids=["certify", "witness", "curves"],
+    )
+    @pytest.mark.parametrize("bound", ["--s-max=inf", "--s-max=nan", "--s-min=inf"])
+    def test_non_finite_range_is_usage_error(self, capsys, recwarn, tmp_path, argv, bound):
+        # s_max = inf ran the grid through a RuntimeWarning to exit 2
+        outdir = ("--outdir", str(tmp_path)) if argv[0] == "curves" else ()
+        code, out, err = run(capsys, *argv, bound, *outdir)
+        assert code == 3
+        assert out == "" and err.startswith("error: ") and "must be finite" in err
+        assert not any(tmp_path.iterdir())
+        assert len(recwarn) == 0
 
     def test_witness_dimension_error_is_usage_error(self, capsys):
         # n = 1 has no slope witness; this used to end in a traceback

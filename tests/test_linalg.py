@@ -10,12 +10,12 @@ from detconvex import linalg
 from detconvex.errors import DimensionError, NotPositiveDefiniteError, ParameterError
 from detconvex.linalg import (
     PosDefMatrix,
-    SymMatrix,
     det,
     frob_inner,
     jacobi_eigen,
     random_posdef,
     random_sym,
+    symmetric,
 )
 
 from conftest import max_entry
@@ -30,14 +30,14 @@ def sym_matrices(max_n=6, scale=10.0):
             (n, n),
             elements=st.floats(-scale, scale, allow_nan=False, allow_infinity=False, width=64),
         )
-    ).map(SymMatrix)
+    ).map(symmetric)
 
 
 class TestFrobNorm:
     @given(sym_matrices(scale=1e100))
     @settings(max_examples=200, deadline=None)
     def test_plain_sum_of_squares_where_normal(self, m):
-        squares = np.sum(m.a**2)
+        squares = np.sum(m**2)
         if np.isfinite(squares) and squares >= np.finfo(float).tiny:
             assert linalg.frob_norm(m) == float(np.sqrt(squares))
 
@@ -56,45 +56,54 @@ class TestFrobNorm:
 
 
 class TestSymMatrix:
+    """The rule for a symmetric matrix entering the package, ``symmetric``,
+    and its use by ``PosDefMatrix.from_sym``."""
+
     def test_lower_triangle_authoritative(self):
-        m = SymMatrix(np.array([[1.0, 99.0], [2.0, 3.0]]))
-        assert m.a[0, 1] == m.a[1, 0] == 2.0
+        a = np.array([[3.0, 99.0], [1.0, 2.0]])
+        m = symmetric(a)
+        assert m[0, 1] == m[1, 0] == 1.0
+        assert a[0, 1] == 99.0
+        assert np.array_equal(PosDefMatrix.from_sym(a).a, m)
 
     def test_exact_symmetry_by_construction(self):
         gen = np.random.Generator(np.random.PCG64(5))
-        a = gen.standard_normal((4, 4))
-        m = SymMatrix(a)
-        assert np.array_equal(m.a, m.a.T)
+        m = symmetric(gen.standard_normal((4, 4)))
+        assert np.array_equal(m, m.T)
 
     def test_rejects_non_square(self):
-        with pytest.raises(DimensionError):
-            SymMatrix(np.zeros((2, 3)))
+        for bad in (np.zeros((2, 3)), np.zeros((0, 0)), np.ones(3), np.ones((1, 2, 2))):
+            with pytest.raises(DimensionError):
+                symmetric(bad)
+            with pytest.raises(DimensionError):
+                PosDefMatrix.from_sym(bad)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ParameterError):
-            SymMatrix(np.array([[1.0, 0.0], [0.0, np.inf]]))
+        for bad in (np.inf, -np.inf, np.nan):
+            a = np.array([[1.0, 0.0], [bad, 1.0]])
+            with pytest.raises(ParameterError):
+                symmetric(a)
+            with pytest.raises(ParameterError):
+                PosDefMatrix.from_sym(a)
 
     def test_entries_read_only(self):
-        m = SymMatrix.identity(3)
-        with pytest.raises(ValueError):
-            m.a[0, 0] = 5.0
-
-    def test_add_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            SymMatrix.identity(2) + SymMatrix.identity(3)
+        c = PosDefMatrix.from_diag([1.0, 2.0, 3.0])
+        for m in (symmetric(np.eye(3)), c.a, c.inverse, c.eigenvalues, c.q):
+            with pytest.raises(ValueError):
+                m[0] = 5.0
 
 
 class TestFrobInner:
     def test_identity_with_itself(self):
-        assert frob_inner(SymMatrix.identity(3), SymMatrix.identity(3)) == 3.0
+        assert frob_inner(np.eye(3), np.eye(3)) == 3.0
 
     def test_slope_witness_direction(self):
-        h = SymMatrix.from_diag([1.0, -1.0, 0.0])
+        h = np.diag([1.0, -1.0, 0.0])
         assert frob_inner(h, h) == 2.0
 
     def test_zero_annihilates(self):
         a = random_sym(4, 1.0, seed=11)
-        assert frob_inner(a, SymMatrix.zero(4)) == 0.0
+        assert frob_inner(a, np.zeros((4, 4))) == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
@@ -103,7 +112,7 @@ class TestFrobInner:
     @given(sym_matrices(max_n=4), sym_matrices(max_n=4))
     @settings(max_examples=30, deadline=None)
     def test_symmetric_in_arguments(self, a, b):
-        if a.n != b.n:
+        if a.shape != b.shape:
             return
         assert frob_inner(a, b) == frob_inner(b, a)
 
@@ -112,9 +121,9 @@ class TestFrobInner:
         # the inner product
         for seed in range(5):
             c = random_posdef(4, LOG_RANGE, seed=100 + seed)
-            q = c.eigen.q
-            a = random_sym(4, 2.0, seed=200 + seed).a
-            b = random_sym(4, 2.0, seed=300 + seed).a
+            q = c.q
+            a = random_sym(4, 2.0, seed=200 + seed)
+            b = random_sym(4, 2.0, seed=300 + seed)
             plain = frob_inner(a, b)
             rotated = frob_inner(q @ a @ q.T, q @ b @ q.T)
             assert abs(plain - rotated) <= 1e-12 * max(1.0, abs(plain))
@@ -123,11 +132,11 @@ class TestFrobInner:
 class TestDet:
     def test_identity(self):
         for n in range(1, 6):
-            assert det(SymMatrix.identity(n)) == 1.0
+            assert det(np.eye(n)) == 1.0
 
     def test_diagonal_exact(self):
-        assert det(SymMatrix.from_diag([1.0, 1.0, 2.0])) == 2.0
-        assert det(SymMatrix.from_diag([2.0, 3.0, 4.0])) == 24.0
+        assert det(np.diag([1.0, 1.0, 2.0])) == 2.0
+        assert det(np.diag([2.0, 3.0, 4.0])) == 24.0
 
     def test_singular(self):
         v = np.array([1.0, 2.0, -1.0])
@@ -146,38 +155,41 @@ class TestDet:
         h = random_sym(4, 1.0, seed=78)
         analytic = c.det * frob_inner(c.inverse, h)
         step = 1e-6
-        fd = (det(c.base.a + step * h.a) - det(c.base.a - step * h.a)) / (2 * step)
+        fd = (det(c.a + step * h) - det(c.a - step * h)) / (2 * step)
         assert abs(analytic - fd) <= 1e-6 * max(1.0, abs(analytic))
 
 
 class TestJacobiEigen:
     def test_two_by_two(self):
-        eig = jacobi_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert np.allclose(eig.eigenvalues, [1.0, 3.0], rtol=1e-12)
+        eigenvalues, q = jacobi_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert np.allclose(eigenvalues, [1.0, 3.0], rtol=1e-12)
+        # only the lower triangle is read, the one symmetric() keeps
+        lower, lower_q = jacobi_eigen(np.array([[2.0, 99.0], [1.0, 2.0]]))
+        assert np.array_equal(lower, eigenvalues) and np.array_equal(lower_q, q)
 
     def test_diagonal_input_gives_signed_permutation(self):
-        eig = jacobi_eigen(SymMatrix.from_diag([3.0, 1.0, 2.0]))
-        assert np.array_equal(eig.eigenvalues, [1.0, 2.0, 3.0])
-        assert np.array_equal(np.abs(eig.q), np.eye(3)[:, [1, 2, 0]])
+        eigenvalues, q = jacobi_eigen(np.diag([3.0, 1.0, 2.0]))
+        assert np.array_equal(eigenvalues, [1.0, 2.0, 3.0])
+        assert np.array_equal(np.abs(q), np.eye(3)[:, [1, 2, 0]])
 
     def test_extreme_scales(self):
         # the Jacobi solver squared entries in its stopping test, so at
         # these scales it returned the unrotated diagonal [2, 2]
         for scale in (1e-200, 1e200):
-            eig = jacobi_eigen(scale * np.array([[2.0, 1.0], [1.0, 2.0]]))
-            assert np.allclose(eig.eigenvalues / scale, [1.0, 3.0], rtol=1e-12)
+            eigenvalues, _ = jacobi_eigen(scale * np.array([[2.0, 1.0], [1.0, 2.0]]))
+            assert np.allclose(eigenvalues / scale, [1.0, 3.0], rtol=1e-12)
 
     def test_eigenvalues_ascending(self):
-        eig = jacobi_eigen(random_sym(6, 3.0, seed=9))
-        assert np.all(np.diff(eig.eigenvalues) >= 0)
+        eigenvalues, _ = jacobi_eigen(random_sym(6, 3.0, seed=9))
+        assert np.all(np.diff(eigenvalues) >= 0)
 
     @given(sym_matrices())
     @settings(max_examples=40, deadline=None)
     def test_reconstruction_and_orthogonality(self, m):
-        eig = jacobi_eigen(m)
-        bound = 1e-12 * (1.0 + max_entry(m.a))
-        assert max_entry((eig.q * eig.eigenvalues) @ eig.q.T - m.a) <= bound
-        assert max_entry(eig.q.T @ eig.q - np.eye(m.n)) <= 1e-12
+        eigenvalues, q = jacobi_eigen(m)
+        bound = 1e-12 * (1.0 + max_entry(m))
+        assert max_entry((q * eigenvalues) @ q.T - m) <= bound
+        assert max_entry(q.T @ q - np.eye(len(m))) <= 1e-12
 
 
 class TestPosDefMatrix:
@@ -187,7 +199,7 @@ class TestPosDefMatrix:
 
     def test_rejects_singular(self):
         with pytest.raises(NotPositiveDefiniteError):
-            PosDefMatrix.from_sym(SymMatrix(np.outer([1.0, 2.0], [1.0, 2.0])))
+            PosDefMatrix.from_sym(np.outer([1.0, 2.0], [1.0, 2.0]))
 
     def test_relative_positivity_floor(self):
         # eigenvalue below 1e-12 * ||A|| counts as not positive definite
@@ -201,14 +213,14 @@ class TestPosDefMatrix:
         big = PosDefMatrix.from_diag([1e200, 1e200])
         assert big.eigenvalues[0] == 1e200
         tiny = PosDefMatrix.from_diag([1e-200, 1e-200])
-        assert linalg.POSDEF_EIG_FLOOR * linalg.frob_norm(tiny.base) > 0
+        assert linalg.POSDEF_EIG_FLOOR * linalg.frob_norm(tiny.a) > 0
         with pytest.raises(NotPositiveDefiniteError, match="floor 1.000e\\+188"):
             PosDefMatrix.from_diag([1e200, 1.0])
 
     def test_inverse_roundtrip(self):
         for seed in range(8):
             c = random_posdef(5, LOG_RANGE, seed=seed)
-            assert max_entry(c.base.a @ c.inverse.a - np.eye(5)) <= 1e-10
+            assert max_entry(c.a @ c.inverse - np.eye(5)) <= 1e-10
 
     def test_eigenvalues_positive_sorted(self):
         c = random_posdef(4, LOG_RANGE, seed=3)
@@ -220,11 +232,11 @@ class TestRandomPosdef:
     def test_deterministic(self):
         a = random_posdef(3, LOG_RANGE, seed=7)
         b = random_posdef(3, LOG_RANGE, seed=7)
-        assert np.array_equal(a.base.a, b.base.a)
+        assert np.array_equal(a.a, b.a)
 
     def test_degenerate_range_gives_identity(self):
         c = random_posdef(3, (0.0, 0.0), seed=123)
-        assert max_entry(c.base.a - np.eye(3)) <= 1e-12
+        assert max_entry(c.a - np.eye(3)) <= 1e-12
 
     def test_eigenvalues_inside_range(self):
         c = random_posdef(3, LOG_RANGE, seed=7)
@@ -266,15 +278,16 @@ class TestRequirePosdefStack:
 
 class TestRandomSym:
     def test_deterministic(self):
-        assert np.array_equal(random_sym(4, 1.0, seed=3).a, random_sym(4, 1.0, seed=3).a)
+        assert np.array_equal(random_sym(4, 1.0, seed=3), random_sym(4, 1.0, seed=3))
 
     def test_bounded_and_symmetric(self):
         m = random_sym(4, 1.0, seed=3)
-        assert np.max(np.abs(m.a)) <= 1.0
-        assert np.array_equal(m.a, m.a.T)
+        assert isinstance(m, np.ndarray) and m.shape == (4, 4)
+        assert np.max(np.abs(m)) <= 1.0
+        assert np.array_equal(m, m.T)
 
     def test_zero_scale_gives_zero_matrix(self):
-        assert np.array_equal(random_sym(3, 0.0, seed=5).a, np.zeros((3, 3)))
+        assert np.array_equal(random_sym(3, 0.0, seed=5), np.zeros((3, 3)))
 
     def test_negative_scale_rejected(self):
         with pytest.raises(ParameterError):

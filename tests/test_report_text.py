@@ -10,12 +10,12 @@ written out as {"s", "fprime", "lhs"} objects.
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detconvex import cli
-from detconvex.certifier import GridPointRecord
 from detconvex.cli import main
 
 SWEEP_SPECS = (
@@ -32,9 +32,15 @@ GRID_SPECS = SWEEP_SPECS + ("-sqrt(s)", "1/s", "s^(1/3)", "-s*ln(s)+s^2/(1+s)")
 AWKWARD_TEXT = ('"', "\\", "\n", "é ∂ 😀  ", '"failing_points": []', '{"failing_points": []}')
 
 
-def reference(doc: dict) -> str:
-    points = [{"s": p[0], "fprime": p[1], "lhs": p[2]} for p in doc["failing_points"]]
+def reference(doc: dict, columns) -> str:
+    rows = zip(*(c.tolist() for c in columns))
+    points = [{"s": s, "fprime": fprime, "lhs": lhs} for s, fprime, lhs in rows]
     return json.dumps({**doc, "failing_points": points}, indent=2)
+
+
+def _columns(rows) -> tuple:
+    """The three columns of a list of (s, fprime, lhs) rows."""
+    return tuple(np.array(c, dtype=float) for c in zip(*rows)) or (np.empty(0),) * 3
 
 
 floats = st.one_of(
@@ -46,15 +52,12 @@ texts = st.one_of(
     st.sampled_from(AWKWARD_TEXT),
     st.lists(st.sampled_from(AWKWARD_TEXT)).map("".join),
 )
-rows = st.one_of(
-    st.tuples(floats, floats, floats),
-    st.builds(GridPointRecord, floats, floats, floats, floats, st.booleans(), st.booleans()),
-)
-failing_points = st.one_of(
-    st.just(()),
+rows = st.tuples(floats, floats, floats)
+failing_columns = st.one_of(
+    st.just([]),
     st.lists(rows, min_size=1, max_size=1),
-    st.lists(rows, min_size=2, max_size=40).map(tuple),
-)
+    st.lists(rows, min_size=2, max_size=40),
+).map(_columns)
 matrices = st.integers(1, 3).flatmap(
     lambda n: st.lists(st.lists(floats, min_size=n, max_size=n), min_size=n, max_size=n)
 )
@@ -76,7 +79,7 @@ def report_docs(draw):
         },
         "tol": draw(floats),
         "verdict": draw(texts),
-        "failing_points": draw(failing_points),
+        "failing_points": [],
         "witnesses": draw(st.lists(witnesses, max_size=2)),
         "diagnostics": {
             "samples_run": draw(st.integers(0, 10**6)),
@@ -90,18 +93,20 @@ def report_docs(draw):
     }
     if draw(st.booleans()):
         doc["timestamp"] = draw(texts)
-    return doc
+    return doc, draw(failing_columns)
 
 
-def _doc(points, source="s", annotations=()):
-    return {
+def _doc(rows, source="s", annotations=()):
+    """(document, columns) with the failing points ``rows``."""
+    doc = {
         "version": "0",
         "function_source": source,
         "n": 3,
-        "failing_points": points,
+        "failing_points": [],
         "annotations": list(annotations),
         "seed": 1,
     }
+    return doc, _columns(rows)
 
 
 class TestAgainstReference:
@@ -110,40 +115,40 @@ class TestAgainstReference:
     @example(_doc(()))
     @example(_doc([(math.nan, math.inf, -math.inf)]))
     @example(_doc([(-0.0, 5e-324, 1e308)] * 3))
-    def test_generated_documents(self, doc):
-        assert cli._report_text(doc) == reference(doc)
+    def test_generated_documents(self, doc_columns):
+        assert cli._report_text(*doc_columns) == reference(*doc_columns)
 
     @pytest.mark.parametrize("text", AWKWARD_TEXT)
     def test_awkward_source_and_annotations(self, text):
         points = [(1.0, 2.5, -3.0), (0.1, math.nan, -0.0)]
-        for doc in (
+        for doc_columns in (
             _doc(points, source=text, annotations=[text, "x" + text]),
             _doc((), source=text, annotations=[text]),
         ):
-            assert cli._report_text(doc) == reference(doc)
+            assert cli._report_text(*doc_columns) == reference(*doc_columns)
 
     def test_non_finite_in_one_column_only(self):
-        doc = _doc([(1.0, math.inf, 2.0), (3.0, 4.0, 5.0)])
-        text = cli._report_text(doc)
-        assert text == reference(doc)
+        doc_columns = _doc([(1.0, math.inf, 2.0), (3.0, 4.0, 5.0)])
+        text = cli._report_text(*doc_columns)
+        assert text == reference(*doc_columns)
         assert '"fprime": Infinity' in text and '"lhs": 5.0' in text
 
 
 def _captured_reports(monkeypatch, capsys, argvs):
-    """(doc, stdout) for each certify command line, with the document the
-    command handed to the writer."""
+    """(doc, columns, stdout) for each certify command line, with the
+    document and columns the command handed to the writer."""
     docs = []
     writer = cli._report_text
 
-    def spy(doc):
-        docs.append(doc)
-        return writer(doc)
+    def spy(doc, columns):
+        docs.append((doc, columns))
+        return writer(doc, columns)
 
     monkeypatch.setattr(cli, "_report_text", spy)
     out = []
     for argv in argvs:
         main(list(argv))
-        out.append((docs[-1], capsys.readouterr().out))
+        out.append((*docs[-1], capsys.readouterr().out))
     return out
 
 
@@ -155,9 +160,9 @@ class TestRealReports:
             for spec in GRID_SPECS
         ]
         sizes = []
-        for doc, out in _captured_reports(monkeypatch, capsys, argvs):
-            assert out == reference(doc) + "\n"
-            sizes.append(len(doc["failing_points"]))
+        for doc, columns, out in _captured_reports(monkeypatch, capsys, argvs):
+            assert out == reference(doc, columns) + "\n"
+            sizes.append(len(columns[0]))
         # refuted specs list thousands of points, certified ones none
         assert max(sizes) == 20000 and min(sizes) == 0
 
@@ -166,9 +171,9 @@ class TestRealReports:
             ("certify", "-f", spec, "--dim", "5", "--samples", "50", "--seed", str(i))
             for i, spec in enumerate(SWEEP_SPECS)
         ]
-        for doc, out in _captured_reports(monkeypatch, capsys, argvs):
+        for doc, columns, out in _captured_reports(monkeypatch, capsys, argvs):
             assert "timestamp" in doc
-            assert out == reference(doc) + "\n"
+            assert out == reference(doc, columns) + "\n"
 
     def test_file_output_matches_stdout(self, capsys, tmp_path):
         argv = ("certify", "-f", "-sqrt(s)", "--samples", "0", "--grid-count", "500",

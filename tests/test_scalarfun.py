@@ -17,7 +17,6 @@ from detconvex.scalarfun import (
     PowerLaw,
     Variable,
     eval_jet,
-    family_f_a,
     parse,
 )
 
@@ -214,18 +213,18 @@ class TestFamilies:
             assert abs(jet.d2 - fd2) <= 1e-4 * max(1.0, abs(jet.d2))
 
     def test_log_branch_reproduces_neg_ln(self):
-        fam = family_f_a(1.0 / 3.0, -1.0, 0.0, 3)
+        fam = FamilyA(a=1.0 / 3.0, c=-1.0, d=0.0, n=3)
         assert fam.branch == "log"
         for s in (0.2, 1.0, 9.0):
             assert abs(eval_jet(fam, s).v - (-math.log(s))) <= 1e-15
 
     def test_power_branch_values(self):
-        fam = family_f_a(0.0, -3.0, 3.0, 3)
+        fam = FamilyA(a=0.0, c=-3.0, d=3.0, n=3)
         assert eval_jet(fam, 1.0).v == 0.0
         assert eval_jet(fam, 8.0).v == -3.0
 
     def test_inverted_branch_values(self):
-        fam = family_f_a(2.0 / 3.0, -3.0, -3.0, 3)
+        fam = FamilyA(a=2.0 / 3.0, c=-3.0, d=-3.0, n=3)
         assert fam.branch == "inverted-power"
         assert abs(eval_jet(fam, 8.0).v - (-1.5)) <= 1e-14
 
@@ -235,9 +234,9 @@ class TestFamilies:
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
-            family_f_a(-0.1, -1.0, 0.0, 3)
+            FamilyA(a=-0.1, c=-1.0, d=0.0, n=3)
         with pytest.raises(ParameterError):
-            family_f_a(0.5, 0.1, 0.0, 3)
+            FamilyA(a=0.5, c=0.1, d=0.0, n=3)
         with pytest.raises(ParameterError):
             NeoHookeVolumetric(mu=0.0)
 

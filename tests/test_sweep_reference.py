@@ -98,7 +98,7 @@ def test_stacked_draws_are_the_single_seed_draws(n):
     for i, seed in enumerate(seeds):
         assert np.array_equal(pd[i], random_posdef_array(n, DEFAULT_LOG_EIG_RANGE, int(seed)))
         assert np.array_equal(pd[i], old_posdef_draw(n, DEFAULT_LOG_EIG_RANGE, int(seed)))
-        assert np.array_equal(sym[i], random_sym(n, 1.0, int(seed)).a)
+        assert np.array_equal(sym[i], random_sym(n, 1.0, int(seed)))
         assert np.array_equal(sym[i], old_sym_draw(n, 1.0, int(seed)))
 
 
@@ -141,7 +141,7 @@ def test_failures_replay_from_their_index():
 
     for i, c, h, v in diag.hess_failures:
         assert np.array_equal(c, posdef(words[4 * i]))
-        assert np.array_equal(h, random_sym(n, 1.0, int(words[4 * i + 1])).a)
+        assert np.array_equal(h, random_sym(n, 1.0, int(words[4 * i + 1])))
         assert v < -diag.fail_tol
     for i, a1, a2, r in diag.midpoint_failures:
         assert np.array_equal(a1, posdef(words[4 * i + 2]))
