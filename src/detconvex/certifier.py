@@ -26,10 +26,11 @@ from .errors import (
     DimensionError,
     DomainError,
     NonFiniteError,
+    NotPositiveDefiniteError,
     ParameterError,
 )
-from .linalg import PosDefMatrix, frob_inner
-from .scalarfun import FamilyA, LogFamily, NeoHookeVolumetric, PowerLaw
+from .linalg import PosDefMatrix
+from .scalarfun import FamilyA, Jet2, LogFamily, NeoHookeVolumetric, PowerLaw
 
 CERTIFIED = "CertifiedOnGrid"
 REFUTED = "Refuted"
@@ -123,12 +124,11 @@ def witness_positive_fprime(s: float, n: int):
     <HC^-1,C^-1H> = 2 exactly, so D2g(C).(H,H) = -2 s f'(s).
 
     The (+1,-1) slots of H must avoid the s slot, which needs n >= 3, and
-    s must clear the positivity floor of C (POSDEF_EIG_FLOOR times its
-    Frobenius norm, so s below about 1.4e-12 does not).  Otherwise the
-    pair is C = r I, H = r diag(1,-1,0,...,0) with r = s^(1/n) (sqrt(s)
-    for n = 2), which keeps det C = s up to rounding and both identities
-    (the inner product cancels exactly, the cross term is 2 up to one
-    rounding).
+    s must clear the positivity floor of C (``linalg.posdef_floor``, so s
+    below about 1.4e-12 does not).  Otherwise the pair is C = r I,
+    H = r diag(1,-1,0,...,0) with r = s^(1/n) (sqrt(s) for n = 2), which
+    keeps det C = s up to rounding and both identities (the inner product
+    cancels exactly, the cross term is 2 up to one rounding).
     """
     if n < 2:
         raise DimensionError("the slope witness needs n >= 2 (two free diagonal slots)")
@@ -137,7 +137,7 @@ def witness_positive_fprime(s: float, n: int):
     diag_c = np.ones(n)
     diag_c[-1] = s
     diag_h = np.zeros(n)
-    if n > 2 and s > linalg.POSDEF_EIG_FLOOR * linalg.frob_norm(np.diag(diag_c)):
+    if n > 2 and s > linalg.posdef_floor(np.diag(diag_c)):
         diag_h[:2] = (1.0, -1.0)
     else:
         root = float(np.sqrt(s)) if n == 2 else s ** (1.0 / n)
@@ -185,10 +185,17 @@ def witness_attempt(f, kind: str, s: float, n: int):
 
 def _confirmed_witness(f, kind: str, s: float, n: int) -> Witness | None:
     """The confirmed pair for ``kind`` at s, or None when it cannot be
-    built, evaluated or confirmed."""
+    built (at a subnormal s, C is below the positivity floor), evaluated
+    or confirmed."""
     try:
         c, h, analytic, fd, _, confirmed = witness_attempt(f, kind, s, n)
-    except (DomainError, NonFiniteError, DegenerateDirectionError, DimensionError):
+    except (
+        DomainError,
+        NonFiniteError,
+        DegenerateDirectionError,
+        DimensionError,
+        NotPositiveDefiniteError,
+    ):
         return None
     if not confirmed:
         return None
@@ -238,42 +245,28 @@ def certify(f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BA
             "the classical statement fixes n=3"
         )
 
-    s = grid.points()
-    jet = scalarfun.eval_jet(f, s)
+    points = grid.points()
+    jet = scalarfun.eval_jet(f, points)
+    failed = np.isnan(jet.v)
+    domain_failure = bool(failed.any())
+    cut = int(np.argmax(failed)) if domain_failure else len(points)
+    if domain_failure:
+        # the point evaluated alone raises the error that made it NaN
+        annotations.append(
+            f"domain failure during grid evaluation: {scalarfun.failure_at(f, float(points[cut]))}"
+        )
+        jet = Jet2(*(x[:cut] for x in jet))
+    s = points[:cut]
     # overflow goes to inf without a warning, as in float arithmetic
     with np.errstate(all="ignore"):
         lhs = _lhs_from_jet(jet, s, n)
-        tol_p = tol * (1.0 + np.abs(jet.d1) + np.abs(jet.d2))
-    fprime_ok = jet.d1 <= tol_p
-    lhs_ok = lhs >= -tol_p
-    failed = np.isnan(jet.v)
-    cut = int(np.argmax(failed)) if failed.any() else len(s)
-    columns = dict(
-        s=s[:cut],
-        fprime=jet.d1[:cut],
-        lhs=lhs[:cut],
-        band=tol_p[:cut],
-        fprime_ok=fprime_ok[:cut],
-        lhs_ok=lhs_ok[:cut],
-    )
-    if cut < len(s):
-        # the point evaluated alone raises the error that made it NaN
-        annotations.append(
-            f"domain failure during grid evaluation: {scalarfun.failure_at(f, float(s[cut]))}"
-        )
-        return CertificationReport(
-            verdict=INCONCLUSIVE,
-            n=n,
-            grid=grid,
-            **columns,
-            witnesses=(),
-            tol=tol,
-            analytic_convex=analytic_convexity(f, n),
-            annotations=tuple(annotations),
-        )
+        band = tol * (1.0 + np.abs(jet.d1) + np.abs(jet.d2))
+    fprime_ok = jet.d1 <= band
+    lhs_ok = lhs >= -band
 
-    fprime_bad = ~fprime_ok
-    lhs_bad = ~lhs_ok
+    # a domain failure is reported with the columns before it, unsearched
+    fprime_bad = ~fprime_ok & (not domain_failure)
+    lhs_bad = ~lhs_ok & (not domain_failure)
     witnesses = []
     if fprime_bad.any():
         s_bad = float(s[np.argmax(fprime_bad)])
@@ -299,7 +292,7 @@ def certify(f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BA
 
     if witnesses:
         verdict = REFUTED
-    elif fprime_bad.any() or lhs_bad.any():
+    elif fprime_bad.any() or lhs_bad.any() or domain_failure:
         verdict = INCONCLUSIVE
     else:
         verdict = CERTIFIED
@@ -307,7 +300,12 @@ def certify(f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BA
         verdict=verdict,
         n=n,
         grid=grid,
-        **columns,
+        s=s,
+        fprime=jet.d1,
+        lhs=lhs,
+        band=band,
+        fprime_ok=fprime_ok,
+        lhs_ok=lhs_ok,
         witnesses=tuple(witnesses),
         tol=tol,
         analytic_convex=analytic_convexity(f, n),
@@ -320,7 +318,9 @@ def certify(f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BA
 
 
 def sigma_checks(p, a):
-    """(sigma, sigma_tilde, pa_ap) for diagonal P >= 0 and general A.
+    """(sigma, sigma_tilde, pa_ap) for diagonal P >= 0 and general A, as
+    floats for one pair of n x n matrices and as arrays for (N, n, n)
+    stacks of pairs.
 
     sigma   = <P, A>            (equals <P, diag A> exactly)
     sigma~  = <P diagA, diagA P>
@@ -329,19 +329,23 @@ def sigma_checks(p, a):
     The suite asserts pa_ap >= sigma~ and sigma^2 <= n * sigma~ up to an
     additive 1e-10 slack.
     """
-    parr = linalg._as_array(p)
-    aarr = linalg._as_array(a)
-    if parr.shape != aarr.shape or parr.shape[0] != parr.shape[1]:
+    parr = np.asarray(p, dtype=float)
+    aarr = np.asarray(a, dtype=float)
+    if parr.shape != aarr.shape or parr.ndim not in (2, 3) or parr.shape[-1] != parr.shape[-2]:
         raise DimensionError(f"shape mismatch P{parr.shape} vs A{aarr.shape}")
-    if np.count_nonzero(parr - np.diag(np.diag(parr))) != 0:
+    eye = np.eye(parr.shape[-1], dtype=bool)
+    if np.count_nonzero(parr - np.where(eye, parr, 0.0)) != 0:
         raise ParameterError("P must be diagonal")
-    if np.any(np.diag(parr) < 0):
+    if np.any(np.diagonal(parr, axis1=-2, axis2=-1) < 0):
         raise ParameterError("P must have non-negative entries")
-    diag_a = np.diag(np.diag(aarr))
-    sigma = frob_inner(parr, aarr)
-    sigma_tilde = frob_inner(parr @ diag_a, diag_a @ parr)
-    pa_ap = frob_inner(parr @ aarr, aarr @ parr)
-    return sigma, sigma_tilde, pa_ap
+    diag_a = np.where(eye, aarr, 0.0)
+    # the sums of frob_inner, per pair: P is diagonal, so every matrix
+    # product is exact
+    sums = tuple(
+        np.add.reduce(x * y, axis=(-2, -1))
+        for x, y in ((parr, aarr), (parr @ diag_a, diag_a @ parr), (parr @ aarr, aarr @ parr))
+    )
+    return tuple(map(float, sums)) if parr.ndim == 2 else sums
 
 
 def reduction_check(f, c: PosDefMatrix, h):
@@ -406,9 +410,7 @@ def sample_convexity(
     """
     if num_samples < 1:
         raise ParameterError("num_samples must be >= 1")
-    if seed < 0:
-        raise ParameterError(f"seed {seed} must be >= 0")
-    seeds = np.random.SeedSequence(seed).generate_state(4 * num_samples, dtype=np.uint64)
+    seeds = linalg.seed_words(seed, 4 * num_samples)
     min_hess = np.inf
     min_mid = np.inf
     max_mid = -np.inf
@@ -426,9 +428,9 @@ def sample_convexity(
         inner, cross = detcalculus.hess_terms(c, h)
         s = np.linalg.det(c)
         jet = scalarfun.eval_jet(f, s)
-        g1 = scalarfun.eval_value(f, np.linalg.det(a1))
-        g2 = scalarfun.eval_value(f, np.linalg.det(a2))
-        gm = scalarfun.eval_value(f, np.linalg.det(0.5 * (a1 + a2)))
+        g1 = scalarfun.eval_jet(f, np.linalg.det(a1)).v
+        g2 = scalarfun.eval_jet(f, np.linalg.det(a2)).v
+        gm = scalarfun.eval_jet(f, np.linalg.det(0.5 * (a1 + a2))).v
         # a sample whose jets failed at any point is NaN there and skipped
         ok = ~(np.isnan(jet.v) | np.isnan(g1) | np.isnan(g2) | np.isnan(gm))
         k = int(ok.sum())

@@ -9,8 +9,9 @@ The second directional derivative in a symmetric direction H is
 where <.,.> is the trace inner product.  ``condition_lhs_full`` is the same
 bracket without the leading det C factor; ``condition_lhs_diag`` is its
 diagonalized normal form (divided once more by det C).  ``g_hess_form``
-and ``condition_lhs_full`` take both inner products from ``hess_terms``,
-the one kernel shared by single pairs and the stacked randomized sweep.
+is det C times ``condition_lhs_full``, which takes both inner products
+from ``hess_terms``, the one kernel shared by single pairs and the stacked
+randomized sweep.
 """
 
 from __future__ import annotations
@@ -70,26 +71,17 @@ def condition_bracket(jet, s: float, inner: float, cross: float) -> float:
     return (jet.d2 * s + jet.d1) * inner * inner - jet.d1 * cross
 
 
-def _pair_terms(c: PosDefMatrix, h):
-    inner, cross = hess_terms(c.a, _check_pair(c, h))
-    return float(inner), float(cross)
-
-
 def g_hess_form(f, c: PosDefMatrix, h) -> float:
-    """D2g(C).(H,H); quadratic in H."""
-    inner, cross = _pair_terms(c, h)
-    jet = scalarfun.eval_jet(f, c.det)
-    return c.det * condition_bracket(jet, c.det, inner, cross)
+    """D2g(C).(H,H) = det C * condition_lhs_full; quadratic in H."""
+    return c.det * condition_lhs_full(f, c, h)
 
 
 def condition_lhs_full(f, c: PosDefMatrix, h) -> float:
     """[f'' det C + f'] <C^-1,H>^2 - f' <HC^-1, C^-1H>; non-negativity of
-    this quantity over all (C, H) characterizes convexity of g.
-
-    Identity: condition_lhs_full * det C == g_hess_form.
-    """
-    inner, cross = _pair_terms(c, h)
-    return condition_bracket(scalarfun.eval_jet(f, c.det), c.det, inner, cross)
+    this quantity over all (C, H) characterizes convexity of g."""
+    inner, cross = hess_terms(c.a, _check_pair(c, h))
+    jet = scalarfun.eval_jet(f, c.det)
+    return condition_bracket(jet, c.det, float(inner), float(cross))
 
 
 def condition_lhs_diag(f, dvec, h) -> float:
@@ -124,63 +116,42 @@ def condition_lhs_diag(f, dvec, h) -> float:
 # finite-difference oracles
 
 
-def default_second_step(c: PosDefMatrix, h) -> float:
-    """Direction-scaled step for second central differences."""
-    return FD_SECOND_SCALE * (1.0 + frob_norm(c.a)) / (1.0 + frob_norm(h))
-
-
-def default_first_step(c: PosDefMatrix, h) -> float:
-    """Direction-scaled step for first central differences."""
-    return FD_FIRST_SCALE * (1.0 + frob_norm(c.a)) / (1.0 + frob_norm(h))
-
-
-def _admissible_step(c: PosDefMatrix, harr: np.ndarray, h: float) -> float:
-    """Halve h until C +/- h H stays positive definite."""
-    base = c.a
-    if not np.any(harr):
-        return h
-    for _ in range(FD_MAX_HALVINGS + 1):
-        if np.isfinite(h):
-            if linalg.cholesky_posdef(base + h * harr) and linalg.cholesky_posdef(
-                base - h * harr
+def _stencil(c: PosDefMatrix, h, step: float | None, scale: float):
+    """(det(C+tH), det(C-tH), t) for the central differences of
+    t -> g(C + tH).  The step starts at ``step``, by default at the
+    direction-scaled scale * (1 + |C|) / (1 + |H|), and is halved until
+    C +/- tH stays positive definite."""
+    harr = _check_pair(c, h)
+    t = scale * (1.0 + frob_norm(c.a)) / (1.0 + frob_norm(harr)) if step is None else float(step)
+    if t <= 0:
+        raise ParameterError("finite-difference step must be positive")
+    if np.any(harr):
+        for _ in range(FD_MAX_HALVINGS + 1):
+            if np.isfinite(t) and all(
+                linalg.cholesky_posdef(c.a + sign * t * harr) for sign in (1.0, -1.0)
             ):
-                return h
-        h *= 0.5
-    raise DegenerateDirectionError(
-        f"no admissible step after {FD_MAX_HALVINGS} halvings (h={h:.3e})"
-    )
-
-
-def _det_in_cone(m: np.ndarray) -> float:
-    s = linalg.det(m)
-    if s <= 0.0:
-        raise DomainError(f"perturbed matrix left the positive cone (det={s})")
-    return s
-
-
-def _f_values(f, dets) -> list:
-    """f at each determinant, from one evaluator call; the first point that
-    fails raises its own error."""
-    dets = np.array(dets)
-    values = scalarfun.eval_value(f, dets)
-    failed = np.isnan(values)
-    if failed.any():
-        raise scalarfun.failure_at(f, float(dets[np.argmax(failed)]))
-    return values.tolist()
+                break
+            t *= 0.5
+        else:
+            raise DegenerateDirectionError(
+                f"no admissible step after {FD_MAX_HALVINGS} halvings (h={t:.3e})"
+            )
+    dets = []
+    for sign in (1.0, -1.0):
+        s = linalg.det(c.a + sign * t * harr)
+        if s <= 0.0:
+            raise DomainError(f"perturbed matrix left the positive cone (det={s})")
+        dets.append(s)
+    return *dets, t
 
 
 def fd_second_directional_with_step(f, c: PosDefMatrix, h, step: float | None = None):
-    """(value, h_used) for the central second difference of t -> g(C + tH)."""
-    harr = _check_pair(c, h)
-    h0 = default_second_step(c, harr) if step is None else float(step)
-    if h0 <= 0:
-        raise ParameterError("finite-difference step must be positive")
-    h_used = _admissible_step(c, harr, h0)
-    base = c.a
-    g0, gp, gm = _f_values(
-        f, (c.det, _det_in_cone(base + h_used * harr), _det_in_cone(base - h_used * harr))
-    )
-    return (gp - 2.0 * g0 + gm) / (h_used * h_used), h_used
+    """(value, h_used) for the central second difference of t -> g(C + tH).
+    The three values of f come from one evaluator call, in the order
+    (det C, det(C+tH), det(C-tH))."""
+    sp, sm, t = _stencil(c, h, step, FD_SECOND_SCALE)
+    g0, gp, gm = scalarfun.eval_all(f, np.array([c.det, sp, sm])).tolist()
+    return (gp - 2.0 * g0 + gm) / (t * t), t
 
 
 def fd_second_directional(f, c: PosDefMatrix, h, step: float | None = None) -> float:
@@ -190,14 +161,9 @@ def fd_second_directional(f, c: PosDefMatrix, h, step: float | None = None) -> f
 
 def fd_first_directional(f, c: PosDefMatrix, h, step: float | None = None) -> float:
     """Central first difference (g(C+hH) - g(C-hH)) / (2h)."""
-    harr = _check_pair(c, h)
-    h0 = default_first_step(c, harr) if step is None else float(step)
-    if h0 <= 0:
-        raise ParameterError("finite-difference step must be positive")
-    h_used = _admissible_step(c, harr, h0)
-    base = c.a
-    gp, gm = _f_values(f, (_det_in_cone(base + h_used * harr), _det_in_cone(base - h_used * harr)))
-    return (gp - gm) / (2.0 * h_used)
+    sp, sm, t = _stencil(c, h, step, FD_FIRST_SCALE)
+    gp, gm = scalarfun.eval_all(f, np.array([sp, sm])).tolist()
+    return (gp - gm) / (2.0 * t)
 
 
 # --------------------------------------------------------------------------
@@ -269,10 +235,8 @@ def oracle_sweep(
     """
     if num_samples < 1:
         raise ParameterError("num_samples must be >= 1")
-    if seed < 0:
-        raise ParameterError(f"seed {seed} must be >= 0")
+    seeds = linalg.seed_words(seed, 2 * num_samples)
     funcs = builtin_corpus(n) if functions is None else tuple(functions)
-    seeds = np.random.SeedSequence(seed).generate_state(2 * num_samples, dtype=np.uint64)
     samples = []
     hess_disc = []
     grad_disc = []

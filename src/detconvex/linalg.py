@@ -35,6 +35,15 @@ POSDEF_EIG_FLOOR = 1e-12  # relative to the Frobenius norm
 _FLOAT_TINY = sys.float_info.min  # smallest normal float
 
 
+def seed_words(seed: int, count: int) -> np.ndarray:
+    """``count`` uint64 words of ``SeedSequence(seed)``, each seeding one
+    draw's own PCG64 stream, so a draw replays from its index alone.  A
+    negative seed raises ParameterError."""
+    if seed < 0:
+        raise ParameterError(f"seed {seed} must be >= 0")
+    return np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
+
+
 def _check_finite(a: np.ndarray):
     if not np.all(np.isfinite(a)):
         raise ParameterError("matrix entries must be finite")
@@ -95,7 +104,7 @@ class PosDefMatrix:
     def from_sym(a) -> "PosDefMatrix":
         a = symmetric(a)
         eigenvalues, q = jacobi_eigen(a)
-        floor = POSDEF_EIG_FLOOR * frob_norm(a)
+        floor = posdef_floor(a)
         if eigenvalues[0] <= floor:
             raise NotPositiveDefiniteError(
                 f"smallest eigenvalue {eigenvalues[0]:.3e} below the "
@@ -119,17 +128,36 @@ def _rescaled_norms(a: np.ndarray) -> np.ndarray:
     return scale * np.sqrt(np.sum((a / scale[..., None, None]) ** 2, axis=(-2, -1)))
 
 
-def frob_norm(m) -> float:
-    """Frobenius norm: the square root of the plain sum of squares, unless
-    that sum is not a finite normal float (entries beyond about 1e154
-    overflow the squares, below about 1e-154 they underflow); then the
-    entries are rescaled first."""
-    a = _as_array(m)
+def frob_norm(m):
+    """Frobenius norm over the last two axes: a float for a matrix, an
+    array for an (N, n, n) stack.  The square root of the plain sum of
+    squares, unless that sum is not a finite normal float (entries beyond
+    about 1e154 overflow the squares, below about 1e-154 they underflow);
+    then the entries are rescaled first."""
+    a = np.asarray(m, dtype=float)
+    if a.ndim < 2:
+        raise DimensionError(f"expected a matrix or a stack of them, got ndim={a.ndim}")
     with np.errstate(over="ignore"):
-        squares = float(np.add.reduce(a * a, axis=None))
-    if _FLOAT_TINY <= squares < math.inf:
-        return math.sqrt(squares)
-    return float(_rescaled_norms(a))
+        squares = np.add.reduce(a * a, axis=(-2, -1))
+    if a.ndim == 2:
+        # the same test on a float, several times quicker than on a 0-d array
+        squares = float(squares)
+        return math.sqrt(squares) if _FLOAT_TINY <= squares < math.inf else float(_rescaled_norms(a))
+    norms = np.sqrt(squares)
+    redo = ~((squares >= _FLOAT_TINY) & (squares < np.inf))
+    if redo.any():
+        norms = np.where(redo, _rescaled_norms(a), norms)
+    return norms
+
+
+def posdef_floor(a):
+    """The positivity floor of a matrix, or of each matrix of a stack:
+    POSDEF_EIG_FLOOR times its Frobenius norm, and never below the
+    smallest normal float.  A positive definite matrix has its smallest
+    eigenvalue above it, so the entries of its inverse stay below
+    1 / _FLOAT_TINY (about 4.5e307) and finite; the reciprocal of a
+    subnormal eigenvalue can overflow."""
+    return np.maximum(POSDEF_EIG_FLOOR * frob_norm(a), _FLOAT_TINY)
 
 
 def frob_inner(a, b) -> float:
@@ -252,16 +280,11 @@ def random_sym_stack(n: int, scale: float, seeds) -> np.ndarray:
 def require_posdef_stack(a: np.ndarray):
     """Apply the eigenvalue floor of ``PosDefMatrix.from_sym`` to every
     matrix of an (N, n, n) stack; raises NotPositiveDefiniteError naming
-    the first sample below it."""
-    smallest = np.linalg.eigvalsh(a)[:, 0]
-    with np.errstate(over="ignore"):
-        squares = np.sum(a**2, axis=(-2, -1))
-    norms = np.sqrt(squares)
-    # the rule of frob_norm, per matrix
-    redo = ~((squares >= _FLOAT_TINY) & (squares < np.inf))
-    if redo.any():
-        norms = np.where(redo, _rescaled_norms(a), norms)
-    floors = POSDEF_EIG_FLOOR * norms
+    the first sample below it.  The eigenvalues come from the routine of
+    ``jacobi_eigen`` (eigvalsh's differ in the last bits), so a finite
+    symmetric matrix passes here exactly when it passes ``from_sym``."""
+    smallest = np.linalg.eigh(a)[0][:, 0]
+    floors = posdef_floor(a)
     below = np.flatnonzero(smallest <= floors)
     if below.size:
         i = int(below[0])

@@ -110,6 +110,10 @@ def f_limit(c: float, d: float, s: float, n: int = 3) -> float:
 
 
 def _rk4(spec: IvpSpec, x_end: float, steps: int, forcing: float) -> CurveTable:
+    if not (x_end > spec.xi):
+        raise ParameterError(f"x_end={x_end} must exceed xi={spec.xi}")
+    if steps < 10:
+        raise ParameterError(f"steps={steps} must be >= 10")
     h = (x_end - spec.xi) / steps
     xs = spec.xi + h * np.arange(steps + 1)
     xs[-1] = x_end
@@ -140,10 +144,6 @@ def _rk4(spec: IvpSpec, x_end: float, steps: int, forcing: float) -> CurveTable:
 
 def solve_livp_numeric(spec: IvpSpec, x_end: float, steps: int) -> CurveTable:
     """Classical fixed-step RK4 integration of the limiting IVP."""
-    if not (x_end > spec.xi):
-        raise ParameterError(f"x_end={x_end} must exceed xi={spec.xi}")
-    if steps < 10:
-        raise ParameterError(f"steps={steps} must be >= 10")
     return _rk4(spec, x_end, steps, forcing=0.0)
 
 
@@ -153,10 +153,6 @@ def solve_livp_perturbed(spec: IvpSpec, eps: float, x_end: float, steps: int) ->
     For eta < 0 and eps > 0 the solution leaves y <= 0 at finite x, so the
     perturbation cannot generate globally admissible slope functions.
     """
-    if not (x_end > spec.xi):
-        raise ParameterError(f"x_end={x_end} must exceed xi={spec.xi}")
-    if steps < 10:
-        raise ParameterError(f"steps={steps} must be >= 10")
     return _rk4(spec, x_end, steps, forcing=float(eps))
 
 
@@ -211,7 +207,7 @@ def comparison_check(curve: CurveTable, spec: IvpSpec, tol: float = CLASSIFY_TOL
             f"initial point xi={spec.xi} outside curve range [{xs[0]}, {xs[-1]}]"
         )
     dydx = curve.dydx if curve.dydx is not None else _table_derivative(xs, ys)
-    residuals = dydx - np.array([spec.rhs(x, y) for x, y in zip(xs, ys)])
+    residuals = dydx - spec.rhs(xs, ys)
 
     weak_sub = bool(np.all(residuals >= -tol))
     strict_sub = bool(np.all(residuals > tol))
@@ -298,7 +294,7 @@ def export_family_curves(params, s_range=(0.05, 8.0), count: int = 200):
             raise ParameterError(f"extra curves must be family members, got {type(fam).__name__}")
         members.append((f"fa(a={fam.a!r},c={fam.c!r},d={fam.d!r},n={fam.n})", fam))
     for label, fam in members:
-        ys = np.array([scalarfun.eval_value(fam, float(s)) for s in ss])
+        ys = scalarfun.eval_all(fam, ss)
         curves.append(
             CurveTable(
                 label=label,

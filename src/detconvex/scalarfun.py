@@ -591,8 +591,14 @@ def eval_jet(f, s) -> Jet2:
     return jet
 
 
-def eval_value(f, s):
-    return eval_jet(f, s).v
+def eval_all(f, s: np.ndarray) -> np.ndarray:
+    """f at every point of the 1-D array s, from one evaluator call; the
+    first point that fails raises its own error."""
+    values = eval_jet(f, s).v
+    failed = np.isnan(values)
+    if failed.any():
+        raise failure_at(f, float(s[np.argmax(failed)]))
+    return values
 
 
 def failure_at(f, s: float) -> DomainError | NonFiniteError:

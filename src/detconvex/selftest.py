@@ -193,7 +193,7 @@ def check_identity_suite():
     worst_id = 0.0
     worst_log = 0.0
     for n in (2, 3, 5):
-        seeds = np.random.SeedSequence(BASE_SEED + 60 + n).generate_state(2000, dtype=np.uint64)
+        seeds = linalg.seed_words(BASE_SEED + 60 + n, 2000)
         corpus = detcalculus.builtin_corpus(n)
         for i in range(1000):
             c = linalg.random_posdef(n, rng_range, int(seeds[2 * i]))
@@ -224,6 +224,16 @@ def check_identity_suite():
 # -- 7 ----------------------------------------------------------------------
 
 
+def sigma_draws(n: int):
+    """The 10^4 (P, A) pairs of the sigma suite at dimension n as stacks,
+    from one PCG64 stream: per pair, the diagonal of P uniform in [0, 2),
+    then A row-major uniform in [-1, 1), each as lo + (hi - lo) * random()
+    like ``Generator.uniform``."""
+    u = np.random.Generator(np.random.PCG64(BASE_SEED + 70 + n)).random((10_000, n + n * n))
+    p = (0.0 + 2.0 * u[:, :n])[:, :, None] * np.eye(n)
+    return p, -1.0 + 2.0 * u[:, n:].reshape(-1, n, n)
+
+
 def check_sigma_suite():
     """Diagonal-projection identities and the Cauchy-Schwarz link hold over
     10^4 random (P, A) per dimension, with equality at P = A = I."""
@@ -231,24 +241,18 @@ def check_sigma_suite():
     worst_gap1 = np.inf
     worst_gap2 = np.inf
     for n in (2, 3, 5):
-        gen = np.random.Generator(np.random.PCG64(BASE_SEED + 70 + n))
-        for i in range(10_000):
-            p = np.diag(gen.uniform(0.0, 2.0, size=n))
-            a = gen.uniform(-1.0, 1.0, size=(n, n))
-            sigma, sigma_tilde, pa_ap = certifier.sigma_checks(p, a)
-            if sigma != linalg.frob_inner(p, np.diag(np.diag(a))):
-                failures.append(f"n={n} sample {i}: sigma != <P, diag A> exactly")
-                break
-            gap1 = pa_ap - sigma_tilde
-            gap2 = n * sigma_tilde - sigma * sigma
-            worst_gap1 = min(worst_gap1, gap1)
-            worst_gap2 = min(worst_gap2, gap2)
-            if gap1 < -1e-10:
-                failures.append(f"n={n} sample {i}: <PA,AP> - sigma~ = {gap1:.3e}")
-                break
-            if gap2 < -1e-10:
-                failures.append(f"n={n} sample {i}: n sigma~ - sigma^2 = {gap2:.3e}")
-                break
+        p, a = sigma_draws(n)
+        sigma, sigma_tilde, pa_ap = certifier.sigma_checks(p, a)
+        exact = sigma == np.sum(p * (a * np.eye(n)), axis=(-2, -1))
+        gap1 = pa_ap - sigma_tilde
+        gap2 = n * sigma_tilde - sigma * sigma
+        worst_gap1 = min(worst_gap1, float(gap1.min()))
+        worst_gap2 = min(worst_gap2, float(gap2.min()))
+        for i in np.flatnonzero(~exact | (gap1 < -1e-10) | (gap2 < -1e-10))[:1]:
+            failures.append(
+                f"n={n} sample {i}: sigma == <P, diag A> {exact[i]}, "
+                f"<PA,AP> - sigma~ = {gap1[i]:.3e}, n sigma~ - sigma^2 = {gap2[i]:.3e}"
+            )
         eye = np.eye(n)
         sigma, sigma_tilde, pa_ap = certifier.sigma_checks(eye, eye)
         if not (sigma == float(n) and sigma_tilde == float(n) and pa_ap == float(n)):
@@ -272,7 +276,7 @@ def check_reduction_suite():
     failures = []
     worst = 0.0
     for n in (2, 3, 5):
-        seeds = np.random.SeedSequence(BASE_SEED + 80 + n).generate_state(2000, dtype=np.uint64)
+        seeds = linalg.seed_words(BASE_SEED + 80 + n, 2000)
         corpus = detcalculus.builtin_corpus(n)
         for i in range(1000):
             c = linalg.random_posdef(n, certifier.DEFAULT_LOG_EIG_RANGE, int(seeds[2 * i]))

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from detconvex import certifier, detcalculus
+from detconvex import certifier, detcalculus, selftest
 from detconvex.certifier import (
     CERTIFIED,
     INCONCLUSIVE,
@@ -98,6 +99,22 @@ class TestCertify:
         columns = (rep.fprime, rep.lhs, rep.band, rep.fprime_ok, rep.lhs_ok)
         assert all(len(c) == cut for c in columns)
         assert np.array_equal(rep.failing_points, np.arange(cut))
+
+    def test_domain_failure_after_clean_points_is_inconclusive(self):
+        # 1/s certifies; the ln term fails from s = 10 on
+        rep = certify(parse("1/s + 0*ln(10-s)"), 3, SMALL_GRID)
+        assert rep.verdict == INCONCLUSIVE and len(rep.s) < SMALL_GRID.count
+        assert 0 < len(rep.s) and rep.failing_points.size == 0 and rep.witnesses == ()
+        assert rep.annotations[-1].startswith("domain failure")
+
+    def test_subnormal_second_order_witness_is_unconfirmed(self):
+        # C = s I is below the positivity floor at these subnormal s
+        grid = GridSpec(1e-320, 1e-310, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = certify(parse("-s^2"), 1, grid)
+        assert rep.verdict == INCONCLUSIVE and rep.witnesses == ()
+        assert any("second-order violation" in a and "not confirmed" in a for a in rep.annotations)
 
     def test_family_dimension_must_match(self):
         with pytest.raises(ParameterError):
@@ -322,6 +339,35 @@ class TestSigmaChecks:
             assert sigma == frob_inner(p, np.diag(np.diag(a)))
             assert pa_ap - sigma_tilde >= -1e-10
             assert n * sigma_tilde - sigma * sigma >= -1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_stacks_match_per_pair_calls(self, n):
+        # the selftest's stacked draws are its old per-sample uniform
+        # draws, and the stacked sums are the per-pair ones, bit for bit
+        p, a = selftest.sigma_draws(n)
+        p, a = p[:200], a[:200]
+        gen = np.random.Generator(np.random.PCG64(selftest.BASE_SEED + 70 + n))
+        stacked = sigma_checks(p, a)
+        for i in range(200):
+            p_i = np.diag(gen.uniform(0.0, 2.0, size=n))
+            a_i = gen.uniform(-1.0, 1.0, size=(n, n))
+            assert np.array_equal(p[i], p_i) and np.array_equal(a[i], a_i)
+            assert tuple(x[i] for x in stacked) == sigma_checks(p_i, a_i)
+
+    def test_stack_validation(self):
+        p = np.stack([np.eye(2), np.diag([1.0, 2.0])])
+        bad = p.copy()
+        bad[1, 0, 1] = 0.5
+        with pytest.raises(ParameterError, match="diagonal"):
+            sigma_checks(bad, p)
+        bad = p.copy()
+        bad[1, 1, 1] = -1.0
+        with pytest.raises(ParameterError, match="non-negative"):
+            sigma_checks(bad, p)
+        with pytest.raises(DimensionError):
+            sigma_checks(p, p[:1])
+        with pytest.raises(DimensionError):
+            sigma_checks(np.ones((2, 2, 3)), np.ones((2, 2, 3)))
 
     def test_rejects_non_diagonal(self):
         with pytest.raises(ParameterError):

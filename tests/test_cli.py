@@ -1,5 +1,6 @@
 import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -289,6 +290,33 @@ class TestWitnessCommand:
         code, out, _ = run(capsys, "witness", "-f", "-ln(s)", "--grid-count", "50")
         assert code == 0
         assert "no violation found on grid" in out
+
+    def test_domain_failure_after_clean_points(self, capsys):
+        code, out, _ = run(capsys, "witness", "-f", "1/s + 0*ln(10-s)", "--grid-count", "50")
+        assert code == 2
+        assert out.startswith("domain failure during grid evaluation: ln of non-positive")
+        code, out, _ = run(capsys, "witness", "-f", "ln(s-1)", "--grid-count", "50")
+        assert code == 2 and out.startswith("domain failure")
+
+    def test_subnormal_second_order_witness(self, capsys):
+        # C = s I at s ~ 1e-320 is below the floor; its inverse overflowed
+        # with a numpy warning and "matrix entries must be finite", exit 3
+        argv = ("-f", "-s^2", "--dim", "1", "--s-min", "1e-320", "--s-max", "1e-310",
+                "--grid-count", "5")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "certify", *argv, "--samples", "0", "--no-timestamp")
+            assert code == 2 and err == "verdict: Inconclusive\n"
+            doc = json.loads(out)
+            assert doc["verdict"] == "Inconclusive" and doc["witnesses"] == []
+            assert doc["annotations"] == [
+                "second-order violation at s=9.99989e-321 not confirmed by the fd oracle"
+            ]
+            code, out, err = run(capsys, "witness", *argv)
+            assert code == 2 and out == ""
+            assert err == (
+                "error: smallest eigenvalue 1.000e-320 below the positivity floor 2.225e-308\n"
+            )
 
 
 class TestCurvesCommand:

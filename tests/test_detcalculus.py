@@ -17,7 +17,7 @@ from detconvex.detcalculus import (
 )
 from detconvex.errors import DegenerateDirectionError, DimensionError, DomainError, ParameterError
 from detconvex.linalg import PosDefMatrix, frob_inner, random_posdef, random_sym
-from detconvex.scalarfun import FamilyA, LogFamily, parse
+from detconvex.scalarfun import FamilyA, LogFamily, eval_jet, parse
 
 LOG_RANGE = (math.log(0.1), math.log(10.0))
 NEG_LN = LogFamily(c=-1.0, d=0.0)
@@ -197,8 +197,41 @@ class TestFdOracles:
 
     def test_rejects_non_positive_step(self):
         c = PosDefMatrix.from_diag([1.0, 1.0])
-        with pytest.raises(ParameterError):
-            fd_second_directional(NEG_LN, c, np.eye(2), step=0.0)
+        for fd in (fd_second_directional, fd_second_directional_with_step, fd_first_directional):
+            for step in (0.0, -1e-4):
+                with pytest.raises(ParameterError):
+                    fd(NEG_LN, c, np.eye(2), step=step)
+
+    @pytest.mark.parametrize("step", [None, 1e-3, 0.5])
+    def test_values_match_the_two_stencils(self, step):
+        # the two central differences as separate formulas, each with its
+        # own default step, halving and evaluation of f
+        def reference(f, c, h, scale, second):
+            t = scale * (1.0 + linalg.frob_norm(c.a)) / (1.0 + linalg.frob_norm(h))
+            t = t if step is None else float(step)
+            while not (
+                linalg.cholesky_posdef(c.a + t * h) and linalg.cholesky_posdef(c.a - t * h)
+            ):
+                t *= 0.5
+            gp = eval_jet(f, linalg.det(c.a + t * h)).v
+            gm = eval_jet(f, linalg.det(c.a - t * h)).v
+            if second:
+                return (gp - 2.0 * eval_jet(f, c.det).v + gm) / (t * t), t
+            return (gp - gm) / (2.0 * t)
+
+        for f in builtin_corpus(3) + (IDENT, parse("s^2*exp(-s)")):
+            for c, h in _samples(3, 10, seed=21):
+                second = reference(f, c, h, detcalculus.FD_SECOND_SCALE, True)
+                assert fd_second_directional_with_step(f, c, h, step) == second
+                assert fd_second_directional(f, c, h, step) == second[0]
+                first = reference(f, c, h, detcalculus.FD_FIRST_SCALE, False)
+                assert fd_first_directional(f, c, h, step) == first
+
+    def test_first_difference_skips_the_centre(self):
+        # f has a pole at det C = 2, but not at det(C +/- tH)
+        c = PosDefMatrix.from_diag([1.0, 2.0])
+        value = fd_first_directional(parse("1/(s-2)"), c, np.eye(2), step=0.25)
+        assert value == (1.0 / (1.25 * 2.25 - 2.0) - 1.0 / (0.75 * 1.75 - 2.0)) / 0.5
 
 
 class TestOracleSweep:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,20 @@ class TestFrobNorm:
 
     def test_zero_matrix(self):
         assert linalg.frob_norm(np.zeros((3, 3))) == 0.0
+
+    def test_stack_gives_each_matrix_its_own_norm(self):
+        # the same bits as one matrix at a time, plain sums and rescales alike
+        gen = np.random.default_rng(5)
+        for n in range(1, 17):
+            scales = 10.0 ** gen.uniform(-300, 300, size=(40, 1, 1))
+            stack = gen.standard_normal((40, n, n)) * scales
+            norms = linalg.frob_norm(stack)
+            assert isinstance(norms, np.ndarray) and norms.shape == (40,)
+            assert norms.tolist() == [linalg.frob_norm(m) for m in stack]
+
+    def test_rejects_a_vector(self):
+        with pytest.raises(DimensionError):
+            linalg.frob_norm(np.ones(3))
 
 
 class TestSymMatrix:
@@ -217,6 +232,16 @@ class TestPosDefMatrix:
         with pytest.raises(NotPositiveDefiniteError, match="floor 1.000e\\+188"):
             PosDefMatrix.from_diag([1e200, 1.0])
 
+    def test_subnormal_spectrum_is_below_the_floor(self):
+        # above the relative floor, but 1/eig overflows: an error, not a
+        # warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d in ([1e-320], [1e-310, 1e-310], [5e-324, 5e-324, 5e-324]):
+                with pytest.raises(NotPositiveDefiniteError, match="floor 2.225e-308"):
+                    PosDefMatrix.from_diag(d)
+            assert np.all(np.isfinite(PosDefMatrix.from_diag([3e-308, 3e-308]).inverse))
+
     def test_inverse_roundtrip(self):
         for seed in range(8):
             c = random_posdef(5, LOG_RANGE, seed=seed)
@@ -274,6 +299,80 @@ class TestRequirePosdefStack:
             linalg.require_posdef_stack(np.stack([np.eye(2), np.diag([1e200, 1.0])]))
         with pytest.raises(NotPositiveDefiniteError, match="sample 0: .* floor 1.000e-212"):
             linalg.require_posdef_stack(np.diag([1e-200, 1e-215])[None])
+
+
+def _spectrum_near_floor(n, rel, exponent, seed):
+    """A rotated matrix whose smallest eigenvalue sits at (1 + rel) times
+    the positivity floor of its diagonal form, scaled by 10**exponent."""
+    gen = np.random.default_rng(seed)
+    lam = gen.uniform(1.0, 10.0, size=n)
+    lam[0] = linalg.POSDEF_EIG_FLOOR * math.sqrt(np.sum(lam[1:] ** 2)) * (1.0 + rel)
+    q, _ = np.linalg.qr(gen.standard_normal((n, n)))
+    return symmetric((q * (lam * 10.0**exponent)) @ q.T)
+
+
+class TestOneFloorRule:
+    """``PosDefMatrix.from_sym`` and ``require_posdef_stack`` apply one
+    positivity floor, so each accepts exactly what the other does."""
+
+    @staticmethod
+    def _raises(check, a) -> bool:
+        try:
+            check(a)
+        except NotPositiveDefiniteError:
+            return True
+        return False
+
+    @given(
+        st.integers(1, 6),
+        st.floats(-1e-3, 1e-3),
+        st.integers(-200, 200),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_near_floor_spectra(self, n, rel, exponent, seed):
+        a = _spectrum_near_floor(n, rel, exponent, seed)
+        assert self._raises(PosDefMatrix.from_sym, a) == self._raises(
+            linalg.require_posdef_stack, a[None]
+        )
+
+    @given(st.integers(1, 6), st.integers(-323, -300), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_subnormal_spectra(self, n, exponent, seed):
+        # the relative floor is far below these spectra; the absolute one
+        # (the smallest normal float) decides
+        gen = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(gen.standard_normal((n, n)))
+        a = symmetric((q * (gen.uniform(1.0, 10.0, size=n) * 10.0**exponent)) @ q.T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self._raises(PosDefMatrix.from_sym, a) == self._raises(
+                linalg.require_posdef_stack, a[None]
+            )
+
+    def test_both_sides_of_the_floor_are_covered(self):
+        outcomes = {
+            self._raises(PosDefMatrix.from_sym, _spectrum_near_floor(4, rel, e, seed))
+            for rel in (-1e-3, 1e-3)
+            for e in (-200, 0, 200)
+            for seed in range(5)
+        }
+        assert outcomes == {True, False}
+        subnormal = {
+            self._raises(linalg.require_posdef_stack, np.diag([d, d])[None])
+            for d in (1e-310, 3e-308)
+        }
+        assert subnormal == {True, False}
+
+
+class TestSeedWords:
+    def test_words_of_the_seed_sequence(self):
+        expected = np.random.SeedSequence(17).generate_state(12, dtype=np.uint64)
+        assert np.array_equal(linalg.seed_words(17, 12), expected)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ParameterError, match="seed -1 must be >= 0"):
+            linalg.seed_words(-1, 4)
 
 
 class TestRandomSym:

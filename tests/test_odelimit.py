@@ -3,7 +3,7 @@ import pytest
 
 from detconvex import odelimit
 from detconvex.certifier import CERTIFIED, GridSpec, certify
-from detconvex.errors import DomainError, ParameterError
+from detconvex.errors import DomainError, NonFiniteError, ParameterError
 from detconvex.odelimit import (
     CurveTable,
     IvpSpec,
@@ -189,6 +189,12 @@ class TestPerturbedEquation:
         curve = solve_livp_numeric(SPEC3, 100.0, 5000)
         assert np.all(curve.ys < 0.0)
 
+    def test_preconditions(self):
+        with pytest.raises(ParameterError):
+            solve_livp_perturbed(SPEC3, 0.1, 0.5, 100)
+        with pytest.raises(ParameterError):
+            solve_livp_perturbed(SPEC3, 0.1, 8.0, 5)
+
 
 class TestCurveTable:
     def test_validation(self):
@@ -232,6 +238,24 @@ class TestFigureCurves:
         curves = export_family_curves([], (1.0, 8.0), 4)
         inv = curves[3]
         assert abs(inv.ys[-1] - (-1.5)) <= 1e-12
+
+    def test_csv_matches_a_per_point_reference(self):
+        # one array evaluation per curve writes the bytes of one float
+        # evaluation per point
+        extra = FamilyA(a=0.9, c=-1.0, d=0.0, n=3)
+        curves = export_family_curves([extra], (0.05, 8.0), 2000)
+        members = [fam for _, fam in figure_families()] + [extra]
+        assert len(curves) == len(members)
+        for curve, fam in zip(curves, members):
+            header, rest = curve.to_csv().split("\n", 1)
+            rows = [f"{float(s)!r},{eval_jet(fam, float(s)).v!r}" for s in curve.xs]
+            assert rest == "x,y\n" + "\n".join(rows) + "\n"
+            assert curve.xs.tolist() == np.geomspace(0.05, 8.0, 2000).tolist()
+
+    def test_failing_point_raises_its_own_error(self):
+        # s^(1/3 - 200) overflows at the small end of the range
+        with pytest.raises(NonFiniteError, match="overflow"):
+            export_family_curves([FamilyA(a=200.0, c=-1.0, d=0.0, n=3)], (1e-3, 8.0), 10)
 
     def test_rejects_bad_range_and_extras(self):
         with pytest.raises(ParameterError):

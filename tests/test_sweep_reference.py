@@ -21,7 +21,7 @@ from detconvex.linalg import (
     random_sym,
     random_sym_stack,
 )
-from detconvex.scalarfun import eval_value, parse
+from detconvex.scalarfun import eval_jet, parse
 
 EPS = float(np.finfo(float).eps)
 # Eigenvalues of the default draws lie in [0.1, 10].
@@ -71,9 +71,9 @@ def reference_sample_convexity(f, n, num_samples, seed, log_eig_range=DEFAULT_LO
         a2 = random_posdef_array(n, log_eig_range, int(seeds[4 * i + 3]))
         try:
             v = g_hess_form(f, c, h)
-            g1 = eval_value(f, linalg.det(a1))
-            g2 = eval_value(f, linalg.det(a2))
-            gm = eval_value(f, linalg.det(0.5 * (a1 + a2)))
+            g1 = eval_jet(f, linalg.det(a1)).v
+            g2 = eval_jet(f, linalg.det(a2)).v
+            gm = eval_jet(f, linalg.det(0.5 * (a1 + a2))).v
         except (DomainError, NonFiniteError):
             skipped += 1
             continue
