@@ -29,7 +29,7 @@ from .errors import (
     NotPositiveDefiniteError,
     ParameterError,
 )
-from .linalg import PosDefMatrix
+from .linalg import DEFAULT_LOG_EIG_RANGE, PosDefMatrix
 from .scalarfun import FamilyA, Jet2, LogFamily, NeoHookeVolumetric, PowerLaw
 
 CERTIFIED = "CertifiedOnGrid"
@@ -41,7 +41,6 @@ KIND_SECOND_ORDER = "SecondOrderDeficit"
 
 DEFAULT_TOL_BASE = 1e-9
 WITNESS_CONFIRM_TOL = 1e-4
-DEFAULT_LOG_EIG_RANGE = (float(np.log(0.1)), float(np.log(10.0)))
 
 
 @dataclass(frozen=True)
@@ -367,6 +366,20 @@ def reduction_check(f, c: PosDefMatrix, h):
 SWEEP_BLOCK = 256
 
 
+def sweep_block(n: int, log_eig_range, words):
+    """The (C, H, A1, A2) stacks of one sweep block, SWEEP_BLOCK samples
+    each.  Block b of a sweep with seed ``seed`` takes ``words`` 4b .. 4b+3
+    of ``linalg.seed_words(seed, 4 * blocks)``, one PCG64 stream per
+    stack, and sample i is row i % SWEEP_BLOCK of block i // SWEEP_BLOCK,
+    so its matrices depend only on the seed, n, the range and i."""
+    return (
+        linalg.random_posdef_stack(n, log_eig_range, words[0], SWEEP_BLOCK),
+        linalg.random_sym_stack(n, 1.0, words[1], SWEEP_BLOCK),
+        linalg.random_posdef_stack(n, log_eig_range, words[2], SWEEP_BLOCK),
+        linalg.random_posdef_stack(n, log_eig_range, words[3], SWEEP_BLOCK),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class ConvexitySampleDiagnostics:
     """Outcome of a randomized convexity sweep.
@@ -375,10 +388,10 @@ class ConvexitySampleDiagnostics:
     >= 0 for convex f); midpoint residuals are g((C1+C2)/2) -
     (g(C1)+g(C2))/2, non-positive for convex f.  Failures list samples
     beyond ``fail_tol`` as ``(index, C, H, value)`` and ``(index, C1, C2,
-    residual)`` with plain arrays; sample i draws its four matrices from
-    ``SeedSequence(seed).generate_state(4 * num_samples, dtype=np.uint64)``
-    words 4i .. 4i+3, so ``random_posdef_array`` and ``random_sym`` replay
-    it.
+    residual)`` with plain arrays; sample i is row i % SWEEP_BLOCK of the
+    stacks that ``sweep_block`` draws from words 4b .. 4b+3 of
+    ``linalg.seed_words(seed, 4 * (b + 1))``, b = i // SWEEP_BLOCK, so it
+    replays from the seed, n and i alone.
     """
 
     samples_run: int
@@ -410,7 +423,8 @@ def sample_convexity(
     """
     if num_samples < 1:
         raise ParameterError("num_samples must be >= 1")
-    seeds = linalg.seed_words(seed, 4 * num_samples)
+    blocks = -(-num_samples // SWEEP_BLOCK)
+    words = linalg.seed_words(seed, 4 * blocks)
     min_hess = np.inf
     min_mid = np.inf
     max_mid = -np.inf
@@ -418,12 +432,11 @@ def sample_convexity(
     mid_failures = []
     run = 0
     skipped = 0
-    for start in range(0, num_samples, SWEEP_BLOCK):
-        block = seeds[4 * start : 4 * min(start + SWEEP_BLOCK, num_samples)]
-        c = linalg.random_posdef_stack(n, log_eig_range, block[0::4])
-        h = linalg.random_sym_stack(n, 1.0, block[1::4])
-        a1 = linalg.random_posdef_stack(n, log_eig_range, block[2::4])
-        a2 = linalg.random_posdef_stack(n, log_eig_range, block[3::4])
+    for b in range(blocks):
+        start = b * SWEEP_BLOCK
+        # the last block is drawn whole and sliced
+        stacks = sweep_block(n, log_eig_range, words[4 * b : 4 * b + 4])
+        c, h, a1, a2 = (x[: num_samples - start] for x in stacks)
         linalg.require_posdef_stack(c)
         inner, cross = detcalculus.hess_terms(c, h)
         s = np.linalg.det(c)

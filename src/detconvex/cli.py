@@ -51,8 +51,8 @@ _VERDICT_EXIT = {CERTIFIED: EXIT_CERTIFIED, REFUTED: EXIT_REFUTED, INCONCLUSIVE:
 
 # Largest sizes the commands accept; larger values exit 3 before anything
 # is allocated.  The grid pass holds several arrays of --grid-count floats,
-# the curve export writes --count lines per curve, the sweep makes 32 bytes
-# of seed words per sample up front, and the work per sample (solves,
+# the curve export writes --count lines per curve, the sweep runs its
+# samples block after block, and the work per sample (solves,
 # eigendecompositions, determinants) grows as n^3.
 MAX_DIM = 64
 MAX_GRID_COUNT = 200_000

@@ -221,7 +221,7 @@ def oracle_sweep(
     num_samples: int,
     seed: int,
     functions=None,
-    log_eig_range=(np.log(0.1), np.log(10.0)),
+    log_eig_range=linalg.DEFAULT_LOG_EIG_RANGE,
     hess_tol: float = 1e-5,
     grad_tol: float = 1e-6,
 ) -> OracleSweepResult:

@@ -4,11 +4,13 @@ Everything here is sized for the certification workloads (n up to ~16):
 LAPACK eigendecompositions of symmetric matrices, inverses through the
 eigendecomposition, a hand LU determinant that is exact on diagonal
 input, and seeded sampling of test matrices, one at a time or as
-(N, n, n) stacks.  There is no matrix wrapper: a matrix is validated once
-where it enters, by ``symmetric`` (square, finite, lower triangle
-mirrored, read-only) or by the seeded draws, and is passed on as a plain
-array.  ``PosDefMatrix`` adds the cached determinant, inverse and
-spectrum of a positive definite one.  All operations are pure functions.
+(N, n, n) stacks; each draw, single or stacked, is one PCG64 stream
+seeded with one word.  There is no matrix wrapper: a matrix is
+validated once where it enters, by ``symmetric`` (square, finite, lower
+triangle mirrored, read-only) or by the seeded draws, and is passed on
+as a plain array.  ``PosDefMatrix`` adds the cached determinant,
+inverse and spectrum of a positive definite one.  All operations are
+pure functions.
 """
 
 from __future__ import annotations
@@ -26,9 +28,14 @@ from .errors import (
     ParameterError,
 )
 
-# Generator family used by every sampling routine; recorded in report
-# headers so results can be reproduced.
-RNG_ALGORITHM = "numpy-pcg64"
+# Generator family and stream layout of the sampling routines, recorded in
+# report headers so results can be reproduced: PCG64, one stream per
+# certify sweep block of 256 samples (certifier.SWEEP_BLOCK) and matrix
+# role.
+RNG_ALGORITHM = "numpy-pcg64-block256"
+
+# Log eigenvalue range of the default draws: eigenvalues in [0.1, 10].
+DEFAULT_LOG_EIG_RANGE = (float(np.log(0.1)), float(np.log(10.0)))
 
 POSDEF_EIG_FLOOR = 1e-12  # relative to the Frobenius norm
 
@@ -37,8 +44,10 @@ _FLOAT_TINY = sys.float_info.min  # smallest normal float
 
 def seed_words(seed: int, count: int) -> np.ndarray:
     """``count`` uint64 words of ``SeedSequence(seed)``, each seeding one
-    draw's own PCG64 stream, so a draw replays from its index alone.  A
-    negative seed raises ParameterError."""
+    draw's own PCG64 stream (one matrix, or one stack of them), so a draw
+    replays from its index alone.  The words for a smaller count are a
+    prefix of those for a larger one.  A negative seed raises
+    ParameterError."""
     if seed < 0:
         raise ParameterError(f"seed {seed} must be >= 0")
     return np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
@@ -230,49 +239,48 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def random_posdef_stack(n: int, log_eig_range: tuple, seeds) -> np.ndarray:
-    """Positive definite samples as an (N, n, n) stack, one per seed.
+def random_posdef_stack(n: int, log_eig_range: tuple, seed: int, count: int) -> np.ndarray:
+    """``count`` positive definite samples as a (count, n, n) stack, from
+    one PCG64 stream seeded with ``seed``.
 
-    Each seed drives its own PCG64 stream: n uniform draws over
-    ``log_eig_range`` whose exp gives the eigenvalues, then an n x n
-    Gaussian matrix whose QR factor, with the positive-diagonal sign
-    convention, gives the orthogonal frame.  The QR and the products run
-    on the whole stack; every matrix is the one its seed gives alone.
+    The stream gives first a (count, n) block of uniforms over
+    ``log_eig_range``, whose exp gives the eigenvalues of each row, then
+    a (count, n, n) block of Gaussians, whose QR factors, with the
+    positive-diagonal sign convention, give the orthogonal frames.  Row j
+    takes the j-th eigenvalue row and the j-th Gaussian matrix, so a
+    count of 1 is the draw of ``random_posdef_array``.
     """
     if n < 1:
         raise DimensionError("dimension must be >= 1")
     lo, hi = float(log_eig_range[0]), float(log_eig_range[1])
     if lo > hi:
         raise ParameterError(f"log eigenvalue range has lo={lo} > hi={hi}")
-    logs = np.empty((len(seeds), n))
-    gauss = np.empty((len(seeds), n, n))
-    for i, seed in enumerate(seeds):
-        gen = _rng(int(seed))
-        logs[i] = gen.uniform(lo, hi, size=n)
-        gauss[i] = gen.standard_normal((n, n))
-    q, r = np.linalg.qr(gauss)
+    gen = _rng(int(seed))
+    logs = gen.uniform(lo, hi, size=(count, n))
+    q, r = np.linalg.qr(gen.standard_normal((count, n, n)))
     q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
     out = _mirror_lower((q * np.exp(logs)[:, None, :]) @ np.swapaxes(q, -1, -2))
     _check_finite(out)
     return out
 
 
-def random_sym_stack(n: int, scale: float, seeds) -> np.ndarray:
-    """Symmetric samples as an (N, n, n) stack, entries uniform in
-    [-scale, scale], one PCG64 stream per seed.
+def random_sym_stack(n: int, scale: float, seed: int, count: int) -> np.ndarray:
+    """``count`` symmetric samples as a (count, n, n) stack, entries
+    uniform in [-scale, scale], from one PCG64 stream seeded with
+    ``seed``.
 
-    Each stream fills the i <= j entries row-major; they are mirrored.
+    The stream gives a (count, n(n+1)/2) block of uniforms; row j fills
+    the i <= j entries of matrix j row-major, and they are mirrored.
     """
     if n < 1:
         raise DimensionError("dimension must be >= 1")
     if scale < 0:
         raise ParameterError("scale must be >= 0")
     rows, cols = np.triu_indices(n)
-    out = np.zeros((len(seeds), n, n))
-    for i, seed in enumerate(seeds):
-        vals = _rng(int(seed)).uniform(-scale, scale, size=rows.size)
-        out[i, rows, cols] = vals
-        out[i, cols, rows] = vals
+    vals = _rng(int(seed)).uniform(-scale, scale, size=(count, rows.size))
+    out = np.zeros((count, n, n))
+    out[:, rows, cols] = vals
+    out[:, cols, rows] = vals
     _check_finite(out)
     return out
 
@@ -296,9 +304,9 @@ def require_posdef_stack(a: np.ndarray):
 
 def random_posdef_array(n: int, log_eig_range: tuple, seed: int) -> np.ndarray:
     """Raw positive definite sample as a plain symmetric ndarray; the
-    single-seed case of ``random_posdef_stack``.  Identical seeds give
+    count-1 case of ``random_posdef_stack``.  Identical seeds give
     identical output."""
-    return random_posdef_stack(n, log_eig_range, [seed])[0]
+    return random_posdef_stack(n, log_eig_range, seed, 1)[0]
 
 
 def random_posdef(n: int, log_eig_range: tuple, seed: int) -> PosDefMatrix:
@@ -308,5 +316,5 @@ def random_posdef(n: int, log_eig_range: tuple, seed: int) -> PosDefMatrix:
 
 def random_sym(n: int, scale: float, seed: int) -> np.ndarray:
     """Seeded symmetric sample with entries uniform in [-scale, scale]; the
-    single-seed case of ``random_sym_stack``."""
-    return random_sym_stack(n, scale, [seed])[0]
+    count-1 case of ``random_sym_stack``."""
+    return random_sym_stack(n, scale, seed, 1)[0]

@@ -189,7 +189,7 @@ def check_identity_suite():
     collapses to <HC^-1, C^-1H>."""
     failures = []
     neg_log = scalarfun.LogFamily(c=-1.0, d=0.0)
-    rng_range = certifier.DEFAULT_LOG_EIG_RANGE
+    rng_range = linalg.DEFAULT_LOG_EIG_RANGE
     worst_id = 0.0
     worst_log = 0.0
     for n in (2, 3, 5):
@@ -279,7 +279,7 @@ def check_reduction_suite():
         seeds = linalg.seed_words(BASE_SEED + 80 + n, 2000)
         corpus = detcalculus.builtin_corpus(n)
         for i in range(1000):
-            c = linalg.random_posdef(n, certifier.DEFAULT_LOG_EIG_RANGE, int(seeds[2 * i]))
+            c = linalg.random_posdef(n, linalg.DEFAULT_LOG_EIG_RANGE, int(seeds[2 * i]))
             h = linalg.random_sym(n, 1.0, int(seeds[2 * i + 1]))
             f = corpus[i % len(corpus)]
             full, reduced = certifier.reduction_check(f, c, h)

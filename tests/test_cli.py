@@ -81,7 +81,7 @@ class TestCertifyCommand:
         assert set(doc) == expected
         assert set(doc["grid"]) == {"s_min", "s_max", "count"}
         assert set(doc["diagnostics"]) == {"samples_run", "samples_skipped", "min_hess_form"}
-        assert doc["rng"] == "numpy-pcg64"
+        assert doc["rng"] == "numpy-pcg64-block256"
 
     def test_timestamp_present_unless_suppressed(self, capsys):
         _, out, _ = run(capsys, "certify", "-f", "-ln(s)", *CERT_FAST)

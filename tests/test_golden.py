@@ -2,9 +2,12 @@
 command lines against the golden files under ``tests/golden/``.
 
 The files were written by the package before the matrices and grid
-columns became plain arrays.  A change that alters any report byte must
-regenerate them on purpose; ``certify_exp.json`` will change when a
-domain failure no longer hides the refutation of exp(s).
+columns became plain arrays; the certify files were regenerated when the
+sweep moved to one PCG64 stream per block, which changed their ``rng``
+tag and the ``min_hess_form`` of the two that sweep.  A change that
+alters any report byte must regenerate them on purpose;
+``certify_exp.json`` will change when a domain failure no longer hides
+the refutation of exp(s).
 """
 
 from pathlib import Path

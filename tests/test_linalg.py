@@ -284,8 +284,7 @@ class TestRandomPosdef:
 
 class TestRequirePosdefStack:
     def test_accepts_draws(self):
-        seeds = np.random.SeedSequence(8).generate_state(20, dtype=np.uint64)
-        linalg.require_posdef_stack(linalg.random_posdef_stack(4, LOG_RANGE, seeds))
+        linalg.require_posdef_stack(linalg.random_posdef_stack(4, LOG_RANGE, 8, 20))
 
     def test_names_first_sample_below_floor(self):
         stack = np.stack([np.eye(3), np.diag([1.0, 1.0, 1e-13]), np.diag([1.0, -1.0, 1.0])])
