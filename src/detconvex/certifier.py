@@ -104,6 +104,11 @@ class CertificationReport:
         """Indices into the columns of the points failing either condition."""
         return np.flatnonzero(~(self.fprime_ok & self.lhs_ok))
 
+    @property
+    def domain_failure(self) -> bool:
+        """Whether a grid point failed to evaluate, which cut the columns."""
+        return len(self.s) < self.grid.count
+
 
 def _lhs_from_jet(jet, s: float, n: int) -> float:
     return jet.d2 + ((n - 1) / (n * s)) * jet.d1
@@ -145,20 +150,18 @@ def witness_positive_fprime(s: float, n: int):
     return PosDefMatrix.from_diag(diag_c), np.diag(diag_h)
 
 
-def witness_second_order(s: float, n: int, k: float = 1.0):
+def witness_second_order(s: float, n: int):
     """Counterexample pair for a second-derivative deficit at s.
 
-    C = s^(1/n) I and H = k s^(-1/n) I; the diagonal condition value at
-    this pair is n k^2 s^(-4/n) (n f''(s) + (n-1) f'(s)/s).
+    C = s^(1/n) I and H = s^(-1/n) I; the diagonal condition value at this
+    pair is n s^(-4/n) (n f''(s) + (n-1) f'(s)/s).
     """
-    if k == 0:
-        raise ParameterError("the scaling k must be nonzero")
     if n < 1:
         raise ParameterError(f"dimension n={n} must be >= 1")
     if not (s > 0):
         raise ParameterError(f"s={s} must be positive")
     root = s ** (1.0 / n)
-    return PosDefMatrix.from_diag(np.full(n, root)), np.diag(np.full(n, k / root))
+    return PosDefMatrix.from_diag(np.full(n, root)), np.diag(np.full(n, 1.0 / root))
 
 
 def witness_attempt(f, kind: str, s: float, n: int):

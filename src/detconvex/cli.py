@@ -14,15 +14,17 @@ spelling of each finite float (with a table for NaN and the infinities),
 and one fixed template places them at json's indentation.
 
 Exit codes for certify: 0 certified on grid, 1 refuted, 2 inconclusive,
-3 usage or parse error.  Any command that cannot finish because a function
-fails to evaluate, no finite-difference step exists, an eigensolver does
-not converge or a matrix falls below the positivity floor exits 2.
+3 usage or parse error, or an output path that cannot be written.  Any
+command that cannot finish because a function fails to evaluate, no
+finite-difference step exists, an eigensolver does not converge or a
+matrix falls below the positivity floor exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from datetime import datetime, timezone
@@ -94,6 +96,8 @@ def parse_function_spec(spec: str, n: int):
                 params[k] = float(v)
             except ValueError:
                 raise UsageError(f"parameter {k}={v!r} is not a number") from None
+            if not math.isfinite(params[k]):
+                raise UsageError(f"parameter {k}={v!r} must be finite")
     missing = [k for k, v in params.items() if v is None]
     if missing:
         raise UsageError(f"family {name!r} requires parameters: {', '.join(missing)}")
@@ -120,7 +124,7 @@ def _function_annotations(f):
     return notes
 
 
-def _report_json(args, report, diagnostics) -> dict:
+def _report_json(args, report, diagnostics, f) -> dict:
     """The report document for ``_report_text``, which writes the failing
     points into its empty ``failing_points`` list."""
     doc = {
@@ -152,7 +156,7 @@ def _report_json(args, report, diagnostics) -> dict:
             "min_hess_form": None if diagnostics is None else diagnostics.min_hess_form,
         },
         "analytic_convex": report.analytic_convex,
-        "annotations": list(report.annotations),
+        "annotations": list(report.annotations) + _function_annotations(f),
         "seed": args.seed,
         "rng": RNG_ALGORITHM,
     }
@@ -213,10 +217,9 @@ def _cmd_certify(args) -> int:
     grid = GridSpec(args.s_min, args.s_max, args.grid_count)
     report = certifier.certify(f, args.dim, grid, args.tol)
     diagnostics = None
-    if args.samples > 0 and not any("domain failure" in a for a in report.annotations):
+    if args.samples > 0 and not report.domain_failure:
         diagnostics = certifier.sample_convexity(f, args.dim, args.samples, args.seed)
-    doc = _report_json(args, report, diagnostics)
-    doc["annotations"] = list(report.annotations) + _function_annotations(f)
+    doc = _report_json(args, report, diagnostics, f)
     failing = report.failing_points
     columns = (report.s[failing], report.fprime[failing], report.lhs[failing])
     _emit(_report_text(doc, columns), args.output)
@@ -232,7 +235,7 @@ def _cmd_witness(args) -> int:
     f = parse_function_spec(args.function, args.dim)
     grid = GridSpec(args.s_min, args.s_max, args.grid_count)
     report = certifier.certify(f, args.dim, grid, args.tol)
-    if any("domain failure" in a for a in report.annotations):
+    if report.domain_failure:
         print(report.annotations[-1])
         return EXIT_INCONCLUSIVE
     failing = report.failing_points
@@ -270,7 +273,7 @@ def _cmd_curves(args) -> int:
         if not isinstance(f, scalarfun.FamilyA):
             raise UsageError("curves accepts only family:fa:... extra members")
         extras.append(f)
-    curves = odelimit.export_family_curves(extras, (args.s_min, args.s_max), args.count)
+    curves = odelimit.export_family_curves(extras, GridSpec(args.s_min, args.s_max, args.count))
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for i, curve in enumerate(curves):
@@ -290,11 +293,11 @@ def _cmd_oracle(args) -> int:
     print(f"oracle sweep: n={args.dim} samples={args.samples} seed={args.seed} f={label}")
     print(
         f"hess discrepancy: min={res.min_hess_disc!r} max={res.max_hess_disc!r} "
-        f"tol={res.hess_tol!r}"
+        f"tol={detcalculus.ORACLE_HESS_TOL!r}"
     )
     print(
         f"grad discrepancy: min={res.min_grad_disc!r} max={res.max_grad_disc!r} "
-        f"tol={res.grad_tol!r}"
+        f"tol={detcalculus.ORACLE_GRAD_TOL!r}"
     )
     print(f"skipped: {res.skipped}")
     return EXIT_CERTIFIED if res.all_agree else EXIT_REFUTED
@@ -317,24 +320,18 @@ def _build_parser() -> argparse.ArgumentParser:
             help="expression in s (e.g. '-ln(s)') or family:<fa|power|log|neohooke>:k=v,...",
         )
         p.add_argument("--dim", "-n", type=int, default=3, help="matrix dimension n (default 3)")
-        p.add_argument("--seed", type=int, default=42)
 
     p_cert = sub.add_parser("certify", help="run the grid certification and emit a JSON report")
-    add_common(p_cert)
-    p_cert.add_argument("--s-min", type=float, default=1e-3)
-    p_cert.add_argument("--s-max", type=float, default=1e3)
-    p_cert.add_argument("--grid-count", type=int, default=1000)
-    p_cert.add_argument("--tol", type=float, default=certifier.DEFAULT_TOL_BASE)
+    p_wit = sub.add_parser("witness", help="print the counterexample pair at the first violation")
+    for p in (p_cert, p_wit):
+        add_common(p)
+        p.add_argument("--s-min", type=float, default=1e-3)
+        p.add_argument("--s-max", type=float, default=1e3)
+        p.add_argument("--grid-count", type=int, default=1000)
+        p.add_argument("--tol", type=float, default=certifier.DEFAULT_TOL_BASE)
     p_cert.add_argument("--samples", type=int, default=1000, help="sampling sweep size (0 skips)")
     p_cert.add_argument("--output", "-o", default="-", help="report path, '-' for stdout")
     p_cert.add_argument("--no-timestamp", action="store_true", help="omit the timestamp field")
-
-    p_wit = sub.add_parser("witness", help="print the counterexample pair at the first violation")
-    add_common(p_wit)
-    p_wit.add_argument("--s-min", type=float, default=1e-3)
-    p_wit.add_argument("--s-max", type=float, default=1e3)
-    p_wit.add_argument("--grid-count", type=int, default=1000)
-    p_wit.add_argument("--tol", type=float, default=certifier.DEFAULT_TOL_BASE)
 
     p_cur = sub.add_parser("curves", help="export the figure curves (plus extras) as CSV")
     add_common(p_cur, function_required=False)
@@ -346,6 +343,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_or = sub.add_parser("oracle", help="analytic vs finite-difference sweep")
     add_common(p_or, function_required=False)
     p_or.add_argument("--samples", type=int, default=1000)
+    # witness and curves draw nothing at random
+    for p in (p_cert, p_or):
+        p.add_argument("--seed", type=int, default=42)
 
     sub.add_parser("selftest", help="run the built-in acceptance suite")
     return parser
@@ -400,7 +400,8 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"error: cannot parse function: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (UsageError, ParameterError, DimensionError) as e:
+    except (UsageError, ParameterError, DimensionError, OSError) as e:
+        # OSError: the report or a curve file cannot be written
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (

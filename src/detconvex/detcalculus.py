@@ -40,6 +40,11 @@ FD_MAX_HALVINGS = 40
 FD_SECOND_SCALE = _EPS**0.3
 FD_FIRST_SCALE = _EPS ** (1.0 / 3.0)
 
+# Relative discrepancies the oracle sweep accepts between the analytic
+# Hessian / gradient forms and their central differences.
+ORACLE_HESS_TOL = 1e-5
+ORACLE_GRAD_TOL = 1e-6
+
 
 def _check_pair(c: PosDefMatrix, h) -> np.ndarray:
     harr = linalg._as_array(h)
@@ -116,20 +121,19 @@ def condition_lhs_diag(f, dvec, h) -> float:
 # finite-difference oracles
 
 
-def _stencil(c: PosDefMatrix, h, step: float | None, scale: float):
+def _stencil(c: PosDefMatrix, h, scale: float):
     """(det(C+tH), det(C-tH), t) for the central differences of
-    t -> g(C + tH).  The step starts at ``step``, by default at the
-    direction-scaled scale * (1 + |C|) / (1 + |H|), and is halved until
-    C +/- tH stays positive definite."""
+    t -> g(C + tH).  The step starts at the direction-scaled
+    scale * (1 + |C|) / (1 + |H|) and is halved until C +/- tH stays
+    positive definite."""
     harr = _check_pair(c, h)
-    t = scale * (1.0 + frob_norm(c.a)) / (1.0 + frob_norm(harr)) if step is None else float(step)
+    t = scale * (1.0 + frob_norm(c.a)) / (1.0 + frob_norm(harr))
     if t <= 0:
+        # the norm of H overflowed
         raise ParameterError("finite-difference step must be positive")
     if np.any(harr):
         for _ in range(FD_MAX_HALVINGS + 1):
-            if np.isfinite(t) and all(
-                linalg.cholesky_posdef(c.a + sign * t * harr) for sign in (1.0, -1.0)
-            ):
+            if all(linalg.cholesky_posdef(c.a + sign * t * harr) for sign in (1.0, -1.0)):
                 break
             t *= 0.5
         else:
@@ -145,23 +149,23 @@ def _stencil(c: PosDefMatrix, h, step: float | None, scale: float):
     return *dets, t
 
 
-def fd_second_directional_with_step(f, c: PosDefMatrix, h, step: float | None = None):
+def fd_second_directional_with_step(f, c: PosDefMatrix, h):
     """(value, h_used) for the central second difference of t -> g(C + tH).
     The three values of f come from one evaluator call, in the order
     (det C, det(C+tH), det(C-tH))."""
-    sp, sm, t = _stencil(c, h, step, FD_SECOND_SCALE)
+    sp, sm, t = _stencil(c, h, FD_SECOND_SCALE)
     g0, gp, gm = scalarfun.eval_all(f, np.array([c.det, sp, sm])).tolist()
     return (gp - 2.0 * g0 + gm) / (t * t), t
 
 
-def fd_second_directional(f, c: PosDefMatrix, h, step: float | None = None) -> float:
+def fd_second_directional(f, c: PosDefMatrix, h) -> float:
     """Central second difference (g(C+hH) - 2 g(C) + g(C-hH)) / h^2."""
-    return fd_second_directional_with_step(f, c, h, step)[0]
+    return fd_second_directional_with_step(f, c, h)[0]
 
 
-def fd_first_directional(f, c: PosDefMatrix, h, step: float | None = None) -> float:
+def fd_first_directional(f, c: PosDefMatrix, h) -> float:
     """Central first difference (g(C+hH) - g(C-hH)) / (2h)."""
-    sp, sm, t = _stencil(c, h, step, FD_FIRST_SCALE)
+    sp, sm, t = _stencil(c, h, FD_FIRST_SCALE)
     gp, gm = scalarfun.eval_all(f, np.array([sp, sm])).tolist()
     return (gp - gm) / (2.0 * t)
 
@@ -185,8 +189,6 @@ class QuadFormSample:
 @dataclass(frozen=True)
 class OracleSweepResult:
     samples: tuple
-    hess_tol: float
-    grad_tol: float
     max_hess_disc: float
     max_grad_disc: float
     min_hess_disc: float
@@ -195,7 +197,7 @@ class OracleSweepResult:
 
     @property
     def all_agree(self) -> bool:
-        return self.max_hess_disc <= self.hess_tol and self.max_grad_disc <= self.grad_tol
+        return self.max_hess_disc <= ORACLE_HESS_TOL and self.max_grad_disc <= ORACLE_GRAD_TOL
 
 
 def builtin_corpus(n: int):
@@ -216,20 +218,12 @@ def builtin_corpus(n: int):
     )
 
 
-def oracle_sweep(
-    n: int,
-    num_samples: int,
-    seed: int,
-    functions=None,
-    log_eig_range=linalg.DEFAULT_LOG_EIG_RANGE,
-    hess_tol: float = 1e-5,
-    grad_tol: float = 1e-6,
-) -> OracleSweepResult:
+def oracle_sweep(n: int, num_samples: int, seed: int, functions=None) -> OracleSweepResult:
     """Compare g_hess_form / g_grad_form against central differences over
     seeded random (C, H) pairs.
 
     Discrepancies are |analytic - fd| / max(1, |analytic|); a sample is
-    ``agreeing`` when its Hessian discrepancy is within ``hess_tol``.  A
+    ``agreeing`` when its Hessian discrepancy is within ORACLE_HESS_TOL.  A
     sample whose function fails to evaluate (outside its domain or
     overflowing) or that admits no finite-difference step is skipped.
     """
@@ -243,7 +237,7 @@ def oracle_sweep(
     skipped = 0
     for i in range(num_samples):
         f = funcs[i % len(funcs)]
-        c = linalg.random_posdef(n, log_eig_range, int(seeds[2 * i]))
+        c = linalg.random_posdef(n, linalg.DEFAULT_LOG_EIG_RANGE, int(seeds[2 * i]))
         h = linalg.random_sym(n, 1.0, int(seeds[2 * i + 1]))
         try:
             analytic = g_hess_form(f, c, h)
@@ -258,14 +252,14 @@ def oracle_sweep(
         hess_disc.append(hd)
         grad_disc.append(gd)
         samples.append(
-            QuadFormSample(c=c, h=h, analytic=analytic, fd=fd, h_used=h_used, agreeing=hd <= hess_tol)
+            QuadFormSample(
+                c=c, h=h, analytic=analytic, fd=fd, h_used=h_used, agreeing=hd <= ORACLE_HESS_TOL
+            )
         )
     if not samples:
         raise DegenerateDirectionError("every sample was skipped")
     return OracleSweepResult(
         samples=tuple(samples),
-        hess_tol=hess_tol,
-        grad_tol=grad_tol,
         max_hess_disc=float(max(hess_disc)),
         max_grad_disc=float(max(grad_disc)),
         min_hess_disc=float(min(hess_disc)),

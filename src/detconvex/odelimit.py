@@ -2,21 +2,21 @@
 
 The boundary of the convexity condition is the linear initial value
 problem y' + ((n-1)/(n x)) y = 0, y(xi) = eta, whose unique solution is
-y_limit(x) = eta * xi^((n-1)/n) * x^(-(n-1)/n).  Antiderivatives of
-y_limit are f_limit(s) = c s^(1/n) + d with c <= 0.  A comparison check
-orders arbitrary sampled curves against y_limit on both sides of xi, and
-a curve exporter writes the standard family members as CSV tables.
+y_limit(x) = eta * xi^((n-1)/n) * x^(-(n-1)/n) (``y_limit_function``).
+Antiderivatives of y_limit are c s^(1/n) + d with c <= 0, the family
+member ``FamilyA(a=0, c, d, n)``.  A comparison check orders arbitrary
+sampled curves against y_limit on both sides of xi, and a curve exporter
+writes the standard family members as CSV tables.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import scalarfun
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 from .scalarfun import FamilyA, PowerLaw
 
 CLASSIFY_TOL = 1e-8
@@ -88,25 +88,10 @@ class CurveTable:
         return "\n".join(lines) + "\n"
 
 
-def y_limit(spec: IvpSpec, x: float) -> float:
-    """Unique solution of the limiting IVP: eta xi^q x^(-q), q=(n-1)/n."""
-    if not (x > 0):
-        raise DomainError(f"x={x} must be positive")
-    return spec.eta * spec.xi**spec.q * x ** (-spec.q)
-
-
 def y_limit_function(spec: IvpSpec) -> PowerLaw:
-    """The closed form as an evaluable function of x (for jet residuals)."""
+    """Unique solution of the limiting IVP, eta xi^q x^(-q) with
+    q = (n-1)/n, as an evaluable function of x."""
     return PowerLaw(c=spec.eta * spec.xi**spec.q, p=-spec.q, d=0.0)
-
-
-def f_limit(c: float, d: float, s: float, n: int = 3) -> float:
-    """Boundary-family antiderivative c s^(1/n) + d, c <= 0."""
-    if c > 0:
-        raise ParameterError(f"c={c} must be <= 0")
-    if not (s > 0):
-        raise DomainError(f"s={s} must be positive")
-    return c * s ** (1.0 / n) + d
 
 
 def _rk4(spec: IvpSpec, x_end: float, steps: int, forcing: float) -> CurveTable:
@@ -226,24 +211,19 @@ def comparison_check(curve: CurveTable, spec: IvpSpec, tol: float = CLASSIFY_TOL
     else:
         classification = "mixed"
 
-    ylim = np.array([y_limit(spec, x) for x in xs])
+    ylim = scalarfun.eval_all(y_limit_function(spec), xs)
     initial_ok = abs(_value_at(xs, ys, spec.xi) - spec.eta) <= tol * (1.0 + abs(spec.eta))
 
-    violations = []
+    violations = ()
     ordering_checked = initial_ok and (weak_sub or weak_super)
     if ordering_checked:
-        sign = 1.0 if weak_sub else -1.0
-        strict = strict_sub or strict_super
-        for x, y, yl in zip(xs, ys, ylim):
-            diff = sign * (y - yl)
-            if x > spec.xi:
-                bad = diff <= 0.0 if strict else diff < -tol
-            elif x < spec.xi:
-                bad = -diff <= 0.0 if strict else -diff < -tol
-            else:
-                bad = abs(diff) > tol * (1.0 + abs(yl))
-            if bad:
-                violations.append((float(x), float(y), float(yl)))
+        diff = (1.0 if weak_sub else -1.0) * (ys - ylim)
+        # the curve must lie on the diff >= 0 side right of xi and on the
+        # other side left of it, strictly for strict residuals
+        side = np.where(xs > spec.xi, diff, -diff)
+        bad = side <= 0.0 if strict_sub or strict_super else side < -tol
+        bad = np.where(xs == spec.xi, np.abs(diff) > tol * (1.0 + np.abs(ylim)), bad)
+        violations = tuple(zip(xs[bad].tolist(), ys[bad].tolist(), ylim[bad].tolist()))
     return ComparisonReport(
         classification=classification,
         is_weak_subsolution=weak_sub,
@@ -252,7 +232,7 @@ def comparison_check(curve: CurveTable, spec: IvpSpec, tol: float = CLASSIFY_TOL
         is_strict_supersolution=strict_super,
         initial_value_ok=initial_ok,
         ordering_checked=ordering_checked,
-        ordering_violations=tuple(violations),
+        ordering_violations=violations,
         residuals=residuals,
         y_limit_values=ylim,
     )
@@ -275,18 +255,14 @@ def figure_families(n: int = 3):
     )
 
 
-def export_family_curves(params, s_range=(0.05, 8.0), count: int = 200):
-    """Curve tables for the standard figure set plus any extra members.
+def export_family_curves(params, grid):
+    """Curve tables for the standard figure set plus any extra members,
+    sampled at the points of ``grid``, a ``certifier.GridSpec``.
 
     ``params`` is a sequence of FamilyA instances appended after the four
-    standard curves; ``s_range`` must be finite, positive and increasing.
+    standard curves.
     """
-    lo, hi = float(s_range[0]), float(s_range[1])
-    if not (0 < lo < hi < math.inf):
-        raise ParameterError(f"s_range ({lo}, {hi}) must be finite, positive and increasing")
-    if count < 2:
-        raise ParameterError("count must be >= 2")
-    ss = np.geomspace(lo, hi, count)
+    ss = grid.points()
     curves = []
     members = list(figure_families())
     for fam in params:

@@ -184,9 +184,6 @@ def jet_pow(walk: _Walk, base: Jet2, expo: Jet2) -> Jet2:
 class Expr:
     """Base class for expression nodes over the single variable ``s``."""
 
-    def eval_jet(self, s):
-        return eval_jet(self, s)
-
 
 @dataclass(frozen=True)
 class Constant(Expr):
@@ -420,7 +417,10 @@ class _Parser:
     def atom(self) -> tuple[Expr, int]:
         kind, text, pos = self.advance()
         if kind == "num":
-            return Constant(float(text)), 0
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {text!r} is not a finite float", pos)
+            return Constant(value), 0
         if kind == "ident":
             if text == "s":
                 return Variable(), 0
@@ -546,7 +546,6 @@ class NeoHookeVolumetric:
 
 
 BuiltinFamily = PowerLaw | LogFamily | FamilyA | NeoHookeVolumetric
-ScalarFunction = Expr | BuiltinFamily
 
 
 def _check_point(s: float):
@@ -558,8 +557,7 @@ def eval_jet(f, s) -> Jet2:
     """Evaluate f to (f(s), f'(s), f''(s)) at a float s or at each point of
     a 1-D float array s; s must be positive.
 
-    Works for parsed expressions and built-in families alike; any other
-    object's own ``eval_jet`` receives s, float or array.  A float raises
+    f is a parsed expression or a built-in family.  A float raises
     DomainError outside the domain and NonFiniteError if evaluation
     overflows; an array is NaN in all three fields at such points.
     """
@@ -567,25 +565,17 @@ def eval_jet(f, s) -> Jet2:
     if raises:
         _check_point(s)
         s = float(s)
-    if isinstance(f, BuiltinFamily):
-        f = f.expr
-    failed = False
-    if isinstance(f, Expr):
-        walk = _Walk(np.float64(s) if raises else np.array(s, dtype=float))
-        with np.errstate(all="ignore"):
-            jet = _eval_node(f, walk)
-        failed = walk.failed
-        if raises:
-            jet = Jet2(float(jet.v), float(jet.d1), float(jet.d2))
-    else:
-        jet = f.eval_jet(s)
+    walk = _Walk(np.float64(s) if raises else np.array(s, dtype=float))
+    with np.errstate(all="ignore"):
+        jet = _eval_node(f.expr if isinstance(f, BuiltinFamily) else f, walk)
     if raises:
+        jet = Jet2(float(jet.v), float(jet.d1), float(jet.d2))
         if not (math.isfinite(jet.v) and math.isfinite(jet.d1) and math.isfinite(jet.d2)):
             raise NonFiniteError(f"non-finite jet {jet} at s={s}")
         return jet
     # a field that never met s, like the slope of a constant, is a scalar
     jet = Jet2(*(x if isinstance(x, np.ndarray) and x.ndim else np.full(s.shape, x) for x in jet))
-    bad = failed | ~(np.isfinite(jet.v) & np.isfinite(jet.d1) & np.isfinite(jet.d2))
+    bad = walk.failed | ~(np.isfinite(jet.v) & np.isfinite(jet.d1) & np.isfinite(jet.d2))
     if bad.any():
         jet = Jet2(*(np.where(bad, np.nan, x) for x in jet))
     return jet

@@ -23,7 +23,7 @@ from detconvex.certifier import (
 )
 from detconvex.errors import DimensionError, ParameterError
 from detconvex.linalg import frob_inner, random_posdef, random_sym
-from detconvex.scalarfun import FamilyA, Jet2, LogFamily, NeoHookeVolumetric, PowerLaw, eval_jet, parse
+from detconvex.scalarfun import FamilyA, LogFamily, NeoHookeVolumetric, PowerLaw, eval_jet, parse
 
 LOG_RANGE = certifier.DEFAULT_LOG_EIG_RANGE
 SMALL_GRID = GridSpec(1e-3, 1e3, 200)
@@ -33,16 +33,10 @@ def _flags(rep):
     return list(zip(rep.fprime_ok.tolist(), rep.lhs_ok.tolist()))
 
 
-class _Scaled:
-    """s -> f(lam * s), for the grid-covariance property."""
-
-    def __init__(self, f, lam):
-        self.f = f
-        self.lam = lam
-
-    def eval_jet(self, s):
-        inner = eval_jet(self.f, self.lam * s)
-        return Jet2(inner.v, self.lam * inner.d1, self.lam * self.lam * inner.d2)
+def _scaled(text, lam):
+    """s -> f(lam * s) as an expression: every s of ``text`` becomes
+    (lam*s)."""
+    return parse(text.replace("s", f"({lam!r}*s)"))
 
 
 class TestDiffIneqLhs:
@@ -90,6 +84,13 @@ class TestCertify:
         assert rep.verdict == INCONCLUSIVE
         assert any("domain failure" in a for a in rep.annotations)
 
+    def test_domain_failure_property(self):
+        # exp(s) overflows inside the grid, ln(s-1) fails from its first point
+        for text, failed in (("exp(s)", True), ("ln(s-1)", True), ("-ln(s)", False)):
+            rep = certify(parse(text), 3, SMALL_GRID)
+            assert rep.domain_failure is failed, text
+            assert any(a.startswith("domain failure") for a in rep.annotations) is failed
+
     def test_domain_failure_cuts_the_columns(self):
         # exp(s) overflows near s = 709.8: the columns stop before it
         rep = certify(parse("exp(s)"), 3, SMALL_GRID)
@@ -127,14 +128,12 @@ class TestCertify:
 
     def test_grid_covariance_under_rescaling(self):
         # the violation set rescales with s: index-wise identical flags
-        f = parse("0.1*s - ln(s)")
-        base = certify(f, 3, GridSpec(1e-2, 1e3, 120))
+        text = "0.1*s - ln(s)"
+        base = certify(parse(text), 3, GridSpec(1e-2, 1e3, 120))
         base_flags = _flags(base)
         assert any(not a for a, _ in base_flags) and any(a for a, _ in base_flags)
         for lam in (0.5, 2.0):
-            scaled = certify(
-                _Scaled(f, lam), 3, GridSpec(1e-2 / lam, 1e3 / lam, 120)
-            )
+            scaled = certify(_scaled(text, lam), 3, GridSpec(1e-2 / lam, 1e3 / lam, 120))
             assert _flags(scaled) == base_flags
 
     def test_requires_positive_tolerance(self):
@@ -261,10 +260,10 @@ class TestWitnessConstructions:
             witness_positive_fprime(1.0, 1)
 
     def test_second_order_witness_shape(self):
-        c, h = witness_second_order(1.0, 3, 1.0)
+        c, h = witness_second_order(1.0, 3)
         assert np.array_equal(c.a, np.eye(3))
         assert np.array_equal(h, np.eye(3))
-        c8, h8 = witness_second_order(8.0, 3, 1.0)
+        c8, h8 = witness_second_order(8.0, 3)
         assert np.array_equal(c8.a, 2.0 * np.eye(3))
         assert np.array_equal(h8, 0.5 * np.eye(3))
         assert c8.det == 8.0
@@ -285,13 +284,9 @@ class TestWitnessConstructions:
         with pytest.raises(DimensionError):
             certifier.witness_attempt(parse("s"), KIND_POSITIVE_FPRIME, 1.0, 1)
 
-    def test_second_order_witness_rejects_zero_scaling(self):
-        with pytest.raises(ParameterError):
-            witness_second_order(1.0, 3, 0.0)
-
     def test_second_order_condition_identity(self):
         # diagonal condition value at the extremal pair reduces to
-        # n k^2 s^(-4/n) (n f'' + (n-1) f'/s) for any f
+        # n s^(-4/n) (n f'' + (n-1) f'/s) for any f
         functions = [
             NeoHookeVolumetric(mu=1.0),
             PowerLaw(c=-1.0, p=0.5, d=0.0),
@@ -301,14 +296,11 @@ class TestWitnessConstructions:
         for f in functions:
             for n in (2, 3, 5):
                 for s in (0.2, 1.0, 9.0):
-                    for k in (-1.5, 1.0, 2.0):
-                        c, h = witness_second_order(s, n, k)
-                        got = detcalculus.condition_lhs_diag(f, 1.0 / c.eigenvalues, h)
-                        jet = eval_jet(f, s)
-                        expect = (
-                            n * k * k * s ** (-4.0 / n) * (n * jet.d2 + (n - 1) * jet.d1 / s)
-                        )
-                        assert abs(got - expect) <= 1e-10 * max(1.0, abs(expect))
+                    c, h = witness_second_order(s, n)
+                    got = detcalculus.condition_lhs_diag(f, 1.0 / c.eigenvalues, h)
+                    jet = eval_jet(f, s)
+                    expect = n * s ** (-4.0 / n) * (n * jet.d2 + (n - 1) * jet.d1 / s)
+                    assert abs(got - expect) <= 1e-10 * max(1.0, abs(expect))
 
 
 class TestSigmaChecks:

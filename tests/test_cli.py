@@ -248,6 +248,62 @@ class TestUsageErrors:
         assert not any(tmp_path.iterdir())
         assert len(recwarn) == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("certify", "-f", "family:fa:a=nan", *CERT_FAST),
+            ("certify", "-f", "family:power:p=inf", *CERT_FAST),
+            ("certify", "-f", "family:log:c=nan", *CERT_FAST),
+            ("certify", "-f", "family:neohooke:mu=inf", *CERT_FAST),
+            ("curves", "-f", "family:fa:a=nan", "--count", "20"),
+            ("oracle", "-f", "family:log:c=nan", "--samples", "3"),
+        ],
+        ids=["fa", "power", "log", "neohooke", "curves", "oracle"],
+    )
+    def test_non_finite_family_parameter_is_usage_error(self, capsys, tmp_path, argv):
+        # these ran to an Inconclusive domain failure, exit 2
+        outdir = ("--outdir", str(tmp_path)) if argv[0] == "curves" else ()
+        code, out, err = run(capsys, *argv, *outdir)
+        assert code == 3
+        assert out == "" and err.startswith("error: ") and "must be finite" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_overflowing_literal_is_parse_error(self, capsys):
+        code, out, err = run(capsys, "certify", "-f", "1e999*s", *CERT_FAST)
+        assert code == 3
+        assert out == "" and "not a finite float (at offset 0)" in err
+        # a literal that underflows to 0 is still a number
+        assert run(capsys, "certify", "-f", "-ln(s) + 1e-999*s", *CERT_FAST)[0] == 0
+
+    def test_unwritable_report_path_is_usage_error(self, capsys, tmp_path):
+        # a missing directory ended in a FileNotFoundError traceback, exit 1
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "certify", "-f", "-ln(s)", "--samples", "0", "-o", str(target))
+        assert code == 3
+        assert out == "" and err.startswith("error: ") and "missing" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_outdir_that_is_a_file_is_usage_error(self, capsys, tmp_path):
+        # mkdir raised FileExistsError: a traceback with exit 1
+        blocker = tmp_path / "curves"
+        blocker.write_text("kept\n")
+        code, out, err = run(capsys, "curves", "--count", "20", "--outdir", str(blocker))
+        assert code == 3
+        assert out == "" and err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "kept\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("witness", "-f", "s", "--grid-count", "50"), ("curves", "--count", "20")],
+        ids=["witness", "curves"],
+    )
+    def test_seed_is_refused_where_nothing_is_drawn(self, capsys, tmp_path, argv):
+        outdir = ("--outdir", str(tmp_path)) if argv[0] == "curves" else ()
+        code, out, err = run(capsys, *argv, "--seed", "1", *outdir)
+        assert code == 3
+        assert out == "" and "unrecognized arguments: --seed 1" in err
+        assert not any(tmp_path.iterdir())
+
     def test_witness_dimension_error_is_usage_error(self, capsys):
         # n = 1 has no slope witness; this used to end in a traceback
         code, out, err = run(capsys, "witness", "-f", "s", "--dim", "1", "--grid-count", "50")

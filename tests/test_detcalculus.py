@@ -169,8 +169,10 @@ class TestConditionForms:
 
 class TestFdOracles:
     def test_explicit_step_example(self):
+        # |C| = |H|, so the default step is the scale itself
         c = PosDefMatrix.from_diag([1.0, 1.0])
-        fd = fd_second_directional(NEG_LN, c, np.eye(2), step=1e-4)
+        fd, h_used = fd_second_directional_with_step(NEG_LN, c, np.eye(2))
+        assert h_used == detcalculus.FD_SECOND_SCALE
         assert abs(fd - 2.0) <= 1e-6
 
     def test_zero_direction_exact(self):
@@ -184,31 +186,39 @@ class TestFdOracles:
         assert abs(fd - (-4.0)) <= 1e-5 * 4.0
 
     def test_step_halves_until_admissible(self):
-        c = PosDefMatrix.from_diag([1e-3, 1.0])
+        # the default step, about 1.7e-5, leaves the cone at C = diag(1e-9, 1)
+        c = PosDefMatrix.from_diag([1e-9, 1.0])
         h = np.eye(2)
-        fd, h_used = fd_second_directional_with_step(IDENT, c, h, step=1.0)
-        assert h_used < 1e-3
+        fd, h_used = fd_second_directional_with_step(IDENT, c, h)
+        default = detcalculus.FD_SECOND_SCALE * (1.0 + linalg.frob_norm(c.a)) / (
+            1.0 + linalg.frob_norm(h)
+        )
+        halvings = math.log2(default / h_used)
+        assert h_used < 1e-9 and halvings == int(halvings) > 0
         assert abs(fd - g_hess_form(IDENT, c, h)) <= 1e-5
 
     def test_halving_cap_reported(self):
-        c = PosDefMatrix.from_diag([1.0, 1.0])
-        with pytest.raises(DegenerateDirectionError):
-            fd_second_directional(NEG_LN, c, np.eye(2), step=float("inf"))
+        # 40 halvings of a step near 8e-6 stay above the eigenvalues 1e-20
+        c = PosDefMatrix.from_diag([1e-20, 1e-20])
+        for fd in (fd_second_directional, fd_first_directional):
+            with pytest.raises(DegenerateDirectionError):
+                fd(NEG_LN, c, np.eye(2))
 
-    def test_rejects_non_positive_step(self):
+    def test_overflowing_direction_norm_is_refused(self):
+        # |H| overflows to inf, which makes the default step 0
         c = PosDefMatrix.from_diag([1.0, 1.0])
+        h = np.full((2, 2), 1.5e308)
         for fd in (fd_second_directional, fd_second_directional_with_step, fd_first_directional):
-            for step in (0.0, -1e-4):
-                with pytest.raises(ParameterError):
-                    fd(NEG_LN, c, np.eye(2), step=step)
+            with np.errstate(over="ignore"), pytest.raises(ParameterError):
+                fd(NEG_LN, c, h)
 
-    @pytest.mark.parametrize("step", [None, 1e-3, 0.5])
-    def test_values_match_the_two_stencils(self, step):
+    @pytest.mark.parametrize("lam_min", [None, 1e-5, 1e-9])
+    def test_values_match_the_two_stencils(self, lam_min):
         # the two central differences as separate formulas, each with its
-        # own default step, halving and evaluation of f
+        # own default step, halving and evaluation of f; a shift of C to the
+        # smallest eigenvalue lam_min makes the default step halve
         def reference(f, c, h, scale, second):
             t = scale * (1.0 + linalg.frob_norm(c.a)) / (1.0 + linalg.frob_norm(h))
-            t = t if step is None else float(step)
             while not (
                 linalg.cholesky_posdef(c.a + t * h) and linalg.cholesky_posdef(c.a - t * h)
             ):
@@ -219,19 +229,36 @@ class TestFdOracles:
                 return (gp - 2.0 * eval_jet(f, c.det).v + gm) / (t * t), t
             return (gp - gm) / (2.0 * t)
 
+        pairs = list(_samples(3, 10, seed=21))
+        if lam_min is not None:
+            pairs = [
+                (PosDefMatrix.from_sym(c.a - (c.eigenvalues.min() - lam_min) * np.eye(3)), h)
+                for c, h in pairs
+            ]
+        halved = 0
         for f in builtin_corpus(3) + (IDENT, parse("s^2*exp(-s)")):
-            for c, h in _samples(3, 10, seed=21):
+            for c, h in pairs:
                 second = reference(f, c, h, detcalculus.FD_SECOND_SCALE, True)
-                assert fd_second_directional_with_step(f, c, h, step) == second
-                assert fd_second_directional(f, c, h, step) == second[0]
+                assert fd_second_directional_with_step(f, c, h) == second
+                assert fd_second_directional(f, c, h) == second[0]
                 first = reference(f, c, h, detcalculus.FD_FIRST_SCALE, False)
-                assert fd_first_directional(f, c, h, step) == first
+                assert fd_first_directional(f, c, h) == first
+                default = detcalculus.FD_SECOND_SCALE * (1.0 + linalg.frob_norm(c.a))
+                halved += second[1] < default / (1.0 + linalg.frob_norm(h))
+        assert (halved > 0) == (lam_min is not None)
 
     def test_first_difference_skips_the_centre(self):
-        # f has a pole at det C = 2, but not at det(C +/- tH)
+        # f has a pole at det C = 2, but not at det(C +/- tH); the second
+        # difference evaluates f at det C and fails there
+        f = parse("1/(s-2)")
         c = PosDefMatrix.from_diag([1.0, 2.0])
-        value = fd_first_directional(parse("1/(s-2)"), c, np.eye(2), step=0.25)
-        assert value == (1.0 / (1.25 * 2.25 - 2.0) - 1.0 / (0.75 * 1.75 - 2.0)) / 0.5
+        h = np.eye(2)
+        t = detcalculus.FD_FIRST_SCALE * (1.0 + linalg.frob_norm(c.a)) / (1.0 + linalg.frob_norm(h))
+        sp, sm = linalg.det(c.a + t * h), linalg.det(c.a - t * h)
+        assert sm < 2.0 < sp
+        assert fd_first_directional(f, c, h) == (1.0 / (sp - 2.0) - 1.0 / (sm - 2.0)) / (2.0 * t)
+        with pytest.raises(DomainError):
+            fd_second_directional(f, c, h)
 
 
 class TestOracleSweep:

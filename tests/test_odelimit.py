@@ -9,16 +9,24 @@ from detconvex.odelimit import (
     IvpSpec,
     comparison_check,
     export_family_curves,
-    f_limit,
     figure_families,
     solve_livp_numeric,
     solve_livp_perturbed,
-    y_limit,
     y_limit_function,
 )
 from detconvex.scalarfun import FamilyA, eval_jet
 
 SPEC3 = IvpSpec(xi=1.0, eta=-1.5, n=3)
+
+
+def y_limit(spec, x):
+    """The closed form of the limiting IVP at the float x."""
+    return eval_jet(y_limit_function(spec), x).v
+
+
+def boundary(c, d, n=3):
+    """The boundary antiderivative c s^(1/n) + d, the family member a = 0."""
+    return FamilyA(a=0.0, c=c, d=d, n=n)
 
 
 class TestIvpSpec:
@@ -60,17 +68,17 @@ class TestYLimit:
 
 class TestFLimit:
     def test_passes_through_origin_point(self):
-        assert f_limit(-3.0, 3.0, 1.0, 3) == 0.0
+        assert eval_jet(boundary(-3.0, 3.0), 1.0).v == 0.0
 
     def test_cube_root_decay(self):
-        assert f_limit(-3.0, 3.0, 8.0, 3) == -3.0
+        assert eval_jet(boundary(-3.0, 3.0), 8.0).v == -3.0
 
     def test_constant_solution(self):
-        assert f_limit(0.0, 5.0, 17.3, 3) == 5.0
+        assert eval_jet(boundary(0.0, 5.0), 17.3).v == 5.0
 
     def test_positive_c_rejected(self):
         with pytest.raises(ParameterError):
-            f_limit(0.1, 0.0, 1.0, 3)
+            boundary(0.1, 0.0)
 
     def test_annihilates_differential_operator(self):
         fam = FamilyA(a=0.0, c=-2.0, d=0.7, n=3)
@@ -169,6 +177,37 @@ class TestComparisonCheck:
         rep = comparison_check(CurveTable("steep", {}, xs, ys), SPEC3, tol=1e-4)
         assert rep.is_strict_subsolution
 
+    @pytest.mark.parametrize("residual", [1.0, -1.0, 0.0])
+    def test_crossing_violations_match_a_per_point_reference(self, residual):
+        # y wiggles across y_limit and meets it at xi; the dydx column sets
+        # the residual, so the curve is a strict sub- or supersolution (or
+        # weakly both) that still crosses.  Two points off xi touch the
+        # limit and two sit half the tolerance on its far side.
+        xs = self._xs()
+        wiggle = 0.01 * np.sin(5.0 * np.log(xs))
+        wiggle[[3, -3]] = 0.0
+        wiggle[[6, -6]] = (0.5e-8, -0.5e-8)
+        ys = eval_jet(y_limit_function(SPEC3), xs).v + wiggle
+        dydx = SPEC3.rhs(xs, ys) + residual
+        rep = comparison_check(CurveTable("wiggle", {}, xs, ys, dydx), SPEC3)
+        assert rep.ordering_checked
+        sign = -1.0 if residual < 0 else 1.0
+        strict, tol = residual != 0.0, odelimit.CLASSIFY_TOL
+        expect = []
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            yl = y_limit(SPEC3, x)
+            diff = sign * (y - yl)
+            if x > SPEC3.xi:
+                bad = diff <= 0.0 if strict else diff < -tol
+            elif x < SPEC3.xi:
+                bad = -diff <= 0.0 if strict else -diff < -tol
+            else:
+                bad = abs(diff) > tol * (1.0 + abs(yl))
+            if bad:
+                expect.append((x, y, yl))
+        assert len(expect) > 10
+        assert rep.ordering_violations == tuple(expect)
+
     def test_xi_outside_range_rejected(self):
         xs = np.geomspace(2.0, 10.0, 20)
         ys = np.zeros(20) - 1.0
@@ -224,18 +263,18 @@ class TestFigureCurves:
 
     def test_export_includes_extras(self):
         extra = FamilyA(a=0.9, c=-1.0, d=0.0, n=3)
-        curves = export_family_curves([extra], (0.05, 8.0), 50)
+        curves = export_family_curves([extra], GridSpec(0.05, 8.0, 50))
         assert len(curves) == 5
         assert curves[-1].params["a"] == 0.9
 
     def test_export_is_deterministic(self):
-        a = [c.to_csv() for c in export_family_curves([], (0.05, 8.0), 100)]
-        b = [c.to_csv() for c in export_family_curves([], (0.05, 8.0), 100)]
+        a = [c.to_csv() for c in export_family_curves([], GridSpec(0.05, 8.0, 100))]
+        b = [c.to_csv() for c in export_family_curves([], GridSpec(0.05, 8.0, 100))]
         assert a == b
 
     def test_inverse_branch_value(self):
         # the inverted-power curve at s=8: 3*8^(-1/3) - 3 = -1.5
-        curves = export_family_curves([], (1.0, 8.0), 4)
+        curves = export_family_curves([], GridSpec(1.0, 8.0, 4))
         inv = curves[3]
         assert abs(inv.ys[-1] - (-1.5)) <= 1e-12
 
@@ -243,7 +282,7 @@ class TestFigureCurves:
         # one array evaluation per curve writes the bytes of one float
         # evaluation per point
         extra = FamilyA(a=0.9, c=-1.0, d=0.0, n=3)
-        curves = export_family_curves([extra], (0.05, 8.0), 2000)
+        curves = export_family_curves([extra], GridSpec(0.05, 8.0, 2000))
         members = [fam for _, fam in figure_families()] + [extra]
         assert len(curves) == len(members)
         for curve, fam in zip(curves, members):
@@ -255,10 +294,11 @@ class TestFigureCurves:
     def test_failing_point_raises_its_own_error(self):
         # s^(1/3 - 200) overflows at the small end of the range
         with pytest.raises(NonFiniteError, match="overflow"):
-            export_family_curves([FamilyA(a=200.0, c=-1.0, d=0.0, n=3)], (1e-3, 8.0), 10)
+            export_family_curves([FamilyA(a=200.0, c=-1.0, d=0.0, n=3)], GridSpec(1e-3, 8.0, 10))
 
     def test_rejects_bad_range_and_extras(self):
+        # the grid checks the range and count
         with pytest.raises(ParameterError):
-            export_family_curves([], (0.0, 8.0), 10)
+            export_family_curves([], GridSpec(0.0, 8.0, 10))
         with pytest.raises(ParameterError):
-            export_family_curves(["not a family"], (0.05, 8.0), 10)
+            export_family_curves(["not a family"], GridSpec(0.05, 8.0, 10))

@@ -86,6 +86,15 @@ class TestParser:
             parse("s + t")
         assert exc.value.offset == 4
 
+    def test_overflowing_literal_rejected_at_its_offset(self):
+        # 1e999 parsed to inf and ran as a constant
+        for text, offset in (("1e999*s", 0), ("s + 2e400", 4), ("s^(1/.2e309)", 5)):
+            with pytest.raises(ParseError, match="not a finite float") as exc:
+                parse(text)
+            assert exc.value.offset == offset
+        # underflow to zero stays allowed
+        assert parse("s + 1e-999") == parse("s + 0")
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse("1 + 2 )")
