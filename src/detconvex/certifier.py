@@ -41,6 +41,7 @@ KIND_SECOND_ORDER = "SecondOrderDeficit"
 
 DEFAULT_TOL_BASE = 1e-9
 WITNESS_CONFIRM_TOL = 1e-4
+SWEEP_FAIL_TOL = 1e-8  # sweep forms below -tol and midpoint residuals above it fail
 
 
 @dataclass(frozen=True)
@@ -350,17 +351,19 @@ def sigma_checks(p, a):
     return tuple(map(float, sums)) if parr.ndim == 2 else sums
 
 
-def reduction_check(f, c: PosDefMatrix, h):
-    """Full-basis versus eigenbasis evaluation of the convexity condition.
+def reduction_check(f, c, h):
+    """Full-basis versus eigenbasis evaluation of the convexity condition
+    for one pair (C, H) of n x n arrays or for (N, n, n) stacks of pairs.
 
-    Returns (full, reduced) where full = condition_lhs_full / det C and
-    reduced rotates H into the eigenbasis of C and evaluates the diagonal
-    form; the two agree up to eigensolver accuracy.
-    """
-    harr = linalg._as_array(h)
-    full = detcalculus.condition_lhs_full(f, c, harr) / c.det
-    h_rot = c.q.T @ harr @ c.q
-    reduced = detcalculus.condition_lhs_diag(f, 1.0 / c.eigenvalues, h_rot)
+    Returns (full, reduced): full is ``condition_bracket`` over
+    ``hess_terms`` at s = det C, divided by s; reduced evaluates
+    ``condition_lhs_diag`` on Q^T H Q with C = Q diag(eig) Q^T from
+    ``np.linalg.eigh``.  The two agree up to eigensolver accuracy."""
+    s = np.linalg.det(c)
+    inner, cross = detcalculus.hess_terms(c, h)
+    full = detcalculus.condition_bracket(scalarfun.eval_jet(f, s), s, inner, cross) / s
+    eigenvalues, q = np.linalg.eigh(c)
+    reduced = detcalculus.condition_lhs_diag(f, 1.0 / eigenvalues, np.swapaxes(q, -1, -2) @ h @ q)
     return full, reduced
 
 
@@ -377,7 +380,7 @@ def sweep_block(n: int, log_eig_range, words):
     so its matrices depend only on the seed, n, the range and i."""
     return (
         linalg.random_posdef_stack(n, log_eig_range, words[0], SWEEP_BLOCK),
-        linalg.random_sym_stack(n, 1.0, words[1], SWEEP_BLOCK),
+        linalg.random_sym_stack(n, words[1], SWEEP_BLOCK),
         linalg.random_posdef_stack(n, log_eig_range, words[2], SWEEP_BLOCK),
         linalg.random_posdef_stack(n, log_eig_range, words[3], SWEEP_BLOCK),
     )
@@ -390,7 +393,7 @@ class ConvexitySampleDiagnostics:
     ``min_hess_form`` is the smallest sampled quadratic form (theory says
     >= 0 for convex f); midpoint residuals are g((C1+C2)/2) -
     (g(C1)+g(C2))/2, non-positive for convex f.  Failures list samples
-    beyond ``fail_tol`` as ``(index, C, H, value)`` and ``(index, C1, C2,
+    beyond SWEEP_FAIL_TOL as ``(index, C, H, value)`` and ``(index, C1, C2,
     residual)`` with plain arrays; sample i is row i % SWEEP_BLOCK of the
     stacks that ``sweep_block`` draws from words 4b .. 4b+3 of
     ``linalg.seed_words(seed, 4 * (b + 1))``, b = i // SWEEP_BLOCK, so it
@@ -404,7 +407,6 @@ class ConvexitySampleDiagnostics:
     max_midpoint_residual: float
     hess_failures: tuple
     midpoint_failures: tuple
-    fail_tol: float
 
 
 def sample_convexity(
@@ -413,7 +415,6 @@ def sample_convexity(
     num_samples: int,
     seed: int,
     log_eig_range=DEFAULT_LOG_EIG_RANGE,
-    fail_tol: float = 1e-8,
 ) -> ConvexitySampleDiagnostics:
     """Randomized corroboration of the grid verdict.
 
@@ -460,9 +461,9 @@ def sample_convexity(
         min_hess = min(min_hess, float(v[ok].min()))
         min_mid = min(min_mid, float(r[ok].min()))
         max_mid = max(max_mid, float(r[ok].max()))
-        for j in np.flatnonzero(ok & (v < -fail_tol)).tolist():
+        for j in np.flatnonzero(ok & (v < -SWEEP_FAIL_TOL)).tolist():
             hess_failures.append((start + j, c[j].copy(), h[j].copy(), float(v[j])))
-        for j in np.flatnonzero(ok & (r > fail_tol)).tolist():
+        for j in np.flatnonzero(ok & (r > SWEEP_FAIL_TOL)).tolist():
             mid_failures.append((start + j, a1[j].copy(), a2[j].copy(), float(r[j])))
     return ConvexitySampleDiagnostics(
         samples_run=run,
@@ -472,5 +473,4 @@ def sample_convexity(
         max_midpoint_residual=float(max_mid),
         hess_failures=tuple(hess_failures),
         midpoint_failures=tuple(mid_failures),
-        fail_tol=fail_tol,
     )

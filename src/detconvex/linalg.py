@@ -131,10 +131,12 @@ class PosDefMatrix:
 
 def _rescaled_norms(a: np.ndarray) -> np.ndarray:
     """Frobenius norms over the last two axes of ``a``, with the entries
-    divided by their largest absolute value before they are squared."""
+    divided by their largest absolute value before they are squared.  A
+    norm beyond the largest float is inf, without a warning."""
     scale = np.max(np.abs(a), axis=(-2, -1))
     scale = np.where(np.isfinite(scale) & (scale > 0), scale, 1.0)
-    return scale * np.sqrt(np.sum((a / scale[..., None, None]) ** 2, axis=(-2, -1)))
+    with np.errstate(over="ignore"):
+        return scale * np.sqrt(np.sum((a / scale[..., None, None]) ** 2, axis=(-2, -1)))
 
 
 def frob_norm(m):
@@ -264,20 +266,17 @@ def random_posdef_stack(n: int, log_eig_range: tuple, seed: int, count: int) -> 
     return out
 
 
-def random_sym_stack(n: int, scale: float, seed: int, count: int) -> np.ndarray:
+def random_sym_stack(n: int, seed: int, count: int) -> np.ndarray:
     """``count`` symmetric samples as a (count, n, n) stack, entries
-    uniform in [-scale, scale], from one PCG64 stream seeded with
-    ``seed``.
+    uniform in [-1, 1], from one PCG64 stream seeded with ``seed``.
 
     The stream gives a (count, n(n+1)/2) block of uniforms; row j fills
     the i <= j entries of matrix j row-major, and they are mirrored.
     """
     if n < 1:
         raise DimensionError("dimension must be >= 1")
-    if scale < 0:
-        raise ParameterError("scale must be >= 0")
     rows, cols = np.triu_indices(n)
-    vals = _rng(int(seed)).uniform(-scale, scale, size=(count, rows.size))
+    vals = _rng(int(seed)).uniform(-1.0, 1.0, size=(count, rows.size))
     out = np.zeros((count, n, n))
     out[:, rows, cols] = vals
     out[:, cols, rows] = vals
@@ -314,7 +313,7 @@ def random_posdef(n: int, log_eig_range: tuple, seed: int) -> PosDefMatrix:
     return PosDefMatrix.from_sym(random_posdef_array(n, log_eig_range, seed))
 
 
-def random_sym(n: int, scale: float, seed: int) -> np.ndarray:
-    """Seeded symmetric sample with entries uniform in [-scale, scale]; the
+def random_sym(n: int, seed: int) -> np.ndarray:
+    """Seeded symmetric sample with entries uniform in [-1, 1]; the
     count-1 case of ``random_sym_stack``."""
-    return random_sym_stack(n, scale, seed, 1)[0]
+    return random_sym_stack(n, seed, 1)[0]

@@ -66,8 +66,8 @@ class CurveTable:
         ys = np.asarray(self.ys, dtype=float)
         if xs.ndim != 1 or xs.shape != ys.shape:
             raise ParameterError("xs and ys must be 1-d arrays of equal length")
-        if np.any(xs <= 0):
-            raise ParameterError("x samples must be positive")
+        if not np.all(np.isfinite(xs) & (xs > 0)):
+            raise ParameterError("x samples must be finite and positive")
         if np.any(np.diff(xs) <= 0):
             raise ParameterError("x samples must be strictly increasing")
         object.__setattr__(self, "xs", xs)
@@ -242,16 +242,16 @@ def comparison_check(curve: CurveTable, spec: IvpSpec, tol: float = CLASSIFY_TOL
 # figure curves
 
 
-def figure_families(n: int = 3):
-    """The four standard members shown in the reference figures.
+def figure_families():
+    """The four standard members shown in the reference figures, at n = 3.
 
     All pass through (1, 0) with slope -1.
     """
     return (
-        ("-ln(s)", FamilyA(a=1.0 / n, c=-1.0, d=0.0, n=n)),
-        ("-3*s^(1/3)+3", FamilyA(a=0.0, c=-3.0, d=3.0, n=n)),
-        ("-6*s^(1/6)+6", FamilyA(a=1.0 / 6.0, c=-6.0, d=6.0, n=n)),
-        ("3*s^(-1/3)-3", FamilyA(a=2.0 / 3.0, c=-3.0, d=-3.0, n=n)),
+        ("-ln(s)", FamilyA(a=1.0 / 3.0, c=-1.0, d=0.0, n=3)),
+        ("-3*s^(1/3)+3", FamilyA(a=0.0, c=-3.0, d=3.0, n=3)),
+        ("-6*s^(1/6)+6", FamilyA(a=1.0 / 6.0, c=-6.0, d=6.0, n=3)),
+        ("3*s^(-1/3)-3", FamilyA(a=2.0 / 3.0, c=-3.0, d=-3.0, n=3)),
     )
 
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from detconvex import certifier, detcalculus, selftest
+from detconvex import certifier, detcalculus, linalg, selftest
 from detconvex.certifier import (
     CERTIFIED,
     INCONCLUSIVE,
@@ -374,16 +374,14 @@ class TestReductionCheck:
     def test_diagonal_input_tight(self):
         # diagonal C gives a signed-permutation eigenframe; full and
         # reduced agree to plain roundoff
-        from detconvex.linalg import PosDefMatrix
-
-        c = PosDefMatrix.from_diag([2.0, 0.5, 1.0])
+        c = np.diag([2.0, 0.5, 1.0])
         f = NeoHookeVolumetric(mu=1.0)
-        h = random_sym(3, 1.0, seed=9)
+        h = random_sym(3, seed=9)
         full, reduced = reduction_check(f, c, h)
         assert abs(full - reduced) <= 1e-13 * max(1.0, abs(full))
 
     def test_zero_direction(self):
-        c = random_posdef(3, LOG_RANGE, seed=10)
+        c = random_posdef(3, LOG_RANGE, seed=10).a
         assert reduction_check(parse("-ln(s)"), c, np.zeros((3, 3))) == (0.0, 0.0)
 
     def test_random_sweep(self):
@@ -391,10 +389,21 @@ class TestReductionCheck:
             corpus = detcalculus.builtin_corpus(n)
             seeds = np.random.SeedSequence(90 + n).generate_state(200, dtype=np.uint64)
             for i in range(100):
-                c = random_posdef(n, LOG_RANGE, int(seeds[2 * i]))
-                h = random_sym(n, 1.0, int(seeds[2 * i + 1]))
+                c = random_posdef(n, LOG_RANGE, int(seeds[2 * i])).a
+                h = random_sym(n, int(seeds[2 * i + 1]))
                 full, reduced = reduction_check(corpus[i % len(corpus)], c, h)
                 assert abs(full - reduced) <= 1e-9 * max(1.0, abs(full), abs(reduced))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_stack_gives_each_pair_its_single_values(self, n):
+        words = linalg.seed_words(95 + n, 2)
+        c = linalg.random_posdef_stack(n, LOG_RANGE, words[0], 30)
+        h = linalg.random_sym_stack(n, words[1], 30)
+        for f in detcalculus.builtin_corpus(n):
+            full, reduced = reduction_check(f, c, h)
+            assert full.shape == reduced.shape == (30,)
+            for i in range(30):
+                assert (full[i], reduced[i]) == reduction_check(f, c[i], h[i])
 
 
 class TestSampleConvexity:

@@ -29,7 +29,7 @@ def _samples(n, count, seed):
     for i in range(count):
         yield (
             random_posdef(n, LOG_RANGE, int(seeds[2 * i])),
-            random_sym(n, 1.0, int(seeds[2 * i + 1])),
+            random_sym(n, int(seeds[2 * i + 1])),
         )
 
 
@@ -91,7 +91,7 @@ class TestHessForm:
 
     def test_even_in_direction(self):
         c = random_posdef(4, LOG_RANGE, seed=31)
-        h = random_sym(4, 1.0, seed=32)
+        h = random_sym(4, seed=32)
         assert g_hess_form(NEG_LN, c, h) == g_hess_form(NEG_LN, c, -h)
 
 
@@ -151,6 +151,37 @@ class TestConditionForms:
         with pytest.raises(ParameterError):
             condition_lhs_diag(NEG_LN, np.array([1.0, -0.5]), np.eye(2))
 
+    def test_diag_validates_stacks(self):
+        d = np.ones((4, 3))
+        h = np.zeros((4, 3, 3))
+        d[2, 1] = np.nan
+        for bad_d in (d, np.float64(1.0)):
+            with pytest.raises(ParameterError):
+                condition_lhs_diag(NEG_LN, bad_d, h)
+        for bad_h in (np.zeros((4, 3, 2)), np.zeros((3, 3, 3)), np.zeros((3, 3))):
+            with pytest.raises(DimensionError):
+                condition_lhs_diag(NEG_LN, np.ones((4, 3)), bad_h)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_diag_stack_matches_rows_and_the_dense_form(self, n):
+        # each row of a stack is the single-pair value, and both are the
+        # dense form with D^-1 = diag(d), two products and two inner products
+        gen = np.random.Generator(np.random.PCG64(70 + n))
+        d = np.exp(gen.uniform(*LOG_RANGE, size=(40, n)))
+        h = linalg.random_sym_stack(n, 71 + n, 40)
+        for f in builtin_corpus(n):
+            stacked = condition_lhs_diag(f, d, h)
+            assert stacked.shape == (40,)
+            for i in range(40):
+                assert stacked[i] == condition_lhs_diag(f, d[i], h[i])
+                dinv = np.diag(d[i])
+                s = 1.0 / float(np.prod(d[i]))
+                jet = eval_jet(f, s)
+                inner = frob_inner(dinv, h[i])
+                cross = frob_inner(dinv @ h[i], h[i] @ dinv)
+                dense = (jet.d2 + jet.d1 / s) * inner * inner - (jet.d1 / s) * cross
+                assert abs(stacked[i] - dense) <= 1e-13 * max(1.0, abs(dense))
+
     def test_identity_with_hess_form(self):
         for n in (2, 3, 5):
             corpus = builtin_corpus(n)
@@ -204,12 +235,13 @@ class TestFdOracles:
             with pytest.raises(DegenerateDirectionError):
                 fd(NEG_LN, c, np.eye(2))
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_direction_norm_is_refused(self):
         # |H| overflows to inf, which makes the default step 0
         c = PosDefMatrix.from_diag([1.0, 1.0])
         h = np.full((2, 2), 1.5e308)
         for fd in (fd_second_directional, fd_second_directional_with_step, fd_first_directional):
-            with np.errstate(over="ignore"), pytest.raises(ParameterError):
+            with pytest.raises(ParameterError):
                 fd(NEG_LN, c, h)
 
     @pytest.mark.parametrize("lam_min", [None, 1e-5, 1e-9])

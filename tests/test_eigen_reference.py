@@ -82,7 +82,7 @@ def assert_eigenvalues_agree(a: np.ndarray):
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
 def test_random_draws_agree(n):
     for seed in range(8):
-        assert_eigenvalues_agree(random_sym(n, 3.0, seed=seed))
+        assert_eigenvalues_agree(3.0 * random_sym(n, seed=seed))
         assert_eigenvalues_agree(random_posdef_array(n, LOG_RANGE, seed=100 + seed))
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from detconvex import linalg
-from detconvex.certifier import SWEEP_BLOCK, sample_convexity, sweep_block
+from detconvex.certifier import SWEEP_BLOCK, SWEEP_FAIL_TOL, sample_convexity, sweep_block
 from detconvex.detcalculus import g_hess_form
 from detconvex.errors import DomainError, NonFiniteError
 from detconvex.linalg import (
@@ -138,18 +138,18 @@ def test_stacked_draws_are_the_single_seed_draws(n):
     # block streams: the oracle and the self-test draw this way
     for seed in seeds:
         pd = random_posdef_stack(n, DEFAULT_LOG_EIG_RANGE, seed, 1)
-        sym = random_sym_stack(n, 1.0, seed, 1)
+        sym = random_sym_stack(n, seed, 1)
         assert pd.shape == sym.shape == (1, n, n)
         assert np.array_equal(pd[0], random_posdef_array(n, DEFAULT_LOG_EIG_RANGE, int(seed)))
         assert np.array_equal(pd[0], old_posdef_draw(n, DEFAULT_LOG_EIG_RANGE, int(seed)))
-        assert np.array_equal(sym[0], random_sym(n, 1.0, int(seed)))
+        assert np.array_equal(sym[0], random_sym(n, int(seed)))
         assert np.array_equal(sym[0], old_sym_draw(n, 1.0, int(seed)))
     # row j of a k-stack is the j-th matrix of the stream drawn one call
     # at a time
     k = 40
     seed = int(seeds[0])
     pd = random_posdef_stack(n, DEFAULT_LOG_EIG_RANGE, seed, k)
-    sym = random_sym_stack(n, 1.0, seed, k)
+    sym = random_sym_stack(n, seed, k)
     assert pd.shape == sym.shape == (k, n, n)
     ref_pd = reference_posdef_rows(n, DEFAULT_LOG_EIG_RANGE, seed, k)
     ref_sym = reference_sym_rows(n, 1.0, seed, k)
@@ -212,11 +212,11 @@ def assert_failures_replay(diag, seed, n):
     for i, c, h, v in diag.hess_failures:
         want_c, want_h, _, _ = replay(seed, n, i)
         assert np.array_equal(c, want_c) and np.array_equal(h, want_h)
-        assert v < -diag.fail_tol
+        assert v < -SWEEP_FAIL_TOL
     for i, a1, a2, r in diag.midpoint_failures:
         _, _, want_a1, want_a2 = replay(seed, n, i)
         assert np.array_equal(a1, want_a1) and np.array_equal(a2, want_a2)
-        assert r > diag.fail_tol
+        assert r > SWEEP_FAIL_TOL
 
 
 def test_failures_replay_from_their_index():
