@@ -4,7 +4,9 @@ definite cone.
 The decision rests on a differential inequality in the scalar function
 alone: g is convex exactly when
 
-    f''(s) + ((n-1)/(n*s)) * f'(s) >= 0   and   f'(s) <= 0   for all s > 0.
+    f''(s) + ((n-1)/(n*s)) * f'(s) >= 0   and   f'(s) <= 0   for all s > 0,
+
+for n >= 2; at n = 1, g is f itself and only f''(s) >= 0 applies.
 
 The certifier samples both conditions on a logarithmic grid.  A grid pass
 is reported as CertifiedOnGrid, never as a proof over all of (0, inf).  A
@@ -24,8 +26,6 @@ from . import detcalculus, linalg, scalarfun
 from .errors import (
     DegenerateDirectionError,
     DimensionError,
-    DomainError,
-    NonFiniteError,
     NotPositiveDefiniteError,
     ParameterError,
 )
@@ -168,18 +168,25 @@ def witness_second_order(s: float, n: int):
 def witness_attempt(f, kind: str, s: float, n: int):
     """(C, H, analytic, fd, h_used, confirmed) for the pair of ``kind`` at s.
 
-    ``analytic`` is D2g(C).(H,H) and ``fd`` its central second difference
-    with step ``h_used``.  The pair is confirmed when the analytic form is
-    strictly negative and the two agree within WITNESS_CONFIRM_TOL
-    relative.  Errors of the construction (DimensionError for a slope
-    witness at n = 1) and of the evaluations propagate.
+    ``analytic`` is D2g(C).(H,H) and ``fd`` its Richardson central second
+    difference with outer step ``h_used``, from ``directional_forms`` on
+    the one-row stack at the exact determinant of the diagonal C.  The
+    pair is confirmed when the analytic form is strictly negative and the
+    two agree within WITNESS_CONFIRM_TOL relative.  Errors of the
+    construction (DimensionError for a slope witness at n = 1)
+    propagate; DegenerateDirectionError when f fails at a stencil point
+    or no step is admissible.
     """
     if kind == KIND_POSITIVE_FPRIME:
         c, h = witness_positive_fprime(s, n)
     else:
         c, h = witness_second_order(s, n)
-    analytic = detcalculus.g_hess_form(f, c, h)
-    fd, h_used = detcalculus.fd_second_directional_with_step(f, c, h)
+    forms = detcalculus.directional_forms((f,), c.a[None], h[None], np.array([c.det]))
+    analytic, fd, h_used = (float(x[0]) for x in (forms.hess, forms.fd_hess, forms.step))
+    if math.isnan(fd):
+        raise DegenerateDirectionError(
+            f"no finite difference at s={s!r}: f fails at a stencil point or no step is admissible"
+        )
     confirmed = analytic < 0 and abs(analytic - fd) <= WITNESS_CONFIRM_TOL * max(
         1.0, abs(analytic)
     )
@@ -193,8 +200,6 @@ def _confirmed_witness(f, kind: str, s: float, n: int) -> Witness | None:
     try:
         c, h, analytic, fd, _, confirmed = witness_attempt(f, kind, s, n)
     except (
-        DomainError,
-        NonFiniteError,
         DegenerateDirectionError,
         DimensionError,
         NotPositiveDefiniteError,
@@ -209,8 +214,9 @@ def analytic_convexity(f, n: int) -> bool | None:
     """Closed-form verdict for built-in families; None for expressions.
 
     PowerLaw d + c s^p is convex under det iff c*p == 0 or
-    (c*p < 0 and p <= 1/n); LogFamily iff c <= 0; FamilyA and the
-    Neo-Hooke volumetric part always.
+    (c*p < 0 and p <= 1/n), for n >= 2; at n = 1, where g is f itself,
+    iff c p (p-1) >= 0.  LogFamily iff c <= 0; FamilyA and the Neo-Hooke
+    volumetric part always.
     """
     if isinstance(f, NeoHookeVolumetric) or isinstance(f, FamilyA):
         return True
@@ -218,6 +224,8 @@ def analytic_convexity(f, n: int) -> bool | None:
         return f.c <= 0
     if isinstance(f, PowerLaw):
         cp = f.c * f.p
+        if n == 1:
+            return cp * (f.p - 1.0) >= 0
         return cp == 0 or (cp < 0 and f.p <= 1.0 / n)
     return None
 
@@ -264,7 +272,8 @@ def certify(f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BA
     with np.errstate(all="ignore"):
         lhs = _lhs_from_jet(jet, s, n)
         band = tol * (1.0 + np.abs(jet.d1) + np.abs(jet.d2))
-    fprime_ok = jet.d1 <= band
+    # at n = 1, g is f itself and only f'' >= 0 applies
+    fprime_ok = (jet.d1 <= band) | (n == 1)
     lhs_ok = lhs >= -band
 
     # a domain failure is reported with the columns before it, unsearched
@@ -380,7 +389,7 @@ def sweep_block(n: int, log_eig_range, words):
     so its matrices depend only on the seed, n, the range and i."""
     return (
         linalg.random_posdef_stack(n, log_eig_range, words[0], SWEEP_BLOCK),
-        linalg.random_sym_stack(n, words[1], SWEEP_BLOCK),
+        linalg.random_sym(n, words[1], SWEEP_BLOCK),
         linalg.random_posdef_stack(n, log_eig_range, words[2], SWEEP_BLOCK),
         linalg.random_posdef_stack(n, log_eig_range, words[3], SWEEP_BLOCK),
     )

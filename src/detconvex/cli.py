@@ -59,6 +59,10 @@ _VERDICT_EXIT = {CERTIFIED: EXIT_CERTIFIED, REFUTED: EXIT_REFUTED, INCONCLUSIVE:
 MAX_DIM = 64
 MAX_GRID_COUNT = 200_000
 MAX_SAMPLES = 1_000_000
+# The oracle holds all its samples as (--samples, n, n) stacks and its
+# stencil as eight perturbed copies of them: --samples * n^2 entries per
+# stack at most, about 70 MB of stencil.
+MAX_ORACLE_ENTRIES = 2**20
 
 
 class UsageError(Exception):
@@ -284,6 +288,11 @@ def _cmd_curves(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.samples * args.dim**2 > MAX_ORACLE_ENTRIES:
+        raise UsageError(
+            f"--samples {args.samples} at --dim {args.dim} exceeds the limit of "
+            f"{MAX_ORACLE_ENTRIES} entries per stack (--samples * --dim^2)"
+        )
     functions = None
     label = "builtin corpus"
     if args.function:
@@ -291,15 +300,18 @@ def _cmd_oracle(args) -> int:
         label = args.function
     res = detcalculus.oracle_sweep(args.dim, args.samples, args.seed, functions=functions)
     print(f"oracle sweep: n={args.dim} samples={args.samples} seed={args.seed} f={label}")
-    print(
-        f"hess discrepancy: min={res.min_hess_disc!r} max={res.max_hess_disc!r} "
-        f"tol={detcalculus.ORACLE_HESS_TOL!r}"
-    )
-    print(
-        f"grad discrepancy: min={res.min_grad_disc!r} max={res.max_grad_disc!r} "
-        f"tol={detcalculus.ORACLE_GRAD_TOL!r}"
-    )
+    for kind, disc, tol in (
+        ("hess", res.hess_disc, detcalculus.ORACLE_HESS_TOL),
+        ("grad", res.grad_disc, detcalculus.ORACLE_GRAD_TOL),
+    ):
+        low, high = float(disc.min()), float(disc.max())
+        print(f"{kind} discrepancy: min={low!r} max={high!r} tol={tol!r}")
     print(f"skipped: {res.skipped}")
+    hess_row, grad_row = (int(res.samples[d.argmax()]) for d in (res.hess_disc, res.grad_disc))
+    print(
+        f"worst samples: hess={hess_row} grad={grad_row} "
+        f"richardson_est={float(res.richardson.max())!r}"
+    )
     return EXIT_CERTIFIED if res.all_agree else EXIT_REFUTED
 
 

@@ -8,56 +8,46 @@ The second directional derivative in a symmetric direction H is
 
 where <.,.> is the trace inner product.  ``condition_lhs_full`` is the same
 bracket without the leading det C factor; ``condition_lhs_diag`` is its
-diagonalized normal form (divided once more by det C).  ``g_hess_form``
-is det C times ``condition_lhs_full``, which takes both inner products
-from ``hess_terms``, the one kernel shared by single pairs and the stacked
-randomized sweep.
+diagonalized normal form (divided once more by det C).  Both inner
+products come from ``hess_terms``, the one solve kernel of single pairs
+and (N, n, n) stacks.
+
+``directional_forms`` checks a stack of pairs at once: one solve for the
+inner products, one Richardson stencil for the central differences of
+t -> f(det(C + tH)) (``_stencil``), and one evaluator call per function
+over the centres and stencil points of its rows.  ``g_hess_form``,
+``g_grad_form`` and the two fd functions are the arithmetic on top.  The
+oracle sweep runs it on one seeded draw, and a witness on a one-row stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg, scalarfun
-from .errors import (
-    DegenerateDirectionError,
-    DimensionError,
-    DomainError,
-    NonFiniteError,
-    ParameterError,
-)
-from .linalg import PosDefMatrix, frob_inner, frob_norm
+from .errors import DegenerateDirectionError, DimensionError, ParameterError
+from .linalg import PosDefMatrix, frob_norm
 
 _EPS = float(np.finfo(float).eps)
 FD_MAX_HALVINGS = 40
 
-# Second differences at eps^(1/4) scale leave h^2 truncation above 1e-5
-# relative for well-spread spectra (condition ~100); eps^0.3 ~ 2e-5 keeps
-# truncation below the oracle tolerances with the roundoff floor still two
-# orders further down.
-FD_SECOND_SCALE = _EPS**0.3
+# Outer steps T of the two central differences, as multiples of the
+# direction scale (1 + |C|) / (1 + |H|).  Each difference is also taken at
+# T/2, and Richardson's (4 D(T/2) - D(T)) / 3 cancels its h^2 term, which
+# left the single second difference at eps^0.3 above 1e-5 on about one
+# n=10 draw in 100.  Truncation is then h^4, so the second difference
+# steps at 8 and 16 times eps^0.3 (about 1.6e-4 and 3.2e-4), where its
+# roundoff eps / T^2 stays near 1e-8 of |f|.
+FD_SECOND_SCALE = 16.0 * _EPS**0.3
 FD_FIRST_SCALE = _EPS ** (1.0 / 3.0)
 
 # Relative discrepancies the oracle sweep accepts between the analytic
 # Hessian / gradient forms and their central differences.
 ORACLE_HESS_TOL = 1e-5
 ORACLE_GRAD_TOL = 1e-6
-
-
-def _check_pair(c: PosDefMatrix, h) -> np.ndarray:
-    harr = linalg._as_array(h)
-    if harr.shape != (c.n, c.n):
-        raise DimensionError(f"direction shape {harr.shape} does not match n={c.n}")
-    return harr
-
-
-def g_grad_form(f, c: PosDefMatrix, h) -> float:
-    """Dg(C).H = f'(det C) * det C * <C^-1, H>  (chain rule through det)."""
-    harr = _check_pair(c, h)
-    jet = scalarfun.eval_jet(f, c.det)
-    return jet.d1 * c.det * frob_inner(c.inverse, harr)
 
 
 def hess_terms(c, h):
@@ -71,20 +61,32 @@ def hess_terms(c, h):
     return x.trace(axis1=-2, axis2=-1), (x * x.swapaxes(-1, -2)).sum(axis=(-2, -1))
 
 
-def condition_bracket(jet, s: float, inner: float, cross: float) -> float:
+def condition_bracket(jet, s, inner, cross):
     """[f''(s) s + f'(s)] inner^2 - f'(s) cross, from the jet of f at s."""
     return (jet.d2 * s + jet.d1) * inner * inner - jet.d1 * cross
 
 
-def g_hess_form(f, c: PosDefMatrix, h) -> float:
-    """D2g(C).(H,H) = det C * condition_lhs_full; quadratic in H."""
-    return c.det * condition_lhs_full(f, c, h)
+def g_grad_form(jet, s, inner):
+    """Dg(C).H = f'(s) s <C^-1, H> at s = det C (chain rule through det),
+    from the jet of f at s and the first term of ``hess_terms``; floats,
+    or arrays with one entry per pair."""
+    return jet.d1 * s * inner
+
+
+def g_hess_form(jet, s, inner, cross):
+    """D2g(C).(H,H) = s * condition_bracket at s = det C, from the jet of f
+    at s and both terms of ``hess_terms``; quadratic in H."""
+    return s * condition_bracket(jet, s, inner, cross)
 
 
 def condition_lhs_full(f, c: PosDefMatrix, h) -> float:
-    """[f'' det C + f'] <C^-1,H>^2 - f' <HC^-1, C^-1H>; non-negativity of
-    this quantity over all (C, H) characterizes convexity of g."""
-    inner, cross = hess_terms(c.a, _check_pair(c, h))
+    """[f'' det C + f'] <C^-1,H>^2 - f' <HC^-1, C^-1H> for one pair;
+    non-negativity of this quantity over all (C, H) characterizes
+    convexity of g."""
+    harr = np.asarray(h, dtype=float)
+    if harr.shape != c.a.shape:
+        raise DimensionError(f"direction shape {harr.shape} does not match n={c.n}")
+    inner, cross = hess_terms(c.a, harr)
     jet = scalarfun.eval_jet(f, c.det)
     return condition_bracket(jet, c.det, float(inner), float(cross))
 
@@ -117,80 +119,173 @@ def condition_lhs_diag(f, dvec, h):
 # --------------------------------------------------------------------------
 # finite-difference oracles
 
+# the stencil points C + o T H of each difference
+_OFFSETS = np.array([1.0, -1.0, 0.5, -0.5])
 
-def _stencil(c: PosDefMatrix, h, scale: float):
-    """(det(C+tH), det(C-tH), t) for the central differences of
-    t -> g(C + tH).  The step starts at the direction-scaled
-    scale * (1 + |C|) / (1 + |H|) and is halved until C +/- tH stays
-    positive definite."""
-    harr = _check_pair(c, h)
-    t = scale * (1.0 + frob_norm(c.a)) / (1.0 + frob_norm(harr))
-    if t <= 0:
-        # the norm of H overflowed
+
+def _stencil(c, h):
+    """(steps, halved, dets) of the stencils of both central differences of
+    t -> f(det(C + tH)), for the (N, n, n) stacks c and h.
+
+    steps[k, i] is the outer step T of difference k (0 the second, 1 the
+    first) at row i: FD_SECOND_SCALE or FD_FIRST_SCALE times
+    (1 + |C_i|) / (1 + |H_i|), halved while C_i + T H_i or C_i - T H_i has
+    no Cholesky factor, one test of every pending row per round;
+    ``halved`` marks the steps that were.  A step is NaN when
+    FD_MAX_HALVINGS halvings leave no admissible one or a perturbed
+    determinant is not positive.  C_i +/- (T/2) H_i lies in the cone by
+    its convexity and needs no test.  dets[k, i] holds det(C_i + o T H_i)
+    for o = 1, -1, 1/2, -1/2, from one LAPACK call over the whole stencil
+    (at a NaN step, det C_i).
+    """
+    scaled = np.multiply.outer([FD_SECOND_SCALE, FD_FIRST_SCALE], 1.0 + frob_norm(c))
+    default = scaled / (1.0 + frob_norm(h))
+    if not np.all(default > 0):
+        # the norm of an H overflowed
         raise ParameterError("finite-difference step must be positive")
-    if np.any(harr):
-        for _ in range(FD_MAX_HALVINGS + 1):
-            if all(linalg.cholesky_posdef(c.a + sign * t * harr) for sign in (1.0, -1.0)):
-                break
-            t *= 0.5
-        else:
-            raise DegenerateDirectionError(
-                f"no admissible step after {FD_MAX_HALVINGS} halvings (h={t:.3e})"
-            )
-    dets = []
-    for sign in (1.0, -1.0):
-        s = linalg.det(c.a + sign * t * harr)
-        if s <= 0.0:
-            raise DomainError(f"perturbed matrix left the positive cone (det={s})")
-        dets.append(s)
-    return *dets, t
+    steps = default.copy()
+    # a zero direction stays at C
+    pending = np.broadcast_to(h.any(axis=(-2, -1)), steps.shape).copy()
+    for _ in range(FD_MAX_HALVINGS + 1):
+        k, i = np.nonzero(pending)
+        if not i.size:
+            break
+        th = steps[k, i][:, None, None] * h[i]
+        ok = linalg.cholesky_posdef(np.stack([c[i] + th, c[i] - th])).all(axis=0)
+        pending[k[ok], i[ok]] = False
+        steps[k[~ok], i[~ok]] *= 0.5
+    t = np.where(pending, 0.0, steps)[..., None] * _OFFSETS
+    dets = np.linalg.det(c[:, None] + t[..., None, None] * h[:, None])
+    failed = pending | ~np.all(dets > 0.0, axis=-1)
+    return np.where(failed, np.nan, steps), steps < default, dets
 
 
-def fd_second_directional_with_step(f, c: PosDefMatrix, h):
-    """(value, h_used) for the central second difference of t -> g(C + tH).
-    The three values of f come from one evaluator call, in the order
-    (det C, det(C+tH), det(C-tH))."""
-    sp, sm, t = _stencil(c, h, FD_SECOND_SCALE)
-    g0, gp, gm = scalarfun.eval_all(f, np.array([c.det, sp, sm])).tolist()
-    return (gp - 2.0 * g0 + gm) / (t * t), t
+def _richardson(full, half, halved):
+    """(value, estimate): Richardson's (4 D(T/2) - D(T)) / 3, or D(T) where
+    the step was halved, and the estimate |D(T) - D(T/2)| of the h^2 term.
+
+    A halved step is set by the distance to the cone's boundary, not by
+    truncation, and there the extrapolation multiplies roundoff: at
+    C = diag(1e-9, 1), H = I and f = s it gives 2 + 3.7e-5, D(T) 2 + 1.6e-6.
+    """
+    return np.where(halved, full, (4.0 * half - full) / 3.0), np.abs(full - half)
 
 
-def fd_second_directional(f, c: PosDefMatrix, h) -> float:
-    """Central second difference (g(C+hH) - 2 g(C) + g(C-hH)) / h^2."""
-    return fd_second_directional_with_step(f, c, h)[0]
+def fd_second_directional_with_step(g0, g, steps, halved):
+    """(value, estimate) of the Richardson second difference at t = 0 of
+    t -> f(det(C + tH)), from f at the centre, g0, and at the stencil
+    points, g[..., :] at t = T, -T, T/2, -T/2, with the outer step
+    T = ``steps``:
+
+        D(T) = (g(T) - 2 g0 + g(-T)) / T^2,   value = (4 D(T/2) - D(T)) / 3
+
+    (D(T) where ``halved``).  The name is historical (this returned the
+    step it chose); the benchmark's trace records the call under it."""
+    half = 0.5 * steps
+    return _richardson(
+        (g[..., 0] - 2.0 * g0 + g[..., 1]) / (steps * steps),
+        (g[..., 2] - 2.0 * g0 + g[..., 3]) / (half * half),
+        halved,
+    )
 
 
-def fd_first_directional(f, c: PosDefMatrix, h) -> float:
-    """Central first difference (g(C+hH) - g(C-hH)) / (2h)."""
-    sp, sm, t = _stencil(c, h, FD_FIRST_SCALE)
-    gp, gm = scalarfun.eval_all(f, np.array([sp, sm])).tolist()
-    return (gp - gm) / (2.0 * t)
+def fd_first_directional(g, steps, halved):
+    """(value, estimate) of the Richardson first difference at t = 0 of
+    t -> f(det(C + tH)), from f at the stencil points g[..., :] (t = T,
+    -T, T/2, -T/2) with the outer step T = ``steps``:
+    D(T) = (g(T) - g(-T)) / (2T), and D(T) where ``halved``.  The centre
+    is not evaluated."""
+    return _richardson(
+        (g[..., 0] - g[..., 1]) / (2.0 * steps), (g[..., 2] - g[..., 3]) / steps, halved
+    )
+
+
+class DirectionalForms(NamedTuple):
+    """Per row of a stack of pairs: the analytic D2g(C).(H,H) and Dg(C).H,
+    their Richardson central differences, the second difference's outer
+    step, and the Richardson estimates |D(T) - D(T/2)| of both
+    differences.  NaN marks a row whose f failed at one of its points
+    (outside the domain, or overflowing) or that has no admissible step."""
+
+    hess: np.ndarray
+    fd_hess: np.ndarray
+    grad: np.ndarray
+    fd_grad: np.ndarray
+    step: np.ndarray
+    hess_est: np.ndarray
+    grad_est: np.ndarray
+
+
+def directional_forms(functions, c, h, s) -> DirectionalForms:
+    """Analytic and finite-difference forms for every pair of the
+    (N, n, n) stacks c and h, with s the N determinants of c; row i takes
+    f = functions[i % len(functions)].
+
+    One ``hess_terms`` solve gives both inner products, one ``_stencil``
+    both differences' points, and one evaluator call per function f at
+    s and at the eight stencil points of each of its rows.  A caller
+    passes the determinants it trusts: the oracle LAPACK's, a witness the
+    exact LU determinant of its diagonal C.
+    """
+    if not functions:
+        raise ParameterError("directional_forms needs at least one function")
+    c, h, s = (np.asarray(x, dtype=float) for x in (c, h, s))
+    if c.ndim != 3 or c.shape[1] != c.shape[2] or h.shape != c.shape or s.shape != c.shape[:1]:
+        raise DimensionError(
+            f"expected (N, n, n) stacks and N determinants, got {c.shape}, {h.shape}, {s.shape}"
+        )
+    steps, halved, dets = _stencil(c, h)
+    inner, cross = hess_terms(c, h)
+    points = np.concatenate([s[:, None], dets[0], dets[1]], axis=1)
+    v, d1, d2 = jets = np.empty((3,) + points.shape)
+    k = len(functions)
+    for j, f in enumerate(functions[: len(points)]):
+        rows = points[j::k]
+        jets[:, j::k] = np.reshape(scalarfun.eval_jet(f, rows.ravel()), (3,) + rows.shape)
+    centre = scalarfun.Jet2(v[:, 0], d1[:, 0], d2[:, 0])
+    fd_hess, hess_est = fd_second_directional_with_step(v[:, 0], v[:, 1:5], steps[0], halved[0])
+    fd_grad, grad_est = fd_first_directional(v[:, 5:], steps[1], halved[1])
+    return DirectionalForms(
+        hess=g_hess_form(centre, s, inner, cross),
+        fd_hess=fd_hess,
+        grad=g_grad_form(centre, s, inner),
+        fd_grad=fd_grad,
+        step=steps[0],
+        hess_est=hess_est,
+        grad_est=grad_est,
+    )
 
 
 # --------------------------------------------------------------------------
 # sampling sweep
 
 
-@dataclass(frozen=True)
-class QuadFormSample:
-    """One (C, H) draw with the analytic quadratic form and its oracle."""
-
-    c: PosDefMatrix
-    h: np.ndarray
-    analytic: float
-    fd: float
-    h_used: float
-    agreeing: bool
+def _relative(err, scale):
+    return err / np.maximum(1.0, np.abs(scale))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleSweepResult:
-    samples: tuple
-    max_hess_disc: float
-    max_grad_disc: float
-    min_hess_disc: float
-    min_grad_disc: float
+    """The rows an oracle sweep evaluated: ``samples`` holds their indices
+    (sample i is row i of the draw), and ``hess_disc``, ``grad_disc`` and
+    ``richardson`` line up with it.  A discrepancy is |analytic - fd| /
+    max(1, |analytic|); ``richardson`` is the larger Richardson estimate
+    of the row's two differences, scaled the same way.  ``skipped``
+    counts the other rows."""
+
+    samples: np.ndarray
+    hess_disc: np.ndarray
+    grad_disc: np.ndarray
+    richardson: np.ndarray
     skipped: int
+
+    @property
+    def max_hess_disc(self) -> float:
+        return float(self.hess_disc.max())
+
+    @property
+    def max_grad_disc(self) -> float:
+        return float(self.grad_disc.max())
 
     @property
     def all_agree(self) -> bool:
@@ -216,50 +311,33 @@ def builtin_corpus(n: int):
 
 
 def oracle_sweep(n: int, num_samples: int, seed: int, functions=None) -> OracleSweepResult:
-    """Compare g_hess_form / g_grad_form against central differences over
-    seeded random (C, H) pairs.
+    """Compare the analytic Hessian and gradient forms against their
+    central differences over ``num_samples`` seeded (C, H) pairs.
 
-    Discrepancies are |analytic - fd| / max(1, |analytic|); a sample is
-    ``agreeing`` when its Hessian discrepancy is within ORACLE_HESS_TOL.  A
-    sample whose function fails to evaluate (outside its domain or
-    overflowing) or that admits no finite-difference step is skipped.
+    The pairs are the rows of ``linalg.random_pairs(n, seed, num_samples)``
+    and sample i pairs with functions[i % len(functions)] (the built-in
+    corpus by default).  A sample whose function fails to evaluate at one
+    of its points (outside its domain or overflowing) or that admits no
+    finite-difference step is skipped; DegenerateDirectionError if every
+    sample is.
     """
     if num_samples < 1:
         raise ParameterError("num_samples must be >= 1")
-    seeds = linalg.seed_words(seed, 2 * num_samples)
+    c, h = linalg.random_pairs(n, seed, num_samples)
     funcs = builtin_corpus(n) if functions is None else tuple(functions)
-    samples = []
-    hess_disc = []
-    grad_disc = []
-    skipped = 0
-    for i in range(num_samples):
-        f = funcs[i % len(funcs)]
-        c = linalg.random_posdef(n, linalg.DEFAULT_LOG_EIG_RANGE, int(seeds[2 * i]))
-        h = linalg.random_sym(n, int(seeds[2 * i + 1]))
-        try:
-            analytic = g_hess_form(f, c, h)
-            fd, h_used = fd_second_directional_with_step(f, c, h)
-            grad = g_grad_form(f, c, h)
-            fd_grad = fd_first_directional(f, c, h)
-        except (DomainError, NonFiniteError, DegenerateDirectionError):
-            skipped += 1
-            continue
-        hd = abs(analytic - fd) / max(1.0, abs(analytic))
-        gd = abs(grad - fd_grad) / max(1.0, abs(grad))
-        hess_disc.append(hd)
-        grad_disc.append(gd)
-        samples.append(
-            QuadFormSample(
-                c=c, h=h, analytic=analytic, fd=fd, h_used=h_used, agreeing=hd <= ORACLE_HESS_TOL
-            )
-        )
-    if not samples:
+    forms = directional_forms(funcs, c, h, np.linalg.det(c))
+    hess_disc = _relative(np.abs(forms.hess - forms.fd_hess), forms.hess)
+    grad_disc = _relative(np.abs(forms.grad - forms.fd_grad), forms.grad)
+    kept = ~np.isnan(hess_disc + grad_disc)
+    if not kept.any():
         raise DegenerateDirectionError("every sample was skipped")
+    richardson = np.maximum(
+        _relative(forms.hess_est, forms.hess), _relative(forms.grad_est, forms.grad)
+    )
     return OracleSweepResult(
-        samples=tuple(samples),
-        max_hess_disc=float(max(hess_disc)),
-        max_grad_disc=float(max(grad_disc)),
-        min_hess_disc=float(min(hess_disc)),
-        min_grad_disc=float(min(grad_disc)),
-        skipped=skipped,
+        samples=np.flatnonzero(kept),
+        hess_disc=hess_disc[kept],
+        grad_disc=grad_disc[kept],
+        richardson=richardson[kept],
+        skipped=int(num_samples - np.count_nonzero(kept)),
     )

@@ -3,14 +3,15 @@
 Everything here is sized for the certification workloads (n up to ~16):
 LAPACK eigendecompositions of symmetric matrices, inverses through the
 eigendecomposition, a hand LU determinant that is exact on diagonal
-input, and seeded sampling of test matrices, one at a time or as
-(N, n, n) stacks; each draw, single or stacked, is one PCG64 stream
-seeded with one word.  There is no matrix wrapper: a matrix is
-validated once where it enters, by ``symmetric`` (square, finite, lower
-triangle mirrored, read-only) or by the seeded draws, and is passed on
-as a plain array.  ``PosDefMatrix`` adds the cached determinant,
-inverse and spectrum of a positive definite one.  All operations are
-pure functions.
+input (the witnesses' C; stacks take LAPACK's), a Cholesky admissibility
+mask over a stack, and seeded sampling of test matrices as (N, n, n)
+stacks, each stack one PCG64 stream seeded with one word
+(``random_pairs`` draws the (C, H) pairs of the oracle and the
+self-test).  There is no matrix wrapper: a matrix is validated once
+where it enters, by ``symmetric`` (square, finite, lower triangle
+mirrored, read-only) or by the seeded draws, and is passed on as a plain
+array.  ``PosDefMatrix`` adds the cached determinant, inverse and
+spectrum of a positive definite one.  All operations are pure functions.
 """
 
 from __future__ import annotations
@@ -225,11 +226,23 @@ def jacobi_eigen(a):
     return eigenvalues, q
 
 
-def cholesky_posdef(a) -> bool:
-    """Fast admissibility pre-check used inside finite-difference loops."""
-    m = _as_array(a)
-    if not np.all(np.isfinite(m)):
-        return False
+def cholesky_posdef(a) -> np.ndarray:
+    """Admissibility test of the finite-difference stencil: for each matrix
+    of an (..., n, n) stack, whether its entries are finite and LAPACK
+    finds its Cholesky factor.  A boolean array of shape ``a.shape[:-2]``.
+    """
+    m = np.asarray(a, dtype=float)
+    flat = m.reshape((-1,) + m.shape[-2:])
+    ok = np.isfinite(flat).all(axis=(-2, -1))
+    try:
+        np.linalg.cholesky(flat[ok])
+    except np.linalg.LinAlgError:
+        # the stacked call names no matrix; factor the finite ones singly
+        ok[ok] = [_has_cholesky(x) for x in flat[ok]]
+    return ok.reshape(m.shape[:-2])
+
+
+def _has_cholesky(m: np.ndarray) -> bool:
     try:
         np.linalg.cholesky(m)
         return True
@@ -266,24 +279,6 @@ def random_posdef_stack(n: int, log_eig_range: tuple, seed: int, count: int) -> 
     return out
 
 
-def random_sym_stack(n: int, seed: int, count: int) -> np.ndarray:
-    """``count`` symmetric samples as a (count, n, n) stack, entries
-    uniform in [-1, 1], from one PCG64 stream seeded with ``seed``.
-
-    The stream gives a (count, n(n+1)/2) block of uniforms; row j fills
-    the i <= j entries of matrix j row-major, and they are mirrored.
-    """
-    if n < 1:
-        raise DimensionError("dimension must be >= 1")
-    rows, cols = np.triu_indices(n)
-    vals = _rng(int(seed)).uniform(-1.0, 1.0, size=(count, rows.size))
-    out = np.zeros((count, n, n))
-    out[:, rows, cols] = vals
-    out[:, cols, rows] = vals
-    _check_finite(out)
-    return out
-
-
 def require_posdef_stack(a: np.ndarray):
     """Apply the eigenvalue floor of ``PosDefMatrix.from_sym`` to every
     matrix of an (N, n, n) stack; raises NotPositiveDefiniteError naming
@@ -313,7 +308,31 @@ def random_posdef(n: int, log_eig_range: tuple, seed: int) -> PosDefMatrix:
     return PosDefMatrix.from_sym(random_posdef_array(n, log_eig_range, seed))
 
 
-def random_sym(n: int, seed: int) -> np.ndarray:
-    """Seeded symmetric sample with entries uniform in [-1, 1]; the
-    count-1 case of ``random_sym_stack``."""
-    return random_sym_stack(n, seed, 1)[0]
+def random_sym(n: int, seed: int, count: int) -> np.ndarray:
+    """``count`` symmetric samples as a (count, n, n) stack, entries
+    uniform in [-1, 1], from one PCG64 stream seeded with ``seed``.
+
+    The stream gives a (count, n(n+1)/2) block of uniforms; row j fills
+    the i <= j entries of matrix j row-major, and they are mirrored.
+    """
+    if n < 1:
+        raise DimensionError("dimension must be >= 1")
+    rows, cols = np.triu_indices(n)
+    vals = _rng(int(seed)).uniform(-1.0, 1.0, size=(count, rows.size))
+    out = np.zeros((count, n, n))
+    out[:, rows, cols] = vals
+    out[:, cols, rows] = vals
+    _check_finite(out)
+    return out
+
+
+def random_pairs(n: int, seed: int, count: int):
+    """``count`` (C, H) pairs as two (count, n, n) stacks, pair i in row i
+    of both.  C is positive definite with eigenvalues over
+    DEFAULT_LOG_EIG_RANGE, from the stream of word 0 of
+    ``seed_words(seed, 2)``, and floored by ``require_posdef_stack``; H is
+    symmetric, from the stream of word 1."""
+    words = seed_words(seed, 2)
+    c = random_posdef_stack(n, DEFAULT_LOG_EIG_RANGE, words[0], count)
+    require_posdef_stack(c)
+    return c, random_sym(n, words[1], count)

@@ -119,12 +119,10 @@ def check_necessity_witness_second_order():
         failures.append("no second-order witness attached")
     if any(w.kind == KIND_POSITIVE_FPRIME for w in rep.witnesses):
         failures.append("unexpected slope witness for a decreasing function")
-    c, h = certifier.witness_second_order(1.0, 3)
+    c, h, analytic, fd, _, _ = certifier.witness_attempt(f, KIND_SECOND_ORDER, 1.0, 3)
     val = detcalculus.condition_lhs_diag(f, 1.0 / c.eigenvalues, h)
     if val != -6.0:
         failures.append(f"diagonal condition value {val!r} != -6 exactly")
-    analytic = detcalculus.g_hess_form(f, c, h)
-    fd = detcalculus.fd_second_directional(f, c, h)
     if not _rel_err(fd, analytic) <= 1e-4:
         failures.append(f"fd {fd!r} disagrees with analytic {analytic!r}")
     return _result(
@@ -186,15 +184,6 @@ def check_oracle_equivalence():
 # -- 6 ----------------------------------------------------------------------
 
 
-def pair_stacks(n: int, seed: int):
-    """1000 (C, H) pairs at dimension n as two stacks, one PCG64 stream
-    each, seeded with ``linalg.seed_words(seed, 2)``; every C is floored."""
-    w = linalg.seed_words(seed, 2)
-    c = linalg.random_posdef_stack(n, linalg.DEFAULT_LOG_EIG_RANGE, w[0], 1000)
-    linalg.require_posdef_stack(c)
-    return c, linalg.random_sym_stack(n, w[1], 1000)
-
-
 def check_identity_suite():
     """The solve kernel ``hess_terms`` gives <C^-1,H> and <HC^-1, C^-1H>
     of the explicit inverse Q diag(1/eig) Q^T to 1e-12; for -ln the
@@ -204,7 +193,7 @@ def check_identity_suite():
     worst_kernel = 0.0
     worst_log = 0.0
     for n in (2, 3, 5):
-        c, h = pair_stacks(n, BASE_SEED + 60 + n)
+        c, h = linalg.random_pairs(n, BASE_SEED + 60 + n, 1000)
         inner, cross = detcalculus.hess_terms(c, h)
         eigenvalues, q = np.linalg.eigh(c)
         c_inv = (q / eigenvalues[:, None, :]) @ q.swapaxes(-1, -2)
@@ -212,7 +201,7 @@ def check_identity_suite():
         ref_cross = np.sum((h @ c_inv) * (c_inv @ h), axis=(-2, -1))
         err = np.maximum(_rel_err(inner, ref_inner), _rel_err(cross, ref_cross))
         s = np.linalg.det(c)
-        log_hess = s * detcalculus.condition_bracket(eval_jet(neg_log, s), s, inner, cross)
+        log_hess = detcalculus.g_hess_form(eval_jet(neg_log, s), s, inner, cross)
         err_log = _rel_err(log_hess, ref_cross)
         worst_kernel = max(worst_kernel, float(err.max()))
         worst_log = max(worst_log, float(err_log.max()))
@@ -283,7 +272,7 @@ def check_reduction_suite():
     failures = []
     worst = 0.0
     for n in (2, 3, 5):
-        c, h = pair_stacks(n, BASE_SEED + 80 + n)
+        c, h = linalg.random_pairs(n, BASE_SEED + 80 + n, 1000)
         corpus = detcalculus.builtin_corpus(n)
         m = len(corpus)
         for k, f in enumerate(corpus):

@@ -1,11 +1,12 @@
 import argparse
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from detconvex import cli, selftest
+from detconvex import cli, detcalculus, linalg, selftest
 from detconvex.cli import main
 
 
@@ -190,6 +191,8 @@ class TestUsageErrors:
             ("witness", "-f", "s", "--grid-count", str(cli.MAX_GRID_COUNT + 1)),
             ("oracle", "--dim", str(cli.MAX_DIM + 1)),
             ("oracle", "--samples", str(cli.MAX_SAMPLES + 1)),
+            # 20 000 samples at n = 10 hold 2e6 entries per stack
+            ("oracle", "--dim", "10", "--samples", "20000"),
             ("curves", "--dim", str(cli.MAX_DIM + 1)),
             ("curves", "--count", str(cli.MAX_GRID_COUNT + 1)),
         ],
@@ -304,11 +307,14 @@ class TestUsageErrors:
         assert out == "" and "unrecognized arguments: --seed 1" in err
         assert not any(tmp_path.iterdir())
 
-    def test_witness_dimension_error_is_usage_error(self, capsys):
-        # n = 1 has no slope witness; this used to end in a traceback
-        code, out, err = run(capsys, "witness", "-f", "s", "--dim", "1", "--grid-count", "50")
-        assert code == 3
-        assert "n >= 2" in err
+    def test_witness_at_dimension_one_has_no_slope_condition(self, capsys):
+        # n = 1 has no slope witness; asking for one ended in a traceback,
+        # then in exit 3.  At n = 1, g is f itself: s is convex, and -s^2
+        # gets the second-order witness
+        code, out, _ = run(capsys, "witness", "-f", "s", "--dim", "1", "--grid-count", "50")
+        assert code == 0 and out == "no violation found on grid\n"
+        code, out, _ = run(capsys, "witness", "-f", "-s^2", "--dim", "1", "--grid-count", "50")
+        assert code == 0 and "kind=SecondOrderDeficit" in out and "confirmed: yes" in out
 
 
 class TestWitnessCommand:
@@ -431,11 +437,57 @@ class TestOracleCommand:
         assert code == 0
 
     def test_overflowing_sample_skipped(self, capsys):
-        # exp(exp(s)) overflows at one of these determinants; the sample
-        # ended in a NonFiniteError traceback, exit 1 ("discrepancy")
-        code, out, _ = run(capsys, "oracle", "-f", "exp(exp(s))", "--samples", "5")
+        # exp(exp(s)) overflows at one of these determinants, beyond
+        # s = ln(709.78...) = 6.56; the sample ended in a NonFiniteError
+        # traceback, exit 1 ("discrepancy")
+        argv = ("oracle", "-f", "exp(exp(s))", "--samples", "5", "--seed", "1")
+        code, out, _ = run(capsys, *argv)
         assert code == 0
         assert "skipped: 1" in out
+        c, _ = linalg.random_pairs(3, 1, 5)
+        assert np.count_nonzero(np.linalg.det(c) > np.log(np.log(np.finfo(float).max))) == 1
+
+    def test_worst_samples_replay(self, capsys):
+        # the last line names the rows of the largest discrepancies; sample
+        # i is row i of the --samples-row stacks of random_pairs and pairs
+        # with corpus member i % 7, so one row replays alone
+        code, out, _ = run(capsys, "oracle", "--dim", "10", "--samples", "28", "--seed", "3")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "oracle sweep: n=10 samples=28 seed=3 f=builtin corpus"
+        worst = re.fullmatch(r"worst samples: hess=(\d+) grad=(\d+) richardson_est=(\S+)", lines[4])
+        c, h = linalg.random_pairs(10, 3, 28)
+        corpus = detcalculus.builtin_corpus(10)
+        estimates = []
+        for i in range(28):
+            row = slice(i, i + 1)
+            s = np.linalg.det(c[row])
+            forms = detcalculus.directional_forms((corpus[i % 7],), c[row], h[row], s)
+            pairs = (
+                (forms.hess, forms.fd_hess, forms.hess_est),
+                (forms.grad, forms.fd_grad, forms.grad_est),
+            )
+            discs = [float(abs(a[0] - fd[0]) / max(1.0, abs(a[0]))) for a, fd, _ in pairs]
+            estimates.append(max(est[0] / max(1.0, abs(a[0])) for a, _, est in pairs))
+            for k, (kind, line, tol) in enumerate(
+                (("hess", lines[1], "1e-05"), ("grad", lines[2], "1e-06"))
+            ):
+                printed = re.fullmatch(rf"{kind} discrepancy: min=\S+ max=(\S+) tol={tol}", line)
+                if i == int(worst.group(1 + k)):
+                    assert printed.group(1) == repr(discs[k])
+        assert worst.group(3) == repr(float(max(estimates)))
+        assert lines[3] == "skipped: 0" and len(lines) == 5
+
+    def test_samples_at_the_entry_limit_run(self, capsys, monkeypatch):
+        def reached(*args, **kwargs):
+            raise cli.UsageError("reached the sweep")
+
+        monkeypatch.setattr(cli.detcalculus, "oracle_sweep", reached)
+        samples = cli.MAX_ORACLE_ENTRIES // 100
+        code, _, err = run(capsys, "oracle", "--dim", "10", "--samples", str(samples))
+        assert code == 3 and err == "error: reached the sweep\n"
+        code, _, err = run(capsys, "oracle", "--dim", "10", "--samples", str(samples + 1))
+        assert code == 3 and "exceeds the limit" in err
 
     def test_every_sample_skipped_exits_two(self, capsys):
         code, out, err = run(capsys, "oracle", "-f", "ln(s-1e9)", "--samples", "3")

@@ -4,8 +4,12 @@ command lines against the golden files under ``tests/golden/``.
 The files were written by the package before the matrices and grid
 columns became plain arrays; the certify files were regenerated when the
 sweep moved to one PCG64 stream per block, which changed their ``rng``
-tag and the ``min_hess_form`` of the two that sweep.  A change that
-alters any report byte must regenerate them on purpose;
+tag and the ``min_hess_form`` of the two that sweep.  The witness
+lines ``fd oracle (h=...) = ...`` and the witness ``fd`` field of
+``certify_s.json`` were regenerated when the fd oracle moved to
+Richardson's extrapolation over steps 16 times longer, the only bytes
+that changed.  A change that alters any report byte must regenerate
+them on purpose;
 ``certify_exp.json`` will change when a domain failure no longer hides
 the refutation of exp(s).
 """

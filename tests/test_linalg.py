@@ -124,7 +124,7 @@ class TestFrobInner:
         assert frob_inner(h, h) == 2.0
 
     def test_zero_annihilates(self):
-        a = random_sym(4, seed=11)
+        a = random_sym(4, seed=11, count=1)[0]
         assert frob_inner(a, np.zeros((4, 4))) == 0.0
 
     def test_shape_mismatch(self):
@@ -144,8 +144,8 @@ class TestFrobInner:
         for seed in range(5):
             c = random_posdef(4, LOG_RANGE, seed=100 + seed)
             q = c.q
-            a = 2.0 * random_sym(4, seed=200 + seed)
-            b = 2.0 * random_sym(4, seed=300 + seed)
+            a = 2.0 * random_sym(4, seed=200 + seed, count=1)[0]
+            b = 2.0 * random_sym(4, seed=300 + seed, count=1)[0]
             plain = frob_inner(a, b)
             rotated = frob_inner(q @ a @ q.T, q @ b @ q.T)
             assert abs(plain - rotated) <= 1e-12 * max(1.0, abs(plain))
@@ -174,7 +174,7 @@ class TestDet:
         # Jacobi's formula: d/dt det(C + tH) at 0 is det C <C^-1, H>; check
         # against central differences
         c = random_posdef(4, LOG_RANGE, seed=77)
-        h = random_sym(4, seed=78)
+        h = random_sym(4, seed=78, count=1)[0]
         analytic = c.det * frob_inner(c.inverse, h)
         step = 1e-6
         fd = (det(c.a + step * h) - det(c.a - step * h)) / (2 * step)
@@ -202,7 +202,7 @@ class TestJacobiEigen:
             assert np.allclose(eigenvalues / scale, [1.0, 3.0], rtol=1e-12)
 
     def test_eigenvalues_ascending(self):
-        eigenvalues, _ = jacobi_eigen(3.0 * random_sym(6, seed=9))
+        eigenvalues, _ = jacobi_eigen(3.0 * random_sym(6, seed=9, count=1)[0])
         assert np.all(np.diff(eigenvalues) >= 0)
 
     @given(sym_matrices())
@@ -383,10 +383,10 @@ class TestSeedWords:
 
 class TestRandomSym:
     def test_deterministic(self):
-        assert np.array_equal(random_sym(4, seed=3), random_sym(4, seed=3))
+        assert np.array_equal(random_sym(4, seed=3, count=2), random_sym(4, seed=3, count=2))
 
     def test_bounded_and_symmetric(self):
-        m = random_sym(4, seed=3)
+        m = random_sym(4, seed=3, count=1)[0]
         assert isinstance(m, np.ndarray) and m.shape == (4, 4)
         assert np.max(np.abs(m)) <= 1.0
         assert np.array_equal(m, m.T)

@@ -53,8 +53,8 @@ def test_nan_from_the_evaluator_fails(monkeypatch, check):
 
 
 def test_identity_suite_reads_the_kernel(monkeypatch):
-    # g_hess_form is det C * condition_lhs_full, and both read the kernel,
-    # so only the explicit inverse can see a kernel error
+    # the -ln collapse takes its terms from the kernel too, so only the
+    # explicit inverse can see a kernel error
     kernel = detcalculus.hess_terms
     monkeypatch.setattr(
         detcalculus, "hess_terms", lambda c, h: tuple(x * (1.0 + 1e-11) for x in kernel(c, h))

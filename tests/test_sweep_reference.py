@@ -14,7 +14,7 @@ import pytest
 
 from detconvex import linalg
 from detconvex.certifier import SWEEP_BLOCK, SWEEP_FAIL_TOL, sample_convexity, sweep_block
-from detconvex.detcalculus import g_hess_form
+from detconvex.detcalculus import g_hess_form, hess_terms
 from detconvex.errors import DomainError, NonFiniteError
 from detconvex.linalg import (
     DEFAULT_LOG_EIG_RANGE,
@@ -22,7 +22,6 @@ from detconvex.linalg import (
     random_posdef_array,
     random_posdef_stack,
     random_sym,
-    random_sym_stack,
 )
 from detconvex.scalarfun import eval_jet, parse
 
@@ -112,7 +111,7 @@ def reference_sample_convexity(f, n, num_samples, seed, log_eig_range=DEFAULT_LO
         c, h, a1, a2 = (x[j] for x in block)
         c = PosDefMatrix.from_sym(c)
         try:
-            v = g_hess_form(f, c, h)
+            v = g_hess_form(eval_jet(f, c.det), c.det, *hess_terms(c.a, h))
             g1 = eval_jet(f, linalg.det(a1)).v
             g2 = eval_jet(f, linalg.det(a2)).v
             gm = eval_jet(f, linalg.det(0.5 * (a1 + a2))).v
@@ -135,21 +134,20 @@ def reference_sample_convexity(f, n, num_samples, seed, log_eig_range=DEFAULT_LO
 def test_stacked_draws_are_the_single_seed_draws(n):
     seeds = np.random.SeedSequence(500 + n).generate_state(40, dtype=np.uint64)
     # a count-1 stack is the draw of a single seed, as it was before the
-    # block streams: the oracle and the self-test draw this way
+    # block streams
     for seed in seeds:
         pd = random_posdef_stack(n, DEFAULT_LOG_EIG_RANGE, seed, 1)
-        sym = random_sym_stack(n, seed, 1)
+        sym = random_sym(n, seed, 1)
         assert pd.shape == sym.shape == (1, n, n)
         assert np.array_equal(pd[0], random_posdef_array(n, DEFAULT_LOG_EIG_RANGE, int(seed)))
         assert np.array_equal(pd[0], old_posdef_draw(n, DEFAULT_LOG_EIG_RANGE, int(seed)))
-        assert np.array_equal(sym[0], random_sym(n, int(seed)))
         assert np.array_equal(sym[0], old_sym_draw(n, 1.0, int(seed)))
     # row j of a k-stack is the j-th matrix of the stream drawn one call
     # at a time
     k = 40
     seed = int(seeds[0])
     pd = random_posdef_stack(n, DEFAULT_LOG_EIG_RANGE, seed, k)
-    sym = random_sym_stack(n, seed, k)
+    sym = random_sym(n, seed, k)
     assert pd.shape == sym.shape == (k, n, n)
     ref_pd = reference_posdef_rows(n, DEFAULT_LOG_EIG_RANGE, seed, k)
     ref_sym = reference_sym_rows(n, 1.0, seed, k)
