@@ -428,11 +428,14 @@ def sample_convexity(
     """Randomized corroboration of the grid verdict.
 
     Draws (C, H) pairs for the quadratic form and PD pairs (C1, C2) for a
-    midpoint-convexity check, in stacked blocks of SWEEP_BLOCK samples:
-    determinants and the inner products of D2g come from LAPACK on the
-    stacks, the scalar jets from four array evaluations per block.  A
-    sample whose jets fail at any of its four points is skipped and
-    counted rather than aborting the sweep.
+    midpoint-convexity check, in stacked blocks of SWEEP_BLOCK samples.
+    Per block, ``linalg.require_posdef_stack`` floors C with one stacked
+    Cholesky proof (``eigh`` only on rows it does not prove), the inner
+    products of D2g come from one LAPACK solve, the determinants of
+    C, A1, A2 and (A1+A2)/2 from one LAPACK call on the four stacks, and
+    their jets from one array evaluation.  A sample whose jets fail at
+    any of its four points is skipped and counted rather than aborting
+    the sweep.
     """
     if num_samples < 1:
         raise ParameterError("num_samples must be >= 1")
@@ -450,18 +453,20 @@ def sample_convexity(
         # the last block is drawn whole and sliced
         stacks = sweep_block(n, log_eig_range, words[4 * b : 4 * b + 4])
         c, h, a1, a2 = (x[: num_samples - start] for x in stacks)
+        m = len(c)
         linalg.require_posdef_stack(c)
         inner, cross = detcalculus.hess_terms(c, h)
-        s = np.linalg.det(c)
-        jet = scalarfun.eval_jet(f, s)
-        g1 = scalarfun.eval_jet(f, np.linalg.det(a1)).v
-        g2 = scalarfun.eval_jet(f, np.linalg.det(a2)).v
-        gm = scalarfun.eval_jet(f, np.linalg.det(0.5 * (a1 + a2))).v
+        # one det and one jet over the rows [C; A1; A2; (A1+A2)/2]
+        dets = np.linalg.det(np.concatenate((c, a1, a2, 0.5 * (a1 + a2))))
+        jets = scalarfun.eval_jet(f, dets)
+        s = dets[:m]
+        jet = Jet2(*(x[:m] for x in jets))
+        g1, g2, gm = jets.v[m:].reshape(3, m)
         # a sample whose jets failed at any point is NaN there and skipped
-        ok = ~(np.isnan(jet.v) | np.isnan(g1) | np.isnan(g2) | np.isnan(gm))
+        ok = ~np.isnan(jets.v).reshape(4, m).any(axis=0)
         k = int(ok.sum())
         run += k
-        skipped += len(s) - k
+        skipped += m - k
         if k == 0:
             continue
         with np.errstate(all="ignore"):

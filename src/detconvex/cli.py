@@ -157,7 +157,11 @@ def _report_json(args, report, diagnostics, f) -> dict:
         "diagnostics": {
             "samples_run": 0 if diagnostics is None else diagnostics.samples_run,
             "samples_skipped": 0 if diagnostics is None else diagnostics.samples_skipped,
-            "min_hess_form": None if diagnostics is None else diagnostics.min_hess_form,
+            # a minimum over no samples is null, not inf
+            "min_hess_form": (
+                None if diagnostics is None or diagnostics.samples_run == 0
+                else diagnostics.min_hess_form
+            ),
         },
         "analytic_convex": report.analytic_convex,
         "annotations": list(report.annotations) + _function_annotations(f),

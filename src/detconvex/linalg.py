@@ -4,7 +4,9 @@ Everything here is sized for the certification workloads (n up to ~16):
 LAPACK eigendecompositions of symmetric matrices, inverses through the
 eigendecomposition, a hand LU determinant that is exact on diagonal
 input (the witnesses' C; stacks take LAPACK's), a Cholesky admissibility
-mask over a stack, and seeded sampling of test matrices as (N, n, n)
+mask over a stack, the positivity floor over a stack (proven by one
+stacked Cholesky factorization, with ``eigh`` only on the rows the proof
+leaves open), and seeded sampling of test matrices as (N, n, n)
 stacks, each stack one PCG64 stream seeded with one word
 (``random_pairs`` draws the (C, H) pairs of the oracle and the
 self-test).  There is no matrix wrapper: a matrix is validated once
@@ -279,20 +281,45 @@ def random_posdef_stack(n: int, log_eig_range: tuple, seed: int, count: int) -> 
     return out
 
 
+def _floor_proven(a: np.ndarray, floors: np.ndarray) -> np.ndarray:
+    """For each matrix of an (N, n, n) stack, whether one stacked Cholesky
+    factorization proves its smallest eigenvalue above ``floors``, so far
+    above that ``np.linalg.eigh`` finds it there too.
+
+    The factorization is of ``C - (floor + margin) I`` with ``margin =
+    4 (n+1)^2 eps |C|_F``.  When LAPACK completes it, the computed factor
+    is the exact one of that matrix plus a perturbation E with
+    |E| <= gamma_(n+1) |R^T| |R| (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., 2002, Theorem 10.3), so |E|_2 is below
+    about (n+1) sqrt(n) eps |C|_F; ``eigh`` puts each eigenvalue within a
+    small multiple of n eps |C|_2 of the exact one.  The margin covers
+    both and the rounding of the shift.  A row it does not prove may
+    still be above the floor."""
+    n = a.shape[-1]
+    margin = 4.0 * (n + 1) ** 2 * np.finfo(float).eps * frob_norm(a)
+    return cholesky_posdef(a - (floors + margin)[:, None, None] * np.eye(n))
+
+
 def require_posdef_stack(a: np.ndarray):
     """Apply the eigenvalue floor of ``PosDefMatrix.from_sym`` to every
     matrix of an (N, n, n) stack; raises NotPositiveDefiniteError naming
-    the first sample below it.  The eigenvalues come from the routine of
-    ``jacobi_eigen`` (eigvalsh's differ in the last bits), so a finite
-    symmetric matrix passes here exactly when it passes ``from_sym``."""
-    smallest = np.linalg.eigh(a)[0][:, 0]
+    the first sample below it.
+
+    One stacked Cholesky factorization (``_floor_proven``) clears the rows
+    whose smallest eigenvalue is well above the floor; only the rest are
+    decomposed, by the routine of ``jacobi_eigen`` (eigvalsh's eigenvalues
+    differ in the last bits).  A finite symmetric matrix therefore passes
+    here exactly when it passes ``from_sym``, and a failure names the
+    same sample with the same numbers as an ``eigh`` of the whole stack."""
     floors = posdef_floor(a)
-    below = np.flatnonzero(smallest <= floors)
+    rest = np.flatnonzero(~_floor_proven(a, floors))
+    smallest = np.linalg.eigh(a[rest])[0][:, 0]
+    below = np.flatnonzero(smallest <= floors[rest])
     if below.size:
-        i = int(below[0])
+        j = int(below[0])
         raise NotPositiveDefiniteError(
-            f"sample {i}: smallest eigenvalue {smallest[i]:.3e} below the "
-            f"positivity floor {floors[i]:.3e}"
+            f"sample {int(rest[j])}: smallest eigenvalue {smallest[j]:.3e} below the "
+            f"positivity floor {floors[rest[j]]:.3e}"
         )
 
 

@@ -108,6 +108,20 @@ class TestCertifyCommand:
             "min_hess_form": None,
         }
 
+    def test_all_skipped_sweep_has_no_minimum(self, capsys):
+        code, out, _ = run(
+            capsys, "certify", "-f", "ln(s-5)", "--s-min", "6", "--samples", "1", "--seed", "0"
+        )
+        assert code == 1
+        assert '"min_hess_form": null' in out
+        # strict JSON: no Infinity token
+        doc = json.loads(out, parse_constant=lambda token: pytest.fail(f"non-strict {token}"))
+        assert doc["diagnostics"] == {
+            "samples_run": 0,
+            "samples_skipped": 1,
+            "min_hess_form": None,
+        }
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(

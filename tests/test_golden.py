@@ -11,7 +11,10 @@ Richardson's extrapolation over steps 16 times longer, the only bytes
 that changed.  A change that alters any report byte must regenerate
 them on purpose;
 ``certify_exp.json`` will change when a domain failure no longer hides
-the refutation of exp(s).
+the refutation of exp(s).  ``certify_mixed_dim5.json`` and
+``certify_neg_ln_dim10.json`` pin sweeps of more than one block at n=5
+and n=10; they were written before the sweep's floor moved to a
+Cholesky proof and its determinants and jets to one call per block.
 """
 
 from pathlib import Path
@@ -27,6 +30,18 @@ CASES = [
     ("certify_neg_ln.json", 0, ("certify", "-f", "-ln(s)", *CERTIFY)),
     ("certify_s.json", 1, ("certify", "-f", "s", *CERTIFY)),
     ("certify_exp.json", 2, ("certify", "-f", "exp(s)", *CERTIFY)),
+    # the default 1000 samples are four blocks, the last one sliced
+    (
+        "certify_mixed_dim5.json",
+        0,
+        ("certify", "-f", "-ln(s)+1e-7*s^2", "--dim", "5", "--seed", "3", "--no-timestamp"),
+    ),
+    (
+        "certify_neg_ln_dim10.json",
+        0,
+        ("certify", "-f", "-ln(s)", "--dim", "10", "--samples", "300", "--seed", "4",
+         "--no-timestamp"),
+    ),
     ("witness_s.txt", 0, ("witness", "-f", "s")),
     ("witness_neg_s.txt", 0, ("witness", "-f", "-s")),
 ]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from detconvex import linalg
+from detconvex import cli, linalg
 from detconvex.errors import DimensionError, NotPositiveDefiniteError, ParameterError
 from detconvex.linalg import (
     PosDefMatrix,
@@ -22,6 +22,7 @@ from detconvex.linalg import (
 from conftest import max_entry
 
 LOG_RANGE = (math.log(0.1), math.log(10.0))
+EPS = float(np.finfo(float).eps)
 
 
 def sym_matrices(max_n=6, scale=10.0):
@@ -317,6 +318,35 @@ def _spectrum_near_floor(n, rel, exponent, seed):
     return symmetric((q * (lam * 10.0**exponent)) @ q.T)
 
 
+def _spectrum_at_margin(n, k, exponent, seed):
+    """A rotated matrix whose smallest eigenvalue sits k margins of the
+    Cholesky floor proof, 4 (n+1)^2 eps times the norm, above the
+    positivity floor of its diagonal form, scaled by 10**exponent."""
+    gen = np.random.default_rng(seed)
+    lam = gen.uniform(1.0, 10.0, size=n)
+    norm = math.sqrt(np.sum(lam[1:] ** 2))
+    lam[0] = (linalg.POSDEF_EIG_FLOOR + k * 4.0 * (n + 1) ** 2 * EPS) * norm
+    q, _ = np.linalg.qr(gen.standard_normal((n, n)))
+    return symmetric((q * (lam * 10.0**exponent)) @ q.T)
+
+
+def _first_below_floor(a):
+    """The message naming the first matrix of a stack that
+    ``PosDefMatrix.from_sym`` refuses, from one ``eigh`` per matrix, or
+    None when it accepts them all."""
+    for i, row in enumerate(a):
+        smallest = np.linalg.eigh(row)[0][0]
+        floor = float(linalg.posdef_floor(row))
+        refused = TestOneFloorRule._raises(PosDefMatrix.from_sym, row)
+        assert refused == (smallest <= floor)
+        if refused:
+            return (
+                f"sample {i}: smallest eigenvalue {smallest:.3e} below the "
+                f"positivity floor {floor:.3e}"
+            )
+    return None
+
+
 class TestOneFloorRule:
     """``PosDefMatrix.from_sym`` and ``require_posdef_stack`` apply one
     positivity floor, so each accepts exactly what the other does."""
@@ -369,6 +399,70 @@ class TestOneFloorRule:
             for d in (1e-310, 3e-308)
         }
         assert subnormal == {True, False}
+
+    @staticmethod
+    def _assert_stack_verdict(a):
+        want = _first_below_floor(a)
+        if want is None:
+            linalg.require_posdef_stack(a)
+        else:
+            with pytest.raises(NotPositiveDefiniteError) as raised:
+                linalg.require_posdef_stack(a)
+            assert str(raised.value) == want
+
+    @given(
+        st.integers(1, cli.MAX_DIM),
+        st.lists(st.tuples(st.floats(-1e-3, 1e-3), st.integers(-200, 200)), min_size=1, max_size=4),
+        st.integers(0, 8),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_multi_row_stacks(self, n, near, ordinary, seed):
+        # near-floor rows at random positions among ordinary draws
+        gen = np.random.default_rng(seed)
+        rows = list(linalg.random_posdef_stack(n, LOG_RANGE, seed, ordinary))
+        for rel, exponent in near:
+            row = _spectrum_near_floor(n, rel, exponent, int(gen.integers(2**32)))
+            rows.insert(int(gen.integers(len(rows) + 1)), row)
+        self._assert_stack_verdict(np.stack(rows))
+
+    @pytest.mark.parametrize("n", [2, 5, cli.MAX_DIM])
+    def test_rows_the_proof_leaves_to_eigh(self, n):
+        draws = linalg.random_posdef_stack(n, LOG_RANGE, 40 + n, 5)
+        # above the floor by about a fifth of the proof's margin: far
+        # beyond the error of eigh, but not proven
+        close = _spectrum_near_floor(n, 2e-4 * (n + 1) ** 2, 0, 2)
+        below = _spectrum_near_floor(n, -0.5, 0, 3)
+        a = np.stack([draws[0], close, draws[1], below, draws[2], below])
+        floors = linalg.posdef_floor(a)
+        assert linalg._floor_proven(a, floors).tolist() == [True, False, True, False, True, False]
+        assert np.linalg.eigh(close)[0][0] > floors[1]
+        self._assert_stack_verdict(a)
+        with pytest.raises(NotPositiveDefiniteError, match="^sample 3: "):
+            linalg.require_posdef_stack(a)
+        linalg.require_posdef_stack(a[:3])
+
+    @given(
+        st.integers(1, cli.MAX_DIM),
+        st.floats(0.0, 4.0),
+        st.integers(-200, 200),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_a_proven_row_is_above_the_floor_by_eigh(self, n, k, exponent, seed):
+        a = _spectrum_at_margin(n, k, exponent, seed)
+        floor = linalg.posdef_floor(a[None])
+        if linalg._floor_proven(a[None], floor)[0]:
+            assert np.linalg.eigh(a)[0][0] > floor[0]
+
+    def test_both_sides_of_the_proof_are_covered(self):
+        for n in (2, 3, 10, cli.MAX_DIM):
+            for seed in range(3):
+                proven = [
+                    bool(linalg._floor_proven(a[None], linalg.posdef_floor(a[None]))[0])
+                    for a in (_spectrum_at_margin(n, k, 0, seed) for k in (0.0, 4.0))
+                ]
+                assert proven == [False, True]
 
 
 class TestSeedWords:

@@ -7,6 +7,12 @@ rule through ``reference_block``, an inline per-matrix draw from one
 PCG64 stream per block and role.  The draws must agree bit for bit;
 values may differ in the last digits because the sweep takes its
 determinants from LAPACK.
+
+``reference_block_kernel`` is the stacked block loop as it was before the
+floor moved to a Cholesky proof and the determinants and jets of a block
+to one call each: an ``eigh`` floor on the whole stack, and four
+``np.linalg.det`` and four ``eval_jet`` calls per block.  The sweep must
+equal it in every bit.
 """
 
 import numpy as np
@@ -14,8 +20,8 @@ import pytest
 
 from detconvex import linalg
 from detconvex.certifier import SWEEP_BLOCK, SWEEP_FAIL_TOL, sample_convexity, sweep_block
-from detconvex.detcalculus import g_hess_form, hess_terms
-from detconvex.errors import DomainError, NonFiniteError
+from detconvex.detcalculus import condition_bracket, g_hess_form, hess_terms
+from detconvex.errors import DomainError, NonFiniteError, NotPositiveDefiniteError
 from detconvex.linalg import (
     DEFAULT_LOG_EIG_RANGE,
     PosDefMatrix,
@@ -249,3 +255,81 @@ def test_failures_of_a_shorter_sweep_are_a_prefix(text):
         for x, y in zip(fa, prefix):
             assert np.array_equal(x[1], y[1]) and np.array_equal(x[2], y[2])
     assert a.min_hess_form >= b.min_hess_form
+
+
+def reference_block_kernel(f, n, num_samples, seed):
+    """The fields of ``ConvexitySampleDiagnostics`` from the stacked block
+    loop with an ``eigh`` floor and one ``np.linalg.det`` and one
+    ``eval_jet`` call per stack."""
+    blocks = -(-num_samples // SWEEP_BLOCK)
+    words = linalg.seed_words(seed, 4 * blocks)
+    min_hess, min_mid, max_mid = np.inf, np.inf, -np.inf
+    hess_failures, mid_failures = [], []
+    run = skipped = 0
+    for b in range(blocks):
+        start = b * SWEEP_BLOCK
+        stacks = sweep_block(n, DEFAULT_LOG_EIG_RANGE, words[4 * b : 4 * b + 4])
+        c, h, a1, a2 = (x[: num_samples - start] for x in stacks)
+        smallest = np.linalg.eigh(c)[0][:, 0]
+        if np.any(smallest <= linalg.posdef_floor(c)):
+            raise NotPositiveDefiniteError("a draw below the positivity floor")
+        inner, cross = hess_terms(c, h)
+        s = np.linalg.det(c)
+        jet = eval_jet(f, s)
+        g1 = eval_jet(f, np.linalg.det(a1)).v
+        g2 = eval_jet(f, np.linalg.det(a2)).v
+        gm = eval_jet(f, np.linalg.det(0.5 * (a1 + a2))).v
+        ok = ~(np.isnan(jet.v) | np.isnan(g1) | np.isnan(g2) | np.isnan(gm))
+        k = int(ok.sum())
+        run += k
+        skipped += len(s) - k
+        if k == 0:
+            continue
+        with np.errstate(all="ignore"):
+            v = s * condition_bracket(jet, s, inner, cross)
+            r = gm - 0.5 * (g1 + g2)
+        min_hess = min(min_hess, float(v[ok].min()))
+        min_mid = min(min_mid, float(r[ok].min()))
+        max_mid = max(max_mid, float(r[ok].max()))
+        for j in np.flatnonzero(ok & (v < -SWEEP_FAIL_TOL)).tolist():
+            hess_failures.append((start + j, c[j], h[j], float(v[j])))
+        for j in np.flatnonzero(ok & (r > SWEEP_FAIL_TOL)).tolist():
+            mid_failures.append((start + j, a1[j], a2[j], float(r[j])))
+    return (run, skipped, float(min_hess), float(min_mid), float(max_mid),
+            hess_failures, mid_failures)
+
+
+def same_failures(got, want) -> bool:
+    return len(got) == len(want) and all(
+        x[0] == y[0] and np.array_equal(x[1], y[1]) and np.array_equal(x[2], y[2])
+        and x[3] == y[3]
+        for x, y in zip(got, want)
+    )
+
+
+KERNEL_FUNCTIONS = ["-ln(s)", "s", "-ln(s)+1e-7*s^2", "ln(s-5)", "exp(exp(s))"]
+
+
+@pytest.mark.parametrize("num", [1, SWEEP_BLOCK - 1, SWEEP_BLOCK, SWEEP_BLOCK + 1, 1000])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+@pytest.mark.parametrize("text", KERNEL_FUNCTIONS)
+def test_sweep_equals_the_block_kernel_reference_bit_for_bit(text, n, num):
+    f = parse(text)
+    seed = 70 + n
+    diag = sample_convexity(f, n, num, seed=seed)
+    run, skipped, min_hess, min_mid, max_mid, hess_failures, mid_failures = (
+        reference_block_kernel(f, n, num, seed)
+    )
+    assert (diag.samples_run, diag.samples_skipped) == (run, skipped)
+    # inf over a sweep that ran no sample compares equal too
+    assert diag.min_hess_form == min_hess
+    assert diag.min_midpoint_residual == min_mid
+    assert diag.max_midpoint_residual == max_mid
+    assert same_failures(diag.hess_failures, hess_failures)
+    assert same_failures(diag.midpoint_failures, mid_failures)
+    # each function exercises what it was chosen for
+    if num == 1000 and text in ("ln(s-5)", "exp(exp(s))"):
+        assert 0 < skipped
+    # at n = 1, g = f is linear and its forms are zero
+    if num == 1000 and text == "s" and n > 1:
+        assert hess_failures and mid_failures
