@@ -20,7 +20,6 @@ from .certifier import (
 )
 from .detcalculus import (
     condition_lhs_diag,
-    condition_lhs_full,
     directional_forms,
     g_grad_form,
     g_hess_form,
@@ -72,7 +71,6 @@ __all__ = [
     "certify",
     "comparison_check",
     "condition_lhs_diag",
-    "condition_lhs_full",
     "det",
     "diff_ineq_lhs",
     "directional_forms",

@@ -115,8 +115,9 @@ def _lhs_from_jet(jet, s: float, n: int) -> float:
     return jet.d2 + ((n - 1) / (n * s)) * jet.d1
 
 
-def diff_ineq_lhs(f, s: float, n: int) -> float:
-    """f''(s) + ((n-1)/(n*s)) * f'(s)."""
+def diff_ineq_lhs(f, s, n: int):
+    """f''(s) + ((n-1)/(n*s)) * f'(s) at a float s, or at each point of an
+    array s (NaN where f fails to evaluate)."""
     if n < 1:
         raise ParameterError(f"dimension n={n} must be >= 1")
     return _lhs_from_jet(scalarfun.eval_jet(f, s), s, n)

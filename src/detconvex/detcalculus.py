@@ -6,9 +6,9 @@ The second directional derivative in a symmetric direction H is
     D2g(C).(H,H) = det C * { [f''(det C) det C + f'(det C)] <C^-1, H>^2
                              - f'(det C) <H C^-1, C^-1 H> }
 
-where <.,.> is the trace inner product.  ``condition_lhs_full`` is the same
+where <.,.> is the trace inner product.  ``condition_bracket`` is the
 bracket without the leading det C factor; ``condition_lhs_diag`` is its
-diagonalized normal form (divided once more by det C).  Both inner
+diagonalized normal form (divided once more by det C).  The inner
 products come from ``hess_terms``, the one solve kernel of single pairs
 and (N, n, n) stacks.
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import linalg, scalarfun
 from .errors import DegenerateDirectionError, DimensionError, ParameterError
-from .linalg import PosDefMatrix, frob_norm
+from .linalg import frob_norm
 
 _EPS = float(np.finfo(float).eps)
 FD_MAX_HALVINGS = 40
@@ -79,18 +79,6 @@ def g_hess_form(jet, s, inner, cross):
     return s * condition_bracket(jet, s, inner, cross)
 
 
-def condition_lhs_full(f, c: PosDefMatrix, h) -> float:
-    """[f'' det C + f'] <C^-1,H>^2 - f' <HC^-1, C^-1H> for one pair;
-    non-negativity of this quantity over all (C, H) characterizes
-    convexity of g."""
-    harr = np.asarray(h, dtype=float)
-    if harr.shape != c.a.shape:
-        raise DimensionError(f"direction shape {harr.shape} does not match n={c.n}")
-    inner, cross = hess_terms(c.a, harr)
-    jet = scalarfun.eval_jet(f, c.det)
-    return condition_bracket(jet, c.det, float(inner), float(cross))
-
-
 def condition_lhs_diag(f, dvec, h):
     """Diagonal normal form of the convexity condition for one pair or for
     stacks: ``dvec`` of shape (..., n) holds the diagonal of D^-1
@@ -100,7 +88,7 @@ def condition_lhs_diag(f, dvec, h):
         (f''(s) + f'(s)/s) <D^-1,H>^2 - (f'(s)/s) <D^-1 H, H D^-1>
 
     where <D^-1,H> = sum_i d_i h_ii and <D^-1 H, H D^-1> = sum_ij d_i d_j
-    h_ij^2.  It equals condition_lhs_full / det C after rotating H into
+    h_ij^2.  It equals condition_bracket / det C after rotating H into
     the eigenbasis, and takes no solve, so it stays a check on the kernel.
     """
     d = np.asarray(dvec, dtype=float)

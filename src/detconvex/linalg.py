@@ -18,7 +18,6 @@ spectrum of a positive definite one.  All operations are pure functions.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field
 
@@ -143,8 +142,8 @@ def _rescaled_norms(a: np.ndarray) -> np.ndarray:
 
 
 def frob_norm(m):
-    """Frobenius norm over the last two axes: a float for a matrix, an
-    array for an (N, n, n) stack.  The square root of the plain sum of
+    """Frobenius norm over the last two axes: a numpy float for a matrix,
+    an array for an (N, n, n) stack.  The square root of the plain sum of
     squares, unless that sum is not a finite normal float (entries beyond
     about 1e154 overflow the squares, below about 1e-154 they underflow);
     then the entries are rescaled first."""
@@ -153,15 +152,12 @@ def frob_norm(m):
         raise DimensionError(f"expected a matrix or a stack of them, got ndim={a.ndim}")
     with np.errstate(over="ignore"):
         squares = np.add.reduce(a * a, axis=(-2, -1))
-    if a.ndim == 2:
-        # the same test on a float, several times quicker than on a 0-d array
-        squares = float(squares)
-        return math.sqrt(squares) if _FLOAT_TINY <= squares < math.inf else float(_rescaled_norms(a))
     norms = np.sqrt(squares)
     redo = ~((squares >= _FLOAT_TINY) & (squares < np.inf))
     if redo.any():
         norms = np.where(redo, _rescaled_norms(a), norms)
-    return norms
+    # a matrix's norm comes out of np.where as a 0-d array
+    return norms[()]
 
 
 def posdef_floor(a):

@@ -8,12 +8,11 @@ which lowers to the same AST once per instance.  One evaluator,
 arithmetic on numpy ufuncs and returns the (value, f', f'') triple exact
 up to roundoff.
 
-``eval_jet`` takes a float or a 1-D float array of points, and both walk
-the same AST with the same ufuncs, so a point gives the same bits either
-way.  A float outside the domain raises DomainError, an overflow
-NonFiniteError.  An array returns a Jet2 of arrays in which a point that
-failed at any node is NaN in all three fields; evaluating that point as a
-float raises its error.
+``eval_jet`` walks an array of points: a failure at any node marks the
+point and the walk goes on, and a point that failed is NaN in all three
+fields of the returned Jet2.  A float is walked as a one-point array, so
+it has the bits it has in any array, and raises the first failure of its
+walk: DomainError outside the domain, NonFiniteError on overflow.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ from .errors import DomainError, NonFiniteError, ParameterError, ParseError, Unk
 
 BRANCH_TOL = 1e-12  # |a - 1/n| below this selects the logarithmic branch
 
-# Node checks compare with infinity through operators, which are cheap on
-# the numpy scalar of a float input and elementwise on an array.
+# Node checks compare with infinity through operators, elementwise on the
+# points and on the numpy scalars of constant subexpressions alike.
 _INF = float("inf")
 
 
@@ -61,45 +60,45 @@ class Jet2(NamedTuple):
         )
 
 
+# Constants stay numpy scalars rather than arrays over the points: np.power
+# with a scalar exponent gives every point the bits of the scalar call,
+# which an array exponent does not, so a point has the same bits in an
+# array of any length.
 _ZERO = np.float64(0.0)
 _ONE = np.float64(1.0)
 
 
 class _Walk:
-    """Failure bookkeeping of one evaluation.
+    """Failure bookkeeping of one evaluation over an array of points.
 
-    A float input walks as a numpy scalar (``raises``) and raises at the
-    first failing node, with the point's value in the message.  An array
-    input marks the point in ``failed`` and goes on.  Constants stay numpy
-    scalars either way, so the nodes run the same ufuncs on the same kinds
-    of operands: np.power with a scalar exponent gives an array the bits of
-    the scalar call, which an array exponent does not.  ``scope`` restricts
-    a check to the points that a per-point branch applies to.  Overflow
-    inside exp and pow is a failure; elsewhere an infinity only fails the
-    point if the final jet is not finite.
+    The first check is the domain rule s > 0.  A check that fails marks
+    its points in ``failed`` and the walk goes on.  ``first`` keeps the
+    first failure in walk order as (error class, message), with the values
+    of the first point that failed; the exception is built where it is
+    raised, since one kept here would hold its traceback, whose frames
+    hold this walk, in a cycle that keeps the arrays alive until the
+    cyclic collector runs.  ``scope`` restricts a check to the points that
+    a per-point branch applies to.  Overflow inside exp and pow is a
+    failure; elsewhere an infinity only fails the point if the final jet
+    is not finite.
     """
 
     def __init__(self, s):
         self.s = s
-        self.raises = s.ndim == 0
-        self.failed = False if self.raises else ~((s > 0.0) & np.isfinite(s))
-
-    def all(self, mask) -> bool:
-        return bool(mask) if self.raises else bool(mask.all())
-
-    def select(self, mask, a, b):
-        """a where mask holds, else b."""
-        if self.raises or mask is True:
-            return a if mask else b
-        return np.where(mask, a, b)
+        self.failed = False
+        self.first = None
+        domain = (s > 0.0) & np.isfinite(s)
+        self.fail(~domain, True, DomainError, "scalar functions are defined for s > 0, got s={}", s)
 
     def fail(self, bad, scope, error, template, *values):
         bad = bad & scope
-        if self.raises:
-            if bad:
-                raise error(template.format(*map(float, values)))
-        else:
-            self.failed |= bad
+        # quicker than bad.any() on the few points of a small call
+        if np.count_nonzero(bad):
+            self.failed = self.failed | bad
+            if self.first is None:
+                k = np.argmax(bad)
+                at = (float(np.broadcast_to(v, bad.shape).flat[k]) for v in values)
+                self.first = (error, template.format(*at))
 
 
 def jet_div(walk: _Walk, a: Jet2, b: Jet2) -> Jet2:
@@ -139,8 +138,9 @@ def jet_pow_const(walk: _Walk, u: Jet2, p: np.ndarray, scope=True) -> Jet2:
     integer (non-negative in the zero case).
     """
     pos = u.v > 0.0
+    all_pos = pos.all()
     used1 = used2 = True
-    if not walk.all(pos):
+    if not all_pos:
         # p % 1 is nan for nan and inf exponents, which are not integers either
         fractional = p % 1.0 != 0.0
         walk.fail(
@@ -157,8 +157,11 @@ def jet_pow_const(walk: _Walk, u: Jet2, p: np.ndarray, scope=True) -> Jet2:
     over = (abs(w) == _INF) | used1 & (abs(pw1) == _INF) | used2 & (abs(pw2) == _INF)
     over &= (abs(u.v) < _INF) & (abs(p) < _INF)
     walk.fail(over, scope, NonFiniteError, "overflow in {} ** {}", u.v, p)
-    wp1 = walk.select(used1, p * pw1, 0.0)
-    wp2 = walk.select(used2, p * (p - 1.0) * pw2, 0.0)
+    wp1 = p * pw1
+    wp2 = p * (p - 1.0) * pw2
+    if not all_pos:
+        wp1 = np.where(used1, wp1, 0.0)
+        wp2 = np.where(used2, wp2, 0.0)
     return Jet2(w, wp1 * u.d1, wp2 * u.d1 * u.d1 + wp1 * u.d2)
 
 
@@ -167,11 +170,11 @@ def jet_pow(walk: _Walk, base: Jet2, expo: Jet2) -> Jet2:
     exponent's jet is constant, exp(expo * ln(base)) (base > 0) where it
     varies."""
     const = (expo.d1 == 0.0) & (expo.d2 == 0.0)
-    if walk.all(const):
+    if const.all():
         return jet_pow_const(walk, base, expo.v)
     varying = ~const
     w = jet_exp(walk, expo * jet_ln(walk, base, varying), varying)
-    if walk.all(varying):
+    if varying.all():
         return w
     m = jet_pow_const(walk, base, expo.v, const)
     return Jet2(*(np.where(const, a, b) for a, b in zip(m, w)))
@@ -548,34 +551,32 @@ class NeoHookeVolumetric:
 BuiltinFamily = PowerLaw | LogFamily | FamilyA | NeoHookeVolumetric
 
 
-def _check_point(s: float):
-    if not (s > 0.0) or not math.isfinite(s):
-        raise DomainError(f"scalar functions are defined for s > 0, got s={s}")
-
-
 def eval_jet(f, s) -> Jet2:
     """Evaluate f to (f(s), f'(s), f''(s)) at a float s or at each point of
     a 1-D float array s; s must be positive.
 
-    f is a parsed expression or a built-in family.  A float raises
-    DomainError outside the domain and NonFiniteError if evaluation
-    overflows; an array is NaN in all three fields at such points.
+    f is a parsed expression or a built-in family.  An array is NaN in all
+    three fields at a point outside the domain or where evaluation
+    overflows.  A float (or a numpy scalar or 0-d array) is evaluated as a
+    one-point array and raises there: DomainError, or NonFiniteError on
+    overflow.
     """
-    raises = not isinstance(s, np.ndarray) or s.ndim == 0
-    if raises:
-        _check_point(s)
-        s = float(s)
-    walk = _Walk(np.float64(s) if raises else np.array(s, dtype=float))
+    point = not isinstance(s, np.ndarray) or s.ndim == 0
+    s = np.array(s, dtype=float, ndmin=1)
+    walk = _Walk(s)
     with np.errstate(all="ignore"):
         jet = _eval_node(f.expr if isinstance(f, BuiltinFamily) else f, walk)
-    if raises:
-        jet = Jet2(float(jet.v), float(jet.d1), float(jet.d2))
-        if not (math.isfinite(jet.v) and math.isfinite(jet.d1) and math.isfinite(jet.d2)):
-            raise NonFiniteError(f"non-finite jet {jet} at s={s}")
-        return jet
     # a field that never met s, like the slope of a constant, is a scalar
     jet = Jet2(*(x if isinstance(x, np.ndarray) and x.ndim else np.full(s.shape, x) for x in jet))
     bad = walk.failed | ~(np.isfinite(jet.v) & np.isfinite(jet.d1) & np.isfinite(jet.d2))
+    if point:
+        jet = Jet2(*(float(x[0]) for x in jet))
+        if walk.first is not None:
+            error, message = walk.first
+            raise error(message)
+        if bad[0]:
+            raise NonFiniteError(f"non-finite jet {jet} at s={float(s[0])}")
+        return jet
     if bad.any():
         jet = Jet2(*(np.where(bad, np.nan, x) for x in jet))
     return jet

@@ -53,18 +53,19 @@ def check_known_convex():
     rep = certifier.certify(f, n=3, grid=GridSpec(1e-3, 1e3, 1000))
     if rep.verdict != CERTIFIED:
         failures.append(f"verdict {rep.verdict} != {CERTIFIED}")
-    worst = 0.0
-    for s, reported in zip(rep.s.tolist(), rep.lhs.tolist()):
-        closed = 1.0 / (3.0 * s * s)
-        lhs = certifier.diff_ineq_lhs(f, s, 3)
-        if lhs != reported:
-            failures.append(f"report lhs differs from diff_ineq_lhs at s={s:.3e}")
-            break
-        err = abs(lhs - closed) / closed
-        worst = max(worst, err)
-        if err > 1e-12:
-            failures.append(f"lhs mismatch at s={s:.3e}: rel err {err:.2e}")
-            break
+    s = rep.s
+    lhs = certifier.diff_ineq_lhs(f, s, 3)
+    closed = 1.0 / (3.0 * s * s)
+    err = np.abs(lhs - closed) / closed
+    differs = lhs != rep.lhs
+    bad = differs | (err > 1e-12)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if differs[i]:
+            failures.append(f"report lhs differs from diff_ineq_lhs at s={s[i]:.3e}")
+        else:
+            failures.append(f"lhs mismatch at s={s[i]:.3e}: rel err {err[i]:.2e}")
+    worst = float(err.max())
     return _result("c01", "known convex -ln(s)", failures, f"max closed-form rel err {worst:.2e}")
 
 

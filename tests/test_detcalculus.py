@@ -6,8 +6,8 @@ import pytest
 from detconvex import detcalculus, linalg, scalarfun
 from detconvex.detcalculus import (
     builtin_corpus,
+    condition_bracket,
     condition_lhs_diag,
-    condition_lhs_full,
     directional_forms,
     fd_first_directional,
     fd_second_directional_with_step,
@@ -39,6 +39,11 @@ def _samples(n, count, seed):
 def _grad(f, c, h):
     """g_grad_form of one pair, at its LU determinant."""
     return g_grad_form(eval_jet(f, c.det), c.det, hess_terms(c.a, h)[0])
+
+
+def _bracket(f, c, h):
+    """condition_bracket of one pair, at its LU determinant."""
+    return condition_bracket(eval_jet(f, c.det), c.det, *hess_terms(c.a, h))
 
 
 def _hess(f, c, h):
@@ -150,16 +155,16 @@ class TestHessTerms:
 class TestConditionForms:
     def test_full_neg_ln_identity(self):
         c = PosDefMatrix.from_diag([1.0, 1.0, 1.0])
-        assert condition_lhs_full(NEG_LN, c, np.eye(3)) == 3.0
+        assert _bracket(NEG_LN, c, np.eye(3)) == 3.0
 
     def test_full_slope_witness(self):
         c = PosDefMatrix.from_diag([1.0, 1.0, 2.0])
         h = np.diag([1.0, -1.0, 0.0])
-        assert condition_lhs_full(IDENT, c, h) == -2.0
+        assert _bracket(IDENT, c, h) == -2.0
 
     def test_full_zero_direction(self):
         c = random_posdef(3, LOG_RANGE, seed=5)
-        assert condition_lhs_full(NEG_LN, c, np.zeros((3, 3))) == 0.0
+        assert _bracket(NEG_LN, c, np.zeros((3, 3))) == 0.0
 
     def test_diag_matches_full_at_identity_frame(self):
         assert condition_lhs_diag(NEG_LN, np.ones(3), np.eye(3)) == 3.0
@@ -212,7 +217,7 @@ class TestConditionForms:
             corpus = builtin_corpus(n)
             for i, (c, h) in enumerate(_samples(n, 60, seed=40 + n)):
                 f = corpus[i % len(corpus)]
-                full = condition_lhs_full(f, c, h)
+                full = _bracket(f, c, h)
                 hess = _hess(f, c, h)
                 assert abs(full * c.det - hess) <= 1e-12 * max(1.0, abs(hess))
 

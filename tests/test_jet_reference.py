@@ -3,10 +3,11 @@
 ``ref_eval_jet`` is the old evaluation, kept here as the reference: a
 recursive walk of the expression AST in ``math`` floats that raises at the
 first failing node, and the four hand-coded family jets.  The evaluator
-must fail at the same points with the same error types, give an array
-point the same bits as the same point evaluated as a float, and stay
-within ``JET_RTOL`` of the reference: ``math`` and numpy ufuncs may differ
-by an ulp, and the lowered families' products associate differently.
+must fail at the same points with the same error types, give a point of
+an array the same bits as the point evaluated alone as a float (which it
+walks as a one-point array), and stay within ``JET_RTOL`` of the
+reference: ``math`` and numpy ufuncs may differ by an ulp, and the lowered
+families' products associate differently.
 """
 
 from __future__ import annotations

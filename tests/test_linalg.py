@@ -56,6 +56,12 @@ class TestFrobNorm:
     def test_zero_matrix(self):
         assert linalg.frob_norm(np.zeros((3, 3))) == 0.0
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+    def test_a_matrix_gives_a_float(self, scale):
+        # plain and rescaled sums alike, not a 0-d array
+        norm = linalg.frob_norm(np.eye(3) * scale)
+        assert isinstance(norm, float) and np.ndim(norm) == 0
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_norm_is_inf_without_a_warning(self):
         big = np.full((2, 2), 1.5e308)

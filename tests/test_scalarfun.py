@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from detconvex.scalarfun import (
     PowerLaw,
     Variable,
     eval_jet,
+    failure_at,
     parse,
 )
 
@@ -161,6 +163,51 @@ class TestEvalJet:
     def test_overflow_reported(self):
         with pytest.raises(NonFiniteError):
             eval_jet(parse("exp(exp(s))"), 100.0)
+
+    @pytest.mark.parametrize(
+        "as_input", [float, np.float64, np.array], ids=["float", "float64", "0-d"]
+    )
+    @pytest.mark.parametrize(
+        "text, s, error, message",
+        [
+            ("s", 0.0, DomainError, "scalar functions are defined for s > 0, got s=0.0"),
+            ("s", -1.0, DomainError, "scalar functions are defined for s > 0, got s=-1.0"),
+            ("s", math.nan, DomainError, "scalar functions are defined for s > 0, got s=nan"),
+            ("s", math.inf, DomainError, "scalar functions are defined for s > 0, got s=inf"),
+            ("ln(s-2)", 1.0, DomainError, "ln of non-positive value -1.0"),
+            ("sqrt(s-2)", 1.0, DomainError, "sqrt of non-positive value -1.0"),
+            ("1/(s-1)", 1.0, DomainError, "division by zero"),
+            ("(s-s)^-1", 1.0, DomainError, "0 raised to a negative power"),
+            ("(0-s)^0.5", 2.0, DomainError, "-2.0 raised to non-integer power 0.5"),
+            ("exp(s)", 800.0, NonFiniteError, "exp overflow at 800.0"),
+            ("s^400", 1e3, NonFiniteError, "overflow in 1000.0 ** 400.0"),
+            (
+                "1e300*s^2",
+                1e10,
+                NonFiniteError,
+                "non-finite jet Jet2(v=inf, d1=inf, d2=2e+300) at s=10000000000.0",
+            ),
+            # both terms fail; the first node in walk order is named
+            ("ln(s-2)+sqrt(s-3)", 1.0, DomainError, "ln of non-positive value -1.0"),
+            ("sqrt(s-3)+ln(s-2)", 1.0, DomainError, "sqrt of non-positive value -2.0"),
+        ],
+    )
+    def test_failure_messages(self, text, s, error, message, as_input):
+        with pytest.raises(error) as info:
+            eval_jet(parse(text), as_input(s))
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_a_failed_float_leaves_no_cyclic_garbage(self):
+        # an exception kept by the walk would hold its own traceback's frames
+        f = parse("exp(s)")
+        gc.collect()
+        gc.disable()
+        try:
+            failure_at(f, 800.0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_jet_linearity_exact(self):
         for text in ("s^2 - 3*s + 1", "-ln(s)", "sqrt(s^2+1)"):

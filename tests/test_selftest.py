@@ -5,7 +5,8 @@ sample or point, and a kernel off by 1e-11."""
 import numpy as np
 import pytest
 
-from detconvex import detcalculus, odelimit, selftest
+from detconvex import certifier, detcalculus, odelimit, selftest
+from detconvex.certifier import GridSpec
 from detconvex.odelimit import IvpSpec
 from detconvex.scalarfun import Jet2, eval_jet, parse
 
@@ -62,6 +63,45 @@ def test_identity_suite_reads_the_kernel(monkeypatch):
     result = selftest.check_identity_suite()
     assert not result.passed
     assert "kernel vs inverse rel err" in result.detail
+
+
+C01_GRID = GridSpec(1e-3, 1e3, 1000).points()
+
+
+def test_known_convex_matches_the_per_point_loop():
+    f = parse("-ln(s)")
+    worst = 0.0
+    for s in C01_GRID.tolist():
+        closed = 1.0 / (3.0 * s * s)
+        worst = max(worst, abs(certifier.diff_ineq_lhs(f, s, 3) - closed) / closed)
+    result = selftest.check_known_convex()
+    assert result.passed
+    assert result.detail == f"max closed-form rel err {worst:.2e}"
+
+
+def test_known_convex_fails_on_a_point_off_the_report(monkeypatch):
+    lhs = certifier.diff_ineq_lhs
+
+    def planted(f, s, n):
+        out = np.array(lhs(f, s, n))
+        out[3] = np.nextafter(out[3], np.inf)
+        return out
+
+    monkeypatch.setattr(certifier, "diff_ineq_lhs", planted)
+    result = selftest.check_known_convex()
+    assert not result.passed
+    assert result.detail == f"report lhs differs from diff_ineq_lhs at s={C01_GRID[3]:.3e}"
+
+
+def test_known_convex_fails_off_the_closed_form(monkeypatch):
+    # the report and diff_ineq_lhs share the rule, so they still agree
+    rule = certifier._lhs_from_jet
+    monkeypatch.setattr(
+        certifier, "_lhs_from_jet", lambda jet, s, n: rule(jet, s, n) * (1.0 + 1e-9)
+    )
+    result = selftest.check_known_convex()
+    assert not result.passed
+    assert result.detail == f"lhs mismatch at s={C01_GRID[0]:.3e}: rel err 1.00e-09"
 
 
 def test_ode_suite_matches_the_per_point_loop():
