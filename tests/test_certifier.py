@@ -553,6 +553,20 @@ class TestOneDimensional:
         assert rep.analytic_convex is want
         assert rep.verdict in _one_dimensional_verdicts(want)
 
+    @pytest.mark.parametrize("text", ["ln(s)", "sqrt(s)", "-1/s"])
+    def test_unconfirmed_first_witness_is_retried_nearest_s_one(self, text):
+        # C = s, H = 1/s at s = 1e-3 moves s by a third of itself, too far
+        # for the fd oracle of these f, which exited 2; the violating point
+        # nearest s = 1 in log s confirms
+        grid = GridSpec()
+        rep = certify(parse(text), 1, grid)
+        assert rep.verdict == REFUTED and rep.annotations == ()
+        [w] = rep.witnesses
+        assert w.kind == KIND_SECOND_ORDER
+        step = math.log(grid.s_max / grid.s_min) / (grid.count - 1)
+        assert abs(math.log(w.s_star)) <= 0.5 * step * (1 + 1e-9)
+        assert w.analytic_value < 0
+
     def test_refutations_at_dimension_one(self):
         # the second-order witness confirms wherever the stencil stays
         # near s: polynomials, exp, and singular f away from small s

@@ -122,6 +122,16 @@ class TestCertifyCommand:
             "min_hess_form": None,
         }
 
+    def test_dimension_one_concave_function_is_refuted(self, capsys):
+        # the first violating point, s = 1e-3, has no confirmed witness;
+        # the retry nearest s = 1 has
+        argv = ("certify", "-f", "ln(s)", "--dim", "1", "--samples", "0", "--no-timestamp")
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and err == "verdict: Refuted\n"
+        doc = json.loads(out)
+        assert doc["annotations"] == []
+        assert [w["kind"] for w in doc["witnesses"]] == ["SecondOrderDeficit"]
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(
