@@ -211,6 +211,25 @@ def _confirmed_witness(f, kind: str, s: float, n: int) -> Witness | None:
     return Witness(kind=kind, s_star=float(s), c=c, h=h, analytic_value=analytic, fd_value=fd)
 
 
+def _grid_witness(f, kind: str, s, candidates, n: int) -> Witness | None:
+    """The confirmed pair for ``kind`` at the first grid point of ``s``
+    that the mask ``candidates`` marks or, failing that, at the marked
+    point nearest s = 1 in log s; None when neither confirms.
+
+    The fd step, (1 + |C|) / (1 + |H|) times a constant, suits a pair of
+    unit scale, and at s = 1 both pairs are.  At n = 1 the second-order
+    pair C = s, H = 1/s at s = 1e-3 moves det C by a third of itself, too
+    far for the oracle of ln(s) or sqrt(s).
+    """
+    first = int(np.argmax(candidates))
+    w = _confirmed_witness(f, kind, float(s[first]), n)
+    if w is None:
+        nearest = int(np.argmin(np.where(candidates, np.abs(np.log(s)), np.inf)))
+        if nearest != first:
+            w = _confirmed_witness(f, kind, float(s[nearest]), n)
+    return w
+
+
 def analytic_convexity(f, n: int) -> bool | None:
     """Closed-form verdict for built-in families; None for expressions.
 
@@ -236,7 +255,9 @@ def certify(f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BA
 
     Per-point tolerance band: tol * (1 + |f'(s)| + |f''(s)|), with
     0 < tol < 1.  Any violation triggers witness construction at the first
-    violating point of its kind; Refuted requires a confirmed witness.
+    violating point of its kind and, when that pair is not confirmed, at
+    the violating point of that kind nearest s = 1; Refuted requires a
+    confirmed witness.
     Scalar domain failures annotate the report and force Inconclusive.
     """
     if n < 1:
@@ -282,11 +303,11 @@ def certify(f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BA
     lhs_bad = ~lhs_ok & (not domain_failure)
     witnesses = []
     if fprime_bad.any():
-        s_bad = float(s[np.argmax(fprime_bad)])
-        w = _confirmed_witness(f, KIND_POSITIVE_FPRIME, s_bad, n)
+        w = _grid_witness(f, KIND_POSITIVE_FPRIME, s, fprime_bad, n)
         if w is not None:
             witnesses.append(w)
         else:
+            s_bad = float(s[np.argmax(fprime_bad)])
             annotations.append(f"slope violation at s={s_bad:.6g} not confirmed by the fd oracle")
     if lhs_bad.any():
         # points already covered by a slope witness prefer that construction
@@ -294,11 +315,11 @@ def certify(f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BA
         if not candidates.any() and not witnesses:
             candidates = lhs_bad
         if candidates.any():
-            s_bad = float(s[np.argmax(candidates)])
-            w = _confirmed_witness(f, KIND_SECOND_ORDER, s_bad, n)
+            w = _grid_witness(f, KIND_SECOND_ORDER, s, candidates, n)
             if w is not None:
                 witnesses.append(w)
             else:
+                s_bad = float(s[np.argmax(candidates)])
                 annotations.append(
                     f"second-order violation at s={s_bad:.6g} not confirmed by the fd oracle"
                 )

@@ -258,10 +258,12 @@ def random_posdef_stack(n: int, log_eig_range: tuple, seed: int, count: int) -> 
 
     The stream gives first a (count, n) block of uniforms over
     ``log_eig_range``, whose exp gives the eigenvalues of each row, then
-    a (count, n, n) block of Gaussians, whose QR factors, with the
-    positive-diagonal sign convention, give the orthogonal frames.  Row j
-    takes the j-th eigenvalue row and the j-th Gaussian matrix, so a
-    count of 1 is the draw of ``random_posdef_array``.
+    a (count, n, n) block of Gaussians, whose QR factors Q give the
+    orthogonal frames.  The column signs of Q cancel in ``Q diag Q^T``
+    term by term, so the samples are those of the positive-diagonal sign
+    convention bit for bit.  Row j takes the j-th eigenvalue row and the
+    j-th Gaussian matrix, so a count of 1 is the draw of
+    ``random_posdef_array``.
     """
     if n < 1:
         raise DimensionError("dimension must be >= 1")
@@ -270,8 +272,7 @@ def random_posdef_stack(n: int, log_eig_range: tuple, seed: int, count: int) -> 
         raise ParameterError(f"log eigenvalue range has lo={lo} > hi={hi}")
     gen = _rng(int(seed))
     logs = gen.uniform(lo, hi, size=(count, n))
-    q, r = np.linalg.qr(gen.standard_normal((count, n, n)))
-    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+    q = np.linalg.qr(gen.standard_normal((count, n, n)))[0]
     out = _mirror_lower((q * np.exp(logs)[:, None, :]) @ np.swapaxes(q, -1, -2))
     _check_finite(out)
     return out

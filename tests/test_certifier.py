@@ -507,6 +507,7 @@ ONE_DIMENSIONAL = {
     "sqrt(s)": lambda s: mpmath.sqrt(s),
     "-sqrt(s)": lambda s: -mpmath.sqrt(s),
     "1/s": lambda s: 1 / s,
+    "-1/s": lambda s: -1 / s,
     "s^3 - s": lambda s: s**3 - s,
     "s*ln(s)": lambda s: s * mpmath.log(s),
     "exp(-s)": lambda s: mpmath.exp(-s),
@@ -521,11 +522,11 @@ def _mp_convex(f, points) -> bool:
 
 
 def _one_dimensional_verdicts(convex: bool) -> set:
-    """Accepted verdicts at n = 1.  A non-convex f must not certify; it is
-    Refuted when the second-order witness at its first violating point is
-    confirmed, and Inconclusive otherwise: C = s, H = 1/s at s = 1e-3 moves
-    s by a third of itself, too far for the fd oracle of ln or sqrt."""
-    return {CERTIFIED} if convex else {REFUTED, INCONCLUSIVE}
+    """Accepted verdicts at n = 1.  A non-convex f is Refuted: where the
+    second-order witness at its first violating point is not confirmed
+    (C = s, H = 1/s at s = 1e-3 moves s by a third of itself, too far for
+    the fd oracle of ln or sqrt), the one nearest s = 1 is."""
+    return {CERTIFIED} if convex else {REFUTED}
 
 
 class TestOneDimensional:

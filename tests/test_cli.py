@@ -2,12 +2,15 @@ import argparse
 import json
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from detconvex import cli, detcalculus, linalg, selftest
 from detconvex.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -140,6 +143,57 @@ class TestCertifyCommand:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["verdict"] == "CertifiedOnGrid"
+
+
+class TestRepeatedCalls:
+    """main() builds its parser once per process and reuses it; no call
+    may see another through it."""
+
+    GOLDEN = ("certify", "-f", "-ln(s)", "--dim", "3", "--no-timestamp", "--samples", "50",
+              "--grid-count", "200")
+    CALLS = (
+        GOLDEN,
+        ("certify", "-f", "s", "--dim", "three"),
+        ("certify", "--help"),
+        ("oracle", "--dim", "10", "--samples", "28", "--seed", "3"),
+    )
+
+    def test_interleaved_calls_repeat_their_first_result(self, capsys):
+        first = [run(capsys, *argv) for argv in self.CALLS]
+        assert [code for code, _, _ in first] == [0, 3, 0, 0]
+        assert first[0][1] == (GOLDEN_DIR / "certify_neg_ln.json").read_text()
+        assert "invalid int value: 'three'" in first[1][2]
+        assert first[2][1].startswith("usage: detconvex certify")
+        order = [0, 1, 2, 3, 0, 3, 2, 1, 0]
+        for i in order:
+            assert run(capsys, *self.CALLS[i]) == first[i], self.CALLS[i]
+
+    def test_defaults_do_not_leak_between_calls(self, capsys):
+        base = ("certify", "-f", "-ln(s)", "--grid-count", "20", "--samples", "5",
+                "--no-timestamp")
+        _, out, _ = run(capsys, *base, "--seed", "7", "--dim", "5")
+        doc = json.loads(out)
+        assert (doc["seed"], doc["n"]) == (7, 5)
+        _, out, _ = run(capsys, *base)
+        doc = json.loads(out)
+        assert (doc["seed"], doc["n"]) == (42, 3)
+        _, out, _ = run(capsys, "oracle", "--samples", "2")
+        assert out.startswith("oracle sweep: n=3 samples=2 seed=42 f=builtin corpus\n")
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        cli._build_parser.cache_clear()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in self.CALLS + self.CALLS:
+            run(capsys, *argv)
+        # the top-level parser and one per subcommand
+        assert len(built) == 6
 
 
 class TestUsageErrors:

@@ -133,6 +133,12 @@ class TestAgainstReference:
         assert text == reference(*doc_columns)
         assert '"fprime": Infinity' in text and '"lhs": 5.0' in text
 
+    def test_float_column_mixing_finite_and_non_finite_values(self):
+        column = np.array([0.1, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, -2.5])
+        finite = np.isfinite(column)
+        for part in (column, column[finite], column[~finite], column[:0]):
+            assert cli._json_floats(part) == [json.dumps(x) for x in part.tolist()]
+
 
 def _captured_reports(monkeypatch, capsys, argvs):
     """(doc, columns, stdout) for each certify command line, with the

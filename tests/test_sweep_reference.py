@@ -162,6 +162,18 @@ def test_stacked_draws_are_the_single_seed_draws(n):
         assert np.array_equal(sym[j], ref_sym[j])
 
 
+def test_frames_need_no_sign_convention():
+    # random_posdef_stack takes Q as LAPACK returns it; the reference flips
+    # Q's columns to a positive diagonal of R.  Each flip cancels in
+    # Q diag Q^T, so the draws agree bit for bit
+    k = 64
+    for n in range(1, 34):
+        seed = 900 + n
+        got = random_posdef_stack(n, DEFAULT_LOG_EIG_RANGE, seed, k)
+        want = reference_posdef_rows(n, DEFAULT_LOG_EIG_RANGE, seed, k)
+        assert all(np.array_equal(got[j], want[j]) for j in range(k)), n
+
+
 def test_rng_tag_names_the_block_size():
     assert linalg.RNG_ALGORITHM == f"numpy-pcg64-block{SWEEP_BLOCK}"
 
