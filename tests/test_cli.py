@@ -459,6 +459,57 @@ class TestWitnessCommand:
             )
 
 
+def _witness_text(w) -> re.Pattern:
+    """The witness command's text for one witness of the certify JSON; the
+    fd step is not in the JSON and matches any float."""
+    rows = lambda m: "".join("  [" + ", ".join(map(repr, r)) + "]\n" for r in m)  # noqa: E731
+    return re.compile(
+        re.escape(
+            f"witness kind={w['kind']} at s={w['s']!r}\nC =\n{rows(w['C'])}H =\n{rows(w['H'])}"
+            f"analytic D2g(C).(H,H) = {w['analytic']!r}\nfd oracle (h="
+        )
+        + r"[0-9.e+-]+"
+        + re.escape(f") = {w['fd']!r}\nconfirmed: yes\n")
+    )
+
+
+class TestWitnessMatchesCertify:
+    """The witness command prints what certify concluded: its first
+    witness, "no violation found on grid" when certified, or its
+    annotations with exit 2."""
+
+    def certify_doc(self, capsys, argv):
+        code, out, _ = run(capsys, "certify", *argv, "--samples", "0", "--no-timestamp")
+        return code, json.loads(out)
+
+    @pytest.mark.parametrize("spec", ["ln(s)", "sqrt(s)", "-1/s"])
+    def test_dimension_one_prints_the_confirmed_retry(self, capsys, spec):
+        argv = ("-f", spec, "--dim", "1")
+        _, doc = self.certify_doc(capsys, argv)
+        w = doc["witnesses"][0]
+        code, out, err = run(capsys, "witness", *argv)
+        assert code == 0 and err == ""
+        assert "confirmed: yes" in out.splitlines()
+        assert out.startswith(f"witness kind={w['kind']} at s={w['s']!r}\n")
+        assert _witness_text(w).fullmatch(out)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("spec", selftest.EXPRESSION_CORPUS)
+    def test_corpus_agrees_with_certify(self, capsys, spec, n):
+        argv = ("-f", spec, "--dim", str(n), "--grid-count", "50")
+        cert_code, doc = self.certify_doc(capsys, argv)
+        code, out, err = run(capsys, "witness", *argv)
+        assert err == ""
+        if doc["verdict"] == "Refuted":
+            assert code == 0 and _witness_text(doc["witnesses"][0]).fullmatch(out)
+        elif doc["verdict"] == "CertifiedOnGrid":
+            assert code == 0 and out == "no violation found on grid\n"
+        else:
+            assert cert_code == code == 2
+            assert out == "".join(line + "\n" for line in doc["annotations"])
+        assert (out == "no violation found on grid\n") == (doc["verdict"] == "CertifiedOnGrid")
+
+
 class TestCurvesCommand:
     def test_writes_standard_set(self, capsys, tmp_path):
         outdir = tmp_path / "curves"
