@@ -68,8 +68,11 @@ class GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class Witness:
-    """Concrete counterexample: D2g(C).(H,H) = analytic_value < 0, with the
-    finite-difference oracle agreeing."""
+    """One witness attempt: the pair (C, H) of ``kind`` at s_star, its
+    quadratic form D2g(C).(H,H) = analytic_value, and fd_value, the
+    finite-difference oracle's estimate with outer step ``step``.  The
+    pair is a counterexample when ``confirmed``: analytic_value < 0 and
+    the two agree within WITNESS_CONFIRM_TOL relative."""
 
     kind: str
     s_star: float
@@ -77,6 +80,8 @@ class Witness:
     h: np.ndarray
     analytic_value: float
     fd_value: float
+    step: float
+    confirmed: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,24 +171,22 @@ def witness_second_order(s: float, n: int):
     return PosDefMatrix.from_diag(np.full(n, root)), np.diag(np.full(n, 1.0 / root))
 
 
-def witness_attempt(f, kind: str, s: float, n: int):
-    """(C, H, analytic, fd, h_used, confirmed) for the pair of ``kind`` at s.
+def witness_attempt(f, kind: str, s: float, n: int) -> Witness:
+    """The ``Witness`` record of the pair of ``kind`` at s, confirmed or not.
 
-    ``analytic`` is D2g(C).(H,H) and ``fd`` its Richardson central second
-    difference with outer step ``h_used``, from ``directional_forms`` on
-    the one-row stack at the exact determinant of the diagonal C.  The
-    pair is confirmed when the analytic form is strictly negative and the
-    two agree within WITNESS_CONFIRM_TOL relative.  Errors of the
-    construction (DimensionError for a slope witness at n = 1)
-    propagate; DegenerateDirectionError when f fails at a stencil point
-    or no step is admissible.
+    The analytic form and its Richardson central second difference come
+    from ``directional_forms`` on the one-row stack at the exact
+    determinant of the diagonal C.  Errors of the construction
+    (DimensionError for a slope witness at n = 1) propagate;
+    DegenerateDirectionError when f fails at a stencil point or no step
+    is admissible.
     """
     if kind == KIND_POSITIVE_FPRIME:
         c, h = witness_positive_fprime(s, n)
     else:
         c, h = witness_second_order(s, n)
     forms = detcalculus.directional_forms((f,), c.a[None], h[None], np.array([c.det]))
-    analytic, fd, h_used = (float(x[0]) for x in (forms.hess, forms.fd_hess, forms.step))
+    analytic, fd, step = (float(x[0]) for x in (forms.hess, forms.fd_hess, forms.step))
     if math.isnan(fd):
         raise DegenerateDirectionError(
             f"no finite difference at s={s!r}: f fails at a stencil point or no step is admissible"
@@ -191,7 +194,7 @@ def witness_attempt(f, kind: str, s: float, n: int):
     confirmed = analytic < 0 and abs(analytic - fd) <= WITNESS_CONFIRM_TOL * max(
         1.0, abs(analytic)
     )
-    return c, h, analytic, fd, h_used, confirmed
+    return Witness(kind, float(s), c, h, analytic, fd, step, confirmed)
 
 
 def _confirmed_witness(f, kind: str, s: float, n: int) -> Witness | None:
@@ -199,16 +202,14 @@ def _confirmed_witness(f, kind: str, s: float, n: int) -> Witness | None:
     built (at a subnormal s, C is below the positivity floor), evaluated
     or confirmed."""
     try:
-        c, h, analytic, fd, _, confirmed = witness_attempt(f, kind, s, n)
+        w = witness_attempt(f, kind, s, n)
     except (
         DegenerateDirectionError,
         DimensionError,
         NotPositiveDefiniteError,
     ):
         return None
-    if not confirmed:
-        return None
-    return Witness(kind=kind, s_star=float(s), c=c, h=h, analytic_value=analytic, fd_value=fd)
+    return w if w.confirmed else None
 
 
 def _grid_witness(f, kind: str, s, candidates, n: int) -> Witness | None:
@@ -440,22 +441,17 @@ class ConvexitySampleDiagnostics:
     midpoint_failures: tuple
 
 
-def sample_convexity(
-    f,
-    n: int,
-    num_samples: int,
-    seed: int,
-    log_eig_range=DEFAULT_LOG_EIG_RANGE,
-) -> ConvexitySampleDiagnostics:
+def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleDiagnostics:
     """Randomized corroboration of the grid verdict.
 
     Draws (C, H) pairs for the quadratic form and PD pairs (C1, C2) for a
-    midpoint-convexity check, in stacked blocks of SWEEP_BLOCK samples.
-    Per block, ``linalg.require_posdef_stack`` floors C with one stacked
-    Cholesky proof (``eigh`` only on rows it does not prove), the inner
-    products of D2g come from one LAPACK solve, the determinants of
-    C, A1, A2 and (A1+A2)/2 from one LAPACK call on the four stacks, and
-    their jets from one array evaluation.  A sample whose jets fail at
+    midpoint-convexity check, in stacked blocks of SWEEP_BLOCK samples,
+    with log-eigenvalues uniform on DEFAULT_LOG_EIG_RANGE.  Per block,
+    ``linalg.require_posdef_stack`` floors C with one stacked Cholesky
+    proof (``eigh`` only on rows it does not prove), the inner products
+    of D2g come from one LAPACK solve, the determinants of C, A1, A2 and
+    (A1+A2)/2 from one LAPACK call on the four stacks, and their jets
+    from one array evaluation.  A sample whose jets fail at
     any of its four points is skipped and counted rather than aborting
     the sweep.
     """
@@ -473,7 +469,7 @@ def sample_convexity(
     for b in range(blocks):
         start = b * SWEEP_BLOCK
         # the last block is drawn whole and sliced
-        stacks = sweep_block(n, log_eig_range, words[4 * b : 4 * b + 4])
+        stacks = sweep_block(n, DEFAULT_LOG_EIG_RANGE, words[4 * b : 4 * b + 4])
         c, h, a1, a2 = (x[: num_samples - start] for x in stacks)
         m = len(c)
         linalg.require_posdef_stack(c)

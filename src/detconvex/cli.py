@@ -250,29 +250,21 @@ def _cmd_witness(args) -> int:
     f = parse_function_spec(args.function, args.dim)
     grid = GridSpec(args.s_min, args.s_max, args.grid_count)
     report = certifier.certify(f, args.dim, grid, args.tol)
-    if report.domain_failure:
-        print(report.annotations[-1])
-        return EXIT_INCONCLUSIVE
-    failing = report.failing_points
-    if not failing.size:
+    if report.verdict == CERTIFIED:
         print("no violation found on grid")
         return EXIT_CERTIFIED
-    first = failing[0]
-    s = float(report.s[first])
-    # slope violations take precedence at a shared point
-    if report.fprime_ok[first]:
-        kind = certifier.KIND_SECOND_ORDER
-    else:
-        kind = certifier.KIND_POSITIVE_FPRIME
-    c, h, analytic, fd, h_used, confirmed = certifier.witness_attempt(f, kind, s, args.dim)
-    print(f"witness kind={kind} at s={s!r}")
+    if report.verdict == INCONCLUSIVE:
+        print("\n".join(report.annotations))
+        return EXIT_INCONCLUSIVE
+    w = report.witnesses[0]
+    print(f"witness kind={w.kind} at s={w.s_star!r}")
     print("C =")
-    print(_fmt_matrix(c.a))
+    print(_fmt_matrix(w.c.a))
     print("H =")
-    print(_fmt_matrix(h))
-    print(f"analytic D2g(C).(H,H) = {analytic!r}")
-    print(f"fd oracle (h={h_used!r}) = {fd!r}")
-    print(f"confirmed: {'yes' if confirmed else 'no'}")
+    print(_fmt_matrix(w.h))
+    print(f"analytic D2g(C).(H,H) = {w.analytic_value!r}")
+    print(f"fd oracle (h={w.step!r}) = {w.fd_value!r}")
+    print(f"confirmed: {'yes' if w.confirmed else 'no'}")
     return EXIT_CERTIFIED
 
 
@@ -350,7 +342,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dim", "-n", type=int, default=3, help="matrix dimension n (default 3)")
 
     p_cert = sub.add_parser("certify", help="run the grid certification and emit a JSON report")
-    p_wit = sub.add_parser("witness", help="print the counterexample pair at the first violation")
+    p_wit = sub.add_parser(
+        "witness", help="print certify's first witness pair (exit 0), or its annotations (exit 2)"
+    )
     for p in (p_cert, p_wit):
         add_common(p)
         p.add_argument("--s-min", type=float, default=1e-3)

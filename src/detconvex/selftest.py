@@ -120,8 +120,9 @@ def check_necessity_witness_second_order():
         failures.append("no second-order witness attached")
     if any(w.kind == KIND_POSITIVE_FPRIME for w in rep.witnesses):
         failures.append("unexpected slope witness for a decreasing function")
-    c, h, analytic, fd, _, _ = certifier.witness_attempt(f, KIND_SECOND_ORDER, 1.0, 3)
-    val = detcalculus.condition_lhs_diag(f, 1.0 / c.eigenvalues, h)
+    w = certifier.witness_attempt(f, KIND_SECOND_ORDER, 1.0, 3)
+    analytic, fd = w.analytic_value, w.fd_value
+    val = detcalculus.condition_lhs_diag(f, 1.0 / w.c.eigenvalues, w.h)
     if val != -6.0:
         failures.append(f"diagonal condition value {val!r} != -6 exactly")
     if not _rel_err(fd, analytic) <= 1e-4:

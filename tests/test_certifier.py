@@ -274,15 +274,15 @@ class TestWitnessConstructions:
         for text, kind in (("s", KIND_POSITIVE_FPRIME), ("-s", KIND_SECOND_ORDER)):
             f = parse(text)
             w = certify(f, 3, SMALL_GRID).witnesses[0]
-            c, h, analytic, fd, h_used, confirmed = certifier.witness_attempt(f, kind, w.s_star, 3)
-            assert confirmed and h_used > 0
-            assert (analytic, fd) == (w.analytic_value, w.fd_value)
-            assert np.array_equal(c.a, w.c.a) and np.array_equal(h, w.h)
+            a = certifier.witness_attempt(f, kind, w.s_star, 3)
+            assert a.confirmed and a.step > 0
+            assert (a.analytic_value, a.fd_value) == (w.analytic_value, w.fd_value)
+            assert np.array_equal(a.c.a, w.c.a) and np.array_equal(a.h, w.h)
 
     def test_witness_attempt_unconfirmed_and_dimension_error(self):
         # -ln(s) is convex: its second-order pair has a positive form
-        *_, confirmed = certifier.witness_attempt(parse("-ln(s)"), KIND_SECOND_ORDER, 1.0, 3)
-        assert not confirmed
+        a = certifier.witness_attempt(parse("-ln(s)"), KIND_SECOND_ORDER, 1.0, 3)
+        assert not a.confirmed
         with pytest.raises(DimensionError):
             certifier.witness_attempt(parse("s"), KIND_POSITIVE_FPRIME, 1.0, 1)
 

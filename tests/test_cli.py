@@ -452,17 +452,21 @@ class TestWitnessCommand:
             assert doc["annotations"] == [
                 "second-order violation at s=9.99989e-321 not confirmed by the fd oracle"
             ]
+            # witness prints certify's annotation instead of building a pair
             code, out, err = run(capsys, "witness", *argv)
-            assert code == 2 and out == ""
-            assert err == (
-                "error: smallest eigenvalue 1.000e-320 below the positivity floor 2.225e-308\n"
+            assert code == 2 and err == ""
+            assert out == (
+                "second-order violation at s=9.99989e-321 not confirmed by the fd oracle\n"
             )
 
 
 def _witness_text(w) -> re.Pattern:
     """The witness command's text for one witness of the certify JSON; the
     fd step is not in the JSON and matches any float."""
-    rows = lambda m: "".join("  [" + ", ".join(map(repr, r)) + "]\n" for r in m)  # noqa: E731
+
+    def rows(m):
+        return "".join("  [" + ", ".join(map(repr, r)) + "]\n" for r in m)
+
     return re.compile(
         re.escape(
             f"witness kind={w['kind']} at s={w['s']!r}\nC =\n{rows(w['C'])}H =\n{rows(w['H'])}"
@@ -507,7 +511,6 @@ class TestWitnessMatchesCertify:
         else:
             assert cert_code == code == 2
             assert out == "".join(line + "\n" for line in doc["annotations"])
-        assert (out == "no violation found on grid\n") == (doc["verdict"] == "CertifiedOnGrid")
 
 
 class TestCurvesCommand:
