@@ -404,18 +404,16 @@ def reduction_check(f, c, h):
 SWEEP_BLOCK = 256
 
 
-def sweep_block(n: int, log_eig_range, words):
-    """The (C, H, A1, A2) stacks of one sweep block, SWEEP_BLOCK samples
-    each.  Block b of a sweep with seed ``seed`` takes ``words`` 4b .. 4b+3
-    of ``linalg.seed_words(seed, 4 * blocks)``, one PCG64 stream per
-    stack, and sample i is row i % SWEEP_BLOCK of block i // SWEEP_BLOCK,
-    so its matrices depend only on the seed, n, the range and i."""
-    return (
-        linalg.random_posdef_stack(n, log_eig_range, words[0], SWEEP_BLOCK),
-        linalg.random_sym(n, words[1], SWEEP_BLOCK),
-        linalg.random_posdef_stack(n, log_eig_range, words[2], SWEEP_BLOCK),
-        linalg.random_posdef_stack(n, log_eig_range, words[3], SWEEP_BLOCK),
-    )
+def sweep_block(n: int, log_eig_range, words, count: int):
+    """(C, H, A1, A2, dets) of the first ``count`` samples of one sweep
+    block from its two seed words: C, A1 and A2 of sample j are rows 3j,
+    3j+1 and 3j+2 of one ``random_posdef_stack`` from ``words[0]``, H is
+    row j of one ``random_sym`` from ``words[1]``, and the (count, 3)
+    ``dets`` of C, A1 and A2 are the exp of the sums of their drawn log
+    eigenvalues.  Fewer samples are a prefix of more."""
+    posdef, logs = linalg.random_posdef_stack(n, log_eig_range, words[0], 3 * count)
+    dets = np.exp(logs.sum(axis=1)).reshape(count, 3)
+    return posdef[0::3], linalg.random_sym(n, words[1], count), posdef[1::3], posdef[2::3], dets
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,11 +423,11 @@ class ConvexitySampleDiagnostics:
     ``min_hess_form`` is the smallest sampled quadratic form (theory says
     >= 0 for convex f); midpoint residuals are g((C1+C2)/2) -
     (g(C1)+g(C2))/2, non-positive for convex f.  Failures list samples
-    beyond SWEEP_FAIL_TOL as ``(index, C, H, value)`` and ``(index, C1, C2,
-    residual)`` with plain arrays; sample i is row i % SWEEP_BLOCK of the
-    stacks that ``sweep_block`` draws from words 4b .. 4b+3 of
-    ``linalg.seed_words(seed, 4 * (b + 1))``, b = i // SWEEP_BLOCK, so it
-    replays from the seed, n and i alone.
+    beyond SWEEP_FAIL_TOL as ``(index, value)`` and ``(index, residual)``.
+    Sample i's matrices are row j = i % SWEEP_BLOCK of the stacks that
+    ``sweep_block(n, DEFAULT_LOG_EIG_RANGE, words, j + 1)`` draws from
+    words 2b, 2b+1 of ``linalg.seed_words(seed, 2 * (b + 1))``,
+    b = i // SWEEP_BLOCK, so they replay from the seed, n and i alone.
     """
 
     samples_run: int
@@ -444,21 +442,22 @@ class ConvexitySampleDiagnostics:
 def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleDiagnostics:
     """Randomized corroboration of the grid verdict.
 
-    Draws (C, H) pairs for the quadratic form and PD pairs (C1, C2) for a
-    midpoint-convexity check, in stacked blocks of SWEEP_BLOCK samples,
-    with log-eigenvalues uniform on DEFAULT_LOG_EIG_RANGE.  Per block,
+    Draws (C, H) pairs for the quadratic form and PD pairs (A1, A2) for a
+    midpoint-convexity check, in stacked blocks of SWEEP_BLOCK samples
+    (``sweep_block``; the last draws only the samples it runs), with
+    log-eigenvalues uniform on DEFAULT_LOG_EIG_RANGE.  Per block,
     ``linalg.require_posdef_stack`` floors C with one stacked Cholesky
     proof (``eigh`` only on rows it does not prove), the inner products
-    of D2g come from one LAPACK solve, the determinants of C, A1, A2 and
-    (A1+A2)/2 from one LAPACK call on the four stacks, and their jets
-    from one array evaluation.  A sample whose jets fail at
+    of D2g come from one LAPACK solve, the determinant of (A1+A2)/2 from
+    one LAPACK call (the others are the drawn spectra's), and the jets of
+    the four from one array evaluation.  A sample whose jets fail at
     any of its four points is skipped and counted rather than aborting
     the sweep.
     """
     if num_samples < 1:
         raise ParameterError("num_samples must be >= 1")
     blocks = -(-num_samples // SWEEP_BLOCK)
-    words = linalg.seed_words(seed, 4 * blocks)
+    words = linalg.seed_words(seed, 2 * blocks)
     min_hess = np.inf
     min_mid = np.inf
     max_mid = -np.inf
@@ -468,14 +467,12 @@ def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleD
     skipped = 0
     for b in range(blocks):
         start = b * SWEEP_BLOCK
-        # the last block is drawn whole and sliced
-        stacks = sweep_block(n, DEFAULT_LOG_EIG_RANGE, words[4 * b : 4 * b + 4])
-        c, h, a1, a2 = (x[: num_samples - start] for x in stacks)
-        m = len(c)
+        m = min(SWEEP_BLOCK, num_samples - start)
+        c, h, a1, a2, dets = sweep_block(n, DEFAULT_LOG_EIG_RANGE, words[2 * b : 2 * b + 2], m)
         linalg.require_posdef_stack(c)
         inner, cross = detcalculus.hess_terms(c, h)
-        # one det and one jet over the rows [C; A1; A2; (A1+A2)/2]
-        dets = np.linalg.det(np.concatenate((c, a1, a2, 0.5 * (a1 + a2))))
+        # one jet over the determinants of [C; A1; A2; (A1+A2)/2]
+        dets = np.concatenate((dets.T.ravel(), np.linalg.det(0.5 * (a1 + a2))))
         jets = scalarfun.eval_jet(f, dets)
         s = dets[:m]
         jet = Jet2(*(x[:m] for x in jets))
@@ -494,9 +491,9 @@ def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleD
         min_mid = min(min_mid, float(r[ok].min()))
         max_mid = max(max_mid, float(r[ok].max()))
         for j in np.flatnonzero(ok & (v < -SWEEP_FAIL_TOL)).tolist():
-            hess_failures.append((start + j, c[j].copy(), h[j].copy(), float(v[j])))
+            hess_failures.append((start + j, float(v[j])))
         for j in np.flatnonzero(ok & (r > SWEEP_FAIL_TOL)).tolist():
-            mid_failures.append((start + j, a1[j].copy(), a2[j].copy(), float(r[j])))
+            mid_failures.append((start + j, float(r[j])))
     return ConvexitySampleDiagnostics(
         samples_run=run,
         samples_skipped=skipped,

@@ -7,8 +7,8 @@ input (the witnesses' C; stacks take LAPACK's), a Cholesky admissibility
 mask over a stack, the positivity floor over a stack (proven by one
 stacked Cholesky factorization, with ``eigh`` only on the rows the proof
 leaves open), and seeded sampling of test matrices as (N, n, n)
-stacks, each stack one PCG64 stream seeded with one word
-(``random_pairs`` draws the (C, H) pairs of the oracle and the
+stacks from one seed word each, a shorter stack a prefix of a longer
+one (``random_pairs`` draws the (C, H) pairs of the oracle and the
 self-test).  There is no matrix wrapper: a matrix is validated once
 where it enters, by ``symmetric`` (square, finite, lower triangle
 mirrored, read-only) or by the seeded draws, and is passed on as a plain
@@ -31,10 +31,10 @@ from .errors import (
 )
 
 # Generator family and stream layout of the sampling routines, recorded in
-# report headers so results can be reproduced: PCG64, one stream per
-# certify sweep block of 256 samples (certifier.SWEEP_BLOCK) and matrix
-# role.
-RNG_ALGORITHM = "numpy-pcg64-block256"
+# report headers so results can be reproduced: PCG64, one seed word per
+# sweep block of 256 samples (certifier.SWEEP_BLOCK) and matrix kind, two
+# streams per positive definite word, and Householder frames.
+RNG_ALGORITHM = "numpy-pcg64-householder-block256"
 
 # Log eigenvalue range of the default draws: eigenvalues in [0.1, 10].
 DEFAULT_LOG_EIG_RANGE = (float(np.log(0.1)), float(np.log(10.0)))
@@ -252,18 +252,39 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def random_posdef_stack(n: int, log_eig_range: tuple, seed: int, count: int) -> np.ndarray:
-    """``count`` positive definite samples as a (count, n, n) stack, from
-    one PCG64 stream seeded with ``seed``.
+def _householder_frames(z: np.ndarray, n: int) -> np.ndarray:
+    """Orthogonal (count, n, n) frames, row j the product
+    H_0 H_1 ... H_{n-2} of Householder reflections (Stewart, SIAM J.
+    Numer. Anal. 17(3), 1980), accumulated from the last.  H_k acts on
+    coordinates k .. n-1 and maps a Gaussian vector x_k of length n - k
+    onto the k-th axis; row j of ``z`` holds x_0, x_1, ..., x_{n-2} in
+    turn.  Times a diagonal of signs the product is a Haar frame, and the
+    signs cancel in ``Q diag Q^T``."""
+    q = np.tile(np.eye(n), (len(z), 1, 1))
+    end = z.shape[1]
+    for k in range(n - 2, -1, -1):
+        v = z[:, end - (n - k) : end].copy()
+        end -= n - k
+        norm = np.sqrt(np.sum(v * v, axis=1))
+        v[:, 0] += np.copysign(norm, v[:, 0])
+        # H_k = I - w v^T with w = v / (|x_k| |v_0|), since |v|^2 = 2 |x_k| |v_0|
+        w = v / (norm * np.abs(v[:, 0]))[:, None]
+        block = q[:, k:, k:]
+        block -= w[:, :, None] * (v[:, None, :] @ block)
+    return q
 
-    The stream gives first a (count, n) block of uniforms over
-    ``log_eig_range``, whose exp gives the eigenvalues of each row, then
-    a (count, n, n) block of Gaussians, whose QR factors Q give the
-    orthogonal frames.  The column signs of Q cancel in ``Q diag Q^T``
-    term by term, so the samples are those of the positive-diagonal sign
-    convention bit for bit.  Row j takes the j-th eigenvalue row and the
-    j-th Gaussian matrix, so a count of 1 is the draw of
-    ``random_posdef_array``.
+
+def random_posdef_stack(n: int, log_eig_range: tuple, seed: int, count: int) -> tuple:
+    """``count`` positive definite samples as a (count, n, n) stack, with
+    their (count, n) log eigenvalues.
+
+    Two PCG64 streams come from ``seed``: ``PCG64(seed)`` gives a
+    (count, n) block of uniforms over ``log_eig_range``, whose exp gives
+    the eigenvalues of each row, and its ``jumped()`` stream a (count,
+    n(n+1)/2 - 1) block of Gaussians, whose Householder product
+    (``_householder_frames``) gives the orthogonal frames.  Row j uses
+    only row j of each block, so a stack of k rows is the first k rows of
+    any longer stack from the same seed.
     """
     if n < 1:
         raise DimensionError("dimension must be >= 1")
@@ -271,11 +292,13 @@ def random_posdef_stack(n: int, log_eig_range: tuple, seed: int, count: int) -> 
     if lo > hi:
         raise ParameterError(f"log eigenvalue range has lo={lo} > hi={hi}")
     gen = _rng(int(seed))
+    # the jumped stream is taken before any uniform is drawn, so count cannot move it
+    z = np.random.Generator(gen.bit_generator.jumped()).standard_normal((count, n * (n + 1) // 2 - 1))
     logs = gen.uniform(lo, hi, size=(count, n))
-    q = np.linalg.qr(gen.standard_normal((count, n, n)))[0]
+    q = _householder_frames(z, n)
     out = _mirror_lower((q * np.exp(logs)[:, None, :]) @ np.swapaxes(q, -1, -2))
     _check_finite(out)
-    return out
+    return out, logs
 
 
 def _floor_proven(a: np.ndarray, floors: np.ndarray) -> np.ndarray:
@@ -324,7 +347,7 @@ def random_posdef_array(n: int, log_eig_range: tuple, seed: int) -> np.ndarray:
     """Raw positive definite sample as a plain symmetric ndarray; the
     count-1 case of ``random_posdef_stack``.  Identical seeds give
     identical output."""
-    return random_posdef_stack(n, log_eig_range, seed, 1)[0]
+    return random_posdef_stack(n, log_eig_range, seed, 1)[0][0]
 
 
 def random_posdef(n: int, log_eig_range: tuple, seed: int) -> PosDefMatrix:
@@ -353,10 +376,10 @@ def random_sym(n: int, seed: int, count: int) -> np.ndarray:
 def random_pairs(n: int, seed: int, count: int):
     """``count`` (C, H) pairs as two (count, n, n) stacks, pair i in row i
     of both.  C is positive definite with eigenvalues over
-    DEFAULT_LOG_EIG_RANGE, from the stream of word 0 of
-    ``seed_words(seed, 2)``, and floored by ``require_posdef_stack``; H is
-    symmetric, from the stream of word 1."""
+    DEFAULT_LOG_EIG_RANGE, from word 0 of ``seed_words(seed, 2)``, and
+    floored by ``require_posdef_stack``; H is symmetric, from word 1.
+    Fewer pairs are a prefix of more."""
     words = seed_words(seed, 2)
-    c = random_posdef_stack(n, DEFAULT_LOG_EIG_RANGE, words[0], count)
+    c = random_posdef_stack(n, DEFAULT_LOG_EIG_RANGE, words[0], count)[0]
     require_posdef_stack(c)
     return c, random_sym(n, words[1], count)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -12,6 +13,7 @@ from detconvex.certifier import (
     KIND_POSITIVE_FPRIME,
     KIND_SECOND_ORDER,
     REFUTED,
+    SWEEP_BLOCK,
     GridSpec,
     analytic_convexity,
     certify,
@@ -399,7 +401,7 @@ class TestReductionCheck:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_stack_gives_each_pair_its_single_values(self, n):
         words = linalg.seed_words(95 + n, 2)
-        c = linalg.random_posdef_stack(n, LOG_RANGE, words[0], 30)
+        c = linalg.random_posdef_stack(n, LOG_RANGE, words[0], 30)[0]
         h = linalg.random_sym(n, words[1], 30)
         for f in detcalculus.builtin_corpus(n):
             full, reduced = reduction_check(f, c, h)
@@ -426,6 +428,26 @@ class TestSampleConvexity:
     def test_sample_count_validated(self):
         with pytest.raises(ParameterError):
             sample_convexity(parse("s"), 3, 0, seed=4)
+
+    def test_failures_keep_no_matrices(self):
+        # every sample of f = s fails both checks at n = 10; a failure is
+        # its index and value, and the sweep's memory is set by its block
+        # (matrices kept per failure made 20 times as many samples cost 8
+        # times the memory)
+        def traced_peak(num):
+            tracemalloc.start()
+            try:
+                diag = sample_convexity(parse("s"), 10, num, seed=3)
+                return tracemalloc.get_traced_memory()[1], diag
+            finally:
+                tracemalloc.stop()
+
+        small, _ = traced_peak(SWEEP_BLOCK)
+        large, diag = traced_peak(20 * SWEEP_BLOCK)
+        assert len(diag.hess_failures) > 19 * SWEEP_BLOCK
+        assert all(type(i) is int and type(v) is float for i, v in diag.hess_failures)
+        assert all(type(i) is int and type(r) is float for i, r in diag.midpoint_failures)
+        assert large < 2 * small
 
     def test_rejects_negative_seed(self):
         # SeedSequence raised a bare ValueError, which the CLI reported as

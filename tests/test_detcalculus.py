@@ -409,7 +409,7 @@ class TestOracleSweep:
         # each: C from word 0 and H from word 1 of seed_words(seed, 2)
         c, h = linalg.random_pairs(3, 17, 9)
         words = linalg.seed_words(17, 2)
-        assert np.array_equal(c, linalg.random_posdef_stack(3, LOG_RANGE, words[0], 9))
+        assert np.array_equal(c, linalg.random_posdef_stack(3, LOG_RANGE, words[0], 9)[0])
         assert np.array_equal(h, linalg.random_sym(3, words[1], 9))
 
 
@@ -419,9 +419,15 @@ def _disc(analytic, fd):
 
 def _old_draw(seed, i, n):
     """Pair i of a sweep as drawn before the oracle was stacked: words 2i
-    and 2i+1 of seed_words(seed, 56), one count-1 stream per matrix."""
+    and 2i+1 of seed_words(seed, 56), one count-1 stream per matrix, C by
+    the QR rule of that time (log eigenvalues, then a Gaussian matrix
+    whose QR factor Q is the frame, from one PCG64 stream)."""
     words = linalg.seed_words(seed, 56)
-    c = linalg.random_posdef_stack(n, linalg.DEFAULT_LOG_EIG_RANGE, words[2 * i], 1)
+    lo, hi = linalg.DEFAULT_LOG_EIG_RANGE
+    gen = np.random.Generator(np.random.PCG64(words[2 * i]))
+    logs = gen.uniform(lo, hi, size=(1, n))
+    q = np.linalg.qr(gen.standard_normal((1, n, n)))[0]
+    c = linalg._mirror_lower((q * np.exp(logs)[:, None, :]) @ np.swapaxes(q, -1, -2))
     linalg.require_posdef_stack(c)
     return c, linalg.random_sym(n, words[2 * i + 1], 1)
 

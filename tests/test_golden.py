@@ -15,6 +15,11 @@ the refutation of exp(s).  ``certify_mixed_dim5.json`` and
 ``certify_neg_ln_dim10.json`` pin sweeps of more than one block at n=5
 and n=10; they were written before the sweep's floor moved to a
 Cholesky proof and its determinants and jets to one call per block.
+All five certify files were regenerated when the draws moved to
+Householder frames from two streams per seed word, one positive
+definite draw per sweep block and determinants from the drawn spectrum:
+only their ``rng`` tag and, in the four that sweep, ``min_hess_form``
+changed.
 """
 
 from pathlib import Path

@@ -1,7 +1,11 @@
-"""The README's ``## Library`` example runs as written."""
+"""The README's ``## Library`` example and sweep replay recipe run as
+written."""
 
 import re
 from pathlib import Path
+
+from detconvex.certifier import SWEEP_BLOCK, sample_convexity
+from detconvex.scalarfun import parse
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -14,3 +18,22 @@ def test_library_example_runs():
     exec(compile(blocks[0], "README.md", "exec"), namespace)
     assert namespace["report"].verdict == "CertifiedOnGrid"
     assert namespace["value"] > 0
+
+
+def test_sweep_replay_recipe_reproduces_reported_failures():
+    # fences alternate between opening and closing
+    blocks = re.split(r"^```\w*$", README.read_text(), flags=re.MULTILINE)[1::2]
+    recipe = [b for b in blocks if "certifier.sweep_block" in b]
+    assert len(recipe) == 1
+    code = compile(recipe[0], "README.md", "exec")
+    f, n, seed = parse("s"), 3, 4
+    diag = sample_convexity(f, n, 300, seed)
+    # a failure in the second block, and the first of each kind
+    hess = [diag.hess_failures[0], diag.hess_failures[-1]]
+    mid = [diag.midpoint_failures[0], diag.midpoint_failures[-1]]
+    assert hess[-1][0] >= SWEEP_BLOCK and mid[-1][0] >= SWEEP_BLOCK
+    for failures, name in ((hess, "value"), (mid, "residual")):
+        for i, reported in failures:
+            namespace = {"f": f, "n": n, "seed": seed, "i": i}
+            exec(code, namespace)
+            assert namespace[name].item() == reported
