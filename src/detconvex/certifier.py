@@ -18,7 +18,7 @@ finite-difference oracle; otherwise the verdict is Inconclusive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import (
     ParameterError,
 )
 from .linalg import DEFAULT_LOG_EIG_RANGE, PosDefMatrix
-from .scalarfun import FamilyA, Jet2, LogFamily, NeoHookeVolumetric, PowerLaw
+from .scalarfun import FamilyA, Jet2, LogFamily, NeoHookeVolumetric, PowerLaw, Value
 
 CERTIFIED = "CertifiedOnGrid"
 REFUTED = "Refuted"
@@ -44,15 +44,13 @@ WITNESS_CONFIRM_TOL = 1e-4
 SWEEP_FAIL_TOL = 1e-8  # sweep forms below -tol and midpoint residuals above it fail
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Value):
     """Logarithmically spaced evaluation grid, endpoints included."""
 
-    s_min: float = 1e-3
-    s_max: float = 1e3
-    count: int = 1000
+    __slots__ = __match_args__ = ("s_min", "s_max", "count")
 
-    def __post_init__(self):
+    def __init__(self, s_min: float = 1e-3, s_max: float = 1e3, count: int = 1000):
+        super().__init__(s_min, s_max, count)
         if not (self.s_min > 0):
             raise ParameterError(f"s_min={self.s_min} must be positive")
         if not (self.s_min < self.s_max < math.inf):
@@ -66,8 +64,7 @@ class GridSpec:
         return np.geomspace(self.s_min, self.s_max, self.count)
 
 
-@dataclass(frozen=True, eq=False)
-class Witness:
+class Witness(NamedTuple):
     """One witness attempt: the pair (C, H) of ``kind`` at s_star, its
     quadratic form D2g(C).(H,H) = analytic_value, and fd_value, the
     finite-difference oracle's estimate with outer step ``step``.  The
@@ -84,8 +81,7 @@ class Witness:
     confirmed: bool
 
 
-@dataclass(frozen=True, eq=False)
-class CertificationReport:
+class CertificationReport(NamedTuple):
     """Verdict with the grid pass as 1-D columns, one entry per evaluated
     point: s, f'(s), the condition's left-hand side, the tolerance band and
     the two condition flags.  A domain failure cuts the columns before the
@@ -416,8 +412,7 @@ def sweep_block(n: int, log_eig_range, words, count: int):
     return posdef[0::3], linalg.random_sym(n, words[1], count), posdef[1::3], posdef[2::3], dets
 
 
-@dataclass(frozen=True, eq=False)
-class ConvexitySampleDiagnostics:
+class ConvexitySampleDiagnostics(NamedTuple):
     """Outcome of a randomized convexity sweep.
 
     ``min_hess_form`` is the smallest sampled quadratic form (theory says

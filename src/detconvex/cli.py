@@ -13,9 +13,9 @@ The certify report is the text of ``json.dumps(report, indent=2)``.
 ``indent`` sends json to its pure-Python encoder, which took most of a
 large grid run walking one object per failing point, so ``_report_text``
 dumps only the rest of the report that way.  It writes the failing points
-from three float columns: ``float.__repr__`` in C gives json's own
-spelling of each finite float (with a table for NaN and the infinities),
-and one fixed template places them at json's indentation.
+as one ``%`` format of a per-point template over the three interleaved
+float columns: ``%r`` spells finite floats as json does, and a pass over
+the block gives json's NaN and Infinity where a column is not finite.
 
 Exit codes for certify: 0 certified on grid, 1 refuted, 2 inconclusive,
 3 usage or parse error, or an output path that cannot be written.  Any
@@ -180,20 +180,9 @@ def _report_json(args, report, diagnostics, f) -> dict:
     return doc
 
 
-# One failing point at indent levels 2 and 3 of json.dumps(indent=2).
-_POINT_TEMPLATE = '    {\n      "s": %s,\n      "fprime": %s,\n      "lhs": %s\n    }'
-_EMPTY_POINTS = '"failing_points": []'
-# float.__repr__ spells finite floats as json does (shortest round-trip
-# decimals, -0.0 included) but not the non-finite ones
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_floats(column) -> list:
-    """The JSON text of each float of the 1-D array ``column``."""
-    out = list(map(float.__repr__, column.tolist()))
-    if not np.isfinite(column).all():
-        out = [_NONFINITE.get(r, r) for r in out]
-    return out
+# One failing point at indent levels 2 and 3 of json.dumps(indent=2); %r
+# spells a finite float as json does, -0.0 included, and others nan or inf.
+_POINT_TEMPLATE = '    {\n      "s": %r,\n      "fprime": %r,\n      "lhs": %r\n    }'
 
 
 def _report_text(doc: dict, columns) -> str:
@@ -203,17 +192,20 @@ def _report_text(doc: dict, columns) -> str:
     "lhs"} of ``failing_points``.
 
     ``doc`` holds an empty ``failing_points`` list and goes through
-    json.dumps.  Each column is formatted by ``float.__repr__`` in C and
-    the three are joined through one template.  The text
-    '"failing_points": []' occurs once in the dumped head, as the key:
-    inside a JSON string every quote is escaped.
+    json.dumps.  The points are one %-format of the interleaved columns,
+    with json's NaN and Infinity for nan and inf, which no finite repr and
+    no key contains.  '"failing_points": []' occurs once in the head, as
+    the key: inside a JSON string every quote is escaped.
     """
     head = json.dumps(doc, indent=2)
     if not len(columns[0]):
         return head
-    points = map(_POINT_TEMPLATE.__mod__, zip(*map(_json_floats, columns)))
-    block = '"failing_points": [\n' + ",\n".join(points) + "\n  ]"
-    return head.replace(_EMPTY_POINTS, block, 1)
+    values = np.column_stack(columns)
+    template = '"failing_points": [\n' + ",\n".join([_POINT_TEMPLATE] * len(values)) + "\n  ]"
+    block = template % tuple(values.ravel().tolist())
+    if not np.isfinite(values).all():
+        block = block.replace("nan", "NaN").replace("inf", "Infinity")
+    return head.replace('"failing_points": []', block, 1)
 
 
 def _emit(text: str, path: str):

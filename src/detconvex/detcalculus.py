@@ -22,7 +22,6 @@ oracle sweep runs it on one seeded draw, and a witness on a one-row stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -252,8 +251,7 @@ def _relative(err, scale):
     return err / np.maximum(1.0, np.abs(scale))
 
 
-@dataclass(frozen=True, eq=False)
-class OracleSweepResult:
+class OracleSweepResult(NamedTuple):
     """The rows an oracle sweep evaluated: ``samples`` holds their indices
     (sample i is row i of the draw), and ``hess_disc``, ``grad_disc`` and
     ``richardson`` line up with it.  A discrepancy is |analytic - fd| /

@@ -19,7 +19,7 @@ spectrum of a positive definite one.  All operations are pure functions.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,8 +90,7 @@ def symmetric(a) -> np.ndarray:
     return sym
 
 
-@dataclass(frozen=True, eq=False)
-class PosDefMatrix:
+class PosDefMatrix(NamedTuple):
     """Symmetric positive definite matrix ``a`` with cached spectral data.
 
     ``det`` comes from a hand LU factorization and is independently
@@ -104,8 +103,8 @@ class PosDefMatrix:
     a: np.ndarray
     det: float
     inverse: np.ndarray
-    eigenvalues: np.ndarray = field(repr=False)
-    q: np.ndarray = field(repr=False)
+    eigenvalues: np.ndarray
+    q: np.ndarray
 
     @property
     def n(self) -> int:

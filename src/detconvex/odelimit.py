@@ -11,29 +11,27 @@ writes the standard family members as CSV tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import scalarfun
 from .errors import ParameterError
-from .scalarfun import FamilyA, PowerLaw
+from .scalarfun import FamilyA, PowerLaw, Value
 
 CLASSIFY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class IvpSpec:
+class IvpSpec(Value):
     """Initial point xi > 0, initial value eta <= 0, dimension n.
 
     The decay coefficient is (n-1)/n; n = 3 reproduces the classical 2/3.
     """
 
-    xi: float
-    eta: float
-    n: int = 3
+    __slots__ = __match_args__ = ("xi", "eta", "n")
 
-    def __post_init__(self):
+    def __init__(self, xi: float, eta: float, n: int = 3):
+        super().__init__(xi, eta, n)
         if not (self.xi > 0):
             raise ParameterError(f"xi={self.xi} must be positive")
         if self.eta > 0:
@@ -50,33 +48,28 @@ class IvpSpec:
         return -self.q / x * y
 
 
-@dataclass(frozen=True, eq=False)
-class CurveTable:
+class CurveTable(Value):
     """Sampled curve with strictly increasing positive x, optional
     derivative column."""
 
-    label: str
-    params: dict
-    xs: np.ndarray
-    ys: np.ndarray
-    dydx: np.ndarray | None = None
+    __slots__ = __match_args__ = ("label", "params", "xs", "ys", "dydx")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        ys = np.asarray(self.ys, dtype=float)
+    def __init__(self, label: str, params: dict, xs, ys, dydx=None):
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
         if xs.ndim != 1 or xs.shape != ys.shape:
             raise ParameterError("xs and ys must be 1-d arrays of equal length")
         if not np.all(np.isfinite(xs) & (xs > 0)):
             raise ParameterError("x samples must be finite and positive")
         if np.any(np.diff(xs) <= 0):
             raise ParameterError("x samples must be strictly increasing")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-        if self.dydx is not None:
-            d = np.asarray(self.dydx, dtype=float)
-            if d.shape != xs.shape:
+        if dydx is not None:
+            dydx = np.asarray(dydx, dtype=float)
+            if dydx.shape != xs.shape:
                 raise ParameterError("derivative column length mismatch")
-            object.__setattr__(self, "dydx", d)
+        super().__init__(label, params, xs, ys, dydx)
 
     def to_csv(self) -> str:
         def fmt(v):
@@ -141,8 +134,7 @@ def solve_livp_perturbed(spec: IvpSpec, eps: float, x_end: float, steps: int) ->
     return _rk4(spec, x_end, steps, forcing=float(eps))
 
 
-@dataclass(frozen=True, eq=False)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Sub/supersolution classification and ordering against y_limit.
 
     ``residuals`` holds y'(x) - F(x, y(x)) per sample; the weak flags use

@@ -13,13 +13,13 @@ point and the walk goes on, and a point that failed is NaN in all three
 fields of the returned Jet2.  A float is walked as a one-point array, so
 it has the bits it has in any array, and raises the first failure of its
 walk: DomainError outside the domain, NonFiniteError on overflow.
+
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -28,6 +28,7 @@ import numpy as np
 from .errors import DomainError, NonFiniteError, ParameterError, ParseError, UnknownIdentifierError
 
 BRANCH_TOL = 1e-12  # |a - 1/n| below this selects the logarithmic branch
+_set = object.__setattr__  # how a Value sets its fields
 
 # Node checks compare with infinity through operators, elementwise on the
 # points and on the numpy scalars of constant subexpressions alike.
@@ -36,8 +37,8 @@ _INF = float("inf")
 
 class Jet2(NamedTuple):
     """Second-order Taylor triple (value, first, second derivative); the
-    fields are floats, or arrays with one entry per point.  A named tuple
-    is the cheapest immutable record to build once per node."""
+    fields are floats, or arrays with one entry per point.  A named tuple:
+    the cheapest immutable record to build per node, and it unpacks."""
 
     v: float | np.ndarray
     d1: float | np.ndarray
@@ -184,68 +185,113 @@ def jet_pow(walk: _Walk, base: Jet2, expo: Jet2) -> Jet2:
 # expression AST
 
 
-class Expr:
+class Value:
+    """Immutable record of the fields ``__match_args__`` names, equal to one
+    of its class with equal fields (an Add(x, y) is no Sub(x, y), as tuples
+    would be), hashable, repr'd as ``Name(field=value, ...)``, pickled by
+    its class.  ``__init__`` sets the fields once, as slots or, in a class
+    that caches properties, in its ``__dict__``."""
+
+    __slots__ = ()
+    __match_args__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__match_args__, values):
+            _set(self, name, value)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if isinstance(other, Value):
+            return self.__reduce__() == other.__reduce__()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete {type(self).__name__}.{name}")
+
+    __delattr__ = __setattr__
+
+
+class Expr(Value):
     """Base class for expression nodes over the single variable ``s``."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+# Explicit __init__s: nodes are built often, and Value's loop is slower.
 class Constant(Expr):
-    value: float
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: float):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Variable(Expr):
-    pass
+    __slots__ = ()
+    __init__ = object.__init__
 
 
-@dataclass(frozen=True)
-class Negate(Expr):
-    arg: Expr
+class _Unary(Expr):
+    __slots__ = __match_args__ = ("arg",)
+
+    def __init__(self, arg: Expr):
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
+class _Binary(Expr):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
+class Negate(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class Mul(_Binary):
+    __slots__ = ()
+
+
+class Div(_Binary):
+    __slots__ = ()
+
+
 class Pow(Expr):
-    base: Expr
-    exponent: Expr
+    __slots__ = __match_args__ = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: Expr):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
-class Ln(Expr):
-    arg: Expr
+class Ln(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Exp(Expr):
-    arg: Expr
+class Exp(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Sqrt(Expr):
-    arg: Expr
+class Sqrt(_Unary):
+    __slots__ = ()
 
 
 def _eval_node(node: Expr, walk: _Walk) -> Jet2:
@@ -466,33 +512,33 @@ def _affine(d: float, c: float, g: Expr) -> Expr:
     return Add(Constant(d), Mul(Constant(c), g))
 
 
-@dataclass(frozen=True)
-class PowerLaw:
+class PowerLaw(Value):
     """f(s) = d + c * s^p."""
 
-    c: float
-    p: float
-    d: float = 0.0
+    __match_args__ = ("c", "p", "d")
+
+    def __init__(self, c: float, p: float, d: float = 0.0):
+        super().__init__(c, p, d)
 
     @cached_property
     def expr(self) -> Expr:
         return _affine(self.d, self.c, Pow(Variable(), Constant(self.p)))
 
 
-@dataclass(frozen=True)
-class LogFamily:
+class LogFamily(Value):
     """f(s) = d + c * ln s."""
 
-    c: float
-    d: float = 0.0
+    __match_args__ = ("c", "d")
+
+    def __init__(self, c: float, d: float = 0.0):
+        super().__init__(c, d)
 
     @cached_property
     def expr(self) -> Expr:
         return _affine(self.d, self.c, Ln(Variable()))
 
 
-@dataclass(frozen=True)
-class FamilyA:
+class FamilyA(Value):
     """Three-branch family, convex under composition with det by design.
 
     With q = 1/n - a:
@@ -503,12 +549,10 @@ class FamilyA:
     generalize the exponent and are flagged by reports.
     """
 
-    a: float
-    c: float
-    d: float = 0.0
-    n: int = 3
+    __match_args__ = ("a", "c", "d", "n")
 
-    def __post_init__(self):
+    def __init__(self, a: float, c: float, d: float = 0.0, n: int = 3):
+        super().__init__(a, c, d, n)
         if self.a < 0:
             raise ParameterError(f"family parameter a={self.a} must be >= 0")
         if self.c > 0:
@@ -532,14 +576,14 @@ class FamilyA:
         return _affine(self.d, coeff, Pow(Variable(), Constant(1.0 / self.n - self.a)))
 
 
-@dataclass(frozen=True)
-class NeoHookeVolumetric:
+class NeoHookeVolumetric(Value):
     """Determinant-dependent part of the compressible Neo-Hooke energy:
     f(s) = -mu * ln s with shear modulus mu > 0."""
 
-    mu: float
+    __match_args__ = ("mu",)
 
-    def __post_init__(self):
+    def __init__(self, mu: float):
+        super().__init__(mu)
         if self.mu <= 0:
             raise ParameterError(f"shear modulus mu={self.mu} must be > 0")
 

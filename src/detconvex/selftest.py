@@ -10,7 +10,7 @@ brute-force sampling.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .scalarfun import FamilyA, eval_jet, parse
 BASE_SEED = 42
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     cid: str
     name: str
     passed: bool

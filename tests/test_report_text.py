@@ -137,7 +137,14 @@ class TestAgainstReference:
         column = np.array([0.1, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, -2.5])
         finite = np.isfinite(column)
         for part in (column, column[finite], column[~finite], column[:0]):
-            assert cli._json_floats(part) == [json.dumps(x) for x in part.tolist()]
+            filler = np.linspace(0.5, 1.5, len(part))
+            for k in range(3):
+                columns = [filler, -filler, filler * 1e-300]
+                columns[k] = part
+                doc_columns = (_doc(())[0], tuple(columns))
+                assert cli._report_text(*doc_columns) == reference(*doc_columns)
+            doc_columns = (_doc(())[0], (part, part, part))
+            assert cli._report_text(*doc_columns) == reference(*doc_columns)
 
 
 def _captured_reports(monkeypatch, capsys, argvs):

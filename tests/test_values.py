@@ -85,6 +85,8 @@ class TestEquality:
         assert twin == value and not twin != value
         assert hash(twin) == hash(value)
         assert {value: 1}[twin] == 1
+        named = type(value)(**{k: getattr(value, k) for k in value.__match_args__})
+        assert named == value
 
     def test_equality_is_by_fields(self):
         assert PowerLaw(1.0, 2.0) == PowerLaw(c=1.0, p=2.0, d=0.0)
