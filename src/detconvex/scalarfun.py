@@ -37,8 +37,8 @@ _INF = float("inf")
 
 class Jet2(NamedTuple):
     """Second-order Taylor triple (value, first, second derivative); the
-    fields are floats, or arrays with one entry per point.  A named tuple:
-    the cheapest immutable record to build per node, and it unpacks."""
+    fields are floats, or arrays with one entry per point.  A named tuple
+    is the cheapest record to build per node, and unpacks as a triple."""
 
     v: float | np.ndarray
     d1: float | np.ndarray
@@ -186,11 +186,11 @@ def jet_pow(walk: _Walk, base: Jet2, expo: Jet2) -> Jet2:
 
 
 class Value:
-    """Immutable record of the fields ``__match_args__`` names, equal to one
-    of its class with equal fields (an Add(x, y) is no Sub(x, y), as tuples
-    would be), hashable, repr'd as ``Name(field=value, ...)``, pickled by
-    its class.  ``__init__`` sets the fields once, as slots or, in a class
-    that caches properties, in its ``__dict__``."""
+    """Immutable record of the fields ``__match_args__`` names.  Two are
+    equal when of one class with equal fields (an Add never equals a Sub,
+    as tuples would), hash alike, repr as ``Name(field=value, ...)`` and
+    pickle through the class.  ``__init__`` sets the fields once: as slots,
+    or in ``__dict__`` in a class that caches properties."""
 
     __slots__ = ()
     __match_args__ = ()
