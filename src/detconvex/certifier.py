@@ -400,14 +400,15 @@ def reduction_check(f, c, h):
 SWEEP_BLOCK = 256
 
 
-def sweep_block(n: int, log_eig_range, words, count: int):
+def sweep_block(n: int, words, count: int):
     """(C, H, A1, A2, dets) of the first ``count`` samples of one sweep
     block from its two seed words: C, A1 and A2 of sample j are rows 3j,
-    3j+1 and 3j+2 of one ``random_posdef_stack`` from ``words[0]``, H is
-    row j of one ``random_sym`` from ``words[1]``, and the (count, 3)
-    ``dets`` of C, A1 and A2 are the exp of the sums of their drawn log
-    eigenvalues.  Fewer samples are a prefix of more."""
-    posdef, logs = linalg.random_posdef_stack(n, log_eig_range, words[0], 3 * count)
+    3j+1 and 3j+2 of one ``random_posdef_stack`` from ``words[0]`` over
+    DEFAULT_LOG_EIG_RANGE, whose draws clear the positivity floor by
+    construction, H is row j of one ``random_sym`` from ``words[1]``, and
+    the (count, 3) ``dets`` of C, A1 and A2 are the exp of the sums of
+    their drawn log eigenvalues.  Fewer samples are a prefix of more."""
+    posdef, logs = linalg.random_posdef_stack(n, DEFAULT_LOG_EIG_RANGE, words[0], 3 * count)
     dets = np.exp(logs.sum(axis=1)).reshape(count, 3)
     return posdef[0::3], linalg.random_sym(n, words[1], count), posdef[1::3], posdef[2::3], dets
 
@@ -420,9 +421,9 @@ class ConvexitySampleDiagnostics(NamedTuple):
     (g(C1)+g(C2))/2, non-positive for convex f.  Failures list samples
     beyond SWEEP_FAIL_TOL as ``(index, value)`` and ``(index, residual)``.
     Sample i's matrices are row j = i % SWEEP_BLOCK of the stacks that
-    ``sweep_block(n, DEFAULT_LOG_EIG_RANGE, words, j + 1)`` draws from
-    words 2b, 2b+1 of ``linalg.seed_words(seed, 2 * (b + 1))``,
-    b = i // SWEEP_BLOCK, so they replay from the seed, n and i alone.
+    ``sweep_block(n, words, j + 1)`` draws from words 2b, 2b+1 of
+    ``linalg.seed_words(seed, 2 * (b + 1))``, b = i // SWEEP_BLOCK, so
+    they replay from the seed, n and i alone.
     """
 
     samples_run: int
@@ -440,14 +441,13 @@ def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleD
     Draws (C, H) pairs for the quadratic form and PD pairs (A1, A2) for a
     midpoint-convexity check, in stacked blocks of SWEEP_BLOCK samples
     (``sweep_block``; the last draws only the samples it runs), with
-    log-eigenvalues uniform on DEFAULT_LOG_EIG_RANGE.  Per block,
-    ``linalg.require_posdef_stack`` floors C with one stacked Cholesky
-    proof (``eigh`` only on rows it does not prove), the inner products
-    of D2g come from one LAPACK solve, the determinant of (A1+A2)/2 from
-    one LAPACK call (the others are the drawn spectra's), and the jets of
-    the four from one array evaluation.  A sample whose jets fail at
-    any of its four points is skipped and counted rather than aborting
-    the sweep.
+    log-eigenvalues uniform on DEFAULT_LOG_EIG_RANGE, so every C is above
+    the positivity floor by construction.  Per block, the inner products
+    of D2g come from one LAPACK solve and the form from ``g_hess_form``,
+    the determinant of (A1+A2)/2 from one LAPACK call (the others are the
+    drawn spectra's), and the jets of the four from one array
+    evaluation.  A sample whose jets fail at any of its four points is
+    skipped and counted rather than aborting the sweep.
     """
     if num_samples < 1:
         raise ParameterError("num_samples must be >= 1")
@@ -463,8 +463,7 @@ def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleD
     for b in range(blocks):
         start = b * SWEEP_BLOCK
         m = min(SWEEP_BLOCK, num_samples - start)
-        c, h, a1, a2, dets = sweep_block(n, DEFAULT_LOG_EIG_RANGE, words[2 * b : 2 * b + 2], m)
-        linalg.require_posdef_stack(c)
+        c, h, a1, a2, dets = sweep_block(n, words[2 * b : 2 * b + 2], m)
         inner, cross = detcalculus.hess_terms(c, h)
         # one jet over the determinants of [C; A1; A2; (A1+A2)/2]
         dets = np.concatenate((dets.T.ravel(), np.linalg.det(0.5 * (a1 + a2))))
@@ -480,7 +479,7 @@ def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleD
         if k == 0:
             continue
         with np.errstate(all="ignore"):
-            v = s * detcalculus.condition_bracket(jet, s, inner, cross)
+            v = detcalculus.g_hess_form(jet, s, inner, cross)
             r = gm - 0.5 * (g1 + g2)
         min_hess = min(min_hess, float(v[ok].min()))
         min_mid = min(min_mid, float(r[ok].min()))

@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import re
 import sys
 from datetime import datetime, timezone
@@ -107,8 +106,6 @@ def parse_function_spec(spec: str, n: int):
                 params[k] = float(v)
             except ValueError:
                 raise UsageError(f"parameter {k}={v!r} is not a number") from None
-            if not math.isfinite(params[k]):
-                raise UsageError(f"parameter {k}={v!r} must be finite")
     missing = [k for k, v in params.items() if v is None]
     if missing:
         raise UsageError(f"family {name!r} requires parameters: {', '.join(missing)}")

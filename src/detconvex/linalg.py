@@ -1,14 +1,12 @@
 """Dense symmetric matrix arithmetic for small n, on plain ndarrays.
 
-Everything here is sized for the certification workloads (n up to ~16):
+Sized for the certification workloads (n up to ``cli.MAX_DIM``, 64):
 LAPACK eigendecompositions of symmetric matrices, inverses through the
-eigendecomposition, a hand LU determinant that is exact on diagonal
-input (the witnesses' C; stacks take LAPACK's), a Cholesky admissibility
-mask over a stack, the positivity floor over a stack (proven by one
-stacked Cholesky factorization, with ``eigh`` only on the rows the proof
-leaves open), and seeded sampling of test matrices as (N, n, n)
-stacks from one seed word each, a shorter stack a prefix of a longer
-one (``random_pairs`` draws the (C, H) pairs of the oracle and the
+eigendecomposition, a hand LU determinant that is exact on diagonal input
+(the witnesses' C; stacks take LAPACK's), a Cholesky admissibility mask
+over a stack, and seeded sampling of test matrices as (N, n, n) stacks
+from one seed word each, a shorter stack a prefix of a longer one
+(``random_pairs`` draws the (C, H) pairs of the oracle and the
 self-test).  There is no matrix wrapper: a matrix is validated once
 where it enters, by ``symmetric`` (square, finite, lower triangle
 mirrored, read-only) or by the seeded draws, and is passed on as a plain
@@ -36,7 +34,8 @@ from .errors import (
 # streams per positive definite word, and Householder frames.
 RNG_ALGORITHM = "numpy-pcg64-householder-block256"
 
-# Log eigenvalue range of the default draws: eigenvalues in [0.1, 10].
+# Log eigenvalue range of the default draws: eigenvalues in [0.1, 10], so that
+# up to n = 64 every draw clears the positivity floor by construction.
 DEFAULT_LOG_EIG_RANGE = (float(np.log(0.1)), float(np.log(10.0)))
 
 POSDEF_EIG_FLOOR = 1e-12  # relative to the Frobenius norm
@@ -300,48 +299,6 @@ def random_posdef_stack(n: int, log_eig_range: tuple, seed: int, count: int) -> 
     return out, logs
 
 
-def _floor_proven(a: np.ndarray, floors: np.ndarray) -> np.ndarray:
-    """For each matrix of an (N, n, n) stack, whether one stacked Cholesky
-    factorization proves its smallest eigenvalue above ``floors``, so far
-    above that ``np.linalg.eigh`` finds it there too.
-
-    The factorization is of ``C - (floor + margin) I`` with ``margin =
-    4 (n+1)^2 eps |C|_F``.  When LAPACK completes it, the computed factor
-    is the exact one of that matrix plus a perturbation E with
-    |E| <= gamma_(n+1) |R^T| |R| (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2nd ed., 2002, Theorem 10.3), so |E|_2 is below
-    about (n+1) sqrt(n) eps |C|_F; ``eigh`` puts each eigenvalue within a
-    small multiple of n eps |C|_2 of the exact one.  The margin covers
-    both and the rounding of the shift.  A row it does not prove may
-    still be above the floor."""
-    n = a.shape[-1]
-    margin = 4.0 * (n + 1) ** 2 * np.finfo(float).eps * frob_norm(a)
-    return cholesky_posdef(a - (floors + margin)[:, None, None] * np.eye(n))
-
-
-def require_posdef_stack(a: np.ndarray):
-    """Apply the eigenvalue floor of ``PosDefMatrix.from_sym`` to every
-    matrix of an (N, n, n) stack; raises NotPositiveDefiniteError naming
-    the first sample below it.
-
-    One stacked Cholesky factorization (``_floor_proven``) clears the rows
-    whose smallest eigenvalue is well above the floor; only the rest are
-    decomposed, by the routine of ``jacobi_eigen`` (eigvalsh's eigenvalues
-    differ in the last bits).  A finite symmetric matrix therefore passes
-    here exactly when it passes ``from_sym``, and a failure names the
-    same sample with the same numbers as an ``eigh`` of the whole stack."""
-    floors = posdef_floor(a)
-    rest = np.flatnonzero(~_floor_proven(a, floors))
-    smallest = np.linalg.eigh(a[rest])[0][:, 0]
-    below = np.flatnonzero(smallest <= floors[rest])
-    if below.size:
-        j = int(below[0])
-        raise NotPositiveDefiniteError(
-            f"sample {int(rest[j])}: smallest eigenvalue {smallest[j]:.3e} below the "
-            f"positivity floor {floors[rest[j]]:.3e}"
-        )
-
-
 def random_posdef_array(n: int, log_eig_range: tuple, seed: int) -> np.ndarray:
     """Raw positive definite sample as a plain symmetric ndarray; the
     count-1 case of ``random_posdef_stack``.  Identical seeds give
@@ -368,17 +325,15 @@ def random_sym(n: int, seed: int, count: int) -> np.ndarray:
     out = np.zeros((count, n, n))
     out[:, rows, cols] = vals
     out[:, cols, rows] = vals
-    _check_finite(out)
     return out
 
 
 def random_pairs(n: int, seed: int, count: int):
     """``count`` (C, H) pairs as two (count, n, n) stacks, pair i in row i
     of both.  C is positive definite with eigenvalues over
-    DEFAULT_LOG_EIG_RANGE, from word 0 of ``seed_words(seed, 2)``, and
-    floored by ``require_posdef_stack``; H is symmetric, from word 1.
-    Fewer pairs are a prefix of more."""
+    DEFAULT_LOG_EIG_RANGE, which keeps it above the positivity floor, from
+    word 0 of ``seed_words(seed, 2)``; H is symmetric, from word 1.  Fewer
+    pairs are a prefix of more."""
     words = seed_words(seed, 2)
     c = random_posdef_stack(n, DEFAULT_LOG_EIG_RANGE, words[0], count)[0]
-    require_posdef_stack(c)
     return c, random_sym(n, words[1], count)

@@ -23,7 +23,7 @@ CLASSIFY_TOL = 1e-8
 
 
 class IvpSpec(Value):
-    """Initial point xi > 0, initial value eta <= 0, dimension n.
+    """Initial point xi > 0, initial value eta <= 0, dimension n, all finite.
 
     The decay coefficient is (n-1)/n; n = 3 reproduces the classical 2/3.
     """
@@ -32,6 +32,7 @@ class IvpSpec(Value):
 
     def __init__(self, xi: float, eta: float, n: int = 3):
         super().__init__(xi, eta, n)
+        scalarfun.require_finite(self)
         if not (self.xi > 0):
             raise ParameterError(f"xi={self.xi} must be positive")
         if self.eta > 0:

@@ -507,6 +507,14 @@ def parse(text: str) -> Expr:
 # expression AST once per instance (``expr``); eval_jet walks that AST.
 
 
+def require_finite(record: Value):
+    """Raise ParameterError naming the first field of ``record`` that is not finite."""
+    for name in record.__match_args__:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise ParameterError(f"{type(record).__name__} {name}={value} must be finite")
+
+
 def _affine(d: float, c: float, g: Expr) -> Expr:
     """d + c * g."""
     return Add(Constant(d), Mul(Constant(c), g))
@@ -519,6 +527,7 @@ class PowerLaw(Value):
 
     def __init__(self, c: float, p: float, d: float = 0.0):
         super().__init__(c, p, d)
+        require_finite(self)
 
     @cached_property
     def expr(self) -> Expr:
@@ -532,6 +541,7 @@ class LogFamily(Value):
 
     def __init__(self, c: float, d: float = 0.0):
         super().__init__(c, d)
+        require_finite(self)
 
     @cached_property
     def expr(self) -> Expr:
@@ -545,14 +555,15 @@ class FamilyA(Value):
         a in [0, 1/n)   ->  d + c * s^q
         a == 1/n        ->  d + c * ln s
         a in (1/n, inf) ->  d - c * s^q
-    Requires a >= 0 and c <= 0.  The classical statement is n = 3; other n
-    generalize the exponent and are flagged by reports.
+    Requires finite fields, a >= 0 and c <= 0.  The classical statement is
+    n = 3; other n generalize the exponent and are flagged by reports.
     """
 
     __match_args__ = ("a", "c", "d", "n")
 
     def __init__(self, a: float, c: float, d: float = 0.0, n: int = 3):
         super().__init__(a, c, d, n)
+        require_finite(self)
         if self.a < 0:
             raise ParameterError(f"family parameter a={self.a} must be >= 0")
         if self.c > 0:
@@ -584,6 +595,7 @@ class NeoHookeVolumetric(Value):
 
     def __init__(self, mu: float):
         super().__init__(mu)
+        require_finite(self)
         if self.mu <= 0:
             raise ParameterError(f"shear modulus mu={self.mu} must be > 0")
 

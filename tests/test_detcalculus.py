@@ -428,7 +428,6 @@ def _old_draw(seed, i, n):
     logs = gen.uniform(lo, hi, size=(1, n))
     q = np.linalg.qr(gen.standard_normal((1, n, n)))[0]
     c = linalg._mirror_lower((q * np.exp(logs)[:, None, :]) @ np.swapaxes(q, -1, -2))
-    linalg.require_posdef_stack(c)
     return c, linalg.random_sym(n, words[2 * i + 1], 1)
 
 

@@ -343,22 +343,22 @@ class TestHouseholderDraw:
             assert np.all(np.abs(mean - moment) <= 5 * standard_error), moment
 
 
-class TestRequirePosdefStack:
-    def test_accepts_draws(self):
-        linalg.require_posdef_stack(linalg.random_posdef_stack(4, LOG_RANGE, 8, 20)[0])
+class TestDrawsClearTheFloor:
+    """A draw Q diag(e) Q^T over DEFAULT_LOG_EIG_RANGE is above the
+    positivity floor by construction, so neither the sweep nor the oracle
+    checks its draws: rounding moves an eigenvalue by at most 8 n eps
+    max(e) (``TestHouseholderDraw``), and the floor is at most
+    POSDEF_EIG_FLOOR sqrt(n) max(e)."""
 
-    def test_names_first_sample_below_floor(self):
-        stack = np.stack([np.eye(3), np.diag([1.0, 1.0, 1e-13]), np.diag([1.0, -1.0, 1.0])])
-        with pytest.raises(NotPositiveDefiniteError, match="sample 1"):
-            linalg.require_posdef_stack(stack)
+    def test_the_range_clears_the_floor_up_to_max_dim(self):
+        lo, hi = linalg.DEFAULT_LOG_EIG_RANGE
+        n = cli.MAX_DIM
+        assert math.exp(lo) > 1e6 * (linalg.POSDEF_EIG_FLOOR * math.sqrt(n) + 8 * n * EPS) * math.exp(hi)
 
-
-    def test_floor_at_extreme_scales(self):
-        linalg.require_posdef_stack(np.stack([np.diag([1e200, 1e200]), np.diag([1e-200, 1e-200])]))
-        with pytest.raises(NotPositiveDefiniteError, match="sample 1: .* floor 1.000e\\+188"):
-            linalg.require_posdef_stack(np.stack([np.eye(2), np.diag([1e200, 1.0])]))
-        with pytest.raises(NotPositiveDefiniteError, match="sample 0: .* floor 1.000e-212"):
-            linalg.require_posdef_stack(np.diag([1e-200, 1e-215])[None])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, cli.MAX_DIM])
+    def test_default_draws_are_far_above_the_floor(self, n):
+        c = linalg.random_posdef_stack(n, linalg.DEFAULT_LOG_EIG_RANGE, 80 + n, 512)[0]
+        assert np.all(np.linalg.eigvalsh(c)[:, 0] > 1e6 * linalg.posdef_floor(c))
 
 
 def _spectrum_near_floor(n, rel, exponent, seed):
@@ -371,46 +371,25 @@ def _spectrum_near_floor(n, rel, exponent, seed):
     return symmetric((q * (lam * 10.0**exponent)) @ q.T)
 
 
-def _spectrum_at_margin(n, k, exponent, seed):
-    """A rotated matrix whose smallest eigenvalue sits k margins of the
-    Cholesky floor proof, 4 (n+1)^2 eps times the norm, above the
-    positivity floor of its diagonal form, scaled by 10**exponent."""
-    gen = np.random.default_rng(seed)
-    lam = gen.uniform(1.0, 10.0, size=n)
-    norm = math.sqrt(np.sum(lam[1:] ** 2))
-    lam[0] = (linalg.POSDEF_EIG_FLOOR + k * 4.0 * (n + 1) ** 2 * EPS) * norm
-    q, _ = np.linalg.qr(gen.standard_normal((n, n)))
-    return symmetric((q * (lam * 10.0**exponent)) @ q.T)
-
-
-def _first_below_floor(a):
-    """The message naming the first matrix of a stack that
-    ``PosDefMatrix.from_sym`` refuses, from one ``eigh`` per matrix, or
-    None when it accepts them all."""
-    for i, row in enumerate(a):
-        smallest = np.linalg.eigh(row)[0][0]
-        floor = float(linalg.posdef_floor(row))
-        refused = TestOneFloorRule._raises(PosDefMatrix.from_sym, row)
-        assert refused == (smallest <= floor)
-        if refused:
-            return (
-                f"sample {i}: smallest eigenvalue {smallest:.3e} below the "
-                f"positivity floor {floor:.3e}"
-            )
-    return None
-
-
 class TestOneFloorRule:
-    """``PosDefMatrix.from_sym`` and ``require_posdef_stack`` apply one
-    positivity floor, so each accepts exactly what the other does."""
+    """``PosDefMatrix.from_sym`` refuses a matrix exactly when ``eigh``
+    puts its smallest eigenvalue at or below ``posdef_floor``, and says
+    so with both numbers."""
 
     @staticmethod
-    def _raises(check, a) -> bool:
+    def _raises(a) -> bool:
         try:
-            check(a)
-        except NotPositiveDefiniteError:
+            PosDefMatrix.from_sym(a)
+        except NotPositiveDefiniteError as e:
+            smallest, floor = np.linalg.eigh(a)[0][0], linalg.posdef_floor(a)
+            assert str(e) == (
+                f"smallest eigenvalue {smallest:.3e} below the positivity floor {floor:.3e}"
+            )
             return True
         return False
+
+    def _assert_floor_rule(self, a):
+        assert self._raises(a) == (np.linalg.eigh(a)[0][0] <= linalg.posdef_floor(a))
 
     @given(
         st.integers(1, 6),
@@ -420,10 +399,17 @@ class TestOneFloorRule:
     )
     @settings(max_examples=300, deadline=None)
     def test_near_floor_spectra(self, n, rel, exponent, seed):
-        a = _spectrum_near_floor(n, rel, exponent, seed)
-        assert self._raises(PosDefMatrix.from_sym, a) == self._raises(
-            linalg.require_posdef_stack, a[None]
-        )
+        self._assert_floor_rule(_spectrum_near_floor(n, rel, exponent, seed))
+
+    @given(
+        st.integers(7, cli.MAX_DIM),
+        st.floats(-1e-3, 1e-3),
+        st.integers(-200, 200),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_near_floor_spectra_up_to_max_dim(self, n, rel, exponent, seed):
+        self._assert_floor_rule(_spectrum_near_floor(n, rel, exponent, seed))
 
     @given(st.integers(1, 6), st.integers(-323, -300), st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
@@ -435,87 +421,19 @@ class TestOneFloorRule:
         a = symmetric((q * (gen.uniform(1.0, 10.0, size=n) * 10.0**exponent)) @ q.T)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert self._raises(PosDefMatrix.from_sym, a) == self._raises(
-                linalg.require_posdef_stack, a[None]
-            )
+            self._assert_floor_rule(a)
 
     def test_both_sides_of_the_floor_are_covered(self):
         outcomes = {
-            self._raises(PosDefMatrix.from_sym, _spectrum_near_floor(4, rel, e, seed))
+            self._raises(_spectrum_near_floor(n, rel, e, seed))
+            for n in (4, cli.MAX_DIM)
             for rel in (-1e-3, 1e-3)
             for e in (-200, 0, 200)
             for seed in range(5)
         }
         assert outcomes == {True, False}
-        subnormal = {
-            self._raises(linalg.require_posdef_stack, np.diag([d, d])[None])
-            for d in (1e-310, 3e-308)
-        }
+        subnormal = {self._raises(np.diag([d, d])) for d in (1e-310, 3e-308)}
         assert subnormal == {True, False}
-
-    @staticmethod
-    def _assert_stack_verdict(a):
-        want = _first_below_floor(a)
-        if want is None:
-            linalg.require_posdef_stack(a)
-        else:
-            with pytest.raises(NotPositiveDefiniteError) as raised:
-                linalg.require_posdef_stack(a)
-            assert str(raised.value) == want
-
-    @given(
-        st.integers(1, cli.MAX_DIM),
-        st.lists(st.tuples(st.floats(-1e-3, 1e-3), st.integers(-200, 200)), min_size=1, max_size=4),
-        st.integers(0, 8),
-        st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_multi_row_stacks(self, n, near, ordinary, seed):
-        # near-floor rows at random positions among ordinary draws
-        gen = np.random.default_rng(seed)
-        rows = list(linalg.random_posdef_stack(n, LOG_RANGE, seed, ordinary)[0])
-        for rel, exponent in near:
-            row = _spectrum_near_floor(n, rel, exponent, int(gen.integers(2**32)))
-            rows.insert(int(gen.integers(len(rows) + 1)), row)
-        self._assert_stack_verdict(np.stack(rows))
-
-    @pytest.mark.parametrize("n", [2, 5, cli.MAX_DIM])
-    def test_rows_the_proof_leaves_to_eigh(self, n):
-        draws = linalg.random_posdef_stack(n, LOG_RANGE, 40 + n, 5)[0]
-        # above the floor by about a fifth of the proof's margin: far
-        # beyond the error of eigh, but not proven
-        close = _spectrum_near_floor(n, 2e-4 * (n + 1) ** 2, 0, 2)
-        below = _spectrum_near_floor(n, -0.5, 0, 3)
-        a = np.stack([draws[0], close, draws[1], below, draws[2], below])
-        floors = linalg.posdef_floor(a)
-        assert linalg._floor_proven(a, floors).tolist() == [True, False, True, False, True, False]
-        assert np.linalg.eigh(close)[0][0] > floors[1]
-        self._assert_stack_verdict(a)
-        with pytest.raises(NotPositiveDefiniteError, match="^sample 3: "):
-            linalg.require_posdef_stack(a)
-        linalg.require_posdef_stack(a[:3])
-
-    @given(
-        st.integers(1, cli.MAX_DIM),
-        st.floats(0.0, 4.0),
-        st.integers(-200, 200),
-        st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_a_proven_row_is_above_the_floor_by_eigh(self, n, k, exponent, seed):
-        a = _spectrum_at_margin(n, k, exponent, seed)
-        floor = linalg.posdef_floor(a[None])
-        if linalg._floor_proven(a[None], floor)[0]:
-            assert np.linalg.eigh(a)[0][0] > floor[0]
-
-    def test_both_sides_of_the_proof_are_covered(self):
-        for n in (2, 3, 10, cli.MAX_DIM):
-            for seed in range(3):
-                proven = [
-                    bool(linalg._floor_proven(a[None], linalg.posdef_floor(a[None]))[0])
-                    for a in (_spectrum_at_margin(n, k, 0, seed) for k in (0.0, 4.0))
-                ]
-                assert proven == [False, True]
 
 
 class TestSeedWords:

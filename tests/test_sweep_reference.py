@@ -11,9 +11,10 @@ values may differ in the last digits because the sweep takes its
 determinants from the drawn spectrum and from LAPACK.
 
 ``reference_block_kernel`` is the stacked block loop as it was before the
-floor moved to a Cholesky proof and the determinants and jets of a block
-to one call each: an ``eigh`` floor on the whole stack, and four
-determinant rows and four ``eval_jet`` calls per block.  It draws whole
+determinants and jets of a block moved to one call each: an ``eigh``
+floor on the whole stack (the sweep checks none, because its draws clear
+the floor by construction), and four determinant rows and four
+``eval_jet`` calls per block.  It draws whole
 blocks and slices the last one.  The sweep, which draws only the rows it
 uses, must equal it in every bit, and the matrices that replay from a
 failure's index must be the ones the reference failed on.
@@ -208,7 +209,7 @@ def test_block_helper_is_the_reference_block():
     n, seed = 3, 9
     words = linalg.seed_words(seed, 4)
     for b in range(2):
-        got = sweep_block(n, DEFAULT_LOG_EIG_RANGE, words[2 * b : 2 * b + 2], SWEEP_BLOCK)
+        got = sweep_block(n, words[2 * b : 2 * b + 2], SWEEP_BLOCK)
         want = reference_block(n, DEFAULT_LOG_EIG_RANGE, seed, b)
         for stack, rows in zip(got[:4], want[:4]):
             assert stack.shape == (SWEEP_BLOCK, n, n)
@@ -250,14 +251,14 @@ def replay(seed, n, i):
     and i alone, as the README replays it."""
     b, j = divmod(i, SWEEP_BLOCK)
     words = linalg.seed_words(seed, 2 * (b + 1))[2 * b :]
-    return tuple(x[j:] for x in sweep_block(n, DEFAULT_LOG_EIG_RANGE, words, j + 1))
+    return tuple(x[j:] for x in sweep_block(n, words, j + 1))
 
 
 def replayed_values(f, seed, n, i):
     """The quadratic form and the midpoint residual of replayed sample i."""
     c, h, a1, a2, dets = replay(seed, n, i)
     s = dets[:, 0]
-    v = s * condition_bracket(eval_jet(f, s), s, *hess_terms(c, h))
+    v = g_hess_form(eval_jet(f, s), s, *hess_terms(c, h))
     g = eval_jet(f, np.append(dets[0, 1:], np.linalg.det(0.5 * (a1 + a2)))).v
     return float(v[0]), float(g[2] - 0.5 * (g[0] + g[1]))
 
@@ -318,7 +319,7 @@ def reference_block_kernel(f, n, num_samples, seed):
     run = skipped = 0
     for b in range(blocks):
         start = b * SWEEP_BLOCK
-        stacks = sweep_block(n, DEFAULT_LOG_EIG_RANGE, words[2 * b : 2 * b + 2], SWEEP_BLOCK)
+        stacks = sweep_block(n, words[2 * b : 2 * b + 2], SWEEP_BLOCK)
         c, h, a1, a2, dets = (x[: num_samples - start] for x in stacks)
         smallest = np.linalg.eigh(c)[0][:, 0]
         if np.any(smallest <= linalg.posdef_floor(c)):
@@ -361,7 +362,7 @@ def same_failures(got, want, seed, n, roles) -> bool:
         b, j = divmod(i, SWEEP_BLOCK)
         last[b] = j + 1
     words = linalg.seed_words(seed, 2 * (max(last, default=0) + 1))
-    drawn = {b: sweep_block(n, DEFAULT_LOG_EIG_RANGE, words[2 * b : 2 * b + 2], count)
+    drawn = {b: sweep_block(n, words[2 * b : 2 * b + 2], count)
              for b, count in last.items()}
     return all(
         np.array_equal(drawn[i // SWEEP_BLOCK][r][i % SWEEP_BLOCK], m)

@@ -203,6 +203,16 @@ class TestRoundTrips:
             assert twin == family and twin.expr == expr
 
 
+# A valid value of every field of the families and of IvpSpec.
+FINITE_FIELDS = {
+    PowerLaw: {"c": -1.0, "p": 0.5, "d": 0.0},
+    LogFamily: {"c": -1.0, "d": 0.0},
+    FamilyA: {"a": 0.5, "c": -1.0, "d": 0.0, "n": 3},
+    NeoHookeVolumetric: {"mu": 1.0},
+    IvpSpec: {"xi": 1.0, "eta": -1.0, "n": 3},
+}
+
+
 class TestValidation:
     @pytest.mark.parametrize(
         "build, message",
@@ -227,6 +237,20 @@ class TestValidation:
             build()
         assert type(info.value) is ParameterError
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=repr)
+    @pytest.mark.parametrize(
+        "cls, field",
+        [(cls, field) for cls, fields in FINITE_FIELDS.items() for field in fields],
+        ids=lambda x: x if isinstance(x, str) else x.__name__,
+    )
+    def test_non_finite_field_is_refused(self, cls, field, bad):
+        # a NaN passed every comparison, and each of these built
+        # (NeoHookeVolumetric(mu=nan) certified as Inconclusive)
+        fields = dict(FINITE_FIELDS[cls], **{field: bad})
+        with pytest.raises(ParameterError) as info:
+            cls(**fields)
+        assert str(info.value).endswith(f"{field}={bad} must be finite")
 
 
 class TestFamilyExpr:
