@@ -402,15 +402,27 @@ SWEEP_BLOCK = 256
 
 def sweep_block(n: int, words, count: int):
     """(C, H, A1, A2, dets) of the first ``count`` samples of one sweep
-    block from its two seed words: C, A1 and A2 of sample j are rows 3j,
-    3j+1 and 3j+2 of one ``random_posdef_stack`` from ``words[0]`` over
-    DEFAULT_LOG_EIG_RANGE, whose draws clear the positivity floor by
-    construction, H is row j of one ``random_sym`` from ``words[1]``, and
-    the (count, 3) ``dets`` of C, A1 and A2 are the exp of the sums of
-    their drawn log eigenvalues.  Fewer samples are a prefix of more."""
-    posdef, logs = linalg.random_posdef_stack(n, DEFAULT_LOG_EIG_RANGE, words[0], 3 * count)
-    dets = np.exp(logs.sum(axis=1)).reshape(count, 3)
-    return posdef[0::3], linalg.random_sym(n, words[1], count), posdef[1::3], posdef[2::3], dets
+    block from its two seed words, drawn in the eigenbasis of C and A1.
+
+    D2g(QCQ^T).(QHQ^T, QHQ^T) = D2g(C).(H,H) and the midpoint residual of
+    (PA1P^T, PA2P^T) is that of (A1, A2) for orthogonal Q and P, so only
+    the relative frame of a pair matters: C and A1 of sample j are
+    diagonal, their log eigenvalues row j of a (count, 2, n) uniform
+    block over DEFAULT_LOG_EIG_RANGE from the ``jumped()`` stream of
+    ``PCG64(words[1])``; A2 is row j of one ``random_posdef_stack`` from
+    ``words[0]``; H is row j of one ``random_sym`` from ``words[1]``.
+    Every draw clears the positivity floor by construction.  The
+    (count, 3) ``dets`` of C, A1 and A2 are the exp of the sums of their
+    drawn log eigenvalues.  Fewer samples are a prefix of more."""
+    lo, hi = DEFAULT_LOG_EIG_RANGE
+    gen = np.random.Generator(np.random.PCG64(int(words[1])).jumped())
+    logs = gen.uniform(lo, hi, (count, 2, n))
+    a2, logs2 = linalg.random_posdef_stack(n, DEFAULT_LOG_EIG_RANGE, words[0], count)
+    # C and A1 as two contiguous (count, n, n) stacks
+    diag = np.zeros((2, count, n, n))
+    diag[..., np.arange(n), np.arange(n)] = np.swapaxes(np.exp(logs), 0, 1)
+    dets = np.exp(np.concatenate((logs, logs2[:, None]), axis=1).sum(axis=2))
+    return diag[0], linalg.random_sym(n, words[1], count), diag[1], a2, dets
 
 
 class ConvexitySampleDiagnostics(NamedTuple):
@@ -418,12 +430,13 @@ class ConvexitySampleDiagnostics(NamedTuple):
 
     ``min_hess_form`` is the smallest sampled quadratic form (theory says
     >= 0 for convex f); midpoint residuals are g((C1+C2)/2) -
-    (g(C1)+g(C2))/2, non-positive for convex f.  Failures list samples
-    beyond SWEEP_FAIL_TOL as ``(index, value)`` and ``(index, residual)``.
-    Sample i's matrices are row j = i % SWEEP_BLOCK of the stacks that
-    ``sweep_block(n, words, j + 1)`` draws from words 2b, 2b+1 of
-    ``linalg.seed_words(seed, 2 * (b + 1))``, b = i // SWEEP_BLOCK, so
-    they replay from the seed, n and i alone.
+    (g(C1)+g(C2))/2, non-positive for convex f.  The samples beyond
+    SWEEP_FAIL_TOL are listed per kind as an int64 array of sample
+    indices, ascending, and a float64 array of their values or
+    residuals.  Sample i's matrices are row j = i % SWEEP_BLOCK of the
+    stacks that ``sweep_block(n, words, j + 1)`` draws from words 2b,
+    2b+1 of ``linalg.seed_words(seed, 2 * (b + 1))``, b = i // SWEEP_BLOCK,
+    so they replay from the seed, n and i alone.
     """
 
     samples_run: int
@@ -431,8 +444,10 @@ class ConvexitySampleDiagnostics(NamedTuple):
     min_hess_form: float
     min_midpoint_residual: float
     max_midpoint_residual: float
-    hess_failures: tuple
-    midpoint_failures: tuple
+    hess_fail_samples: np.ndarray
+    hess_fail_values: np.ndarray
+    midpoint_fail_samples: np.ndarray
+    midpoint_fail_residuals: np.ndarray
 
 
 def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleDiagnostics:
@@ -440,7 +455,8 @@ def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleD
 
     Draws (C, H) pairs for the quadratic form and PD pairs (A1, A2) for a
     midpoint-convexity check, in stacked blocks of SWEEP_BLOCK samples
-    (``sweep_block``; the last draws only the samples it runs), with
+    (``sweep_block``, in the eigenbasis of C and of A1; the last block
+    draws only the samples it runs), with
     log-eigenvalues uniform on DEFAULT_LOG_EIG_RANGE, so every C is above
     the positivity floor by construction.  Per block, the inner products
     of D2g come from one LAPACK solve and the form from ``g_hess_form``,
@@ -456,8 +472,8 @@ def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleD
     min_hess = np.inf
     min_mid = np.inf
     max_mid = -np.inf
-    hess_failures = []
-    mid_failures = []
+    # per block, the sample indices and values of each kind's failures
+    hess_fails, hess_values, mid_fails, mid_residuals = [], [], [], []
     run = 0
     skipped = 0
     for b in range(blocks):
@@ -484,16 +500,25 @@ def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleD
         min_hess = min(min_hess, float(v[ok].min()))
         min_mid = min(min_mid, float(r[ok].min()))
         max_mid = max(max_mid, float(r[ok].max()))
-        for j in np.flatnonzero(ok & (v < -SWEEP_FAIL_TOL)).tolist():
-            hess_failures.append((start + j, float(v[j])))
-        for j in np.flatnonzero(ok & (r > SWEEP_FAIL_TOL)).tolist():
-            mid_failures.append((start + j, float(r[j])))
+        j = np.flatnonzero(ok & (v < -SWEEP_FAIL_TOL))
+        hess_fails.append(start + j)
+        hess_values.append(v[j])
+        j = np.flatnonzero(ok & (r > SWEEP_FAIL_TOL))
+        mid_fails.append(start + j)
+        mid_residuals.append(r[j])
     return ConvexitySampleDiagnostics(
         samples_run=run,
         samples_skipped=skipped,
         min_hess_form=float(min_hess),
         min_midpoint_residual=float(min_mid),
         max_midpoint_residual=float(max_mid),
-        hess_failures=tuple(hess_failures),
-        midpoint_failures=tuple(mid_failures),
+        hess_fail_samples=_joined(hess_fails, np.int64),
+        hess_fail_values=_joined(hess_values, np.float64),
+        midpoint_fail_samples=_joined(mid_fails, np.int64),
+        midpoint_fail_residuals=_joined(mid_residuals, np.float64),
     )
+
+
+def _joined(parts, dtype) -> np.ndarray:
+    """The per-block arrays ``parts`` end to end, empty when there are none."""
+    return np.concatenate(parts).astype(dtype, copy=False) if parts else np.empty(0, dtype)

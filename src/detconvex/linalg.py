@@ -31,8 +31,9 @@ from .errors import (
 # Generator family and stream layout of the sampling routines, recorded in
 # report headers so results can be reproduced: PCG64, one seed word per
 # sweep block of 256 samples (certifier.SWEEP_BLOCK) and matrix kind, two
-# streams per positive definite word, and Householder frames.
-RNG_ALGORITHM = "numpy-pcg64-householder-block256"
+# streams per word, Householder frames, and a sweep drawn in the
+# eigenbasis of C and A1 (``certifier.sweep_block``).
+RNG_ALGORITHM = "numpy-pcg64-eigenbasis-block256"
 
 # Log eigenvalue range of the default draws: eigenvalues in [0.1, 10], so that
 # up to n = 64 every draw clears the positivity floor by construction.

@@ -417,12 +417,14 @@ class TestSampleConvexity:
         assert diag.samples_skipped == 0
         assert diag.min_hess_form >= -1e-8
         assert diag.max_midpoint_residual <= 1e-8
-        assert diag.hess_failures == () and diag.midpoint_failures == ()
+        for failures in (diag.hess_fail_samples, diag.hess_fail_values,
+                         diag.midpoint_fail_samples, diag.midpoint_fail_residuals):
+            assert failures.shape == (0,)
 
     def test_nonconvex_function_found(self):
         diag = sample_convexity(parse("s"), 3, 300, seed=4)
         assert diag.min_hess_form < -1e-8
-        assert diag.hess_failures
+        assert diag.hess_fail_samples.size
         assert diag.max_midpoint_residual > 1e-8
 
     def test_sample_count_validated(self):
@@ -431,9 +433,11 @@ class TestSampleConvexity:
 
     def test_failures_keep_no_matrices(self):
         # every sample of f = s fails both checks at n = 10; a failure is
-        # its index and value, and the sweep's memory is set by its block
-        # (matrices kept per failure made 20 times as many samples cost 8
-        # times the memory)
+        # its index and value, kept in int64 and float64 arrays, and the
+        # sweep's memory is set by its block (matrices kept per failure
+        # made 20 times as many samples cost 8 times the memory, and an
+        # (int, float) tuple per failure outgrew the bound once a block
+        # drew one frame per sample)
         def traced_peak(num):
             tracemalloc.start()
             try:
@@ -444,9 +448,11 @@ class TestSampleConvexity:
 
         small, _ = traced_peak(SWEEP_BLOCK)
         large, diag = traced_peak(20 * SWEEP_BLOCK)
-        assert len(diag.hess_failures) > 19 * SWEEP_BLOCK
-        assert all(type(i) is int and type(v) is float for i, v in diag.hess_failures)
-        assert all(type(i) is int and type(r) is float for i, r in diag.midpoint_failures)
+        assert len(diag.hess_fail_samples) > 19 * SWEEP_BLOCK
+        for samples, values in ((diag.hess_fail_samples, diag.hess_fail_values),
+                                (diag.midpoint_fail_samples, diag.midpoint_fail_residuals)):
+            assert samples.dtype == np.int64 and values.dtype == np.float64
+            assert samples.shape == values.shape
         assert large < 2 * small
 
     def test_rejects_negative_seed(self):

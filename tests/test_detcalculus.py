@@ -412,6 +412,14 @@ class TestOracleSweep:
         assert np.array_equal(c, linalg.random_posdef_stack(3, LOG_RANGE, words[0], 9)[0])
         assert np.array_equal(h, linalg.random_sym(3, words[1], 9))
 
+    @pytest.mark.parametrize("n", [2, 3, 10])
+    def test_oracle_pairs_keep_full_frames(self, n):
+        # the sweep draws C diagonal; the oracle checks hess_terms against
+        # finite differences, which needs the off-diagonal entries of C
+        c = linalg.random_pairs(n, 23, 64)[0]
+        off = c - np.eye(n) * c
+        assert np.all(np.abs(off).max(axis=(-2, -1)) > 1e-3 * np.abs(c).max(axis=(-2, -1)))
+
 
 def _disc(analytic, fd):
     return abs(analytic - fd) / max(1.0, abs(analytic))

@@ -19,7 +19,8 @@ All five certify files were regenerated when the draws moved to
 Householder frames from two streams per seed word, one positive
 definite draw per sweep block and determinants from the drawn spectrum:
 only their ``rng`` tag and, in the four that sweep, ``min_hess_form``
-changed.
+changed.  They were regenerated again, with the same two fields
+changing, when the sweep moved to the eigenbasis of C and A1.
 """
 
 from pathlib import Path

@@ -29,11 +29,13 @@ def test_sweep_replay_recipe_reproduces_reported_failures():
     f, n, seed = parse("s"), 3, 4
     diag = sample_convexity(f, n, 300, seed)
     # a failure in the second block, and the first of each kind
-    hess = [diag.hess_failures[0], diag.hess_failures[-1]]
-    mid = [diag.midpoint_failures[0], diag.midpoint_failures[-1]]
-    assert hess[-1][0] >= SWEEP_BLOCK and mid[-1][0] >= SWEEP_BLOCK
-    for failures, name in ((hess, "value"), (mid, "residual")):
-        for i, reported in failures:
-            namespace = {"f": f, "n": n, "seed": seed, "i": i}
+    kinds = (
+        (diag.hess_fail_samples, diag.hess_fail_values, "value"),
+        (diag.midpoint_fail_samples, diag.midpoint_fail_residuals, "residual"),
+    )
+    for samples, values, name in kinds:
+        assert samples[-1] >= SWEEP_BLOCK
+        for k in (0, -1):
+            namespace = {"f": f, "n": n, "seed": seed, "i": int(samples[k])}
             exec(code, namespace)
-            assert namespace[name].item() == reported
+            assert namespace[name].item() == values[k]
