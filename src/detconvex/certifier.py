@@ -299,27 +299,24 @@ def certify(f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BA
     fprime_bad = ~fprime_ok & (not domain_failure)
     lhs_bad = ~lhs_ok & (not domain_failure)
     witnesses = []
-    if fprime_bad.any():
-        w = _grid_witness(f, KIND_POSITIVE_FPRIME, s, fprime_bad, n)
+
+    def attempt(kind: str, label: str, candidates) -> None:
+        """A witness of ``kind`` at ``candidates``, or else an annotation."""
+        if not candidates.any():
+            return
+        w = _grid_witness(f, kind, s, candidates, n)
         if w is not None:
             witnesses.append(w)
         else:
-            s_bad = float(s[np.argmax(fprime_bad)])
-            annotations.append(f"slope violation at s={s_bad:.6g} not confirmed by the fd oracle")
-    if lhs_bad.any():
-        # points already covered by a slope witness prefer that construction
-        candidates = lhs_bad & fprime_ok
-        if not candidates.any() and not witnesses:
-            candidates = lhs_bad
-        if candidates.any():
-            w = _grid_witness(f, KIND_SECOND_ORDER, s, candidates, n)
-            if w is not None:
-                witnesses.append(w)
-            else:
-                s_bad = float(s[np.argmax(candidates)])
-                annotations.append(
-                    f"second-order violation at s={s_bad:.6g} not confirmed by the fd oracle"
-                )
+            s_bad = float(s[np.argmax(candidates)])
+            annotations.append(f"{label} violation at s={s_bad:.6g} not confirmed by the fd oracle")
+
+    attempt(KIND_POSITIVE_FPRIME, "slope", fprime_bad)
+    # points already covered by a slope witness prefer that construction
+    candidates = lhs_bad & fprime_ok
+    if not candidates.any() and not witnesses:
+        candidates = lhs_bad
+    attempt(KIND_SECOND_ORDER, "second-order", candidates)
 
     if witnesses:
         verdict = REFUTED
@@ -430,13 +427,15 @@ class ConvexitySampleDiagnostics(NamedTuple):
 
     ``min_hess_form`` is the smallest sampled quadratic form (theory says
     >= 0 for convex f); midpoint residuals are g((C1+C2)/2) -
-    (g(C1)+g(C2))/2, non-positive for convex f.  The samples beyond
-    SWEEP_FAIL_TOL are listed per kind as an int64 array of sample
-    indices, ascending, and a float64 array of their values or
-    residuals.  Sample i's matrices are row j = i % SWEEP_BLOCK of the
-    stacks that ``sweep_block(n, words, j + 1)`` draws from words 2b,
-    2b+1 of ``linalg.seed_words(seed, 2 * (b + 1))``, b = i // SWEEP_BLOCK,
-    so they replay from the seed, n and i alone.
+    (g(C1)+g(C2))/2, non-positive for convex f.  ``hess_failures`` and
+    ``midpoint_failures`` count the samples beyond SWEEP_FAIL_TOL, forms
+    below -SWEEP_FAIL_TOL and residuals above it.  ``min_hess_sample``
+    and ``max_midpoint_sample`` are the indices of the samples that
+    attain ``min_hess_form`` and ``max_midpoint_residual``, the lowest on
+    ties and -1 when no sample ran.  Sample i's matrices are row
+    j = i % SWEEP_BLOCK of the stacks that ``sweep_block(n, words, j + 1)``
+    draws from words 2b, 2b+1 of ``linalg.seed_words(seed, 2 * (b + 1))``,
+    b = i // SWEEP_BLOCK, so they replay from the seed, n and i alone.
     """
 
     samples_run: int
@@ -444,10 +443,27 @@ class ConvexitySampleDiagnostics(NamedTuple):
     min_hess_form: float
     min_midpoint_residual: float
     max_midpoint_residual: float
-    hess_fail_samples: np.ndarray
-    hess_fail_values: np.ndarray
-    midpoint_fail_samples: np.ndarray
-    midpoint_fail_residuals: np.ndarray
+    hess_failures: int
+    midpoint_failures: int
+    min_hess_sample: int
+    max_midpoint_sample: int
+
+
+def _block_values(f, n: int, words, m: int):
+    """(ran, forms, midpoint residuals) of the m samples of one sweep
+    block, whose matrices die on return: a sweep holds one block's."""
+    c, h, a1, a2, dets = sweep_block(n, words, m)
+    inner, cross = detcalculus.hess_terms(c, h)
+    # one jet over the determinants of [C; A1; A2; (A1+A2)/2]
+    dets = np.concatenate((dets.T.ravel(), np.linalg.det(0.5 * (a1 + a2))))
+    jets = scalarfun.eval_jet(f, dets)
+    s = dets[:m]
+    jet = Jet2(*(x[:m] for x in jets))
+    g1, g2, gm = jets.v[m:].reshape(3, m)
+    # a sample whose jets failed at any point is NaN there and skipped
+    ok = ~np.isnan(jets.v).reshape(4, m).any(axis=0)
+    with np.errstate(all="ignore"):
+        return ok, detcalculus.g_hess_form(jet, s, inner, cross), gm - 0.5 * (g1 + g2)
 
 
 def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleDiagnostics:
@@ -463,7 +479,8 @@ def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleD
     the determinant of (A1+A2)/2 from one LAPACK call (the others are the
     drawn spectra's), and the jets of the four from one array
     evaluation.  A sample whose jets fail at any of its four points is
-    skipped and counted rather than aborting the sweep.
+    skipped and counted rather than aborting the sweep.  Only counts and
+    extremes are kept, so memory is one block's whatever the failures.
     """
     if num_samples < 1:
         raise ParameterError("num_samples must be >= 1")
@@ -472,53 +489,36 @@ def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleD
     min_hess = np.inf
     min_mid = np.inf
     max_mid = -np.inf
-    # per block, the sample indices and values of each kind's failures
-    hess_fails, hess_values, mid_fails, mid_residuals = [], [], [], []
+    min_hess_at = max_mid_at = -1
+    hess_failures = mid_failures = 0
     run = 0
     skipped = 0
     for b in range(blocks):
         start = b * SWEEP_BLOCK
         m = min(SWEEP_BLOCK, num_samples - start)
-        c, h, a1, a2, dets = sweep_block(n, words[2 * b : 2 * b + 2], m)
-        inner, cross = detcalculus.hess_terms(c, h)
-        # one jet over the determinants of [C; A1; A2; (A1+A2)/2]
-        dets = np.concatenate((dets.T.ravel(), np.linalg.det(0.5 * (a1 + a2))))
-        jets = scalarfun.eval_jet(f, dets)
-        s = dets[:m]
-        jet = Jet2(*(x[:m] for x in jets))
-        g1, g2, gm = jets.v[m:].reshape(3, m)
-        # a sample whose jets failed at any point is NaN there and skipped
-        ok = ~np.isnan(jets.v).reshape(4, m).any(axis=0)
+        ok, v, r = _block_values(f, n, words[2 * b : 2 * b + 2], m)
         k = int(ok.sum())
         run += k
         skipped += m - k
         if k == 0:
             continue
-        with np.errstate(all="ignore"):
-            v = detcalculus.g_hess_form(jet, s, inner, cross)
-            r = gm - 0.5 * (g1 + g2)
-        min_hess = min(min_hess, float(v[ok].min()))
+        # only a strictly further extreme moves its index, so ties keep the lowest
+        block_min, block_max = float(v[ok].min()), float(r[ok].max())
+        if block_min < min_hess:
+            min_hess, min_hess_at = block_min, start + int(np.argmax(ok & (v == block_min)))
+        if block_max > max_mid:
+            max_mid, max_mid_at = block_max, start + int(np.argmax(ok & (r == block_max)))
         min_mid = min(min_mid, float(r[ok].min()))
-        max_mid = max(max_mid, float(r[ok].max()))
-        j = np.flatnonzero(ok & (v < -SWEEP_FAIL_TOL))
-        hess_fails.append(start + j)
-        hess_values.append(v[j])
-        j = np.flatnonzero(ok & (r > SWEEP_FAIL_TOL))
-        mid_fails.append(start + j)
-        mid_residuals.append(r[j])
+        hess_failures += int(np.count_nonzero(ok & (v < -SWEEP_FAIL_TOL)))
+        mid_failures += int(np.count_nonzero(ok & (r > SWEEP_FAIL_TOL)))
     return ConvexitySampleDiagnostics(
         samples_run=run,
         samples_skipped=skipped,
-        min_hess_form=float(min_hess),
-        min_midpoint_residual=float(min_mid),
-        max_midpoint_residual=float(max_mid),
-        hess_fail_samples=_joined(hess_fails, np.int64),
-        hess_fail_values=_joined(hess_values, np.float64),
-        midpoint_fail_samples=_joined(mid_fails, np.int64),
-        midpoint_fail_residuals=_joined(mid_residuals, np.float64),
+        min_hess_form=min_hess,
+        min_midpoint_residual=min_mid,
+        max_midpoint_residual=max_mid,
+        hess_failures=hess_failures,
+        midpoint_failures=mid_failures,
+        min_hess_sample=min_hess_at,
+        max_midpoint_sample=max_mid_at,
     )
-
-
-def _joined(parts, dtype) -> np.ndarray:
-    """The per-block arrays ``parts`` end to end, empty when there are none."""
-    return np.concatenate(parts).astype(dtype, copy=False) if parts else np.empty(0, dtype)

@@ -75,11 +75,12 @@ class UsageError(Exception):
     pass
 
 
-_FAMILY_DEFAULTS = {
-    "fa": {"a": None, "c": -1.0, "d": 0.0},
-    "power": {"p": None, "c": -1.0, "d": 0.0},
-    "log": {"c": -1.0, "d": 0.0},
-    "neohooke": {"mu": 1.0},
+# family name -> (class, default parameters); None marks a required one
+_FAMILIES = {
+    "fa": (scalarfun.FamilyA, {"a": None, "c": -1.0, "d": 0.0}),
+    "power": (scalarfun.PowerLaw, {"p": None, "c": -1.0, "d": 0.0}),
+    "log": (scalarfun.LogFamily, {"c": -1.0, "d": 0.0}),
+    "neohooke": (scalarfun.NeoHookeVolumetric, {"mu": 1.0}),
 }
 
 
@@ -91,9 +92,10 @@ def parse_function_spec(spec: str, n: int):
     if len(parts) not in (2, 3):
         raise UsageError(f"malformed family spec {spec!r}")
     name = parts[1]
-    if name not in _FAMILY_DEFAULTS:
-        raise UsageError(f"unknown family {name!r}; choose from {sorted(_FAMILY_DEFAULTS)}")
-    params = dict(_FAMILY_DEFAULTS[name])
+    if name not in _FAMILIES:
+        raise UsageError(f"unknown family {name!r}; choose from {sorted(_FAMILIES)}")
+    cls, defaults = _FAMILIES[name]
+    params = dict(defaults)
     if len(parts) == 3 and parts[2]:
         for item in parts[2].split(","):
             if "=" not in item:
@@ -109,14 +111,10 @@ def parse_function_spec(spec: str, n: int):
     missing = [k for k, v in params.items() if v is None]
     if missing:
         raise UsageError(f"family {name!r} requires parameters: {', '.join(missing)}")
+    if cls is scalarfun.FamilyA:
+        params["n"] = n
     try:
-        if name == "fa":
-            return scalarfun.FamilyA(a=params["a"], c=params["c"], d=params["d"], n=n)
-        if name == "power":
-            return scalarfun.PowerLaw(c=params["c"], p=params["p"], d=params["d"])
-        if name == "log":
-            return scalarfun.LogFamily(c=params["c"], d=params["d"])
-        return scalarfun.NeoHookeVolumetric(mu=params["mu"])
+        return cls(**params)
     except ParameterError as e:
         raise UsageError(str(e)) from e
 

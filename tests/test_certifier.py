@@ -417,27 +417,47 @@ class TestSampleConvexity:
         assert diag.samples_skipped == 0
         assert diag.min_hess_form >= -1e-8
         assert diag.max_midpoint_residual <= 1e-8
-        for failures in (diag.hess_fail_samples, diag.hess_fail_values,
-                         diag.midpoint_fail_samples, diag.midpoint_fail_residuals):
-            assert failures.shape == (0,)
+        assert diag.hess_failures == diag.midpoint_failures == 0
 
     def test_nonconvex_function_found(self):
         diag = sample_convexity(parse("s"), 3, 300, seed=4)
         assert diag.min_hess_form < -1e-8
-        assert diag.hess_fail_samples.size
+        assert diag.hess_failures > 0
         assert diag.max_midpoint_residual > 1e-8
+        assert diag.midpoint_failures > 0
+
+    def test_sweep_holds_confirmed_counterexamples_beyond_the_grid(self):
+        # the slope of -ln(s)+1e-7*s^2 turns positive past s = 2236 at
+        # n = 5, beyond the grid's 1e3 but inside the sweep's det range:
+        # sample 43 (form -0.1210 at det C = 3253.3) and sample 519
+        # (-1.6357 at det C = 6249.6) fail, and the fd oracle confirms
+        # both forms (1.8e-8 and 2.5e-9 relative apart, in that order)
+        f, n, seed = parse("-ln(s)+1e-7*s^2"), 5, 42
+        diag = sample_convexity(f, n, 1000, seed)
+        assert diag.hess_failures == 2
+        assert diag.min_hess_sample == 519
+        for i in (43, 519):
+            b, j = divmod(i, SWEEP_BLOCK)
+            words = linalg.seed_words(seed, 2 * (b + 1))[2 * b :]
+            c, h, _, _, dets = (x[j:] for x in certifier.sweep_block(n, words, j + 1))
+            forms = detcalculus.directional_forms((f,), c, h, dets[:, 0])
+            value, fd = float(forms.hess[0]), float(forms.fd_hess[0])
+            assert value < -certifier.SWEEP_FAIL_TOL
+            assert abs(fd - value) <= 1e-6 * abs(value)
+            if i == 519:
+                assert value == diag.min_hess_form
 
     def test_sample_count_validated(self):
         with pytest.raises(ParameterError):
             sample_convexity(parse("s"), 3, 0, seed=4)
 
     def test_failures_keep_no_matrices(self):
-        # every sample of f = s fails both checks at n = 10; a failure is
-        # its index and value, kept in int64 and float64 arrays, and the
-        # sweep's memory is set by its block (matrices kept per failure
-        # made 20 times as many samples cost 8 times the memory, and an
-        # (int, float) tuple per failure outgrew the bound once a block
-        # drew one frame per sample)
+        # most samples of f = s fail both checks at n = 10; the sweep
+        # counts its failures and keeps the worst of each kind, so its
+        # memory is set by its block (matrices kept per failure made 20
+        # times as many samples cost 8 times the memory, and arrays of
+        # failing indices and values, with the last block's matrices
+        # still held while the next was drawn, 1.56 times)
         def traced_peak(num):
             tracemalloc.start()
             try:
@@ -448,12 +468,9 @@ class TestSampleConvexity:
 
         small, _ = traced_peak(SWEEP_BLOCK)
         large, diag = traced_peak(20 * SWEEP_BLOCK)
-        assert len(diag.hess_fail_samples) > 19 * SWEEP_BLOCK
-        for samples, values in ((diag.hess_fail_samples, diag.hess_fail_values),
-                                (diag.midpoint_fail_samples, diag.midpoint_fail_residuals)):
-            assert samples.dtype == np.int64 and values.dtype == np.float64
-            assert samples.shape == values.shape
-        assert large < 2 * small
+        assert diag.hess_failures > 19 * SWEEP_BLOCK
+        assert diag.midpoint_failures > 15 * SWEEP_BLOCK
+        assert large < 1.1 * small
 
     def test_rejects_negative_seed(self):
         # SeedSequence raised a bare ValueError, which the CLI reported as

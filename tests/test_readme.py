@@ -27,15 +27,13 @@ def test_sweep_replay_recipe_reproduces_reported_failures():
     assert len(recipe) == 1
     code = compile(recipe[0], "README.md", "exec")
     f, n, seed = parse("s"), 3, 4
-    diag = sample_convexity(f, n, 300, seed)
-    # a failure in the second block, and the first of each kind
-    kinds = (
-        (diag.hess_fail_samples, diag.hess_fail_values, "value"),
-        (diag.midpoint_fail_samples, diag.midpoint_fail_residuals, "residual"),
-    )
-    for samples, values, name in kinds:
-        assert samples[-1] >= SWEEP_BLOCK
-        for k in (0, -1):
-            namespace = {"f": f, "n": n, "seed": seed, "i": int(samples[k])}
-            exec(code, namespace)
-            assert namespace[name].item() == values[k]
+    diag = sample_convexity(f, n, 1000, seed)
+    # both worst samples lie past the first block
+    for i, name, extreme in (
+        (diag.min_hess_sample, "value", diag.min_hess_form),
+        (diag.max_midpoint_sample, "residual", diag.max_midpoint_residual),
+    ):
+        assert i >= SWEEP_BLOCK
+        namespace = {"f": f, "n": n, "seed": seed, "i": i}
+        exec(code, namespace)
+        assert namespace[name].item() == extreme

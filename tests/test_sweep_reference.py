@@ -16,9 +16,11 @@ determinants and jets of a block moved to one call each: an ``eigh``
 floor on the whole stack (the sweep checks none, because its draws clear
 the floor by construction), and four determinant rows and four
 ``eval_jet`` calls per block.  It draws whole
-blocks and slices the last one.  The sweep, which draws only the rows it
-uses, must equal it in every bit, and the matrices that replay from a
-failure's index must be the ones the reference failed on.
+blocks and slices the last one, and keeps every sample's values, which
+``summary`` turns into the sweep's counts and extremes.  The sweep, which
+draws only the rows it uses and keeps running values, must equal it in
+every bit, and the matrices that replay from a worst sample's index must
+be the ones the reference drew there.
 """
 
 import numpy as np
@@ -27,7 +29,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detconvex import linalg
-from detconvex.certifier import SWEEP_BLOCK, SWEEP_FAIL_TOL, sample_convexity, sweep_block
+from detconvex.certifier import (
+    SWEEP_BLOCK,
+    SWEEP_FAIL_TOL,
+    ConvexitySampleDiagnostics,
+    sample_convexity,
+    sweep_block,
+)
 from detconvex.detcalculus import builtin_corpus, condition_bracket, g_hess_form, hess_terms
 from detconvex.errors import DomainError, NonFiniteError, NotPositiveDefiniteError
 from detconvex.linalg import (
@@ -243,8 +251,13 @@ def test_sweep_matches_reference_loop(text, n):
         assert 0 < skipped < num
     assert diag.samples_run == run
     assert diag.samples_skipped == skipped
-    assert diag.hess_fail_samples.tolist() == hess_idx
-    assert diag.midpoint_fail_samples.tolist() == mid_idx
+    assert diag.hess_failures == len(hess_idx)
+    assert diag.midpoint_failures == len(mid_idx)
+    # the worst sample of each kind is one the reference failed
+    if hess_idx:
+        assert diag.min_hess_sample in hess_idx
+    if mid_idx:
+        assert diag.max_midpoint_sample in mid_idx
     tol = rel_tol(n)
     for got, want in (
         (diag.min_hess_form, min_hess),
@@ -271,22 +284,24 @@ def replayed_values(f, seed, n, i):
     return float(v[0]), float(g[2] - 0.5 * (g[0] + g[1]))
 
 
-def assert_failures_replay(f, diag, seed, n):
-    for i, v in zip(diag.hess_fail_samples.tolist(), diag.hess_fail_values.tolist()):
-        assert replayed_values(f, seed, n, i)[0] == v
-        assert v < -SWEEP_FAIL_TOL
-    for i, r in zip(diag.midpoint_fail_samples.tolist(), diag.midpoint_fail_residuals.tolist()):
-        assert replayed_values(f, seed, n, i)[1] == r
-        assert r > SWEEP_FAIL_TOL
+def assert_worst_samples_replay(f, diag, seed, n):
+    """The worst sample of each kind replays to the sweep's extreme bit
+    for bit; both indices are -1 when no sample ran."""
+    if diag.samples_run == 0:
+        assert diag.min_hess_sample == diag.max_midpoint_sample == -1
+        return
+    assert replayed_values(f, seed, n, diag.min_hess_sample)[0] == diag.min_hess_form
+    assert replayed_values(f, seed, n, diag.max_midpoint_sample)[1] == diag.max_midpoint_residual
 
 
 def test_failures_replay_from_their_index():
-    n, seed = 3, 4
+    n, seed = 3, 11
     f = parse("s")
     diag = sample_convexity(f, n, 300, seed=seed)
-    assert diag.hess_fail_samples.size and diag.midpoint_fail_samples.size
-    assert diag.hess_fail_samples[-1] >= SWEEP_BLOCK
-    assert_failures_replay(f, diag, seed, n)
+    assert diag.hess_failures and diag.midpoint_failures
+    assert diag.min_hess_sample >= SWEEP_BLOCK
+    assert diag.min_hess_form < -SWEEP_FAIL_TOL < SWEEP_FAIL_TOL < diag.max_midpoint_residual
+    assert_worst_samples_replay(f, diag, seed, n)
 
 
 @pytest.mark.parametrize("num", [1, SWEEP_BLOCK, SWEEP_BLOCK + 1, 1000])
@@ -297,41 +312,23 @@ def test_failures_replay_through_the_block_helper(text, num):
     diag = sample_convexity(f, n, num, seed=seed)
     assert diag.samples_run + diag.samples_skipped == num
     if num == 1000:
-        assert diag.hess_fail_samples.size and diag.hess_fail_samples[-1] >= 3 * SWEEP_BLOCK
-    assert_failures_replay(f, diag, seed, n)
-
-
-@pytest.mark.parametrize("text", ["s", "ln(s-5)"])
-def test_failures_of_a_shorter_sweep_are_a_prefix(text):
-    # seed 18 is the first from 14 on whose short sweep fails a form past
-    # block 0 for both functions
-    n, seed, short, long = 3, 18, SWEEP_BLOCK + 40, 3 * SWEEP_BLOCK
-    f = parse(text)
-    a = sample_convexity(f, n, short, seed=seed)
-    b = sample_convexity(f, n, long, seed=seed)
-    assert a.hess_fail_samples.size and a.hess_fail_samples[-1] >= SWEEP_BLOCK
-    for samples, values in (("hess_fail_samples", "hess_fail_values"),
-                            ("midpoint_fail_samples", "midpoint_fail_residuals")):
-        prefix = getattr(b, samples) < short
-        assert np.array_equal(getattr(a, samples), getattr(b, samples)[prefix])
-        # the same matrices, so the same values to the bit
-        assert np.array_equal(getattr(a, values), getattr(b, values)[prefix])
-    assert a.min_hess_form >= b.min_hess_form
+        assert diag.hess_failures and diag.min_hess_sample >= SWEEP_BLOCK
+    assert_worst_samples_replay(f, diag, seed, n)
 
 
 def reference_block_kernel(f, n, num_samples, seed):
-    """The fields of ``ConvexitySampleDiagnostics`` from the stacked block
-    loop with an ``eigh`` floor and one ``eval_jet`` call per stack, the
-    failures with their matrices."""
+    """(values, skipped, drawn) from the stacked block loop with an
+    ``eigh`` floor and one ``eval_jet`` call per stack: the (index, form,
+    residual) of each sample that ran, the indices of those skipped, and
+    the (C, H, A1, A2) stacks of each block."""
     blocks = -(-num_samples // SWEEP_BLOCK)
     words = linalg.seed_words(seed, 2 * blocks)
-    min_hess, min_mid, max_mid = np.inf, np.inf, -np.inf
-    hess_failures, mid_failures = [], []
-    run = skipped = 0
+    values, skipped, drawn = [], [], []
     for b in range(blocks):
         start = b * SWEEP_BLOCK
         stacks = sweep_block(n, words[2 * b : 2 * b + 2], SWEEP_BLOCK)
         c, h, a1, a2, dets = (x[: num_samples - start] for x in stacks)
+        drawn.append((c, h, a1, a2))
         smallest = np.linalg.eigh(c)[0][:, 0]
         if np.any(smallest <= linalg.posdef_floor(c)):
             raise NotPositiveDefiniteError("a draw below the positivity floor")
@@ -342,45 +339,49 @@ def reference_block_kernel(f, n, num_samples, seed):
         g2 = eval_jet(f, dets[:, 2]).v
         gm = eval_jet(f, np.linalg.det(0.5 * (a1 + a2))).v
         ok = ~(np.isnan(jet.v) | np.isnan(g1) | np.isnan(g2) | np.isnan(gm))
-        k = int(ok.sum())
-        run += k
-        skipped += len(s) - k
-        if k == 0:
-            continue
         with np.errstate(all="ignore"):
             v = s * condition_bracket(jet, s, inner, cross)
             r = gm - 0.5 * (g1 + g2)
-        min_hess = min(min_hess, float(v[ok].min()))
-        min_mid = min(min_mid, float(r[ok].min()))
-        max_mid = max(max_mid, float(r[ok].max()))
-        for j in np.flatnonzero(ok & (v < -SWEEP_FAIL_TOL)).tolist():
-            hess_failures.append((start + j, c[j], h[j], float(v[j])))
-        for j in np.flatnonzero(ok & (r > SWEEP_FAIL_TOL)).tolist():
-            mid_failures.append((start + j, a1[j], a2[j], float(r[j])))
-    return (run, skipped, float(min_hess), float(min_mid), float(max_mid),
-            hess_failures, mid_failures)
+        for j in range(len(s)):
+            if ok[j]:
+                values.append((start + j, float(v[j]), float(r[j])))
+            else:
+                skipped.append(start + j)
+    return values, skipped, drawn
 
 
-def same_failures(samples, values, want, seed, n, roles) -> bool:
-    """The failures of a sweep, as arrays of ``samples`` and ``values``,
-    are those of ``want``, which lists (index, X, Y, value); the matrices
-    ``roles`` of (C, H, A1, A2) that replay from each index are X and Y.
-    The failures of a block replay from one draw of that block's rows up
-    to its last failure."""
-    if samples.tolist() != [y[0] for y in want] or values.tolist() != [y[3] for y in want]:
-        return False
-    last = {}
-    for i, *_ in want:
-        b, j = divmod(i, SWEEP_BLOCK)
-        last[b] = j + 1
-    words = linalg.seed_words(seed, 2 * (max(last, default=0) + 1))
-    drawn = {b: sweep_block(n, words[2 * b : 2 * b + 2], count)
-             for b, count in last.items()}
-    return all(
-        np.array_equal(drawn[i // SWEEP_BLOCK][r][i % SWEEP_BLOCK], m)
-        for i, *matrices, _ in want
-        for r, m in zip(roles, matrices)
+def summary(values, skipped) -> ConvexitySampleDiagnostics:
+    """The diagnostics of a sweep whose samples that ran have the
+    (index, form, residual) ``values`` and whose skipped samples are the
+    indices ``skipped``, one sample at a time."""
+    forms = [v for _, v, _ in values]
+    residuals = [r for _, _, r in values]
+    min_hess = min(forms, default=np.inf)
+    max_mid = max(residuals, default=-np.inf)
+    return ConvexitySampleDiagnostics(
+        samples_run=len(values),
+        samples_skipped=len(skipped),
+        min_hess_form=min_hess,
+        min_midpoint_residual=min(residuals, default=np.inf),
+        max_midpoint_residual=max_mid,
+        hess_failures=sum(v < -SWEEP_FAIL_TOL for v in forms),
+        midpoint_failures=sum(r > SWEEP_FAIL_TOL for r in residuals),
+        min_hess_sample=next((i for i, v, _ in values if v == min_hess), -1),
+        max_midpoint_sample=next((i for i, _, r in values if r == max_mid), -1),
     )
+
+
+@pytest.mark.parametrize("text", ["s", "ln(s-5)"])
+def test_failures_of_a_shorter_sweep_are_a_prefix(text):
+    # seed 18 is the first from 14 on whose short sweep fails a form past
+    # block 0 for both functions
+    n, seed, short, long = 3, 18, SWEEP_BLOCK + 40, 3 * SWEEP_BLOCK
+    f = parse(text)
+    a = sample_convexity(f, n, short, seed=seed)
+    values, skipped, _ = reference_block_kernel(f, n, long, seed)
+    assert any(v < -SWEEP_FAIL_TOL for i, v, _ in values if SWEEP_BLOCK <= i < short)
+    # the same matrices, so the same values to the bit
+    assert a == summary([x for x in values if x[0] < short], [i for i in skipped if i < short])
 
 
 KERNEL_FUNCTIONS = ["-ln(s)", "s", "-ln(s)+1e-7*s^2", "ln(s-5)", "exp(exp(s))"]
@@ -393,24 +394,21 @@ def test_sweep_equals_the_block_kernel_reference_bit_for_bit(text, n, num):
     f = parse(text)
     seed = 70 + n
     diag = sample_convexity(f, n, num, seed=seed)
-    run, skipped, min_hess, min_mid, max_mid, hess_failures, mid_failures = (
-        reference_block_kernel(f, n, num, seed)
-    )
-    assert (diag.samples_run, diag.samples_skipped) == (run, skipped)
+    values, skipped, drawn = reference_block_kernel(f, n, num, seed)
     # inf over a sweep that ran no sample compares equal too
-    assert diag.min_hess_form == min_hess
-    assert diag.min_midpoint_residual == min_mid
-    assert diag.max_midpoint_residual == max_mid
-    assert same_failures(diag.hess_fail_samples, diag.hess_fail_values, hess_failures,
-                         seed, n, (0, 1))
-    assert same_failures(diag.midpoint_fail_samples, diag.midpoint_fail_residuals, mid_failures,
-                         seed, n, (2, 3))
+    assert diag == summary(values, skipped)
+    # the worst samples' matrices replay from their indices
+    for i, roles in ((diag.min_hess_sample, (0, 1)), (diag.max_midpoint_sample, (2, 3))):
+        if i >= 0:
+            b, j = divmod(i, SWEEP_BLOCK)
+            replayed = replay(seed, n, i)
+            assert all(np.array_equal(replayed[r][0], drawn[b][r][j]) for r in roles)
     # each function exercises what it was chosen for
     if num == 1000 and text in ("ln(s-5)", "exp(exp(s))"):
-        assert 0 < skipped
+        assert skipped
     # at n = 1, g = f is linear and its forms are zero
     if num == 1000 and text == "s" and n > 1:
-        assert hess_failures and mid_failures
+        assert diag.hess_failures and diag.midpoint_failures
 
 
 @pytest.mark.parametrize("m", [1, SWEEP_BLOCK - 1, SWEEP_BLOCK, SWEEP_BLOCK + 1, 1000])

@@ -283,8 +283,8 @@ RECORD_FIELDS = {
     ),
     "ConvexitySampleDiagnostics": (
         "samples_run", "samples_skipped", "min_hess_form", "min_midpoint_residual",
-        "max_midpoint_residual", "hess_fail_samples", "hess_fail_values",
-        "midpoint_fail_samples", "midpoint_fail_residuals",
+        "max_midpoint_residual", "hess_failures", "midpoint_failures",
+        "min_hess_sample", "max_midpoint_sample",
     ),
     "OracleSweepResult": ("samples", "hess_disc", "grad_disc", "richardson", "skipped"),
     "ComparisonReport": (
