@@ -398,28 +398,25 @@ SWEEP_BLOCK = 256
 
 
 def sweep_block(n: int, words, count: int):
-    """(C, H, A1, A2, dets) of the first ``count`` samples of one sweep
+    """(spectra, H, A2, dets) of the first ``count`` samples of one sweep
     block from its two seed words, drawn in the eigenbasis of C and A1.
 
     D2g(QCQ^T).(QHQ^T, QHQ^T) = D2g(C).(H,H) and the midpoint residual of
     (PA1P^T, PA2P^T) is that of (A1, A2) for orthogonal Q and P, so only
     the relative frame of a pair matters: C and A1 of sample j are
-    diagonal, their log eigenvalues row j of a (count, 2, n) uniform
-    block over DEFAULT_LOG_EIG_RANGE from the ``jumped()`` stream of
-    ``PCG64(words[1])``; A2 is row j of one ``random_posdef_stack`` from
-    ``words[0]``; H is row j of one ``random_sym`` from ``words[1]``.
-    Every draw clears the positivity floor by construction.  The
-    (count, 3) ``dets`` of C, A1 and A2 are the exp of the sums of their
-    drawn log eigenvalues.  Fewer samples are a prefix of more."""
-    lo, hi = DEFAULT_LOG_EIG_RANGE
+    diagonal, and row j of the (count, 2, n) ``spectra`` is their
+    eigenvalues, the exp of uniforms over DEFAULT_LOG_EIG_RANGE from the
+    ``jumped()`` stream of ``PCG64(words[1])``; A2 is row j of one
+    ``random_posdef_stack`` from ``words[0]``; H is row j of one
+    ``random_sym`` from ``words[1]``.  Every draw clears the positivity
+    floor by construction.  The (count, 3) ``dets`` of C, A1 and A2 are
+    the exp of the sums of their drawn log eigenvalues.  Fewer samples
+    are a prefix of more."""
     gen = np.random.Generator(np.random.PCG64(int(words[1])).jumped())
-    logs = gen.uniform(lo, hi, (count, 2, n))
+    logs = gen.uniform(*DEFAULT_LOG_EIG_RANGE, (count, 2, n))
     a2, logs2 = linalg.random_posdef_stack(n, DEFAULT_LOG_EIG_RANGE, words[0], count)
-    # C and A1 as two contiguous (count, n, n) stacks
-    diag = np.zeros((2, count, n, n))
-    diag[..., np.arange(n), np.arange(n)] = np.swapaxes(np.exp(logs), 0, 1)
     dets = np.exp(np.concatenate((logs, logs2[:, None]), axis=1).sum(axis=2))
-    return diag[0], linalg.random_sym(n, words[1], count), diag[1], a2, dets
+    return np.exp(logs), linalg.random_sym(n, words[1], count), a2, dets
 
 
 class ConvexitySampleDiagnostics(NamedTuple):
@@ -432,10 +429,10 @@ class ConvexitySampleDiagnostics(NamedTuple):
     below -SWEEP_FAIL_TOL and residuals above it.  ``min_hess_sample``
     and ``max_midpoint_sample`` are the indices of the samples that
     attain ``min_hess_form`` and ``max_midpoint_residual``, the lowest on
-    ties and -1 when no sample ran.  Sample i's matrices are row
-    j = i % SWEEP_BLOCK of the stacks that ``sweep_block(n, words, j + 1)``
-    draws from words 2b, 2b+1 of ``linalg.seed_words(seed, 2 * (b + 1))``,
-    b = i // SWEEP_BLOCK, so they replay from the seed, n and i alone.
+    ties and -1 when no sample ran.  Sample i is row j = i % SWEEP_BLOCK
+    of what ``sweep_block(n, words, j + 1)`` draws from words 2b, 2b+1 of
+    ``linalg.seed_words(seed, 2 * (b + 1))``, b = i // SWEEP_BLOCK, so it
+    replays from the seed, n and i alone.
     """
 
     samples_run: int
@@ -452,47 +449,43 @@ class ConvexitySampleDiagnostics(NamedTuple):
 def _block_values(f, n: int, words, m: int):
     """(ran, forms, midpoint residuals) of the m samples of one sweep
     block, whose matrices die on return: a sweep holds one block's."""
-    c, h, a1, a2, dets = sweep_block(n, words, m)
-    inner, cross = detcalculus.hess_terms(c, h)
+    e, h, a2, dets = sweep_block(n, words, m)
+    inner, cross = detcalculus.diag_terms(1.0 / e[:, 0], h)
+    a2[:, np.arange(n), np.arange(n)] += e[:, 1]  # A1 + A2, A1 diagonal
     # one jet over the determinants of [C; A1; A2; (A1+A2)/2]
-    dets = np.concatenate((dets.T.ravel(), np.linalg.det(0.5 * (a1 + a2))))
+    dets = np.concatenate((dets.T.ravel(), np.linalg.det(0.5 * a2)))
     jets = scalarfun.eval_jet(f, dets)
-    s = dets[:m]
     jet = Jet2(*(x[:m] for x in jets))
     g1, g2, gm = jets.v[m:].reshape(3, m)
-    # a sample whose jets failed at any point is NaN there and skipped
-    ok = ~np.isnan(jets.v).reshape(4, m).any(axis=0)
     with np.errstate(all="ignore"):
-        return ok, detcalculus.g_hess_form(jet, s, inner, cross), gm - 0.5 * (g1 + g2)
+        v, r = detcalculus.g_hess_form(jet, dets[:m], inner, cross), gm - 0.5 * (g1 + g2)
+    # NaN where a jet failed (in all its fields) or an overflow met inf - inf
+    return np.isfinite(v) & np.isfinite(r), v, r
 
 
 def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleDiagnostics:
     """Randomized corroboration of the grid verdict.
 
     Draws (C, H) pairs for the quadratic form and PD pairs (A1, A2) for a
-    midpoint-convexity check, in stacked blocks of SWEEP_BLOCK samples
-    (``sweep_block``, in the eigenbasis of C and of A1; the last block
-    draws only the samples it runs), with
-    log-eigenvalues uniform on DEFAULT_LOG_EIG_RANGE, so every C is above
-    the positivity floor by construction.  Per block, the inner products
-    of D2g come from one LAPACK solve and the form from ``g_hess_form``,
-    the determinant of (A1+A2)/2 from one LAPACK call (the others are the
-    drawn spectra's), and the jets of the four from one array
-    evaluation.  A sample whose jets fail at any of its four points is
-    skipped and counted rather than aborting the sweep.  Only counts and
-    extremes are kept, so memory is one block's whatever the failures.
+    midpoint-convexity check in blocks of SWEEP_BLOCK samples, C and A1
+    as spectra that clear the positivity floor by construction
+    (``sweep_block``; the last block draws only the samples it runs).
+    Per block, the form comes from C's spectrum through
+    ``detcalculus.diag_terms`` and ``g_hess_form``, the determinant of
+    (A1+A2)/2 from one LAPACK call, and the jets of the four determinants
+    from one array evaluation.  A sample whose jets fail at any of its
+    four points, or whose form or residual is not finite, is skipped and
+    counted.  Only counts and extremes are kept, so memory is one block's
+    whatever the failures.
     """
     if num_samples < 1:
         raise ParameterError("num_samples must be >= 1")
     blocks = -(-num_samples // SWEEP_BLOCK)
     words = linalg.seed_words(seed, 2 * blocks)
-    min_hess = np.inf
-    min_mid = np.inf
+    min_hess = min_mid = np.inf
     max_mid = -np.inf
     min_hess_at = max_mid_at = -1
-    hess_failures = mid_failures = 0
-    run = 0
-    skipped = 0
+    hess_failures = mid_failures = run = skipped = 0
     for b in range(blocks):
         start = b * SWEEP_BLOCK
         m = min(SWEEP_BLOCK, num_samples - start)

@@ -9,8 +9,8 @@ The second directional derivative in a symmetric direction H is
 where <.,.> is the trace inner product.  ``condition_bracket`` is the
 bracket without the leading det C factor; ``condition_lhs_diag`` is its
 diagonalized normal form (divided once more by det C).  The inner
-products come from ``hess_terms``, the one solve kernel of single pairs
-and (N, n, n) stacks.
+products come from ``hess_terms``, one solve for a pair or an (N, n, n)
+stack of pairs, or from C's spectrum alone through ``diag_terms``.
 
 ``directional_forms`` checks a stack of pairs at once: one solve for the
 inner products, one Richardson stencil for the central differences of
@@ -86,9 +86,9 @@ def condition_lhs_diag(f, dvec, h):
 
         (f''(s) + f'(s)/s) <D^-1,H>^2 - (f'(s)/s) <D^-1 H, H D^-1>
 
-    where <D^-1,H> = sum_i d_i h_ii and <D^-1 H, H D^-1> = sum_ij d_i d_j
-    h_ij^2.  It equals condition_bracket / det C after rotating H into
-    the eigenbasis, and takes no solve, so it stays a check on the kernel.
+    with the sums of ``diag_terms``.  It equals condition_bracket / det C
+    after rotating H into the eigenbasis, and takes no solve, so it stays
+    a check on the kernel ``hess_terms``.
     """
     d = np.asarray(dvec, dtype=float)
     if d.ndim < 1 or np.any(d <= 0) or not np.all(np.isfinite(d)):
@@ -98,9 +98,16 @@ def condition_lhs_diag(f, dvec, h):
         raise DimensionError(f"direction shape {harr.shape} does not match dvec {d.shape}")
     s = 1.0 / np.prod(d, axis=-1)
     jet = scalarfun.eval_jet(f, s)
-    inner = np.sum(d * np.diagonal(harr, axis1=-2, axis2=-1), axis=-1)
-    cross = np.sum(d[..., :, None] * d[..., None, :] * harr * harr, axis=(-2, -1))
+    inner, cross = diag_terms(d, harr)
     return (jet.d2 + jet.d1 / s) * inner * inner - (jet.d1 / s) * cross
+
+
+def diag_terms(d, h):
+    """``hess_terms`` at C = diag(1/d) without a solve, d of shape (..., n):
+    <D^-1,H> = sum_i d_i h_ii and <D^-1 H, H D^-1> = sum_ij d_i d_j h_ij^2,
+    as tr X and sum(X * X^T) of X = D^-1 H, X_ij = d_i h_ij."""
+    x = d[..., :, None] * h
+    return x.trace(axis1=-2, axis2=-1), (x * x.swapaxes(-1, -2)).sum(axis=(-2, -1))
 
 
 # --------------------------------------------------------------------------

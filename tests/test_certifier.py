@@ -439,13 +439,24 @@ class TestSampleConvexity:
         for i in (43, 519):
             b, j = divmod(i, SWEEP_BLOCK)
             words = linalg.seed_words(seed, 2 * (b + 1))[2 * b :]
-            c, h, _, _, dets = (x[j:] for x in certifier.sweep_block(n, words, j + 1))
+            e, h, _, dets = (x[j:] for x in certifier.sweep_block(n, words, j + 1))
+            c = np.diag(e[0, 0])[None]
             forms = detcalculus.directional_forms((f,), c, h, dets[:, 0])
             value, fd = float(forms.hess[0]), float(forms.fd_hess[0])
             assert value < -certifier.SWEEP_FAIL_TOL
             assert abs(fd - value) <= 1e-6 * abs(value)
             if i == 519:
                 assert value == diag.min_hess_form
+
+    def test_overflowing_forms_are_skipped(self):
+        # 8e307*s^2 overflows its jets on most samples, and on some with
+        # finite jets its form is inf - inf; a NaN form once hid the
+        # minimum of its whole block, and the sweep reported inf
+        diag = sample_convexity(parse("8e307*s^2"), 3, 1000, seed=0)
+        assert diag.samples_run + diag.samples_skipped == 1000
+        assert diag.samples_run > 0 and diag.hess_failures > 0
+        extremes = (diag.min_hess_form, diag.min_midpoint_residual, diag.max_midpoint_residual)
+        assert all(math.isfinite(x) for x in extremes), extremes
 
     def test_sample_count_validated(self):
         with pytest.raises(ParameterError):
