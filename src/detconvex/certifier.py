@@ -422,14 +422,15 @@ def sweep_block(n: int, words, count: int):
 class ConvexitySampleDiagnostics(NamedTuple):
     """Outcome of a randomized convexity sweep.
 
-    ``min_hess_form`` is the smallest sampled quadratic form (theory says
-    >= 0 for convex f); midpoint residuals are g((C1+C2)/2) -
-    (g(C1)+g(C2))/2, non-positive for convex f.  ``hess_failures`` and
-    ``midpoint_failures`` count the samples beyond SWEEP_FAIL_TOL, forms
-    below -SWEEP_FAIL_TOL and residuals above it.  ``min_hess_sample``
-    and ``max_midpoint_sample`` are the indices of the samples that
-    attain ``min_hess_form`` and ``max_midpoint_residual``, the lowest on
-    ties and -1 when no sample ran.  Sample i is row j = i % SWEEP_BLOCK
+    ``min_hess_form`` is the smallest finite sampled quadratic form
+    (theory says >= 0 for convex f); midpoint residuals are g((C1+C2)/2)
+    - (g(C1)+g(C2))/2, non-positive for convex f, and their extremes are
+    finite too.  ``hess_failures`` and ``midpoint_failures`` count the
+    samples beyond SWEEP_FAIL_TOL, forms below -SWEEP_FAIL_TOL and
+    residuals above it, infinite ones included.  ``min_hess_sample`` and
+    ``max_midpoint_sample`` are the indices of the samples that attain
+    ``min_hess_form`` and ``max_midpoint_residual``, the lowest on ties
+    and -1 when no finite value ran.  Sample i is row j = i % SWEEP_BLOCK
     of what ``sweep_block(n, words, j + 1)`` draws from words 2b, 2b+1 of
     ``linalg.seed_words(seed, 2 * (b + 1))``, b = i // SWEEP_BLOCK, so it
     replays from the seed, n and i alone.
@@ -457,10 +458,10 @@ def _block_values(f, n: int, words, m: int):
     jets = scalarfun.eval_jet(f, dets)
     jet = Jet2(*(x[:m] for x in jets))
     g1, g2, gm = jets.v[m:].reshape(3, m)
+    # a sample whose jets failed at any point is NaN there and skipped
+    ok = ~np.isnan(jets.v).reshape(4, m).any(axis=0)
     with np.errstate(all="ignore"):
-        v, r = detcalculus.g_hess_form(jet, dets[:m], inner, cross), gm - 0.5 * (g1 + g2)
-    # NaN where a jet failed (in all its fields) or an overflow met inf - inf
-    return np.isfinite(v) & np.isfinite(r), v, r
+        return ok, detcalculus.g_hess_form(jet, dets[:m], inner, cross), gm - 0.5 * (g1 + g2)
 
 
 def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleDiagnostics:
@@ -474,9 +475,9 @@ def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleD
     ``detcalculus.diag_terms`` and ``g_hess_form``, the determinant of
     (A1+A2)/2 from one LAPACK call, and the jets of the four determinants
     from one array evaluation.  A sample whose jets fail at any of its
-    four points, or whose form or residual is not finite, is skipped and
-    counted.  Only counts and extremes are kept, so memory is one block's
-    whatever the failures.
+    four points is skipped and counted; a form or residual that overflows
+    to inf, or to NaN as inf - inf, is no extreme.  Only counts and
+    extremes are kept, so memory is one block's whatever the failures.
     """
     if num_samples < 1:
         raise ParameterError("num_samples must be >= 1")
@@ -485,28 +486,27 @@ def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleD
     min_hess = min_mid = np.inf
     max_mid = -np.inf
     min_hess_at = max_mid_at = -1
-    hess_failures = mid_failures = run = skipped = 0
+    hess_failures = mid_failures = run = 0
     for b in range(blocks):
         start = b * SWEEP_BLOCK
         m = min(SWEEP_BLOCK, num_samples - start)
         ok, v, r = _block_values(f, n, words[2 * b : 2 * b + 2], m)
-        k = int(ok.sum())
-        run += k
-        skipped += m - k
-        if k == 0:
-            continue
-        # only a strictly further extreme moves its index, so ties keep the lowest
-        block_min, block_max = float(v[ok].min()), float(r[ok].max())
-        if block_min < min_hess:
-            min_hess, min_hess_at = block_min, start + int(np.argmax(ok & (v == block_min)))
-        if block_max > max_mid:
-            max_mid, max_mid_at = block_max, start + int(np.argmax(ok & (r == block_max)))
-        min_mid = min(min_mid, float(r[ok].min()))
+        run += int(ok.sum())
+        # +-inf fail or pass as any value and NaN (inf - inf) fails none,
+        # but only finite values are extremes; the lowest index wins a tie
         hess_failures += int(np.count_nonzero(ok & (v < -SWEEP_FAIL_TOL)))
         mid_failures += int(np.count_nonzero(ok & (r > SWEEP_FAIL_TOL)))
+        finite = ok & np.isfinite(r)
+        forms, high = np.where(ok & np.isfinite(v), v, np.inf), np.where(finite, r, -np.inf)
+        i, j = int(np.argmin(forms)), int(np.argmax(high))
+        if forms[i] < min_hess:
+            min_hess, min_hess_at = float(forms[i]), start + i
+        if high[j] > max_mid:
+            max_mid, max_mid_at = float(high[j]), start + j
+        min_mid = min(min_mid, float(np.where(finite, r, np.inf).min()))
     return ConvexitySampleDiagnostics(
         samples_run=run,
-        samples_skipped=skipped,
+        samples_skipped=num_samples - run,
         min_hess_form=min_hess,
         min_midpoint_residual=min_mid,
         max_midpoint_residual=max_mid,

@@ -159,9 +159,9 @@ def _report_json(args, report, diagnostics, f) -> dict:
         "diagnostics": {
             "samples_run": 0 if diagnostics is None else diagnostics.samples_run,
             "samples_skipped": 0 if diagnostics is None else diagnostics.samples_skipped,
-            # a minimum over no samples is null, not inf
+            # a minimum over no finite form is null, not inf
             "min_hess_form": (
-                None if diagnostics is None or diagnostics.samples_run == 0
+                None if diagnostics is None or diagnostics.min_hess_sample < 0
                 else diagnostics.min_hess_form
             ),
         },

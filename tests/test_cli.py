@@ -1,6 +1,5 @@
 import argparse
 import json
-import math
 import re
 import warnings
 from pathlib import Path
@@ -125,18 +124,6 @@ class TestCertifyCommand:
             "samples_skipped": 1,
             "min_hess_form": None,
         }
-
-    def test_overflowing_sweep_forms_leave_finite_diagnostics(self, capsys):
-        code, out, _ = run(
-            capsys, "certify", "-f", "8e307*s^2", "--s-max", "1", "--seed", "0", "--no-timestamp"
-        )
-        assert code == 1
-        # the grid's lhs column overflows to Infinity for this f; the
-        # diagnostics must hold numbers, not such tokens
-        d = json.loads(out, parse_constant=str)["diagnostics"]
-        assert all(isinstance(v, (int, float)) and math.isfinite(v) for v in d.values()), d
-        assert d["samples_run"] + d["samples_skipped"] == 1000
-        assert d["samples_run"] > 0
 
     def test_dimension_one_concave_function_is_refuted(self, capsys):
         # the first violating point, s = 1e-3, has no confirmed witness;

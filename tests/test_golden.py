@@ -22,9 +22,8 @@ only their ``rng`` tag and, in the four that sweep, ``min_hess_form``
 changed.  They were regenerated again, with the same two fields
 changing, when the sweep moved to the eigenbasis of C and A1.  When the
 sweep's quadratic form moved from a LAPACK solve on the diagonal C to
-C's drawn spectrum, and a sample with a non-finite form or midpoint
-residual became a skipped one, no byte of any file changed, so none was
-regenerated.
+C's drawn spectrum, and its extremes to finite values only, no byte of
+any file changed, so none was regenerated.
 """
 
 from pathlib import Path
