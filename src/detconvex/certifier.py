@@ -392,31 +392,57 @@ def reduction_check(f, c, h):
     return full, reduced
 
 
-# Samples per stacked block of the sweep; the stacks, not the sample count,
-# set the sweep's working memory.
+# Samples per block of the sweep, the unit of its draws and of replay:
+# block b draws from seed words 2b and 2b+1.
 SWEEP_BLOCK = 256
+# Matrix entries per stack of one evaluation pass, rows * n^2: a pass
+# holds as many whole blocks as fit, and at least one.  The pass, not the
+# sample count, sets the sweep's working memory.
+SWEEP_PASS_ENTRIES = 2**15
 
 
 def sweep_block(n: int, words, count: int):
-    """(spectra, H, A2, dets) of the first ``count`` samples of one sweep
-    block from its two seed words, drawn in the eigenbasis of C and A1.
+    """(spectra, H, A2, dets) of the first ``count`` samples of the
+    consecutive sweep blocks whose seed words are ``words``, two per
+    block, drawn in the eigenbasis of C and A1.
 
     D2g(QCQ^T).(QHQ^T, QHQ^T) = D2g(C).(H,H) and the midpoint residual of
     (PA1P^T, PA2P^T) is that of (A1, A2) for orthogonal Q and P, so only
-    the relative frame of a pair matters: C and A1 of sample j are
-    diagonal, and row j of the (count, 2, n) ``spectra`` is their
-    eigenvalues, the exp of uniforms over DEFAULT_LOG_EIG_RANGE from the
-    ``jumped()`` stream of ``PCG64(words[1])``; A2 is row j of one
-    ``random_posdef_stack`` from ``words[0]``; H is row j of one
-    ``random_sym`` from ``words[1]``.  Every draw clears the positivity
-    floor by construction.  The (count, 3) ``dets`` of C, A1 and A2 are
-    the exp of the sums of their drawn log eigenvalues.  Fewer samples
-    are a prefix of more."""
-    gen = np.random.Generator(np.random.PCG64(int(words[1])).jumped())
-    logs = gen.uniform(*DEFAULT_LOG_EIG_RANGE, (count, 2, n))
-    a2, logs2 = linalg.random_posdef_stack(n, DEFAULT_LOG_EIG_RANGE, words[0], count)
+    the relative frame of a pair matters: C and A1 are diagonal.  Row j
+    of a block from words (w0, w1) is its sample j: row j of the
+    (count, 2, n) ``spectra`` holds the eigenvalues of C and A1, the exp
+    of uniforms over DEFAULT_LOG_EIG_RANGE from the ``jumped()`` stream
+    of ``PCG64(w1)``; A2 is row j of one ``linalg.posdef_draw`` from w0,
+    and H row j of one ``linalg.sym_draw`` from w1.  Each block draws
+    only the rows asked of it, and the rows of all blocks are built
+    together.  Every draw clears the positivity floor by construction.
+    The (count, 3) ``dets`` of C, A1 and A2 are the exp of the sums of
+    their drawn log eigenvalues.  Fewer samples are a prefix of more, and
+    the rows of block b are those of the one-block call on its two
+    words."""
+    blocks = -(-count // SWEEP_BLOCK)
+    if len(words) < 2 * blocks:
+        raise ParameterError(f"{count} samples need {2 * blocks} seed words, got {len(words)}")
+    rows = [(b, min(SWEEP_BLOCK, count - b * SWEEP_BLOCK)) for b in range(blocks)]
+
+    def joined(parts):
+        # one block's draw is used as it is, without a copy
+        return parts[0] if blocks == 1 else np.concatenate(parts)
+
+    def eigenbasis_logs(word, m):
+        gen = np.random.Generator(np.random.PCG64(int(word)).jumped())
+        return gen.uniform(*DEFAULT_LOG_EIG_RANGE, (m, 2, n))
+
+    logs = joined([eigenbasis_logs(words[2 * b + 1], m) for b, m in rows])
+    draws = [linalg.posdef_draw(n, DEFAULT_LOG_EIG_RANGE, words[2 * b], m) for b, m in rows]
+    z, logs2 = (joined(x) for x in zip(*draws))
+    a2 = linalg.posdef_build(z, logs2)
+    # the Gaussians die before H is drawn; held longer, they cost a
+    # one-block pass a few percent at n = 24
+    del draws, z
     dets = np.exp(np.concatenate((logs, logs2[:, None]), axis=1).sum(axis=2))
-    return np.exp(logs), linalg.random_sym(n, words[1], count), a2, dets
+    h = linalg.sym_build(joined([linalg.sym_draw(n, words[2 * b + 1], m) for b, m in rows]), n)
+    return np.exp(logs), h, a2, dets
 
 
 class ConvexitySampleDiagnostics(NamedTuple):
@@ -424,8 +450,8 @@ class ConvexitySampleDiagnostics(NamedTuple):
 
     ``min_hess_form`` is the smallest finite sampled quadratic form
     (theory says >= 0 for convex f); midpoint residuals are g((C1+C2)/2)
-    - (g(C1)+g(C2))/2, non-positive for convex f, and their extremes are
-    finite too.  ``hess_failures`` and ``midpoint_failures`` count the
+    - (g(C1)/2 + g(C2)/2), non-positive for convex f, and their extremes
+    are finite too.  ``hess_failures`` and ``midpoint_failures`` count the
     samples beyond SWEEP_FAIL_TOL, forms below -SWEEP_FAIL_TOL and
     residuals above it, infinite ones included.  ``min_hess_sample`` and
     ``max_midpoint_sample`` are the indices of the samples that attain
@@ -433,7 +459,9 @@ class ConvexitySampleDiagnostics(NamedTuple):
     and -1 when no finite value ran.  Sample i is row j = i % SWEEP_BLOCK
     of what ``sweep_block(n, words, j + 1)`` draws from words 2b, 2b+1 of
     ``linalg.seed_words(seed, 2 * (b + 1))``, b = i // SWEEP_BLOCK, so it
-    replays from the seed, n and i alone.
+    replays from the seed, n and i alone.  A block is the unit of the
+    draws and of replay; how the sweep groups blocks into evaluation
+    passes changes no field.
     """
 
     samples_run: int
@@ -447,9 +475,10 @@ class ConvexitySampleDiagnostics(NamedTuple):
     max_midpoint_sample: int
 
 
-def _block_values(f, n: int, words, m: int):
-    """(ran, forms, midpoint residuals) of the m samples of one sweep
-    block, whose matrices die on return: a sweep holds one block's."""
+def _pass_values(f, n: int, words, m: int):
+    """(ran, forms, midpoint residuals) of the first m samples of the
+    blocks whose seed words are ``words``, evaluated as one stack whose
+    matrices die on return: a sweep holds one pass's."""
     e, h, a2, dets = sweep_block(n, words, m)
     inner, cross = detcalculus.diag_terms(1.0 / e[:, 0], h)
     a2[:, np.arange(n), np.arange(n)] += e[:, 1]  # A1 + A2, A1 diagonal
@@ -461,7 +490,9 @@ def _block_values(f, n: int, words, m: int):
     # a sample whose jets failed at any point is NaN there and skipped
     ok = ~np.isnan(jets.v).reshape(4, m).any(axis=0)
     with np.errstate(all="ignore"):
-        return ok, detcalculus.g_hess_form(jet, dets[:m], inner, cross), gm - 0.5 * (g1 + g2)
+        # halving each value first keeps a sum beyond the float range finite
+        residuals = gm - (0.5 * g1 + 0.5 * g2)
+        return ok, detcalculus.g_hess_form(jet, dets[:m], inner, cross), residuals
 
 
 def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleDiagnostics:
@@ -471,26 +502,31 @@ def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleD
     midpoint-convexity check in blocks of SWEEP_BLOCK samples, C and A1
     as spectra that clear the positivity floor by construction
     (``sweep_block``; the last block draws only the samples it runs).
-    Per block, the form comes from C's spectrum through
-    ``detcalculus.diag_terms`` and ``g_hess_form``, the determinant of
-    (A1+A2)/2 from one LAPACK call, and the jets of the four determinants
-    from one array evaluation.  A sample whose jets fail at any of its
-    four points is skipped and counted; a form or residual that overflows
-    to inf, or to NaN as inf - inf, is no extreme.  Only counts and
-    extremes are kept, so memory is one block's whatever the failures.
+    A block is the unit of the draws and of replay; a pass, as many whole
+    blocks as keep rows * n^2 within SWEEP_PASS_ENTRIES and at least one,
+    is the unit of evaluation.  Per pass, the form comes from C's
+    spectrum through ``detcalculus.diag_terms`` and ``g_hess_form``, the
+    determinant of (A1+A2)/2 from one LAPACK call, and the jets of the
+    four determinants from one array evaluation.  A sample whose jets
+    fail at any of its four points is skipped and counted; a form or
+    residual that overflows to inf, or to NaN as inf - inf, is no
+    extreme.  Only counts and extremes are kept, so memory is one pass's
+    whatever the failures.  The diagnostics do not depend on how the
+    blocks are grouped into passes.
     """
     if num_samples < 1:
         raise ParameterError("num_samples must be >= 1")
     blocks = -(-num_samples // SWEEP_BLOCK)
     words = linalg.seed_words(seed, 2 * blocks)
+    per_pass = max(1, SWEEP_PASS_ENTRIES // (SWEEP_BLOCK * n * n))
     min_hess = min_mid = np.inf
     max_mid = -np.inf
     min_hess_at = max_mid_at = -1
     hess_failures = mid_failures = run = 0
-    for b in range(blocks):
-        start = b * SWEEP_BLOCK
-        m = min(SWEEP_BLOCK, num_samples - start)
-        ok, v, r = _block_values(f, n, words[2 * b : 2 * b + 2], m)
+    for first in range(0, blocks, per_pass):
+        start = first * SWEEP_BLOCK
+        m = min(per_pass * SWEEP_BLOCK, num_samples - start)
+        ok, v, r = _pass_values(f, n, words[2 * first : 2 * (first + per_pass)], m)
         run += int(ok.sum())
         # +-inf fail or pass as any value and NaN (inf - inf) fails none,
         # but only finite values are extremes; the lowest index wins a tie

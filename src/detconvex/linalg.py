@@ -7,7 +7,9 @@ eigendecomposition, a hand LU determinant that is exact on diagonal input
 over a stack, and seeded sampling of test matrices as (N, n, n) stacks
 from one seed word each, a shorter stack a prefix of a longer one
 (``random_pairs`` draws the (C, H) pairs of the oracle and the
-self-test).  There is no matrix wrapper: a matrix is validated once
+self-test).  Each seeded stack is the build of its draw
+(``posdef_draw``/``posdef_build``, ``sym_draw``/``sym_build``), so the
+randomized sweep builds the draws of several seed words at once.  There is no matrix wrapper: a matrix is validated once
 where it enters, by ``symmetric`` (square, finite, lower triangle
 mirrored, read-only) or by the seeded draws, and is passed on as a plain
 array.  ``PosDefMatrix`` adds the cached determinant, inverse and
@@ -32,7 +34,8 @@ from .errors import (
 # report headers so results can be reproduced: PCG64, one seed word per
 # sweep block of 256 samples (certifier.SWEEP_BLOCK) and matrix kind, two
 # streams per word, Householder frames, and a sweep drawn in the
-# eigenbasis of C and A1 (``certifier.sweep_block``).
+# eigenbasis of C and A1 (``certifier.sweep_block``).  How many blocks
+# the sweep evaluates in one pass moves no draw, so it is not recorded.
 RNG_ALGORITHM = "numpy-pcg64-eigenbasis-block256"
 
 # Log eigenvalue range of the default draws: eigenvalues in [0.1, 10], so that
@@ -273,17 +276,15 @@ def _householder_frames(z: np.ndarray, n: int) -> np.ndarray:
     return q
 
 
-def random_posdef_stack(n: int, log_eig_range: tuple, seed: int, count: int) -> tuple:
-    """``count`` positive definite samples as a (count, n, n) stack, with
-    their (count, n) log eigenvalues.
+def posdef_draw(n: int, log_eig_range: tuple, seed: int, count: int) -> tuple:
+    """The raw numbers of ``count`` positive definite samples: a (count,
+    n(n+1)/2 - 1) block of Gaussians and a (count, n) block of log
+    eigenvalues, which ``posdef_build`` turns into the stack.
 
-    Two PCG64 streams come from ``seed``: ``PCG64(seed)`` gives a
-    (count, n) block of uniforms over ``log_eig_range``, whose exp gives
-    the eigenvalues of each row, and its ``jumped()`` stream a (count,
-    n(n+1)/2 - 1) block of Gaussians, whose Householder product
-    (``_householder_frames``) gives the orthogonal frames.  Row j uses
-    only row j of each block, so a stack of k rows is the first k rows of
-    any longer stack from the same seed.
+    Two PCG64 streams come from ``seed``: ``PCG64(seed)`` gives the
+    uniforms over ``log_eig_range`` and its ``jumped()`` stream the
+    Gaussians.  Row j is only row j of each block, so k rows are the
+    first k rows of any longer draw from the same seed.
     """
     if n < 1:
         raise DimensionError("dimension must be >= 1")
@@ -293,11 +294,29 @@ def random_posdef_stack(n: int, log_eig_range: tuple, seed: int, count: int) -> 
     gen = _rng(int(seed))
     # the jumped stream is taken before any uniform is drawn, so count cannot move it
     z = np.random.Generator(gen.bit_generator.jumped()).standard_normal((count, n * (n + 1) // 2 - 1))
-    logs = gen.uniform(lo, hi, size=(count, n))
+    return z, gen.uniform(lo, hi, size=(count, n))
+
+
+def posdef_build(z: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """The (count, n, n) stack of ``posdef_draw``'s rows, or of rows of
+    several draws stacked: row j is Q diag(exp(logs[j])) Q^T, with Q the
+    Householder product (``_householder_frames``) of the Gaussians
+    z[j], lower triangle mirrored."""
+    n = logs.shape[1]
     q = _householder_frames(z, n)
     out = _mirror_lower((q * np.exp(logs)[:, None, :]) @ np.swapaxes(q, -1, -2))
     _check_finite(out)
-    return out, logs
+    return out
+
+
+def random_posdef_stack(n: int, log_eig_range: tuple, seed: int, count: int) -> tuple:
+    """``count`` positive definite samples as a (count, n, n) stack, with
+    their (count, n) log eigenvalues: ``posdef_build`` of ``posdef_draw``.
+    A stack of k rows is the first k rows of any longer stack from the
+    same seed.
+    """
+    z, logs = posdef_draw(n, log_eig_range, seed, count)
+    return posdef_build(z, logs), logs
 
 
 def random_posdef_array(n: int, log_eig_range: tuple, seed: int) -> np.ndarray:
@@ -312,21 +331,30 @@ def random_posdef(n: int, log_eig_range: tuple, seed: int) -> PosDefMatrix:
     return PosDefMatrix.from_sym(random_posdef_array(n, log_eig_range, seed))
 
 
-def random_sym(n: int, seed: int, count: int) -> np.ndarray:
-    """``count`` symmetric samples as a (count, n, n) stack, entries
-    uniform in [-1, 1], from one PCG64 stream seeded with ``seed``.
-
-    The stream gives a (count, n(n+1)/2) block of uniforms; row j fills
-    the i <= j entries of matrix j row-major, and they are mirrored.
-    """
+def sym_draw(n: int, seed: int, count: int) -> np.ndarray:
+    """The (count, n(n+1)/2) uniforms in [-1, 1] of ``count`` symmetric
+    samples, from one PCG64 stream seeded with ``seed``; ``sym_build``
+    turns them into the stack."""
     if n < 1:
         raise DimensionError("dimension must be >= 1")
+    return _rng(int(seed)).uniform(-1.0, 1.0, size=(count, n * (n + 1) // 2))
+
+
+def sym_build(vals: np.ndarray, n: int) -> np.ndarray:
+    """The (count, n, n) stack of ``sym_draw``'s rows, or of rows of
+    several draws stacked: row j fills the i <= j entries of matrix j
+    row-major, and they are mirrored."""
     rows, cols = np.triu_indices(n)
-    vals = _rng(int(seed)).uniform(-1.0, 1.0, size=(count, rows.size))
-    out = np.zeros((count, n, n))
+    out = np.zeros((len(vals), n, n))
     out[:, rows, cols] = vals
     out[:, cols, rows] = vals
     return out
+
+
+def random_sym(n: int, seed: int, count: int) -> np.ndarray:
+    """``count`` symmetric samples as a (count, n, n) stack, entries
+    uniform in [-1, 1]: ``sym_build`` of ``sym_draw``."""
+    return sym_build(sym_draw(n, seed, count), n)
 
 
 def random_pairs(n: int, seed: int, count: int):

@@ -14,6 +14,7 @@ from detconvex.certifier import (
     KIND_SECOND_ORDER,
     REFUTED,
     SWEEP_BLOCK,
+    SWEEP_PASS_ENTRIES,
     GridSpec,
     analytic_convexity,
     certify,
@@ -460,6 +461,14 @@ class TestSampleConvexity:
         extremes = (diag.min_hess_form, diag.min_midpoint_residual, diag.max_midpoint_residual)
         assert all(math.isfinite(x) for x in extremes), extremes
 
+    def test_midpoint_sums_beyond_the_float_range_fail_nothing(self):
+        # det^0.1 is concave at n = 3, so f = -8e307*s^0.1 is convex under
+        # det; its g(A1) + g(A2) overflows, which once made 180 residuals
+        # +inf and counted each as a midpoint failure
+        diag = sample_convexity(parse("-8e307*s^0.1"), 3, 1000, seed=0)
+        assert diag.samples_run > 0
+        assert diag.midpoint_failures == 0
+
     def test_sample_count_validated(self):
         with pytest.raises(ParameterError):
             sample_convexity(parse("s"), 3, 0, seed=4)
@@ -484,6 +493,24 @@ class TestSampleConvexity:
         assert diag.hess_failures > 19 * SWEEP_BLOCK
         assert diag.midpoint_failures > 15 * SWEEP_BLOCK
         assert large < 1.1 * small
+
+    def test_memory_is_one_pass_at_small_n(self):
+        # at n = 3 a pass holds 14 blocks; 20 passes of f = s, most of
+        # whose samples fail, peak no higher than one
+        rows = (SWEEP_PASS_ENTRIES // (SWEEP_BLOCK * 9)) * SWEEP_BLOCK
+
+        def traced_peak(num):
+            tracemalloc.start()
+            try:
+                diag = sample_convexity(parse("s"), 3, num, seed=3)
+                return tracemalloc.get_traced_memory()[1], diag
+            finally:
+                tracemalloc.stop()
+
+        one, _ = traced_peak(rows)
+        many, diag = traced_peak(20 * rows)
+        assert diag.hess_failures > 10 * rows
+        assert many <= 1.1 * one
 
     def test_rejects_negative_seed(self):
         # SeedSequence raised a bare ValueError, which the CLI reported as

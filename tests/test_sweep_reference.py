@@ -17,12 +17,15 @@ determinants and jets of a block moved to one call each: an ``eigh``
 floor on the whole stack of C (the sweep checks none, because its draws
 clear the floor by construction), the midpoint matrix as
 ``0.5 * (A1 + A2)`` with A1 a diagonal stack, and four determinant rows
-and four ``eval_jet`` calls per block.  It draws whole blocks and slices
-the last one, and keeps every sample's values, which ``summary`` turns
-into the sweep's counts and extremes.  The sweep, which draws only the
-rows it uses, adds A1's spectrum onto A2's diagonal and keeps running
-values, must equal it in every bit, and the draws that replay from a
-worst sample's index must be the ones the reference drew there.
+and four ``eval_jet`` calls per block.  It draws whole blocks, one
+``sweep_block`` call each, and slices the last one, and keeps every
+sample's values, which ``summary`` turns into the sweep's counts and
+extremes.  The sweep, which draws only the rows it uses, evaluates as
+many blocks as fit in one pass, adds A1's spectrum onto A2's diagonal
+and keeps running values, must equal it in every bit, and the draws that
+replay from a worst sample's index must be the ones the reference drew
+there.  Every route forms the midpoint residual as gm - (g1/2 + g2/2),
+which stays finite where g1 + g2 overflows.
 
 Both references skip a sample whose jets fail at one of its points, as
 the sweep does.  An infinite form or residual counts as a failure where
@@ -39,6 +42,7 @@ from detconvex import detcalculus, linalg
 from detconvex.certifier import (
     SWEEP_BLOCK,
     SWEEP_FAIL_TOL,
+    SWEEP_PASS_ENTRIES,
     ConvexitySampleDiagnostics,
     sample_convexity,
     sweep_block,
@@ -50,7 +54,7 @@ from detconvex.detcalculus import (
     g_hess_form,
     hess_terms,
 )
-from detconvex.errors import DomainError, NonFiniteError, NotPositiveDefiniteError
+from detconvex.errors import DomainError, NonFiniteError, NotPositiveDefiniteError, ParameterError
 from detconvex.linalg import (
     DEFAULT_LOG_EIG_RANGE,
     PosDefMatrix,
@@ -177,7 +181,7 @@ def reference_sample_convexity(f, n, num_samples, seed, log_eig_range=DEFAULT_LO
             continue
         with np.errstate(all="ignore"):
             v = g_hess_form(jet, c.det, *hess_terms(c.a, h))
-            r = gm - 0.5 * (g1 + g2)
+            r = gm - (0.5 * g1 + 0.5 * g2)
         run += 1
         if v < -fail_tol:
             hess_idx.append(i)
@@ -253,6 +257,15 @@ def test_block_helper_is_the_reference_block():
             assert all(np.array_equal(stack[j], rows[j]) for j in range(SWEEP_BLOCK))
         assert dets.shape == (SWEEP_BLOCK, 3)
         assert all(tuple(dets[j]) == dets_ref[j] for j in range(SWEEP_BLOCK))
+    # the words of consecutive blocks give the rows of their one-block
+    # calls in turn, each block drawing only the rows asked of it
+    count = SWEEP_BLOCK + 7
+    both = sweep_block(n, words, count)
+    parts = sweep_block(n, words[:2], SWEEP_BLOCK), sweep_block(n, words[2:], 7)
+    for got, first, second in zip(both, *parts):
+        assert np.array_equal(got, np.concatenate((first, second)))
+    with pytest.raises(ParameterError):
+        sweep_block(n, words[:2], count)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
@@ -306,9 +319,12 @@ def replayed_values(f, seed, n, i):
     """The quadratic form and the midpoint residual of replayed sample i."""
     e, h, a2, dets = replay(seed, n, i)
     s = dets[:, 0]
-    v = g_hess_form(eval_jet(f, s), s, *diag_terms(1 / e[:, 0], h))
     g = eval_jet(f, np.append(dets[0, 1:], np.linalg.det(0.5 * (np.diag(e[0, 1]) + a2)))).v
-    return float(v[0]), float(g[2] - 0.5 * (g[0] + g[1]))
+    # a worst sample's values are finite, but the form's partial products
+    # may overflow
+    with np.errstate(all="ignore"):
+        v = g_hess_form(eval_jet(f, s), s, *diag_terms(1 / e[:, 0], h))
+    return float(v[0]), float(g[2] - (0.5 * g[0] + 0.5 * g[1]))
 
 
 def assert_worst_samples_replay(f, diag, seed, n):
@@ -369,7 +385,7 @@ def reference_block_kernel(f, n, num_samples, seed):
         gm = eval_jet(f, np.linalg.det(0.5 * (a1 + a2))).v
         with np.errstate(all="ignore"):
             v = s * condition_bracket(jet, s, inner, cross)
-            r = gm - 0.5 * (g1 + g2)
+            r = gm - (0.5 * g1 + 0.5 * g2)
         ok = ~(np.isnan(jet.v) | np.isnan(g1) | np.isnan(g2) | np.isnan(gm))
         for j in range(len(s)):
             if ok[j]:
@@ -455,29 +471,89 @@ def test_the_sweep_solves_no_linear_system(monkeypatch):
     assert diag.samples_run == SWEEP_BLOCK + 1 and diag.hess_failures
 
 
-@pytest.mark.parametrize("m", [1, SWEEP_BLOCK - 1, SWEEP_BLOCK, SWEEP_BLOCK + 1, 1000])
+def pass_rows(n):
+    """Rows of one evaluation pass at n: whole blocks while rows * n^2
+    stays within SWEEP_PASS_ENTRIES, and at least one."""
+    return max(1, SWEEP_PASS_ENTRIES // (SWEEP_BLOCK * n * n)) * SWEEP_BLOCK
+
+
+def test_pass_sizes():
+    # a default 1000-sample sweep is one pass up to n = 5, and from n = 9
+    # a pass is one block
+    assert [pass_rows(n) // SWEEP_BLOCK for n in (1, 2, 3, 4, 5, 6, 8, 9, 10, 24)] == [
+        128, 32, 14, 8, 5, 3, 2, 1, 1, 1
+    ]
+
+
+@pytest.mark.parametrize("m", [1, SWEEP_BLOCK - 1, SWEEP_BLOCK, SWEEP_BLOCK + 1, 1000, 5000])
 def test_a_sweep_draws_only_the_rows_it_runs(monkeypatch, m):
-    requested = {"posdef": [], "sym": []}
-    posdef, sym = linalg.random_posdef_stack, linalg.random_sym
+    rows = {name: [] for name in ("posdef_draw", "sym_draw", "posdef_build", "sym_build")}
 
-    def spy_posdef(n, log_eig_range, seed, count):
-        requested["posdef"].append(count)
-        return posdef(n, log_eig_range, seed, count)
+    def spy(name, rows_of):
+        original = getattr(linalg, name)
 
-    def spy_sym(n, seed, count):
-        requested["sym"].append(count)
-        return sym(n, seed, count)
+        def wrapper(*args):
+            rows[name].append(rows_of(args))
+            return original(*args)
 
-    monkeypatch.setattr(linalg, "random_posdef_stack", spy_posdef)
-    monkeypatch.setattr(linalg, "random_sym", spy_sym)
+        monkeypatch.setattr(linalg, name, wrapper)
+
+    spy("posdef_draw", lambda args: args[3])
+    spy("sym_draw", lambda args: args[2])
+    spy("posdef_build", lambda args: len(args[0]))
+    spy("sym_build", lambda args: len(args[0]))
     diag = sample_convexity(parse("-ln(s)"), 3, m, seed=5)
     assert diag.samples_run == m
-    # one positive definite draw per block, A2 of each sample; C and A1
-    # are diagonal and take no frame
+    # one positive definite draw per block, A2 of each sample, and one
+    # symmetric draw, H; C and A1 are diagonal and take no frame
     blocks = -(-m // SWEEP_BLOCK)
-    assert len(requested["posdef"]) == len(requested["sym"]) == blocks
-    assert sum(requested["posdef"]) == m
-    assert sum(requested["sym"]) == m
+    assert len(rows["posdef_draw"]) == len(rows["sym_draw"]) == blocks
+    # each pass builds the rows of its blocks as one stack of each kind
+    passes = -(-m // pass_rows(3))
+    assert len(rows["posdef_build"]) == len(rows["sym_build"]) == passes
+    assert all(sum(counts) == m for counts in rows.values())
+
+
+def boundary_counts(n):
+    """Sample counts about the block and pass boundaries at n, ascending,
+    up to three passes."""
+    p = pass_rows(n)
+    return sorted({1, SWEEP_BLOCK - 1, SWEEP_BLOCK, SWEEP_BLOCK + 1, p - 1, p, p + 1, 3 * p})
+
+
+# the domain failure of ln(s-5) skips samples, the forms of 8e307*s^2 and
+# the sums g1 + g2 of -8e307*s^0.1 overflow
+BOUNDARY_FUNCTIONS = ["s", "ln(s-5)", "8e307*s^2", "-8e307*s^0.1"]
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 10, 24])
+@pytest.mark.parametrize("text", BOUNDARY_FUNCTIONS)
+def test_passes_equal_the_block_kernel_reference_bit_for_bit(text, n):
+    f = parse(text)
+    seed = 40 + n
+    counts = boundary_counts(n)
+    # a shorter sweep draws a prefix of the longest one's samples
+    values, skipped, drawn = reference_block_kernel(f, n, counts[-1], seed)
+    for num in counts:
+        diag = sample_convexity(f, n, num, seed=seed)
+        want = summary([x for x in values if x[0] < num], [i for i in skipped if i < num])
+        assert diag == want, num
+        # both worst samples replay through the one-block call
+        for i, roles in ((diag.min_hess_sample, (0, 1)), (diag.max_midpoint_sample, (0, 2))):
+            if i >= 0:
+                b, j = divmod(i, SWEEP_BLOCK)
+                replayed = replay(seed, n, i)
+                assert all(np.array_equal(replayed[r][0], drawn[b][r][j]) for r in roles)
+        if diag.min_hess_sample >= 0:
+            assert replayed_values(f, seed, n, diag.min_hess_sample)[0] == diag.min_hess_form
+        if diag.max_midpoint_sample >= 0:
+            assert replayed_values(f, seed, n, diag.max_midpoint_sample)[1] == diag.max_midpoint_residual
+    # each function exercises what it was chosen for over the longest sweep
+    if text == "ln(s-5)":
+        assert skipped
+    if text == "-8e307*s^0.1" and n > 1:
+        # the midpoint sums overflow and the residuals stay finite
+        assert diag.midpoint_failures == 0 and np.isfinite(diag.max_midpoint_residual)
 
 
 def turned(q, m):
