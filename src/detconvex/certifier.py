@@ -429,11 +429,10 @@ def sweep_block(n: int, words, count: int):
         # one block's draw is used as it is, without a copy
         return parts[0] if blocks == 1 else np.concatenate(parts)
 
-    def eigenbasis_logs(word, m):
-        gen = np.random.Generator(np.random.PCG64(int(word)).jumped())
-        return gen.uniform(*DEFAULT_LOG_EIG_RANGE, (m, 2, n))
-
-    logs = joined([eigenbasis_logs(words[2 * b + 1], m) for b, m in rows])
+    logs = joined([
+        linalg.jumped_rng(words[2 * b + 1]).uniform(*DEFAULT_LOG_EIG_RANGE, (m, 2, n))
+        for b, m in rows
+    ])
     draws = [linalg.posdef_draw(n, DEFAULT_LOG_EIG_RANGE, words[2 * b], m) for b, m in rows]
     z, logs2 = (joined(x) for x in zip(*draws))
     a2 = linalg.posdef_build(z, logs2)

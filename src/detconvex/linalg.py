@@ -9,10 +9,10 @@ from one seed word each, a shorter stack a prefix of a longer one
 (``random_pairs`` draws the (C, H) pairs of the oracle and the
 self-test).  Each seeded stack is the build of its draw
 (``posdef_draw``/``posdef_build``, ``sym_draw``/``sym_build``), so the
-randomized sweep builds the draws of several seed words at once.  There is no matrix wrapper: a matrix is validated once
-where it enters, by ``symmetric`` (square, finite, lower triangle
-mirrored, read-only) or by the seeded draws, and is passed on as a plain
-array.  ``PosDefMatrix`` adds the cached determinant, inverse and
+randomized sweep builds the draws of several seed words at once.  There
+is no matrix wrapper: a matrix is validated once where it enters, by
+``symmetric`` (square, finite, lower triangle mirrored, read-only) or by
+the seeded draws, and is passed on as a plain array.  ``PosDefMatrix`` adds the cached determinant, inverse and
 spectrum of a positive definite one.  All operations are pure functions.
 """
 
@@ -254,6 +254,21 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+# The documented size of one ``PCG64.jumped()``: the returned generator's
+# state is the seeded one advanced by this many draws.
+_PCG64_JUMP = 210306068529402873165736369884012333109
+
+
+def jumped_rng(seed: int) -> np.random.Generator:
+    """The generator of ``PCG64(seed).jumped()``, from the same state.
+    ``jumped()`` first seeds its new generator from OS entropy, which
+    costs more than a sweep block's draw, and then overwrites that state;
+    this advances a generator seeded from ``seed`` instead."""
+    bits = np.random.PCG64(int(seed))
+    bits.advance(_PCG64_JUMP)
+    return np.random.Generator(bits)
+
+
 def _householder_frames(z: np.ndarray, n: int) -> np.ndarray:
     """Orthogonal (count, n, n) frames, row j the product
     H_0 H_1 ... H_{n-2} of Householder reflections (Stewart, SIAM J.
@@ -272,7 +287,9 @@ def _householder_frames(z: np.ndarray, n: int) -> np.ndarray:
         # H_k = I - w v^T with w = v / (|x_k| |v_0|), since |v|^2 = 2 |x_k| |v_0|
         w = v / (norm * np.abs(v[:, 0]))[:, None]
         block = q[:, k:, k:]
-        block -= w[:, :, None] * (v[:, None, :] @ block)
+        # the outer product by einsum has the bits of the broadcast one,
+        # in fewer inner loops when the block is small
+        block -= np.einsum("ri,rc->ric", w, (v[:, None, :] @ block)[:, 0])
     return q
 
 
@@ -291,10 +308,9 @@ def posdef_draw(n: int, log_eig_range: tuple, seed: int, count: int) -> tuple:
     lo, hi = float(log_eig_range[0]), float(log_eig_range[1])
     if lo > hi:
         raise ParameterError(f"log eigenvalue range has lo={lo} > hi={hi}")
-    gen = _rng(int(seed))
-    # the jumped stream is taken before any uniform is drawn, so count cannot move it
-    z = np.random.Generator(gen.bit_generator.jumped()).standard_normal((count, n * (n + 1) // 2 - 1))
-    return z, gen.uniform(lo, hi, size=(count, n))
+    # the two streams start from the seeded state, so count cannot move either
+    z = jumped_rng(seed).standard_normal((count, n * (n + 1) // 2 - 1))
+    return z, _rng(int(seed)).uniform(lo, hi, size=(count, n))
 
 
 def posdef_build(z: np.ndarray, logs: np.ndarray) -> np.ndarray:

@@ -445,6 +445,15 @@ class TestSeedWords:
         with pytest.raises(ParameterError, match="seed -1 must be >= 0"):
             linalg.seed_words(-1, 4)
 
+    def test_jumped_rng_is_the_jumped_stream(self):
+        # jumped_rng advances a seeded generator by the documented jump
+        # size instead of calling jumped(); the streams must be the same
+        for word in linalg.seed_words(23, 20):
+            want = np.random.PCG64(int(word)).jumped()
+            got = linalg.jumped_rng(word)
+            assert got.bit_generator.state == want.state
+            assert np.array_equal(got.standard_normal(7), np.random.Generator(want).standard_normal(7))
+
 
 class TestRandomSym:
     def test_deterministic(self):
