@@ -12,8 +12,9 @@ self-test).  Each seeded stack is the build of its draw
 randomized sweep builds the draws of several seed words at once.  There
 is no matrix wrapper: a matrix is validated once where it enters, by
 ``symmetric`` (square, finite, lower triangle mirrored, read-only) or by
-the seeded draws, and is passed on as a plain array.  ``PosDefMatrix`` adds the cached determinant, inverse and
-spectrum of a positive definite one.  All operations are pure functions.
+the seeded draws, and is passed on as a plain array.  ``PosDefMatrix``
+adds the cached determinant, inverse and spectrum of a positive definite
+one.  All operations are pure functions.
 """
 
 from __future__ import annotations

@@ -452,7 +452,8 @@ class TestSeedWords:
             want = np.random.PCG64(int(word)).jumped()
             got = linalg.jumped_rng(word)
             assert got.bit_generator.state == want.state
-            assert np.array_equal(got.standard_normal(7), np.random.Generator(want).standard_normal(7))
+            want_draws = np.random.Generator(want).standard_normal(7)
+            assert np.array_equal(got.standard_normal(7), want_draws)
 
 
 class TestRandomSym:

@@ -544,10 +544,12 @@ def test_passes_equal_the_block_kernel_reference_bit_for_bit(text, n):
                 b, j = divmod(i, SWEEP_BLOCK)
                 replayed = replay(seed, n, i)
                 assert all(np.array_equal(replayed[r][0], drawn[b][r][j]) for r in roles)
-        if diag.min_hess_sample >= 0:
-            assert replayed_values(f, seed, n, diag.min_hess_sample)[0] == diag.min_hess_form
-        if diag.max_midpoint_sample >= 0:
-            assert replayed_values(f, seed, n, diag.max_midpoint_sample)[1] == diag.max_midpoint_residual
+        for i, k, extreme in (
+            (diag.min_hess_sample, 0, diag.min_hess_form),
+            (diag.max_midpoint_sample, 1, diag.max_midpoint_residual),
+        ):
+            if i >= 0:
+                assert replayed_values(f, seed, n, i)[k] == extreme
     # each function exercises what it was chosen for over the longest sweep
     if text == "ln(s-5)":
         assert skipped
