@@ -361,11 +361,12 @@ def sym_build(vals: np.ndarray, n: int) -> np.ndarray:
     """The (count, n, n) stack of ``sym_draw``'s rows, or of rows of
     several draws stacked: row j fills the i <= j entries of matrix j
     row-major, and they are mirrored."""
+    # entry (i, j) of every matrix is one gather from its row of vals;
+    # take keeps the stack C-ordered, which later sums rely on for their bits
     rows, cols = np.triu_indices(n)
-    out = np.zeros((len(vals), n, n))
-    out[:, rows, cols] = vals
-    out[:, cols, rows] = vals
-    return out
+    at = np.empty((n, n), dtype=np.intp)
+    at[rows, cols] = at[cols, rows] = np.arange(rows.size)
+    return np.take(vals, at, axis=1)
 
 
 def random_sym(n: int, seed: int, count: int) -> np.ndarray:

@@ -466,3 +466,9 @@ class TestRandomSym:
         assert np.max(np.abs(m)) <= 1.0
         assert np.array_equal(m, m.T)
 
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_stack_is_c_ordered(self, n):
+        # a stack gathered with the samples innermost holds the same values,
+        # but the oracle's sums over it then round differently
+        assert random_sym(n, seed=3, count=50).flags.c_contiguous
+
