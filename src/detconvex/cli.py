@@ -9,13 +9,9 @@ suppressed with --no-timestamp.
 builds its argument parser on the first call and reuses it afterwards;
 each call still parses its own arguments and computes its own report.
 
-The certify report is the text of ``json.dumps(report, indent=2)``.
-``indent`` sends json to its pure-Python encoder, which took most of a
-large grid run walking one object per failing point, so ``_report_text``
-dumps only the rest of the report that way.  It writes the failing points
-as one ``%`` format of a per-point template over the three interleaved
-float columns: ``%r`` spells finite floats as json does, and a pass over
-the block gives json's NaN and Infinity where a column is not finite.
+The certify report is the text of ``json.dumps(report, indent=2)``.  It
+summarizes the failing grid points per condition as runs of consecutive
+column indices; the library report keeps every point's values.
 
 Exit codes for certify: 0 certified on grid, 1 refuted, 2 inconclusive,
 3 usage or parse error, or an output path that cannot be written.  Any
@@ -130,9 +126,39 @@ def _function_annotations(f):
     return notes
 
 
+def _grid_failures(report) -> dict:
+    """The grid points failing either condition, counted, and per
+    condition: its count, the maximal runs of consecutive failing column
+    indices (both ends inclusive, with their s), and its worst point, the
+    largest finite failing f' or the smallest finite failing lhs (the
+    first on ties; null when none is finite)."""
+    s = report.s
+    doc = {"points": len(report.failing_points)}
+    for key, values, ok, worst in (
+        ("fprime", report.fprime, report.fprime_ok, np.nanargmax),
+        ("lhs", report.lhs, report.lhs_ok, np.nanargmin),
+    ):
+        idx = np.flatnonzero(~ok)
+        breaks = np.flatnonzero(np.diff(idx) != 1)
+        starts = np.concatenate((idx[:1], idx[breaks + 1]))
+        ends = np.concatenate((idx[breaks], idx[-1:]))
+        runs = zip(starts.tolist(), ends.tolist(), s[starts].tolist(), s[ends].tolist())
+        failing = values[idx]
+        finite = np.isfinite(failing)
+        at = None
+        if finite.any():
+            k = int(idx[worst(np.where(finite, failing, np.nan))])
+            at = {"s": float(s[k]), "value": float(values[k])}
+        doc[key] = {
+            "points": len(idx),
+            "runs": [{"from": i, "to": j, "s_from": a, "s_to": b} for i, j, a, b in runs],
+            "worst": at,
+        }
+    return doc
+
+
 def _report_json(args, report, diagnostics, f) -> dict:
-    """The report document for ``_report_text``, which writes the failing
-    points into its empty ``failing_points`` list."""
+    """The certify report document."""
     doc = {
         "version": __version__,
         "function_source": args.function,
@@ -144,7 +170,7 @@ def _report_json(args, report, diagnostics, f) -> dict:
         },
         "tol": report.tol,
         "verdict": report.verdict,
-        "failing_points": [],
+        "grid_failures": _grid_failures(report),
         "witnesses": [
             {
                 "kind": w.kind,
@@ -175,34 +201,6 @@ def _report_json(args, report, diagnostics, f) -> dict:
     return doc
 
 
-# One failing point at indent levels 2 and 3 of json.dumps(indent=2); %r
-# spells a finite float as json does, -0.0 included, and others nan or inf.
-_POINT_TEMPLATE = '    {\n      "s": %r,\n      "fprime": %r,\n      "lhs": %r\n    }'
-
-
-def _report_text(doc: dict, columns) -> str:
-    """The report as json.dumps with indent=2 writes it, byte for byte,
-    with ``columns`` (s, f'(s) and the condition's left-hand side of the
-    failing points, three 1-D float arrays) as the objects {"s", "fprime",
-    "lhs"} of ``failing_points``.
-
-    ``doc`` holds an empty ``failing_points`` list and goes through
-    json.dumps.  The points are one %-format of the interleaved columns,
-    with json's NaN and Infinity for nan and inf, which no finite repr and
-    no key contains.  '"failing_points": []' occurs once in the head, as
-    the key: inside a JSON string every quote is escaped.
-    """
-    head = json.dumps(doc, indent=2)
-    if not len(columns[0]):
-        return head
-    values = np.column_stack(columns)
-    template = '"failing_points": [\n' + ",\n".join([_POINT_TEMPLATE] * len(values)) + "\n  ]"
-    block = template % tuple(values.ravel().tolist())
-    if not np.isfinite(values).all():
-        block = block.replace("nan", "NaN").replace("inf", "Infinity")
-    return head.replace('"failing_points": []', block, 1)
-
-
 def _emit(text: str, path: str):
     if path == "-":
         sys.stdout.write(text)
@@ -221,10 +219,7 @@ def _cmd_certify(args) -> int:
     diagnostics = None
     if args.samples > 0 and not report.domain_failure:
         diagnostics = certifier.sample_convexity(f, args.dim, args.samples, args.seed)
-    doc = _report_json(args, report, diagnostics, f)
-    failing = report.failing_points
-    columns = (report.s[failing], report.fprime[failing], report.lhs[failing])
-    _emit(_report_text(doc, columns), args.output)
+    _emit(json.dumps(_report_json(args, report, diagnostics, f), indent=2), args.output)
     print(f"verdict: {report.verdict}", file=sys.stderr)
     return _VERDICT_EXIT[report.verdict]
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from detconvex import cli, detcalculus, linalg, selftest
+from detconvex.certifier import GridSpec
 from detconvex.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -28,7 +29,8 @@ class TestCertifyCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["verdict"] == "CertifiedOnGrid"
-        assert doc["failing_points"] == []
+        none = {"points": 0, "runs": [], "worst": None}
+        assert doc["grid_failures"] == {"points": 0, "fprime": none, "lhs": none}
         assert "verdict: CertifiedOnGrid" in err
 
     def test_increasing_function_refuted_with_witness(self, capsys):
@@ -42,7 +44,16 @@ class TestCertifyCommand:
         assert w["C"] == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, s_star]]
         assert w["H"] == [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]]
         assert w["analytic"] == -2.0 * s_star
-        assert doc["failing_points"]
+        # f' = 1 at every point: one run over the grid, the first point worst
+        assert doc["grid_failures"] == {
+            "points": 50,
+            "fprime": {
+                "points": 50,
+                "runs": [{"from": 0, "to": 49, "s_from": 1e-3, "s_to": 1e3}],
+                "worst": {"s": 1e-3, "value": 1.0},
+            },
+            "lhs": {"points": 0, "runs": [], "worst": None},
+        }
 
     def test_family_spec_certifies(self, capsys):
         code, out, _ = run(
@@ -74,7 +85,7 @@ class TestCertifyCommand:
             "grid",
             "tol",
             "verdict",
-            "failing_points",
+            "grid_failures",
             "witnesses",
             "diagnostics",
             "analytic_convex",
@@ -84,6 +95,9 @@ class TestCertifyCommand:
         }
         assert set(doc) == expected
         assert set(doc["grid"]) == {"s_min", "s_max", "count"}
+        assert set(doc["grid_failures"]) == {"points", "fprime", "lhs"}
+        for condition in ("fprime", "lhs"):
+            assert set(doc["grid_failures"][condition]) == {"points", "runs", "worst"}
         assert set(doc["diagnostics"]) == {"samples_run", "samples_skipped", "min_hess_form"}
         assert doc["rng"] == "numpy-pcg64-eigenbasis-block256"
 
@@ -124,6 +138,29 @@ class TestCertifyCommand:
             "samples_skipped": 1,
             "min_hess_form": None,
         }
+
+    @pytest.mark.parametrize("spec, code, condition", [
+        ("8e307*s^2", 1, "fprime"),
+        ("-8e307*s^2", 2, "lhs"),
+    ])
+    def test_overflowing_columns_give_strict_json(self, capsys, spec, code, condition):
+        # lhs overflows to +-inf at every grid point and the band from the
+        # 698th on, which passes both conditions there; f' stays finite
+        argv = ("certify", "-f", spec, "--s-max", "1", "--seed", "0", "--no-timestamp")
+        with warnings.catch_warnings():
+            # the fd check of the unconfirmed -8e307*s^2 witness overflows
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(list(argv)) == code
+        out = capsys.readouterr().out
+        doc = json.loads(out, parse_constant=lambda token: pytest.fail(f"non-strict {token}"))
+        failures = doc["grid_failures"]
+        assert failures["points"] == failures[condition]["points"] == 697
+        s_to = float(GridSpec(1e-3, 1.0, 1000).points()[696])
+        assert failures[condition]["runs"] == [
+            {"from": 0, "to": 696, "s_from": 1e-3, "s_to": s_to}
+        ]
+        # every failing lhs of -8e307*s^2 is -inf, so it has no worst point
+        assert (failures[condition]["worst"] is None) == (condition == "lhs")
 
     def test_dimension_one_concave_function_is_refuted(self, capsys):
         # the first violating point, s = 1e-3, has no confirmed witness;

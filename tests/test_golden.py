@@ -23,7 +23,10 @@ changed.  They were regenerated again, with the same two fields
 changing, when the sweep moved to the eigenbasis of C and A1.  When the
 sweep's quadratic form moved from a LAPACK solve on the diagonal C to
 C's drawn spectrum, and its extremes to finite values only, no byte of
-any file changed, so none was regenerated.
+any file changed, so none was regenerated.  All five certify files were
+regenerated when the ``failing_points`` list gave way to the
+``grid_failures`` runs; with that key removed, each is byte-identical to
+its previous version.
 """
 
 from pathlib import Path
