@@ -181,7 +181,10 @@ def witness_attempt(f, kind: str, s: float, n: int) -> Witness:
         c, h = witness_positive_fprime(s, n)
     else:
         c, h = witness_second_order(s, n)
-    forms = detcalculus.directional_forms((f,), c.a[None], h[None], np.array([c.det]))
+    # overflow goes to inf or NaN without a warning, as in the grid pass,
+    # and leaves the pair unconfirmed
+    with np.errstate(all="ignore"):
+        forms = detcalculus.directional_forms((f,), c.a[None], h[None], np.array([c.det]))
     analytic, fd, step = (float(x[0]) for x in (forms.hess, forms.fd_hess, forms.step))
     if math.isnan(fd):
         raise DegenerateDirectionError(
@@ -402,51 +405,46 @@ SWEEP_PASS_ENTRIES = 2**15
 
 
 def sweep_block(n: int, words, count: int):
-    """(spectra, H, A2, dets) of the first ``count`` samples of the
+    """(spectra, H, dets) of the first ``count`` samples of the
     consecutive sweep blocks whose seed words are ``words``, two per
-    block, drawn in the eigenbasis of C and A1.
+    block.
 
-    D2g(QCQ^T).(QHQ^T, QHQ^T) = D2g(C).(H,H) and the midpoint residual of
-    (PA1P^T, PA2P^T) is that of (A1, A2) for orthogonal Q and P, so only
-    the relative frame of a pair matters: C and A1 are diagonal.  Row j
-    of a block from words (w0, w1) is its sample j: row j of the
-    (count, 2, n) ``spectra`` holds the eigenvalues of C and A1, the exp
-    of uniforms over DEFAULT_LOG_EIG_RANGE from the ``jumped()`` stream
-    of ``PCG64(w1)``; A2 is row j of one ``linalg.posdef_draw`` from w0,
-    and H row j of one ``linalg.sym_draw`` from w1.  Each block draws
-    only the rows asked of it, and the rows of all blocks are built
-    together.  Every draw clears the positivity floor by construction.
-    The (count, 3) ``dets`` of C, A1 and A2 are the exp of the sums of
-    their drawn log eigenvalues.  Fewer samples are a prefix of more, and
-    the rows of block b are those of the one-block call on its two
-    words."""
+    D2g(C).(H,H) depends only on the frame of H relative to C, so C is
+    diagonal and H full.  The midpoint pair (A1, A2) is diagonal: both
+    witnesses are diagonal pairs, so g is convex exactly when
+    x -> f(x_1 ... x_n) is convex on the positive orthant, and a diagonal
+    pair shows every midpoint failure a framed one can.  Row j of a block
+    from words (w0, w1) is its sample j: row j of the (count, 3, n)
+    ``spectra`` holds the eigenvalues of C, A1 and A2, the exp of
+    uniforms over DEFAULT_LOG_EIG_RANGE, from the ``jumped()`` stream of
+    ``PCG64(w1)`` for C and A1 and from ``PCG64(w0)`` for A2, and H is row
+    j of one ``linalg.sym_draw`` from w1.  The (count, 3) ``dets`` of C,
+    A1 and A2 are the exp of the sums of their log eigenvalues.  Each
+    block draws only the rows asked of it, so fewer samples are a prefix
+    of more, and the rows of block b are those of the one-block call on
+    its two words."""
     blocks = -(-count // SWEEP_BLOCK)
     if len(words) < 2 * blocks:
         raise ParameterError(f"{count} samples need {2 * blocks} seed words, got {len(words)}")
-    rows = [(b, min(SWEEP_BLOCK, count - b * SWEEP_BLOCK)) for b in range(blocks)]
-
-    def joined(parts):
-        # one block's draw is used as it is, without a copy
-        return parts[0] if blocks == 1 else np.concatenate(parts)
-
-    logs = joined([
-        linalg.jumped_rng(words[2 * b + 1]).uniform(*DEFAULT_LOG_EIG_RANGE, (m, 2, n))
-        for b, m in rows
-    ])
-    draws = [linalg.posdef_draw(n, DEFAULT_LOG_EIG_RANGE, words[2 * b], m) for b, m in rows]
-    z, logs2 = (joined(x) for x in zip(*draws))
-    a2 = linalg.posdef_build(z, logs2)
-    # the Gaussians die before H is drawn; held longer, they cost a
-    # one-block pass a few percent at n = 24
-    del draws, z
-    dets = np.exp(np.concatenate((logs, logs2[:, None]), axis=1).sum(axis=2))
-    h = linalg.sym_build(joined([linalg.sym_draw(n, words[2 * b + 1], m) for b, m in rows]), n)
-    return np.exp(logs), h, a2, dets
+    logs = np.empty((count, 3, n))
+    sym = []
+    for b in range(blocks):
+        rows = slice(b * SWEEP_BLOCK, min((b + 1) * SWEEP_BLOCK, count))
+        m = rows.stop - rows.start
+        w0, w1 = int(words[2 * b]), int(words[2 * b + 1])
+        logs[rows, :2] = linalg.jumped_rng(w1).uniform(*DEFAULT_LOG_EIG_RANGE, (m, 2, n))
+        logs[rows, 2] = np.random.default_rng(w0).uniform(*DEFAULT_LOG_EIG_RANGE, (m, n))
+        sym.append(linalg.sym_draw(n, w1, m))
+    # one block's draw is used as it is, without a copy
+    h = linalg.sym_build(sym[0] if blocks == 1 else np.concatenate(sym), n)
+    return np.exp(logs), h, np.exp(logs.sum(axis=2))
 
 
 class ConvexitySampleDiagnostics(NamedTuple):
     """Outcome of a randomized convexity sweep.
 
+    ``samples_run`` counts the samples where the form or the midpoint
+    check ran, ``samples_skipped`` those where neither did.
     ``min_hess_form`` is the smallest finite sampled quadratic form
     (theory says >= 0 for convex f); midpoint residuals are g((C1+C2)/2)
     - (g(C1)/2 + g(C2)/2), non-positive for convex f, and their extremes
@@ -474,44 +472,63 @@ class ConvexitySampleDiagnostics(NamedTuple):
     max_midpoint_sample: int
 
 
-def _pass_values(f, n: int, words, m: int):
-    """(ran, forms, midpoint residuals) of the first m samples of the
-    blocks whose seed words are ``words``, evaluated as one stack whose
-    matrices die on return: a sweep holds one pass's."""
-    e, h, a2, dets = sweep_block(n, words, m)
+def _pass_summary(f, n: int, words, m: int):
+    """The counts and extremes of the first m samples of the blocks whose
+    seed words are ``words``, evaluated as one stack: samples run, form
+    failures, midpoint failures, (index, value) of the smallest finite
+    form and of the largest finite residual, and the smallest finite
+    residual; a value is +-inf where none is finite.  The arrays die on
+    return, so a sweep holds one pass's."""
+    e, h, dets = sweep_block(n, words, m)
     inner, cross = detcalculus.diag_terms(1.0 / e[:, 0], h)
-    a2[:, np.arange(n), np.arange(n)] += e[:, 1]  # A1 + A2, A1 diagonal
     # one jet over the determinants of [C; A1; A2; (A1+A2)/2]
-    dets = np.concatenate((dets.T.ravel(), np.linalg.det(0.5 * a2)))
+    dets = np.concatenate((dets.T.ravel(), np.prod(0.5 * (e[:, 1] + e[:, 2]), axis=1)))
     jets = scalarfun.eval_jet(f, dets)
     jet = Jet2(*(x[:m] for x in jets))
     g1, g2, gm = jets.v[m:].reshape(3, m)
-    # a sample whose jets failed at any point is NaN there and skipped
-    ok = ~np.isnan(jets.v).reshape(4, m).any(axis=0)
+    # a check whose jets failed has NaN values; a sample where neither
+    # check ran is skipped
+    failed = np.isnan(jets.v).reshape(4, m)
     with np.errstate(all="ignore"):
         # halving each value first keeps a sum beyond the float range finite
-        residuals = gm - (0.5 * g1 + 0.5 * g2)
-        return ok, detcalculus.g_hess_form(jet, dets[:m], inner, cross), residuals
+        r = gm - (0.5 * g1 + 0.5 * g2)
+        v = detcalculus.g_hess_form(jet, dets[:m], inner, cross)
+    # +-inf fail or pass as any value and NaN (a check that did not run,
+    # or inf - inf) fails none, but only finite values are extremes; the
+    # lowest index wins a tie
+    finite = np.isfinite(r)
+    forms, high = np.where(np.isfinite(v), v, np.inf), np.where(finite, r, -np.inf)
+    i, j = int(np.argmin(forms)), int(np.argmax(high))
+    return (
+        int(np.count_nonzero(~(failed[0] & failed[1:].any(axis=0)))),
+        int(np.count_nonzero(v < -SWEEP_FAIL_TOL)),
+        int(np.count_nonzero(r > SWEEP_FAIL_TOL)),
+        (i, float(forms[i])),
+        (j, float(high[j])),
+        float(np.where(finite, r, np.inf).min()),
+    )
 
 
 def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleDiagnostics:
     """Randomized corroboration of the grid verdict.
 
-    Draws (C, H) pairs for the quadratic form and PD pairs (A1, A2) for a
-    midpoint-convexity check in blocks of SWEEP_BLOCK samples, C and A1
-    as spectra that clear the positivity floor by construction
-    (``sweep_block``; the last block draws only the samples it runs).
-    A block is the unit of the draws and of replay; a pass, as many whole
-    blocks as keep rows * n^2 within SWEEP_PASS_ENTRIES and at least one,
-    is the unit of evaluation.  Per pass, the form comes from C's
-    spectrum through ``detcalculus.diag_terms`` and ``g_hess_form``, the
-    determinant of (A1+A2)/2 from one LAPACK call, and the jets of the
-    four determinants from one array evaluation.  A sample whose jets
-    fail at any of its four points is skipped and counted; a form or
-    residual that overflows to inf, or to NaN as inf - inf, is no
-    extreme.  Only counts and extremes are kept, so memory is one pass's
-    whatever the failures.  The diagnostics do not depend on how the
-    blocks are grouped into passes.
+    Draws (C, H) pairs for the quadratic form and diagonal PD pairs
+    (A1, A2) for a midpoint-convexity check in blocks of SWEEP_BLOCK
+    samples, C, A1 and A2 as spectra that clear the positivity floor by
+    construction (``sweep_block``; the last block draws only the samples
+    it runs).  A block is the unit of the draws and of replay; a pass, as
+    many whole blocks as keep rows * n^2 within SWEEP_PASS_ENTRIES and at
+    least one, is the unit of evaluation.  Per pass, the form comes from
+    C's spectrum through ``detcalculus.diag_terms`` and ``g_hess_form``,
+    the determinant of (A1+A2)/2 as the product of its diagonal, and the
+    jets of the four determinants from one array evaluation; no LAPACK
+    routine runs.  Each check runs where its own jets evaluate: the form
+    where the jet at det C does, the residual where the three at A1, A2
+    and the midpoint do.  A sample where neither ran is skipped and
+    counted.  A form or residual that overflows to inf, or to NaN as
+    inf - inf, is no extreme.  Only counts and extremes are kept, so
+    memory is one pass's whatever the failures.  The diagnostics do not
+    depend on how the blocks are grouped into passes.
     """
     if num_samples < 1:
         raise ParameterError("num_samples must be >= 1")
@@ -525,20 +542,15 @@ def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleD
     for first in range(0, blocks, per_pass):
         start = first * SWEEP_BLOCK
         m = min(per_pass * SWEEP_BLOCK, num_samples - start)
-        ok, v, r = _pass_values(f, n, words[2 * first : 2 * (first + per_pass)], m)
-        run += int(ok.sum())
-        # +-inf fail or pass as any value and NaN (inf - inf) fails none,
-        # but only finite values are extremes; the lowest index wins a tie
-        hess_failures += int(np.count_nonzero(ok & (v < -SWEEP_FAIL_TOL)))
-        mid_failures += int(np.count_nonzero(ok & (r > SWEEP_FAIL_TOL)))
-        finite = ok & np.isfinite(r)
-        forms, high = np.where(ok & np.isfinite(v), v, np.inf), np.where(finite, r, -np.inf)
-        i, j = int(np.argmin(forms)), int(np.argmax(high))
-        if forms[i] < min_hess:
-            min_hess, min_hess_at = float(forms[i]), start + i
-        if high[j] > max_mid:
-            max_mid, max_mid_at = float(high[j]), start + j
-        min_mid = min(min_mid, float(np.where(finite, r, np.inf).min()))
+        ran, hess, mid, (i, low), (j, high), low_mid = _pass_summary(
+            f, n, words[2 * first : 2 * (first + per_pass)], m
+        )
+        run, hess_failures, mid_failures = run + ran, hess_failures + hess, mid_failures + mid
+        if low < min_hess:
+            min_hess, min_hess_at = low, start + i
+        if high > max_mid:
+            max_mid, max_mid_at = high, start + j
+        min_mid = min(min_mid, low_mid)
     return ConvexitySampleDiagnostics(
         samples_run=run,
         samples_skipped=num_samples - run,

@@ -7,14 +7,14 @@ eigendecomposition, a hand LU determinant that is exact on diagonal input
 over a stack, and seeded sampling of test matrices as (N, n, n) stacks
 from one seed word each, a shorter stack a prefix of a longer one
 (``random_pairs`` draws the (C, H) pairs of the oracle and the
-self-test).  Each seeded stack is the build of its draw
-(``posdef_draw``/``posdef_build``, ``sym_draw``/``sym_build``), so the
-randomized sweep builds the draws of several seed words at once.  There
-is no matrix wrapper: a matrix is validated once where it enters, by
-``symmetric`` (square, finite, lower triangle mirrored, read-only) or by
-the seeded draws, and is passed on as a plain array.  ``PosDefMatrix``
-adds the cached determinant, inverse and spectrum of a positive definite
-one.  All operations are pure functions.
+self-test).  A symmetric stack is the build of its draw
+(``sym_draw``/``sym_build``), so the randomized sweep builds the H of
+several seed words at once; its other matrices are diagonal and never
+built.  There is no matrix wrapper: a matrix is validated once where it
+enters, by ``symmetric`` (square, finite, lower triangle mirrored,
+read-only) or by the seeded draws, and is passed on as a plain array.
+``PosDefMatrix`` adds the cached determinant, inverse and spectrum of a
+positive definite one.  All operations are pure functions.
 """
 
 from __future__ import annotations
@@ -34,10 +34,11 @@ from .errors import (
 # Generator family and stream layout of the sampling routines, recorded in
 # report headers so results can be reproduced: PCG64, one seed word per
 # sweep block of 256 samples (certifier.SWEEP_BLOCK) and matrix kind, two
-# streams per word, Householder frames, and a sweep drawn in the
-# eigenbasis of C and A1 (``certifier.sweep_block``).  How many blocks
-# the sweep evaluates in one pass moves no draw, so it is not recorded.
-RNG_ALGORITHM = "numpy-pcg64-eigenbasis-block256"
+# streams per word, Householder frames for the oracle's draws, and a
+# sweep whose C, A1 and A2 are diagonal, with the midpoint pair (A1, A2)
+# in one basis (``certifier.sweep_block``).  How many blocks the sweep
+# evaluates in one pass moves no draw, so it is not recorded.
+RNG_ALGORITHM = "numpy-pcg64-diagonal-midpoint-block256"
 
 # Log eigenvalue range of the default draws: eigenvalues in [0.1, 10], so that
 # up to n = 64 every draw clears the positivity floor by construction.
@@ -294,15 +295,16 @@ def _householder_frames(z: np.ndarray, n: int) -> np.ndarray:
     return q
 
 
-def posdef_draw(n: int, log_eig_range: tuple, seed: int, count: int) -> tuple:
-    """The raw numbers of ``count`` positive definite samples: a (count,
-    n(n+1)/2 - 1) block of Gaussians and a (count, n) block of log
-    eigenvalues, which ``posdef_build`` turns into the stack.
+def random_posdef_stack(n: int, log_eig_range: tuple, seed: int, count: int) -> tuple:
+    """``count`` positive definite samples as a (count, n, n) stack, with
+    their (count, n) log eigenvalues.
 
     Two PCG64 streams come from ``seed``: ``PCG64(seed)`` gives the
-    uniforms over ``log_eig_range`` and its ``jumped()`` stream the
-    Gaussians.  Row j is only row j of each block, so k rows are the
-    first k rows of any longer draw from the same seed.
+    uniform log eigenvalues over ``log_eig_range`` and its ``jumped()``
+    stream the n(n+1)/2 - 1 Gaussians of each row's Householder frame Q
+    (``_householder_frames``).  Row j is Q diag(exp(logs[j])) Q^T, lower
+    triangle mirrored, from row j of each stream's block, so a stack of k
+    rows is the first k rows of any longer stack from the same seed.
     """
     if n < 1:
         raise DimensionError("dimension must be >= 1")
@@ -310,30 +312,11 @@ def posdef_draw(n: int, log_eig_range: tuple, seed: int, count: int) -> tuple:
     if lo > hi:
         raise ParameterError(f"log eigenvalue range has lo={lo} > hi={hi}")
     # the two streams start from the seeded state, so count cannot move either
-    z = jumped_rng(seed).standard_normal((count, n * (n + 1) // 2 - 1))
-    return z, _rng(int(seed)).uniform(lo, hi, size=(count, n))
-
-
-def posdef_build(z: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """The (count, n, n) stack of ``posdef_draw``'s rows, or of rows of
-    several draws stacked: row j is Q diag(exp(logs[j])) Q^T, with Q the
-    Householder product (``_householder_frames``) of the Gaussians
-    z[j], lower triangle mirrored."""
-    n = logs.shape[1]
-    q = _householder_frames(z, n)
+    q = _householder_frames(jumped_rng(seed).standard_normal((count, n * (n + 1) // 2 - 1)), n)
+    logs = _rng(int(seed)).uniform(lo, hi, size=(count, n))
     out = _mirror_lower((q * np.exp(logs)[:, None, :]) @ np.swapaxes(q, -1, -2))
     _check_finite(out)
-    return out
-
-
-def random_posdef_stack(n: int, log_eig_range: tuple, seed: int, count: int) -> tuple:
-    """``count`` positive definite samples as a (count, n, n) stack, with
-    their (count, n) log eigenvalues: ``posdef_build`` of ``posdef_draw``.
-    A stack of k rows is the first k rows of any longer stack from the
-    same seed.
-    """
-    z, logs = posdef_draw(n, log_eig_range, seed, count)
-    return posdef_build(z, logs), logs
+    return out, logs
 
 
 def random_posdef_array(n: int, log_eig_range: tuple, seed: int) -> np.ndarray:

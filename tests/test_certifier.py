@@ -440,7 +440,7 @@ class TestSampleConvexity:
         for i in (43, 519):
             b, j = divmod(i, SWEEP_BLOCK)
             words = linalg.seed_words(seed, 2 * (b + 1))[2 * b :]
-            e, h, _, dets = (x[j:] for x in certifier.sweep_block(n, words, j + 1))
+            e, h, dets = (x[j:] for x in certifier.sweep_block(n, words, j + 1))
             c = np.diag(e[0, 0])[None]
             forms = detcalculus.directional_forms((f,), c, h, dets[:, 0])
             value, fd = float(forms.hess[0]), float(forms.fd_hess[0])
@@ -517,6 +517,15 @@ class TestSampleConvexity:
         # a traceback with exit 1
         with pytest.raises(ParameterError, match="seed -1"):
             sample_convexity(parse("s"), 3, 5, seed=-1)
+
+    def test_each_check_skips_on_its_own(self):
+        # exp(exp(s)) overflows its jets past s of about 6.5; a sample is
+        # skipped only where both its form and its midpoint check fail to
+        # evaluate, which skipped 573 samples when one failing jet skipped
+        # both checks
+        diag = sample_convexity(parse("exp(exp(s))"), 3, 1000, seed=9)
+        assert diag.samples_skipped == 116
+        assert diag.samples_run + diag.samples_skipped == 1000
 
     def test_domain_errors_skipped(self):
         diag = sample_convexity(parse("ln(s-5)"), 3, 50, seed=4)

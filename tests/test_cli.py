@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -99,7 +102,7 @@ class TestCertifyCommand:
         for condition in ("fprime", "lhs"):
             assert set(doc["grid_failures"][condition]) == {"points", "runs", "worst"}
         assert set(doc["diagnostics"]) == {"samples_run", "samples_skipped", "min_hess_form"}
-        assert doc["rng"] == "numpy-pcg64-eigenbasis-block256"
+        assert doc["rng"] == "numpy-pcg64-diagonal-midpoint-block256"
 
     def test_timestamp_present_unless_suppressed(self, capsys):
         _, out, _ = run(capsys, "certify", "-f", "-ln(s)", *CERT_FAST)
@@ -148,8 +151,9 @@ class TestCertifyCommand:
         # 698th on, which passes both conditions there; f' stays finite
         argv = ("certify", "-f", spec, "--s-max", "1", "--seed", "0", "--no-timestamp")
         with warnings.catch_warnings():
-            # the fd check of the unconfirmed -8e307*s^2 witness overflows
-            warnings.simplefilter("ignore", RuntimeWarning)
+            # the fd check of the unconfirmed -8e307*s^2 witness overflows,
+            # silently as in the grid pass
+            warnings.simplefilter("error", RuntimeWarning)
             assert main(list(argv)) == code
         out = capsys.readouterr().out
         doc = json.loads(out, parse_constant=lambda token: pytest.fail(f"non-strict {token}"))
@@ -161,6 +165,20 @@ class TestCertifyCommand:
         ]
         # every failing lhs of -8e307*s^2 is -inf, so it has no worst point
         assert (failures[condition]["worst"] is None) == (condition == "lhs")
+
+    def test_overflowing_witness_is_inconclusive_under_warnings_as_errors(self):
+        # the fd check of the -8e307*s^2 witness overflows; its warning,
+        # raised as an error, ended the run in a traceback with exit 1,
+        # which claims a refutation
+        argv = ["certify", "-f", "-8e307*s^2", "--s-max", "1", "--seed", "0", "--no-timestamp"]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "detconvex.cli", *argv],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "verdict: Inconclusive\n"
 
     def test_dimension_one_concave_function_is_refuted(self, capsys):
         # the first violating point, s = 1e-3, has no confirmed witness;

@@ -26,7 +26,9 @@ C's drawn spectrum, and its extremes to finite values only, no byte of
 any file changed, so none was regenerated.  All five certify files were
 regenerated when the ``failing_points`` list gave way to the
 ``grid_failures`` runs; with that key removed, each is byte-identical to
-its previous version.
+its previous version.  They were regenerated again when the sweep's
+midpoint pair moved into one diagonal basis, and only their ``rng`` tag
+changed.
 """
 
 from pathlib import Path

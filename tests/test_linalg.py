@@ -304,6 +304,42 @@ def _frames(n, count, seed):
     return linalg._householder_frames(z, n)
 
 
+def reference_frame(x, n, signs=False):
+    """The frame of one row from its n(n+1)/2 - 1 Gaussians x_0, x_1, ...,
+    x_{n-2} (lengths n, n-1, ..., 2): the product H_0 H_1 ... H_{n-2} of
+    the Householder reflections that map x_k onto axis k of coordinates
+    k .. n-1, accumulated from the last.  With ``signs``, times Stewart's
+    diagonal of signs that makes the product Haar."""
+    q = np.eye(n)
+    starts = np.cumsum([0] + [n - k for k in range(n - 1)])
+    d = np.ones(n)
+    for k in reversed(range(n - 1)):
+        v = x[starts[k] : starts[k + 1]].copy()
+        norm = np.sqrt(np.sum(v * v))
+        d[k] = -np.sign(v[0])
+        v[0] += np.copysign(norm, v[0])
+        w = v / (norm * abs(v[0]))
+        q[k:, k:] -= w[:, None] * (v[None, :] @ q[k:, k:])
+    return q * d if signs else q
+
+
+def reference_posdef_rows(n, log_eig_range, seed, k, signs=False):
+    """k positive definite matrices, lower triangle mirrored, and their log
+    eigenvalues, one row at a time: the eigenvalue row from the stream
+    ``PCG64(seed)``, the frame Gaussians from its ``jumped()`` stream."""
+    bits = np.random.PCG64(int(seed))
+    gauss = np.random.Generator(bits.jumped())
+    uniform = np.random.Generator(bits)
+    logs = [uniform.uniform(log_eig_range[0], log_eig_range[1], size=n) for _ in range(k)]
+    mats = []
+    for lg in logs:
+        q = reference_frame(gauss.standard_normal(n * (n + 1) // 2 - 1), n, signs)
+        a = (q * np.exp(lg)) @ q.T
+        low = np.tril(a)
+        mats.append(low + low.T - np.diag(np.diag(a)))
+    return mats, logs
+
+
 class TestHouseholderDraw:
     """The frames and spectra of ``random_posdef_stack``.  A product of
     n - 1 computed reflections is orthogonal to a small multiple of n eps
@@ -325,6 +361,39 @@ class TestHouseholderDraw:
         cond = lam[:, -1] / lam[:, 0]
         bound = 8 * n * cond * EPS * lam[:, 0]
         assert np.all(np.abs(np.linalg.eigvalsh(c) - lam) <= bound[:, None])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+    def test_stack_rows_are_the_per_row_draws(self, n):
+        # row j of a k-stack is the j-th matrix of the two streams drawn
+        # one row at a time, a count-1 stack is the draw of a single
+        # seed, and a shorter stack is a prefix of a longer one
+        seeds = np.random.SeedSequence(500 + n).generate_state(40, dtype=np.uint64)
+        for seed in seeds:
+            pd, logs = linalg.random_posdef_stack(n, LOG_RANGE, seed, 1)
+            assert pd.shape == (1, n, n) and logs.shape == (1, n)
+            assert np.array_equal(pd[0], linalg.random_posdef_array(n, LOG_RANGE, int(seed)))
+            ref_pd, ref_logs = reference_posdef_rows(n, LOG_RANGE, int(seed), 1)
+            assert np.array_equal(pd[0], ref_pd[0]) and np.array_equal(logs[0], ref_logs[0])
+        k, seed = 40, int(seeds[0])
+        pd, logs = linalg.random_posdef_stack(n, LOG_RANGE, seed, k)
+        ref_pd, ref_logs = reference_posdef_rows(n, LOG_RANGE, seed, k)
+        for j in range(k):
+            assert np.array_equal(pd[j], ref_pd[j]) and np.array_equal(logs[j], ref_logs[j])
+        for short in (1, 7, k - 1):
+            pd_short, logs_short = linalg.random_posdef_stack(n, LOG_RANGE, seed, short)
+            assert np.array_equal(pd_short, pd[:short]) and np.array_equal(logs_short, logs[:short])
+
+    def test_frames_need_no_sign_convention(self):
+        # random_posdef_stack takes the product of reflections as it is; the
+        # reference multiplies it by Stewart's diagonal of signs, which makes
+        # the frame Haar.  Each sign cancels in Q diag Q^T, so the draws agree
+        # bit for bit
+        k = 64
+        for n in range(1, 34):
+            seed = 900 + n
+            got = linalg.random_posdef_stack(n, LOG_RANGE, seed, k)[0]
+            want = reference_posdef_rows(n, LOG_RANGE, seed, k, signs=True)[0]
+            assert all(np.array_equal(got[j], want[j]) for j in range(k)), n
 
     @pytest.mark.parametrize("n", DRAW_DIMS)
     def test_haar_moments(self, n):

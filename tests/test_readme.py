@@ -26,9 +26,10 @@ def test_sweep_replay_recipe_reproduces_reported_failures():
     recipe = [b for b in blocks if "certifier.sweep_block" in b]
     assert len(recipe) == 1
     code = compile(recipe[0], "README.md", "exec")
-    f, n, seed = parse("s"), 3, 4
+    f, n, seed = parse("s"), 3, 5
     diag = sample_convexity(f, n, 1000, seed)
-    # both worst samples lie past the first block
+    # both worst samples lie past the first block; seed 5 is the first
+    # from 4 on where they do
     for i, name, extreme in (
         (diag.min_hess_sample, "value", diag.min_hess_form),
         (diag.max_midpoint_sample, "residual", diag.max_midpoint_residual),
