@@ -145,6 +145,16 @@ class TestCertify:
             with pytest.raises(ParameterError):
                 certify(parse("s"), 3, SMALL_GRID, tol=tol)
 
+    def test_band_stays_finite_where_the_derivatives_are(self):
+        # f' = 1.6e308 s and f'' = 1.6e308 are finite, but their sum
+        # overflowed, and an infinite band passed f' <= band at every
+        # point: this certified an increasing f
+        rep = certify(parse("8e307*s^2"), 3, GridSpec(0.2, 1.0, 1000))
+        assert np.isfinite(rep.band).all()
+        assert not rep.fprime_ok.any()
+        assert rep.verdict == REFUTED
+        assert [w.kind for w in rep.witnesses] == [KIND_POSITIVE_FPRIME]
+
     def test_tie_break_prefers_slope_witness(self):
         # s^(1/5) violates both conditions at every grid point; the shared
         # points prefer the (cheaper, exact) slope construction, so only
