@@ -253,8 +253,9 @@ def analytic_convexity(f, n: int) -> bool | None:
 def certify(f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BASE) -> CertificationReport:
     """Evaluate both convexity conditions at every grid point.
 
-    Per-point tolerance band: tol * (1 + |f'(s)| + |f''(s)|), with
-    0 < tol < 1.  Any violation triggers witness construction at the first
+    Per-point tolerance band: tol + tol*|f'(s)| + tol*|f''(s)|, with
+    0 < tol < 1, each term scaled before the sum so that the band stays
+    finite wherever f' and f'' are.  Any violation triggers witness construction at the first
     violating point of its kind and, when that pair is not confirmed, at
     the violating point of that kind nearest s = 1; Refuted requires a
     confirmed witness.
@@ -262,7 +263,7 @@ def certify(f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BA
     """
     if n < 1:
         raise ParameterError(f"dimension n={n} must be >= 1")
-    # a band of tol * (1 + |f'| + |f''|) with tol >= 1 swallows violations
+    # a band of tol + tol*|f'| + tol*|f''| with tol >= 1 swallows violations
     # as large as the derivatives themselves
     if not (0 < tol < 1):
         raise ParameterError(f"tolerance {tol} must be positive and below 1")
@@ -293,7 +294,7 @@ def certify(f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BA
     # overflow goes to inf without a warning, as in float arithmetic
     with np.errstate(all="ignore"):
         lhs = _lhs_from_jet(jet, s, n)
-        band = tol * (1.0 + np.abs(jet.d1) + np.abs(jet.d2))
+        band = tol + tol * np.abs(jet.d1) + tol * np.abs(jet.d2)
     # at n = 1, g is f itself and only f'' >= 0 applies
     fprime_ok = (jet.d1 <= band) | (n == 1)
     lhs_ok = lhs >= -band

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from detconvex import cli, detcalculus, linalg, selftest
-from detconvex.certifier import GridSpec
 from detconvex.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -147,8 +146,9 @@ class TestCertifyCommand:
         ("-8e307*s^2", 2, "lhs"),
     ])
     def test_overflowing_columns_give_strict_json(self, capsys, spec, code, condition):
-        # lhs overflows to +-inf at every grid point and the band from the
-        # 698th on, which passes both conditions there; f' stays finite
+        # lhs overflows to +-inf at every grid point; f' and the band stay
+        # finite, so the condition fails at all 1000 (an overflowing band
+        # once passed both conditions from the 698th point on)
         argv = ("certify", "-f", spec, "--s-max", "1", "--seed", "0", "--no-timestamp")
         with warnings.catch_warnings():
             # the fd check of the unconfirmed -8e307*s^2 witness overflows,
@@ -158,10 +158,9 @@ class TestCertifyCommand:
         out = capsys.readouterr().out
         doc = json.loads(out, parse_constant=lambda token: pytest.fail(f"non-strict {token}"))
         failures = doc["grid_failures"]
-        assert failures["points"] == failures[condition]["points"] == 697
-        s_to = float(GridSpec(1e-3, 1.0, 1000).points()[696])
+        assert failures["points"] == failures[condition]["points"] == 1000
         assert failures[condition]["runs"] == [
-            {"from": 0, "to": 696, "s_from": 1e-3, "s_to": s_to}
+            {"from": 0, "to": 999, "s_from": 1e-3, "s_to": 1.0}
         ]
         # every failing lhs of -8e307*s^2 is -inf, so it has no worst point
         assert (failures[condition]["worst"] is None) == (condition == "lhs")

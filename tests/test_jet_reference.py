@@ -221,7 +221,7 @@ def ref_certify_grid(f, n, grid, tol=certifier.DEFAULT_TOL_BASE):
         except (DomainError, NonFiniteError) as e:
             return flags, f"domain failure during grid evaluation: {e}"
         lhs = jet.d2 + ((n - 1) / (n * s)) * jet.d1
-        tol_p = tol * (1.0 + abs(jet.d1) + abs(jet.d2))
+        tol_p = tol + tol * abs(jet.d1) + tol * abs(jet.d2)
         flags.append((jet.d1 <= tol_p, lhs >= -tol_p))
     return flags, None
 
