@@ -396,48 +396,31 @@ def reduction_check(f, c, h):
     return full, reduced
 
 
-# Samples per block of the sweep, the unit of its draws and of replay:
-# block b draws from seed words 2b and 2b+1.
-SWEEP_BLOCK = 256
-# Matrix entries per stack of one evaluation pass, rows * n^2: a pass
-# holds as many whole blocks as fit, and at least one.  The pass, not the
-# sample count, sets the sweep's working memory.
+# Matrix entries per stack of one evaluation pass, rows * n^2, and at
+# least one row.  The pass, not the sample count, sets the sweep's
+# working memory; it moves no draw.
 SWEEP_PASS_ENTRIES = 2**15
 
 
-def sweep_block(n: int, words, count: int):
-    """(spectra, H, dets) of the first ``count`` samples of the
-    consecutive sweep blocks whose seed words are ``words``, two per
-    block.
+def sweep_draw(gen: np.random.Generator, n: int, m: int):
+    """(spectra, H, dets) of the next m samples of the sweep's stream
+    ``gen``, one row of ``gen.random`` per sample.
 
     D2g(C).(H,H) depends only on the frame of H relative to C, so C is
     diagonal and H full.  The midpoint pair (A1, A2) is diagonal: both
     witnesses are diagonal pairs, so g is convex exactly when
     x -> f(x_1 ... x_n) is convex on the positive orthant, and a diagonal
-    pair shows every midpoint failure a framed one can.  Row j of a block
-    from words (w0, w1) is its sample j: row j of the (count, 3, n)
-    ``spectra`` holds the eigenvalues of C, A1 and A2, the exp of
-    uniforms over DEFAULT_LOG_EIG_RANGE, from the ``jumped()`` stream of
-    ``PCG64(w1)`` for C and A1 and from ``PCG64(w0)`` for A2, and H is row
-    j of one ``linalg.sym_draw`` from w1.  The (count, 3) ``dets`` of C,
-    A1 and A2 are the exp of the sums of their log eigenvalues.  Each
-    block draws only the rows asked of it, so fewer samples are a prefix
-    of more, and the rows of block b are those of the one-block call on
-    its two words."""
-    blocks = -(-count // SWEEP_BLOCK)
-    if len(words) < 2 * blocks:
-        raise ParameterError(f"{count} samples need {2 * blocks} seed words, got {len(words)}")
-    logs = np.empty((count, 3, n))
-    sym = []
-    for b in range(blocks):
-        rows = slice(b * SWEEP_BLOCK, min((b + 1) * SWEEP_BLOCK, count))
-        m = rows.stop - rows.start
-        w0, w1 = int(words[2 * b]), int(words[2 * b + 1])
-        logs[rows, :2] = linalg.jumped_rng(w1).uniform(*DEFAULT_LOG_EIG_RANGE, (m, 2, n))
-        logs[rows, 2] = np.random.default_rng(w0).uniform(*DEFAULT_LOG_EIG_RANGE, (m, n))
-        sym.append(linalg.sym_draw(n, w1, m))
-    # one block's draw is used as it is, without a copy
-    h = linalg.sym_build(sym[0] if blocks == 1 else np.concatenate(sym), n)
+    pair shows every midpoint failure a framed one can.  A row holds
+    3n + n(n+1)/2 uniforms: the log eigenvalues of C, A1 and A2 over
+    DEFAULT_LOG_EIG_RANGE, then the entries of H over [-1, 1] in
+    ``linalg.sym_build`` order.  Row j of the (m, 3, n) ``spectra`` holds
+    the eigenvalues of C, A1 and A2, and the (m, 3) ``dets`` are the exp
+    of the sums of their log eigenvalues.  Draws of any sizes in turn
+    give the rows of one draw of their total."""
+    lo, hi = DEFAULT_LOG_EIG_RANGE
+    u = gen.random((m, 3 * n + n * (n + 1) // 2))
+    logs = lo + (hi - lo) * u[:, : 3 * n].reshape(m, 3, n)
+    h = linalg.sym_build(-1.0 + 2.0 * u[:, 3 * n :], n)
     return np.exp(logs), h, np.exp(logs.sum(axis=2))
 
 
@@ -454,12 +437,11 @@ class ConvexitySampleDiagnostics(NamedTuple):
     residuals above it, infinite ones included.  ``min_hess_sample`` and
     ``max_midpoint_sample`` are the indices of the samples that attain
     ``min_hess_form`` and ``max_midpoint_residual``, the lowest on ties
-    and -1 when no finite value ran.  Sample i is row j = i % SWEEP_BLOCK
-    of what ``sweep_block(n, words, j + 1)`` draws from words 2b, 2b+1 of
-    ``linalg.seed_words(seed, 2 * (b + 1))``, b = i // SWEEP_BLOCK, so it
-    replays from the seed, n and i alone.  A block is the unit of the
-    draws and of replay; how the sweep groups blocks into evaluation
-    passes changes no field.
+    and -1 when no finite value ran.  Sample i is row i of the sweep's
+    stream, ``np.random.PCG64(seed)`` advanced by i * (3n + n(n+1)/2)
+    draws, where ``sweep_draw`` of one row reads it, so it replays from
+    the seed, n and i alone.  How the sweep splits its rows into
+    evaluation passes changes no field.
     """
 
     samples_run: int
@@ -473,14 +455,14 @@ class ConvexitySampleDiagnostics(NamedTuple):
     max_midpoint_sample: int
 
 
-def _pass_summary(f, n: int, words, m: int):
-    """The counts and extremes of the first m samples of the blocks whose
-    seed words are ``words``, evaluated as one stack: samples run, form
-    failures, midpoint failures, (index, value) of the smallest finite
-    form and of the largest finite residual, and the smallest finite
-    residual; a value is +-inf where none is finite.  The arrays die on
-    return, so a sweep holds one pass's."""
-    e, h, dets = sweep_block(n, words, m)
+def _pass_summary(f, n: int, gen, m: int):
+    """The counts and extremes of the next m samples of the sweep's
+    stream ``gen``, evaluated as one stack: samples run, form failures,
+    midpoint failures, (index, value) of the smallest finite form and of
+    the largest finite residual, and the smallest finite residual; a
+    value is +-inf where none is finite.  The arrays die on return, so a
+    sweep holds one pass's."""
+    e, h, dets = sweep_draw(gen, n, m)
     inner, cross = detcalculus.diag_terms(1.0 / e[:, 0], h)
     # one jet over the determinants of [C; A1; A2; (A1+A2)/2]
     dets = np.concatenate((dets.T.ravel(), np.prod(0.5 * (e[:, 1] + e[:, 2]), axis=1)))
@@ -514,12 +496,11 @@ def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleD
     """Randomized corroboration of the grid verdict.
 
     Draws (C, H) pairs for the quadratic form and diagonal PD pairs
-    (A1, A2) for a midpoint-convexity check in blocks of SWEEP_BLOCK
-    samples, C, A1 and A2 as spectra that clear the positivity floor by
-    construction (``sweep_block``; the last block draws only the samples
-    it runs).  A block is the unit of the draws and of replay; a pass, as
-    many whole blocks as keep rows * n^2 within SWEEP_PASS_ENTRIES and at
-    least one, is the unit of evaluation.  Per pass, the form comes from
+    (A1, A2) for a midpoint-convexity check, sample i as row i of one
+    PCG64 stream seeded with ``seed`` (``sweep_draw``), C, A1 and A2 as
+    spectra that clear the positivity floor by construction.  The rows
+    are evaluated in passes of as many as keep rows * n^2 within
+    SWEEP_PASS_ENTRIES, and at least one.  Per pass, the form comes from
     C's spectrum through ``detcalculus.diag_terms`` and ``g_hess_form``,
     the determinant of (A1+A2)/2 as the product of its diagonal, and the
     jets of the four determinants from one array evaluation; no LAPACK
@@ -528,23 +509,23 @@ def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleD
     and the midpoint do.  A sample where neither ran is skipped and
     counted.  A form or residual that overflows to inf, or to NaN as
     inf - inf, is no extreme.  Only counts and extremes are kept, so
-    memory is one pass's whatever the failures.  The diagnostics do not
-    depend on how the blocks are grouped into passes.
+    memory is one pass's whatever the failures, and the diagnostics do
+    not depend on how the rows are split into passes.  A negative seed
+    raises ParameterError.
     """
     if num_samples < 1:
         raise ParameterError("num_samples must be >= 1")
-    blocks = -(-num_samples // SWEEP_BLOCK)
-    words = linalg.seed_words(seed, 2 * blocks)
-    per_pass = max(1, SWEEP_PASS_ENTRIES // (SWEEP_BLOCK * n * n))
+    if seed < 0:
+        raise ParameterError(f"seed {seed} must be >= 0")
+    gen = np.random.Generator(np.random.PCG64(seed))
+    rows = max(1, SWEEP_PASS_ENTRIES // (n * n))
     min_hess = min_mid = np.inf
     max_mid = -np.inf
     min_hess_at = max_mid_at = -1
     hess_failures = mid_failures = run = 0
-    for first in range(0, blocks, per_pass):
-        start = first * SWEEP_BLOCK
-        m = min(per_pass * SWEEP_BLOCK, num_samples - start)
+    for start in range(0, num_samples, rows):
         ran, hess, mid, (i, low), (j, high), low_mid = _pass_summary(
-            f, n, words[2 * first : 2 * (first + per_pass)], m
+            f, n, gen, min(rows, num_samples - start)
         )
         run, hess_failures, mid_failures = run + ran, hess_failures + hess, mid_failures + mid
         if low < min_hess:

@@ -7,10 +7,10 @@ eigendecomposition, a hand LU determinant that is exact on diagonal input
 over a stack, and seeded sampling of test matrices as (N, n, n) stacks
 from one seed word each, a shorter stack a prefix of a longer one
 (``random_pairs`` draws the (C, H) pairs of the oracle and the
-self-test).  A symmetric stack is the build of its draw
-(``sym_draw``/``sym_build``), so the randomized sweep builds the H of
-several seed words at once; its other matrices are diagonal and never
-built.  There is no matrix wrapper: a matrix is validated once where it
+self-test).  ``sym_build`` turns rows of uniforms into a symmetric
+stack, for ``random_sym`` and for the randomized sweep, which draws its
+H from the rows of its one stream; its other matrices are diagonal and
+never built.  There is no matrix wrapper: a matrix is validated once where it
 enters, by ``symmetric`` (square, finite, lower triangle mirrored,
 read-only) or by the seeded draws, and is passed on as a plain array.
 ``PosDefMatrix`` adds the cached determinant, inverse and spectrum of a
@@ -32,13 +32,13 @@ from .errors import (
 )
 
 # Generator family and stream layout of the sampling routines, recorded in
-# report headers so results can be reproduced: PCG64, one seed word per
-# sweep block of 256 samples (certifier.SWEEP_BLOCK) and matrix kind, two
-# streams per word, Householder frames for the oracle's draws, and a
-# sweep whose C, A1 and A2 are diagonal, with the midpoint pair (A1, A2)
-# in one basis (``certifier.sweep_block``).  How many blocks the sweep
-# evaluates in one pass moves no draw, so it is not recorded.
-RNG_ALGORITHM = "numpy-pcg64-diagonal-midpoint-block256"
+# report headers so results can be reproduced: PCG64.  The randomized
+# sweep draws sample i as row i of one stream seeded with --seed, its
+# diagonal C, A1 and A2 and its H from 3n + n(n+1)/2 uniforms
+# (``certifier.sweep_draw``); the oracle takes one seed word per matrix
+# kind, two streams per word and Householder frames.  How many rows the
+# sweep evaluates in one pass moves no draw, so it is not recorded.
+RNG_ALGORITHM = "numpy-pcg64-sweep-stream"
 
 # Log eigenvalue range of the default draws: eigenvalues in [0.1, 10], so that
 # up to n = 64 every draw clears the positivity floor by construction.
@@ -264,8 +264,8 @@ _PCG64_JUMP = 210306068529402873165736369884012333109
 def jumped_rng(seed: int) -> np.random.Generator:
     """The generator of ``PCG64(seed).jumped()``, from the same state.
     ``jumped()`` first seeds its new generator from OS entropy, which
-    costs more than a sweep block's draw, and then overwrites that state;
-    this advances a generator seeded from ``seed`` instead."""
+    costs more than the draw of a small stack, and then overwrites that
+    state; this advances a generator seeded from ``seed`` instead."""
     bits = np.random.PCG64(int(seed))
     bits.advance(_PCG64_JUMP)
     return np.random.Generator(bits)
@@ -331,19 +331,10 @@ def random_posdef(n: int, log_eig_range: tuple, seed: int) -> PosDefMatrix:
     return PosDefMatrix.from_sym(random_posdef_array(n, log_eig_range, seed))
 
 
-def sym_draw(n: int, seed: int, count: int) -> np.ndarray:
-    """The (count, n(n+1)/2) uniforms in [-1, 1] of ``count`` symmetric
-    samples, from one PCG64 stream seeded with ``seed``; ``sym_build``
-    turns them into the stack."""
-    if n < 1:
-        raise DimensionError("dimension must be >= 1")
-    return _rng(int(seed)).uniform(-1.0, 1.0, size=(count, n * (n + 1) // 2))
-
-
 def sym_build(vals: np.ndarray, n: int) -> np.ndarray:
-    """The (count, n, n) stack of ``sym_draw``'s rows, or of rows of
-    several draws stacked: row j fills the i <= j entries of matrix j
-    row-major, and they are mirrored."""
+    """The (count, n, n) symmetric stack of the (count, n(n+1)/2) rows
+    ``vals``: row j fills the i <= j entries of matrix j row-major, and
+    they are mirrored."""
     # entry (i, j) of every matrix is one gather from its row of vals;
     # take keeps the stack C-ordered, which later sums rely on for their bits
     rows, cols = np.triu_indices(n)
@@ -354,8 +345,11 @@ def sym_build(vals: np.ndarray, n: int) -> np.ndarray:
 
 def random_sym(n: int, seed: int, count: int) -> np.ndarray:
     """``count`` symmetric samples as a (count, n, n) stack, entries
-    uniform in [-1, 1]: ``sym_build`` of ``sym_draw``."""
-    return sym_build(sym_draw(n, seed, count), n)
+    uniform in [-1, 1], from one PCG64 stream seeded with ``seed``: the
+    ``sym_build`` of its (count, n(n+1)/2) uniforms."""
+    if n < 1:
+        raise DimensionError("dimension must be >= 1")
+    return sym_build(_rng(int(seed)).uniform(-1.0, 1.0, size=(count, n * (n + 1) // 2)), n)
 
 
 def random_pairs(n: int, seed: int, count: int):

@@ -13,7 +13,6 @@ from detconvex.certifier import (
     KIND_POSITIVE_FPRIME,
     KIND_SECOND_ORDER,
     REFUTED,
-    SWEEP_BLOCK,
     SWEEP_PASS_ENTRIES,
     GridSpec,
     analytic_convexity,
@@ -440,24 +439,20 @@ class TestSampleConvexity:
     def test_sweep_holds_confirmed_counterexamples_beyond_the_grid(self):
         # the slope of -ln(s)+1e-7*s^2 turns positive past s = 2236 at
         # n = 5, beyond the grid's 1e3 but inside the sweep's det range:
-        # sample 43 (form -0.1210 at det C = 3253.3) and sample 519
-        # (-1.6357 at det C = 6249.6) fail, and the fd oracle confirms
-        # both forms (1.8e-8 and 2.5e-9 relative apart, in that order)
+        # sample 117 (form -3.0759 at det C = 12271.6) fails, and the fd
+        # oracle confirms its form (8.6e-9 relative apart)
         f, n, seed = parse("-ln(s)+1e-7*s^2"), 5, 42
         diag = sample_convexity(f, n, 1000, seed)
-        assert diag.hess_failures == 2
-        assert diag.min_hess_sample == 519
-        for i in (43, 519):
-            b, j = divmod(i, SWEEP_BLOCK)
-            words = linalg.seed_words(seed, 2 * (b + 1))[2 * b :]
-            e, h, dets = (x[j:] for x in certifier.sweep_block(n, words, j + 1))
-            c = np.diag(e[0, 0])[None]
-            forms = detcalculus.directional_forms((f,), c, h, dets[:, 0])
-            value, fd = float(forms.hess[0]), float(forms.fd_hess[0])
-            assert value < -certifier.SWEEP_FAIL_TOL
-            assert abs(fd - value) <= 1e-6 * abs(value)
-            if i == 519:
-                assert value == diag.min_hess_form
+        assert diag.hess_failures == 1
+        assert diag.min_hess_sample == 117
+        bits = np.random.PCG64(seed)
+        bits.advance(117 * (3 * n + n * (n + 1) // 2))
+        e, h, dets = certifier.sweep_draw(np.random.Generator(bits), n, 1)
+        c = np.diag(e[0, 0])[None]
+        forms = detcalculus.directional_forms((f,), c, h, dets[:, 0])
+        value, fd = float(forms.hess[0]), float(forms.fd_hess[0])
+        assert value == diag.min_hess_form < -certifier.SWEEP_FAIL_TOL
+        assert abs(fd - value) <= 1e-7 * abs(value)
 
     @pytest.mark.parametrize("text", ["8e307*s^2", "-8e307*s^0.1"])
     def test_overflowing_values_leave_finite_extremes(self, text):
@@ -486,10 +481,12 @@ class TestSampleConvexity:
     def test_failures_keep_no_matrices(self):
         # most samples of f = s fail both checks at n = 10; the sweep
         # counts its failures and keeps the worst of each kind, so its
-        # memory is set by its block (matrices kept per failure made 20
+        # memory is set by its pass (matrices kept per failure made 20
         # times as many samples cost 8 times the memory, and arrays of
-        # failing indices and values, with the last block's matrices
+        # failing indices and values, with the last pass's matrices
         # still held while the next was drawn, 1.56 times)
+        rows = SWEEP_PASS_ENTRIES // 100
+
         def traced_peak(num):
             tracemalloc.start()
             try:
@@ -498,16 +495,16 @@ class TestSampleConvexity:
             finally:
                 tracemalloc.stop()
 
-        small, _ = traced_peak(SWEEP_BLOCK)
-        large, diag = traced_peak(20 * SWEEP_BLOCK)
-        assert diag.hess_failures > 19 * SWEEP_BLOCK
-        assert diag.midpoint_failures > 15 * SWEEP_BLOCK
+        small, _ = traced_peak(rows)
+        large, diag = traced_peak(20 * rows)
+        assert diag.hess_failures > 19 * rows
+        assert diag.midpoint_failures > 15 * rows
         assert large < 1.1 * small
 
     def test_memory_is_one_pass_at_small_n(self):
-        # at n = 3 a pass holds 14 blocks; 20 passes of f = s, most of
+        # at n = 3 a pass holds 3640 rows; 20 passes of f = s, most of
         # whose samples fail, peak no higher than one
-        rows = (SWEEP_PASS_ENTRIES // (SWEEP_BLOCK * 9)) * SWEEP_BLOCK
+        rows = SWEEP_PASS_ENTRIES // 9
 
         def traced_peak(num):
             tracemalloc.start()
@@ -531,10 +528,10 @@ class TestSampleConvexity:
     def test_each_check_skips_on_its_own(self):
         # exp(exp(s)) overflows its jets past s of about 6.5; a sample is
         # skipped only where both its form and its midpoint check fail to
-        # evaluate, which skipped 573 samples when one failing jet skipped
-        # both checks
+        # evaluate; one failing jet skipping both checks would skip 566
+        # of these samples
         diag = sample_convexity(parse("exp(exp(s))"), 3, 1000, seed=9)
-        assert diag.samples_skipped == 116
+        assert diag.samples_skipped == 96
         assert diag.samples_run + diag.samples_skipped == 1000
 
     def test_domain_errors_skipped(self):

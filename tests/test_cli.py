@@ -101,7 +101,7 @@ class TestCertifyCommand:
         for condition in ("fprime", "lhs"):
             assert set(doc["grid_failures"][condition]) == {"points", "runs", "worst"}
         assert set(doc["diagnostics"]) == {"samples_run", "samples_skipped", "min_hess_form"}
-        assert doc["rng"] == "numpy-pcg64-diagonal-midpoint-block256"
+        assert doc["rng"] == "numpy-pcg64-sweep-stream"
 
     def test_timestamp_present_unless_suppressed(self, capsys):
         _, out, _ = run(capsys, "certify", "-f", "-ln(s)", *CERT_FAST)

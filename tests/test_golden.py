@@ -28,7 +28,9 @@ regenerated when the ``failing_points`` list gave way to the
 ``grid_failures`` runs; with that key removed, each is byte-identical to
 its previous version.  They were regenerated again when the sweep's
 midpoint pair moved into one diagonal basis, and only their ``rng`` tag
-changed.
+changed.  They were regenerated again when the sweep moved from blocks
+of 256 samples to one PCG64 stream, one row per sample: only the ``rng``
+tag and, in the four that sweep, ``min_hess_form`` changed.
 """
 
 from pathlib import Path
@@ -44,7 +46,7 @@ CASES = [
     ("certify_neg_ln.json", 0, ("certify", "-f", "-ln(s)", *CERTIFY)),
     ("certify_s.json", 1, ("certify", "-f", "s", *CERTIFY)),
     ("certify_exp.json", 2, ("certify", "-f", "exp(s)", *CERTIFY)),
-    # the default 1000 samples are four blocks, the last one sliced
+    # the default 1000 samples, one pass at n = 5, with form failures
     (
         "certify_mixed_dim5.json",
         0,

@@ -1,24 +1,26 @@
-"""The stacked randomized sweep against a per-sample reference loop.
+"""The stacked randomized sweep against per-sample references.
+
+The sweep draws sample i as row i of one PCG64 stream seeded with the
+seed: 3n uniforms for the log eigenvalues of the diagonal C, A1 and A2,
+then n(n+1)/2 for the upper triangle of H.  ``reference_rows`` draws the
+same stream one matrix row at a time through ``Generator.uniform``, and
+the draws must agree bit for bit.
 
 ``reference_sample_convexity`` is the loop the stacked sweep replaced:
 ``g_hess_form`` over the ``hess_terms`` solve on each full pair and the
 hand LU ``linalg.det`` for every determinant, the midpoint one that of
-diag((e1 + e2) / 2), one sample at a time.  It draws sample i by the
-block rule through ``reference_block``, an inline per-row draw: C, A1 and
-A2 diagonal, the log eigenvalues of C and A1 from the ``jumped()`` stream
-of the H word and those of A2 from ``PCG64(word)``, one row per call, and
-H one upper-triangle row at a time.  The draws must agree bit for bit;
-values may differ in the last digits because the sweep takes its inner
-products and determinants from the drawn spectra.
+diag((e1 + e2) / 2), one sample at a time.  Its values may differ in the
+last digits because the sweep takes its inner products and determinants
+from the drawn spectra.
 
-``reference_block_kernel`` evaluates one block at a time, with one
-``eval_jet`` call per determinant row, and keeps every sample's values,
-which ``summary`` turns into the sweep's counts and extremes.  The sweep,
-which draws only the rows it uses, evaluates as many blocks as fit in one
-pass with one jet call and keeps running values, must equal it in every
-bit, and the draws that replay from a worst sample's index must be the
-ones the reference drew there.  Every route forms the midpoint residual
-as gm - (g1/2 + g2/2), which stays finite where g1 + g2 overflows.
+``reference_kernel`` draws every row at once, with one ``eval_jet`` call
+per determinant row, and keeps every sample's values, which ``summary``
+turns into the sweep's counts and extremes.  The sweep, which evaluates
+its rows in passes with one jet call each and keeps running values, must
+equal it in every bit whatever the pass size, and the draws that replay
+from a worst sample's index must be the ones the reference drew there.
+Every route forms the midpoint residual as gm - (g1/2 + g2/2), which
+stays finite where g1 + g2 overflows.
 
 Each check runs where its own jets evaluate, in the references as in the
 sweep: the form where the jet at det C does, the residual where those at
@@ -33,14 +35,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detconvex import detcalculus, linalg
+from detconvex import certifier, detcalculus, linalg
 from detconvex.certifier import (
-    SWEEP_BLOCK,
     SWEEP_FAIL_TOL,
     SWEEP_PASS_ENTRIES,
     ConvexitySampleDiagnostics,
     sample_convexity,
-    sweep_block,
+    sweep_draw,
 )
 from detconvex.detcalculus import (
     builtin_corpus,
@@ -49,7 +50,7 @@ from detconvex.detcalculus import (
     g_hess_form,
     hess_terms,
 )
-from detconvex.errors import DomainError, NonFiniteError, ParameterError
+from detconvex.errors import DomainError, NonFiniteError
 from detconvex.linalg import DEFAULT_LOG_EIG_RANGE, PosDefMatrix, random_sym
 from detconvex.scalarfun import eval_jet, parse
 
@@ -65,63 +66,46 @@ def rel_tol(n: int) -> float:
     return 8.0 * n * COND_MAX * EPS
 
 
-def old_sym_draw(n, scale, seed):
-    gen = np.random.Generator(np.random.PCG64(seed))
-    out = np.zeros((n, n))
+def stream(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def reference_sym(gen, n):
+    """One symmetric matrix with entries uniform in [-1, 1] from ``gen``,
+    one row of its upper triangle at a time."""
+    m = np.zeros((n, n))
     for i in range(n):
-        vals = gen.uniform(-scale, scale, size=n - i)
-        out[i, i:] = vals
-        out[i:, i] = vals
-    return out
+        vals = gen.uniform(-1.0, 1.0, size=n - i)
+        m[i, i:] = vals
+        m[i:, i] = vals
+    return m
 
 
-def reference_sym_rows(n, scale, seed, k):
-    """k symmetric matrices from one stream, one row of the upper triangle
-    at a time."""
-    gen = np.random.Generator(np.random.PCG64(seed))
-    out = []
-    for _ in range(k):
-        m = np.zeros((n, n))
-        for i in range(n):
-            vals = gen.uniform(-scale, scale, size=n - i)
-            m[i, i:] = vals
-            m[i:, i] = vals
-        out.append(m)
-    return out
-
-
-def reference_block(n, log_eig_range, seed, b):
+def reference_rows(n, seed, k):
     """The (C, H, A1, A2) lists and the (det C, det A1, det A2) rows of
-    block b of a sweep with ``seed``, drawn per row from words 2b and
-    2b+1 of the seed's SeedSequence: H of sample j is row j of word
-    2b+1's symmetric stack, and C, A1 and A2 are diagonal, the log
-    eigenvalues of C and A1 the 2n uniforms of row j of the ``jumped()``
-    stream of ``PCG64(word 2b+1)`` and those of A2 the n uniforms of row
-    j of ``PCG64(word 2b)``."""
-    words = np.random.SeedSequence(seed).generate_state(2 * (b + 1), dtype=np.uint64)[2 * b :]
-    lo, hi = log_eig_range
-    gen = np.random.Generator(np.random.PCG64(int(words[1])).jumped())
-    logs = [gen.uniform(lo, hi, size=(2, n)) for _ in range(SWEEP_BLOCK)]
-    gen = np.random.Generator(np.random.PCG64(int(words[0])))
-    logs = [np.vstack((lg, gen.uniform(lo, hi, size=n))) for lg in logs]
-    c, a1, a2 = ([np.diag(np.exp(lg[k])) for lg in logs] for k in range(3))
-    dets = [tuple(np.exp(np.sum(x)) for x in lg) for lg in logs]
-    h = reference_sym_rows(n, 1.0, int(words[1]), SWEEP_BLOCK)
+    the first k samples of a sweep with ``seed``, drawn from one stream a
+    matrix row at a time: per sample, the n log eigenvalues of C, of A1
+    and of A2 in turn, then H one upper-triangle row at a time."""
+    gen = stream(seed)
+    c, h, a1, a2, dets = [], [], [], [], []
+    for _ in range(k):
+        logs = [gen.uniform(*DEFAULT_LOG_EIG_RANGE, size=n) for _ in range(3)]
+        for out, lg in zip((c, a1, a2), logs):
+            out.append(np.diag(np.exp(lg)))
+        dets.append(tuple(np.exp(np.sum(lg)) for lg in logs))
+        h.append(reference_sym(gen, n))
     return c, h, a1, a2, dets
 
 
-def reference_sample_convexity(f, n, num_samples, seed, log_eig_range=DEFAULT_LOG_EIG_RANGE,
-                               fail_tol=1e-8):
+def reference_sample_convexity(f, n, num_samples, seed, fail_tol=1e-8):
     """(run, skipped, min_hess, min_mid, max_mid, hess indices, midpoint
     indices) from one sample at a time."""
     min_hess, min_mid, max_mid = np.inf, np.inf, -np.inf
     hess_idx, mid_idx = [], []
     run = skipped = 0
+    rows = reference_rows(n, seed, num_samples)
     for i in range(num_samples):
-        b, j = divmod(i, SWEEP_BLOCK)
-        if j == 0:
-            block = reference_block(n, log_eig_range, seed, b)
-        c, h, a1, a2, _ = (x[j] for x in block)
+        c, h, a1, a2, _ = (x[i] for x in rows)
         c = PosDefMatrix.from_sym(c)
         v = r = None
         with np.errstate(all="ignore"):
@@ -159,53 +143,53 @@ def test_stacked_draws_are_the_single_seed_draws(n):
     for seed in seeds:
         sym = random_sym(n, seed, 1)
         assert sym.shape == (1, n, n)
-        assert np.array_equal(sym[0], old_sym_draw(n, 1.0, int(seed)))
+        assert np.array_equal(sym[0], reference_sym(stream(int(seed)), n))
     # row j of a k-stack is the j-th matrix of the stream drawn one row
     # at a time, and a shorter stack is its prefix
     k = 40
     seed = int(seeds[0])
     sym = random_sym(n, seed, k)
     assert sym.shape == (k, n, n)
-    ref_sym = reference_sym_rows(n, 1.0, seed, k)
-    assert all(np.array_equal(sym[j], ref_sym[j]) for j in range(k))
+    gen = stream(seed)
+    assert all(np.array_equal(sym[j], reference_sym(gen, n)) for j in range(k))
     for short in (1, 7, k - 1):
         assert np.array_equal(random_sym(n, seed, short), sym[:short])
 
 
-def test_rng_tag_names_the_block_size():
-    assert linalg.RNG_ALGORITHM == f"numpy-pcg64-diagonal-midpoint-block{SWEEP_BLOCK}"
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+def test_draw_is_the_per_row_reference(n):
+    k, seed = 40, 9 + n
+    spectra, h, dets = sweep_draw(stream(seed), n, k)
+    c_ref, h_ref, a1_ref, a2_ref, dets_ref = reference_rows(n, seed, k)
+    # C, A1 and A2 as spectra: row j holds their diagonals
+    assert spectra.shape == (k, 3, n)
+    for r, rows in enumerate((c_ref, a1_ref, a2_ref)):
+        assert all(np.array_equal(np.diag(spectra[j, r]), rows[j]) for j in range(k))
+    assert h.shape == (k, n, n)
+    assert all(np.array_equal(h[j], h_ref[j]) for j in range(k))
+    assert dets.shape == (k, 3)
+    assert all(tuple(dets[j]) == dets_ref[j] for j in range(k))
 
 
-def test_block_helper_is_the_reference_block():
-    n, seed = 3, 9
-    words = linalg.seed_words(seed, 4)
-    for b in range(2):
-        spectra, h, dets = sweep_block(n, words[2 * b : 2 * b + 2], SWEEP_BLOCK)
-        c_ref, h_ref, a1_ref, a2_ref, dets_ref = reference_block(n, DEFAULT_LOG_EIG_RANGE, seed, b)
-        # C, A1 and A2 as spectra: row j holds their diagonals
-        assert spectra.shape == (SWEEP_BLOCK, 3, n)
-        for k, rows in enumerate((c_ref, a1_ref, a2_ref)):
-            assert all(np.array_equal(np.diag(spectra[j, k]), rows[j]) for j in range(SWEEP_BLOCK))
-        assert h.shape == (SWEEP_BLOCK, n, n)
-        assert all(np.array_equal(h[j], h_ref[j]) for j in range(SWEEP_BLOCK))
-        assert dets.shape == (SWEEP_BLOCK, 3)
-        assert all(tuple(dets[j]) == dets_ref[j] for j in range(SWEEP_BLOCK))
-    # the words of consecutive blocks give the rows of their one-block
-    # calls in turn, each block drawing only the rows asked of it
-    count = SWEEP_BLOCK + 7
-    both = sweep_block(n, words, count)
-    parts = sweep_block(n, words[:2], SWEEP_BLOCK), sweep_block(n, words[2:], 7)
-    for got, first, second in zip(both, *parts):
-        assert np.array_equal(got, np.concatenate((first, second)))
-    with pytest.raises(ParameterError):
-        sweep_block(n, words[:2], count)
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_draws_of_any_sizes_are_rows_of_one_stream(n):
+    # draws in turn are the rows of one draw of their total, and a shorter
+    # stream's rows are a prefix of a longer one's
+    seed, sizes = 21, (1, 7, 1, 30)
+    whole = sweep_draw(stream(seed), n, sum(sizes))
+    gen = stream(seed)
+    parts = [sweep_draw(gen, n, m) for m in sizes]
+    for got, pieces in zip(whole, zip(*parts)):
+        assert np.array_equal(got, np.concatenate(pieces))
+    for short in (1, 8, 39):
+        for got, longer in zip(sweep_draw(stream(seed), n, short), whole):
+            assert np.array_equal(got, longer[:short])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
 @pytest.mark.parametrize("text", ["ln(s-5)", "s"])
 def test_sweep_matches_reference_loop(text, n):
-    # a sliced block past a block boundary
-    num = SWEEP_BLOCK + 16
+    num = 300
     f = parse(text)
     diag = sample_convexity(f, n, num, seed=30 + n)
     run, skipped, min_hess, min_mid, max_mid, hess_idx, mid_idx = reference_sample_convexity(
@@ -215,7 +199,7 @@ def test_sweep_matches_reference_loop(text, n):
     # f and det C lies in [0.1, 10], s fails nothing and ln(s-5) may run
     # no sample
     if text == "s":
-        assert n == 1 or (hess_idx[-1] >= SWEEP_BLOCK and mid_idx)
+        assert n == 1 or (hess_idx and mid_idx)
     else:
         assert 0 < skipped < num or (n == 1 and skipped == num)
     assert diag.samples_run == run
@@ -243,9 +227,9 @@ def test_sweep_matches_reference_loop(text, n):
 def replay(seed, n, i):
     """(spectra, H, dets) of sample i as one-row stacks, from the seed, n
     and i alone, as the README replays it."""
-    b, j = divmod(i, SWEEP_BLOCK)
-    words = linalg.seed_words(seed, 2 * (b + 1))[2 * b :]
-    return tuple(x[j:] for x in sweep_block(n, words, j + 1))
+    bits = np.random.PCG64(seed)
+    bits.advance(i * (3 * n + n * (n + 1) // 2))
+    return sweep_draw(np.random.Generator(bits), n, 1)
 
 
 def replayed_values(f, seed, n, i):
@@ -273,58 +257,61 @@ def assert_worst_samples_replay(f, diag, seed, n):
         assert diag.min_hess_sample == diag.max_midpoint_sample == -1
 
 
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_replay_is_the_row_of_the_stream(n):
+    seed = 13
+    whole = sweep_draw(stream(seed), n, 50)
+    for i in (0, 1, 17, 49):
+        for got, row in zip(replay(seed, n, i), whole):
+            assert np.array_equal(got, row[i : i + 1])
+
+
 def test_failures_replay_from_their_index():
     n, seed = 3, 11
     f = parse("s")
     diag = sample_convexity(f, n, 300, seed=seed)
     assert diag.hess_failures and diag.midpoint_failures
-    assert diag.min_hess_sample >= SWEEP_BLOCK
+    assert diag.min_hess_sample > 0 and diag.max_midpoint_sample > 0
     assert diag.min_hess_form < -SWEEP_FAIL_TOL < SWEEP_FAIL_TOL < diag.max_midpoint_residual
     assert_worst_samples_replay(f, diag, seed, n)
 
 
-@pytest.mark.parametrize("num", [1, SWEEP_BLOCK, SWEEP_BLOCK + 1, 1000])
+@pytest.mark.parametrize("num", [1, 7, 1000])
 @pytest.mark.parametrize("text", ["s", "ln(s-5)"])
-def test_failures_replay_through_the_block_helper(text, num):
+def test_failures_replay_through_the_draw_helper(text, num):
     n, seed = 3, 11
     f = parse(text)
     diag = sample_convexity(f, n, num, seed=seed)
     assert diag.samples_run + diag.samples_skipped == num
     if num == 1000:
-        assert diag.hess_failures and diag.min_hess_sample >= SWEEP_BLOCK
+        assert diag.hess_failures
     assert_worst_samples_replay(f, diag, seed, n)
 
 
-def reference_block_kernel(f, n, num_samples, seed):
-    """(values, skipped, drawn) from a block loop with one ``eval_jet``
-    call per determinant row: the (index, form, residual) of each sample
-    that ran, a value NaN where its check did not run, the indices of
-    those skipped, and the (spectra, H) of each block."""
-    blocks = -(-num_samples // SWEEP_BLOCK)
-    words = linalg.seed_words(seed, 2 * blocks)
-    values, skipped, drawn = [], [], []
-    for b in range(blocks):
-        start = b * SWEEP_BLOCK
-        stacks = sweep_block(n, words[2 * b : 2 * b + 2], SWEEP_BLOCK)
-        e, h, dets = (x[: num_samples - start] for x in stacks)
-        drawn.append((e, h))
-        inner, cross = diag_terms(1 / e[:, 0], h)
-        s = dets[:, 0]
-        jet = eval_jet(f, s)
-        g1 = eval_jet(f, dets[:, 1]).v
-        g2 = eval_jet(f, dets[:, 2]).v
-        gm = eval_jet(f, np.prod(0.5 * (e[:, 1] + e[:, 2]), axis=1)).v
-        with np.errstate(all="ignore"):
-            v = s * condition_bracket(jet, s, inner, cross)
-            r = gm - (0.5 * g1 + 0.5 * g2)
-        hess_ran = ~np.isnan(jet.v)
-        mid_ran = ~(np.isnan(g1) | np.isnan(g2) | np.isnan(gm))
-        for j in range(len(s)):
-            if hess_ran[j] or mid_ran[j]:
-                values.append((start + j, float(v[j]), float(r[j])))
-            else:
-                skipped.append(start + j)
-    return values, skipped, drawn
+def reference_kernel(f, n, num_samples, seed):
+    """(values, skipped, drawn) from one draw of every row with one
+    ``eval_jet`` call per determinant row: the (index, form, residual) of
+    each sample that ran, a value NaN where its check did not run, the
+    indices of those skipped, and the (spectra, H) drawn."""
+    e, h, dets = sweep_draw(stream(seed), n, num_samples)
+    inner, cross = diag_terms(1 / e[:, 0], h)
+    s = dets[:, 0]
+    jet = eval_jet(f, s)
+    g1 = eval_jet(f, dets[:, 1]).v
+    g2 = eval_jet(f, dets[:, 2]).v
+    gm = eval_jet(f, np.prod(0.5 * (e[:, 1] + e[:, 2]), axis=1)).v
+    with np.errstate(all="ignore"):
+        v = s * condition_bracket(jet, s, inner, cross)
+        r = gm - (0.5 * g1 + 0.5 * g2)
+    hess_ran = ~np.isnan(jet.v)
+    mid_ran = ~(np.isnan(g1) | np.isnan(g2) | np.isnan(gm))
+    values, skipped = [], []
+    for j in range(num_samples):
+        if hess_ran[j] or mid_ran[j]:
+            values.append((j, float(v[j]), float(r[j])))
+        else:
+            skipped.append(j)
+    return values, skipped, (e, h)
 
 
 def summary(values, skipped) -> ConvexitySampleDiagnostics:
@@ -351,24 +338,23 @@ def summary(values, skipped) -> ConvexitySampleDiagnostics:
 
 
 def assert_worst_draws_replay(diag, seed, n, drawn):
-    """The worst samples' draws replay through the one-block call: C and
-    H for the form, the spectra for the midpoint residual."""
+    """The worst samples' draws replay from their index: C and H for the
+    form, the spectra for the midpoint residual."""
     for i, roles in ((diag.min_hess_sample, (0, 1)), (diag.max_midpoint_sample, (0,))):
         if i >= 0:
-            b, j = divmod(i, SWEEP_BLOCK)
             replayed = replay(seed, n, i)
-            assert all(np.array_equal(replayed[r][0], drawn[b][r][j]) for r in roles)
+            assert all(np.array_equal(replayed[r][0], drawn[r][i]) for r in roles)
 
 
 @pytest.mark.parametrize("text", ["s", "ln(s-5)"])
 def test_failures_of_a_shorter_sweep_are_a_prefix(text):
-    # seed 18 is the first from 14 on whose short sweep fails a form past
-    # block 0 for both functions
-    n, seed, short, long = 3, 18, SWEEP_BLOCK + 40, 3 * SWEEP_BLOCK
+    n, seed, short, long = 3, 18, 296, 768
     f = parse(text)
     a = sample_convexity(f, n, short, seed=seed)
-    values, skipped, _ = reference_block_kernel(f, n, long, seed)
-    assert any(v < -SWEEP_FAIL_TOL for i, v, _ in values if SWEEP_BLOCK <= i < short)
+    values, skipped, _ = reference_kernel(f, n, long, seed)
+    # the longer sweep fails forms past the shorter one's rows
+    assert sample_convexity(f, n, long, seed=seed) == summary(values, skipped)
+    assert any(v < -SWEEP_FAIL_TOL for i, v, _ in values if i >= short)
     # the same matrices, so the same values to the bit
     assert a == summary([x for x in values if x[0] < short], [i for i in skipped if i < short])
 
@@ -379,14 +365,14 @@ def test_failures_of_a_shorter_sweep_are_a_prefix(text):
 KERNEL_FUNCTIONS = ["-ln(s)", "s", "-ln(s)+1e-7*s^2", "ln(s-5)", "exp(exp(s))", "8e307*s^2"]
 
 
-@pytest.mark.parametrize("num", [1, SWEEP_BLOCK - 1, SWEEP_BLOCK, SWEEP_BLOCK + 1, 1000])
+@pytest.mark.parametrize("num", [1, 7, 256, 1000])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
 @pytest.mark.parametrize("text", KERNEL_FUNCTIONS)
-def test_sweep_equals_the_block_kernel_reference_bit_for_bit(text, n, num):
+def test_sweep_equals_the_kernel_reference_bit_for_bit(text, n, num):
     f = parse(text)
     seed = 70 + n
     diag = sample_convexity(f, n, num, seed=seed)
-    values, skipped, drawn = reference_block_kernel(f, n, num, seed)
+    values, skipped, drawn = reference_kernel(f, n, num, seed)
     # inf over a sweep that ran no sample compares equal too
     assert diag == summary(values, skipped)
     assert_worst_draws_replay(diag, seed, n, drawn)
@@ -409,57 +395,57 @@ def test_the_sweep_solves_no_linear_system(monkeypatch):
         monkeypatch.setattr(np.linalg, name, refuse)
     monkeypatch.setattr(detcalculus, "hess_terms", refuse)
     monkeypatch.setattr(linalg, "_householder_frames", refuse)
-    diag = sample_convexity(parse("s"), 3, SWEEP_BLOCK + 1, seed=5)
-    assert diag.samples_run == SWEEP_BLOCK + 1
+    diag = sample_convexity(parse("s"), 3, 257, seed=5)
+    assert diag.samples_run == 257
     assert diag.hess_failures and diag.midpoint_failures
 
 
 def pass_rows(n):
-    """Rows of one evaluation pass at n: whole blocks while rows * n^2
-    stays within SWEEP_PASS_ENTRIES, and at least one."""
-    return max(1, SWEEP_PASS_ENTRIES // (SWEEP_BLOCK * n * n)) * SWEEP_BLOCK
+    """Rows of one evaluation pass at n: as many as keep rows * n^2
+    within SWEEP_PASS_ENTRIES, and at least one."""
+    return max(1, SWEEP_PASS_ENTRIES // (n * n))
 
 
 def test_pass_sizes():
-    # a default 1000-sample sweep is one pass up to n = 5, and from n = 9
-    # a pass is one block
-    assert [pass_rows(n) // SWEEP_BLOCK for n in (1, 2, 3, 4, 5, 6, 8, 9, 10, 24)] == [
-        128, 32, 14, 8, 5, 3, 2, 1, 1, 1
+    # a default 1000-sample sweep is one pass up to n = 5
+    assert [pass_rows(n) for n in (1, 2, 3, 5, 6, 10, 24, 64)] == [
+        32768, 8192, 3640, 1310, 910, 327, 56, 8
     ]
 
 
-@pytest.mark.parametrize("m", [1, SWEEP_BLOCK - 1, SWEEP_BLOCK, SWEEP_BLOCK + 1, 1000, 5000])
-def test_a_sweep_draws_only_the_rows_it_runs(monkeypatch, m):
-    rows = {name: [] for name in ("jumped_rng", "sym_draw", "sym_build")}
+@pytest.mark.parametrize("m", [1, 7, 1000, 5000])
+def test_a_sweep_builds_one_generator_and_draws_only_its_rows(monkeypatch, m):
+    calls = {name: [] for name in ("PCG64", "Generator", "default_rng", "SeedSequence")}
+    rows = []
 
-    def spy(name, rows_of):
-        original = getattr(linalg, name)
+    def spy(owner, name, record):
+        original = getattr(owner, name)
 
-        def wrapper(*args):
-            rows[name].append(rows_of(args))
-            return original(*args)
+        def wrapper(*args, **kwargs):
+            record(args)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(linalg, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
-    spy("jumped_rng", lambda args: None)
-    spy("sym_draw", lambda args: args[2])
-    spy("sym_build", lambda args: len(args[0]))
+    for name in calls:
+        spy(np.random, name, calls[name].append)
+    spy(certifier, "sweep_draw", lambda args: rows.append(args[2]))
+    for name in ("seed_words", "jumped_rng", "random_sym"):
+        spy(linalg, name, lambda args: pytest.fail("the sweep seeded a stream per word"))
     diag = sample_convexity(parse("-ln(s)"), 3, m, seed=5)
     assert diag.samples_run == m
-    # one jumped stream of spectra and one symmetric draw, H, per block;
-    # C, A1 and A2 are diagonal and take no frame
-    blocks = -(-m // SWEEP_BLOCK)
-    assert len(rows["jumped_rng"]) == len(rows["sym_draw"]) == blocks
-    # each pass builds the H of its blocks as one stack
-    assert len(rows["sym_build"]) == -(-m // pass_rows(3))
-    assert sum(rows["sym_draw"]) == sum(rows["sym_build"]) == m
+    # one PCG64 stream and its generator for the whole sweep
+    assert calls["PCG64"] == [(5,)]
+    assert len(calls["Generator"]) == 1
+    assert calls["default_rng"] == calls["SeedSequence"] == []
+    # one draw per pass, of the rows it runs
+    assert rows == [min(pass_rows(3), m - k) for k in range(0, m, pass_rows(3))]
 
 
-def boundary_counts(n):
-    """Sample counts about the block and pass boundaries at n, ascending,
-    up to three passes."""
-    p = pass_rows(n)
-    return sorted({1, SWEEP_BLOCK - 1, SWEEP_BLOCK, SWEEP_BLOCK + 1, p - 1, p, p + 1, 3 * p})
+def boundary_counts(p):
+    """Sample counts about the pass boundaries of p rows, and 300,
+    ascending, up to three passes or 300."""
+    return sorted({1, p - 1, p, p + 1, 3 * p, 300} - {0})
 
 
 # the domain failure of ln(s-5) skips samples, the forms of 8e307*s^2 and
@@ -467,14 +453,19 @@ def boundary_counts(n):
 BOUNDARY_FUNCTIONS = ["s", "ln(s-5)", "8e307*s^2", "-8e307*s^0.1"]
 
 
+@pytest.mark.parametrize("rows", [1, 7, None])
 @pytest.mark.parametrize("n", [1, 3, 5, 10, 24])
 @pytest.mark.parametrize("text", BOUNDARY_FUNCTIONS)
-def test_passes_equal_the_block_kernel_reference_bit_for_bit(text, n):
+def test_passes_equal_the_kernel_reference_bit_for_bit(monkeypatch, text, n, rows):
+    # a pass of one row, of seven rows, and the default
+    if rows is not None:
+        monkeypatch.setattr(certifier, "SWEEP_PASS_ENTRIES", rows * n * n)
+    p = pass_rows(n) if rows is None else rows
     f = parse(text)
     seed = 40 + n
-    counts = boundary_counts(n)
+    counts = boundary_counts(p)
     # a shorter sweep draws a prefix of the longest one's samples
-    values, skipped, drawn = reference_block_kernel(f, n, counts[-1], seed)
+    values, skipped, drawn = reference_kernel(f, n, counts[-1], seed)
     for num in counts:
         diag = sample_convexity(f, n, num, seed=seed)
         want = summary([x for x in values if x[0] < num], [i for i in skipped if i < num])
