@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from datetime import datetime, timezone
@@ -157,6 +158,29 @@ def _grid_failures(report) -> dict:
     return doc
 
 
+def _diagnostics_json(d) -> dict:
+    """The sweep's counts, extremes and worst sample indices; an extreme
+    over no finite value and its index are null, not +-inf and -1, and
+    without a sweep every count is 0."""
+    if d is None:
+        d = certifier.ConvexitySampleDiagnostics(0, 0, math.inf, math.inf, -math.inf, 0, 0, -1, -1)
+
+    def finite(x):
+        return x if math.isfinite(x) else None
+
+    return {
+        "samples_run": d.samples_run,
+        "samples_skipped": d.samples_skipped,
+        "min_hess_form": finite(d.min_hess_form),
+        "min_hess_sample": d.min_hess_sample if d.min_hess_sample >= 0 else None,
+        "hess_failures": d.hess_failures,
+        "max_midpoint_residual": finite(d.max_midpoint_residual),
+        "max_midpoint_sample": d.max_midpoint_sample if d.max_midpoint_sample >= 0 else None,
+        "min_midpoint_residual": finite(d.min_midpoint_residual),
+        "midpoint_failures": d.midpoint_failures,
+    }
+
+
 def _report_json(args, report, diagnostics, f) -> dict:
     """The certify report document."""
     doc = {
@@ -182,15 +206,7 @@ def _report_json(args, report, diagnostics, f) -> dict:
             }
             for w in report.witnesses
         ],
-        "diagnostics": {
-            "samples_run": 0 if diagnostics is None else diagnostics.samples_run,
-            "samples_skipped": 0 if diagnostics is None else diagnostics.samples_skipped,
-            # a minimum over no finite form is null, not inf
-            "min_hess_form": (
-                None if diagnostics is None or diagnostics.min_hess_sample < 0
-                else diagnostics.min_hess_form
-            ),
-        },
+        "diagnostics": _diagnostics_json(diagnostics),
         "analytic_convex": report.analytic_convex,
         "annotations": list(report.annotations) + _function_annotations(f),
         "seed": args.seed,

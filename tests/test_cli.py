@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from detconvex import cli, detcalculus, linalg, selftest
+from detconvex import certifier, cli, detcalculus, linalg, selftest
 from detconvex.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -23,6 +23,19 @@ def run(capsys, *argv):
 
 
 CERT_FAST = ("--grid-count", "50", "--samples", "20")
+
+# the report's diagnostics when no sweep ran
+NO_SWEEP = {
+    "samples_run": 0,
+    "samples_skipped": 0,
+    "min_hess_form": None,
+    "min_hess_sample": None,
+    "hess_failures": 0,
+    "max_midpoint_residual": None,
+    "max_midpoint_sample": None,
+    "min_midpoint_residual": None,
+    "midpoint_failures": 0,
+}
 
 
 class TestCertifyCommand:
@@ -100,7 +113,7 @@ class TestCertifyCommand:
         assert set(doc["grid_failures"]) == {"points", "fprime", "lhs"}
         for condition in ("fprime", "lhs"):
             assert set(doc["grid_failures"][condition]) == {"points", "runs", "worst"}
-        assert set(doc["diagnostics"]) == {"samples_run", "samples_skipped", "min_hess_form"}
+        assert set(doc["diagnostics"]) == set(NO_SWEEP)
         assert doc["rng"] == "numpy-pcg64-sweep-stream"
 
     def test_timestamp_present_unless_suppressed(self, capsys):
@@ -121,11 +134,7 @@ class TestCertifyCommand:
     def test_zero_samples_skips_sweep(self, capsys):
         _, out, _ = run(capsys, "certify", "-f", "-ln(s)", "--grid-count", "50", "--samples", "0")
         doc = json.loads(out)
-        assert doc["diagnostics"] == {
-            "samples_run": 0,
-            "samples_skipped": 0,
-            "min_hess_form": None,
-        }
+        assert doc["diagnostics"] == NO_SWEEP
 
     def test_all_skipped_sweep_has_no_minimum(self, capsys):
         code, out, _ = run(
@@ -135,11 +144,21 @@ class TestCertifyCommand:
         assert '"min_hess_form": null' in out
         # strict JSON: no Infinity token
         doc = json.loads(out, parse_constant=lambda token: pytest.fail(f"non-strict {token}"))
-        assert doc["diagnostics"] == {
-            "samples_run": 0,
-            "samples_skipped": 1,
-            "min_hess_form": None,
-        }
+        assert doc["diagnostics"] == {**NO_SWEEP, "samples_skipped": 1}
+
+    @pytest.mark.parametrize("spec, n, s_min", [
+        ("s", 3, "1e-3"), ("-ln(s)+1e-7*s^2", 5, "1e-3"), ("ln(s-5)", 3, "6"),
+    ])
+    def test_diagnostics_are_the_sweeps(self, capsys, spec, n, s_min):
+        # every field of the library's diagnostics, the worst samples'
+        # indices included, so that they replay; ln(s-5) skips samples
+        argv = ("certify", "-f", spec, "--dim", str(n), "--seed", "9", "--grid-count", "50",
+                "--s-min", s_min)
+        _, out, _ = run(capsys, *argv)
+        doc = json.loads(out, parse_constant=lambda token: pytest.fail(f"non-strict {token}"))
+        diag = certifier.sample_convexity(cli.parse_function_spec(spec, n), n, 1000, 9)
+        assert doc["diagnostics"] == diag._asdict()
+        assert list(doc["diagnostics"]) == list(NO_SWEEP)
 
     @pytest.mark.parametrize("spec, code, condition", [
         ("8e307*s^2", 1, "fprime"),

@@ -30,7 +30,10 @@ its previous version.  They were regenerated again when the sweep's
 midpoint pair moved into one diagonal basis, and only their ``rng`` tag
 changed.  They were regenerated again when the sweep moved from blocks
 of 256 samples to one PCG64 stream, one row per sample: only the ``rng``
-tag and, in the four that sweep, ``min_hess_form`` changed.
+tag and, in the four that sweep, ``min_hess_form`` changed.  They were
+regenerated again when the report gained the sweep's failure counts,
+its other extremes and the worst samples' indices, and only their
+``diagnostics`` changed.
 """
 
 from pathlib import Path
