@@ -198,6 +198,37 @@ class TestCertifyCommand:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == "verdict: Inconclusive\n"
 
+    def test_no_workload_call_exits_1_without_a_witness_under_warnings_as_errors(self):
+        # every certify call of the benchmark's sweep and grid workloads,
+        # at their dims, through main in one process that turns numpy's
+        # RuntimeWarnings into errors: a warning raised in the sweep's
+        # draws or evaluation would end in a traceback with exit 1
+        script = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from workloads import WORKLOADS
+from detconvex.cli import main
+for name in ("certify_sweep", "certify_grid"):
+    for call in WORKLOADS[name].calls(1):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(list(call.argv))
+        print(json.dumps([call.argv, code, len(json.loads(out.getvalue())["witnesses"])]))
+"""
+        root = Path(cli.__file__).resolve().parents[2]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", script, str(root / "perfbench")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        results = [json.loads(line) for line in proc.stdout.splitlines()]
+        # 7 specs at n = 3 and 5, and 11 at n = 3
+        assert len(results) == 25
+        for argv, code, witnesses in results:
+            assert code in (0, 1, 2), argv
+            assert code != 1 or witnesses > 0, argv
+
     def test_dimension_one_concave_function_is_refuted(self, capsys):
         # the first violating point, s = 1e-3, has no confirmed witness;
         # the retry nearest s = 1 has
