@@ -255,10 +255,10 @@ def certify(f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BA
 
     Per-point tolerance band: tol + tol*|f'(s)| + tol*|f''(s)|, with
     0 < tol < 1, each term scaled before the sum so that the band stays
-    finite wherever f' and f'' are.  Any violation triggers witness construction at the first
-    violating point of its kind and, when that pair is not confirmed, at
-    the violating point of that kind nearest s = 1; Refuted requires a
-    confirmed witness.
+    finite wherever f' and f'' are.  Any violation triggers witness
+    construction at the first violating point of its kind and, when that
+    pair is not confirmed, at the violating point of that kind nearest
+    s = 1; Refuted requires a confirmed witness.
     Scalar domain failures annotate the report and force Inconclusive.
     """
     if n < 1:

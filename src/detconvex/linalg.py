@@ -10,11 +10,11 @@ from one seed word each, a shorter stack a prefix of a longer one
 self-test).  ``sym_build`` turns rows of uniforms into a symmetric
 stack, for ``random_sym`` and for the randomized sweep, which draws its
 H from the rows of its one stream; its other matrices are diagonal and
-never built.  There is no matrix wrapper: a matrix is validated once where it
-enters, by ``symmetric`` (square, finite, lower triangle mirrored,
-read-only) or by the seeded draws, and is passed on as a plain array.
-``PosDefMatrix`` adds the cached determinant, inverse and spectrum of a
-positive definite one.  All operations are pure functions.
+never built.  There is no matrix wrapper: a matrix is validated once
+where it enters, by ``symmetric`` (square, finite, lower triangle
+mirrored, read-only) or by the seeded draws, and is passed on as a
+plain array.  ``PosDefMatrix`` adds the cached determinant, inverse and
+spectrum of a positive definite one.  All operations are pure functions.
 """
 
 from __future__ import annotations
