@@ -28,9 +28,7 @@ from .detcalculus import (
 from .linalg import (
     PosDefMatrix,
     det,
-    frob_inner,
     jacobi_eigen,
-    random_posdef,
     random_sym,
 )
 from .odelimit import (
@@ -76,13 +74,11 @@ __all__ = [
     "directional_forms",
     "eval_jet",
     "export_family_curves",
-    "frob_inner",
     "g_grad_form",
     "g_hess_form",
     "jacobi_eigen",
     "oracle_sweep",
     "parse",
-    "random_posdef",
     "random_sym",
     "reduction_check",
     "sample_convexity",

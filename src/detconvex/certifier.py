@@ -150,7 +150,7 @@ def witness_positive_fprime(s: float, n: int):
         root = float(np.sqrt(s)) if n == 2 else s ** (1.0 / n)
         diag_c = np.full(n, root)
         diag_h[:2] = (root, -root)
-    return PosDefMatrix.from_diag(diag_c), np.diag(diag_h)
+    return PosDefMatrix.from_sym(np.diag(diag_c)), np.diag(diag_h)
 
 
 def witness_second_order(s: float, n: int):
@@ -164,7 +164,7 @@ def witness_second_order(s: float, n: int):
     if not (s > 0):
         raise ParameterError(f"s={s} must be positive")
     root = s ** (1.0 / n)
-    return PosDefMatrix.from_diag(np.full(n, root)), np.diag(np.full(n, 1.0 / root))
+    return PosDefMatrix.from_sym(np.diag(np.full(n, root))), np.diag(np.full(n, 1.0 / root))
 
 
 def witness_attempt(f, kind: str, s: float, n: int) -> Witness:
@@ -371,8 +371,8 @@ def sigma_checks(p, a):
     if np.any(np.diagonal(parr, axis1=-2, axis2=-1) < 0):
         raise ParameterError("P must have non-negative entries")
     diag_a = np.where(eye, aarr, 0.0)
-    # the sums of frob_inner, per pair: P is diagonal, so every matrix
-    # product is exact
+    # the trace inner products sum(X * Y), per pair: P is diagonal, so
+    # every matrix product is exact
     sums = tuple(
         np.add.reduce(x * y, axis=(-2, -1))
         for x, y in ((parr, aarr), (parr @ diag_a, diag_a @ parr), (parr @ aarr, aarr @ parr))

@@ -1,20 +1,19 @@
 """Dense symmetric matrix arithmetic for small n, on plain ndarrays.
 
 Sized for the certification workloads (n up to ``cli.MAX_DIM``, 64):
-LAPACK eigendecompositions of symmetric matrices, inverses through the
-eigendecomposition, a hand LU determinant that is exact on diagonal input
-(the witnesses' C; stacks take LAPACK's), a Cholesky admissibility mask
-over a stack, and seeded sampling of test matrices as (N, n, n) stacks
-from one seed word each, a shorter stack a prefix of a longer one
-(``random_pairs`` draws the (C, H) pairs of the oracle and the
-self-test).  ``sym_build`` turns rows of uniforms into a symmetric
-stack, for ``random_sym`` and for the randomized sweep, which draws its
-H from the rows of its one stream; its other matrices are diagonal and
-never built.  There is no matrix wrapper: a matrix is validated once
-where it enters, by ``symmetric`` (square, finite, lower triangle
-mirrored, read-only) or by the seeded draws, and is passed on as a
-plain array.  ``PosDefMatrix`` adds the cached determinant, inverse and
-spectrum of a positive definite one.  All operations are pure functions.
+LAPACK eigenvalues of symmetric matrices, a hand LU determinant that is
+exact on diagonal input (the witnesses' C; stacks take LAPACK's), a
+Cholesky admissibility mask over a stack, and seeded sampling of test
+matrices as (N, n, n) stacks from one seed word each, a shorter stack a
+prefix of a longer one (``random_pairs`` draws the (C, H) pairs of the
+oracle and the self-test).  ``sym_build`` turns rows of uniforms into a
+symmetric stack, for ``random_sym`` and for the randomized sweep, which
+draws its H from the rows of its one stream; its other matrices are
+diagonal and never built.  A matrix is validated once where it enters,
+by ``symmetric`` (square, finite, lower triangle mirrored, read-only) or
+by the seeded draws, and is passed on as a plain array.
+``PosDefMatrix`` is such an array checked against the positivity floor,
+with its determinant.  All operations are pure functions.
 """
 
 from __future__ import annotations
@@ -96,43 +95,24 @@ def symmetric(a) -> np.ndarray:
 
 
 class PosDefMatrix(NamedTuple):
-    """Symmetric positive definite matrix ``a`` with cached spectral data.
-
-    ``det`` comes from a hand LU factorization and is independently
-    checked against the eigenvalue product by the test suite; ``inverse``
-    is Q diag(1/eig) Q^T from the LAPACK decomposition (``jacobi_eigen``)
-    with eigenvalues ascending and A = Q diag(eig) Q^T.  Both are exact on
-    diagonal input.  Every array is read-only.
-    """
+    """Symmetric positive definite matrix ``a``, read-only, with its
+    determinant from the hand LU (``det``), exact on diagonal input."""
 
     a: np.ndarray
     det: float
-    inverse: np.ndarray
-    eigenvalues: np.ndarray
-    q: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
 
     @staticmethod
     def from_sym(a) -> "PosDefMatrix":
+        """``symmetric(a)`` with its smallest eigenvalue above
+        ``posdef_floor``, or NotPositiveDefiniteError."""
         a = symmetric(a)
-        eigenvalues, q = jacobi_eigen(a)
+        lowest = jacobi_eigen(a)[0][0]
         floor = posdef_floor(a)
-        if eigenvalues[0] <= floor:
+        if lowest <= floor:
             raise NotPositiveDefiniteError(
-                f"smallest eigenvalue {eigenvalues[0]:.3e} below the "
-                f"positivity floor {floor:.3e}"
+                f"smallest eigenvalue {lowest:.3e} below the positivity floor {floor:.3e}"
             )
-        eigenvalues.setflags(write=False)
-        q.setflags(write=False)
-        inverse = symmetric((q / eigenvalues) @ q.T)
-        return PosDefMatrix(a=a, det=det(a), inverse=inverse, eigenvalues=eigenvalues, q=q)
-
-    @staticmethod
-    def from_diag(d) -> "PosDefMatrix":
-        return PosDefMatrix.from_sym(np.diag(np.asarray(d, dtype=float)))
+        return PosDefMatrix(a=a, det=det(a))
 
 
 def _rescaled_norms(a: np.ndarray) -> np.ndarray:
@@ -172,14 +152,6 @@ def posdef_floor(a):
     1 / _FLOAT_TINY (about 4.5e307) and finite; the reciprocal of a
     subnormal eigenvalue can overflow."""
     return np.maximum(POSDEF_EIG_FLOOR * frob_norm(a), _FLOAT_TINY)
-
-
-def frob_inner(a, b) -> float:
-    """Trace inner product <A,B> = tr(A B^T) = sum_ij A_ij B_ij."""
-    aa, bb = _as_array(a), _as_array(b)
-    if aa.shape != bb.shape:
-        raise DimensionError(f"shape mismatch {aa.shape} vs {bb.shape}")
-    return float(np.sum(aa * bb))
 
 
 def det(a) -> float:
@@ -324,11 +296,6 @@ def random_posdef_array(n: int, log_eig_range: tuple, seed: int) -> np.ndarray:
     count-1 case of ``random_posdef_stack``.  Identical seeds give
     identical output."""
     return random_posdef_stack(n, log_eig_range, seed, 1)[0][0]
-
-
-def random_posdef(n: int, log_eig_range: tuple, seed: int) -> PosDefMatrix:
-    """Seeded positive definite sample with cached spectral data."""
-    return PosDefMatrix.from_sym(random_posdef_array(n, log_eig_range, seed))
 
 
 def sym_build(vals: np.ndarray, n: int) -> np.ndarray:
