@@ -513,6 +513,8 @@ def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleD
     not depend on how the rows are split into passes.  A negative seed
     raises ParameterError.
     """
+    if n < 1:
+        raise ParameterError(f"dimension n={n} must be >= 1")
     if num_samples < 1:
         raise ParameterError("num_samples must be >= 1")
     if seed < 0:

@@ -485,6 +485,13 @@ class TestSampleConvexity:
         with pytest.raises(ParameterError):
             sample_convexity(parse("s"), 3, 0, seed=4)
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_dimension_validated(self, n):
+        # n = 0 divided by zero in the pass size and n = -2 raised numpy's
+        # ValueError, both outside the exit-3 errors of the CLI
+        with pytest.raises(ParameterError, match=f"dimension n={n} must be >= 1"):
+            sample_convexity(parse("-ln(s)"), n, 10, seed=1)
+
     def test_failures_keep_no_matrices(self):
         # most samples of f = s fail both checks at n = 10; the sweep
         # counts its failures and keeps the worst of each kind, so its
