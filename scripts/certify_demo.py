@@ -26,9 +26,11 @@ CASES = [
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--dim", type=int, default=3)
-    ap.add_argument("--samples", type=int, default=300)
+    ap.add_argument("--samples", type=int, default=300, help="sampling sweep size (0 skips)")
     ap.add_argument("--seed", type=int, default=42)
     args = ap.parse_args()
+    if args.samples < 0:
+        ap.error(f"--samples must be >= 0, got {args.samples}")
 
     grid = GridSpec(1e-3, 1e3, 500)
     print(f"{'function':<24} {'verdict':<16} {'witness':<20} {'min D2g over samples'}")
@@ -37,8 +39,10 @@ def main():
             f = FamilyA(a=f.a, c=f.c, d=f.d, n=args.dim)
         rep = certify(f, args.dim, grid)
         kinds = ",".join(w.kind for w in rep.witnesses) or "-"
-        diag = sample_convexity(f, args.dim, args.samples, args.seed)
-        print(f"{label:<24} {rep.verdict:<16} {kinds:<20} {diag.min_hess_form:+.3e}")
+        low = "-"
+        if args.samples > 0:
+            low = f"{sample_convexity(f, args.dim, args.samples, args.seed).min_hess_form:+.3e}"
+        print(f"{label:<24} {rep.verdict:<16} {kinds:<20} {low}")
 
 
 if __name__ == "__main__":

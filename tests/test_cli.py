@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import warnings
@@ -743,3 +744,14 @@ class TestSelftestCommand:
         code, out, _ = run(capsys, "selftest")
         assert code == 1
         assert "[FAIL] c99" in out
+
+
+class TestDemoScript:
+    DEMO = Path(__file__).resolve().parent.parent / "scripts" / "certify_demo.py"
+
+    def test_zero_samples_skip_the_sweep(self, capsys, monkeypatch):
+        # as certify --samples 0 does; the sweep once raised ParameterError
+        monkeypatch.setattr(sys, "argv", [str(self.DEMO), "--samples", "0"])
+        runpy.run_path(str(self.DEMO), run_name="__main__")
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 9 and all(row.endswith(" -") for row in rows)
