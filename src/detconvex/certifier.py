@@ -8,6 +8,16 @@ alone: g is convex exactly when
 
 for n >= 2; at n = 1, g is f itself and only f''(s) >= 0 applies.
 
+The conditions are one statement about the scalar u(t) = f(t^n): with
+s = t^n, u'(t) = n t^(n-1) f'(s) and u''(t) = n^2 t^(2n-2) lhs(s), lhs
+the left-hand side above.  So for n >= 2, g is convex on the cone iff u
+is convex and nonincreasing on (0, inf).  Sufficiency: det^(1/n) is
+concave (Minkowski), and a convex nonincreasing function of a concave
+map is convex.  Necessity: at C = t I and H = I,
+f(det(C + tau H)) = u(t + tau), so the second-order witness, H = I/t,
+has the form u''(t)/t^2, and the slope witness turns f' > 0 into a
+negative form.
+
 The certifier samples both conditions on a logarithmic grid.  A grid pass
 is reported as CertifiedOnGrid, never as a proof over all of (0, inf).  A
 violation is only promoted to Refuted once an explicit counterexample pair

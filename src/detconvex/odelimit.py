@@ -4,7 +4,11 @@ The boundary of the convexity condition is the linear initial value
 problem y' + ((n-1)/(n x)) y = 0, y(xi) = eta, whose unique solution is
 y_limit(x) = eta * xi^((n-1)/n) * x^(-(n-1)/n) (``y_limit_function``).
 Antiderivatives of y_limit are c s^(1/n) + d with c <= 0, the family
-member ``FamilyA(a=0, c, d, n)``.  A comparison check orders arbitrary
+member ``FamilyA(a=0, c, d, n)``.  In the scalar reduction u(t) = f(t^n)
+(``certifier``), u''(t) = n^2 t^(2n-2) lhs(t^n), so the boundary is
+u'' = 0: that member is u(t) = c t + d, affine and, for c <= 0,
+nonincreasing, the edge of the convex nonincreasing u.  A comparison
+check orders arbitrary
 sampled curves against y_limit on both sides of xi, and a curve exporter
 writes the standard family members as CSV tables.
 """

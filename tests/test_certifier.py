@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from detconvex import certifier, detcalculus, linalg, selftest
+from detconvex import certifier, detcalculus, linalg, scalarfun, selftest
 from detconvex.certifier import (
     CERTIFIED,
     INCONCLUSIVE,
@@ -691,3 +691,39 @@ class TestOneDimensional:
             rep = certify(parse(text), 1, grid)
             assert rep.verdict == REFUTED, text
             assert [w.kind for w in rep.witnesses] == [KIND_SECOND_ORDER]
+
+
+def _substitute_power(node, n: int):
+    """The expression ``node`` with every s replaced by s^n."""
+    if isinstance(node, scalarfun.Variable):
+        return scalarfun.Pow(node, scalarfun.Constant(float(n)))
+    if isinstance(node, scalarfun.Constant):
+        return node
+    return type(node)(*(_substitute_power(getattr(node, k), n) for k in node.__match_args__))
+
+
+class TestScalarReduction:
+    """With u(t) = f(t^n), u'(t) = n t^(n-1) f'(t^n) and
+    u''(t) = n^2 t^(2n-2) lhs(t^n), lhs the condition's left-hand side:
+    the identity behind the reduction, in the module docstring, of
+    convexity under det to a convex nonincreasing u."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+    @pytest.mark.parametrize("text", selftest.EXPRESSION_CORPUS)
+    def test_jets_of_f_of_t_to_the_n(self, text, n):
+        f = parse(text)
+        t = np.geomspace(1e-3 ** (1.0 / n), 1e3 ** (1.0 / n), 200)
+        s = t**n
+        with np.errstate(all="ignore"):
+            u, jet = eval_jet(_substitute_power(f, n), t), eval_jet(f, s)
+            slope = n * t ** (n - 1) * jet.d1
+            scale = n * n * t ** (2 * n - 2)
+            curvature = scale * diff_ineq_lhs(f, s, n)
+            # the magnitudes of the two terms of scale * lhs
+            terms = np.abs(scale * jet.d2) + np.abs(scale * (n - 1) / (n * s) * jet.d1)
+            first = np.abs(u.d1 - slope) <= 1e-10 * (np.abs(u.d1) + np.abs(slope))
+            second = np.abs(u.d2 - curvature) <= 1e-10 * (np.abs(u.d2) + terms)
+        # a jet that fails is NaN and one that overflows is inf: skipped
+        ok = np.isfinite(np.stack([*u, *jet, slope, curvature, terms])).all(axis=0)
+        assert np.count_nonzero(ok) >= 100
+        assert np.all(first[ok]) and np.all(second[ok])
