@@ -8,9 +8,9 @@ member ``FamilyA(a=0, c, d, n)``.  In the scalar reduction u(t) = f(t^n)
 (``certifier``), u''(t) = n^2 t^(2n-2) lhs(t^n), so the boundary is
 u'' = 0: that member is u(t) = c t + d, affine and, for c <= 0,
 nonincreasing, the edge of the convex nonincreasing u.  A comparison
-check orders arbitrary
-sampled curves against y_limit on both sides of xi, and a curve exporter
-writes the standard family members as CSV tables.
+check orders arbitrary sampled curves against y_limit on both sides of
+xi, and a curve exporter writes the standard family members as CSV
+tables.
 """
 
 from __future__ import annotations
