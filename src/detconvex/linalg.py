@@ -4,9 +4,10 @@ Sized for the certification workloads (n up to ``cli.MAX_DIM``, 64):
 LAPACK eigenvalues of symmetric matrices, a hand LU determinant that is
 exact on diagonal input (the witnesses' C; stacks take LAPACK's), a
 Cholesky admissibility mask over a stack, and seeded sampling of test
-matrices as (N, n, n) stacks from one seed word each, a shorter stack a
-prefix of a longer one (``random_pairs`` draws the (C, H) pairs of the
-oracle and the self-test).  ``sym_build`` turns rows of uniforms into a
+matrices as (N, n, n) stacks from one seed word each, their frames the
+LAPACK QR factors of Gaussian matrices, a shorter stack a prefix of a
+longer one (``random_pairs`` draws the (C, H) pairs of the oracle and
+the self-test).  ``sym_build`` turns rows of uniforms into a
 symmetric stack, for ``random_sym`` and for the randomized sweep, which
 draws its H from the rows of its one stream; its other matrices are
 diagonal and never built.  A matrix is validated once where it enters,
@@ -35,8 +36,9 @@ from .errors import (
 # sweep draws sample i as row i of one stream seeded with --seed, its
 # diagonal C, A1 and A2 and its H from 3n + n(n+1)/2 uniforms
 # (``certifier.sweep_draw``); the oracle takes one seed word per matrix
-# kind, two streams per word and Householder frames.  How many rows the
-# sweep evaluates in one pass moves no draw, so it is not recorded.
+# kind, two streams per word and the QR frames of Gaussian matrices.  How
+# many rows the sweep evaluates in one pass moves no draw, so it is not
+# recorded.
 RNG_ALGORITHM = "numpy-pcg64-sweep-stream"
 
 # Log eigenvalue range of the default draws: eigenvalues in [0.1, 10], so that
@@ -228,55 +230,18 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-# The documented size of one ``PCG64.jumped()``: the returned generator's
-# state is the seeded one advanced by this many draws.
-_PCG64_JUMP = 210306068529402873165736369884012333109
-
-
-def jumped_rng(seed: int) -> np.random.Generator:
-    """The generator of ``PCG64(seed).jumped()``, from the same state.
-    ``jumped()`` first seeds its new generator from OS entropy, which
-    costs more than the draw of a small stack, and then overwrites that
-    state; this advances a generator seeded from ``seed`` instead."""
-    bits = np.random.PCG64(int(seed))
-    bits.advance(_PCG64_JUMP)
-    return np.random.Generator(bits)
-
-
-def _householder_frames(z: np.ndarray, n: int) -> np.ndarray:
-    """Orthogonal (count, n, n) frames, row j the product
-    H_0 H_1 ... H_{n-2} of Householder reflections (Stewart, SIAM J.
-    Numer. Anal. 17(3), 1980), accumulated from the last.  H_k acts on
-    coordinates k .. n-1 and maps a Gaussian vector x_k of length n - k
-    onto the k-th axis; row j of ``z`` holds x_0, x_1, ..., x_{n-2} in
-    turn.  Times a diagonal of signs the product is a Haar frame, and the
-    signs cancel in ``Q diag Q^T``."""
-    q = np.tile(np.eye(n), (len(z), 1, 1))
-    end = z.shape[1]
-    for k in range(n - 2, -1, -1):
-        v = z[:, end - (n - k) : end].copy()
-        end -= n - k
-        norm = np.sqrt(np.sum(v * v, axis=1))
-        v[:, 0] += np.copysign(norm, v[:, 0])
-        # H_k = I - w v^T with w = v / (|x_k| |v_0|), since |v|^2 = 2 |x_k| |v_0|
-        w = v / (norm * np.abs(v[:, 0]))[:, None]
-        block = q[:, k:, k:]
-        # the outer product by einsum has the bits of the broadcast one,
-        # in fewer inner loops when the block is small
-        block -= np.einsum("ri,rc->ric", w, (v[:, None, :] @ block)[:, 0])
-    return q
-
-
 def random_posdef_stack(n: int, log_eig_range: tuple, seed: int, count: int) -> tuple:
     """``count`` positive definite samples as a (count, n, n) stack, with
     their (count, n) log eigenvalues.
 
     Two PCG64 streams come from ``seed``: ``PCG64(seed)`` gives the
     uniform log eigenvalues over ``log_eig_range`` and its ``jumped()``
-    stream the n(n+1)/2 - 1 Gaussians of each row's Householder frame Q
-    (``_householder_frames``).  Row j is Q diag(exp(logs[j])) Q^T, lower
-    triangle mirrored, from row j of each stream's block, so a stack of k
-    rows is the first k rows of any longer stack from the same seed.
+    stream an n x n Gaussian matrix per row, whose LAPACK QR factor Q is
+    a Haar frame up to the signs of its columns (Mezzadri, Notices AMS
+    54(5), 2007); the signs cancel in Q diag Q^T.  Row j is
+    Q diag(exp(logs[j])) Q^T, lower triangle mirrored, from row j of each
+    stream's block, so a stack of k rows is the first k rows of any
+    longer stack from the same seed.
     """
     if n < 1:
         raise DimensionError("dimension must be >= 1")
@@ -284,8 +249,9 @@ def random_posdef_stack(n: int, log_eig_range: tuple, seed: int, count: int) -> 
     if lo > hi:
         raise ParameterError(f"log eigenvalue range has lo={lo} > hi={hi}")
     # the two streams start from the seeded state, so count cannot move either
-    q = _householder_frames(jumped_rng(seed).standard_normal((count, n * (n + 1) // 2 - 1)), n)
-    logs = _rng(int(seed)).uniform(lo, hi, size=(count, n))
+    bits = np.random.PCG64(int(seed))
+    q = np.linalg.qr(np.random.Generator(bits.jumped()).standard_normal((count, n, n)))[0]
+    logs = np.random.Generator(bits).uniform(lo, hi, size=(count, n))
     out = _mirror_lower((q * np.exp(logs)[:, None, :]) @ np.swapaxes(q, -1, -2))
     _check_finite(out)
     return out, logs

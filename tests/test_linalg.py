@@ -256,58 +256,48 @@ class TestRandomPosdef:
 DRAW_DIMS = [1, 2, 3, 5, 10, 64]
 
 
-def _frames(n, count, seed):
-    z = np.random.default_rng(seed).standard_normal((count, n * (n + 1) // 2 - 1))
-    return linalg._householder_frames(z, n)
-
-
-def reference_frame(x, n, signs=False):
-    """The frame of one row from its n(n+1)/2 - 1 Gaussians x_0, x_1, ...,
-    x_{n-2} (lengths n, n-1, ..., 2): the product H_0 H_1 ... H_{n-2} of
-    the Householder reflections that map x_k onto axis k of coordinates
-    k .. n-1, accumulated from the last.  With ``signs``, times Stewart's
-    diagonal of signs that makes the product Haar."""
-    q = np.eye(n)
-    starts = np.cumsum([0] + [n - k for k in range(n - 1)])
-    d = np.ones(n)
-    for k in reversed(range(n - 1)):
-        v = x[starts[k] : starts[k + 1]].copy()
-        norm = np.sqrt(np.sum(v * v))
-        d[k] = -np.sign(v[0])
-        v[0] += np.copysign(norm, v[0])
-        w = v / (norm * abs(v[0]))
-        q[k:, k:] -= w[:, None] * (v[None, :] @ q[k:, k:])
-    return q * d if signs else q
+def draw_frames(n, seed, count):
+    """The frames of ``random_posdef_stack(n, ..., seed, count)``: the Q
+    factors of its ``count`` n x n Gaussian matrices, from the
+    ``jumped()`` stream of ``PCG64(seed)``."""
+    gauss = np.random.Generator(np.random.PCG64(int(seed)).jumped())
+    return np.linalg.qr(gauss.standard_normal((count, n, n)))[0]
 
 
 def reference_posdef_rows(n, log_eig_range, seed, k, signs=False):
     """k positive definite matrices, lower triangle mirrored, and their log
     eigenvalues, one row at a time: the eigenvalue row from the stream
-    ``PCG64(seed)``, the frame Gaussians from its ``jumped()`` stream."""
+    ``PCG64(seed)``, the frame from the QR factors of an n x n Gaussian
+    matrix of its ``jumped()`` stream.  With ``signs``, each column of Q
+    takes the sign of R's diagonal entry, Mezzadri's convention that
+    makes the frame Haar."""
     bits = np.random.PCG64(int(seed))
     gauss = np.random.Generator(bits.jumped())
     uniform = np.random.Generator(bits)
     logs = [uniform.uniform(log_eig_range[0], log_eig_range[1], size=n) for _ in range(k)]
     mats = []
     for lg in logs:
-        q = reference_frame(gauss.standard_normal(n * (n + 1) // 2 - 1), n, signs)
+        q, r = np.linalg.qr(gauss.standard_normal((n, n)))
+        if signs:
+            q = q * np.sign(np.diag(r))
         a = (q * np.exp(lg)) @ q.T
         low = np.tril(a)
         mats.append(low + low.T - np.diag(np.diag(a)))
     return mats, logs
 
 
-class TestHouseholderDraw:
-    """The frames and spectra of ``random_posdef_stack``.  A product of
-    n - 1 computed reflections is orthogonal to a small multiple of n eps
-    (Higham 2002, Lemma 19.3), and the eigenvalues of the rounded C lie
-    within that multiple of n eps |C|_2 = n cond eps lambda_min of the
-    drawn ones; c = 8 leaves a margin of about 2.5 over the largest error
-    seen in 20 000 draws per n."""
+class TestQRFrameDraw:
+    """The frames and spectra of ``random_posdef_stack``.  LAPACK forms Q
+    as a product of computed Householder reflections, which is orthogonal
+    to a small multiple of n eps (Higham 2002, Lemma 19.3), and the
+    eigenvalues of the rounded C lie within that multiple of n eps |C|_2 =
+    n cond eps lambda_min of the drawn ones; c = 8 leaves a margin of about
+    3 over the largest error seen in 20 000 draws per n (2.5 n eps, at
+    n = 2)."""
 
     @pytest.mark.parametrize("n", DRAW_DIMS)
     def test_frames_are_orthogonal(self, n):
-        q = _frames(n, 200, seed=n)
+        q = draw_frames(n, n, 200)
         err = np.abs(np.swapaxes(q, -1, -2) @ q - np.eye(n)).max()
         assert err <= 8 * n * EPS
 
@@ -319,7 +309,7 @@ class TestHouseholderDraw:
         bound = 8 * n * cond * EPS * lam[:, 0]
         assert np.all(np.abs(np.linalg.eigvalsh(c) - lam) <= bound[:, None])
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+    @pytest.mark.parametrize("n", DRAW_DIMS)
     def test_stack_rows_are_the_per_row_draws(self, n):
         # row j of a k-stack is the j-th matrix of the two streams drawn
         # one row at a time, a count-1 stack is the draw of a single
@@ -341,10 +331,10 @@ class TestHouseholderDraw:
             assert np.array_equal(pd_short, pd[:short]) and np.array_equal(logs_short, logs[:short])
 
     def test_frames_need_no_sign_convention(self):
-        # random_posdef_stack takes the product of reflections as it is; the
-        # reference multiplies it by Stewart's diagonal of signs, which makes
-        # the frame Haar.  Each sign cancels in Q diag Q^T, so the draws agree
-        # bit for bit
+        # random_posdef_stack takes LAPACK's Q as it is; the reference
+        # gives each column of Q the sign of R's diagonal entry (Mezzadri,
+        # Notices AMS 54(5), 2007), which makes the frame Haar.  Each sign
+        # cancels exactly in Q diag Q^T, so the draws agree bit for bit
         k = 64
         for n in range(1, 34):
             seed = 900 + n
@@ -357,11 +347,10 @@ class TestHouseholderDraw:
         # each entry of a Haar frame has E q^2 = 1/n and E q^4 =
         # 3/(n(n+2)); the signs the draw leaves out do not change them
         count = 4000 if n <= 10 else 2000
-        z = np.random.default_rng(70 + n).standard_normal((count, n * (n + 1) // 2 - 1))
-        # per entry, the sums of q^2, q^4 and q^8, 250 frames at a time
+        # per entry, the sums of q^2, q^4 and q^8, 250 frames per seed word
         sums = np.zeros((3, n, n))
-        for rows in np.array_split(z, count // 250):
-            squares = linalg._householder_frames(rows, n) ** 2
+        for word in linalg.seed_words(70 + n, count // 250):
+            squares = draw_frames(n, word, 250) ** 2
             sums += [np.sum(squares**p, axis=0) for p in (1, 2, 4)]
         mean2, mean4, mean8 = sums / count
         for mean, second, moment in ((mean2, mean4, 1 / n), (mean4, mean8, 3 / (n * (n + 2)))):
@@ -373,7 +362,7 @@ class TestDrawsClearTheFloor:
     """A draw Q diag(e) Q^T over DEFAULT_LOG_EIG_RANGE is above the
     positivity floor by construction, so neither the sweep nor the oracle
     checks its draws: rounding moves an eigenvalue by at most 8 n eps
-    max(e) (``TestHouseholderDraw``), and the floor is at most
+    max(e) (``TestQRFrameDraw``), and the floor is at most
     POSDEF_EIG_FLOOR sqrt(n) max(e)."""
 
     def test_the_range_clears_the_floor_up_to_max_dim(self):
@@ -470,16 +459,6 @@ class TestSeedWords:
     def test_rejects_negative_seed(self):
         with pytest.raises(ParameterError, match="seed -1 must be >= 0"):
             linalg.seed_words(-1, 4)
-
-    def test_jumped_rng_is_the_jumped_stream(self):
-        # jumped_rng advances a seeded generator by the documented jump
-        # size instead of calling jumped(); the streams must be the same
-        for word in linalg.seed_words(23, 20):
-            want = np.random.PCG64(int(word)).jumped()
-            got = linalg.jumped_rng(word)
-            assert got.bit_generator.state == want.state
-            want_draws = np.random.Generator(want).standard_normal(7)
-            assert np.array_equal(got.standard_normal(7), want_draws)
 
 
 class TestRandomSym:

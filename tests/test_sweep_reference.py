@@ -391,10 +391,9 @@ def test_the_sweep_solves_no_linear_system(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the sweep called a LAPACK routine or built a frame")
 
-    for name in ("solve", "det", "slogdet", "inv", "eigh", "eigvalsh", "cholesky"):
+    for name in ("solve", "det", "slogdet", "inv", "eigh", "eigvalsh", "cholesky", "qr"):
         monkeypatch.setattr(np.linalg, name, refuse)
     monkeypatch.setattr(detcalculus, "hess_terms", refuse)
-    monkeypatch.setattr(linalg, "_householder_frames", refuse)
     diag = sample_convexity(parse("s"), 3, 257, seed=5)
     assert diag.samples_run == 257
     assert diag.hess_failures and diag.midpoint_failures
@@ -430,8 +429,8 @@ def test_a_sweep_builds_one_generator_and_draws_only_its_rows(monkeypatch, m):
     for name in calls:
         spy(np.random, name, calls[name].append)
     spy(certifier, "sweep_draw", lambda args: rows.append(args[2]))
-    for name in ("seed_words", "jumped_rng", "random_sym"):
-        spy(linalg, name, lambda args: pytest.fail("the sweep seeded a stream per word"))
+    for name in ("seed_words", "random_posdef_stack", "random_sym"):
+        spy(linalg, name, lambda args: pytest.fail("the sweep drew through a per-word stream"))
     diag = sample_convexity(parse("-ln(s)"), 3, m, seed=5)
     assert diag.samples_run == m
     # one PCG64 stream and its generator for the whole sweep
@@ -488,12 +487,12 @@ def turned(q, m):
 @settings(max_examples=200, deadline=None)
 def test_sweep_values_depend_only_on_the_relative_frame(n, k, seed):
     # why the sweep may draw C diagonal: turning C and H by one
-    # Householder frame Q leaves D2g(C).(H,H), up to rounding
+    # QR frame Q leaves D2g(C).(H,H), up to rounding
     f = builtin_corpus(n)[k]
     gen = np.random.default_rng(seed)
     logs = gen.uniform(*DEFAULT_LOG_EIG_RANGE, size=n)
     e = np.diag(np.exp(logs))
-    q = linalg._householder_frames(gen.standard_normal((1, n * (n + 1) // 2 - 1)), n)[0]
+    q = np.linalg.qr(gen.standard_normal((n, n)))[0]
     h = random_sym(n, seed, 1)[0]
     s = np.exp(np.sum(logs))
 
