@@ -34,6 +34,14 @@ tag and, in the four that sweep, ``min_hess_form`` changed.  They were
 regenerated again when the report gained the sweep's failure counts,
 its other extremes and the worst samples' indices, and only their
 ``diagnostics`` changed.
+
+``certify_grid_mixed.json`` and ``certify_ln_dim1.json`` pin the grid
+pass alone (``--samples 0``) at the 20000 points of the grid benchmark:
+the first fails both conditions and is refuted by a slope and a
+second-order witness, the second takes the n = 1 branch, where f' >= 0
+is not a condition.  They were written before the grid pass dropped its
+bookkeeping array passes, which must leave every column bit, and so
+every report byte, where it was.
 """
 
 from pathlib import Path
@@ -59,6 +67,20 @@ CASES = [
         "certify_neg_ln_dim10.json",
         0,
         ("certify", "-f", "-ln(s)", "--dim", "10", "--samples", "300", "--seed", "4",
+         "--no-timestamp"),
+    ),
+    # the grid pass alone at the grid benchmark's size: both conditions fail
+    (
+        "certify_grid_mixed.json",
+        1,
+        ("certify", "-f", "-s*ln(s)+s^2/(1+s)", "--samples", "0", "--grid-count", "20000",
+         "--no-timestamp"),
+    ),
+    # n = 1, where only f'' >= 0 applies
+    (
+        "certify_ln_dim1.json",
+        1,
+        ("certify", "-f", "ln(s)", "--dim", "1", "--samples", "0", "--grid-count", "20000",
          "--no-timestamp"),
     ),
     ("witness_s.txt", 0, ("witness", "-f", "s")),
