@@ -71,7 +71,12 @@ class GridSpec(Value):
             raise ParameterError(f"grid count={self.count} must be >= 2")
 
     def points(self) -> np.ndarray:
-        return np.geomspace(self.s_min, self.s_max, self.count)
+        """``np.geomspace(s_min, s_max, count)`` bit for bit: its arithmetic
+        for a positive range, without its sign handling and copies."""
+        s = np.linspace(np.log10(self.s_min), np.log10(self.s_max), self.count)
+        np.power(10.0, s, out=s)
+        s[0], s[-1] = self.s_min, self.s_max
+        return s
 
 
 class Witness(NamedTuple):
@@ -122,8 +127,14 @@ class CertificationReport(NamedTuple):
         return len(self.s) < self.grid.count
 
 
-def _lhs_from_jet(jet, s: float, n: int) -> float:
-    return jet.d2 + ((n - 1) / (n * s)) * jet.d1
+def _lhs_from_jet(jet, s, n: int):
+    """jet.d2 + ((n-1)/(n*s)) * jet.d1, each operation in this order into
+    one array; a float at a float s."""
+    lhs = np.multiply(n, s, out=np.empty(np.shape(s)))
+    np.divide(n - 1, lhs, out=lhs)
+    np.multiply(lhs, jet.d1, out=lhs)
+    np.add(jet.d2, lhs, out=lhs)
+    return lhs if lhs.ndim else float(lhs)
 
 
 def diff_ineq_lhs(f, s, n: int):
@@ -291,9 +302,9 @@ def certify(f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BA
 
     points = grid.points()
     jet = scalarfun.eval_jet(f, points)
-    failed = np.isnan(jet.v)
-    domain_failure = bool(failed.any())
-    cut = int(np.argmax(failed)) if domain_failure else len(points)
+    # a failed point is NaN, which the minimum propagates
+    domain_failure = bool(np.isnan(jet.v.min()))
+    cut = int(np.argmax(np.isnan(jet.v))) if domain_failure else len(points)
     if domain_failure:
         # the point evaluated alone raises the error that made it NaN
         annotations.append(
@@ -304,14 +315,22 @@ def certify(f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BA
     # overflow goes to inf without a warning, as in float arithmetic
     with np.errstate(all="ignore"):
         lhs = _lhs_from_jet(jet, s, n)
-        band = tol + tol * np.abs(jet.d1) + tol * np.abs(jet.d2)
+        # (tol + tol*|f'|) + tol*|f''|, in place
+        band = np.abs(jet.d1)
+        np.multiply(tol, band, out=band)
+        np.add(tol, band, out=band)
+        d2_term = np.abs(jet.d2)
+        np.multiply(tol, d2_term, out=d2_term)
+        band += d2_term
     # at n = 1, g is f itself and only f'' >= 0 applies
-    fprime_ok = (jet.d1 <= band) | (n == 1)
+    fprime_ok = np.full(cut, True) if n == 1 else jet.d1 <= band
     lhs_ok = lhs >= -band
 
     # a domain failure is reported with the columns before it, unsearched
-    fprime_bad = ~fprime_ok & (not domain_failure)
-    lhs_bad = ~lhs_ok & (not domain_failure)
+    if domain_failure:
+        fprime_bad = lhs_bad = np.zeros(cut, dtype=bool)
+    else:
+        fprime_bad, lhs_bad = ~fprime_ok, ~lhs_ok
     witnesses = []
 
     def attempt(kind: str, label: str, candidates) -> None:

@@ -135,9 +135,9 @@ def _grid_failures(report) -> dict:
     first on ties; null when none is finite)."""
     s = report.s
     doc = {"points": len(report.failing_points)}
-    for key, values, ok, worst in (
-        ("fprime", report.fprime, report.fprime_ok, np.nanargmax),
-        ("lhs", report.lhs, report.lhs_ok, np.nanargmin),
+    for key, values, ok, worst, never in (
+        ("fprime", report.fprime, report.fprime_ok, np.argmax, -math.inf),
+        ("lhs", report.lhs, report.lhs_ok, np.argmin, math.inf),
     ):
         idx = np.flatnonzero(~ok)
         breaks = np.flatnonzero(np.diff(idx) != 1)
@@ -148,7 +148,8 @@ def _grid_failures(report) -> dict:
         finite = np.isfinite(failing)
         at = None
         if finite.any():
-            k = int(idx[worst(np.where(finite, failing, np.nan))])
+            failing[~finite] = never
+            k = int(idx[worst(failing)])
             at = {"s": float(s[k]), "value": float(values[k])}
         doc[key] = {
             "points": len(idx),

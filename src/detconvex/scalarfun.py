@@ -88,11 +88,15 @@ class _Walk:
         self.s = s
         self.failed = False
         self.first = None
-        domain = (s > 0.0) & np.isfinite(s)
-        self.fail(~domain, True, DomainError, "scalar functions are defined for s > 0, got s={}", s)
+        # two reductions decide a grid, whose points all lie in the domain;
+        # NaN fails both
+        if not (s.min(initial=_INF) > 0.0 and s.max(initial=0.0) < _INF):
+            domain = (s > 0.0) & np.isfinite(s)
+            self.fail(~domain, True, DomainError, "scalar functions are defined for s > 0, got s={}", s)
 
     def fail(self, bad, scope, error, template, *values):
-        bad = bad & scope
+        if scope is not True:
+            bad = bad & scope
         # quicker than bad.any() on the few points of a small call
         if np.count_nonzero(bad):
             self.failed = self.failed | bad
@@ -154,10 +158,13 @@ def jet_pow_const(walk: _Walk, u: Jet2, p: np.ndarray, scope=True) -> Jet2:
     w = np.power(u.v, p)
     pw1 = np.power(u.v, p - 1.0)
     pw2 = np.power(u.v, p - 2.0)
-    # math.pow and ** raise on an infinite result from finite arguments
-    over = (abs(w) == _INF) | used1 & (abs(pw1) == _INF) | used2 & (abs(pw2) == _INF)
-    over &= (abs(u.v) < _INF) & (abs(p) < _INF)
-    walk.fail(over, scope, NonFiniteError, "overflow in {} ** {}", u.v, p)
+    # math.pow and ** raise on an infinite result from finite arguments; a
+    # sum of finite powers is finite unless it overflows, so where it is
+    # finite no power overflowed
+    if not np.isfinite(np.sum(w) + np.sum(pw1) + np.sum(pw2)):
+        over = (abs(w) == _INF) | used1 & (abs(pw1) == _INF) | used2 & (abs(pw2) == _INF)
+        over &= (abs(u.v) < _INF) & (abs(p) < _INF)
+        walk.fail(over, scope, NonFiniteError, "overflow in {} ** {}", u.v, p)
     wp1 = p * pw1
     wp2 = p * (p - 1.0) * pw2
     if not all_pos:
@@ -624,17 +631,21 @@ def eval_jet(f, s) -> Jet2:
         jet = _eval_node(f.expr if isinstance(f, BuiltinFamily) else f, walk)
     # a field that never met s, like the slope of a constant, is a scalar
     jet = Jet2(*(x if isinstance(x, np.ndarray) and x.ndim else np.full(s.shape, x) for x in jet))
-    bad = walk.failed | ~(np.isfinite(jet.v) & np.isfinite(jet.d1) & np.isfinite(jet.d2))
+    ok = np.isfinite(jet.v)
+    ok &= np.isfinite(jet.d1)
+    ok &= np.isfinite(jet.d2)
+    if walk.failed is not False:
+        ok &= ~walk.failed
     if point:
         jet = Jet2(*(float(x[0]) for x in jet))
         if walk.first is not None:
             error, message = walk.first
             raise error(message)
-        if bad[0]:
+        if not ok[0]:
             raise NonFiniteError(f"non-finite jet {jet} at s={float(s[0])}")
         return jet
-    if bad.any():
-        jet = Jet2(*(np.where(bad, np.nan, x) for x in jet))
+    if not ok.all():
+        jet = Jet2(*(np.where(ok, x, np.nan) for x in jet))
     return jet
 
 

@@ -5,6 +5,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from detconvex import certifier, detcalculus, linalg, scalarfun, selftest
 from detconvex.certifier import (
@@ -24,6 +26,7 @@ from detconvex.certifier import (
     witness_positive_fprime,
     witness_second_order,
 )
+from detconvex.cli import MAX_GRID_COUNT
 from detconvex.errors import DimensionError, ParameterError
 from detconvex.linalg import random_posdef_array, random_sym
 from detconvex.scalarfun import FamilyA, LogFamily, NeoHookeVolumetric, PowerLaw, eval_jet, parse
@@ -189,6 +192,12 @@ class TestCertify:
         assert rep.witnesses[0].kind == KIND_SECOND_ORDER
 
 
+def _same_as_geomspace(grid):
+    want = np.geomspace(grid.s_min, grid.s_max, grid.count)
+    got = grid.points()
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 class TestGridSpec:
     def test_points_log_spaced_with_endpoints(self):
         g = GridSpec(1e-3, 1e3, 7)
@@ -196,6 +205,27 @@ class TestGridSpec:
         assert pts[0] == 1e-3 and pts[-1] == 1e3
         ratios = pts[1:] / pts[:-1]
         assert np.allclose(ratios, ratios[0], rtol=1e-12)
+
+    @given(
+        st.floats(-300.0, 300.0),
+        st.floats(0.0, 608.0, exclude_min=True),
+        st.integers(2, 5000),
+    )
+    @example(-3.0, 6.0, 2)
+    @example(300.0, 8.3, 3)
+    @settings(max_examples=300, deadline=None)
+    def test_points_are_geomspace_bit_for_bit(self, log_min, log_ratio, count):
+        s_min = 10.0**log_min
+        s_max = 10.0 ** min(log_min + log_ratio, 308.0)
+        assume(s_min < s_max)
+        assert _same_as_geomspace(GridSpec(s_min, s_max, count))
+
+    @pytest.mark.parametrize("count", [20000, MAX_GRID_COUNT])
+    @pytest.mark.parametrize(
+        "s_min, s_max", [(1e-3, 1e3), (1e-300, 1e300), (1.0, math.nextafter(1.0, 2.0))]
+    )
+    def test_points_are_geomspace_at_large_counts(self, s_min, s_max, count):
+        assert _same_as_geomspace(GridSpec(s_min, s_max, count))
 
     @pytest.mark.parametrize(
         "bad",

@@ -5,6 +5,10 @@ runs of consecutive column indices and its worst point.  Every test here
 requires, per condition, that the runs rebuild ``np.flatnonzero(~ok)``
 exactly, that the counts match, and that the worst point is the first
 extreme over the finite failing values, null when none is finite.
+
+``TestColumns`` holds ``certify``'s columns, which the summary reads, to
+the plain expressions of the grid pass over ``eval_jet``'s columns, bit
+for bit, through the domain cut and the n = 1 branch.
 """
 
 import json
@@ -18,6 +22,7 @@ from hypothesis import strategies as st
 from detconvex import certifier, cli
 from detconvex.certifier import GridSpec
 from detconvex.cli import main
+from detconvex.scalarfun import eval_jet
 
 GRID_SPECS = (
     "-ln(s)",
@@ -182,3 +187,39 @@ class TestCertifyReports:
         failures = json.loads(out)["grid_failures"]
         assert failures["points"] == 500
         assert failures["lhs"]["runs"] == [{"from": 0, "to": 499, "s_from": 1e-3, "s_to": 1e3}]
+
+
+def same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestColumns:
+    GRID = GridSpec(1e-3, 1e3, 20000)
+
+    # ln(s-1) fails at the first point and exp(exp(s)) near s = 6.56
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("spec", [*GRID_SPECS, "ln(s-1)", "exp(exp(s))"])
+    def test_columns_match_the_plain_expressions(self, spec, n):
+        f = cli.parse_function_spec(spec, n)
+        tol = certifier.DEFAULT_TOL_BASE
+        report = certifier.certify(f, n, self.GRID, tol)
+        points = self.GRID.points()
+        jet = eval_jet(f, points)
+        failed = np.isnan(jet.v)
+        cut = int(np.argmax(failed)) if failed.any() else len(points)
+        s, d1, d2 = points[:cut], jet.d1[:cut], jet.d2[:cut]
+        with np.errstate(all="ignore"):
+            lhs = d2 + ((n - 1) / (n * s)) * d1
+            band = tol + tol * np.abs(d1) + tol * np.abs(d2)
+        fprime_ok = (d1 <= band) | (n == 1)
+        lhs_ok = lhs >= -band
+        for got, want in (
+            (report.s, s),
+            (report.fprime, d1),
+            (report.lhs, lhs),
+            (report.band, band),
+            (report.fprime_ok, fprime_ok),
+            (report.lhs_ok, lhs_ok),
+        ):
+            assert np.array_equal(got, want) and same_bits(got, want)
+        assert report.domain_failure == failed.any()

@@ -13,6 +13,7 @@ families' products associate differently.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,6 +253,14 @@ EDGE_CASES = {
     # the exponent's jet is constant only at s = 1
     "(s-2)^((s-1)^3)": straddle(1.0, 2.0),
     "-ln(s)": np.array([-1.0, 0.0, np.nan, np.inf, 1e-320, 1.0, 1e300]),
+    # the monomial rule skips its overflow mask where all three powers are
+    # finite: pw2 = s^-1.5 alone overflows below about 1e-206
+    "s^0.5": np.array([0.0, 1e-320, 1e-300, 1.0]),
+    # at 5.8 only d2 = 400*399*s^398 goes non-finite, beyond it s^400 does
+    "s^400": np.array([5.8, 5.9, 6.0]),
+    # a zero base under an integer exponent: finite powers, then 0^-2
+    "(s-1)^2": straddle(1.0),
+    "(s-1)^-2": straddle(1.0),
 }
 
 # beyond the corpus's own range, into overflow of 2^s, s^(s/100), exp(s)
@@ -310,11 +319,14 @@ def test_matches_the_reference(label, f, s):
 
 
 def test_some_points_fail_and_some_do_not():
-    # the edge grids exercise both outcomes
+    # the edge grids exercise both outcomes, but for those that fail
+    # everywhere or nowhere
     for text, s in EDGE_CASES.items():
         failed = np.isnan(eval_jet(parse(text), s).v)
-        if text in ("(s-s)^-1", "(0-s)^(1/2)"):
+        if text in ("(s-s)^-1", "(0-s)^(1/2)", "s^400"):
             assert failed.all(), text
+        elif text == "(s-1)^2":
+            assert not failed.any(), text
         else:
             assert failed.any() and not failed.all(), text
 
@@ -326,6 +338,22 @@ def test_constant_exponent_chosen_per_point():
     # (-1)^0 at s = 1 through the monomial rule, exp(e ln b) beyond 2
     assert np.isnan(jet.v).tolist() == [True, False, True, False]
     assert jet.v[1] == 1.0
+
+
+@pytest.mark.parametrize(
+    "text, s, error, message",
+    [
+        ("s^0.5", 1e-300, NonFiniteError, "overflow in 1e-300 ** 0.5"),
+        ("s^400", 6.0, NonFiniteError, "overflow in 6.0 ** 400.0"),
+        ("s^400", 5.8, NonFiniteError, "non-finite jet"),
+        ("(s-1)^-2", 1.0, DomainError, "0 raised to a negative power"),
+    ],
+)
+def test_a_point_names_the_power_that_overflowed(text, s, error, message):
+    # an overflowing power is named, even when it is the second derivative's
+    # alone; a product that overflows after it only fails the jet
+    with pytest.raises(error, match=re.escape(message)):
+        eval_jet(parse(text), s)
 
 
 def test_failed_point_is_not_revived():
