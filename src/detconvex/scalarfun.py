@@ -622,10 +622,11 @@ def eval_jet(f, s) -> Jet2:
     three fields at a point outside the domain or where evaluation
     overflows.  A float (or a numpy scalar or 0-d array) is evaluated as a
     one-point array and raises there: DomainError, or NonFiniteError on
-    overflow.
+    overflow.  A float64 array is walked without a copy, so a field of the
+    result may be s itself (the value of f = s is).
     """
     point = not isinstance(s, np.ndarray) or s.ndim == 0
-    s = np.array(s, dtype=float, ndmin=1)
+    s = np.array(s, dtype=float, ndmin=1, copy=None)
     walk = _Walk(s)
     with np.errstate(all="ignore"):
         jet = _eval_node(f.expr if isinstance(f, BuiltinFamily) else f, walk)

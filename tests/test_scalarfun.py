@@ -127,6 +127,17 @@ class TestEvalJet:
         ) / (h * h)
         assert abs(jet.d2 - fd2) <= 1e-4
 
+    def test_an_array_is_walked_without_a_copy(self):
+        s = np.geomspace(0.5, 2.0, 5)
+        before = s.copy()
+        assert eval_jet(parse("s"), s).v is s
+        jet = eval_jet(parse("s^2 - ln(s)"), s)
+        assert np.array_equal(s, before)
+        assert not any(np.shares_memory(x, s) for x in jet)
+        # another dtype is converted
+        ints = np.arange(1, 4)
+        assert eval_jet(parse("s"), ints).v.dtype == np.float64
+
     @pytest.mark.parametrize("s", [1e-2, 0.7, 1.0, 13.0, 1e2])
     def test_pos_part_domain_only(self, s):
         assert eval_jet(parse("sqrt(s)"), s).v == math.sqrt(s)
