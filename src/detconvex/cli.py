@@ -134,7 +134,7 @@ def _grid_failures(report) -> dict:
     largest finite failing f' or the smallest finite failing lhs (the
     first on ties; null when none is finite)."""
     s = report.s
-    doc = {"points": len(report.failing_points)}
+    doc = {"points": len(s) - int(np.count_nonzero(report.fprime_ok & report.lhs_ok))}
     for key, values, ok, worst, never in (
         ("fprime", report.fprime, report.fprime_ok, np.argmax, -math.inf),
         ("lhs", report.lhs, report.lhs_ok, np.argmin, math.inf),
