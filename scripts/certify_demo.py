@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Certify a spread of scalar functions and print a verdict table.
 
-Shows the grid verdict next to the randomized quadratic-form minimum, so
-certified and refuted cases can be compared at a glance.
+Shows the grid verdict next to the randomized sweep's failure counts of
+the two conditions at det C, lhs and f' <= 0, so certified and refuted
+cases can be compared at a glance.
 """
 
 import argparse
@@ -33,16 +34,17 @@ def main():
         ap.error(f"--samples must be >= 0, got {args.samples}")
 
     grid = GridSpec(1e-3, 1e3, 500)
-    print(f"{'function':<24} {'verdict':<16} {'witness':<20} {'min D2g over samples'}")
+    print(f"{'function':<24} {'verdict':<16} {'witness':<20} {'sweep lhs/slope failures'}")
     for label, f in CASES:
         if isinstance(f, FamilyA) and f.n != args.dim:
             f = FamilyA(a=f.a, c=f.c, d=f.d, n=args.dim)
         rep = certify(f, args.dim, grid)
         kinds = ",".join(w.kind for w in rep.witnesses) or "-"
-        low = "-"
+        counts = "-"
         if args.samples > 0:
-            low = f"{sample_convexity(f, args.dim, args.samples, args.seed).min_hess_form:+.3e}"
-        print(f"{label:<24} {rep.verdict:<16} {kinds:<20} {low}")
+            diag = sample_convexity(f, args.dim, args.samples, args.seed)
+            counts = f"{diag.lhs_failures}/{diag.fprime_failures}"
+        print(f"{label:<24} {rep.verdict:<16} {kinds:<20} {counts}")
 
 
 if __name__ == "__main__":

@@ -51,7 +51,7 @@ KIND_SECOND_ORDER = "SecondOrderDeficit"
 
 DEFAULT_TOL_BASE = 1e-9
 WITNESS_CONFIRM_TOL = 1e-4
-SWEEP_FAIL_TOL = 1e-8  # sweep forms below -tol and midpoint residuals above it fail
+SWEEP_FAIL_TOL = 1e-8  # sweep midpoint residuals above it fail
 
 
 class GridSpec(Value):
@@ -271,6 +271,35 @@ def analytic_convexity(f, n: int) -> bool | None:
     return None
 
 
+def _check_tol(tol: float) -> None:
+    # a band of tol + tol*|f'| + tol*|f''| with tol >= 1 swallows violations
+    # as large as the derivatives themselves
+    if not (0 < tol < 1):
+        raise ParameterError(f"tolerance {tol} must be positive and below 1")
+
+
+def condition_flags(jet, s, n: int, tol: float):
+    """(lhs, band, fprime_ok, lhs_ok) of the jets of f at the 1-D array of
+    points s: the condition's left-hand side, the tolerance band
+    tol + tol*|f'| + tol*|f''|, and whether f' <= band (every point at
+    n = 1, where g is f itself and only f'' >= 0 applies) and
+    lhs >= -band.  Each band term is scaled before the sum, so the band
+    stays finite wherever f' and f'' are.  A point whose jet is NaN
+    fails lhs >= -band, and f' <= band at n >= 2."""
+    # overflow goes to inf without a warning, as in float arithmetic
+    with np.errstate(all="ignore"):
+        lhs = _lhs_from_jet(jet, s, n)
+        # (tol + tol*|f'|) + tol*|f''|, in place
+        band = np.abs(jet.d1)
+        np.multiply(tol, band, out=band)
+        np.add(tol, band, out=band)
+        d2_term = np.abs(jet.d2)
+        np.multiply(tol, d2_term, out=d2_term)
+        band += d2_term
+    fprime_ok = np.full(len(s), True) if n == 1 else jet.d1 <= band
+    return lhs, band, fprime_ok, lhs >= -band
+
+
 def certify(f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BASE) -> CertificationReport:
     """Evaluate both convexity conditions at every grid point.
 
@@ -284,10 +313,7 @@ def certify(f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BA
     """
     if n < 1:
         raise ParameterError(f"dimension n={n} must be >= 1")
-    # a band of tol + tol*|f'| + tol*|f''| with tol >= 1 swallows violations
-    # as large as the derivatives themselves
-    if not (0 < tol < 1):
-        raise ParameterError(f"tolerance {tol} must be positive and below 1")
+    _check_tol(tol)
     if isinstance(f, FamilyA) and f.n != n:
         raise ParameterError(f"family dimension {f.n} does not match certification dimension {n}")
     if grid is None:
@@ -312,19 +338,7 @@ def certify(f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BA
         )
         jet = Jet2(*(x[:cut] for x in jet))
     s = points[:cut]
-    # overflow goes to inf without a warning, as in float arithmetic
-    with np.errstate(all="ignore"):
-        lhs = _lhs_from_jet(jet, s, n)
-        # (tol + tol*|f'|) + tol*|f''|, in place
-        band = np.abs(jet.d1)
-        np.multiply(tol, band, out=band)
-        np.add(tol, band, out=band)
-        d2_term = np.abs(jet.d2)
-        np.multiply(tol, d2_term, out=d2_term)
-        band += d2_term
-    # at n = 1, g is f itself and only f'' >= 0 applies
-    fprime_ok = np.full(cut, True) if n == 1 else jet.d1 <= band
-    lhs_ok = lhs >= -band
+    lhs, band, fprime_ok, lhs_ok = condition_flags(jet, s, n, tol)
 
     # a domain failure is reported with the columns before it, unsearched
     if domain_failure:
@@ -425,122 +439,149 @@ def reduction_check(f, c, h):
     return full, reduced
 
 
-# Matrix entries per stack of one evaluation pass, rows * n^2, and at
-# least one row.  The pass, not the sample count, sets the sweep's
-# working memory; it moves no draw.
+# Uniforms per evaluation pass, rows * 3n, and at least one row.  The
+# pass, not the sample count, sets the sweep's working memory; it moves
+# no draw.
 SWEEP_PASS_ENTRIES = 2**15
 
 
 def sweep_draw(gen: np.random.Generator, n: int, m: int):
-    """(spectra, H, dets) of the next m samples of the sweep's stream
-    ``gen``, one row of ``gen.random`` per sample.
+    """(spectra, dets) of the next m samples of the sweep's stream ``gen``,
+    one row of ``gen.random`` per sample.
 
-    D2g(C).(H,H) depends only on the frame of H relative to C, so C is
-    diagonal and H full.  The midpoint pair (A1, A2) is diagonal: both
-    witnesses are diagonal pairs, so g is convex exactly when
-    x -> f(x_1 ... x_n) is convex on the positive orthant, and a diagonal
-    pair shows every midpoint failure a framed one can.  A row holds
-    3n + n(n+1)/2 uniforms: the log eigenvalues of C, A1 and A2 over
-    DEFAULT_LOG_EIG_RANGE, then the entries of H over [-1, 1] in
-    ``linalg.sym_build`` order.  Row j of the (m, 3, n) ``spectra`` holds
-    the eigenvalues of C, A1 and A2, and the (m, 3) ``dets`` are the exp
-    of the sums of their log eigenvalues.  Draws of any sizes in turn
-    give the rows of one draw of their total."""
+    A row holds 3n uniforms, the log eigenvalues of the diagonal C, A1 and
+    A2 over DEFAULT_LOG_EIG_RANGE.  Row j of the (m, 3, n) ``spectra``
+    holds the eigenvalues of C, A1 and A2, and the (m, 3) ``dets`` are the
+    exp of the sums of their log eigenvalues, summed left to right.  Both
+    are views of arrays with the sample index last, so that a pass over
+    the samples runs on contiguous rows.  Draws of any sizes in turn give
+    the rows of one draw of their total."""
     lo, hi = DEFAULT_LOG_EIG_RANGE
-    u = gen.random((m, 3 * n + n * (n + 1) // 2))
-    logs = lo + (hi - lo) * u[:, : 3 * n].reshape(m, 3, n)
-    h = linalg.sym_build(-1.0 + 2.0 * u[:, 3 * n :], n)
-    return np.exp(logs), h, np.exp(logs.sum(axis=2))
+    # (n, 3, m): numpy reduces the leading axis one eigenvalue after
+    # another, whatever m, in a fraction of the time its reduction over a
+    # short last axis takes
+    logs = np.ascontiguousarray(gen.random((m, 3, n)).transpose(2, 1, 0))
+    logs *= hi - lo
+    logs += lo
+    return np.exp(logs).transpose(2, 1, 0), np.exp(np.add.reduce(logs, axis=0)).T
 
 
 class ConvexitySampleDiagnostics(NamedTuple):
     """Outcome of a randomized convexity sweep.
 
-    ``samples_run`` counts the samples where the form or the midpoint
-    check ran, ``samples_skipped`` those where neither did.
-    ``min_hess_form`` is the smallest finite sampled quadratic form
-    (theory says >= 0 for convex f); midpoint residuals are g((C1+C2)/2)
-    - (g(C1)/2 + g(C2)/2), non-positive for convex f, and their extremes
-    are finite too.  ``hess_failures`` and ``midpoint_failures`` count the
-    samples beyond SWEEP_FAIL_TOL, forms below -SWEEP_FAIL_TOL and
-    residuals above it, infinite ones included.  ``min_hess_sample`` and
-    ``max_midpoint_sample`` are the indices of the samples that attain
-    ``min_hess_form`` and ``max_midpoint_residual``, the lowest on ties
-    and -1 when no finite value ran.  Sample i is row i of the sweep's
-    stream, ``np.random.PCG64(seed)`` advanced by i * (3n + n(n+1)/2)
-    draws, where ``sweep_draw`` of one row reads it, so it replays from
-    the seed, n and i alone.  How the sweep splits its rows into
+    ``samples_run`` counts the samples where the condition checks at
+    det C or the midpoint check ran, ``samples_skipped`` those where
+    neither did.  ``lhs_failures`` and ``fprime_failures`` count the
+    samples whose s = det C fails f'' + (n-1)/(n s) f' >= 0 or f' <= 0 by
+    the grid's own check, ``condition_flags`` with certify's band (no
+    slope check at n = 1).  ``worst_lhs_sample`` and
+    ``worst_fprime_sample`` are the samples with the largest finite
+    deficit, -n s^2 lhs(s) and s f'(s) (positive where the condition
+    fails, and unchanged when f is scaled by a positive constant or its
+    argument by one), the lowest index on ties and -1 when none is
+    finite.  Midpoint residuals are g((C1+C2)/2) - (g(C1)/2 + g(C2)/2),
+    non-positive for convex f; their extremes are finite, and
+    ``midpoint_failures`` counts those above SWEEP_FAIL_TOL, infinite ones
+    included.  ``max_midpoint_sample`` attains ``max_midpoint_residual``,
+    the lowest on ties and -1 when no finite residual ran.  Sample i is
+    row i of the sweep's stream, ``np.random.PCG64(seed)`` advanced by
+    i * 3n draws, where ``sweep_draw`` of one row reads it, so it replays
+    from the seed, n and i alone.  How the sweep splits its rows into
     evaluation passes changes no field.
     """
 
     samples_run: int
     samples_skipped: int
-    min_hess_form: float
+    lhs_failures: int
+    worst_lhs_sample: int
+    fprime_failures: int
+    worst_fprime_sample: int
     min_midpoint_residual: float
     max_midpoint_residual: float
-    hess_failures: int
     midpoint_failures: int
-    min_hess_sample: int
     max_midpoint_sample: int
 
 
-def _pass_summary(f, n: int, gen, m: int):
+def _worst(x):
+    """(index, value) of the largest finite entry of x, the first on ties;
+    value -inf when none is finite.  Overwrites the non-finite entries of
+    x with -inf."""
+    x[~np.isfinite(x)] = -np.inf
+    i = int(np.argmax(x))
+    return i, float(x[i])
+
+
+def _pass_summary(f, n: int, gen, m: int, tol: float):
     """The counts and extremes of the next m samples of the sweep's
-    stream ``gen``, evaluated as one stack: samples run, form failures,
-    midpoint failures, (index, value) of the smallest finite form and of
-    the largest finite residual, and the smallest finite residual; a
+    stream ``gen``, evaluated as one pass: samples run; per check (lhs,
+    f' <= 0, midpoint) its failures and the (index, value) of its largest
+    finite deficit or residual; and the smallest finite residual.  A
     value is +-inf where none is finite.  The arrays die on return, so a
     sweep holds one pass's."""
-    e, h, dets = sweep_draw(gen, n, m)
-    inner, cross = detcalculus.diag_terms(1.0 / e[:, 0], h)
-    # one jet over the determinants of [C; A1; A2; (A1+A2)/2]
-    dets = np.concatenate((dets.T.ravel(), np.prod(0.5 * (e[:, 1] + e[:, 2]), axis=1)))
-    jets = scalarfun.eval_jet(f, dets)
-    jet = Jet2(*(x[:m] for x in jets))
+    e, dets = sweep_draw(gen, n, m)
+    # one jet over the determinants of [C; A1; A2; (A1+A2)/2], the last
+    # the product of 0.5 * (e1 + e2), left to right, over contiguous rows
+    points = np.empty(4 * m)
+    points[: 3 * m] = dets.T.ravel()
+    by_eigenvalue = e.transpose(2, 1, 0)
+    mid = by_eigenvalue[:, 1] + by_eigenvalue[:, 2]
+    mid *= 0.5
+    np.multiply.reduce(mid, axis=0, out=points[3 * m :])
+    jets = scalarfun.eval_jet(f, points)
+    s, jet = points[:m], Jet2(*(x[:m] for x in jets))
     g1, g2, gm = jets.v[m:].reshape(3, m)
-    # a check whose jets failed has NaN values; a sample where neither
-    # check ran is skipped
+    # a check whose jets failed has NaN values, and its conditions fail
+    # in condition_flags; a sample where neither check ran is skipped
     failed = np.isnan(jets.v).reshape(4, m)
+    ran = ~failed[0]
+    lhs, _, fprime_ok, lhs_ok = condition_flags(jet, s, n, tol)
+    # the deficits -n s^2 lhs(s) and s f'(s), NaN where the jet failed;
+    # the residual halves each value first, which keeps a sum beyond the
+    # float range finite
     with np.errstate(all="ignore"):
-        # halving each value first keeps a sum beyond the float range finite
+        lhs *= -n * s * s
+        slope = s * jet.d1
         r = gm - (0.5 * g1 + 0.5 * g2)
-        v = detcalculus.g_hess_form(jet, dets[:m], inner, cross)
-    # +-inf fail or pass as any value and NaN (a check that did not run,
-    # or inf - inf) fails none, but only finite values are extremes; the
-    # lowest index wins a tie
-    finite = np.isfinite(r)
-    forms, high = np.where(np.isfinite(v), v, np.inf), np.where(finite, r, -np.inf)
-    i, j = int(np.argmin(forms)), int(np.argmax(high))
-    return (
-        int(np.count_nonzero(~(failed[0] & failed[1:].any(axis=0)))),
-        int(np.count_nonzero(v < -SWEEP_FAIL_TOL)),
-        int(np.count_nonzero(r > SWEEP_FAIL_TOL)),
-        (i, float(forms[i])),
-        (j, float(high[j])),
-        float(np.where(finite, r, np.inf).min()),
+    # +-inf residuals fail or pass as any value and NaN ones (a check that
+    # did not run, or inf - inf) fail none, but only finite values are
+    # extremes
+    mid_failures = int(np.count_nonzero(r > SWEEP_FAIL_TOL))
+    low_mid = float(np.where(np.isfinite(r), r, np.inf).min())
+    checks = (
+        (int(np.count_nonzero(ran & ~lhs_ok)), _worst(lhs)),
+        # at n = 1, g is f itself and f' <= 0 is no condition
+        (0, (0, -np.inf)) if n == 1 else (int(np.count_nonzero(ran & ~fprime_ok)), _worst(slope)),
+        (mid_failures, _worst(r)),
     )
+    return int(np.count_nonzero(~(failed[0] & failed[1:].any(axis=0)))), checks, low_mid
 
 
-def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleDiagnostics:
+def sample_convexity(
+    f, n: int, num_samples: int, seed: int, tol: float = DEFAULT_TOL_BASE
+) -> ConvexitySampleDiagnostics:
     """Randomized corroboration of the grid verdict.
 
-    Draws (C, H) pairs for the quadratic form and diagonal PD pairs
-    (A1, A2) for a midpoint-convexity check, sample i as row i of one
-    PCG64 stream seeded with ``seed`` (``sweep_draw``), C, A1 and A2 as
-    spectra that clear the positivity floor by construction.  The rows
-    are evaluated in passes of as many as keep rows * n^2 within
-    SWEEP_PASS_ENTRIES, and at least one.  Per pass, the form comes from
-    C's spectrum through ``detcalculus.diag_terms`` and ``g_hess_form``,
-    the determinant of (A1+A2)/2 as the product of its diagonal, and the
-    jets of the four determinants from one array evaluation; no LAPACK
-    routine runs.  Each check runs where its own jets evaluate: the form
+    Draws diagonal positive definite C, A1 and A2, sample i as row i of
+    one PCG64 stream seeded with ``seed`` (``sweep_draw``), as spectra
+    that clear the positivity floor by construction.  Diagonal draws lose
+    nothing: both witnesses are diagonal pairs, so g is convex exactly
+    when x -> f(x_1 ... x_n) is convex on the positive orthant.  At
+    s = det C it checks both conditions of the grid, each on its own,
+    with certify's band and ``tol``: D2g(C).(H,H) is a nonnegative mix of
+    s^2 lhs(s) and -s f'(s), so the two checks see every failure a
+    quadratic form can, where one form can hide a failing term.  At
+    (A1, A2) it checks midpoint convexity, g((A1+A2)/2) <=
+    (g(A1) + g(A2))/2 within SWEEP_FAIL_TOL, with det((A1+A2)/2) the
+    product of its diagonal.  The rows are evaluated in passes of as many
+    as keep rows * 3n within SWEEP_PASS_ENTRIES, and at least one, with
+    the jets of the four determinants of a pass from one array
+    evaluation; no LAPACK routine runs.  Each check runs where its own jets evaluate: the conditions
     where the jet at det C does, the residual where the three at A1, A2
     and the midpoint do.  A sample where neither ran is skipped and
-    counted.  A form or residual that overflows to inf, or to NaN as
-    inf - inf, is no extreme.  Only counts and extremes are kept, so
-    memory is one pass's whatever the failures, and the diagnostics do
-    not depend on how the rows are split into passes.  A negative seed
-    raises ParameterError.
+    counted.  Only counts and extremes are kept, so memory is one pass's
+    whatever the failures, and the diagnostics do not depend on how the
+    rows are split into passes.  A negative seed raises ParameterError,
+    as does a tolerance outside (0, 1).
     """
     if n < 1:
         raise ParameterError(f"dimension n={n} must be >= 1")
@@ -548,30 +589,30 @@ def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleD
         raise ParameterError("num_samples must be >= 1")
     if seed < 0:
         raise ParameterError(f"seed {seed} must be >= 0")
+    _check_tol(tol)
     gen = np.random.Generator(np.random.PCG64(seed))
-    rows = max(1, SWEEP_PASS_ENTRIES // (n * n))
-    min_hess = min_mid = np.inf
-    max_mid = -np.inf
-    min_hess_at = max_mid_at = -1
-    hess_failures = mid_failures = run = 0
+    rows = max(1, SWEEP_PASS_ENTRIES // (3 * n))
+    # per check: failures, and the index and value of its worst sample
+    fails = [0, 0, 0]
+    worst = [(-1, -np.inf)] * 3
+    run, min_mid = 0, np.inf
     for start in range(0, num_samples, rows):
-        ran, hess, mid, (i, low), (j, high), low_mid = _pass_summary(
-            f, n, gen, min(rows, num_samples - start)
-        )
-        run, hess_failures, mid_failures = run + ran, hess_failures + hess, mid_failures + mid
-        if low < min_hess:
-            min_hess, min_hess_at = low, start + i
-        if high > max_mid:
-            max_mid, max_mid_at = high, start + j
+        ran, checks, low_mid = _pass_summary(f, n, gen, min(rows, num_samples - start), tol)
+        run += ran
+        for k, (count, (i, value)) in enumerate(checks):
+            fails[k] += count
+            if value > worst[k][1]:
+                worst[k] = (start + i, value)
         min_mid = min(min_mid, low_mid)
     return ConvexitySampleDiagnostics(
         samples_run=run,
         samples_skipped=num_samples - run,
-        min_hess_form=min_hess,
+        lhs_failures=fails[0],
+        worst_lhs_sample=worst[0][0],
+        fprime_failures=fails[1],
+        worst_fprime_sample=worst[1][0],
         min_midpoint_residual=min_mid,
-        max_midpoint_residual=max_mid,
-        hess_failures=hess_failures,
-        midpoint_failures=mid_failures,
-        min_hess_sample=min_hess_at,
-        max_midpoint_sample=max_mid_at,
+        max_midpoint_residual=worst[2][1],
+        midpoint_failures=fails[2],
+        max_midpoint_sample=worst[2][0],
     )

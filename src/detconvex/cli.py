@@ -57,8 +57,8 @@ _VERDICT_EXIT = {CERTIFIED: EXIT_CERTIFIED, REFUTED: EXIT_REFUTED, INCONCLUSIVE:
 # Largest sizes the commands accept; larger values exit 3 before anything
 # is allocated.  The grid pass holds several arrays of --grid-count floats,
 # the curve export writes --count lines per curve, the sweep draws and
-# evaluates its samples pass after pass with n^2 work per sample (its H),
-# and the oracle's solves and eigendecompositions grow as n^3.
+# evaluates its samples pass after pass with 3n draws per sample, and the
+# oracle's solves and eigendecompositions grow as n^3.
 MAX_DIM = 64
 MAX_GRID_COUNT = 200_000
 MAX_SAMPLES = 1_000_000
@@ -160,11 +160,12 @@ def _grid_failures(report) -> dict:
 
 
 def _diagnostics_json(d) -> dict:
-    """The sweep's counts, extremes and worst sample indices; an extreme
-    over no finite value and its index are null, not +-inf and -1, and
-    without a sweep every count is 0."""
+    """The sweep's counts, extremes and worst sample indices; a midpoint
+    extreme over no finite value and its index are null, not +-inf and
+    -1, and without a sweep every count is 0 and every condition's worst
+    sample -1."""
     if d is None:
-        d = certifier.ConvexitySampleDiagnostics(0, 0, math.inf, math.inf, -math.inf, 0, 0, -1, -1)
+        d = certifier.ConvexitySampleDiagnostics(0, 0, 0, -1, 0, -1, math.inf, -math.inf, 0, -1)
 
     def finite(x):
         return x if math.isfinite(x) else None
@@ -172,9 +173,10 @@ def _diagnostics_json(d) -> dict:
     return {
         "samples_run": d.samples_run,
         "samples_skipped": d.samples_skipped,
-        "min_hess_form": finite(d.min_hess_form),
-        "min_hess_sample": d.min_hess_sample if d.min_hess_sample >= 0 else None,
-        "hess_failures": d.hess_failures,
+        "lhs_failures": d.lhs_failures,
+        "worst_lhs_sample": d.worst_lhs_sample,
+        "fprime_failures": d.fprime_failures,
+        "worst_fprime_sample": d.worst_fprime_sample,
         "max_midpoint_residual": finite(d.max_midpoint_residual),
         "max_midpoint_sample": d.max_midpoint_sample if d.max_midpoint_sample >= 0 else None,
         "min_midpoint_residual": finite(d.min_midpoint_residual),
@@ -235,7 +237,7 @@ def _cmd_certify(args) -> int:
     report = certifier.certify(f, args.dim, grid, args.tol)
     diagnostics = None
     if args.samples > 0 and not report.domain_failure:
-        diagnostics = certifier.sample_convexity(f, args.dim, args.samples, args.seed)
+        diagnostics = certifier.sample_convexity(f, args.dim, args.samples, args.seed, args.tol)
     _emit(json.dumps(_report_json(args, report, diagnostics, f), indent=2), args.output)
     print(f"verdict: {report.verdict}", file=sys.stderr)
     return _VERDICT_EXIT[report.verdict]

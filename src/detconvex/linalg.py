@@ -8,9 +8,8 @@ matrices as (N, n, n) stacks from one seed word each, their frames the
 LAPACK QR factors of Gaussian matrices, a shorter stack a prefix of a
 longer one (``random_pairs`` draws the (C, H) pairs of the oracle and
 the self-test).  ``sym_build`` turns rows of uniforms into a
-symmetric stack, for ``random_sym`` and for the randomized sweep, which
-draws its H from the rows of its one stream; its other matrices are
-diagonal and never built.  A matrix is validated once where it enters,
+symmetric stack for ``random_sym``; the randomized sweep draws only
+spectra of diagonal matrices, which it never builds.  A matrix is validated once where it enters,
 by ``symmetric`` (square, finite, lower triangle mirrored, read-only) or
 by the seeded draws, and is passed on as a plain array.
 ``PosDefMatrix`` is such an array checked against the positivity floor,
@@ -33,13 +32,13 @@ from .errors import (
 
 # Generator family and stream layout of the sampling routines, recorded in
 # report headers so results can be reproduced: PCG64.  The randomized
-# sweep draws sample i as row i of one stream seeded with --seed, its
-# diagonal C, A1 and A2 and its H from 3n + n(n+1)/2 uniforms
+# sweep draws sample i as row i of one stream seeded with --seed, the
+# log eigenvalues of its diagonal C, A1 and A2 from 3n uniforms
 # (``certifier.sweep_draw``); the oracle takes one seed word per matrix
 # kind, two streams per word and the QR frames of Gaussian matrices.  How
 # many rows the sweep evaluates in one pass moves no draw, so it is not
 # recorded.
-RNG_ALGORITHM = "numpy-pcg64-sweep-stream"
+RNG_ALGORITHM = "numpy-pcg64-sweep-terms"
 
 # Log eigenvalue range of the default draws: eigenvalues in [0.1, 10], so that
 # up to n = 64 every draw clears the positivity floor by construction.

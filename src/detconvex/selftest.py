@@ -139,10 +139,10 @@ def check_necessity_witness_second_order():
 
 
 def check_family_end_to_end():
-    """Every sampled family member certifies on the grid and survives a
-    200-sample quadratic-form sweep above -1e-8."""
+    """Every sampled family member certifies on the grid, and a 200-sample
+    sweep finds no det C that fails either condition."""
     failures = []
-    mins = []
+    samples = 0
     for a in (0.0, 0.1, 1.0 / 3.0, 0.5, 1.0, 2.0):
         f = FamilyA(a=a, c=-1.0, d=0.0, n=3)
         rep = certifier.certify(f, n=3)
@@ -150,14 +150,17 @@ def check_family_end_to_end():
             failures.append(f"a={a}: verdict {rep.verdict}")
             continue
         diag = certifier.sample_convexity(f, 3, 200, seed=BASE_SEED + int(1000 * a))
-        mins.append(diag.min_hess_form)
-        if diag.min_hess_form < -1e-8:
-            failures.append(f"a={a}: min quadratic form {diag.min_hess_form:.3e} < -1e-8")
+        samples += diag.samples_run
+        if diag.lhs_failures or diag.fprime_failures:
+            failures.append(
+                f"a={a}: {diag.lhs_failures} lhs and {diag.fprime_failures} slope failures "
+                "in the sweep"
+            )
     return _result(
         "c04",
         "family end-to-end",
         failures,
-        f"all certified; overall min quadratic form {min(mins):.3e}" if mins else "",
+        f"all certified; no condition failure over {samples} samples",
     )
 
 

@@ -29,9 +29,10 @@ CERT_FAST = ("--grid-count", "50", "--samples", "20")
 NO_SWEEP = {
     "samples_run": 0,
     "samples_skipped": 0,
-    "min_hess_form": None,
-    "min_hess_sample": None,
-    "hess_failures": 0,
+    "lhs_failures": 0,
+    "worst_lhs_sample": -1,
+    "fprime_failures": 0,
+    "worst_fprime_sample": -1,
     "max_midpoint_residual": None,
     "max_midpoint_sample": None,
     "min_midpoint_residual": None,
@@ -115,7 +116,7 @@ class TestCertifyCommand:
         for condition in ("fprime", "lhs"):
             assert set(doc["grid_failures"][condition]) == {"points", "runs", "worst"}
         assert set(doc["diagnostics"]) == set(NO_SWEEP)
-        assert doc["rng"] == "numpy-pcg64-sweep-stream"
+        assert doc["rng"] == "numpy-pcg64-sweep-terms"
 
     def test_timestamp_present_unless_suppressed(self, capsys):
         _, out, _ = run(capsys, "certify", "-f", "-ln(s)", *CERT_FAST)
@@ -142,7 +143,8 @@ class TestCertifyCommand:
             capsys, "certify", "-f", "ln(s-5)", "--s-min", "6", "--samples", "1", "--seed", "0"
         )
         assert code == 1
-        assert '"min_hess_form": null' in out
+        assert '"max_midpoint_residual": null' in out
+        assert '"worst_lhs_sample": -1' in out
         # strict JSON: no Infinity token
         doc = json.loads(out, parse_constant=lambda token: pytest.fail(f"non-strict {token}"))
         assert doc["diagnostics"] == {**NO_SWEEP, "samples_skipped": 1}
@@ -160,6 +162,20 @@ class TestCertifyCommand:
         diag = certifier.sample_convexity(cli.parse_function_spec(spec, n), n, 1000, 9)
         assert doc["diagnostics"] == diag._asdict()
         assert list(doc["diagnostics"]) == list(NO_SWEEP)
+
+    @pytest.mark.parametrize("tol, failures", [(None, 0), ("1e-13", 20)])
+    def test_the_sweep_takes_the_grid_tolerance(self, capsys, tol, failures):
+        # the slope 1e-12 of 1e-12*s lies inside the default band, about
+        # 1e-9, and outside one of 1e-13, on the grid as in the sweep
+        argv = ["certify", "-f", "1e-12*s", *CERT_FAST, "--no-timestamp"]
+        if tol is not None:
+            argv += ["--tol", tol]
+        code, out, _ = run(capsys, *argv)
+        doc = json.loads(out)
+        assert code == (1 if failures else 0)
+        assert doc["grid_failures"]["fprime"]["points"] == (50 if failures else 0)
+        assert doc["diagnostics"]["fprime_failures"] == failures
+        assert doc["diagnostics"]["lhs_failures"] == 0
 
     @pytest.mark.parametrize("spec, code, condition", [
         ("8e307*s^2", 1, "fprime"),

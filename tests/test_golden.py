@@ -33,7 +33,12 @@ of 256 samples to one PCG64 stream, one row per sample: only the ``rng``
 tag and, in the four that sweep, ``min_hess_form`` changed.  They were
 regenerated again when the report gained the sweep's failure counts,
 its other extremes and the worst samples' indices, and only their
-``diagnostics`` changed.
+``diagnostics`` changed.  All seven certify files were regenerated when
+the sweep moved from a quadratic form per sample to the two conditions
+at det C, with 3n draws per sample: only their ``rng`` tag and
+``diagnostics`` changed, and no verdict or exit code.  The two at
+``--samples 0`` changed only in the ``-1`` worst-sample indices of the
+new condition fields.
 
 ``certify_grid_mixed.json`` and ``certify_ln_dim1.json`` pin the grid
 pass alone (``--samples 0``) at the 20000 points of the grid benchmark:
@@ -57,7 +62,8 @@ CASES = [
     ("certify_neg_ln.json", 0, ("certify", "-f", "-ln(s)", *CERTIFY)),
     ("certify_s.json", 1, ("certify", "-f", "s", *CERTIFY)),
     ("certify_exp.json", 2, ("certify", "-f", "exp(s)", *CERTIFY)),
-    # the default 1000 samples, one pass at n = 5, with form failures
+    # the default 1000 samples, one pass at n = 5, with slope failures
+    # beyond the grid
     (
         "certify_mixed_dim5.json",
         0,

@@ -26,14 +26,25 @@ def test_sweep_replay_recipe_reproduces_reported_failures():
     recipe = [b for b in blocks if "certifier.sweep_draw" in b]
     assert len(recipe) == 1
     code = compile(recipe[0], "README.md", "exec")
-    f, n, seed = parse("s"), 3, 5
-    diag = sample_convexity(f, n, 1000, seed)
-    # both worst samples start past the stream's first row
-    for i, name, extreme in (
-        (diag.min_hess_sample, "value", diag.min_hess_form),
-        (diag.max_midpoint_sample, "residual", diag.max_midpoint_residual),
-    ):
-        assert i > 0
-        namespace = {"f": f, "n": n, "seed": seed, "i": i}
-        exec(code, namespace)
-        assert namespace[name].item() == extreme
+    tol = 1e-9
+    for text, n, seed in (("s", 3, 5), ("-s^0.34", 3, 5), ("-ln(s)+1e-7*s^2", 5, 42)):
+        f = parse(text)
+        num = 300 if text != "-ln(s)+1e-7*s^2" else 1000
+        diag = sample_convexity(f, n, num, seed, tol)
+        replays = []
+        for i in range(num):
+            namespace = {"f": f, "n": n, "seed": seed, "i": i, "tol": tol}
+            exec(code, namespace)
+            replays.append(namespace)
+        # the flags count the failures, and the worst samples have the
+        # largest deficits, bit for bit
+        assert sum(not r["lhs_ok"].item() for r in replays) == diag.lhs_failures
+        assert sum(not r["fprime_ok"].item() for r in replays) == diag.fprime_failures
+        for i, name in ((diag.worst_lhs_sample, "lhs_deficit"),
+                        (diag.worst_fprime_sample, "slope_deficit")):
+            assert i > 0
+            assert replays[i][name].item() == max(r[name].item() for r in replays)
+        i = diag.max_midpoint_sample
+        assert replays[i]["residual"].item() == diag.max_midpoint_residual
+    # each case fails what it was chosen for
+    assert diag.fprime_failures == 3

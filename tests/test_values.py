@@ -282,9 +282,9 @@ RECORD_FIELDS = {
         "witnesses", "tol", "analytic_convex", "annotations",
     ),
     "ConvexitySampleDiagnostics": (
-        "samples_run", "samples_skipped", "min_hess_form", "min_midpoint_residual",
-        "max_midpoint_residual", "hess_failures", "midpoint_failures",
-        "min_hess_sample", "max_midpoint_sample",
+        "samples_run", "samples_skipped", "lhs_failures", "worst_lhs_sample",
+        "fprime_failures", "worst_fprime_sample", "min_midpoint_residual",
+        "max_midpoint_residual", "midpoint_failures", "max_midpoint_sample",
     ),
     "OracleSweepResult": ("samples", "hess_disc", "grad_disc", "richardson", "skipped"),
     "ComparisonReport": (
