@@ -15,8 +15,7 @@ from .certifier import (
     reduction_check,
     sample_convexity,
     sigma_checks,
-    witness_positive_fprime,
-    witness_second_order,
+    witness_pair,
 )
 from .detcalculus import (
     condition_lhs_diag,
@@ -84,7 +83,6 @@ __all__ = [
     "sample_convexity",
     "sigma_checks",
     "solve_livp_numeric",
-    "witness_positive_fprime",
-    "witness_second_order",
+    "witness_pair",
     "y_limit_function",
 ]

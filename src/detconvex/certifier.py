@@ -13,10 +13,10 @@ s = t^n, u'(t) = n t^(n-1) f'(s) and u''(t) = n^2 t^(2n-2) lhs(s), lhs
 the left-hand side above.  So for n >= 2, g is convex on the cone iff u
 is convex and nonincreasing on (0, inf).  Sufficiency: det^(1/n) is
 concave (Minkowski), and a convex nonincreasing function of a concave
-map is convex.  Necessity: at C = t I and H = I,
-f(det(C + tau H)) = u(t + tau), so the second-order witness, H = I/t,
-has the form u''(t)/t^2, and the slope witness turns f' > 0 into a
-negative form.
+map is convex.  Necessity: both witnesses sit at C = t I.  With H = C,
+f(det(C + tau H)) = u(t (1 + tau)), so the second-order witness has the
+form t^2 u''(t); with a traceless diagonal H, the slope witness turns
+f' > 0 into a negative form.
 
 The certifier samples both conditions on a logarithmic grid.  A grid pass
 is reported as CertifiedOnGrid, never as a proof over all of (0, inf).  A
@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import detcalculus, linalg, scalarfun
+from . import detcalculus, scalarfun
 from .errors import (
     DegenerateDirectionError,
     DimensionError,
@@ -145,63 +145,42 @@ def diff_ineq_lhs(f, s, n: int):
     return _lhs_from_jet(scalarfun.eval_jet(f, s), s, n)
 
 
-def witness_positive_fprime(s: float, n: int):
-    """Counterexample pair for a positive slope at s.
+def witness_pair(kind: str, s: float, n: int):
+    """The counterexample pair (C, H) of ``kind`` at s: C = r I and H = r D
+    with r = s^(1/n), so det C = s up to the rounding of r.
 
-    C = diag(1,...,1,s), H = diag(1,-1,0,...,0); then <C^-1,H> = 0 and
-    <HC^-1,C^-1H> = 2 exactly, so D2g(C).(H,H) = -2 s f'(s).
-
-    The (+1,-1) slots of H must avoid the s slot, which needs n >= 3, and
-    s must clear the positivity floor of C (``linalg.posdef_floor``, so s
-    below about 1.4e-12 does not).  Otherwise the pair is C = r I,
-    H = r diag(1,-1,0,...,0) with r = s^(1/n) (sqrt(s) for n = 2), which
-    keeps det C = s up to rounding and both identities (the inner product
-    cancels exactly, the cross term is 2 up to one rounding).
-    """
-    if n < 2:
-        raise DimensionError("the slope witness needs n >= 2 (two free diagonal slots)")
-    if not (s > 0):
-        raise ParameterError(f"s={s} must be positive")
-    diag_c = np.ones(n)
-    diag_c[-1] = s
-    diag_h = np.zeros(n)
-    if n > 2 and s > linalg.posdef_floor(np.diag(diag_c)):
-        diag_h[:2] = (1.0, -1.0)
-    else:
-        root = float(np.sqrt(s)) if n == 2 else s ** (1.0 / n)
-        diag_c = np.full(n, root)
-        diag_h[:2] = (root, -root)
-    return PosDefMatrix.from_sym(np.diag(diag_c)), np.diag(diag_h)
-
-
-def witness_second_order(s: float, n: int):
-    """Counterexample pair for a second-derivative deficit at s.
-
-    C = s^(1/n) I and H = s^(-1/n) I; the diagonal condition value at this
-    pair is n s^(-4/n) (n f''(s) + (n-1) f'(s)/s).
+    For KIND_POSITIVE_FPRIME, D = diag(1,-1,0,...,0): <C^-1,H> = 0 and
+    <HC^-1,C^-1H> = 2, so D2g(C).(H,H) = -2 s f'(s); it needs n >= 2
+    (DimensionError).  For KIND_SECOND_ORDER, D = I and H = C, so
+    f(det(C + tau H)) = u(r(1 + tau)) with u(t) = f(t^n), and the form is
+    r^2 u''(r) = n^2 s^2 lhs(s).  Either way |C| and |H| are r times a
+    constant, so the fd step, (1 + |C|) / (1 + |H|) times a constant,
+    stays within a factor sqrt(n/2) of one value at every s, and so does
+    the relative move of det C.
     """
     if n < 1:
         raise ParameterError(f"dimension n={n} must be >= 1")
+    if kind == KIND_POSITIVE_FPRIME and n < 2:
+        raise DimensionError("the slope witness needs n >= 2 (two free diagonal slots)")
     if not (s > 0):
         raise ParameterError(f"s={s} must be positive")
-    root = s ** (1.0 / n)
-    return PosDefMatrix.from_sym(np.diag(np.full(n, root))), np.diag(np.full(n, 1.0 / root))
+    r = s ** (1.0 / n)
+    d = np.ones(n)
+    if kind == KIND_POSITIVE_FPRIME:
+        d[1], d[2:] = -1.0, 0.0
+    return PosDefMatrix.from_sym(np.diag(np.full(n, r))), np.diag(r * d)
 
 
 def witness_attempt(f, kind: str, s: float, n: int) -> Witness:
     """The ``Witness`` record of the pair of ``kind`` at s, confirmed or not.
 
     The analytic form and its Richardson central second difference come
-    from ``directional_forms`` on the one-row stack at the exact
-    determinant of the diagonal C.  Errors of the construction
-    (DimensionError for a slope witness at n = 1) propagate;
-    DegenerateDirectionError when f fails at a stencil point or no step
-    is admissible.
+    from ``directional_forms`` on the one-row stack at the LU determinant
+    of the diagonal C.  Errors of the construction (DimensionError for a
+    slope witness at n = 1) propagate; DegenerateDirectionError when f
+    fails at a stencil point or no step is admissible.
     """
-    if kind == KIND_POSITIVE_FPRIME:
-        c, h = witness_positive_fprime(s, n)
-    else:
-        c, h = witness_second_order(s, n)
+    c, h = witness_pair(kind, s, n)
     # overflow goes to inf or NaN without a warning, as in the grid pass,
     # and leaves the pair unconfirmed
     with np.errstate(all="ignore"):
@@ -219,8 +198,8 @@ def witness_attempt(f, kind: str, s: float, n: int) -> Witness:
 
 def _confirmed_witness(f, kind: str, s: float, n: int) -> Witness | None:
     """The confirmed pair for ``kind`` at s, or None when it cannot be
-    built (at a subnormal s, C is below the positivity floor), evaluated
-    or confirmed."""
+    built (at n = 1 and a subnormal s, C = s is below the positivity
+    floor), evaluated or confirmed."""
     try:
         w = witness_attempt(f, kind, s, n)
     except (
@@ -237,10 +216,11 @@ def _grid_witness(f, kind: str, s, candidates, n: int) -> Witness | None:
     that the mask ``candidates`` marks or, failing that, at the marked
     point nearest s = 1 in log s; None when neither confirms.
 
-    The fd step, (1 + |C|) / (1 + |H|) times a constant, suits a pair of
-    unit scale, and at s = 1 both pairs are.  At n = 1 the second-order
-    pair C = s, H = 1/s at s = 1e-3 moves det C by a third of itself, too
-    far for the oracle of ln(s) or sqrt(s).
+    The pair moves det C by about the same relative amount at every s, but
+    the form it is checked on can still fall out of the float range at an
+    extreme s: for ln(s+1) at n = 1, the form t^2 u''(t) = -s^2/(s+1)^2
+    rounds to zero at s = 1e-300, which is no negative form, and the
+    pair on GridSpec(1e-300, 1e300, 2000) confirms at s = 0.708.
     """
     first = int(np.argmax(candidates))
     w = _confirmed_witness(f, kind, float(s[first]), n)

@@ -219,7 +219,7 @@ def directional_forms(functions, c, h, s) -> DirectionalForms:
     both differences' points, and one evaluator call per function f at
     s and at the eight stencil points of each of its rows.  A caller
     passes the determinants it trusts: the oracle LAPACK's, a witness the
-    exact LU determinant of its diagonal C.
+    LU determinant of its diagonal C, the product of its entries.
     """
     if not functions:
         raise ParameterError("directional_forms needs at least one function")

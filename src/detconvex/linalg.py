@@ -162,7 +162,10 @@ def det(a) -> float:
     product invariant is a genuine dual-route check.  Exact for diagonal
     input (the pivot product reduces to the plain entry product), which
     ``np.linalg.det`` is not: it sums logarithms of the pivots and gives
-    23.999999999999993 for diag(2, 3, 4).
+    23.999999999999993 for diag(2, 3, 4).  No witness relies on that
+    exactness: the witnesses' C = s^(1/n) I has det C = s only up to the
+    rounding of s^(1/n).  Its one caller is ``PosDefMatrix.from_sym``,
+    and the benchmark's trace records the call under this name.
     """
     m = _as_array(a).astype(float, copy=True)
     if m.shape[0] != m.shape[1]:

@@ -73,7 +73,7 @@ def check_known_convex():
 
 def check_necessity_witness_slope():
     """f(s) = s is refuted through the slope witness with its exact
-    inner-product identities and fd agreement."""
+    inner-product identities at s = det C and fd agreement."""
     failures = []
     rep = certifier.certify(parse("s"), n=3)
     s0 = float(rep.grid.points()[0])
@@ -86,15 +86,18 @@ def check_necessity_witness_slope():
     w = ws[0]
     if w.s_star != s0:
         failures.append(f"witness at s={w.s_star}, expected first grid point {s0}")
-    inv = np.diag(1.0 / np.diag(w.c.a))
-    inner = float(np.sum(inv * w.h))
-    cross = float(np.sum((w.h @ inv) * (inv @ w.h)))
+    # C^-1 H by division, exact for C = r I
+    x = w.h / np.diag(w.c.a)[:, None]
+    inner = float(x.trace())
+    cross = float(np.sum(x * x.T))
     if inner != 0.0:
         failures.append(f"<C^-1,H> = {inner!r} != 0 exactly")
     if cross != 2.0:
         failures.append(f"<HC^-1,C^-1H> = {cross!r} != 2 exactly")
-    if w.analytic_value != -2.0 * w.s_star:
-        failures.append(f"analytic {w.analytic_value!r} != -2*s = {-2.0 * w.s_star!r}")
+    s = w.c.det
+    expect = -2.0 * s * float(eval_jet(parse("s"), s).d1)
+    if w.analytic_value != expect:
+        failures.append(f"analytic {w.analytic_value!r} != -2 det C f'(det C) = {expect!r}")
     if not _rel_err(w.fd_value, w.analytic_value) <= 1e-4:
         failures.append(f"fd {w.fd_value!r} disagrees with analytic {w.analytic_value!r}")
     return _result(

@@ -23,11 +23,9 @@ from detconvex.certifier import (
     reduction_check,
     sample_convexity,
     sigma_checks,
-    witness_positive_fprime,
-    witness_second_order,
 )
 from detconvex.cli import MAX_GRID_COUNT
-from detconvex.errors import DimensionError, ParameterError
+from detconvex.errors import DimensionError, NotPositiveDefiniteError, ParameterError
 from detconvex.linalg import random_posdef_array, random_sym
 from detconvex.scalarfun import FamilyA, LogFamily, NeoHookeVolumetric, PowerLaw, eval_jet, parse
 
@@ -78,7 +76,9 @@ class TestCertify:
         assert w.kind == KIND_POSITIVE_FPRIME
         assert w.analytic_value < 0
         assert abs(w.analytic_value - w.fd_value) <= 1e-4 * max(1.0, abs(w.analytic_value))
-        assert w.c.det == w.s_star
+        # C = s^(1/3) I: det C is s up to the rounding of the cube root
+        assert np.array_equal(w.c.a, w.s_star ** (1.0 / 3.0) * np.eye(3))
+        assert w.c.det == pytest.approx(w.s_star, rel=1e-14)
 
     def test_decreasing_linear_refuted_second_order(self):
         rep = certify(parse("-s"), 3, SMALL_GRID)
@@ -244,80 +244,87 @@ class TestGridSpec:
             GridSpec(**{**dict(s_min=1e-3, s_max=1e3, count=10), **bad})
 
 
+KINDS = (KIND_POSITIVE_FPRIME, KIND_SECOND_ORDER)
+
+
+def _direction(kind, n):
+    """D of the witness pair of ``kind``: H = s^(1/n) D."""
+    if kind == KIND_SECOND_ORDER:
+        return np.ones(n)
+    d = np.zeros(n)
+    d[:2] = (1.0, -1.0)
+    return d
+
+
 def _witness_terms(c, h):
-    """(<C^-1, H>, <H C^-1, C^-1 H>) of a diagonal witness pair, with
-    C^-1 read off the diagonal of C."""
-    inv = np.diag(1.0 / np.diag(c.a))
-    return float(np.sum(inv * h)), float(np.sum((h @ inv) * (inv @ h)))
+    """(<C^-1, H>, <H C^-1, C^-1 H>) of a witness pair, as tr X and
+    sum(X * X^T) with X = C^-1 H taken by division, which is exact for
+    C = r I and H = r D."""
+    x = h / np.diag(c.a)[:, None]
+    return float(x.trace()), float(np.sum(x * x.T))
+
+
+# s log-uniform over the float range that both kinds build at every n
+LOG_S = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
 
 
 class TestWitnessConstructions:
-    def test_slope_witness_shape(self):
-        c, h = witness_positive_fprime(2.0, 3)
-        assert np.array_equal(c.a, np.diag([1.0, 1.0, 2.0]))
-        assert np.array_equal(h, np.diag([1.0, -1.0, 0.0]))
-        assert _witness_terms(c, h)[0] == 0.0
+    """Both kinds take C = r I and H = r D with r = s^(1/n): D is
+    diag(1, -1, 0, ..., 0) for a slope failure and I for a second-order
+    one."""
 
-    def test_slope_witness_two_dims(self):
-        c, h = witness_positive_fprime(1.0, 2)
-        assert _witness_terms(c, h)[1] == 2.0
+    @given(LOG_S, st.integers(1, 64), st.sampled_from(KINDS))
+    @example(1e-300, 1, KIND_SECOND_ORDER)
+    @example(1e300, 64, KIND_POSITIVE_FPRIME)
+    @example(1e-300, 2, KIND_POSITIVE_FPRIME)
+    @settings(max_examples=300, deadline=None)
+    def test_one_shape_with_exact_identities(self, s, n, kind):
+        assume(kind == KIND_SECOND_ORDER or n >= 2)
+        c, h = certifier.witness_pair(kind, s, n)
+        r = s ** (1.0 / n)
+        d = _direction(kind, n)
+        assert np.array_equal(c.a, r * np.eye(n))
+        assert np.array_equal(h, np.diag(r * d))
+        # the rounded exponent 1/n costs about |ln s| eps / 2 in r^n
+        assert abs(c.det - s) <= (abs(math.log(s)) + n) * 2.3e-16 * s
+        # X = C^-1 H = D exactly: <C^-1,H> = tr D, <HC^-1,C^-1H> = |D|^2
+        assert _witness_terms(c, h) == (float(d.sum()), float(np.sum(d * d)))
 
-    def test_slope_witness_det_equals_s(self):
-        for s in (1e-3, 0.25, 7.0, 1e3):
-            c, _ = witness_positive_fprime(s, 4)
-            assert c.det == s
-        for s in (0.3, 5.0):
-            c, _ = witness_positive_fprime(s, 2)
-            assert abs(c.det - s) <= 4e-16 * s
+    @given(LOG_S, st.integers(2, 64))
+    @settings(max_examples=100, deadline=None)
+    def test_slope_pair_confirms_a_positive_slope_at_every_s(self, s, n):
+        # f = s: the form is -2 det C f'(det C) = -2 det C, up to the
+        # rounding of LAPACK's solve in hess_terms
+        w = certifier.witness_attempt(parse("s"), KIND_POSITIVE_FPRIME, s, n)
+        assert w.confirmed and w.s_star == s
+        assert w.analytic_value == pytest.approx(-2.0 * w.c.det, rel=1e-15)
 
-    def test_slope_witness_identities_across_dims(self):
-        for n in range(2, 7):
-            for s in np.geomspace(1e-2, 1e2, 9):
-                c, h = witness_positive_fprime(float(s), n)
-                inner, cross = _witness_terms(c, h)
-                assert inner == 0.0
-                if n >= 3:
-                    assert cross == 2.0
-                else:
-                    # n=2 rides on sqrt(s)/sqrt(s) products, exact to one
-                    # rounding each
-                    assert abs(cross - 2.0) <= 8e-16
-
-    def test_slope_witness_below_positivity_floor(self):
-        # diag(1, ..., 1, s) fails the eigenvalue floor below s ~ 1.4e-12;
-        # there the pair is r I, r diag(1, -1, 0, ...) with r = s^(1/n)
-        for n in range(2, 7):
-            for s in (1.3e-12, 1e-15, 1e-20, 1e-100, 1e-300, 5e-324):
-                c, h = witness_positive_fprime(s, n)
-                root = np.sqrt(s) if n == 2 else s ** (1.0 / n)
-                assert np.array_equal(c.a, root * np.eye(n))
-                assert np.array_equal(np.diag(h)[:2], [root, -root])
-                assert not np.any(np.diag(h)[2:])
-                # the rounded exponent 1/n costs about |ln s| eps in r
-                assert abs(c.det - s) <= 1e-12 * s
-                inner, cross = _witness_terms(c, h)
-                assert inner == 0.0
-                assert abs(cross - 2.0) <= 8e-16
-
-    def test_slope_witness_shape_kept_above_positivity_floor(self):
-        for n in range(3, 7):
-            for s in (3e-12, 1e-9, 1e-3):
-                c, h = witness_positive_fprime(s, n)
-                assert np.array_equal(np.diag(c.a), [1.0] * (n - 1) + [s])
-                assert np.array_equal(np.diag(h)[:2], [1.0, -1.0])
+    @given(st.floats(-150.0, 150.0).map(lambda e: 10.0**e), st.integers(1, 64))
+    @settings(max_examples=100, deadline=None)
+    def test_second_order_pair_confirms_a_deficit_at_every_s(self, s, n):
+        # f = ln(s): u(t) = n ln(t), so the form t^2 u''(t) is -n at every
+        # s where f'' = -1/s^2 is a normal float
+        w = certifier.witness_attempt(parse("ln(s)"), KIND_SECOND_ORDER, s, n)
+        assert w.confirmed
+        assert w.analytic_value == pytest.approx(-n, rel=1e-12)
 
     def test_slope_witness_needs_two_slots(self):
         with pytest.raises(DimensionError):
-            witness_positive_fprime(1.0, 1)
+            certifier.witness_pair(KIND_POSITIVE_FPRIME, 1.0, 1)
 
-    def test_second_order_witness_shape(self):
-        c, h = witness_second_order(1.0, 3)
-        assert np.array_equal(c.a, np.eye(3))
-        assert np.array_equal(h, np.eye(3))
-        c8, h8 = witness_second_order(8.0, 3)
-        assert np.array_equal(c8.a, 2.0 * np.eye(3))
-        assert np.array_equal(h8, 0.5 * np.eye(3))
-        assert c8.det == 8.0
+    @pytest.mark.parametrize(
+        "kind, error",
+        [(KIND_POSITIVE_FPRIME, DimensionError), (KIND_SECOND_ORDER, NotPositiveDefiniteError)],
+    )
+    def test_subnormal_s_builds_at_every_dimension_above_one(self, kind, error):
+        # at n = 1 the slope pair has no two slots, and C = s at a
+        # subnormal s is below the positivity floor; at n >= 2,
+        # r = s^(1/n) is a normal float
+        with pytest.raises(error):
+            certifier.witness_pair(kind, 5e-324, 1)
+        for n in (2, 3, 64):
+            c, _ = certifier.witness_pair(kind, 5e-324, n)
+            assert c.a[0, 0] == 5e-324 ** (1.0 / n)
 
     def test_witness_attempt_matches_the_attached_witness(self):
         for text, kind in (("s", KIND_POSITIVE_FPRIME), ("-s", KIND_SECOND_ORDER)):
@@ -336,8 +343,8 @@ class TestWitnessConstructions:
             certifier.witness_attempt(parse("s"), KIND_POSITIVE_FPRIME, 1.0, 1)
 
     def test_second_order_condition_identity(self):
-        # diagonal condition value at the extremal pair reduces to
-        # n s^(-4/n) (n f'' + (n-1) f'/s) for any f
+        # H = C makes the diagonal condition value n^2 lhs(s) for any f:
+        # D2g(C).(C,C) = n^2 s^2 lhs(s), divided by det C = s
         functions = [
             NeoHookeVolumetric(mu=1.0),
             PowerLaw(c=-1.0, p=0.5, d=0.0),
@@ -345,12 +352,11 @@ class TestWitnessConstructions:
             parse("s^2"),
         ]
         for f in functions:
-            for n in (2, 3, 5):
+            for n in (1, 2, 3, 5):
                 for s in (0.2, 1.0, 9.0):
-                    c, h = witness_second_order(s, n)
+                    c, h = certifier.witness_pair(KIND_SECOND_ORDER, s, n)
                     got = detcalculus.condition_lhs_diag(f, 1.0 / np.diag(c.a), h)
-                    jet = eval_jet(f, s)
-                    expect = n * s ** (-4.0 / n) * (n * jet.d2 + (n - 1) * jet.d1 / s)
+                    expect = n * n * diff_ineq_lhs(f, c.det, n)
                     assert abs(got - expect) <= 1e-10 * max(1.0, abs(expect))
 
 
@@ -503,19 +509,31 @@ class TestSampleConvexity:
         assert value == pytest.approx(-2 * s * jet.d1, rel=1e-12)
         assert value < 0 and abs(fd - value) <= 1e-7 * abs(value)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the slope witness diag(1, ..., 1, s) takes an fd step that scales with "
-        "|C|, about 0.82 at s = 12272, and its fd value misses the analytic one by 37%",
-    )
     def test_slope_witness_confirms_beyond_the_grid(self):
         # the sweep's worst slope failure of -ln(s)+1e-7*s^2 at n = 5,
-        # seed 42, is a counterexample (the test above); the grid's own
-        # witness at its s must confirm it before the sweep's evidence can
-        # decide a verdict
+        # seed 42, is a counterexample (the test above), and the grid's
+        # own witness at its s confirms it: the pair's |C| and |H| both
+        # scale with s^(1/n), so its fd step moves det C by about the same
+        # relative amount as at s = 1 (the pair diag(1, ..., 1, s) took a
+        # step of about 0.82 on its unit entries there, and missed the
+        # analytic value by 37%)
         f, n = parse("-ln(s)+1e-7*s^2"), 5
         w = certifier.witness_attempt(f, KIND_POSITIVE_FPRIME, replayed_det(42, n, 234), n)
         assert w.confirmed
+
+    def test_slope_failure_beyond_sqrt_5e6_is_refuted(self):
+        # -ln(s)+1e-7*s^2 at n = 5 has f' > 0 exactly past sqrt(5e6): on
+        # [150, 1e6] the slope pair at the first grid point past it
+        # confirms (the pair diag(1, ..., 1, s) did not, and the verdict
+        # was Inconclusive)
+        grid = GridSpec(150.0, 1e6)
+        rep = certify(parse("-ln(s)+1e-7*s^2"), 5, grid)
+        assert rep.verdict == REFUTED and rep.annotations == ()
+        [w] = rep.witnesses
+        points = grid.points()
+        first = float(points[np.argmax(points > math.sqrt(5e6))])
+        assert w.kind == KIND_POSITIVE_FPRIME and w.s_star == first
+        assert w.analytic_value < 0
 
     @pytest.mark.parametrize("text", ["8e307*s^2", "-8e307*s^0.1"])
     def test_overflowing_values_leave_finite_extremes(self, text):
@@ -702,10 +720,8 @@ def _mp_convex(f, points) -> bool:
 
 
 def _one_dimensional_verdicts(convex: bool) -> set:
-    """Accepted verdicts at n = 1.  A non-convex f is Refuted: where the
-    second-order witness at its first violating point is not confirmed
-    (C = s, H = 1/s at s = 1e-3 moves s by a third of itself, too far for
-    the fd oracle of ln or sqrt), the one nearest s = 1 is."""
+    """Accepted verdicts at n = 1: a non-convex f is Refuted, a convex
+    one CertifiedOnGrid."""
     return {CERTIFIED} if convex else {REFUTED}
 
 
@@ -735,22 +751,35 @@ class TestOneDimensional:
         assert rep.verdict in _one_dimensional_verdicts(want)
 
     @pytest.mark.parametrize("text", ["ln(s)", "sqrt(s)", "-1/s"])
-    def test_unconfirmed_first_witness_is_retried_nearest_s_one(self, text):
-        # C = s, H = 1/s at s = 1e-3 moves s by a third of itself, too far
-        # for the fd oracle of these f, which exited 2; the violating point
-        # nearest s = 1 in log s confirms
-        grid = GridSpec()
-        rep = certify(parse(text), 1, grid)
+    def test_refuted_at_the_first_violating_point(self, text):
+        # C = H = s at s = 1e-3 moves det C by the stencil's relative
+        # step, as at s = 1, so the first attempt confirms (the pair
+        # C = s, H = 1/s moved it by a third of itself, and only the retry
+        # near s = 1 confirmed)
+        rep = certify(parse(text), 1, GridSpec())
         assert rep.verdict == REFUTED and rep.annotations == ()
+        [w] = rep.witnesses
+        assert w.kind == KIND_SECOND_ORDER and w.s_star == 1e-3
+        assert w.analytic_value < 0
+
+    def test_unconfirmed_first_witness_is_retried_nearest_s_one(self):
+        # the form t^2 u''(t) = -s^2/(s+1)^2 of ln(s+1) rounds to zero at
+        # s = 1e-300, so the first attempt is no counterexample; the
+        # violating point nearest s = 1 in log s confirms
+        grid = GridSpec(1e-300, 1e300, 2000)
+        rep = certify(parse("ln(s+1)"), 1, grid)
+        assert rep.verdict == REFUTED and rep.annotations == ()
+        assert not certifier.witness_attempt(parse("ln(s+1)"), KIND_SECOND_ORDER, 1e-300, 1).confirmed
         [w] = rep.witnesses
         assert w.kind == KIND_SECOND_ORDER
         step = math.log(grid.s_max / grid.s_min) / (grid.count - 1)
         assert abs(math.log(w.s_star)) <= 0.5 * step * (1 + 1e-9)
+        assert w.s_star == pytest.approx(0.708, rel=1e-3)
         assert w.analytic_value < 0
 
     def test_refutations_at_dimension_one(self):
-        # the second-order witness confirms wherever the stencil stays
-        # near s: polynomials, exp, and singular f away from small s
+        # the second-order witness confirms on polynomials, exp and
+        # singular f
         grid = GridSpec(0.5, 1e3, 60)
         for text in ("-s^2", "30*s - s^2", "ln(1+s)", "ln(s)", "sqrt(s)", "-exp(s/100)"):
             rep = certify(parse(text), 1, grid)

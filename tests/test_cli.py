@@ -58,9 +58,11 @@ class TestCertifyCommand:
         w = doc["witnesses"][0]
         assert w["kind"] == "PositiveFPrime"
         s_star = w["s"]
-        assert w["C"] == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, s_star]]
-        assert w["H"] == [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]]
-        assert w["analytic"] == -2.0 * s_star
+        # C = r I and H = r diag(1, -1, 0) with r = s^(1/3)
+        r = s_star ** (1.0 / 3.0)
+        assert w["C"] == [[r, 0.0, 0.0], [0.0, r, 0.0], [0.0, 0.0, r]]
+        assert w["H"] == [[r, 0.0, 0.0], [0.0, -r, 0.0], [0.0, 0.0, 0.0]]
+        assert w["analytic"] == pytest.approx(-2.0 * s_star, rel=1e-15)
         # f' = 1 at every point: one run over the grid, the first point worst
         assert doc["grid_failures"] == {
             "points": 50,
@@ -179,16 +181,17 @@ class TestCertifyCommand:
 
     @pytest.mark.parametrize("spec, code, condition", [
         ("8e307*s^2", 1, "fprime"),
-        ("-8e307*s^2", 2, "lhs"),
+        ("-8e307*s^2", 1, "lhs"),
     ])
     def test_overflowing_columns_give_strict_json(self, capsys, spec, code, condition):
         # lhs overflows to +-inf at every grid point; f' and the band stay
         # finite, so the condition fails at all 1000 (an overflowing band
-        # once passed both conditions from the 698th point on)
+        # once passed both conditions from the 698th point on).  Both are
+        # refuted at s = 1e-3, where the witness forms are finite
         argv = ("certify", "-f", spec, "--s-max", "1", "--seed", "0", "--no-timestamp")
         with warnings.catch_warnings():
-            # the fd check of the unconfirmed -8e307*s^2 witness overflows,
-            # silently as in the grid pass
+            # overflow in the sweep and the witness checks stays silent,
+            # as in the grid pass
             warnings.simplefilter("error", RuntimeWarning)
             assert main(list(argv)) == code
         out = capsys.readouterr().out
@@ -202,10 +205,11 @@ class TestCertifyCommand:
         assert (failures[condition]["worst"] is None) == (condition == "lhs")
 
     def test_overflowing_witness_is_inconclusive_under_warnings_as_errors(self):
-        # the fd check of the -8e307*s^2 witness overflows; its warning,
-        # raised as an error, ended the run in a traceback with exit 1,
-        # which claims a refutation
-        argv = ["certify", "-f", "-8e307*s^2", "--s-max", "1", "--seed", "0", "--no-timestamp"]
+        # the forms of the -8e307*s^2 witness overflow past s = 0.56; a
+        # warning of theirs, raised as an error, ended the run in a
+        # traceback with exit 1, which claims a refutation
+        argv = ["certify", "-f", "-8e307*s^2", "--s-min", "0.6", "--s-max", "1", "--seed", "0",
+                "--no-timestamp"]
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run(
@@ -247,14 +251,13 @@ for name in ("certify_sweep", "certify_grid"):
             assert code != 1 or witnesses > 0, argv
 
     def test_dimension_one_concave_function_is_refuted(self, capsys):
-        # the first violating point, s = 1e-3, has no confirmed witness;
-        # the retry nearest s = 1 has
+        # the pair C = H = s confirms at the first violating point, s = 1e-3
         argv = ("certify", "-f", "ln(s)", "--dim", "1", "--samples", "0", "--no-timestamp")
         code, out, err = run(capsys, *argv)
         assert code == 1 and err == "verdict: Refuted\n"
         doc = json.loads(out)
         assert doc["annotations"] == []
-        assert [w["kind"] for w in doc["witnesses"]] == ["SecondOrderDeficit"]
+        assert [(w["kind"], w["s"]) for w in doc["witnesses"]] == [("SecondOrderDeficit", 1e-3)]
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -530,8 +533,9 @@ class TestWitnessCommand:
         assert "kind=SecondOrderDeficit" in out
 
     def test_witness_below_positivity_floor_refutes(self, capsys):
-        # diag(1, 1, s) at s < 1e-12 fails the eigenvalue floor, so both
-        # commands exited 2; the slope witness is s^(1/n) I there
+        # the slope pair's C = s^(1/n) I clears the eigenvalue floor at
+        # any normal s (diag(1, 1, s) failed it below s ~ 1.4e-12, and
+        # both commands exited 2)
         argv = ("-f", "s", "--s-min", "1e-20", "--s-max", "1e-15")
         code, out, _ = run(capsys, "witness", *argv, "--grid-count", "5")
         assert code == 0
@@ -608,7 +612,7 @@ class TestWitnessMatchesCertify:
         return code, json.loads(out)
 
     @pytest.mark.parametrize("spec", ["ln(s)", "sqrt(s)", "-1/s"])
-    def test_dimension_one_prints_the_confirmed_retry(self, capsys, spec):
+    def test_dimension_one_prints_the_confirmed_witness(self, capsys, spec):
         argv = ("-f", spec, "--dim", "1")
         _, doc = self.certify_doc(capsys, argv)
         w = doc["witnesses"][0]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from detconvex import linalg
-from detconvex.certifier import GridSpec, witness_positive_fprime, witness_second_order
+from detconvex.certifier import KIND_POSITIVE_FPRIME, KIND_SECOND_ORDER, GridSpec, witness_pair
 from detconvex.errors import ConvergenceError
 from detconvex.linalg import PosDefMatrix, jacobi_eigen, random_posdef_array, random_sym
 
@@ -106,13 +106,12 @@ def test_hypothesis_matrices_agree(a):
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
-@pytest.mark.parametrize("witness", [witness_positive_fprime, witness_second_order])
-def test_witness_matrices_exact(witness, n):
-    # diag(1,...,1,s) and s^(1/n) I (sqrt(s) I for the slope witness at
-    # n = 2) across the default grid
+@pytest.mark.parametrize("kind", [KIND_POSITIVE_FPRIME, KIND_SECOND_ORDER])
+def test_witness_matrices_exact(kind, n):
+    # C = s^(1/n) I, for either kind, across the default grid
     ones = np.ones(n)
     for s in GridSpec().points():
-        c, _ = witness(float(s), n)
+        c, _ = witness_pair(kind, float(s), n)
         eigenvalues, q = jacobi_eigen(c.a)
         ref, _ = reference_jacobi(c.a)
         assert np.array_equal(eigenvalues, np.sort(np.diag(c.a)))

@@ -38,7 +38,13 @@ the sweep moved from a quadratic form per sample to the two conditions
 at det C, with 3n draws per sample: only their ``rng`` tag and
 ``diagnostics`` changed, and no verdict or exit code.  The two at
 ``--samples 0`` changed only in the ``-1`` worst-sample indices of the
-new condition fields.
+new condition fields.  The five files that hold a witness
+(``certify_s.json``, ``certify_grid_mixed.json``,
+``certify_ln_dim1.json``, ``witness_s.txt``, ``witness_neg_s.txt``) were
+regenerated when both witness kinds moved to the one pair C = s^(1/n) I,
+H = s^(1/n) D: only the witness matrices, the analytic and fd values and
+the fd step changed, and the witness of ``certify_ln_dim1.json`` moved
+from the retry's s = 1.00035 to the first violating point, s = 1e-3.
 
 ``certify_grid_mixed.json`` and ``certify_ln_dim1.json`` pin the grid
 pass alone (``--samples 0``) at the 20000 points of the grid benchmark:
