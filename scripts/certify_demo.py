@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Certify a spread of scalar functions and print a verdict table.
 
-Shows the grid verdict next to the randomized sweep's failure counts of
-the two conditions at det C, lhs and f' <= 0, so certified and refuted
-cases can be compared at a glance.
+Each row is one ``certify`` call, which runs the randomized sweep too.
+It shows the grid verdict next to the sweep's failure counts of the two
+conditions at det C, lhs and f' <= 0, from the report's ``diagnostics``,
+so certified and refuted cases can be compared at a glance.
 """
 
 import argparse
 
-from detconvex.certifier import GridSpec, certify, sample_convexity
+from detconvex.certifier import GridSpec, certify
 from detconvex.scalarfun import FamilyA, NeoHookeVolumetric, PowerLaw, parse
 
 CASES = [
@@ -38,12 +39,10 @@ def main():
     for label, f in CASES:
         if isinstance(f, FamilyA) and f.n != args.dim:
             f = FamilyA(a=f.a, c=f.c, d=f.d, n=args.dim)
-        rep = certify(f, args.dim, grid)
+        rep = certify(f, args.dim, grid, samples=args.samples, seed=args.seed)
         kinds = ",".join(w.kind for w in rep.witnesses) or "-"
-        counts = "-"
-        if args.samples > 0:
-            diag = sample_convexity(f, args.dim, args.samples, args.seed)
-            counts = f"{diag.lhs_failures}/{diag.fprime_failures}"
+        diag = rep.diagnostics
+        counts = "-" if diag is None else f"{diag.lhs_failures}/{diag.fprime_failures}"
         print(f"{label:<24} {rep.verdict:<16} {kinds:<20} {counts}")
 
 

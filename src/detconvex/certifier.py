@@ -100,7 +100,9 @@ class CertificationReport(NamedTuple):
     """Verdict with the grid pass as 1-D columns, one entry per evaluated
     point: s, f'(s), the condition's left-hand side, the tolerance band and
     the two condition flags.  A domain failure cuts the columns before the
-    first point that failed to evaluate."""
+    first point that failed to evaluate.  ``diagnostics`` is the
+    randomized sweep's ``ConvexitySampleDiagnostics``, or None when no
+    sweep ran (no samples asked for, or a domain failure)."""
 
     verdict: str
     n: int
@@ -115,6 +117,7 @@ class CertificationReport(NamedTuple):
     tol: float
     analytic_convex: bool | None
     annotations: tuple
+    diagnostics: ConvexitySampleDiagnostics | None = None
 
     @property
     def failing_points(self) -> np.ndarray:
@@ -280,8 +283,11 @@ def condition_flags(jet, s, n: int, tol: float):
     return lhs, band, fprime_ok, lhs >= -band
 
 
-def certify(f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BASE) -> CertificationReport:
-    """Evaluate both convexity conditions at every grid point.
+def certify(
+    f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BASE, samples: int = 0, seed: int = 42
+) -> CertificationReport:
+    """Evaluate both convexity conditions at every grid point, and gather
+    the run's other evidence into the one report.
 
     Per-point tolerance band: tol + tol*|f'(s)| + tol*|f''(s)|, with
     0 < tol < 1, each term scaled before the sum so that the band stays
@@ -290,9 +296,20 @@ def certify(f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BA
     pair is not confirmed, at the violating point of that kind nearest
     s = 1; Refuted requires a confirmed witness.
     Scalar domain failures annotate the report and force Inconclusive.
+
+    With samples > 0 and no domain failure on the grid, the randomized
+    sweep ``sample_convexity(f, n, samples, seed, tol)`` runs and its
+    result is the report's ``diagnostics``; otherwise they are None, and
+    the seed is not read, so only a sweep that runs rejects a negative
+    one.  samples < 0 raises ParameterError.  The annotations are the
+    grid pass's, in order, then the note on the Neo-Hooke volumetric
+    part.  The verdict is the one rule at the end, which sees all of this
+    evidence; it does not read the sweep yet.
     """
     if n < 1:
         raise ParameterError(f"dimension n={n} must be >= 1")
+    if samples < 0:
+        raise ParameterError(f"samples={samples} must be >= 0")
     _check_tol(tol)
     if isinstance(f, FamilyA) and f.n != n:
         raise ParameterError(f"family dimension {f.n} does not match certification dimension {n}")
@@ -344,6 +361,15 @@ def certify(f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BA
     if not candidates.any() and not witnesses:
         candidates = lhs_bad
     attempt(KIND_SECOND_ORDER, "second-order", candidates)
+    if isinstance(f, NeoHookeVolumetric):
+        annotations.append(
+            "volumetric part f(s) = -mu*ln(s) certified; the remaining trace "
+            "term mu*<C-I,I> is linear in C, hence convex, so the full "
+            "energy is convex in C exactly when this part is"
+        )
+    diagnostics = None
+    if samples > 0 and not domain_failure:
+        diagnostics = sample_convexity(f, n, samples, seed, tol)
 
     if witnesses:
         verdict = REFUTED
@@ -365,6 +391,7 @@ def certify(f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BA
         tol=tol,
         analytic_convex=analytic_convexity(f, n),
         annotations=tuple(annotations),
+        diagnostics=diagnostics,
     )
 
 

@@ -9,9 +9,10 @@ suppressed with --no-timestamp.
 builds its argument parser on the first call and reuses it afterwards;
 each call still parses its own arguments and computes its own report.
 
-The certify report is the text of ``json.dumps(report, indent=2)``.  It
-summarizes the failing grid points per condition as runs of consecutive
-column indices; the library report keeps every point's values.
+The certify report, ``json.dumps(report, indent=2)``, is one
+``certifier.certify`` report, sweep and annotations included, with the
+run's flags.  It summarizes the failing grid points per condition as runs
+of consecutive column indices; the library report keeps every point's values.
 
 Exit codes for certify: 0 certified on grid, 1 refuted, 2 inconclusive,
 3 usage or parse error, or an output path that cannot be written.  Any
@@ -116,17 +117,6 @@ def parse_function_spec(spec: str, n: int):
         raise UsageError(str(e)) from e
 
 
-def _function_annotations(f):
-    notes = []
-    if isinstance(f, scalarfun.NeoHookeVolumetric):
-        notes.append(
-            "volumetric part f(s) = -mu*ln(s) certified; the remaining trace "
-            "term mu*<C-I,I> is linear in C, hence convex, so the full "
-            "energy is convex in C exactly when this part is"
-        )
-    return notes
-
-
 def _grid_failures(report) -> dict:
     """The grid points failing either condition, counted, and per
     condition: its count, the maximal runs of consecutive failing column
@@ -184,8 +174,8 @@ def _diagnostics_json(d) -> dict:
     }
 
 
-def _report_json(args, report, diagnostics, f) -> dict:
-    """The certify report document."""
+def _report_json(args, report) -> dict:
+    """The certify report document, from one ``certify`` report and the flags."""
     doc = {
         "version": __version__,
         "function_source": args.function,
@@ -209,9 +199,9 @@ def _report_json(args, report, diagnostics, f) -> dict:
             }
             for w in report.witnesses
         ],
-        "diagnostics": _diagnostics_json(diagnostics),
+        "diagnostics": _diagnostics_json(report.diagnostics),
         "analytic_convex": report.analytic_convex,
-        "annotations": list(report.annotations) + _function_annotations(f),
+        "annotations": list(report.annotations),
         "seed": args.seed,
         "rng": RNG_ALGORITHM,
     }
@@ -234,11 +224,8 @@ def _cmd_certify(args) -> int:
         raise UsageError(f"--samples must be >= 0, got {args.samples}")
     f = parse_function_spec(args.function, args.dim)
     grid = GridSpec(args.s_min, args.s_max, args.grid_count)
-    report = certifier.certify(f, args.dim, grid, args.tol)
-    diagnostics = None
-    if args.samples > 0 and not report.domain_failure:
-        diagnostics = certifier.sample_convexity(f, args.dim, args.samples, args.seed, args.tol)
-    _emit(json.dumps(_report_json(args, report, diagnostics, f), indent=2), args.output)
+    report = certifier.certify(f, args.dim, grid, args.tol, args.samples, args.seed)
+    _emit(json.dumps(_report_json(args, report), indent=2), args.output)
     print(f"verdict: {report.verdict}", file=sys.stderr)
     return _VERDICT_EXIT[report.verdict]
 

@@ -148,11 +148,11 @@ def check_family_end_to_end():
     samples = 0
     for a in (0.0, 0.1, 1.0 / 3.0, 0.5, 1.0, 2.0):
         f = FamilyA(a=a, c=-1.0, d=0.0, n=3)
-        rep = certifier.certify(f, n=3)
+        rep = certifier.certify(f, n=3, samples=200, seed=BASE_SEED + int(1000 * a))
         if rep.verdict != CERTIFIED:
             failures.append(f"a={a}: verdict {rep.verdict}")
             continue
-        diag = certifier.sample_convexity(f, 3, 200, seed=BASE_SEED + int(1000 * a))
+        diag = rep.diagnostics
         samples += diag.samples_run
         if diag.lhs_failures or diag.fprime_failures:
             failures.append(

@@ -521,6 +521,17 @@ class TestSampleConvexity:
         w = certifier.witness_attempt(f, KIND_POSITIVE_FPRIME, replayed_det(42, n, 234), n)
         assert w.confirmed
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the sweep's evidence does not decide the verdict yet (ROADMAP.md, item 12)",
+    )
+    def test_sweep_failure_beyond_the_grid_refutes(self):
+        # the sweep counts 3 slope failures, the worst at sample 234, where
+        # det C is about 12 271.6, and the grid's slope witness confirms at
+        # that s (the test above); the grid alone certifies
+        rep = certify(parse("-ln(s)+1e-7*s^2"), 5, samples=1000, seed=42)
+        assert rep.verdict == REFUTED
+
     def test_slope_failure_beyond_sqrt_5e6_is_refuted(self):
         # -ln(s)+1e-7*s^2 at n = 5 has f' > 0 exactly past sqrt(5e6): on
         # [150, 1e6] the slope pair at the first grid point past it
@@ -560,6 +571,8 @@ class TestSampleConvexity:
     def test_sample_count_validated(self):
         with pytest.raises(ParameterError):
             sample_convexity(parse("s"), 3, 0, seed=4)
+        with pytest.raises(ParameterError, match="samples=-1"):
+            certify(parse("s"), 3, SMALL_GRID, samples=-1)
 
     @pytest.mark.parametrize("n", [0, -2])
     def test_dimension_validated(self, n):
@@ -690,6 +703,29 @@ class TestVerdictConsistency:
 
     def test_expression_has_no_analytic_verdict(self):
         assert analytic_convexity(parse("-ln(s)"), 3) is None
+
+    @pytest.mark.parametrize("grid", [GridSpec(1e-3, 1e3), GridSpec(1e-20, 1e-15)],
+                             ids=["unit", "tiny"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_verdict_rule_over_all_the_evidence(self, n, grid):
+        # the one rule at the end of certify, over every report it can
+        # build from the grid, the witnesses, the domain cut and the sweep
+        seed, tol = 17, certifier.DEFAULT_TOL_BASE
+        for text in selftest.EXPRESSION_CORPUS + ("exp(s)", "ln(s-1)"):
+            f = parse(text)
+            rep = certify(f, n, grid, tol, samples=50, seed=seed)
+            if rep.witnesses:
+                want = REFUTED
+            elif rep.failing_points.size or rep.domain_failure:
+                want = INCONCLUSIVE
+            else:
+                want = CERTIFIED
+            assert rep.verdict == want, text
+            if rep.domain_failure:
+                assert rep.diagnostics is None, text
+            else:
+                assert rep.diagnostics == sample_convexity(f, n, 50, seed, tol), text
+            assert certify(f, n, grid, tol, samples=0, seed=seed).diagnostics is None
 
 
 # f at n = 1, where g = f: convex iff f'' >= 0.  Each spec evaluates f with

@@ -421,18 +421,28 @@ class TestUsageErrors:
         cli._check_sizes(args)
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, code, err",
         [
-            ("certify", "-f", "-ln(s)", "--seed", "-1", *CERT_FAST),
-            ("oracle", "--seed", "-1", "--samples", "3"),
+            (("certify", "-f", "-ln(s)", "--seed", "-1", *CERT_FAST), 3,
+             "error: seed -1 must be >= 0\n"),
+            (("oracle", "--seed", "-1", "--samples", "3"), 3, "error: seed -1 must be >= 0\n"),
+            (("certify", "-f", "-ln(s)", "--samples", "-1"), 3,
+             "error: --samples must be >= 0, got -1\n"),
+            # no sweep draws, so the seed is never read
+            (("certify", "-f", "-ln(s)", "--seed", "-1", "--samples", "0", "--no-timestamp"), 0,
+             "verdict: CertifiedOnGrid\n"),
         ],
-        ids=["certify", "oracle"],
+        ids=["certify", "oracle", "certify-negative-samples", "certify-no-sweep"],
     )
-    def test_negative_seed_is_usage_error(self, capsys, argv):
+    def test_negative_seed_is_usage_error(self, capsys, argv, code, err):
         # SeedSequence raised a bare ValueError: a traceback with exit 1
-        code, out, err = run(capsys, *argv)
-        assert code == 3
-        assert out == "" and err == "error: seed -1 must be >= 0\n"
+        got, out, got_err = run(capsys, *argv)
+        assert (got, got_err) == (code, err)
+        if code == 3:
+            assert out == ""
+        else:
+            doc = json.loads(out)
+            assert doc["seed"] == -1 and doc["diagnostics"] == NO_SWEEP
 
     @pytest.mark.parametrize(
         "argv",

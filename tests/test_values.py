@@ -279,7 +279,7 @@ RECORD_FIELDS = {
     ),
     "CertificationReport": (
         "verdict", "n", "grid", "s", "fprime", "lhs", "band", "fprime_ok", "lhs_ok",
-        "witnesses", "tol", "analytic_convex", "annotations",
+        "witnesses", "tol", "analytic_convex", "annotations", "diagnostics",
     ),
     "ConvexitySampleDiagnostics": (
         "samples_run", "samples_skipped", "lhs_failures", "worst_lhs_sample",
