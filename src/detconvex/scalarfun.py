@@ -4,15 +4,19 @@ derivatives.
 Two input channels: a small expression language over the single variable
 ``s``, parsed to an AST, and four closed-form built-in families, each of
 which lowers to the same AST once per instance.  One evaluator,
-:func:`eval_jet`, walks the AST with truncated second-order Taylor (jet)
-arithmetic on numpy ufuncs and returns the (value, f', f'') triple exact
-up to roundoff.
+:func:`eval_jet`, returns the (value, f', f'') triple exact up to
+roundoff by truncated second-order Taylor (jet) arithmetic on numpy
+ufuncs.  An expression is compiled once, in one post-order pass that
+folds its constant subexpressions, to a flat program of op kernels that
+is cached on it.  An evaluation runs the program over one workspace of
+(rows, points) floats, and a row is reused once its one reader has run.
 
-``eval_jet`` walks an array of points: a failure at any node marks the
+``eval_jet`` evaluates an array of points: a failure at any op marks the
 point and the walk goes on, and a point that failed is NaN in all three
-fields of the returned Jet2.  A float is walked as a one-point array, so
-it has the bits it has in any array, and raises the first failure of its
-walk: DomainError outside the domain, NonFiniteError on overflow.
+fields of the returned Jet2.  A float is evaluated as a one-point array,
+so it has the bits it has in any array, and raises the first failure in
+walk order, the expression's post-order: DomainError outside the domain,
+NonFiniteError on overflow.
 
 """
 
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import math
 import re
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -37,28 +41,11 @@ _INF = float("inf")
 
 class Jet2(NamedTuple):
     """Second-order Taylor triple (value, first, second derivative); the
-    fields are floats, or arrays with one entry per point.  A named tuple
-    is the cheapest record to build per node, and unpacks as a triple."""
+    fields are floats, or arrays with one entry per point."""
 
     v: float | np.ndarray
     d1: float | np.ndarray
     d2: float | np.ndarray
-
-    def __add__(self, o):
-        return Jet2(self.v + o.v, self.d1 + o.d1, self.d2 + o.d2)
-
-    def __sub__(self, o):
-        return Jet2(self.v - o.v, self.d1 - o.d1, self.d2 - o.d2)
-
-    def __neg__(self):
-        return Jet2(-self.v, -self.d1, -self.d2)
-
-    def __mul__(self, o):
-        return Jet2(
-            self.v * o.v,
-            self.d1 * o.v + self.v * o.d1,
-            self.d2 * o.v + 2.0 * self.d1 * o.d1 + self.v * o.d2,
-        )
 
 
 # Constants stay numpy scalars rather than arrays over the points: np.power
@@ -85,7 +72,6 @@ class _Walk:
     """
 
     def __init__(self, s):
-        self.s = s
         self.failed = False
         self.first = None
         # two reductions decide a grid, whose points all lie in the domain;
@@ -106,86 +92,121 @@ class _Walk:
                 self.first = (error, template.format(*at))
 
 
-def jet_div(walk: _Walk, a: Jet2, b: Jet2) -> Jet2:
-    walk.fail(b.v == 0.0, True, DomainError, "division by zero")
-    q = a.v / b.v
-    q1 = (a.d1 - q * b.d1) / b.v
-    q2 = (a.d2 - 2.0 * q1 * b.d1 - q * b.d2) / b.v
-    return Jet2(q, q1, q2)
+# --------------------------------------------------------------------------
+# op kernels
+#
+# A kernel reads its operands' fields, arrays over the points or numpy
+# scalars, and writes its jet to the rows v, d1 and d2 with out= ufuncs in
+# the order of operations of the jet formula, so with its bits.  v is a
+# row of its own; d1 and d2 may be the rows of the same fields of an
+# operand (see _Compiler.op), which a kernel reads before it writes over
+# them.  t, t2, ... are scratch rows.
 
 
-def jet_ln(walk: _Walk, u: Jet2, scope=True, c: float = 1.0) -> Jet2:
+def jet_fieldwise(ufunc, walk, *fields):
+    """-a, a + b and a - b, which apply ufunc to each field alone."""
+    k = len(fields) - 3
+    for i in range(3):
+        ufunc(*fields[i:k:3], fields[k + i])
+
+
+def jet_mul(walk, av, a1, a2, bv, b1, b2, v, d1, d2, t, t2):
+    """(a b)' = a' b + a b', (a b)'' = a'' b + 2 a' b' + a b''; d1 and d2
+    may be either operand's."""
+    np.multiply(av, b2, t)
+    np.multiply(np.multiply(2.0, a1, t2), b1, t2)
+    np.add(np.add(np.multiply(a2, bv, d2), t2, d2), t, d2)  # a2 bv + 2 a1 b1 + av b2
+    np.multiply(av, b1, t)
+    np.add(np.multiply(a1, bv, d1), t, d1)  # a1 bv + av b1
+    np.multiply(av, bv, v)
+
+
+def jet_div(walk, av, a1, a2, bv, b1, b2, v, d1, d2, t):
+    walk.fail(bv == 0.0, True, DomainError, "division by zero")
+    np.divide(av, bv, v)  # q
+    np.divide(np.subtract(a1, np.multiply(v, b1, t), d1), bv, d1)  # q1 = (a1 - q b1) / bv
+    np.subtract(a2, np.multiply(np.multiply(2.0, d1, t), b1, t), d2)
+    np.divide(np.subtract(d2, np.multiply(v, b2, t), d2), bv, d2)  # (a2 - 2 q1 b1 - q b2) / bv
+
+
+def jet_ln(walk, uv, u1, u2, v, d1, d2, t, c=1.0, scope=True):
     """c * ln(u); the constant factor enters before the divisions by u, so
     c * ln(s) has the closed-form slope c/s."""
-    walk.fail(u.v <= 0.0, scope, DomainError, "ln of non-positive value {}", u.v)
-    r1 = u.d1 / u.v
-    w1 = c * u.d1 / u.v
-    return Jet2(c * np.log(u.v), w1, c * u.d2 / u.v - w1 * r1)
+    walk.fail(uv <= 0.0, scope, DomainError, "ln of non-positive value {}", uv)
+    np.divide(u1, uv, t)  # r1
+    np.divide(np.multiply(c, u2, d2), uv, d2)
+    np.divide(np.multiply(c, u1, d1), uv, d1)  # w1 = c u1 / uv
+    np.subtract(d2, np.multiply(d1, t, t), d2)  # c u2 / uv - w1 r1
+    np.multiply(c, np.log(uv, v), v)
 
 
-def jet_exp(walk: _Walk, u: Jet2, scope=True) -> Jet2:
-    w = np.exp(u.v)
-    walk.fail((w == _INF) & (u.v < _INF), scope, NonFiniteError, "exp overflow at {}", u.v)
-    return Jet2(w, w * u.d1, w * (u.d2 + u.d1 * u.d1))
+def jet_exp(walk, uv, u1, u2, v, d1, d2, t, scope=True):
+    np.exp(uv, v)
+    walk.fail((v == _INF) & (uv < _INF), scope, NonFiniteError, "exp overflow at {}", uv)
+    np.multiply(v, np.add(u2, np.multiply(u1, u1, t), d2), d2)  # w (u2 + u1 u1)
+    np.multiply(v, u1, d1)
 
 
-def jet_sqrt(walk: _Walk, u: Jet2) -> Jet2:
-    walk.fail(u.v <= 0.0, True, DomainError, "sqrt of non-positive value {}", u.v)
-    w = np.sqrt(u.v)
-    w1 = u.d1 / (2.0 * w)
-    return Jet2(w, w1, (u.d2 - 2.0 * w1 * w1) / (2.0 * w))
+def jet_sqrt(walk, uv, u1, u2, v, d1, d2, t):
+    walk.fail(uv <= 0.0, True, DomainError, "sqrt of non-positive value {}", uv)
+    np.sqrt(uv, v)
+    np.divide(u1, np.multiply(2.0, v, t), d1)  # w1 = u1 / (2 w)
+    np.subtract(u2, np.multiply(np.multiply(2.0, d1, t), d1, t), d2)
+    np.divide(d2, np.multiply(2.0, v, t), d2)  # (u2 - 2 w1 w1) / (2 w)
 
 
-def jet_pow_const(walk: _Walk, u: Jet2, p: np.ndarray, scope=True) -> Jet2:
+def jet_pow_const(walk, uv, u1, u2, p, v, d1, d2, t, t2, t3=None, scope=True):
     """Monomial rule u^p for an exponent p that is constant at each point.
 
     Valid for u > 0 with any real p, and for u < 0 / u == 0 when p is an
-    integer (non-negative in the zero case).
+    integer (non-negative in the zero case).  A scalar p keeps p - 1 and
+    p - 2 scalars; t3 is scratch for a p that is a row.
     """
-    pos = u.v > 0.0
+    row = t3 is not None
+    pos = uv > 0.0
     all_pos = pos.all()
     used1 = used2 = True
     if not all_pos:
         # p % 1 is nan for nan and inf exponents, which are not integers either
-        fractional = p % 1.0 != 0.0
-        walk.fail(
-            ~pos & fractional, scope, DomainError, "{} raised to non-integer power {}", u.v, p
-        )
-        walk.fail((u.v == 0.0) & (p < 0.0), scope, DomainError, "0 raised to a negative power")
+        fractional = (np.remainder(p, 1.0, t) if row else p % 1.0) != 0.0
+        walk.fail(~pos & fractional, scope, DomainError, "{} raised to non-integer power {}", uv, p)
+        walk.fail((uv == 0.0) & (p < 0.0), scope, DomainError, "0 raised to a negative power")
         # an integer power skips the factors that its zero coefficient cancels
         used1 = pos | (p != 0.0)
         used2 = used1 & (pos | (p != 1.0))
-    w = np.power(u.v, p)
-    pw1 = np.power(u.v, p - 1.0)
-    pw2 = np.power(u.v, p - 2.0)
+    np.power(uv, p, v)
+    np.power(uv, np.subtract(p, 1.0, t) if row else p - 1.0, t)
+    np.power(uv, np.subtract(p, 2.0, t2) if row else p - 2.0, t2)
     # math.pow and ** raise on an infinite result from finite arguments; a
     # sum of finite powers is finite unless it overflows, so where it is
     # finite no power overflowed
-    if not np.isfinite(np.sum(w) + np.sum(pw1) + np.sum(pw2)):
-        over = (abs(w) == _INF) | used1 & (abs(pw1) == _INF) | used2 & (abs(pw2) == _INF)
-        over &= (abs(u.v) < _INF) & (abs(p) < _INF)
-        walk.fail(over, scope, NonFiniteError, "overflow in {} ** {}", u.v, p)
-    wp1 = p * pw1
-    wp2 = p * (p - 1.0) * pw2
+    if not np.isfinite(v.sum() + t.sum() + t2.sum()):
+        over = np.isinf(v) | used1 & np.isinf(t) | used2 & np.isinf(t2)
+        over &= np.isfinite(uv) & np.isfinite(p)
+        walk.fail(over, scope, NonFiniteError, "overflow in {} ** {}", uv, p)
+    np.multiply(p, t, t)  # wp1
+    np.multiply(np.multiply(p, np.subtract(p, 1.0, t3), t3) if row else p * (p - 1.0), t2, t2)
     if not all_pos:
-        wp1 = np.where(used1, wp1, 0.0)
-        wp2 = np.where(used2, wp2, 0.0)
-    return Jet2(w, wp1 * u.d1, wp2 * u.d1 * u.d1 + wp1 * u.d2)
+        np.copyto(t, 0.0, where=~used1)
+        np.copyto(t2, 0.0, where=~used2)
+    np.add(np.multiply(np.multiply(t2, u1, t2), u1, t2), np.multiply(t, u2, d2), d2)
+    np.multiply(t, u1, d1)
 
 
-def jet_pow(walk: _Walk, base: Jet2, expo: Jet2) -> Jet2:
-    """General power, chosen per point: the monomial rule where the
-    exponent's jet is constant, exp(expo * ln(base)) (base > 0) where it
-    varies."""
-    const = (expo.d1 == 0.0) & (expo.d2 == 0.0)
+def jet_pow(walk, bv, b1, b2, ev, e1, e2, v, d1, d2, t, t2, t3, t4, t5, t6):
+    """General power b^e, chosen per point: the monomial rule where the
+    exponent's jet is constant, exp(e ln b) (b > 0) where it varies."""
+    const = (e1 == 0.0) & (e2 == 0.0)
     if const.all():
-        return jet_pow_const(walk, base, expo.v)
+        return jet_pow_const(walk, bv, b1, b2, ev, v, d1, d2, t, t2, t3)
     varying = ~const
-    w = jet_exp(walk, expo * jet_ln(walk, base, varying), varying)
-    if varying.all():
-        return w
-    m = jet_pow_const(walk, base, expo.v, const)
-    return Jet2(*(np.where(const, a, b) for a, b in zip(m, w)))
+    jet_ln(walk, bv, b1, b2, t, t2, t3, t4, 1.0, varying)
+    jet_mul(walk, ev, e1, e2, t, t2, t3, t5, t2, t3, t4, t6)
+    jet_exp(walk, t5, t2, t3, v, d1, d2, t, varying)
+    if not varying.all():
+        jet_pow_const(walk, bv, b1, b2, ev, t, t2, t3, t4, t5, t6, const)
+        for x, m in ((v, t), (d1, t2), (d2, t3)):
+            np.copyto(x, m, where=const)
 
 
 # --------------------------------------------------------------------------
@@ -228,9 +249,10 @@ class Value:
 
 
 class Expr(Value):
-    """Base class for expression nodes over the single variable ``s``."""
+    """Base class for expression nodes over the single variable ``s``.  A
+    root node holds its compiled program, once it has been evaluated."""
 
-    __slots__ = ()
+    __slots__ = ("_program",)
 
 
 # Explicit __init__s: nodes are built often, and Value's loop is slower.
@@ -301,33 +323,107 @@ class Sqrt(_Unary):
     __slots__ = ()
 
 
-def _eval_node(node: Expr, walk: _Walk) -> Jet2:
-    match node:
-        case Constant(value=v):
-            return Jet2(np.float64(v), _ZERO, _ZERO)
-        case Variable():
-            return Jet2(walk.s, _ONE, _ZERO)
-        case Negate(arg=a):
-            return -_eval_node(a, walk)
-        case Add(left=l, right=r):
-            return _eval_node(l, walk) + _eval_node(r, walk)
-        case Sub(left=l, right=r):
-            return _eval_node(l, walk) - _eval_node(r, walk)
-        case Mul(left=Constant(value=c), right=Ln(arg=a)):
-            return jet_ln(walk, _eval_node(a, walk), c=float(c))
-        case Mul(left=l, right=r):
-            return _eval_node(l, walk) * _eval_node(r, walk)
-        case Div(left=l, right=r):
-            return jet_div(walk, _eval_node(l, walk), _eval_node(r, walk))
-        case Pow(base=b, exponent=e):
-            return jet_pow(walk, _eval_node(b, walk), _eval_node(e, walk))
-        case Ln(arg=a):
-            return jet_ln(walk, _eval_node(a, walk))
-        case Exp(arg=a):
-            return jet_exp(walk, _eval_node(a, walk))
-        case Sqrt(arg=a):
-            return jet_sqrt(walk, _eval_node(a, walk))
-    raise TypeError(f"unknown expression node {node!r}")
+# --------------------------------------------------------------------------
+# the compiler
+
+
+def _fill(walk, x, out):
+    out[...] = x
+
+
+def _fail_everywhere(walk, error, message):
+    """The failure of a constant subexpression, found when it was folded."""
+    walk.failed = np.True_
+    walk.first = walk.first or (error, message)
+
+
+# node class: kernel, scratch rows, and the operands (offsets into the
+# op's operand registers) whose d1 and d2 rows the jet may take over
+_RULES = {
+    Negate: (partial(jet_fieldwise, np.negative), 0, (0,)),
+    Add: (partial(jet_fieldwise, np.add), 0, (0, 3)),
+    Sub: (partial(jet_fieldwise, np.subtract), 0, (0, 3)),
+    Mul: (jet_mul, 2, (0, 3)),
+    Div: (jet_div, 1, (0,)),
+    Ln: (jet_ln, 1, (0,)),
+    Exp: (jet_exp, 1, (0,)),
+    Sqrt: (jet_sqrt, 1, (0,)),
+}
+_ZERO_REG, _ONE_REG = -2, -3  # the first constants of every program
+
+
+class _Compiler:
+    """One post-order pass over an expression, to ops (kernel, registers)
+    in walk order.  Register i >= 0 is row i of the workspace, -1 is s and
+    -2, -3, ... are the constants.  A node's jet is three registers: each
+    node but s and a constant writes v to a new row and d1 and d2 to new
+    rows or to those of an operand, and frees its operands' rows, since it
+    is their one reader."""
+
+    def __init__(self):
+        self.ops, self.consts, self.free, self.rows = [], [_ZERO, _ONE], [], 0
+
+    def const(self, x) -> int:
+        self.consts.append(x)
+        return -1 - len(self.consts)
+
+    def row(self) -> int:
+        if self.free:
+            return self.free.pop()
+        self.rows += 1
+        return self.rows - 1
+
+    def op(self, kernel, temps, donors, ins, *extra) -> tuple:
+        if max(ins) < -1:
+            # over constants alone: run it now, on one point, and keep its
+            # jet and its first failure as constants
+            out = np.empty((3 + temps, 1))
+            walk = _Walk(np.ones(1))
+            kernel(walk, *[self.consts[-2 - r] for r in ins], *out, *extra)
+            if walk.first is not None:
+                self.ops.append((_fail_everywhere, tuple(map(self.const, walk.first))))
+            return tuple(self.const(x[0]) for x in out[:3])
+        v = self.row()
+        for k in donors:
+            if ins[k] >= 0:
+                d = ins[k + 1 : k + 3]
+                break
+        else:
+            d = self.row(), self.row()
+        scratch = [self.row() for _ in range(temps)]
+        self.ops.append((kernel, (*ins, v, *d, *scratch, *map(self.const, extra))))
+        self.free += scratch + [r for r in ins if r >= 0 and r not in d]
+        return v, *d
+
+    def node(self, e: Expr) -> tuple:
+        kind = type(e)
+        if kind is Constant:
+            return self.const(np.float64(e.value)), _ZERO_REG, _ZERO_REG
+        if kind is Variable:
+            return -1, _ONE_REG, _ZERO_REG
+        if kind is Pow:
+            base, expo = self.node(e.base), self.node(e.exponent)
+            # a constant exponent with a constant jet stays a scalar
+            if expo[0] < -1 and self.consts[-2 - expo[1]] == self.consts[-2 - expo[2]] == 0.0:
+                return self.op(jet_pow_const, 2, (0,), base + expo[:1])
+            return self.op(jet_pow, 6, (), base + expo)
+        if kind is Mul and type(e.left) is Constant and type(e.right) is Ln:
+            return self.op(jet_ln, 1, (0,), self.node(e.right.arg), float(e.left.value))
+        if kind not in _RULES:
+            raise TypeError(f"unknown expression node {e!r}")
+        if isinstance(e, _Binary):
+            return self.op(*_RULES[kind], self.node(e.left) + self.node(e.right))
+        return self.op(*_RULES[kind], self.node(e.arg))
+
+    def compile(self, e: Expr) -> tuple:
+        """(ops, rows, constants from the end, the jet's registers)."""
+        result = list(self.node(e))
+        # a constant field fills a row; s stays the caller's array
+        for i, r in enumerate(result):
+            if r < -1:
+                result[i] = self.row()
+                self.ops.append((_fill, (r, result[i])))
+        return tuple(self.ops), self.rows, tuple(reversed(self.consts)), tuple(result)
 
 
 # --------------------------------------------------------------------------
@@ -369,9 +465,10 @@ def _tokenize(text: str):
 
 
 # Deepest expression the parser accepts, counting every operator, function
-# call and parenthesis pair on the way from the root to a leaf.  Parsing
-# and evaluation recurse once or a few times per level, so a deeper input
-# would exhaust the interpreter's recursion limit.
+# call and parenthesis pair on the way from the root to a leaf.  Only
+# parsing and compiling recurse, once or a few times per level, so a deeper
+# input would exhaust the interpreter's recursion limit; a compiled program
+# runs as a flat loop.
 MAX_DEPTH = 100
 
 
@@ -511,7 +608,7 @@ def parse(text: str) -> Expr:
 # built-in families
 #
 # Each family keeps its parameters and validation and lowers to the
-# expression AST once per instance (``expr``); eval_jet walks that AST.
+# expression AST once per instance (``expr``); eval_jet compiles that AST.
 
 
 def require_finite(record: Value):
@@ -616,22 +713,31 @@ BuiltinFamily = PowerLaw | LogFamily | FamilyA | NeoHookeVolumetric
 
 def eval_jet(f, s) -> Jet2:
     """Evaluate f to (f(s), f'(s), f''(s)) at a float s or at each point of
-    a 1-D float array s; s must be positive.
+    an array s; s must be positive.
 
-    f is a parsed expression or a built-in family.  An array is NaN in all
-    three fields at a point outside the domain or where evaluation
-    overflows.  A float (or a numpy scalar or 0-d array) is evaluated as a
-    one-point array and raises there: DomainError, or NonFiniteError on
-    overflow.  A float64 array is walked without a copy, so a field of the
-    result may be s itself (the value of f = s is).
+    f is a parsed expression or a built-in family, compiled on its first
+    evaluation.  An array is NaN in all three fields at a point outside
+    the domain or where evaluation overflows.  A float (or a numpy scalar
+    or 0-d array) is evaluated as a one-point array and raises there:
+    DomainError, or NonFiniteError on overflow.  The fields of an array's
+    jet are rows of the evaluation's one workspace, shaped like s; a
+    float64 array is read without a copy, so a field may be s itself (the
+    value of f = s is).
     """
     point = not isinstance(s, np.ndarray) or s.ndim == 0
     s = np.array(s, dtype=float, ndmin=1, copy=None)
+    e = f.expr if isinstance(f, BuiltinFamily) else f
     walk = _Walk(s)
     with np.errstate(all="ignore"):
-        jet = _eval_node(f.expr if isinstance(f, BuiltinFamily) else f, walk)
-    # a field that never met s, like the slope of a constant, is a scalar
-    jet = Jet2(*(x if isinstance(x, np.ndarray) and x.ndim else np.full(s.shape, x) for x in jet))
+        try:
+            ops, rows, consts, result = e._program
+        except AttributeError:
+            _set(e, "_program", _Compiler().compile(e))
+            ops, rows, consts, result = e._program
+        regs = [*np.empty((rows,) + s.shape), *consts, s]
+        for kernel, args in ops:
+            kernel(walk, *[regs[i] for i in args])
+    jet = Jet2(*(regs[i] for i in result))
     ok = np.isfinite(jet.v)
     ok &= np.isfinite(jet.d1)
     ok &= np.isfinite(jet.d2)
@@ -646,7 +752,11 @@ def eval_jet(f, s) -> Jet2:
             raise NonFiniteError(f"non-finite jet {jet} at s={float(s[0])}")
         return jet
     if not ok.all():
-        jet = Jet2(*(np.where(ok, x, np.nan) for x in jet))
+        bad = ~ok
+        # the value of f = s is the caller's s itself
+        jet = Jet2(*(x.copy() if x is s else x for x in jet))
+        for x in jet:
+            np.copyto(x, np.nan, where=bad)
     return jet
 
 

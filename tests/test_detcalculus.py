@@ -221,6 +221,21 @@ class TestConditionForms:
                 dense = (jet.d2 + jet.d1 / s) * inner * inner - (jet.d1 / s) * cross
                 assert abs(stacked[i] - dense) <= 1e-13 * max(1.0, abs(dense))
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_diag_stack_of_stacks_matches_its_rows(self, n):
+        # (2, 3, n) stacks send a (2, 3) array of determinants to eval_jet,
+        # whose jet must have the bits of each row's and each pair's call
+        gen = np.random.Generator(np.random.PCG64(80 + n))
+        d = np.exp(gen.uniform(*LOG_RANGE, size=(2, 3, n)))
+        h = linalg.random_sym(n, 81 + n, 6).reshape(2, 3, n, n)
+        for f in builtin_corpus(n) + (parse("-s*ln(s)+s^2/(1+s)"),):
+            stacked = condition_lhs_diag(f, d, h)
+            assert stacked.shape == (2, 3)
+            for i in range(2):
+                assert stacked[i].tobytes() == condition_lhs_diag(f, d[i], h[i]).tobytes()
+                for j in range(3):
+                    assert stacked[i, j] == condition_lhs_diag(f, d[i, j], h[i, j])
+
     def test_identity_with_hess_form(self):
         for n in (2, 3, 5):
             corpus = builtin_corpus(n)

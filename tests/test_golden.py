@@ -52,7 +52,9 @@ the first fails both conditions and is refuted by a slope and a
 second-order witness, the second takes the n = 1 branch, where f' >= 0
 is not a condition.  They were written before the grid pass dropped its
 bookkeeping array passes, which must leave every column bit, and so
-every report byte, where it was.
+every report byte, where it was.  When the jet evaluator moved from a
+recursive walk to a compiled program over one workspace, no byte of any
+file changed, so none was regenerated.
 """
 
 from pathlib import Path

@@ -1,29 +1,38 @@
-"""The one jet evaluator against the per-point evaluators it replaced.
+"""The one jet evaluator against the evaluators it replaced.
 
-``ref_eval_jet`` is the old evaluation, kept here as the reference: a
+``ref_eval_jet`` is the per-point evaluation, kept here as a reference: a
 recursive walk of the expression AST in ``math`` floats that raises at the
 first failing node, and the four hand-coded family jets.  The evaluator
 must fail at the same points with the same error types, give a point of
 an array the same bits as the point evaluated alone as a float (which it
-walks as a one-point array), and stay within ``JET_RTOL`` of the
+evaluates as a one-point array), and stay within ``JET_RTOL`` of the
 reference: ``math`` and numpy ufuncs may differ by an ulp, and the lowered
 families' products associate differently.
+
+``walk_eval_jet`` is the recursive walk over arrays that the compiled
+program replaced, with a fresh array per node.  The program must give its
+bytes (signed zeros and the NaN of every failed point included), its
+first error, and no more than one column more memory at its peak.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from detconvex import certifier, cli
 from detconvex.certifier import GridSpec
+from detconvex.detcalculus import builtin_corpus
 from detconvex.errors import DomainError, NonFiniteError
 from detconvex.scalarfun import (
     Add,
+    BuiltinFamily,
     Constant,
     Div,
     Exp,
@@ -38,7 +47,9 @@ from detconvex.scalarfun import (
     Sqrt,
     Sub,
     Variable,
+    eval_all,
     eval_jet,
+    failure_at,
     parse,
 )
 from detconvex.selftest import EXPRESSION_CORPUS
@@ -228,6 +239,196 @@ def ref_certify_grid(f, n, grid, tol=certifier.DEFAULT_TOL_BASE):
 
 
 # --------------------------------------------------------------------------
+# the bit reference: the recursive walk over arrays that the compiled
+# program replaced, with its jet arithmetic as it was.  A node allocates
+# fresh arrays for its jet; the program must give the same bytes.
+
+
+class Jet2(NamedTuple):
+    """The walk's jet, with the operators its nodes used."""
+
+    v: float | np.ndarray
+    d1: float | np.ndarray
+    d2: float | np.ndarray
+
+    def __add__(self, o):
+        return Jet2(self.v + o.v, self.d1 + o.d1, self.d2 + o.d2)
+
+    def __sub__(self, o):
+        return Jet2(self.v - o.v, self.d1 - o.d1, self.d2 - o.d2)
+
+    def __neg__(self):
+        return Jet2(-self.v, -self.d1, -self.d2)
+
+    def __mul__(self, o):
+        return Jet2(
+            self.v * o.v,
+            self.d1 * o.v + self.v * o.d1,
+            self.d2 * o.v + 2.0 * self.d1 * o.d1 + self.v * o.d2,
+        )
+
+
+_INF = float("inf")
+_ZERO = np.float64(0.0)
+_ONE = np.float64(1.0)
+
+
+class Walk:
+    def __init__(self, s):
+        self.s = s
+        self.failed = False
+        self.first = None
+        if not (s.min(initial=_INF) > 0.0 and s.max(initial=0.0) < _INF):
+            domain = (s > 0.0) & np.isfinite(s)
+            self.fail(~domain, True, DomainError, "scalar functions are defined for s > 0, got s={}", s)
+
+    def fail(self, bad, scope, error, template, *values):
+        if scope is not True:
+            bad = bad & scope
+        if np.count_nonzero(bad):
+            self.failed = self.failed | bad
+            if self.first is None:
+                k = np.argmax(bad)
+                at = (float(np.broadcast_to(v, bad.shape).flat[k]) for v in values)
+                self.first = (error, template.format(*at))
+
+
+def walk_div(walk, a, b):
+    walk.fail(b.v == 0.0, True, DomainError, "division by zero")
+    q = a.v / b.v
+    q1 = (a.d1 - q * b.d1) / b.v
+    q2 = (a.d2 - 2.0 * q1 * b.d1 - q * b.d2) / b.v
+    return Jet2(q, q1, q2)
+
+
+def walk_ln(walk, u, scope=True, c=1.0):
+    walk.fail(u.v <= 0.0, scope, DomainError, "ln of non-positive value {}", u.v)
+    r1 = u.d1 / u.v
+    w1 = c * u.d1 / u.v
+    return Jet2(c * np.log(u.v), w1, c * u.d2 / u.v - w1 * r1)
+
+
+def walk_exp(walk, u, scope=True):
+    w = np.exp(u.v)
+    walk.fail((w == _INF) & (u.v < _INF), scope, NonFiniteError, "exp overflow at {}", u.v)
+    return Jet2(w, w * u.d1, w * (u.d2 + u.d1 * u.d1))
+
+
+def walk_sqrt(walk, u):
+    walk.fail(u.v <= 0.0, True, DomainError, "sqrt of non-positive value {}", u.v)
+    w = np.sqrt(u.v)
+    w1 = u.d1 / (2.0 * w)
+    return Jet2(w, w1, (u.d2 - 2.0 * w1 * w1) / (2.0 * w))
+
+
+def walk_pow_const(walk, u, p, scope=True):
+    pos = u.v > 0.0
+    all_pos = pos.all()
+    used1 = used2 = True
+    if not all_pos:
+        fractional = p % 1.0 != 0.0
+        walk.fail(~pos & fractional, scope, DomainError, "{} raised to non-integer power {}", u.v, p)
+        walk.fail((u.v == 0.0) & (p < 0.0), scope, DomainError, "0 raised to a negative power")
+        used1 = pos | (p != 0.0)
+        used2 = used1 & (pos | (p != 1.0))
+    w = np.power(u.v, p)
+    pw1 = np.power(u.v, p - 1.0)
+    pw2 = np.power(u.v, p - 2.0)
+    if not np.isfinite(np.sum(w) + np.sum(pw1) + np.sum(pw2)):
+        over = (abs(w) == _INF) | used1 & (abs(pw1) == _INF) | used2 & (abs(pw2) == _INF)
+        over &= (abs(u.v) < _INF) & (abs(p) < _INF)
+        walk.fail(over, scope, NonFiniteError, "overflow in {} ** {}", u.v, p)
+    wp1 = p * pw1
+    wp2 = p * (p - 1.0) * pw2
+    if not all_pos:
+        wp1 = np.where(used1, wp1, 0.0)
+        wp2 = np.where(used2, wp2, 0.0)
+    return Jet2(w, wp1 * u.d1, wp2 * u.d1 * u.d1 + wp1 * u.d2)
+
+
+def walk_pow(walk, base, expo):
+    const = (expo.d1 == 0.0) & (expo.d2 == 0.0)
+    if const.all():
+        return walk_pow_const(walk, base, expo.v)
+    varying = ~const
+    w = walk_exp(walk, expo * walk_ln(walk, base, varying), varying)
+    if varying.all():
+        return w
+    m = walk_pow_const(walk, base, expo.v, const)
+    return Jet2(*(np.where(const, a, b) for a, b in zip(m, w)))
+
+
+def walk_node(node, walk):
+    match node:
+        case Constant(value=v):
+            return Jet2(np.float64(v), _ZERO, _ZERO)
+        case Variable():
+            return Jet2(walk.s, _ONE, _ZERO)
+        case Negate(arg=a):
+            return -walk_node(a, walk)
+        case Add(left=l, right=r):
+            return walk_node(l, walk) + walk_node(r, walk)
+        case Sub(left=l, right=r):
+            return walk_node(l, walk) - walk_node(r, walk)
+        case Mul(left=Constant(value=c), right=Ln(arg=a)):
+            return walk_ln(walk, walk_node(a, walk), c=float(c))
+        case Mul(left=l, right=r):
+            return walk_node(l, walk) * walk_node(r, walk)
+        case Div(left=l, right=r):
+            return walk_div(walk, walk_node(l, walk), walk_node(r, walk))
+        case Pow(base=b, exponent=e):
+            return walk_pow(walk, walk_node(b, walk), walk_node(e, walk))
+        case Ln(arg=a):
+            return walk_ln(walk, walk_node(a, walk))
+        case Exp(arg=a):
+            return walk_exp(walk, walk_node(a, walk))
+        case Sqrt(arg=a):
+            return walk_sqrt(walk, walk_node(a, walk))
+    raise TypeError(node)
+
+
+def walk_eval_jet(f, s):
+    point = not isinstance(s, np.ndarray) or s.ndim == 0
+    s = np.array(s, dtype=float, ndmin=1, copy=None)
+    walk = Walk(s)
+    with np.errstate(all="ignore"):
+        jet = walk_node(f.expr if isinstance(f, BuiltinFamily) else f, walk)
+    jet = Jet2(*(x if isinstance(x, np.ndarray) and x.ndim else np.full(s.shape, x) for x in jet))
+    ok = np.isfinite(jet.v)
+    ok &= np.isfinite(jet.d1)
+    ok &= np.isfinite(jet.d2)
+    if walk.failed is not False:
+        ok &= ~walk.failed
+    if point:
+        jet = Jet2(*(float(x[0]) for x in jet))
+        if walk.first is not None:
+            error, message = walk.first
+            raise error(message)
+        if not ok[0]:
+            raise NonFiniteError(f"non-finite jet {jet} at s={float(s[0])}")
+        return jet
+    if not ok.all():
+        jet = Jet2(*(np.where(ok, x, np.nan) for x in jet))
+    return jet
+
+
+def walk_failure_at(f, s):
+    try:
+        walk_eval_jet(f, s)
+    except (DomainError, NonFiniteError) as e:
+        return e
+    return NonFiniteError(f"non-finite jet at s={s}")
+
+
+def walk_eval_all(f, s):
+    values = walk_eval_jet(f, s).v
+    failed = np.isnan(values)
+    if failed.any():
+        raise walk_failure_at(f, float(s[np.argmax(failed)]))
+    return values
+
+
+# --------------------------------------------------------------------------
 # inputs
 
 
@@ -386,3 +587,142 @@ def test_grid_pass_matches_the_reference(spec):
     assert list(zip(rep.fprime_ok.tolist(), rep.lhs_ok.tolist())) == flags
     failures = [a for a in rep.annotations if a.startswith("domain failure")]
     assert failures == ([] if annotation is None else [annotation])
+
+
+# --------------------------------------------------------------------------
+# the program against the walk, byte for byte
+
+GRID_SPECS = (
+    "-ln(s)",
+    "family:fa:a=0.5",
+    "family:neohooke:mu=2",
+    "family:power:p=0.5",
+    "s",
+    "-ln(s)+1e-7*s^2",
+    "exp(s)",
+    "-sqrt(s)",
+    "1/s",
+    "s^(1/3)",
+    "-s*ln(s)+s^2/(1+s)",
+)
+
+# a log at 0, exp past 709.8, a negative base under an integer power, a
+# varying exponent, a division by zero at s = 1
+FAILING = ("ln(s-1)", "exp(s)", "(s-2)^3", "s^s", "1/(s-1)")
+
+# constant subexpressions, which the compiler folds: failing ones, named
+# first or after another failure in walk order, an exponent whose jet is
+# not finite, and constant functions
+FOLDED = ("ln(0-1) + s", "sqrt(s-3) + 1/(1-1)", "s^(exp(1000)*0)", "ln(2)", "3", "-(2^0.5)*s")
+
+BIT_CASES = list(
+    {
+        label: (label, f)
+        for label, f in [(text, parse(text)) for text in EXPRESSION_CORPUS + FAILING + FOLDED]
+        + [(f"n={n}:{f!r}", f) for n in (1, 3, 10) for f in builtin_corpus(n)]
+        + [(spec, cli.parse_function_spec(spec, 3)) for spec in GRID_SPECS]
+    }.values()
+)
+
+
+def bit_points(size):
+    """size points from 1e-3 to 1e5, with s = 1 among them."""
+    s = np.geomspace(1e-3, 1e5, size)
+    s[np.argmin(np.abs(np.log(s)))] = 1.0
+    return s
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except (DomainError, NonFiniteError) as e:
+        return type(e), str(e)
+    return None
+
+
+def _returned(e):
+    return type(e), str(e)
+
+
+def _same_bytes(new, ref):
+    assert len(new) == len(ref) == 3
+    for a, b in zip(new, ref):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def _same_outcome(f, s):
+    ref = walk_eval_jet(f, s)
+    _same_bytes(eval_jet(f, s), ref)
+    assert _raised(eval_all, f, s) == _raised(walk_eval_all, f, s)
+    failed = np.flatnonzero(np.isnan(ref.v))
+    for x in {float(s[i]) for i in (*failed[:1], *failed[-1:], 0)}:
+        assert _returned(failure_at(f, x)) == _returned(walk_failure_at(f, x))
+
+
+@pytest.mark.parametrize("size", [1, 36, 1000, 20000])
+@pytest.mark.parametrize("label,f", BIT_CASES, ids=[c[0] for c in BIT_CASES])
+def test_program_has_the_walks_bytes(label, f, size):
+    _same_outcome(f, bit_points(size))
+
+
+@pytest.mark.parametrize("text", EDGE_CASES)
+def test_program_has_the_walks_bytes_at_the_edges(text):
+    _same_outcome(parse(text), EDGE_CASES[text])
+
+
+def test_the_failing_cases_take_their_paths():
+    s = bit_points(1000)
+    for text in ("ln(s-1)", "exp(s)", "1/(s-1)"):
+        failed = np.isnan(eval_jet(parse(text), s).v)
+        assert failed.any() and not failed.all(), text
+    assert np.isnan(eval_jet(parse("1/(s-1)"), s).v[s == 1.0]).all()
+    # a negative base under an integer power, and a varying exponent, hold
+    assert (eval_jet(parse("(s-2)^3"), s).v[s < 2.0] < 0.0).all()
+    s = s[s < 100.0]
+    assert np.array_equal(eval_jet(parse("s^s"), s).v, np.exp(s * np.log(s)))
+
+
+@pytest.mark.parametrize("label,f", BIT_CASES[:: 7], ids=[c[0] for c in BIT_CASES[:: 7]])
+def test_a_stack_of_points_has_the_walks_bytes(label, f):
+    # an (..., n) stack of matrices sends an N-D array of determinants
+    s = bit_points(24).reshape(2, 3, 4)
+    new = eval_jet(f, s)
+    _same_bytes(new, walk_eval_jet(f, s))
+    for i in range(2):
+        _same_bytes([x[i] for x in new], eval_jet(f, s[i]))
+
+
+@pytest.mark.parametrize("spec", GRID_SPECS)
+def test_the_program_peaks_within_a_column_of_the_walk(spec):
+    # tracemalloc peaks at 20000 points, in 160 KB columns, of the walk:
+    # -ln(s) 6.0, fa 9.1, neohooke 6.0, power 9.1, s 2.3, -ln(s)+1e-7*s^2
+    # 12.1, exp(s) 6.3, -sqrt(s) 6.0, 1/s 5.0, s^(1/3) 9.1,
+    # -s*ln(s)+s^2/(1+s) 12.1
+    f = cli.parse_function_spec(spec, 3)
+    s = GridSpec(1e-3, 1e3, 20000).points()
+    peaks = []
+    for evaluate in (walk_eval_jet, eval_jet):
+        evaluate(f, s)
+        tracemalloc.start()
+        try:
+            evaluate(f, s)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    walk_peak, peak = peaks
+    assert peak <= walk_peak + s.nbytes, (peak / s.nbytes, walk_peak / s.nbytes)
+
+
+def test_a_program_is_compiled_once_per_expression():
+    f = parse("-ln(s)+1e-7*s^2")
+    eval_jet(f, 2.0)
+    program = f._program
+    eval_jet(f, np.ones(3))
+    assert f._program is program
+    # an equal expression is another object, with a program of its own
+    twin = parse("-ln(s)+1e-7*s^2")
+    assert twin == f and not hasattr(twin, "_program")
+    family = PowerLaw(c=-1.0, p=0.5)
+    eval_jet(family, 2.0)
+    assert family.expr._program is not None

@@ -138,6 +138,12 @@ class TestEvalJet:
         ints = np.arange(1, 4)
         assert eval_jet(parse("s"), ints).v.dtype == np.float64
 
+    def test_a_failed_point_of_f_equal_s_leaves_the_callers_array(self):
+        s = np.array([1.0, -1.0, 2.0])
+        jet = eval_jet(parse("s"), s)
+        assert s.tolist() == [1.0, -1.0, 2.0]
+        assert np.isnan(jet.v).tolist() == [False, True, False]
+
     @pytest.mark.parametrize("s", [1e-2, 0.7, 1.0, 13.0, 1e2])
     def test_pos_part_domain_only(self, s):
         assert eval_jet(parse("sqrt(s)"), s).v == math.sqrt(s)
