@@ -184,10 +184,8 @@ def witness_attempt(f, kind: str, s: float, n: int) -> Witness:
     fails at a stencil point or no step is admissible.
     """
     c, h = witness_pair(kind, s, n)
-    # overflow goes to inf or NaN without a warning, as in the grid pass,
-    # and leaves the pair unconfirmed
-    with np.errstate(all="ignore"):
-        forms = detcalculus.directional_forms((f,), c.a[None], h[None], np.array([c.det]))
+    # an overflow, quiet in directional_forms, leaves the pair unconfirmed
+    forms = detcalculus.directional_forms((f,), c.a[None], h[None], np.array([c.det]))
     analytic, fd, step = (float(x[0]) for x in (forms.hess, forms.fd_hess, forms.step))
     if math.isnan(fd):
         raise DegenerateDirectionError(
@@ -445,6 +443,15 @@ def reduction_check(f, c, h):
     reduced = detcalculus.condition_lhs_diag(f, 1.0 / eigenvalues, np.swapaxes(q, -1, -2) @ h @ q)
     return full, reduced
 
+
+# Generator family and stream layout of the sampling routines, recorded in
+# report headers so results can be reproduced: PCG64.  The randomized
+# sweep draws sample i as row i of one stream seeded with --seed, the
+# log eigenvalues of its diagonal C, A1 and A2 from 3n uniforms
+# (``sweep_draw``); the oracle takes one seed word per matrix kind, two
+# streams per word and the QR frames of Gaussian matrices.  How many rows
+# the sweep evaluates in one pass moves no draw, so it is not recorded.
+RNG_ALGORITHM = "numpy-pcg64-sweep-terms"
 
 # Uniforms per evaluation pass, rows * 3n, and at least one row.  The
 # pass, not the sample count, sets the sweep's working memory; it moves

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, certifier, detcalculus, odelimit, scalarfun, selftest
-from .certifier import CERTIFIED, INCONCLUSIVE, REFUTED, GridSpec
+from .certifier import CERTIFIED, INCONCLUSIVE, REFUTED, RNG_ALGORITHM, GridSpec
 from .errors import (
     ConvergenceError,
     DegenerateDirectionError,
@@ -46,7 +46,6 @@ from .errors import (
     ParameterError,
     ParseError,
 )
-from .linalg import RNG_ALGORITHM
 
 EXIT_CERTIFIED = 0
 EXIT_REFUTED = 1

@@ -13,15 +13,16 @@ products come from ``hess_terms``, one solve for a pair or an (N, n, n)
 stack of pairs, or from C's spectrum alone through ``diag_terms``.
 
 ``directional_forms`` checks a stack of pairs at once: one solve for the
-inner products, one Richardson stencil for the central differences of
-t -> f(det(C + tH)) (``_stencil``), and one evaluator call per function
-over the centres and stencil points of its rows.  ``g_hess_form``,
-``g_grad_form`` and the two fd functions are the arithmetic on top.  The
-oracle sweep runs it on one seeded draw, and a witness on a one-row stack.
+inner products, one Richardson stencil at one step per pair for both
+central differences of t -> f(det(C + tH)) (``_stencil``), and one
+evaluator call per function over the five points of each of its rows.
+``g_hess_form``, ``g_grad_form`` and the fd functions are the arithmetic
+on top.  The oracle runs it on one seeded draw, a witness on one row.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -33,15 +34,14 @@ from .linalg import frob_norm
 _EPS = float(np.finfo(float).eps)
 FD_MAX_HALVINGS = 40
 
-# Outer steps T of the two central differences, as multiples of the
+# Outer step T of both central differences, as a multiple of the
 # direction scale (1 + |C|) / (1 + |H|).  Each difference is also taken at
 # T/2, and Richardson's (4 D(T/2) - D(T)) / 3 cancels its h^2 term, which
 # left the single second difference at eps^0.3 above 1e-5 on about one
-# n=10 draw in 100.  Truncation is then h^4, so the second difference
-# steps at 8 and 16 times eps^0.3 (about 1.6e-4 and 3.2e-4), where its
-# roundoff eps / T^2 stays near 1e-8 of |f|.
-FD_SECOND_SCALE = 16.0 * _EPS**0.3
-FD_FIRST_SCALE = _EPS ** (1.0 / 3.0)
+# n=10 draw in 100.  Truncation is then h^4, so both step at 8 and 16
+# times eps^0.3 (about 1.6e-4 and 3.2e-4), where the roundoff of the
+# second, eps / T^2, stays near 1e-8 of |f| (of the first, near 1e-12).
+FD_STEP_SCALE = 16.0 * _EPS**0.3
 
 # Relative discrepancies the oracle sweep accepts between the analytic
 # Hessian / gradient forms and their central differences.
@@ -113,42 +113,40 @@ def diag_terms(d, h):
 # --------------------------------------------------------------------------
 # finite-difference oracles
 
-# the stencil points C + o T H of each difference
+# the stencil points C + o T H of both differences
 _OFFSETS = np.array([1.0, -1.0, 0.5, -0.5])
 
 
 def _stencil(c, h):
-    """(steps, halved, dets) of the stencils of both central differences of
+    """(steps, halved, dets) of the stencil of both central differences of
     t -> f(det(C + tH)), for the (N, n, n) stacks c and h.
 
-    steps[k, i] is the outer step T of difference k (0 the second, 1 the
-    first) at row i: FD_SECOND_SCALE or FD_FIRST_SCALE times
+    steps[i] is the outer step T at row i: FD_STEP_SCALE times
     (1 + |C_i|) / (1 + |H_i|), halved while C_i + T H_i or C_i - T H_i has
     no Cholesky factor, one test of every pending row per round;
     ``halved`` marks the steps that were.  A step is NaN when
     FD_MAX_HALVINGS halvings leave no admissible one or a perturbed
     determinant is not positive.  C_i +/- (T/2) H_i lies in the cone by
-    its convexity and needs no test.  dets[k, i] holds det(C_i + o T H_i)
+    its convexity and needs no test.  dets[i] holds det(C_i + o T H_i)
     for o = 1, -1, 1/2, -1/2, from one LAPACK call over the whole stencil
     (at a NaN step, det C_i).
     """
-    scaled = np.multiply.outer([FD_SECOND_SCALE, FD_FIRST_SCALE], 1.0 + frob_norm(c))
-    default = scaled / (1.0 + frob_norm(h))
+    default = FD_STEP_SCALE * (1.0 + frob_norm(c)) / (1.0 + frob_norm(h))
     if not np.all(default > 0):
         # the norm of an H overflowed
         raise ParameterError("finite-difference step must be positive")
     steps = default.copy()
     # a zero direction stays at C
-    pending = np.broadcast_to(h.any(axis=(-2, -1)), steps.shape).copy()
+    pending = h.any(axis=(-2, -1))
     for _ in range(FD_MAX_HALVINGS + 1):
-        k, i = np.nonzero(pending)
+        i = np.flatnonzero(pending)
         if not i.size:
             break
-        th = steps[k, i][:, None, None] * h[i]
+        th = steps[i][:, None, None] * h[i]
         ok = linalg.cholesky_posdef(np.stack([c[i] + th, c[i] - th])).all(axis=0)
-        pending[k[ok], i[ok]] = False
-        steps[k[~ok], i[~ok]] *= 0.5
-    t = np.where(pending, 0.0, steps)[..., None] * _OFFSETS
+        pending[i[ok]] = False
+        steps[i[~ok]] *= 0.5
+    t = np.where(pending, 0.0, steps)[:, None] * _OFFSETS
     dets = np.linalg.det(c[:, None] + t[..., None, None] * h[:, None])
     failed = pending | ~np.all(dets > 0.0, axis=-1)
     return np.where(failed, np.nan, steps), steps < default, dets
@@ -187,8 +185,8 @@ def fd_first_directional(g, steps, halved):
     """(value, estimate) of the Richardson first difference at t = 0 of
     t -> f(det(C + tH)), from f at the stencil points g[..., :] (t = T,
     -T, T/2, -T/2) with the outer step T = ``steps``:
-    D(T) = (g(T) - g(-T)) / (2T), and D(T) where ``halved``.  The centre
-    is not evaluated."""
+    D(T) = (g(T) - g(-T)) / (2T), and D(T) where ``halved``.  It does not
+    read the centre, so a failure of f there leaves it finite."""
     return _richardson(
         (g[..., 0] - g[..., 1]) / (2.0 * steps), (g[..., 2] - g[..., 3]) / steps, halved
     )
@@ -196,8 +194,8 @@ def fd_first_directional(g, steps, halved):
 
 class DirectionalForms(NamedTuple):
     """Per row of a stack of pairs: the analytic D2g(C).(H,H) and Dg(C).H,
-    their Richardson central differences, the second difference's outer
-    step, and the Richardson estimates |D(T) - D(T/2)| of both
+    their Richardson central differences, the outer step both take, and
+    the Richardson estimates |D(T) - D(T/2)| of both
     differences.  NaN marks a row whose f failed at one of its points
     (outside the domain, or overflowing) or that has no admissible step."""
 
@@ -210,16 +208,17 @@ class DirectionalForms(NamedTuple):
     grad_est: np.ndarray
 
 
+@np.errstate(all="ignore")
 def directional_forms(functions, c, h, s) -> DirectionalForms:
     """Analytic and finite-difference forms for every pair of the
     (N, n, n) stacks c and h, with s the N determinants of c; row i takes
     f = functions[i % len(functions)].
 
     One ``hess_terms`` solve gives both inner products, one ``_stencil``
-    both differences' points, and one evaluator call per function f at
-    s and at the eight stencil points of each of its rows.  A caller
-    passes the determinants it trusts: the oracle LAPACK's, a witness the
-    LU determinant of its diagonal C, the product of its entries.
+    the four points both differences share, and one evaluator call per
+    function f at its rows' five points, with no warning on overflow.  A
+    caller passes the determinants it trusts: the oracle LAPACK's, a
+    witness the LU determinant of its diagonal C, the product of its entries.
     """
     if not functions:
         raise ParameterError("directional_forms needs at least one function")
@@ -230,21 +229,21 @@ def directional_forms(functions, c, h, s) -> DirectionalForms:
         )
     steps, halved, dets = _stencil(c, h)
     inner, cross = hess_terms(c, h)
-    points = np.concatenate([s[:, None], dets[0], dets[1]], axis=1)
+    points = np.concatenate([s[:, None], dets], axis=1)
     v, d1, d2 = jets = np.empty((3,) + points.shape)
     k = len(functions)
     for j, f in enumerate(functions[: len(points)]):
         rows = points[j::k]
         jets[:, j::k] = np.reshape(scalarfun.eval_jet(f, rows.ravel()), (3,) + rows.shape)
     centre = scalarfun.Jet2(v[:, 0], d1[:, 0], d2[:, 0])
-    fd_hess, hess_est = fd_second_directional_with_step(v[:, 0], v[:, 1:5], steps[0], halved[0])
-    fd_grad, grad_est = fd_first_directional(v[:, 5:], steps[1], halved[1])
+    fd_hess, hess_est = fd_second_directional_with_step(v[:, 0], v[:, 1:], steps, halved)
+    fd_grad, grad_est = fd_first_directional(v[:, 1:], steps, halved)
     return DirectionalForms(
         hess=g_hess_form(centre, s, inner, cross),
         fd_hess=fd_hess,
         grad=g_grad_form(centre, s, inner),
         fd_grad=fd_grad,
-        step=steps[0],
+        step=steps,
         hess_est=hess_est,
         grad_est=grad_est,
     )
@@ -285,8 +284,10 @@ class OracleSweepResult(NamedTuple):
         return self.max_hess_disc <= ORACLE_HESS_TOL and self.max_grad_disc <= ORACLE_GRAD_TOL
 
 
+@cache
 def builtin_corpus(n: int):
-    """Family instances the sweep cycles through by default.
+    """Family instances the sweep cycles through by default, one tuple per
+    n (at most the CLI's MAX_DIM), so each compiles its program once.
 
     Mixes convex and non-convex members; exponents stay moderate so the
     finite-difference oracle is well conditioned across det in
@@ -319,14 +320,16 @@ def oracle_sweep(n: int, num_samples: int, seed: int, functions=None) -> OracleS
     c, h = linalg.random_pairs(n, seed, num_samples)
     funcs = builtin_corpus(n) if functions is None else tuple(functions)
     forms = directional_forms(funcs, c, h, np.linalg.det(c))
-    hess_disc = _relative(np.abs(forms.hess - forms.fd_hess), forms.hess)
-    grad_disc = _relative(np.abs(forms.grad - forms.fd_grad), forms.grad)
+    # an infinite form makes inf - inf or inf / inf, a NaN discrepancy
+    with np.errstate(all="ignore"):
+        hess_disc = _relative(np.abs(forms.hess - forms.fd_hess), forms.hess)
+        grad_disc = _relative(np.abs(forms.grad - forms.fd_grad), forms.grad)
+        richardson = np.maximum(
+            _relative(forms.hess_est, forms.hess), _relative(forms.grad_est, forms.grad)
+        )
     kept = ~np.isnan(hess_disc + grad_disc)
     if not kept.any():
         raise DegenerateDirectionError("every sample was skipped")
-    richardson = np.maximum(
-        _relative(forms.hess_est, forms.hess), _relative(forms.grad_est, forms.grad)
-    )
     return OracleSweepResult(
         samples=np.flatnonzero(kept),
         hess_disc=hess_disc[kept],

@@ -30,16 +30,6 @@ from .errors import (
     ParameterError,
 )
 
-# Generator family and stream layout of the sampling routines, recorded in
-# report headers so results can be reproduced: PCG64.  The randomized
-# sweep draws sample i as row i of one stream seeded with --seed, the
-# log eigenvalues of its diagonal C, A1 and A2 from 3n uniforms
-# (``certifier.sweep_draw``); the oracle takes one seed word per matrix
-# kind, two streams per word and the QR frames of Gaussian matrices.  How
-# many rows the sweep evaluates in one pass moves no draw, so it is not
-# recorded.
-RNG_ALGORITHM = "numpy-pcg64-sweep-terms"
-
 # Log eigenvalue range of the default draws: eigenvalues in [0.1, 10], so that
 # up to n = 64 every draw clears the positivity floor by construction.
 DEFAULT_LOG_EIG_RANGE = (float(np.log(0.1)), float(np.log(10.0)))

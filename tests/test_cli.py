@@ -714,6 +714,22 @@ class TestOracleCommand:
         c, _ = linalg.random_pairs(3, 1, 5)
         assert np.count_nonzero(np.linalg.det(c) > np.log(np.log(np.finfo(float).max))) == 1
 
+    @pytest.mark.parametrize("dim, want", [(1, 1), (3, 2), (10, 2)])
+    def test_overflowing_forms_exit_without_a_warning(self, capsys, dim, want):
+        # 1e308*s overflows beyond det C = 1.8; the oracle's forms and
+        # discrepancies ran unguarded, so under error::RuntimeWarning the
+        # first overflow ended in a traceback (exit 1).  At n = 1 the
+        # analytic form, 1e308 s (inner^2 - cross), is roundoff of 1e308
+        # and fails its tolerance (exit 1); at n = 3 and 10 every sample
+        # overflows and is skipped (exit 2)
+        argv = ("oracle", "-f", "1e308*s", "--samples", "30", "--dim", str(dim))
+        code, out, err = run(capsys, *argv)
+        assert code == want
+        if want == 1:
+            assert err == "" and "hess discrepancy" in out
+        else:
+            assert out == "" and err == "error: every sample was skipped\n"
+
     def test_worst_samples_replay(self, capsys):
         # the last line names the rows of the largest discrepancies; sample
         # i is row i of the --samples-row stacks of random_pairs and pairs
