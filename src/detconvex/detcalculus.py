@@ -14,8 +14,10 @@ stack of pairs, or from C's spectrum alone through ``diag_terms``.
 
 ``directional_forms`` checks a stack of pairs at once: one solve for the
 inner products, one Richardson stencil at one step per pair for both
-central differences of t -> f(det(C + tH)) (``_stencil``), and one
-evaluator call per function over the five points of each of its rows.
+central differences of t -> f(det(C + tH)) (``_stencil``), whose every
+point is factored once by Cholesky for both the step's admissibility and
+its determinant, and one evaluator call per function over the five
+points of each of its rows.
 ``g_hess_form``, ``g_grad_form`` and the fd functions are the arithmetic
 on top.  The oracle runs it on one seeded draw, a witness on one row.
 """
@@ -123,32 +125,32 @@ def _stencil(c, h):
 
     steps[i] is the outer step T at row i: FD_STEP_SCALE times
     (1 + |C_i|) / (1 + |H_i|), halved while C_i + T H_i or C_i - T H_i has
-    no Cholesky factor, one test of every pending row per round;
-    ``halved`` marks the steps that were.  A step is NaN when
-    FD_MAX_HALVINGS halvings leave no admissible one or a perturbed
-    determinant is not positive.  C_i +/- (T/2) H_i lies in the cone by
-    its convexity and needs no test.  dets[i] holds det(C_i + o T H_i)
-    for o = 1, -1, 1/2, -1/2, from one LAPACK call over the whole stencil
-    (at a NaN step, det C_i).
+    no Cholesky factor; ``halved`` marks the steps that were.  dets[i]
+    holds det(C_i + o T H_i) for o = 1, -1, 1/2, -1/2, from the factors
+    that test the step: one ``cholesky_posdef`` call over the whole
+    stencil, then one per halving round over the rows it halved.
+    C_i +/- (T/2) H_i lies in the cone by its convexity and is factored
+    only for its determinant.  A step is NaN when FD_MAX_HALVINGS halvings
+    leave no admissible one or a point has no positive determinant.
     """
     default = FD_STEP_SCALE * (1.0 + frob_norm(c)) / (1.0 + frob_norm(h))
     if not np.all(default > 0):
         # the norm of an H overflowed
         raise ParameterError("finite-difference step must be positive")
     steps = default.copy()
-    # a zero direction stays at C
-    pending = h.any(axis=(-2, -1))
+    posdef = np.empty(c.shape[:1] + _OFFSETS.shape, dtype=bool)
+    dets = np.empty(posdef.shape)
+    # every row's stencil first (a zero direction's is C itself), then
+    # the rows whose C +/- TH has no factor
+    i = slice(None)
     for _ in range(FD_MAX_HALVINGS + 1):
-        i = np.flatnonzero(pending)
+        t = steps[i, None] * _OFFSETS
+        posdef[i], dets[i] = linalg.cholesky_posdef(c[i, None] + t[..., None, None] * h[i, None])
+        i = np.flatnonzero(~posdef[:, :2].all(axis=-1))
         if not i.size:
             break
-        th = steps[i][:, None, None] * h[i]
-        ok = linalg.cholesky_posdef(np.stack([c[i] + th, c[i] - th])).all(axis=0)
-        pending[i[ok]] = False
-        steps[i[~ok]] *= 0.5
-    t = np.where(pending, 0.0, steps)[:, None] * _OFFSETS
-    dets = np.linalg.det(c[:, None] + t[..., None, None] * h[:, None])
-    failed = pending | ~np.all(dets > 0.0, axis=-1)
+        steps[i] *= 0.5
+    failed = ~np.all(dets > 0.0, axis=-1)
     return np.where(failed, np.nan, steps), steps < default, dets
 
 
@@ -215,7 +217,8 @@ def directional_forms(functions, c, h, s) -> DirectionalForms:
     f = functions[i % len(functions)].
 
     One ``hess_terms`` solve gives both inner products, one ``_stencil``
-    the four points both differences share, and one evaluator call per
+    the four points both differences share, their determinants from the
+    Cholesky factors that admit the step, and one evaluator call per
     function f at its rows' five points, with no warning on overflow.  A
     caller passes the determinants it trusts: the oracle LAPACK's, a
     witness the LU determinant of its diagonal C, the product of its entries.

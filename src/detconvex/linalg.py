@@ -2,8 +2,9 @@
 
 Sized for the certification workloads (n up to ``cli.MAX_DIM``, 64):
 LAPACK eigenvalues of symmetric matrices, a hand LU determinant that is
-exact on diagonal input (the witnesses' C; stacks take LAPACK's), a
-Cholesky admissibility mask over a stack, and seeded sampling of test
+exact on diagonal input (the witnesses' C; stacks take LAPACK's), one
+Cholesky factorization per matrix of a stack giving both whether it is
+positive definite and its determinant, and seeded sampling of test
 matrices as (N, n, n) stacks from one seed word each, their frames the
 LAPACK QR factors of Gaussian matrices, a shorter stack a prefix of a
 longer one (``random_pairs`` draws the (C, H) pairs of the oracle and
@@ -194,28 +195,32 @@ def jacobi_eigen(a):
     return eigenvalues, q
 
 
-def cholesky_posdef(a) -> np.ndarray:
-    """Admissibility test of the finite-difference stencil: for each matrix
-    of an (..., n, n) stack, whether its entries are finite and LAPACK
-    finds its Cholesky factor.  A boolean array of shape ``a.shape[:-2]``.
+def cholesky_posdef(a) -> tuple:
+    """(posdef, dets) of an (..., n, n) stack, both of shape
+    ``a.shape[:-2]``: whether each matrix has finite entries and a
+    Cholesky factor L from LAPACK, and its determinant from that factor,
+    exp(2 sum_i log L_ii), NaN where there is none.
+
+    Summed in the log domain, as ``np.linalg.det`` sums the logarithms of
+    its LU pivots, the determinant over- or underflows only where the
+    product of the eigenvalues does.  One factorization serves both the
+    finite-difference stencil's admissibility test and its determinants.
     """
     m = np.asarray(a, dtype=float)
     flat = m.reshape((-1,) + m.shape[-2:])
     ok = np.isfinite(flat).all(axis=(-2, -1))
+    diag = np.full(flat.shape[:-1], np.nan)
     try:
-        np.linalg.cholesky(flat[ok])
+        diag[ok] = np.linalg.cholesky(flat[ok]).diagonal(axis1=-2, axis2=-1)
     except np.linalg.LinAlgError:
         # the stacked call names no matrix; factor the finite ones singly
-        ok[ok] = [_has_cholesky(x) for x in flat[ok]]
-    return ok.reshape(m.shape[:-2])
-
-
-def _has_cholesky(m: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(m)
-        return True
-    except np.linalg.LinAlgError:
-        return False
+        for k in np.flatnonzero(ok):
+            try:
+                diag[k] = np.linalg.cholesky(flat[k]).diagonal()
+            except np.linalg.LinAlgError:
+                ok[k] = False
+    dets = np.exp(2.0 * np.log(diag).sum(axis=-1))
+    return ok.reshape(m.shape[:-2]), dets.reshape(m.shape[:-2])
 
 
 def _rng(seed: int) -> np.random.Generator:

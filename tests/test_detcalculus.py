@@ -256,16 +256,22 @@ def _default_step(c, h):
     return FD_STEP * (1.0 + linalg.frob_norm(c)) / (1.0 + linalg.frob_norm(h))
 
 
+def _cholesky_det(m):
+    """det of one positive definite matrix from its own Cholesky factor L,
+    exp(2 sum_i log L_ii)."""
+    return np.exp(2.0 * np.sum(np.log(np.diagonal(np.linalg.cholesky(m)))))
+
+
 def _reference_differences(f, c, h, s):
     """Both central differences of one pair as their own formulas: the
     default outer step T, halved until C +/- TH has a Cholesky factor, f
-    at det(C +/- TH) and det(C +/- (T/2) H) one point at a time, and
-    Richardson's (4 D(T/2) - D(T)) / 3 of each, or D(T) after a halving.
-    (second, first, T)."""
+    at det(C +/- TH) and det(C +/- (T/2) H) one point at a time, each
+    from its own factor, and Richardson's (4 D(T/2) - D(T)) / 3 of each,
+    or D(T) after a halving.  (second, first, T)."""
     default = t = _default_step(c, h)
-    while not (linalg.cholesky_posdef(c + t * h) and linalg.cholesky_posdef(c - t * h)):
+    while not (linalg.cholesky_posdef(c + t * h)[0] and linalg.cholesky_posdef(c - t * h)[0]):
         t *= 0.5
-    gp, gm, gp2, gm2 = (eval_jet(f, np.linalg.det(c + o * t * h)).v for o in (1, -1, 0.5, -0.5))
+    gp, gm, gp2, gm2 = (eval_jet(f, _cholesky_det(c + o * t * h)).v for o in (1, -1, 0.5, -0.5))
     g0 = eval_jet(f, s).v
     differences = (
         ((gp - 2.0 * g0 + gm) / (t * t), (gp2 - 2.0 * g0 + gm2) / ((0.5 * t) * (0.5 * t))),
@@ -306,8 +312,8 @@ class TestFdOracles:
         step = steps[0]
         halvings = math.log2(_default_step(c[0], h[0]) / step)
         assert step < 1e-9 and halvings == int(halvings) > 0
-        assert linalg.cholesky_posdef(np.stack([c[0] + step * h[0], c[0] - step * h[0]])).all()
-        assert not linalg.cholesky_posdef(c[0] - 2.0 * step * h[0])
+        assert linalg.cholesky_posdef(np.stack([c[0] + step * h[0], c[0] - step * h[0]]))[0].all()
+        assert not linalg.cholesky_posdef(c[0] - 2.0 * step * h[0])[0]
         forms = _forms(IDENT, PosDefMatrix.from_sym(c[0]), h[0])
         assert forms.step[0] == step
         assert abs(forms.fd_hess[0] - forms.hess[0]) <= 1e-5
@@ -373,7 +379,7 @@ class TestFdOracles:
         c = _diag([1.0, 2.0])
         h = np.eye(2)
         t = _default_step(c.a, h)
-        sp, sm, sp2, sm2 = (np.linalg.det(c.a + o * t * h) for o in (1.0, -1.0, 0.5, -0.5))
+        sp, sm, sp2, sm2 = (_cholesky_det(c.a + o * t * h) for o in (1.0, -1.0, 0.5, -0.5))
         assert sm < sm2 < 2.0 < sp2 < sp
         g = [1.0 / (x - 2.0) for x in (sp, sm, sp2, sm2)]
         want = (4.0 * ((g[2] - g[3]) / t) - (g[0] - g[1]) / (2.0 * t)) / 3.0

@@ -54,7 +54,10 @@ is not a condition.  They were written before the grid pass dropped its
 bookkeeping array passes, which must leave every column bit, and so
 every report byte, where it was.  When the jet evaluator moved from a
 recursive walk to a compiled program over one workspace, no byte of any
-file changed, so none was regenerated.
+file changed, so none was regenerated.  ``certify_ln_dim1.json`` and
+``witness_neg_s.txt`` were regenerated when the fd stencil moved its
+determinants from LU to the Cholesky factors that test its step: only
+the witness ``fd`` digits changed.
 """
 
 from pathlib import Path

@@ -1,13 +1,14 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from detconvex import cli, detcalculus, linalg
+from detconvex import certifier, cli, detcalculus, linalg
 from detconvex.errors import DimensionError, NotPositiveDefiniteError, ParameterError
 from detconvex.linalg import (
     PosDefMatrix,
@@ -149,6 +150,76 @@ class TestDet:
         step = 1e-6
         fd = (det(c + step * h) - det(c - step * h)) / (2 * step)
         assert abs(analytic - fd) <= 1e-6 * max(1.0, abs(analytic))
+
+
+def _mp_det_error(m, got):
+    """|got / det(m) - 1| with det(m) from mpmath's LU at 50 digits, and
+    ln det(m)."""
+    with mpmath.workdps(50):
+        ref = mpmath.det(mpmath.matrix(m.tolist()))
+        return float(abs(mpmath.mpf(got) / ref - 1)), float(mpmath.log(ref))
+
+
+class TestCholeskyPosdef:
+    # The determinant exp(2 sum log L_ii) of a backward-stable factor has
+    # a relative error of about n cond(C) eps, and exp adds the absolute
+    # error of its argument, about n |ln det C| eps: the bound is 8 times
+    # their sum.
+    @staticmethod
+    def _bound(m, log_det):
+        n = m.shape[-1]
+        return 8.0 * n * (np.linalg.cond(m) + abs(log_det)) * EPS
+
+    @pytest.mark.parametrize("n, count", [(1, 8), (2, 8), (3, 8), (10, 8), (64, 2)])
+    def test_random_stacks_match_mpmath(self, n, count):
+        c = linalg.random_posdef_stack(n, LOG_RANGE, 5, count)[0]
+        posdef, dets = linalg.cholesky_posdef(c)
+        assert posdef.all()
+        for m, got in zip(c, dets):
+            err, log_det = _mp_det_error(m, got)
+            assert err <= self._bound(m, log_det), (n, err)
+
+    @pytest.mark.parametrize("s", [1e-300, 1e-3, 1e300])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    def test_witness_stencils_match_mpmath(self, s, n):
+        # C = s^(1/n) I and the four points C + o T H of each witness kind,
+        # whose determinants span about 1e-300 to 1e300
+        for kind in (certifier.KIND_POSITIVE_FPRIME, certifier.KIND_SECOND_ORDER):
+            if kind == certifier.KIND_POSITIVE_FPRIME and n < 2:
+                continue
+            c, h = certifier.witness_pair(kind, s, n)
+            step = detcalculus._stencil(c.a[None], h[None])[0][0]
+            points = np.concatenate([c.a[None], c.a + (step * detcalculus._OFFSETS)[:, None, None] * h])
+            posdef, dets = linalg.cholesky_posdef(points)
+            assert posdef.all()
+            for m, got in zip(points, dets):
+                err, log_det = _mp_det_error(m, got)
+                assert err <= self._bound(m, log_det), (kind, err)
+
+    def test_failing_members_leave_the_others(self):
+        # an indefinite, a singular and a non-finite member make the stacked
+        # LAPACK call fail; each other member keeps the determinant it gets
+        # alone.  The NaN sits in the upper triangle, which LAPACK does not read.
+        c = linalg.random_posdef_stack(3, LOG_RANGE, 9, 3)[0]
+        v = np.array([1.0, 2.0, -1.0])
+        nonfinite = c[2].copy()
+        nonfinite[0, 2] = np.nan
+        stack = np.stack([c[0], np.diag([1.0, -1.0, 2.0]), c[1], np.outer(v, v), nonfinite, c[2]])
+        posdef, dets = linalg.cholesky_posdef(stack)
+        assert list(posdef) == [True, False, True, False, False, True]
+        assert np.isnan(dets[~posdef]).all()
+        for k, m in zip((0, 2, 5), c):
+            alone = linalg.cholesky_posdef(m)
+            assert alone[0] and dets[k] == alone[1]
+            assert dets[k] == pytest.approx(np.linalg.det(m), rel=1e-13)
+
+    def test_stencil_shape_is_kept(self):
+        c, h = linalg.random_pairs(4, 3, 5)
+        points = c[:, None] + 1e-3 * detcalculus._OFFSETS[:, None, None] * h[:, None]
+        posdef, dets = linalg.cholesky_posdef(points)
+        assert posdef.shape == dets.shape == (5, 4)
+        assert posdef.all()
+        assert np.array_equal(dets, linalg.cholesky_posdef(points.reshape(20, 4, 4))[1].reshape(5, 4))
 
 
 class TestJacobiEigen:
