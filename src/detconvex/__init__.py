@@ -30,15 +30,8 @@ from .linalg import (
     jacobi_eigen,
     random_sym,
 )
-from .odelimit import (
-    CurveTable,
-    IvpSpec,
-    comparison_check,
-    export_family_curves,
-    solve_livp_numeric,
-    y_limit_function,
-)
 from .scalarfun import (
+    CurveTable,
     Expr,
     FamilyA,
     Jet2,
@@ -46,6 +39,7 @@ from .scalarfun import (
     NeoHookeVolumetric,
     PowerLaw,
     eval_jet,
+    export_family_curves,
     parse,
 )
 
@@ -58,7 +52,6 @@ __all__ = [
     "Expr",
     "FamilyA",
     "GridSpec",
-    "IvpSpec",
     "Jet2",
     "LogFamily",
     "NeoHookeVolumetric",
@@ -66,7 +59,6 @@ __all__ = [
     "PowerLaw",
     "Witness",
     "certify",
-    "comparison_check",
     "condition_lhs_diag",
     "det",
     "diff_ineq_lhs",
@@ -82,7 +74,5 @@ __all__ = [
     "reduction_check",
     "sample_convexity",
     "sigma_checks",
-    "solve_livp_numeric",
     "witness_pair",
-    "y_limit_function",
 ]

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, certifier, detcalculus, odelimit, scalarfun, selftest
+from . import __version__, certifier, detcalculus, scalarfun, selftest
 from .certifier import CERTIFIED, INCONCLUSIVE, REFUTED, RNG_ALGORITHM, GridSpec
 from .errors import (
     ConvergenceError,
@@ -267,7 +267,7 @@ def _cmd_curves(args) -> int:
         if not isinstance(f, scalarfun.FamilyA):
             raise UsageError("curves accepts only family:fa:... extra members")
         extras.append(f)
-    curves = odelimit.export_family_curves(extras, GridSpec(args.s_min, args.s_max, args.count))
+    curves = scalarfun.export_family_curves(extras, GridSpec(args.s_min, args.s_max, args.count))
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for i, curve in enumerate(curves):

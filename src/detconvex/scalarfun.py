@@ -18,6 +18,8 @@ so it has the bits it has in any array, and raises the first failure in
 walk order, the expression's post-order: DomainError outside the domain,
 NonFiniteError on overflow.
 
+The figure curves are family members sampled on a grid
+(``export_family_curves``), one ``CurveTable`` each, written as CSV.
 """
 
 from __future__ import annotations
@@ -778,3 +780,70 @@ def failure_at(f, s: float) -> DomainError | NonFiniteError:
     except (DomainError, NonFiniteError) as e:
         return e
     return NonFiniteError(f"non-finite jet at s={s}")
+
+
+# --------------------------------------------------------------------------
+# figure curves
+
+
+class CurveTable(Value):
+    """A sampled curve: finite positive x samples and their values."""
+
+    __slots__ = __match_args__ = ("label", "params", "xs", "ys")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, label: str, params: dict, xs, ys):
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        if xs.ndim != 1 or xs.shape != ys.shape:
+            raise ParameterError("xs and ys must be 1-d arrays of equal length")
+        if not np.all(np.isfinite(xs) & (xs > 0)):
+            raise ParameterError("x samples must be finite and positive")
+        super().__init__(label, params, xs, ys)
+
+    def to_csv(self) -> str:
+        def fmt(v):
+            return repr(float(v)) if isinstance(v, (float, np.floating)) else repr(v)
+
+        pieces = ",".join(f"{k}={fmt(v)}" for k, v in self.params.items())
+        lines = [f"# {self.label}" + (f" [{pieces}]" if pieces else ""), "x,y"]
+        lines.extend(f"{float(x)!r},{float(y)!r}" for x, y in zip(self.xs, self.ys))
+        return "\n".join(lines) + "\n"
+
+
+def figure_families():
+    """The four standard members shown in the reference figures, at n = 3.
+
+    All pass through (1, 0) with slope -1.
+    """
+    return (
+        ("-ln(s)", FamilyA(a=1.0 / 3.0, c=-1.0, d=0.0, n=3)),
+        ("-3*s^(1/3)+3", FamilyA(a=0.0, c=-3.0, d=3.0, n=3)),
+        ("-6*s^(1/6)+6", FamilyA(a=1.0 / 6.0, c=-6.0, d=6.0, n=3)),
+        ("3*s^(-1/3)-3", FamilyA(a=2.0 / 3.0, c=-3.0, d=-3.0, n=3)),
+    )
+
+
+def export_family_curves(extras, grid):
+    """Curve tables for the standard figure set plus any extra members,
+    sampled at the points of ``grid``, a ``certifier.GridSpec``.
+
+    ``extras`` is a sequence of FamilyA instances appended after the four
+    standard curves.
+    """
+    ss = grid.points()
+    members = list(figure_families())
+    for fam in extras:
+        if not isinstance(fam, FamilyA):
+            raise ParameterError(f"extra curves must be family members, got {type(fam).__name__}")
+        members.append((f"fa(a={fam.a!r},c={fam.c!r},d={fam.d!r},n={fam.n})", fam))
+    return [
+        CurveTable(
+            label=label,
+            params={"a": fam.a, "c": fam.c, "d": fam.d, "n": fam.n},
+            xs=ss,
+            ys=eval_all(fam, ss),
+        )
+        for label, fam in members
+    ]

@@ -14,10 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import certifier, detcalculus, linalg, odelimit, scalarfun
+from . import certifier, detcalculus, linalg, scalarfun
 from .certifier import CERTIFIED, KIND_POSITIVE_FPRIME, KIND_SECOND_ORDER, REFUTED, GridSpec
-from .odelimit import IvpSpec
-from .scalarfun import FamilyA, eval_jet, parse
+from .scalarfun import Add, FamilyA, PowerLaw, eval_jet, parse
 
 BASE_SEED = 42
 
@@ -296,79 +295,97 @@ def check_reduction_suite():
 
 # -- 9 ----------------------------------------------------------------------
 
+# Both checks below read phi(s) = s^q f'(s), q = (n-1)/n: since
+# phi' = s^q lhs, the condition lhs >= 0, f' <= 0 says phi is nondecreasing
+# and nonpositive, and the limiting equation y' + (q/x) y = 0 of the
+# slope y = f' is phi = const.
+PHI_GRID = np.geomspace(1e-2, 1e2, 200)
 
-def check_ode_suite():
-    """RK4 endpoints match the closed form; the closed form satisfies the
-    ODE residual to 1e-12."""
+
+def check_integrating_factor():
+    """A central difference of phi (step 1e-5 s) matches s^q lhs to 1e-6
+    over the built-in corpus at n = 2, 3, 5; the phi = const solution
+    eta xi^q x^(-q) has ODE residual within 1e-12."""
     failures = []
-    spec3 = IvpSpec(xi=1.0, eta=-1.5, n=3)
-    curve = odelimit.solve_livp_numeric(spec3, 8.0, 2000)
-    closed = odelimit.y_limit_function(spec3)
-    target = eval_jet(closed, 8.0).v
-    err3 = abs(curve.ys[-1] - target) / abs(target)
-    if err3 > 1e-6:
-        failures.append(f"n=3 endpoint rel err {err3:.3e} > 1e-6")
-    spec2 = IvpSpec(xi=2.0, eta=-1.0, n=2)
-    curve2 = odelimit.solve_livp_numeric(spec2, 8.0, 2000)
-    err2 = abs(curve2.ys[-1] - (-0.5)) / 0.5
-    if err2 > 1e-6:
-        failures.append(f"n=2 endpoint {curve2.ys[-1]!r} vs -0.5: rel err {err2:.3e}")
+    s = PHI_GRID
+    h = 1e-5 * s
+    worst = 0.0
+    for n in (2, 3, 5):
+        q = (n - 1) / n
+        for f in detcalculus.builtin_corpus(n):
+            exact = s**q * certifier.diff_ineq_lhs(f, s, n)
+            phi_p = (s + h) ** q * eval_jet(f, s + h).d1
+            phi_m = (s - h) ** q * eval_jet(f, s - h).d1
+            err = _rel_err((phi_p - phi_m) / (2.0 * h), exact)
+            worst = max(worst, float(err.max()))
+            for i in np.flatnonzero(~(err <= 1e-6))[:1]:
+                failures.append(f"n={n} {f!r} at s={s[i]:.3e}: phi' rel err {err[i]:.2e}")
+    xi, eta, q = 1.0, -1.5, 2.0 / 3.0
     xs = np.geomspace(1e-2, 1e2, 100)
-    jet = eval_jet(closed, xs)
-    res = np.abs(jet.d1 + (2.0 / (3.0 * xs)) * jet.v)
-    bound = 1e-12 * (1.0 + np.abs(jet.v))
-    worst_res = float(np.max(res / bound * 1e-12))
-    for i in np.flatnonzero(~(res <= bound))[:1]:
+    jet = eval_jet(PowerLaw(c=eta * xi**q, p=-q), xs)
+    res = np.abs(jet.d1 + (q / xs) * jet.v) / (1.0 + np.abs(jet.v))
+    worst_res = float(res.max())
+    for i in np.flatnonzero(~(res <= 1e-12))[:1]:
         failures.append(f"ODE residual {res[i]:.3e} at x={xs[i]:.3e}")
     return _result(
         "c09",
-        "ode suite",
+        "integrating factor",
         failures,
-        f"endpoint rel errs {err3:.2e} / {err2:.2e}, max residual {worst_res:.2e}",
+        f"max phi' rel err {worst:.2e}, phi = const residual {worst_res:.2e}",
     )
 
 
 # -- 10 ---------------------------------------------------------------------
 
 
-def check_comparison_ordering():
-    """Strict subsolutions stay above the closed form right of xi and below
-    it left of xi; an additive perturbation forces a zero crossing."""
+def check_phi_ordering():
+    """On every grid cell whose two ends have lhs of one sign beyond the
+    band 1e-8 (|f''| + |f'|/s), phi moves with that sign.  The forced
+    equation y' = -q y/x + eps, y(xi) = eta, has the closed form
+    x^q y = xi^q eta + eps (x^(q+1) - xi^(q+1))/(q+1) and crosses zero at
+    x* = (xi^(q+1) - (q+1) xi^q eta/eps)^(1/(q+1)), so a positive forcing
+    does not keep the slope admissible."""
     failures = []
-    spec = IvpSpec(xi=1.0, eta=-1.5, n=3)
-    xs = np.concatenate([np.geomspace(0.1, 1.0, 51), np.geomspace(1.0, 10.0, 51)[1:]])
-    for a in (0.1, 0.5, 1.0):
-        p = 2.0 / 3.0 + a
-        ys = spec.eta * xs ** (-p)
-        dydx = -p * spec.eta * xs ** (-p - 1.0)
-        curve = odelimit.CurveTable(label=f"y_a a={a}", params={"a": a}, xs=xs, ys=ys, dydx=dydx)
-        rep = odelimit.comparison_check(curve, spec)
-        if not rep.is_strict_subsolution:
-            failures.append(f"a={a}: classified {rep.classification}")
-        if not rep.ordering_checked or rep.ordering_violations:
-            failures.append(f"a={a}: {len(rep.ordering_violations)} ordering violations")
-        y_at_xi = ys[np.argmin(np.abs(xs - 1.0))]
-        if y_at_xi != spec.eta:
-            failures.append(f"a={a}: y(1) = {y_at_xi!r} != eta")
-        for x, y, yl in zip(xs, ys, rep.y_limit_values):
-            if x > 1.0 and not y > yl:
-                failures.append(f"a={a}: y({x}) = {y} not above limit {yl}")
-                break
-            if x < 1.0 and not y < yl:
-                failures.append(f"a={a}: y({x}) = {y} not below limit {yl}")
-                break
-    pert = odelimit.solve_livp_perturbed(spec, 0.1, 100.0, 5000)
-    crossing = np.flatnonzero(pert.ys >= 0.0)
-    if crossing.size == 0:
-        failures.append("perturbed solution never crossed zero by x=100")
-        cross_x = float("nan")
-    else:
-        cross_x = float(pert.xs[crossing[0]])
+    s = PHI_GRID
+    cells = 0
+    for n in (2, 3, 5):
+        q = (n - 1) / n
+        for f in detcalculus.builtin_corpus(n):
+            jet = eval_jet(f, s)
+            lhs = certifier.diff_ineq_lhs(f, s, n)
+            sign = np.sign(lhs)
+            # a NaN end clears the band and has the sign of no move
+            clear = ~(np.abs(lhs) <= 1e-8 * (np.abs(jet.d2) + np.abs(jet.d1) / s))
+            cell = clear[:-1] & clear[1:] & ~(sign[:-1] == -sign[1:])
+            move = np.diff(s**q * jet.d1)
+            cells += int(cell.sum())
+            for i in np.flatnonzero(cell & ~(np.sign(move) == sign[:-1]))[:1]:
+                failures.append(
+                    f"n={n} {f!r} on [{s[i]:.3e}, {s[i + 1]:.3e}]: phi moves by "
+                    f"{move[i]:.2e}, lhs {lhs[i]:.2e}"
+                )
+    xi, eta, eps, q = 1.0, -1.5, 0.1, 2.0 / 3.0
+    # y = a x^(-q) + b x
+    b = eps / (q + 1.0)
+    a = xi**q * eta - b * xi ** (q + 1.0)
+    forced = Add(PowerLaw(c=a, p=-q).expr, PowerLaw(c=b, p=1.0).expr)
+    x_star = (xi ** (q + 1.0) - (q + 1.0) * xi**q * eta / eps) ** (1.0 / (q + 1.0))
+    jet = eval_jet(forced, s)
+    res = np.abs(jet.d1 + (q / s) * jet.v - eps) / (1.0 + np.abs(jet.d1))
+    for i in np.flatnonzero(~(res <= 1e-12))[:1]:
+        failures.append(f"forced residual {res[i]:.3e} at x={s[i]:.3e}")
+    y_xi, y_star = eval_jet(forced, xi).v, eval_jet(forced, x_star).v
+    if not abs(y_xi - eta) <= 1e-12:
+        failures.append(f"forced y(xi) = {y_xi!r} != eta")
+    if not abs(y_star) <= 1e-12:
+        failures.append(f"forced y(x*) = {y_star!r} at x*={x_star:.4f}")
+    for i in np.flatnonzero(~((jet.v < 0.0) == (s < x_star)))[:1]:
+        failures.append(f"forced y({s[i]:.3e}) = {jet.v[i]:.3e} on the wrong side of x*")
     return _result(
         "c10",
-        "comparison ordering",
+        "phi ordering",
         failures,
-        f"orderings strict for a in (0.1, 0.5, 1); perturbed crossing at x={cross_x:.3f}",
+        f"{cells} cells, phi moves with the sign of lhs; forced crossing at x={x_star:.4f}",
     )
 
 
@@ -379,15 +396,15 @@ def check_figure_reproduction():
     """All four figure curves pass through (1, 0) with slope -1; CSV export
     is deterministic."""
     failures = []
-    for label, fam in odelimit.figure_families():
+    for label, fam in scalarfun.figure_families():
         jet = eval_jet(fam, 1.0)
         if abs(jet.v) > 1e-12:
             failures.append(f"{label}: value at 1 is {jet.v!r}")
         if abs(jet.d1 + 1.0) > 1e-12:
             failures.append(f"{label}: slope at 1 is {jet.d1!r}")
     grid = GridSpec(0.05, 8.0, 200)
-    first = [c.to_csv() for c in odelimit.export_family_curves([], grid)]
-    second = [c.to_csv() for c in odelimit.export_family_curves([], grid)]
+    first = [c.to_csv() for c in scalarfun.export_family_curves([], grid)]
+    second = [c.to_csv() for c in scalarfun.export_family_curves([], grid)]
     if first != second:
         failures.append("CSV export not deterministic")
     return _result("c11", "figure reproduction", failures, "four curves hit (1,0) with slope -1")
@@ -466,8 +483,8 @@ ALL_CHECKS = (
     check_identity_suite,
     check_sigma_suite,
     check_reduction_suite,
-    check_ode_suite,
-    check_comparison_ordering,
+    check_integrating_factor,
+    check_phi_ordering,
     check_figure_reproduction,
     check_parser_ad,
 )

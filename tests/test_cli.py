@@ -406,7 +406,7 @@ class TestUsageErrors:
         monkeypatch.setattr(cli, "parse_function_spec", refuse)
         monkeypatch.setattr(cli.certifier, "certify", refuse)
         monkeypatch.setattr(cli.detcalculus, "oracle_sweep", refuse)
-        monkeypatch.setattr(cli.odelimit, "export_family_curves", refuse)
+        monkeypatch.setattr(cli.scalarfun, "export_family_curves", refuse)
         code, out, err = run(capsys, *argv)
         assert code == 3
         assert out == "" and "exceeds the limit" in err
@@ -683,6 +683,15 @@ class TestCurvesCommand:
     def test_expression_rejected(self, capsys, tmp_path):
         code, _, err = run(capsys, "curves", "-f", "-ln(s)", "--outdir", str(tmp_path / "x"))
         assert code == 3
+
+    def test_range_with_repeated_points(self, capsys, tmp_path):
+        # 6 distinct points among 1000, a range certify and witness accept;
+        # this exited 3 with "x samples must be strictly increasing"
+        outdir = tmp_path / "curves"
+        argv = ("--s-min", "1", "--s-max", "1.000000000000001", "--count", "1000")
+        code, _, err = run(capsys, "curves", *argv, "--outdir", str(outdir))
+        assert code == 0 and err == ""
+        assert len(list(outdir.glob("*.csv"))) == 4
 
     def test_overflowing_curve_exits_two(self, capsys, tmp_path):
         # f'' overflows near s = 1e-300; this ended in a NonFiniteError

@@ -47,6 +47,6 @@ def test_every_import_is_declared(suite):
 
 
 def test_the_scan_sees_the_third_party_imports():
-    # numpy, pytest, hypothesis and mpmath are each imported somewhere
+    # numpy, pytest, hypothesis, mpmath and sympy are each imported somewhere
     found = set().union(*(_imports(p) for suite in SUITES for p in suite.glob("*.py")))
-    assert {"numpy", "pytest", "hypothesis", "mpmath"} <= found
+    assert {"numpy", "pytest", "hypothesis", "mpmath", "sympy"} <= found

@@ -58,6 +58,10 @@ file changed, so none was regenerated.  ``certify_ln_dim1.json`` and
 ``witness_neg_s.txt`` were regenerated when the fd stencil moved its
 determinants from LU to the Cholesky factors that test its step: only
 the witness ``fd`` digits changed.
+
+``curves/`` holds the five CSV files of ``curves --count 20`` with one
+extra family member, written before the curve export moved from its own
+module into ``scalarfun``.
 """
 
 from pathlib import Path
@@ -109,3 +113,14 @@ CASES = [
 def test_stdout_and_exit_code_match_the_golden_file(capsys, name, code, argv):
     assert main(list(argv)) == code
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_curve_files_match_the_golden_files(capsys, tmp_path):
+    argv = ["curves", "--count", "20", "-f", "family:fa:a=0.9,c=-1,d=0", "--outdir", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    golden = sorted((GOLDEN / "curves").glob("*.csv"))
+    assert len(golden) == 5
+    assert sorted(p.name for p in tmp_path.iterdir()) == [p.name for p in golden]
+    for path in golden:
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from detconvex.certifier import CERTIFIED, GridSpec, certify
 from detconvex.errors import DomainError, NonFiniteError, ParameterError, ParseError, UnknownIdentifierError
 from detconvex.scalarfun import (
     MAX_DEPTH,
     Add,
+    CurveTable,
     FamilyA,
     LogFamily,
     Ln,
@@ -18,7 +20,9 @@ from detconvex.scalarfun import (
     PowerLaw,
     Variable,
     eval_jet,
+    export_family_curves,
     failure_at,
+    figure_families,
     parse,
 )
 
@@ -324,3 +328,109 @@ class TestFamilies:
         jet = eval_jet(LogFamily(c=-2.0, d=1.0), 2.0)
         assert jet.v == 1.0 - 2.0 * math.log(2.0)
         assert jet.d1 == -1.0
+
+
+def boundary(c, d, n=3):
+    """The boundary antiderivative c s^(1/n) + d, the family member a = 0."""
+    return FamilyA(a=0.0, c=c, d=d, n=n)
+
+
+class TestFLimit:
+    def test_passes_through_origin_point(self):
+        assert eval_jet(boundary(-3.0, 3.0), 1.0).v == 0.0
+
+    def test_cube_root_decay(self):
+        assert eval_jet(boundary(-3.0, 3.0), 8.0).v == -3.0
+
+    def test_constant_solution(self):
+        assert eval_jet(boundary(0.0, 5.0), 17.3).v == 5.0
+
+    def test_positive_c_rejected(self):
+        with pytest.raises(ParameterError):
+            boundary(0.1, 0.0)
+
+    def test_annihilates_differential_operator(self):
+        fam = FamilyA(a=0.0, c=-2.0, d=0.7, n=3)
+        for s in np.geomspace(1e-2, 1e2, 30):
+            jet = eval_jet(fam, float(s))
+            assert abs(jet.d2 + 2.0 / (3.0 * s) * jet.d1) <= 1e-12 * (1.0 + abs(jet.d1))
+
+    def test_every_member_certifies(self):
+        # the whole boundary family composes convexly with det
+        for c, d in ((-3.0, 3.0), (-1.0, 0.0), (0.0, 2.0)):
+            rep = certify(FamilyA(a=0.0, c=c, d=d, n=3), 3, GridSpec(1e-3, 1e3, 200))
+            assert rep.verdict == CERTIFIED
+
+
+class TestCurveTable:
+    def test_validation(self):
+        # a repeated x is accepted: a narrow grid repeats its points
+        repeated = CurveTable("flat", {}, np.array([1.0, 1.0]), np.array([0.0, 0.0]))
+        assert repeated.xs.tolist() == [1.0, 1.0]
+        with pytest.raises(ParameterError):
+            CurveTable("bad", {}, np.array([-1.0, 1.0]), np.array([0.0, 0.0]))
+        with pytest.raises(ParameterError):
+            CurveTable("bad", {}, np.array([1.0, 2.0]), np.array([0.0]))
+        nan, inf = np.nan, np.inf
+        for xs in ([1.0, nan, 3.0], [nan, 1.0, 2.0], [1.0, 2.0, inf], [1.0, inf, inf]):
+            with pytest.raises(ParameterError, match="finite"):
+                CurveTable("bad", {}, np.array(xs), np.zeros(3))
+
+    def test_csv_shape(self):
+        t = CurveTable("demo", {"a": 0.5}, np.array([1.0, 2.0]), np.array([0.5, 0.25]))
+        lines = t.to_csv().splitlines()
+        assert lines[0].startswith("# demo")
+        assert "a=0.5" in lines[0]
+        assert lines[1] == "x,y"
+        assert lines[2] == "1.0,0.5"
+        assert len(lines) == 4
+
+
+class TestFigureCurves:
+    def test_standard_members_hit_unit_point_with_unit_slope(self):
+        for label, fam in figure_families():
+            jet = eval_jet(fam, 1.0)
+            assert jet.v == 0.0, label
+            assert jet.d1 == -1.0, label
+
+    def test_export_includes_extras(self):
+        extra = FamilyA(a=0.9, c=-1.0, d=0.0, n=3)
+        curves = export_family_curves([extra], GridSpec(0.05, 8.0, 50))
+        assert len(curves) == 5
+        assert curves[-1].params["a"] == 0.9
+
+    def test_export_is_deterministic(self):
+        a = [c.to_csv() for c in export_family_curves([], GridSpec(0.05, 8.0, 100))]
+        b = [c.to_csv() for c in export_family_curves([], GridSpec(0.05, 8.0, 100))]
+        assert a == b
+
+    def test_inverse_branch_value(self):
+        # the inverted-power curve at s=8: 3*8^(-1/3) - 3 = -1.5
+        curves = export_family_curves([], GridSpec(1.0, 8.0, 4))
+        inv = curves[3]
+        assert abs(inv.ys[-1] - (-1.5)) <= 1e-12
+
+    def test_csv_matches_a_per_point_reference(self):
+        # one array evaluation per curve writes the bytes of one float
+        # evaluation per point
+        extra = FamilyA(a=0.9, c=-1.0, d=0.0, n=3)
+        curves = export_family_curves([extra], GridSpec(0.05, 8.0, 2000))
+        members = [fam for _, fam in figure_families()] + [extra]
+        assert len(curves) == len(members)
+        for curve, fam in zip(curves, members):
+            header, rest = curve.to_csv().split("\n", 1)
+            rows = [f"{float(s)!r},{eval_jet(fam, float(s)).v!r}" for s in curve.xs]
+            assert rest == "x,y\n" + "\n".join(rows) + "\n"
+            assert curve.xs.tolist() == np.geomspace(0.05, 8.0, 2000).tolist()
+
+    def test_failing_point_raises_its_own_error(self):
+        # s^(1/3 - 200) overflows at the small end of the range
+        with pytest.raises(NonFiniteError, match="overflow"):
+            export_family_curves([FamilyA(a=200.0, c=-1.0, d=0.0, n=3)], GridSpec(1e-3, 8.0, 10))
+
+    def test_rejects_bad_range_and_extras(self):
+        # the grid checks the range and count
+        with pytest.raises(ParameterError):
+            export_family_curves([], GridSpec(0.0, 8.0, 10))
+        with pytest.raises(ParameterError):
+            export_family_curves(["not a family"], GridSpec(0.05, 8.0, 10))

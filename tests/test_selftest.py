@@ -5,10 +5,9 @@ sample or point, and a kernel off by 1e-11."""
 import numpy as np
 import pytest
 
-from detconvex import certifier, detcalculus, odelimit, selftest
+from detconvex import certifier, detcalculus, selftest
 from detconvex.certifier import GridSpec
-from detconvex.odelimit import IvpSpec
-from detconvex.scalarfun import Jet2, eval_jet, parse
+from detconvex.scalarfun import Jet2, PowerLaw, eval_jet, parse
 
 
 def _nan_at_row_3(x):
@@ -40,7 +39,9 @@ def test_nan_from_the_kernel_fails(monkeypatch, check, first):
 
 
 @pytest.mark.parametrize(
-    "check", [selftest.check_ode_suite, selftest.check_parser_ad], ids=["c09", "c12"]
+    "check",
+    [selftest.check_integrating_factor, selftest.check_phi_ordering, selftest.check_parser_ad],
+    ids=["c09", "c10", "c12"],
 )
 def test_nan_from_the_evaluator_fails(monkeypatch, check):
     def planted(f, s):
@@ -104,14 +105,62 @@ def test_known_convex_fails_off_the_closed_form(monkeypatch):
     assert result.detail == f"lhs mismatch at s={C01_GRID[0]:.3e}: rel err 1.00e-09"
 
 
-def test_ode_suite_matches_the_per_point_loop():
-    closed = odelimit.y_limit_function(IvpSpec(xi=1.0, eta=-1.5, n=3))
+def test_integrating_factor_matches_the_per_point_loop():
+    worst = 0.0
+    for n in (2, 3, 5):
+        q = (n - 1) / n
+        for f in detcalculus.builtin_corpus(n):
+            for s in selftest.PHI_GRID.tolist():
+                h = 1e-5 * s
+                exact = s**q * certifier.diff_ineq_lhs(f, s, n)
+                phi_p = (s + h) ** q * eval_jet(f, s + h).d1
+                phi_m = (s - h) ** q * eval_jet(f, s - h).d1
+                fd = (phi_p - phi_m) / (2.0 * h)
+                worst = max(worst, abs(fd - exact) / max(1.0, abs(exact)))
+    closed = PowerLaw(c=-1.5, p=-2.0 / 3.0)
     worst_res = 0.0
     for x in np.geomspace(1e-2, 1e2, 100).tolist():
         jet = eval_jet(closed, x)
-        res = abs(jet.d1 + (2.0 / (3.0 * x)) * jet.v)
-        worst_res = max(worst_res, res / (1e-12 * (1.0 + abs(jet.v))) * 1e-12)
-    assert selftest.check_ode_suite().detail.endswith(f", max residual {worst_res:.2e}")
+        worst_res = max(worst_res, abs(jet.d1 + (2.0 / 3.0 / x) * jet.v) / (1.0 + abs(jet.v)))
+    want = f"max phi' rel err {worst:.2e}, phi = const residual {worst_res:.2e}"
+    assert selftest.check_integrating_factor().detail == want
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        lambda jet, s, n, rule: rule(jet, s, n) * (1.0 + 1e-6),
+        # the exponent of the slope term's weight, q = (n-1)/n, read as 1/n
+        lambda jet, s, n, rule: jet.d2 + (1.0 / (n * s)) * jet.d1,
+    ],
+    ids=["scaled", "one-over-n"],
+)
+def test_integrating_factor_fails_off_the_lhs_rule(monkeypatch, rule):
+    lhs_from_jet = certifier._lhs_from_jet
+    monkeypatch.setattr(
+        certifier, "_lhs_from_jet", lambda jet, s, n: rule(jet, s, n, lhs_from_jet)
+    )
+    result = selftest.check_integrating_factor()
+    assert not result.passed
+    assert "phi' rel err" in result.detail
+
+
+def test_phi_ordering_counts_the_cells_and_the_crossing():
+    # all 199 cells of 17 of the 21 (member, n) pairs: lhs is 0 for
+    # FamilyA(a=0) at its own n and for -s^0.5 at n = 2
+    result = selftest.check_phi_ordering()
+    assert result.passed
+    assert result.detail == (
+        "3383 cells, phi moves with the sign of lhs; forced crossing at x=7.0629"
+    )
+
+
+def test_phi_ordering_fails_on_a_negated_lhs(monkeypatch):
+    rule = certifier._lhs_from_jet
+    monkeypatch.setattr(certifier, "_lhs_from_jet", lambda jet, s, n: -rule(jet, s, n))
+    result = selftest.check_phi_ordering()
+    assert not result.passed
+    assert result.detail.startswith("n=2 NeoHookeVolumetric(mu=1.0) on [1.000e-02, 1.047e-02]")
 
 
 def test_parser_ad_matches_the_per_point_loop():

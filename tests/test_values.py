@@ -1,6 +1,6 @@
 """Value semantics of the package's records.
 
-Expression nodes, the built-in families, ``GridSpec`` and ``IvpSpec`` are
+Expression nodes, the built-in families and ``GridSpec`` are
 immutable values: equal when they have the same class and equal fields,
 hashable, with a ``Name(field=value, ...)`` repr, positional ``match``
 patterns, and pickle and deepcopy round trips.  The result records are
@@ -15,13 +15,13 @@ import pickle
 import numpy as np
 import pytest
 
-from detconvex import certifier, detcalculus, linalg, odelimit, selftest
+from detconvex import certifier, detcalculus, linalg, selftest
 from detconvex.certifier import GridSpec
 from detconvex.errors import ParameterError
-from detconvex.odelimit import IvpSpec
 from detconvex.scalarfun import (
     Add,
     Constant,
+    CurveTable,
     Div,
     Exp,
     FamilyA,
@@ -61,7 +61,7 @@ FAMILIES = (
     FamilyA(a=1.0 / 3.0, c=-1.0, d=2.0, n=3),
     NeoHookeVolumetric(mu=2.0),
 )
-SPECS = (GridSpec(), GridSpec(0.05, 8.0, 200), IvpSpec(1.0, -1.0), IvpSpec(xi=2.0, eta=0.0, n=5))
+SPECS = (GridSpec(), GridSpec(0.05, 8.0, 200))
 VALUES = NODES + FAMILIES + SPECS
 
 
@@ -93,12 +93,11 @@ class TestEquality:
         assert PowerLaw(1.0, 2.0) != PowerLaw(1.0, 2.0, 1.0)
         assert FamilyA(a=0.5, c=-1.0) != FamilyA(a=0.5, c=-1.0, n=4)
         assert GridSpec() == GridSpec(1e-3, 1e3, 1000) != GridSpec(count=999)
-        assert IvpSpec(1.0, -1.0) == IvpSpec(xi=1.0, eta=-1.0, n=3)
         assert Constant(1.5) != 1.5 and Variable() != ()
         assert GridSpec() != (1e-3, 1e3, 1000)
 
     def test_curve_table_compares_by_identity(self):
-        table = odelimit.solve_livp_numeric(IvpSpec(1.0, -1.0), 2.0, 20)
+        table = CurveTable("c", {}, np.array([1.0, 2.0]), np.array([0.0, -1.0]))
         assert table == table
         assert table != copy.deepcopy(table)
         assert hash(table) == hash(table)
@@ -113,7 +112,6 @@ class TestRepr:
             (FamilyA(a=0.5, c=-1.0), "FamilyA(a=0.5, c=-1.0, d=0.0, n=3)"),
             (NeoHookeVolumetric(mu=2), "NeoHookeVolumetric(mu=2)"),
             (GridSpec(), "GridSpec(s_min=0.001, s_max=1000.0, count=1000)"),
-            (IvpSpec(1.0, -1.0), "IvpSpec(xi=1.0, eta=-1.0, n=3)"),
             (Variable(), "Variable()"),
             (Sqrt(X), "Sqrt(arg=Variable())"),
             (
@@ -172,7 +170,6 @@ class TestMatch:
             (FamilyA, ("a", "c", "d", "n")),
             (NeoHookeVolumetric, ("mu",)),
             (GridSpec, ("s_min", "s_max", "count")),
-            (IvpSpec, ("xi", "eta", "n")),
         ],
     )
     def test_match_args(self, cls, fields):
@@ -203,13 +200,12 @@ class TestRoundTrips:
             assert twin == family and twin.expr == expr
 
 
-# A valid value of every field of the families and of IvpSpec.
+# A valid value of every field of the families.
 FINITE_FIELDS = {
     PowerLaw: {"c": -1.0, "p": 0.5, "d": 0.0},
     LogFamily: {"c": -1.0, "d": 0.0},
     FamilyA: {"a": 0.5, "c": -1.0, "d": 0.0, "n": 3},
     NeoHookeVolumetric: {"mu": 1.0},
-    IvpSpec: {"xi": 1.0, "eta": -1.0, "n": 3},
 }
 
 
@@ -227,9 +223,6 @@ class TestValidation:
                 "s_max=inf must be finite and exceed s_min=0.001",
             ),
             (lambda: GridSpec(count=1), "grid count=1 must be >= 2"),
-            (lambda: IvpSpec(xi=0, eta=0), "xi=0 must be positive"),
-            (lambda: IvpSpec(xi=1, eta=1), "eta=1 must be <= 0 (slopes stay non-positive)"),
-            (lambda: IvpSpec(xi=1, eta=0, n=0), "dimension n=0 must be >= 1"),
         ],
     )
     def test_error_class_and_message(self, build, message):
@@ -261,13 +254,11 @@ class TestFamilyExpr:
 
 def _records():
     report = certifier.certify(parse("s"), 3, GridSpec(0.5, 2.0, 5))
-    curve = odelimit.solve_livp_numeric(IvpSpec(1.0, -1.0), 2.0, 20)
     return {
         "Witness": report.witnesses[0],
         "CertificationReport": report,
         "ConvexitySampleDiagnostics": certifier.sample_convexity(parse("-ln(s)"), 3, 5, 1),
         "OracleSweepResult": detcalculus.oracle_sweep(3, 7, 1),
-        "ComparisonReport": odelimit.comparison_check(curve, IvpSpec(1.0, -1.0)),
         "CheckResult": selftest.CheckResult("c00", "name", True, "detail"),
         "PosDefMatrix": linalg.PosDefMatrix.from_sym(np.diag([1.0, 2.0])),
     }
@@ -287,11 +278,6 @@ RECORD_FIELDS = {
         "max_midpoint_residual", "midpoint_failures", "max_midpoint_sample",
     ),
     "OracleSweepResult": ("samples", "hess_disc", "grad_disc", "richardson", "skipped"),
-    "ComparisonReport": (
-        "classification", "is_weak_subsolution", "is_strict_subsolution",
-        "is_weak_supersolution", "is_strict_supersolution", "initial_value_ok",
-        "ordering_checked", "ordering_violations", "residuals", "y_limit_values",
-    ),
     "CheckResult": ("cid", "name", "passed", "detail"),
     "PosDefMatrix": ("a", "det"),
 }
