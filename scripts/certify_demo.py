@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Certify a spread of scalar functions and print a verdict table.
 
-Each row is one ``certify`` call, which runs the randomized sweep too.
-It shows the grid verdict next to the sweep's failure counts of the two
-conditions at det C, lhs and f' <= 0, from the report's ``diagnostics``,
-so certified and refuted cases can be compared at a glance.
+Each row is one ``certify`` call, which runs the beyond-grid pass and
+the randomized midpoint sweep too.  It shows the verdict next to the
+beyond-grid pass's failing points of the two conditions, lhs and
+f' <= 0 ("-" when the pass adds no point, as at n <= 3), and the
+sweep's midpoint failures, so certified and refuted cases can be
+compared at a glance.
 """
 
 import argparse
@@ -35,15 +37,16 @@ def main():
         ap.error(f"--samples must be >= 0, got {args.samples}")
 
     grid = GridSpec(1e-3, 1e3, 500)
-    print(f"{'function':<24} {'verdict':<16} {'witness':<20} {'sweep lhs/slope failures'}")
+    print(f"{'function':<24} {'verdict':<16} {'witness':<20} {'beyond lhs/slope':<18} midpoint")
     for label, f in CASES:
         if isinstance(f, FamilyA) and f.n != args.dim:
             f = FamilyA(a=f.a, c=f.c, d=f.d, n=args.dim)
         rep = certify(f, args.dim, grid, samples=args.samples, seed=args.seed)
         kinds = ",".join(w.kind for w in rep.witnesses) or "-"
-        diag = rep.diagnostics
-        counts = "-" if diag is None else f"{diag.lhs_failures}/{diag.fprime_failures}"
-        print(f"{label:<24} {rep.verdict:<16} {kinds:<20} {counts}")
+        b, diag = rep.beyond_grid, rep.diagnostics
+        beyond = "-" if b is None else f"{b.lhs_bad.sum()}/{b.fprime_bad.sum()}"
+        midpoint = "-" if diag is None else diag.midpoint_failures
+        print(f"{label:<24} {rep.verdict:<16} {kinds:<20} {beyond:<18} {midpoint}")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,8 @@ f(det(C + tau H)) = u(t (1 + tau)), so the second-order witness has the
 form t^2 u''(t); with a traceless diagonal H, the slope witness turns
 f' > 0 into a negative form.
 
-The certifier samples both conditions on a logarithmic grid.  A grid pass
+The certifier samples both conditions on a logarithmic grid, and again
+on a fixed log grid over the decades [10^-n, 10^n] outside it.  A pass
 is reported as CertifiedOnGrid, never as a proof over all of (0, inf).  A
 violation is only promoted to Refuted once an explicit counterexample pair
 (C, H) with a negative quadratic form has been confirmed by the
@@ -102,7 +103,9 @@ class CertificationReport(NamedTuple):
     the two condition flags.  A domain failure cuts the columns before the
     first point that failed to evaluate.  ``diagnostics`` is the
     randomized sweep's ``ConvexitySampleDiagnostics``, or None when no
-    sweep ran (no samples asked for, or a domain failure)."""
+    sweep ran (no samples asked for, or a domain failure), and
+    ``beyond_grid`` the ``BeyondGrid`` pass, or None when it adds no
+    point or after a domain failure."""
 
     verdict: str
     n: int
@@ -118,6 +121,7 @@ class CertificationReport(NamedTuple):
     analytic_convex: bool | None
     annotations: tuple
     diagnostics: ConvexitySampleDiagnostics | None = None
+    beyond_grid: BeyondGrid | None = None
 
     @property
     def failing_points(self) -> np.ndarray:
@@ -213,7 +217,7 @@ def _confirmed_witness(f, kind: str, s: float, n: int) -> Witness | None:
 
 
 def _grid_witness(f, kind: str, s, candidates, n: int) -> Witness | None:
-    """The confirmed pair for ``kind`` at the first grid point of ``s``
+    """The confirmed pair for ``kind`` at the first point of ``s``
     that the mask ``candidates`` marks or, failing that, at the marked
     point nearest s = 1 in log s; None when neither confirms.
 
@@ -252,13 +256,6 @@ def analytic_convexity(f, n: int) -> bool | None:
     return None
 
 
-def _check_tol(tol: float) -> None:
-    # a band of tol + tol*|f'| + tol*|f''| with tol >= 1 swallows violations
-    # as large as the derivatives themselves
-    if not (0 < tol < 1):
-        raise ParameterError(f"tolerance {tol} must be positive and below 1")
-
-
 def condition_flags(jet, s, n: int, tol: float):
     """(lhs, band, fprime_ok, lhs_ok) of the jets of f at the 1-D array of
     points s: the condition's left-hand side, the tolerance band
@@ -281,6 +278,45 @@ def condition_flags(jet, s, n: int, tol: float):
     return lhs, band, fprime_ok, lhs >= -band
 
 
+# Points per decade of the beyond-grid pass.
+BEYOND_GRID_PER_DECADE = 100
+
+
+class BeyondGrid(NamedTuple):
+    """The pass outside the grid: the points s of ``grid``, a log grid at
+    BEYOND_GRID_PER_DECADE points per decade, that lie outside the
+    certify grid, with f'(s) and the condition's left-hand side there.
+    ``fprime_bad`` and ``lhs_bad`` mark the points failing either
+    condition by ``condition_flags``; the ``skipped`` points, which failed
+    to evaluate, fail neither."""
+
+    grid: GridSpec
+    s: np.ndarray
+    fprime: np.ndarray
+    lhs: np.ndarray
+    fprime_bad: np.ndarray
+    lhs_bad: np.ndarray
+    skipped: int
+
+
+def beyond_grid(f, n: int, grid: GridSpec, tol: float) -> BeyondGrid | None:
+    """The ``BeyondGrid`` pass of f at n around ``grid``, with certify's
+    band ``tol``, or None when it adds no point.  Its range holds det C of
+    every spectrum in DEFAULT_LOG_EIG_RANGE, [exp(n lo), exp(n hi)], which
+    is [10^-n, 10^n]; its ends are rounded to whole decades, so at n = 3
+    it is the default grid's range, exactly."""
+    lo, hi = (round(n * x / math.log(10)) for x in DEFAULT_LOG_EIG_RANGE)
+    wide = GridSpec(10.0**lo, 10.0**hi, (hi - lo) * BEYOND_GRID_PER_DECADE + 1)
+    if grid.s_min <= wide.s_min and wide.s_max <= grid.s_max:
+        return None
+    points = wide.points()
+    s = points[(points < grid.s_min) | (points > grid.s_max)]
+    jet = scalarfun.eval_jet(f, s)
+    lhs, _, fprime_ok, lhs_ok = condition_flags(jet, s, n, tol)
+    ran = ~np.isnan(jet.v)
+    return BeyondGrid(wide, s, jet.d1, lhs, ran & ~fprime_ok, ran & ~lhs_ok, int(np.count_nonzero(~ran)))
+
+
 def certify(
     f, n: int, grid: GridSpec | None = None, tol: float = DEFAULT_TOL_BASE, samples: int = 0, seed: int = 42
 ) -> CertificationReport:
@@ -295,20 +331,28 @@ def certify(
     s = 1; Refuted requires a confirmed witness.
     Scalar domain failures annotate the report and force Inconclusive.
 
-    With samples > 0 and no domain failure on the grid, the randomized
-    sweep ``sample_convexity(f, n, samples, seed, tol)`` runs and its
-    result is the report's ``diagnostics``; otherwise they are None, and
-    the seed is not read, so only a sweep that runs rejects a negative
-    one.  samples < 0 raises ParameterError.  The annotations are the
-    grid pass's, in order, then the note on the Neo-Hooke volumetric
-    part.  The verdict is the one rule at the end, which sees all of this
-    evidence; it does not read the sweep yet.
+    Without a domain failure, the ``beyond_grid`` pass checks both
+    conditions outside the grid, and a kind of violation it finds is
+    searched for a witness the same way unless one of that kind is
+    already confirmed; its points that fail to evaluate are skipped.
+    With samples > 0 and no domain failure, the midpoint sweep
+    ``sample_convexity(f, n, samples, seed)`` runs and its result is the
+    report's ``diagnostics``; otherwise they are None, and the seed is not
+    read, so only a sweep that runs rejects a negative one.  samples < 0
+    raises ParameterError.  The annotations are the grid pass's, in
+    order, then the beyond-grid pass's, then the Neo-Hooke note.  The
+    verdict is the one rule at the end: Refuted with a confirmed witness,
+    else Inconclusive when either pass fails or a point cut the grid.  It
+    does not read the sweep, whose failures no witness confirms yet.
     """
     if n < 1:
         raise ParameterError(f"dimension n={n} must be >= 1")
     if samples < 0:
         raise ParameterError(f"samples={samples} must be >= 0")
-    _check_tol(tol)
+    # a band of tol + tol*|f'| + tol*|f''| with tol >= 1 swallows violations
+    # as large as the derivatives themselves
+    if not (0 < tol < 1):
+        raise ParameterError(f"tolerance {tol} must be positive and below 1")
     if isinstance(f, FamilyA) and f.n != n:
         raise ParameterError(f"family dimension {f.n} does not match certification dimension {n}")
     if grid is None:
@@ -340,25 +384,31 @@ def certify(
         fprime_bad = lhs_bad = np.zeros(cut, dtype=bool)
     else:
         fprime_bad, lhs_bad = ~fprime_ok, ~lhs_ok
+    beyond = None if domain_failure else beyond_grid(f, n, grid, tol)
+    passes = [("", s, fprime_bad, lhs_bad)]
+    if beyond is not None:
+        passes.append(("beyond the grid ", beyond.s, beyond.fprime_bad, beyond.lhs_bad))
     witnesses = []
 
-    def attempt(kind: str, label: str, candidates) -> None:
-        """A witness of ``kind`` at ``candidates``, or else an annotation."""
-        if not candidates.any():
+    def attempt(where: str, columns, kind: str, label: str, candidates) -> None:
+        """A witness of ``kind`` at ``candidates`` of ``columns``, or else an
+        annotation; none when a witness of ``kind`` is already confirmed."""
+        if not candidates.any() or any(w.kind == kind for w in witnesses):
             return
-        w = _grid_witness(f, kind, s, candidates, n)
+        w = _grid_witness(f, kind, columns, candidates, n)
         if w is not None:
             witnesses.append(w)
         else:
-            s_bad = float(s[np.argmax(candidates)])
-            annotations.append(f"{label} violation at s={s_bad:.6g} not confirmed by the fd oracle")
+            s_bad = float(columns[np.argmax(candidates)])
+            annotations.append(f"{label} violation {where}at s={s_bad:.6g} not confirmed by the fd oracle")
 
-    attempt(KIND_POSITIVE_FPRIME, "slope", fprime_bad)
-    # points already covered by a slope witness prefer that construction
-    candidates = lhs_bad & fprime_ok
-    if not candidates.any() and not witnesses:
-        candidates = lhs_bad
-    attempt(KIND_SECOND_ORDER, "second-order", candidates)
+    for where, columns, slope_bad, second_bad in passes:
+        attempt(where, columns, KIND_POSITIVE_FPRIME, "slope", slope_bad)
+        # points already covered by a slope witness prefer that construction
+        candidates = second_bad & ~slope_bad
+        if not candidates.any() and not witnesses:
+            candidates = second_bad
+        attempt(where, columns, KIND_SECOND_ORDER, "second-order", candidates)
     if isinstance(f, NeoHookeVolumetric):
         annotations.append(
             "volumetric part f(s) = -mu*ln(s) certified; the remaining trace "
@@ -367,11 +417,11 @@ def certify(
         )
     diagnostics = None
     if samples > 0 and not domain_failure:
-        diagnostics = sample_convexity(f, n, samples, seed, tol)
+        diagnostics = sample_convexity(f, n, samples, seed)
 
     if witnesses:
         verdict = REFUTED
-    elif fprime_bad.any() or lhs_bad.any() or domain_failure:
+    elif domain_failure or any(bad.any() for _, _, *bads in passes for bad in bads):
         verdict = INCONCLUSIVE
     else:
         verdict = CERTIFIED
@@ -390,6 +440,7 @@ def certify(
         analytic_convex=analytic_convexity(f, n),
         annotations=tuple(annotations),
         diagnostics=diagnostics,
+        beyond_grid=beyond,
     )
 
 
@@ -447,13 +498,13 @@ def reduction_check(f, c, h):
 # Generator family and stream layout of the sampling routines, recorded in
 # report headers so results can be reproduced: PCG64.  The randomized
 # sweep draws sample i as row i of one stream seeded with --seed, the
-# log eigenvalues of its diagonal C, A1 and A2 from 3n uniforms
+# log eigenvalues of its diagonal A1 and A2 from 2n uniforms
 # (``sweep_draw``); the oracle takes one seed word per matrix kind, two
 # streams per word and the QR frames of Gaussian matrices.  How many rows
 # the sweep evaluates in one pass moves no draw, so it is not recorded.
-RNG_ALGORITHM = "numpy-pcg64-sweep-terms"
+RNG_ALGORITHM = "numpy-pcg64-sweep-midpoint"
 
-# Uniforms per evaluation pass, rows * 3n, and at least one row.  The
+# Uniforms per evaluation pass, rows * 2n, and at least one row.  The
 # pass, not the sample count, sets the sweep's working memory; it moves
 # no draw.
 SWEEP_PASS_ENTRIES = 2**15
@@ -463,139 +514,93 @@ def sweep_draw(gen: np.random.Generator, n: int, m: int):
     """(spectra, dets) of the next m samples of the sweep's stream ``gen``,
     one row of ``gen.random`` per sample.
 
-    A row holds 3n uniforms, the log eigenvalues of the diagonal C, A1 and
-    A2 over DEFAULT_LOG_EIG_RANGE.  Row j of the (m, 3, n) ``spectra``
-    holds the eigenvalues of C, A1 and A2, and the (m, 3) ``dets`` are the
-    exp of the sums of their log eigenvalues, summed left to right.  Both
-    are views of arrays with the sample index last, so that a pass over
-    the samples runs on contiguous rows.  Draws of any sizes in turn give
-    the rows of one draw of their total."""
+    A row holds 2n uniforms, the log eigenvalues of the diagonal A1 and A2
+    over DEFAULT_LOG_EIG_RANGE.  Row j of the (m, 2, n) ``spectra`` holds
+    the eigenvalues of A1 and A2, and the (m, 2) ``dets`` are the exp of
+    the sums of their log eigenvalues, summed left to right.  Both are
+    views of arrays with the sample index last, so that a pass over the
+    samples runs on contiguous rows.  Draws of any sizes in turn give the
+    rows of one draw of their total."""
     lo, hi = DEFAULT_LOG_EIG_RANGE
-    # (n, 3, m): numpy reduces the leading axis one eigenvalue after
+    # (n, 2, m): numpy reduces the leading axis one eigenvalue after
     # another, whatever m, in a fraction of the time its reduction over a
     # short last axis takes
-    logs = np.ascontiguousarray(gen.random((m, 3, n)).transpose(2, 1, 0))
+    logs = np.ascontiguousarray(gen.random((m, 2, n)).transpose(2, 1, 0))
     logs *= hi - lo
     logs += lo
     return np.exp(logs).transpose(2, 1, 0), np.exp(np.add.reduce(logs, axis=0)).T
 
 
 class ConvexitySampleDiagnostics(NamedTuple):
-    """Outcome of a randomized convexity sweep.
+    """Outcome of a randomized midpoint sweep.
 
-    ``samples_run`` counts the samples where the condition checks at
-    det C or the midpoint check ran, ``samples_skipped`` those where
-    neither did.  ``lhs_failures`` and ``fprime_failures`` count the
-    samples whose s = det C fails f'' + (n-1)/(n s) f' >= 0 or f' <= 0 by
-    the grid's own check, ``condition_flags`` with certify's band (no
-    slope check at n = 1).  ``worst_lhs_sample`` and
-    ``worst_fprime_sample`` are the samples with the largest finite
-    deficit, -n s^2 lhs(s) and s f'(s) (positive where the condition
-    fails, and unchanged when f is scaled by a positive constant or its
-    argument by one), the lowest index on ties and -1 when none is
-    finite.  Midpoint residuals are g((C1+C2)/2) - (g(C1)/2 + g(C2)/2),
+    ``samples_run`` counts the samples whose residual ran, and
+    ``samples_skipped`` those where f failed to evaluate at A1, A2 or
+    their midpoint.  Residuals are g((A1+A2)/2) - (g(A1)/2 + g(A2)/2),
     non-positive for convex f; their extremes are finite, and
     ``midpoint_failures`` counts those above SWEEP_FAIL_TOL, infinite ones
     included.  ``max_midpoint_sample`` attains ``max_midpoint_residual``,
     the lowest on ties and -1 when no finite residual ran.  Sample i is
     row i of the sweep's stream, ``np.random.PCG64(seed)`` advanced by
-    i * 3n draws, where ``sweep_draw`` of one row reads it, so it replays
-    from the seed, n and i alone.  How the sweep splits its rows into
-    evaluation passes changes no field.
+    i * 2n draws, so it replays from the seed, n and i alone.
     """
 
     samples_run: int
     samples_skipped: int
-    lhs_failures: int
-    worst_lhs_sample: int
-    fprime_failures: int
-    worst_fprime_sample: int
     min_midpoint_residual: float
     max_midpoint_residual: float
     midpoint_failures: int
     max_midpoint_sample: int
 
 
-def _worst(x):
-    """(index, value) of the largest finite entry of x, the first on ties;
-    value -inf when none is finite.  Overwrites the non-finite entries of
-    x with -inf."""
-    x[~np.isfinite(x)] = -np.inf
-    i = int(np.argmax(x))
-    return i, float(x[i])
-
-
-def _pass_summary(f, n: int, gen, m: int, tol: float):
-    """The counts and extremes of the next m samples of the sweep's
-    stream ``gen``, evaluated as one pass: samples run; per check (lhs,
-    f' <= 0, midpoint) its failures and the (index, value) of its largest
-    finite deficit or residual; and the smallest finite residual.  A
-    value is +-inf where none is finite.  The arrays die on return, so a
-    sweep holds one pass's."""
+def _pass_summary(f, n: int, gen, m: int):
+    """(run, failures, smallest, largest, index of the largest) of the
+    finite residuals of the next m samples of the sweep's stream ``gen``,
+    evaluated as one pass; an extreme is +-inf where none is finite.  The
+    arrays die on return, so a sweep holds one pass's."""
     e, dets = sweep_draw(gen, n, m)
-    # one jet over the determinants of [C; A1; A2; (A1+A2)/2], the last
-    # the product of 0.5 * (e1 + e2), left to right, over contiguous rows
-    points = np.empty(4 * m)
-    points[: 3 * m] = dets.T.ravel()
+    # one evaluation over the determinants of [A1; A2; (A1+A2)/2], the
+    # last the product of 0.5 * (e1 + e2), left to right, over contiguous
+    # rows
+    points = np.empty(3 * m)
+    points[: 2 * m] = dets.T.ravel()
     by_eigenvalue = e.transpose(2, 1, 0)
-    mid = by_eigenvalue[:, 1] + by_eigenvalue[:, 2]
+    mid = by_eigenvalue[:, 0] + by_eigenvalue[:, 1]
     mid *= 0.5
-    np.multiply.reduce(mid, axis=0, out=points[3 * m :])
-    jets = scalarfun.eval_jet(f, points)
-    s, jet = points[:m], Jet2(*(x[:m] for x in jets))
-    g1, g2, gm = jets.v[m:].reshape(3, m)
-    # a check whose jets failed has NaN values, and its conditions fail
-    # in condition_flags; a sample where neither check ran is skipped
-    failed = np.isnan(jets.v).reshape(4, m)
-    ran = ~failed[0]
-    lhs, _, fprime_ok, lhs_ok = condition_flags(jet, s, n, tol)
-    # the deficits -n s^2 lhs(s) and s f'(s), NaN where the jet failed;
-    # the residual halves each value first, which keeps a sum beyond the
-    # float range finite
+    np.multiply.reduce(mid, axis=0, out=points[2 * m :])
+    g = scalarfun.eval_jet(f, points).v.reshape(3, m)
+    # halving each value first keeps a sum beyond the float range finite
     with np.errstate(all="ignore"):
-        lhs *= -n * s * s
-        slope = s * jet.d1
-        r = gm - (0.5 * g1 + 0.5 * g2)
-    # +-inf residuals fail or pass as any value and NaN ones (a check that
-    # did not run, or inf - inf) fail none, but only finite values are
-    # extremes
-    mid_failures = int(np.count_nonzero(r > SWEEP_FAIL_TOL))
-    low_mid = float(np.where(np.isfinite(r), r, np.inf).min())
-    checks = (
-        (int(np.count_nonzero(ran & ~lhs_ok)), _worst(lhs)),
-        # at n = 1, g is f itself and f' <= 0 is no condition
-        (0, (0, -np.inf)) if n == 1 else (int(np.count_nonzero(ran & ~fprime_ok)), _worst(slope)),
-        (mid_failures, _worst(r)),
-    )
-    return int(np.count_nonzero(~(failed[0] & failed[1:].any(axis=0)))), checks, low_mid
+        r = g[2] - (0.5 * g[0] + 0.5 * g[1])
+    # a sample where f failed has NaN values and is skipped; +-inf
+    # residuals fail or pass as any value and NaN ones (inf - inf) fail
+    # none, but only finite values are extremes
+    run = m - int(np.count_nonzero(np.isnan(g).any(axis=0)))
+    failures = int(np.count_nonzero(r > SWEEP_FAIL_TOL))
+    finite = np.isfinite(r)
+    low = float(np.where(finite, r, np.inf).min())
+    r[~finite] = -np.inf
+    i = int(np.argmax(r))
+    return run, failures, low, float(r[i]), i
 
 
-def sample_convexity(
-    f, n: int, num_samples: int, seed: int, tol: float = DEFAULT_TOL_BASE
-) -> ConvexitySampleDiagnostics:
-    """Randomized corroboration of the grid verdict.
+def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleDiagnostics:
+    """Randomized midpoint check of convexity, the one check that tests it
+    with no derivative.
 
-    Draws diagonal positive definite C, A1 and A2, sample i as row i of
-    one PCG64 stream seeded with ``seed`` (``sweep_draw``), as spectra
-    that clear the positivity floor by construction.  Diagonal draws lose
+    Draws diagonal positive definite A1 and A2, sample i as row i of one
+    PCG64 stream seeded with ``seed`` (``sweep_draw``), as spectra that
+    clear the positivity floor by construction, and checks
+    g((A1+A2)/2) <= (g(A1) + g(A2))/2 within SWEEP_FAIL_TOL, with
+    det((A1+A2)/2) the product of its diagonal.  Diagonal draws lose
     nothing: both witnesses are diagonal pairs, so g is convex exactly
-    when x -> f(x_1 ... x_n) is convex on the positive orthant.  At
-    s = det C it checks both conditions of the grid, each on its own,
-    with certify's band and ``tol``: D2g(C).(H,H) is a nonnegative mix of
-    s^2 lhs(s) and -s f'(s), so the two checks see every failure a
-    quadratic form can, where one form can hide a failing term.  At
-    (A1, A2) it checks midpoint convexity, g((A1+A2)/2) <=
-    (g(A1) + g(A2))/2 within SWEEP_FAIL_TOL, with det((A1+A2)/2) the
-    product of its diagonal.  The rows are evaluated in passes of as many
-    as keep rows * 3n within SWEEP_PASS_ENTRIES, and at least one, with
-    the jets of the four determinants of a pass from one array
-    evaluation; no LAPACK routine runs.  Each check runs where its own jets evaluate: the conditions
-    where the jet at det C does, the residual where the three at A1, A2
-    and the midpoint do.  A sample where neither ran is skipped and
-    counted.  Only counts and extremes are kept, so memory is one pass's
-    whatever the failures, and the diagnostics do not depend on how the
-    rows are split into passes.  A negative seed raises ParameterError,
-    as does a tolerance outside (0, 1).
+    when x -> f(x_1 ... x_n) is convex on the positive orthant.  The rows
+    are evaluated in passes of as many as keep rows * 2n within
+    SWEEP_PASS_ENTRIES, and at least one, each with one array evaluation
+    and no LAPACK routine.  A sample where f fails to evaluate is skipped
+    and counted.  Only counts and extremes are kept, so memory is one
+    pass's whatever the failures, and no field depends on how the rows
+    are split into passes.  A negative seed raises ParameterError.
     """
     if n < 1:
         raise ParameterError(f"dimension n={n} must be >= 1")
@@ -603,30 +608,13 @@ def sample_convexity(
         raise ParameterError("num_samples must be >= 1")
     if seed < 0:
         raise ParameterError(f"seed {seed} must be >= 0")
-    _check_tol(tol)
     gen = np.random.Generator(np.random.PCG64(seed))
-    rows = max(1, SWEEP_PASS_ENTRIES // (3 * n))
-    # per check: failures, and the index and value of its worst sample
-    fails = [0, 0, 0]
-    worst = [(-1, -np.inf)] * 3
-    run, min_mid = 0, np.inf
+    rows = max(1, SWEEP_PASS_ENTRIES // (2 * n))
+    run = fails = 0
+    low, high, at = np.inf, -np.inf, -1
     for start in range(0, num_samples, rows):
-        ran, checks, low_mid = _pass_summary(f, n, gen, min(rows, num_samples - start), tol)
-        run += ran
-        for k, (count, (i, value)) in enumerate(checks):
-            fails[k] += count
-            if value > worst[k][1]:
-                worst[k] = (start + i, value)
-        min_mid = min(min_mid, low_mid)
-    return ConvexitySampleDiagnostics(
-        samples_run=run,
-        samples_skipped=num_samples - run,
-        lhs_failures=fails[0],
-        worst_lhs_sample=worst[0][0],
-        fprime_failures=fails[1],
-        worst_fprime_sample=worst[1][0],
-        min_midpoint_residual=min_mid,
-        max_midpoint_residual=worst[2][1],
-        midpoint_failures=fails[2],
-        max_midpoint_sample=worst[2][0],
-    )
+        ran, failures, pass_low, pass_high, i = _pass_summary(f, n, gen, min(rows, num_samples - start))
+        run, fails, low = run + ran, fails + failures, min(low, pass_low)
+        if pass_high > high:
+            high, at = pass_high, start + i
+    return ConvexitySampleDiagnostics(run, num_samples - run, low, high, fails, at)

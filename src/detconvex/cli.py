@@ -10,9 +10,11 @@ builds its argument parser on the first call and reuses it afterwards;
 each call still parses its own arguments and computes its own report.
 
 The certify report, ``json.dumps(report, indent=2)``, is one
-``certifier.certify`` report, sweep and annotations included, with the
-run's flags.  It summarizes the failing grid points per condition as runs
-of consecutive column indices; the library report keeps every point's values.
+``certifier.certify`` report, beyond-grid pass, sweep and annotations
+included, with the run's flags.  It summarizes the failing grid points
+per condition as runs of consecutive column indices, and the
+beyond-grid pass by its counts and first failures; the library report
+keeps every point's values.
 
 Exit codes for certify: 0 certified on grid, 1 refuted, 2 inconclusive,
 3 usage or parse error, or an output path that cannot be written.  Any
@@ -57,7 +59,7 @@ _VERDICT_EXIT = {CERTIFIED: EXIT_CERTIFIED, REFUTED: EXIT_REFUTED, INCONCLUSIVE:
 # Largest sizes the commands accept; larger values exit 3 before anything
 # is allocated.  The grid pass holds several arrays of --grid-count floats,
 # the curve export writes --count lines per curve, the sweep draws and
-# evaluates its samples pass after pass with 3n draws per sample, and the
+# evaluates its samples pass after pass with 2n draws per sample, and the
 # oracle's solves and eigendecompositions grow as n^3.
 MAX_DIM = 64
 MAX_GRID_COUNT = 200_000
@@ -148,27 +150,37 @@ def _grid_failures(report) -> dict:
     return doc
 
 
+def _finite(x):
+    """x, or None where it is not finite, so that the report is strict JSON."""
+    return x if math.isfinite(x) else None
+
+
+def _beyond_grid_json(b) -> dict | None:
+    """The beyond-grid pass: its range, its points and those skipped, and
+    per condition its failing points and the first of them, with its
+    value (null when not finite); null when the pass adds no point."""
+    if b is None:
+        return None
+    doc = {"s_min": b.grid.s_min, "s_max": b.grid.s_max, "points": len(b.s), "skipped": b.skipped}
+    for key, values, bad in (("fprime", b.fprime, b.fprime_bad), ("lhs", b.lhs, b.lhs_bad)):
+        k = int(np.argmax(bad))
+        first = {"s": float(b.s[k]), "value": _finite(float(values[k]))} if bad[k] else None
+        doc[key] = {"points": int(np.count_nonzero(bad)), "first": first}
+    return doc
+
+
 def _diagnostics_json(d) -> dict:
-    """The sweep's counts, extremes and worst sample indices; a midpoint
-    extreme over no finite value and its index are null, not +-inf and
-    -1, and without a sweep every count is 0 and every condition's worst
-    sample -1."""
+    """The sweep's counts, extremes and worst sample index; an extreme
+    over no finite value and its index are null, not +-inf and -1, and
+    without a sweep the counts are 0."""
     if d is None:
-        d = certifier.ConvexitySampleDiagnostics(0, 0, 0, -1, 0, -1, math.inf, -math.inf, 0, -1)
-
-    def finite(x):
-        return x if math.isfinite(x) else None
-
+        d = certifier.ConvexitySampleDiagnostics(0, 0, math.inf, -math.inf, 0, -1)
     return {
         "samples_run": d.samples_run,
         "samples_skipped": d.samples_skipped,
-        "lhs_failures": d.lhs_failures,
-        "worst_lhs_sample": d.worst_lhs_sample,
-        "fprime_failures": d.fprime_failures,
-        "worst_fprime_sample": d.worst_fprime_sample,
-        "max_midpoint_residual": finite(d.max_midpoint_residual),
+        "max_midpoint_residual": _finite(d.max_midpoint_residual),
         "max_midpoint_sample": d.max_midpoint_sample if d.max_midpoint_sample >= 0 else None,
-        "min_midpoint_residual": finite(d.min_midpoint_residual),
+        "min_midpoint_residual": _finite(d.min_midpoint_residual),
         "midpoint_failures": d.midpoint_failures,
     }
 
@@ -187,6 +199,7 @@ def _report_json(args, report) -> dict:
         "tol": report.tol,
         "verdict": report.verdict,
         "grid_failures": _grid_failures(report),
+        "beyond_grid": _beyond_grid_json(report.beyond_grid),
         "witnesses": [
             {
                 "kind": w.kind,
@@ -256,7 +269,9 @@ def _cmd_witness(args) -> int:
 
 
 def _slug(label: str) -> str:
-    out = re.sub(r"[^A-Za-z0-9]+", "_", label).strip("_")
+    """The label's letters and digits, with its signs as m and p, so that
+    labels that differ in a sign differ."""
+    out = re.sub(r"[^A-Za-z0-9]+", "_", label.replace("-", "_m_").replace("+", "_p_")).strip("_")
     return out or "curve"
 
 

@@ -115,13 +115,20 @@ class TestCertify:
         assert rep.annotations[-1].startswith("domain failure")
 
     def test_subnormal_second_order_witness_is_unconfirmed(self):
-        # C = s I is below the positivity floor at these subnormal s
+        # C = s I is below the positivity floor at these subnormal s.
+        # -s^2 + 10*s^3 is concave only below s = 1/30, outside the
+        # beyond-grid pass's [0.1, 10] at n = 1; -s^2 is concave there too,
+        # and the pass's witness at s = 0.1 refutes it
         grid = GridSpec(1e-320, 1e-310, 5)
+        note = "second-order violation at s=9.99989e-321 not confirmed by the fd oracle"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            rep = certify(parse("-s^2 + 10*s^3"), 1, grid)
+            assert rep.verdict == INCONCLUSIVE and rep.witnesses == ()
+            assert rep.annotations == (note,)
             rep = certify(parse("-s^2"), 1, grid)
-        assert rep.verdict == INCONCLUSIVE and rep.witnesses == ()
-        assert any("second-order violation" in a and "not confirmed" in a for a in rep.annotations)
+        assert rep.verdict == REFUTED and rep.annotations == (note,)
+        assert [(w.kind, w.s_star) for w in rep.witnesses] == [(KIND_SECOND_ORDER, 0.1)]
 
     def test_family_dimension_must_match(self):
         with pytest.raises(ParameterError):
@@ -463,74 +470,29 @@ class TestReductionCheck:
                 assert (full[i], reduced[i]) == reduction_check(f, c[i], h[i])
 
 
-def replayed_det(seed, n, i):
-    """det C of sample i of the sweep with ``seed`` at n."""
-    bits = np.random.PCG64(seed)
-    bits.advance(i * 3 * n)
-    return float(certifier.sweep_draw(np.random.Generator(bits), n, 1)[1][0, 0])
-
-
 class TestSampleConvexity:
     def test_convex_function_clean_sweep(self):
         diag = sample_convexity(parse("-ln(s)"), 3, 300, seed=4)
         assert diag.samples_run == 300
         assert diag.samples_skipped == 0
         assert diag.max_midpoint_residual <= 1e-8
-        assert diag.lhs_failures == diag.fprime_failures == diag.midpoint_failures == 0
+        assert diag.midpoint_failures == 0
 
     def test_nonconvex_function_found(self):
-        # f = s fails the slope condition at every s and lhs at none
         diag = sample_convexity(parse("s"), 3, 300, seed=4)
-        assert diag.fprime_failures == 300
-        assert diag.lhs_failures == 0
         assert diag.max_midpoint_residual > 1e-8
         assert diag.midpoint_failures > 0
 
-    def test_sweep_holds_confirmed_counterexamples_beyond_the_grid(self):
-        # the slope of -ln(s)+1e-7*s^2 turns positive past s = sqrt(5e6),
-        # about 2236, at n = 5, beyond the grid's 1e3 but inside the
-        # sweep's det range: three samples fail it, the worst at det C =
-        # 12271.6, and the fd oracle confirms a slope pair there (2.1e-11
-        # relative apart): C = r I and H = r diag(1, -1, 0, 0, 0) with
-        # r^5 = s, for which D2g(C).(H,H) = -2 s f'(s)
-        f, n, seed = parse("-ln(s)+1e-7*s^2"), 5, 42
-        diag = sample_convexity(f, n, 1000, seed)
-        assert diag.fprime_failures == 3
-        assert diag.lhs_failures == diag.midpoint_failures == 0
-        assert diag.worst_fprime_sample == 234
-        s = replayed_det(seed, n, 234)
-        assert s > math.sqrt(5e6)
-        jet = eval_jet(f, s)
-        assert jet.d1 > 0
-        r = s ** (1.0 / n)
-        c, h = r * np.eye(n), np.diag([r, -r, 0.0, 0.0, 0.0])
-        forms = detcalculus.directional_forms((f,), c[None], h[None], np.array([r**n]))
-        value, fd = float(forms.hess[0]), float(forms.fd_hess[0])
-        assert value == pytest.approx(-2 * s * jet.d1, rel=1e-12)
-        assert value < 0 and abs(fd - value) <= 1e-7 * abs(value)
-
-    def test_slope_witness_confirms_beyond_the_grid(self):
-        # the sweep's worst slope failure of -ln(s)+1e-7*s^2 at n = 5,
-        # seed 42, is a counterexample (the test above), and the grid's
-        # own witness at its s confirms it: the pair's |C| and |H| both
-        # scale with s^(1/n), so its fd step moves det C by about the same
-        # relative amount as at s = 1 (the pair diag(1, ..., 1, s) took a
-        # step of about 0.82 on its unit entries there, and missed the
-        # analytic value by 37%)
-        f, n = parse("-ln(s)+1e-7*s^2"), 5
-        w = certifier.witness_attempt(f, KIND_POSITIVE_FPRIME, replayed_det(42, n, 234), n)
-        assert w.confirmed
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the sweep's evidence does not decide the verdict yet (ROADMAP.md, item 12)",
-    )
     def test_sweep_failure_beyond_the_grid_refutes(self):
-        # the sweep counts 3 slope failures, the worst at sample 234, where
-        # det C is about 12 271.6, and the grid's slope witness confirms at
-        # that s (the test above); the grid alone certifies
-        rep = certify(parse("-ln(s)+1e-7*s^2"), 5, samples=1000, seed=42)
-        assert rep.verdict == REFUTED
+        # the old sweep counted 3 slope failures here, the worst at
+        # det C = 12 271.6, while the grid alone certified; the
+        # beyond-grid pass's slope witness refutes, with or without a sweep
+        for samples in (1000, 0):
+            rep = certify(parse("-ln(s)+1e-7*s^2"), 5, samples=samples, seed=42)
+            assert rep.verdict == REFUTED and rep.annotations == ()
+            [w] = rep.witnesses
+            assert w.kind == KIND_POSITIVE_FPRIME and w.s_star > math.sqrt(5e6)
+            assert w.s_star == rep.beyond_grid.s[np.argmax(rep.beyond_grid.fprime_bad)]
 
     def test_slope_failure_beyond_sqrt_5e6_is_refuted(self):
         # -ln(s)+1e-7*s^2 at n = 5 has f' > 0 exactly past sqrt(5e6): on
@@ -550,15 +512,13 @@ class TestSampleConvexity:
     def test_overflowing_values_leave_finite_extremes(self, text):
         # 8e307*s^2 overflows its jets on most samples and its lhs on the
         # others, to +inf; -8e307*s^0.1 overflows g(A1) + g(A2), and so
-        # its residual.  The extremes stay finite, and a condition with
-        # no finite deficit names no sample
+        # its residual.  The extremes stay finite
         diag = sample_convexity(parse(text), 3, 1000, seed=0)
         assert diag.samples_run + diag.samples_skipped == 1000
         assert diag.samples_run > 0
         extremes = (diag.min_midpoint_residual, diag.max_midpoint_residual)
         assert all(math.isfinite(x) for x in extremes), extremes
-        assert diag.worst_fprime_sample >= 0
-        assert (diag.worst_lhs_sample == -1) == (text == "8e307*s^2")
+        assert diag.max_midpoint_sample >= 0
 
     def test_midpoint_sums_beyond_the_float_range_fail_nothing(self):
         # det^0.1 is concave at n = 3, so f = -8e307*s^0.1 is convex under
@@ -581,21 +541,14 @@ class TestSampleConvexity:
         with pytest.raises(ParameterError, match=f"dimension n={n} must be >= 1"):
             sample_convexity(parse("-ln(s)"), n, 10, seed=1)
 
-    @pytest.mark.parametrize("tol", [0.0, 1.0, -1e-9, math.nan, math.inf])
-    def test_tolerance_validated_as_certify_does(self, tol):
-        for run in (lambda: sample_convexity(parse("s"), 3, 5, seed=1, tol=tol),
-                    lambda: certify(parse("s"), 3, SMALL_GRID, tol=tol)):
-            with pytest.raises(ParameterError, match="tolerance"):
-                run()
-
     def test_failures_keep_no_matrices(self):
-        # every sample of f = s fails the slope at n = 10, and most fail
-        # the midpoint check; the sweep counts its failures and keeps the
-        # worst of each kind, so its memory is set by its pass (matrices
-        # kept per failure made 20 times as many samples cost 8 times the
-        # memory, and arrays of failing indices and values, with the last
-        # pass's matrices still held while the next was drawn, 1.56 times)
-        rows = SWEEP_PASS_ENTRIES // 30
+        # most samples of f = s fail the midpoint check at n = 10; the
+        # sweep counts its failures and keeps the worst, so its memory is
+        # set by its pass (matrices kept per failure made 20 times as many
+        # samples cost 8 times the memory, and arrays of failing indices
+        # and values, with the last pass's matrices still held while the
+        # next was drawn, 1.56 times)
+        rows = SWEEP_PASS_ENTRIES // 20
 
         def traced_peak(num):
             tracemalloc.start()
@@ -607,14 +560,13 @@ class TestSampleConvexity:
 
         small, _ = traced_peak(rows)
         large, diag = traced_peak(20 * rows)
-        assert diag.fprime_failures == 20 * rows
         assert diag.midpoint_failures > 15 * rows
         assert large < 1.1 * small
 
     def test_memory_is_one_pass_at_small_n(self):
-        # at n = 3 a pass holds 3640 rows; 20 passes of f = s, every one
-        # of whose samples fails, peak no higher than one
-        rows = SWEEP_PASS_ENTRIES // 9
+        # at n = 3 a pass holds 5461 rows; 20 passes of f = s, more than
+        # half of whose samples fail, peak no higher than one
+        rows = SWEEP_PASS_ENTRIES // 6
 
         def traced_peak(num):
             tracemalloc.start()
@@ -626,7 +578,7 @@ class TestSampleConvexity:
 
         one, _ = traced_peak(rows)
         many, diag = traced_peak(20 * rows)
-        assert diag.fprime_failures == 20 * rows
+        assert diag.midpoint_failures > 10 * rows
         assert many <= 1.1 * one
 
     def test_rejects_negative_seed(self):
@@ -635,19 +587,83 @@ class TestSampleConvexity:
         with pytest.raises(ParameterError, match="seed -1"):
             sample_convexity(parse("s"), 3, 5, seed=-1)
 
-    def test_each_check_skips_on_its_own(self):
+    def test_overflowing_samples_are_skipped(self):
         # exp(exp(s)) overflows its jets past s of about 6.5; a sample is
-        # skipped only where both its conditions and its midpoint check
-        # fail to evaluate; one failing jet skipping both checks would
-        # skip 569 of these samples
+        # skipped where it overflows at A1, A2 or their midpoint
         diag = sample_convexity(parse("exp(exp(s))"), 3, 1000, seed=9)
-        assert diag.samples_skipped == 93
+        assert diag.samples_skipped == 438
         assert diag.samples_run + diag.samples_skipped == 1000
 
     def test_domain_errors_skipped(self):
         diag = sample_convexity(parse("ln(s-5)"), 3, 50, seed=4)
         assert diag.samples_skipped > 0
         assert diag.samples_run + diag.samples_skipped == 50
+
+
+class TestBeyondGrid:
+    def test_pass_holds_a_confirmed_counterexample(self):
+        # the slope of -ln(s)+1e-7*s^2 turns positive past s = sqrt(5e6),
+        # about 2236, at n = 5, beyond the grid's 1e3 but inside the
+        # pass's [1e-5, 1e5]: it fails at exactly the points past it, the
+        # first 10^3.35 = 2238.72, and the fd oracle confirms a slope pair
+        # there: C = r I and H = r diag(1, -1, 0, 0, 0) with r^5 = s, for
+        # which D2g(C).(H,H) = -2 s f'(s)
+        f, n = parse("-ln(s)+1e-7*s^2"), 5
+        beyond = certifier.beyond_grid(f, n, GridSpec(), certifier.DEFAULT_TOL_BASE)
+        assert (beyond.grid.s_min, beyond.grid.s_max, len(beyond.s)) == (1e-5, 1e5, 400)
+        assert beyond.skipped == 0 and not beyond.lhs_bad.any()
+        assert np.array_equal(beyond.fprime_bad, beyond.s > math.sqrt(5e6))
+        s = float(beyond.s[np.argmax(beyond.fprime_bad)])
+        assert s == pytest.approx(10**3.35, rel=1e-12)
+        jet = eval_jet(f, s)
+        assert jet.d1 > 0
+        r = s ** (1.0 / n)
+        c, h = r * np.eye(n), np.diag([r, -r, 0.0, 0.0, 0.0])
+        forms = detcalculus.directional_forms((f,), c[None], h[None], np.array([r**n]))
+        value, fd = float(forms.hess[0]), float(forms.fd_hess[0])
+        assert value == pytest.approx(-2 * s * jet.d1, rel=1e-12)
+        assert value < 0 and abs(fd - value) <= 1e-5 * abs(value)
+        assert certifier.witness_attempt(f, KIND_POSITIVE_FPRIME, s, n).confirmed
+
+    def test_no_pass_inside_the_range_or_after_a_domain_failure(self):
+        # at n <= 3 the default grid holds [10^-n, 10^n]; after a domain
+        # failure the pass does not run
+        for n in (1, 2, 3):
+            assert certify(parse("s"), n).beyond_grid is None
+        assert certify(parse("ln(s-1)"), 5).beyond_grid is None
+        assert len(certify(parse("-ln(s)"), 4).beyond_grid.s) == 200
+
+    def test_skipped_points_force_no_verdict(self):
+        # exp(s/200) overflows past s = 141 956, inside the pass's range
+        # at n = 10 and beyond the grid: the pass skips those points, which
+        # fail nothing
+        rep = certify(parse("-ln(s) + 0*exp(s/200)"), 10)
+        b = rep.beyond_grid
+        assert b.skipped == np.count_nonzero(b.s > 200 * math.log(np.finfo(float).max))
+        assert b.skipped > 0 and np.isnan(b.fprime[-b.skipped :]).all()
+        assert not (b.fprime_bad.any() or b.lhs_bad.any())
+        assert rep.verdict == CERTIFIED and rep.annotations == ()
+
+    def test_unconfirmed_violation_is_inconclusive(self):
+        # 1e8+s fails the slope everywhere; at n = 3 no pair confirms on
+        # the grid and the pass adds no point, while at n = 5 the pass's
+        # first point, s = 1e-5, confirms: its form -2e-5 is below 1 in
+        # size, where the confirmation tolerance is absolute
+        rep = certify(parse("1e8+s"), 3)
+        assert rep.verdict == INCONCLUSIVE and rep.beyond_grid is None
+        rep = certify(parse("1e8+s"), 5)
+        assert rep.verdict == REFUTED
+        assert rep.annotations == ("slope violation at s=0.001 not confirmed by the fd oracle",)
+        [w] = rep.witnesses
+        assert w.s_star == 1e-5 and abs(w.analytic_value) < 1
+        # 1e8 drowns the slope pair's difference at s = 2238.72, where
+        # 1e8-ln(s)+1e-7*s^2 first fails beyond a grid on which it passes
+        rep = certify(parse("1e8-ln(s)+1e-7*s^2"), 5)
+        assert rep.failing_points.size == 0 and rep.witnesses == ()
+        assert rep.verdict == INCONCLUSIVE
+        assert rep.annotations == (
+            "slope violation beyond the grid at s=2238.72 not confirmed by the fd oracle",
+        )
 
 
 CONVEX_BUILTINS = lambda n: [
@@ -674,7 +690,7 @@ class TestVerdictConsistency:
                 assert rep.verdict == CERTIFIED, f"{f} at n={n}: {rep.verdict}"
                 assert rep.analytic_convex is True
                 diag = sample_convexity(f, n, 334, seed=60 + n)
-                assert diag.lhs_failures == diag.fprime_failures == 0, f"{f} at n={n}"
+                assert diag.midpoint_failures == 0, f"{f} at n={n}"
 
     def test_refuted_builtins_carry_confirmed_witnesses(self):
         for n in (2, 3, 5):
@@ -709,23 +725,47 @@ class TestVerdictConsistency:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_verdict_rule_over_all_the_evidence(self, n, grid):
         # the one rule at the end of certify, over every report it can
-        # build from the grid, the witnesses, the domain cut and the sweep
+        # build from the grid, the beyond-grid pass, the witnesses, the
+        # domain cut and the sweep
         seed, tol = 17, certifier.DEFAULT_TOL_BASE
-        for text in selftest.EXPRESSION_CORPUS + ("exp(s)", "ln(s-1)"):
+        extra = ("exp(s)", "ln(s-1)", "1e8+s", "-ln(s)+1e-7*s^2", "1e8-ln(s)+1e-7*s^2")
+        for text in selftest.EXPRESSION_CORPUS + extra:
             f = parse(text)
             rep = certify(f, n, grid, tol, samples=50, seed=seed)
+            b = rep.beyond_grid
+            beyond_fails = b is not None and bool(b.fprime_bad.any() or b.lhs_bad.any())
             if rep.witnesses:
                 want = REFUTED
-            elif rep.failing_points.size or rep.domain_failure:
+            elif rep.failing_points.size or rep.domain_failure or beyond_fails:
                 want = INCONCLUSIVE
             else:
                 want = CERTIFIED
             assert rep.verdict == want, text
+            # every witness is confirmed and sits at a failing point of its
+            # kind, on the grid or beyond it, at most one per kind
+            kinds = [w.kind for w in rep.witnesses]
+            assert len(set(kinds)) == len(kinds), text
+            for w in rep.witnesses:
+                assert w.confirmed
+                on_grid = ~(rep.fprime_ok if w.kind == KIND_POSITIVE_FPRIME else rep.lhs_ok)
+                failing = set(rep.s[on_grid].tolist())
+                if b is not None:
+                    failing |= set(b.s[b.fprime_bad if w.kind == KIND_POSITIVE_FPRIME else b.lhs_bad].tolist())
+                assert w.s_star in failing, text
+            # the pass and the sweep run unless the grid was cut, and the
+            # seed moves neither the pass nor the verdict
             if rep.domain_failure:
-                assert rep.diagnostics is None, text
+                assert rep.diagnostics is None and b is None, text
             else:
-                assert rep.diagnostics == sample_convexity(f, n, 50, seed, tol), text
-            assert certify(f, n, grid, tol, samples=0, seed=seed).diagnostics is None
+                assert rep.diagnostics == sample_convexity(f, n, 50, seed), text
+                want_b = certifier.beyond_grid(f, n, grid, tol)
+                assert (b is None) == (want_b is None), text
+                if b is not None:
+                    assert b.grid == want_b.grid and b.skipped == want_b.skipped, text
+                    for got, ref in zip(b[1:6], want_b[1:6]):
+                        assert np.array_equal(got, ref, equal_nan=True), text
+            unswept = certify(f, n, grid, tol, samples=0, seed=seed)
+            assert unswept.diagnostics is None and unswept.verdict == rep.verdict, text
 
 
 # f at n = 1, where g = f: convex iff f'' >= 0.  Each spec evaluates f with

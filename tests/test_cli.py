@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from detconvex import certifier, cli, detcalculus, linalg, selftest
+from detconvex import certifier, cli, detcalculus, linalg, scalarfun, selftest
 from detconvex.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -29,10 +29,6 @@ CERT_FAST = ("--grid-count", "50", "--samples", "20")
 NO_SWEEP = {
     "samples_run": 0,
     "samples_skipped": 0,
-    "lhs_failures": 0,
-    "worst_lhs_sample": -1,
-    "fprime_failures": 0,
-    "worst_fprime_sample": -1,
     "max_midpoint_residual": None,
     "max_midpoint_sample": None,
     "min_midpoint_residual": None,
@@ -105,6 +101,7 @@ class TestCertifyCommand:
             "tol",
             "verdict",
             "grid_failures",
+            "beyond_grid",
             "witnesses",
             "diagnostics",
             "analytic_convex",
@@ -117,8 +114,38 @@ class TestCertifyCommand:
         assert set(doc["grid_failures"]) == {"points", "fprime", "lhs"}
         for condition in ("fprime", "lhs"):
             assert set(doc["grid_failures"][condition]) == {"points", "runs", "worst"}
+        # the pass adds no point to the default range at n = 3
+        assert doc["beyond_grid"] is None
         assert set(doc["diagnostics"]) == set(NO_SWEEP)
-        assert doc["rng"] == "numpy-pcg64-sweep-terms"
+        assert doc["rng"] == "numpy-pcg64-sweep-midpoint"
+
+    @pytest.mark.parametrize("spec, n, want", [
+        ("-ln(s)", 4, {"s_min": 1e-4, "s_max": 1e4, "points": 200, "skipped": 0,
+                       "fprime": {"points": 0, "first": None},
+                       "lhs": {"points": 0, "first": None}}),
+        # f' = -1/s + 2e-7 s > 0 past sqrt(5e6), first at 10^3.35
+        ("-ln(s)+1e-7*s^2", 5, {"s_min": 1e-5, "s_max": 1e5, "points": 400, "skipped": 0,
+                                "fprime": {"points": 166, "first": {"s": 2238.7211385683377,
+                                                                    "value": 1.0606355627040213e-06}},
+                                "lhs": {"points": 0, "first": None}}),
+    ])
+    def test_beyond_grid_object(self, capsys, spec, n, want):
+        argv = ("certify", "-f", spec, "--dim", str(n), "--samples", "0", "--no-timestamp")
+        _, out, _ = run(capsys, *argv)
+        doc = json.loads(out)
+        assert doc["beyond_grid"] == want
+        assert list(doc)[list(doc).index("grid_failures") + 1] == "beyond_grid"
+
+    def test_beyond_grid_values_are_strict_json(self, capsys):
+        # lhs = -1.6e308 - 1.2e308 of -8e307*s^2 at n = 4 overflows to
+        # -inf at every point, so its first failing value is null, not
+        # -Infinity
+        argv = ("certify", "-f", "-8e307*s^2", "--dim", "4", "--s-min", "1e-4", "--s-max", "1e-3",
+                "--samples", "0", "--no-timestamp")
+        _, out, _ = run(capsys, *argv)
+        doc = json.loads(out, parse_constant=lambda token: pytest.fail(f"non-strict {token}"))
+        lhs = doc["beyond_grid"]["lhs"]
+        assert lhs["points"] > 0 and lhs["first"]["value"] is None
 
     def test_timestamp_present_unless_suppressed(self, capsys):
         _, out, _ = run(capsys, "certify", "-f", "-ln(s)", *CERT_FAST)
@@ -146,7 +173,7 @@ class TestCertifyCommand:
         )
         assert code == 1
         assert '"max_midpoint_residual": null' in out
-        assert '"worst_lhs_sample": -1' in out
+        assert '"max_midpoint_sample": null' in out
         # strict JSON: no Infinity token
         doc = json.loads(out, parse_constant=lambda token: pytest.fail(f"non-strict {token}"))
         assert doc["diagnostics"] == {**NO_SWEEP, "samples_skipped": 1}
@@ -165,19 +192,19 @@ class TestCertifyCommand:
         assert doc["diagnostics"] == diag._asdict()
         assert list(doc["diagnostics"]) == list(NO_SWEEP)
 
-    @pytest.mark.parametrize("tol, failures", [(None, 0), ("1e-13", 20)])
-    def test_the_sweep_takes_the_grid_tolerance(self, capsys, tol, failures):
+    @pytest.mark.parametrize("tol, failures", [(None, 0), ("1e-13", 400)])
+    def test_the_beyond_grid_pass_takes_the_grid_tolerance(self, capsys, tol, failures):
         # the slope 1e-12 of 1e-12*s lies inside the default band, about
-        # 1e-9, and outside one of 1e-13, on the grid as in the sweep
-        argv = ["certify", "-f", "1e-12*s", *CERT_FAST, "--no-timestamp"]
+        # 1e-9, and outside one of 1e-13, on the grid as beyond it
+        argv = ["certify", "-f", "1e-12*s", "--dim", "5", *CERT_FAST, "--no-timestamp"]
         if tol is not None:
             argv += ["--tol", tol]
         code, out, _ = run(capsys, *argv)
         doc = json.loads(out)
         assert code == (1 if failures else 0)
         assert doc["grid_failures"]["fprime"]["points"] == (50 if failures else 0)
-        assert doc["diagnostics"]["fprime_failures"] == failures
-        assert doc["diagnostics"]["lhs_failures"] == 0
+        assert doc["beyond_grid"]["fprime"]["points"] == failures
+        assert doc["beyond_grid"]["lhs"]["points"] == 0
 
     @pytest.mark.parametrize("spec, code, condition", [
         ("8e307*s^2", 1, "fprime"),
@@ -204,10 +231,12 @@ class TestCertifyCommand:
         # every failing lhs of -8e307*s^2 is -inf, so it has no worst point
         assert (failures[condition]["worst"] is None) == (condition == "lhs")
 
-    def test_overflowing_witness_is_inconclusive_under_warnings_as_errors(self):
+    def test_overflowing_grid_witness_under_warnings_as_errors(self):
         # the forms of the -8e307*s^2 witness overflow past s = 0.56; a
         # warning of theirs, raised as an error, ended the run in a
-        # traceback with exit 1, which claims a refutation
+        # traceback with exit 1, which claims a refutation.  The grid's
+        # pair stays unconfirmed, and the beyond-grid pass's confirms at
+        # s = 1e-3
         argv = ["certify", "-f", "-8e307*s^2", "--s-min", "0.6", "--s-max", "1", "--seed", "0",
                 "--no-timestamp"]
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -216,8 +245,13 @@ class TestCertifyCommand:
             [sys.executable, "-W", "error::RuntimeWarning", "-m", "detconvex.cli", *argv],
             capture_output=True, text=True, env=env,
         )
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr == "verdict: Inconclusive\n"
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == "verdict: Refuted\n"
+        doc = json.loads(proc.stdout)
+        assert doc["annotations"] == [
+            "second-order violation at s=0.6 not confirmed by the fd oracle"
+        ]
+        assert [(w["kind"], w["s"]) for w in doc["witnesses"]] == [("SecondOrderDeficit", 1e-3)]
 
     def test_no_workload_call_exits_1_without_a_witness_under_warnings_as_errors(self):
         # every certify call of the benchmark's sweep and grid workloads,
@@ -576,7 +610,9 @@ class TestWitnessCommand:
     def test_subnormal_second_order_witness(self, capsys):
         # C = s I at s ~ 1e-320 is below the floor; its inverse overflowed
         # with a numpy warning and "matrix entries must be finite", exit 3
-        argv = ("-f", "-s^2", "--dim", "1", "--s-min", "1e-320", "--s-max", "1e-310",
+        # -s^2 + 10*s^3 is concave only below s = 1/30, outside the
+        # beyond-grid pass's [0.1, 10] at n = 1
+        argv = ("-f", "-s^2 + 10*s^3", "--dim", "1", "--s-min", "1e-320", "--s-max", "1e-310",
                 "--grid-count", "5")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -679,6 +715,15 @@ class TestCurvesCommand:
         run(capsys, "curves", "--outdir", str(d2), "--count", "30")
         for f1, f2 in zip(sorted(d1.glob("*.csv")), sorted(d2.glob("*.csv"))):
             assert f1.read_bytes() == f2.read_bytes()
+
+    def test_slugs_of_the_figure_set_and_an_extra_member_are_distinct(self):
+        # -3*s^(1/3)+3 and 3*s^(-1/3)-3 differ only in their signs, which
+        # the slug dropped: both were 3_s_1_3_3
+        extra = scalarfun.FamilyA(a=0.9, c=-1.0, d=0.0, n=3)
+        curves = scalarfun.export_family_curves([extra], certifier.GridSpec(0.05, 8.0, 3))
+        slugs = [cli._slug(curve.label) for curve in curves]
+        assert len(set(slugs)) == len(slugs) == 5
+        assert slugs[1] == "m_3_s_1_3_p_3" and slugs[3] == "3_s_m_1_3_m_3"
 
     def test_expression_rejected(self, capsys, tmp_path):
         code, _, err = run(capsys, "curves", "-f", "-ln(s)", "--outdir", str(tmp_path / "x"))

@@ -59,9 +59,23 @@ file changed, so none was regenerated.  ``certify_ln_dim1.json`` and
 determinants from LU to the Cholesky factors that test its step: only
 the witness ``fd`` digits changed.
 
+All seven certify files were regenerated when a deterministic
+beyond-grid pass over [10^-n, 10^n] replaced the sweep's condition checks
+at det C, leaving a midpoint-only sweep of 2n draws per sample: each
+gained the ``beyond_grid`` key (null in the five at n <= 3), and its
+``rng`` tag and ``diagnostics`` changed.  No other byte changed, except
+in ``certify_mixed_dim5.json``: the pass's slope witness at
+s = 10^3.35 = 2238.72 refutes -ln(s)+1e-7*s^2 at n = 5, so its verdict
+went from CertifiedOnGrid to Refuted and its exit code from 0 to 1, and
+it gained that witness.  ``certify_neg_ln_dim10.json`` holds a pass
+that fails nothing.  ``witness_s.txt`` and ``witness_neg_s.txt`` (n = 3)
+did not change.
+
 ``curves/`` holds the five CSV files of ``curves --count 20`` with one
 extra family member, written before the curve export moved from its own
-module into ``scalarfun``.
+module into ``scalarfun``.  The files were renamed, with their bytes
+unchanged, when the file names began to keep the labels' signs as ``m``
+and ``p``, which made ``-3*s^(1/3)+3`` and ``3*s^(-1/3)-3`` differ.
 """
 
 from pathlib import Path
@@ -77,11 +91,11 @@ CASES = [
     ("certify_neg_ln.json", 0, ("certify", "-f", "-ln(s)", *CERTIFY)),
     ("certify_s.json", 1, ("certify", "-f", "s", *CERTIFY)),
     ("certify_exp.json", 2, ("certify", "-f", "exp(s)", *CERTIFY)),
-    # the default 1000 samples, one pass at n = 5, with slope failures
-    # beyond the grid
+    # the default 1000 samples, one pass at n = 5, refuted by a slope
+    # failure beyond the grid
     (
         "certify_mixed_dim5.json",
-        0,
+        1,
         ("certify", "-f", "-ln(s)+1e-7*s^2", "--dim", "5", "--seed", "3", "--no-timestamp"),
     ),
     (

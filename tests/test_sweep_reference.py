@@ -1,40 +1,40 @@
-"""The randomized sweep against per-sample references.
+"""The randomized midpoint sweep against per-sample references, and the
+sweep's older checks as evidence for what replaced them.
 
 The sweep draws sample i as row i of one PCG64 stream seeded with the
-seed: 3n uniforms, the log eigenvalues of the diagonal C, A1 and A2.
+seed: 2n uniforms, the log eigenvalues of the diagonal A1 and A2.
 ``reference_rows`` draws the same stream one spectrum at a time through
 ``Generator.uniform`` and sums each spectrum's logs left to right, and
 the draws must agree bit for bit.
 
-At s = det C the sweep checks the grid's two conditions, each on its
-own.  The quadratic form it used to sample is their weighted sum: with
-X = C^(-1/2) H C^(-1/2), t = tr X and |X0|^2 = |X|_F^2 - t^2/n,
+``reference_kernel`` draws every row at once, with one ``eval_jet`` call
+per determinant row, and keeps every sample's residual, which ``summary``
+turns into the sweep's counts and extremes.  The sweep, which evaluates
+its rows in passes with one jet call each and keeps running values, must
+equal it in every bit whatever the pass size, and the draws that replay
+from the largest residual's index must be the ones the reference drew
+there.  Every route forms the midpoint residual as gm - (g1/2 + g2/2),
+which stays finite where g1 + g2 overflows.  A sample runs where f
+evaluates at A1, A2 and their midpoint, and is skipped elsewhere.  An
+infinite residual counts as a failure where it crosses the tolerance and
+a NaN one (inf - inf) as none, but only finite values are extremes.
+
+The sweep once also checked the grid's two conditions at s = det C of a
+third diagonal draw C, whose log det is a sum of n uniforms over
+[-ln 10, ln 10].  ``per_term_failures`` keeps that draw, with 3n uniforms
+per row, as a reference: each failure it draws must be one the grid or
+the deterministic beyond-grid pass over [10^-n, 10^n] finds too.  Before
+that, the sweep sampled the quadratic form, which is the two conditions'
+weighted sum: with X = C^(-1/2) H C^(-1/2), t = tr X and
+|X0|^2 = |X|_F^2 - t^2/n,
 
     D2g(C).(H,H) = s^2 t^2 lhs(s) + s |X0|^2 (-f'(s)),
 
 both weights nonnegative, which
 ``test_hess_form_is_the_weighted_sum_of_the_two_conditions`` checks on
-the oracle's full frames.  ``weighted_form_sweep`` is that older sweep,
-kept as evidence: wherever its forms fail, a condition or a midpoint
-check of the sweep must fail too, and a form can hide a failing term.
-
-``reference_kernel`` draws every row at once, with one ``eval_jet`` call
-per determinant row and the conditions as the grid's plain expressions
-(``tests/test_grid_failures.py`` holds certify's columns to the same),
-and keeps every sample's values, which ``summary`` turns into the sweep's
-counts and worst samples.  The sweep, which evaluates its rows in passes
-with one jet call each and keeps running values, must equal it in every
-bit whatever the pass size, and the draws that replay from a worst
-sample's index must be the ones the reference drew there.  Every route
-forms the midpoint residual as gm - (g1/2 + g2/2), which stays finite
-where g1 + g2 overflows.
-
-Each check runs where its own jets evaluate, in the references as in the
-sweep: the conditions where the jet at det C does, the residual where
-those at A1, A2 and the midpoint do, and a sample where neither ran is
-skipped.  An infinite residual counts as a failure where it crosses the
-tolerance and a NaN one (inf - inf) as none, but only finite values are
-extremes, and only finite deficits name a worst sample.
+the oracle's full frames.  ``weighted_form_sweep`` is that older sweep:
+wherever its forms fail, ``certify`` must fail or its sweep find a
+midpoint failure, and a form can hide a failing term.
 """
 
 import numpy as np
@@ -44,10 +44,13 @@ from hypothesis import strategies as st
 
 from detconvex import certifier, detcalculus, linalg
 from detconvex.certifier import (
+    CERTIFIED,
     DEFAULT_TOL_BASE,
     SWEEP_FAIL_TOL,
     SWEEP_PASS_ENTRIES,
     ConvexitySampleDiagnostics,
+    certify,
+    condition_flags,
     sample_convexity,
     sweep_draw,
 )
@@ -75,14 +78,13 @@ def left_fold(op, x):
 
 
 def reference_rows(n, seed, k):
-    """The (C, A1, A2) spectra and the (det C, det A1, det A2) rows of the
-    first k samples of a sweep with ``seed``, drawn from one stream a
-    spectrum at a time: per sample, the n log eigenvalues of C, of A1 and
-    of A2 in turn."""
+    """The (A1, A2) spectra and the (det A1, det A2) rows of the first k
+    samples of a sweep with ``seed``, drawn from one stream a spectrum at
+    a time: per sample, the n log eigenvalues of A1 and then of A2."""
     gen = stream(seed)
     spectra, dets = [], []
     for _ in range(k):
-        logs = [gen.uniform(*DEFAULT_LOG_EIG_RANGE, size=n) for _ in range(3)]
+        logs = [gen.uniform(*DEFAULT_LOG_EIG_RANGE, size=n) for _ in range(2)]
         spectra.append([np.exp(lg) for lg in logs])
         dets.append(tuple(np.exp(left_fold(np.add, lg)) for lg in logs))
     return spectra, dets
@@ -125,10 +127,10 @@ def test_draw_is_the_per_row_reference(n):
     k, seed = 40, 9 + n
     spectra, dets = sweep_draw(stream(seed), n, k)
     spectra_ref, dets_ref = reference_rows(n, seed, k)
-    # C, A1 and A2 as spectra: row j holds their diagonals
-    assert spectra.shape == (k, 3, n)
+    # A1 and A2 as spectra: row j holds their diagonals
+    assert spectra.shape == (k, 2, n)
     assert all(np.array_equal(spectra[j], spectra_ref[j]) for j in range(k))
-    assert dets.shape == (k, 3)
+    assert dets.shape == (k, 2)
     assert all(tuple(dets[j]) == dets_ref[j] for j in range(k))
 
 
@@ -147,47 +149,29 @@ def test_draws_of_any_sizes_are_rows_of_one_stream(n):
             assert np.array_equal(got, longer[:short])
 
 
-def reference_sample_convexity(f, n, num_samples, seed, tol=DEFAULT_TOL_BASE):
-    """(run, skipped, lhs indices, fprime indices, midpoint indices,
-    min_mid, max_mid) from one sample at a time, with C, A1, A2 and the
-    midpoint built as matrices and their determinants from the hand LU
-    ``linalg.det``."""
+def reference_sample_convexity(f, n, num_samples, seed):
+    """(run, skipped, midpoint failure indices, min_mid, max_mid) from one
+    sample at a time, with A1, A2 and the midpoint built as matrices and
+    their determinants from the hand LU ``linalg.det``."""
     min_mid, max_mid = np.inf, -np.inf
-    lhs_idx, fprime_idx, mid_idx = [], [], []
+    mid_idx = []
     run = skipped = 0
     spectra, _ = reference_rows(n, seed, num_samples)
-    for i, (c, a1, a2) in enumerate(spectra):
-        conditions = r = None
+    for i, (a1, a2) in enumerate(spectra):
         with np.errstate(all="ignore"):
-            try:
-                s = linalg.det(np.diag(c))
-                jet = eval_jet(f, s)
-                band = (tol + tol * abs(jet.d1)) + tol * abs(jet.d2)
-                conditions = (jet.d2 + (n - 1) / (n * s) * jet.d1 >= -band, jet.d1 <= band)
-            except (DomainError, NonFiniteError):
-                pass
             try:
                 g1, g2, gm = (eval_jet(f, linalg.det(np.diag(x))).v
                               for x in (a1, a2, 0.5 * (a1 + a2)))
                 r = gm - (0.5 * g1 + 0.5 * g2)
             except (DomainError, NonFiniteError):
-                pass
-        if conditions is None and r is None:
-            skipped += 1
-            continue
+                skipped += 1
+                continue
         run += 1
-        if conditions is not None:
-            lhs_ok, fprime_ok = conditions
-            if not lhs_ok:
-                lhs_idx.append(i)
-            if n > 1 and not fprime_ok:
-                fprime_idx.append(i)
-        if r is not None:
-            if r > SWEEP_FAIL_TOL:
-                mid_idx.append(i)
-            if np.isfinite(r):
-                min_mid, max_mid = min(min_mid, r), max(max_mid, r)
-    return run, skipped, lhs_idx, fprime_idx, mid_idx, min_mid, max_mid
+        if r > SWEEP_FAIL_TOL:
+            mid_idx.append(i)
+        if np.isfinite(r):
+            min_mid, max_mid = min(min_mid, r), max(max_mid, r)
+    return run, skipped, mid_idx, min_mid, max_mid
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
@@ -198,25 +182,19 @@ def test_sweep_matches_reference_loop(text, n):
     num = 300
     f = parse(text)
     diag = sample_convexity(f, n, num, seed=30 + n)
-    run, skipped, lhs_idx, fprime_idx, mid_idx, min_mid, max_mid = reference_sample_convexity(
-        f, n, num, seed=30 + n
-    )
+    run, skipped, mid_idx, min_mid, max_mid = reference_sample_convexity(f, n, num, seed=30 + n)
     # each case exercises what it was chosen for, but at n = 1, where g is
-    # f and det C lies in [0.1, 10], s fails nothing and ln(s-5) may run
+    # f and det A lies in [0.1, 10], s fails nothing and ln(s-5) may run
     # no sample
     if text == "s":
-        assert n == 1 or (len(fprime_idx) == num and mid_idx)
+        assert n == 1 or mid_idx
     elif text == "ln(s-5)":
         assert 0 < skipped < num or (n == 1 and skipped == num)
     assert (diag.samples_run, diag.samples_skipped) == (run, skipped)
-    assert (diag.lhs_failures, diag.fprime_failures, diag.midpoint_failures) == (
-        len(lhs_idx), len(fprime_idx), len(mid_idx)
-    )
-    # the largest residual is one the reference failed; a condition's
-    # largest deficit may lie inside the band's absolute floor
+    assert diag.midpoint_failures == len(mid_idx)
     assert not mid_idx or diag.max_midpoint_sample in mid_idx
     # inf equals inf when nothing ran; each LU determinant is within about
-    # n cond(C) eps of the exact one, here at most 100, doubled for two
+    # n cond(A) eps of the exact one, here at most 100, doubled for two
     # routes and given a further factor 4 for the scalar arithmetic after
     tol = 8.0 * n * COND_MAX * EPS
     for got, want in ((diag.min_midpoint_residual, min_mid),
@@ -228,7 +206,7 @@ def replay(seed, n, i):
     """(spectra, dets) of sample i as one-row stacks, from the seed, n and
     i alone, as the README replays it."""
     bits = np.random.PCG64(seed)
-    bits.advance(i * 3 * n)
+    bits.advance(i * 2 * n)
     return sweep_draw(np.random.Generator(bits), n, 1)
 
 
@@ -241,54 +219,35 @@ def test_replay_is_the_row_of_the_stream(n):
             assert np.array_equal(got, row[i : i + 1])
 
 
-def replayed_values(f, seed, n, i):
-    """The lhs and slope deficits and the midpoint residual of replayed
-    sample i, NaN where a check does not run."""
+def replayed_residual(f, seed, n, i):
+    """The midpoint residual of replayed sample i, NaN where f fails."""
     e, dets = replay(seed, n, i)
-    s = float(dets[0, 0])
-    values = [np.nan] * 3
     with np.errstate(all="ignore"):
-        try:
-            jet = eval_jet(f, s)
-            values[:2] = (jet.d2 + (n - 1) / (n * s) * jet.d1) * (-n * s * s), s * jet.d1
-        except (DomainError, NonFiniteError):
-            pass
-        try:
-            g = eval_jet(f, np.append(dets[0, 1:], np.prod(0.5 * (e[0, 1] + e[0, 2])))).v
-            if not np.isnan(g).any():
-                values[2] = g[2] - (0.5 * g[0] + 0.5 * g[1])
-        except (DomainError, NonFiniteError):
-            pass
-    return values
+        g = eval_jet(f, np.append(dets[0], np.prod(0.5 * (e[0, 0] + e[0, 1])))).v
+        return g[2] - (0.5 * g[0] + 0.5 * g[1])
 
 
-def assert_worst_samples_replay(f, diag, seed, n, num):
-    """Each worst sample, replayed from its index alone, has the largest
-    finite value of its kind over the replayed samples, and the residual's
-    is the sweep's extreme bit for bit; an index is -1 when no value of
-    its kind was finite."""
-    replayed = np.array([replayed_values(f, seed, n, i) for i in range(num)])
-    for k, i in enumerate((diag.worst_lhs_sample, diag.worst_fprime_sample,
-                           diag.max_midpoint_sample)):
-        finite = replayed[:, k][np.isfinite(replayed[:, k])]
-        if k == 1 and n == 1:
-            assert i == -1
-        elif finite.size == 0:
-            assert i == -1
-        else:
-            assert replayed[i, k] == finite.max()
-    if diag.max_midpoint_sample >= 0:
-        assert replayed[diag.max_midpoint_sample, 2] == diag.max_midpoint_residual
+def assert_worst_sample_replays(f, diag, seed, n, num):
+    """The largest residual's sample, replayed from its index alone, has
+    the largest finite residual of the replayed samples, bit for bit, and
+    the failures are the replayed residuals above the tolerance; the index
+    is -1 when no residual was finite."""
+    replayed = np.array([replayed_residual(f, seed, n, i) for i in range(num)])
+    assert np.count_nonzero(replayed > SWEEP_FAIL_TOL) == diag.midpoint_failures
+    finite = replayed[np.isfinite(replayed)]
+    if finite.size == 0:
+        assert diag.max_midpoint_sample == -1
+    else:
+        assert replayed[diag.max_midpoint_sample] == finite.max() == diag.max_midpoint_residual
 
 
 def test_failures_replay_from_their_index():
     n, seed = 3, 11
     f = parse("s")
     diag = sample_convexity(f, n, 300, seed=seed)
-    assert diag.fprime_failures and diag.midpoint_failures
-    assert diag.worst_fprime_sample > 0 and diag.max_midpoint_sample > 0
+    assert diag.midpoint_failures and diag.max_midpoint_sample > 0
     assert diag.max_midpoint_residual > SWEEP_FAIL_TOL
-    assert_worst_samples_replay(f, diag, seed, n, 300)
+    assert_worst_sample_replays(f, diag, seed, n, 300)
 
 
 @pytest.mark.parametrize("num", [1, 7, 1000])
@@ -299,70 +258,41 @@ def test_failures_replay_through_the_draw_helper(text, num):
     diag = sample_convexity(f, n, num, seed=seed)
     assert diag.samples_run + diag.samples_skipped == num
     if num == 1000:
-        assert diag.fprime_failures
-    assert_worst_samples_replay(f, diag, seed, n, num)
+        assert diag.midpoint_failures if text == "s" else diag.samples_skipped
+    assert_worst_sample_replays(f, diag, seed, n, num)
 
 
-def reference_kernel(f, n, num_samples, seed, tol=DEFAULT_TOL_BASE):
+def reference_kernel(f, n, num_samples, seed):
     """(values, skipped, spectra) from one draw of every row with one
-    ``eval_jet`` call per determinant row: per sample that ran, its index,
-    whether it fails lhs and f' <= 0, their deficits -n s^2 lhs(s) and
-    s f'(s), and its midpoint residual, a value NaN where its check did
-    not run; the indices of the samples skipped; and the spectra drawn."""
+    ``eval_jet`` call per determinant row: per sample that ran, its index
+    and its midpoint residual; the indices of the samples skipped; and the
+    spectra drawn."""
     e, dets = sweep_draw(stream(seed), n, num_samples)
-    s = dets[:, 0]
-    jet = eval_jet(f, s)
-    g1 = eval_jet(f, dets[:, 1]).v
-    g2 = eval_jet(f, dets[:, 2]).v
-    gm = eval_jet(f, left_fold(np.multiply, 0.5 * (e[:, 1] + e[:, 2]))).v
+    g1 = eval_jet(f, dets[:, 0]).v
+    g2 = eval_jet(f, dets[:, 1]).v
+    gm = eval_jet(f, left_fold(np.multiply, 0.5 * (e[:, 0] + e[:, 1]))).v
     with np.errstate(all="ignore"):
-        # the grid's condition and band, each band term scaled first
-        lhs = jet.d2 + (n - 1) / (n * s) * jet.d1
-        band = (tol + tol * np.abs(jet.d1)) + tol * np.abs(jet.d2)
-        lhs_deficit = lhs * (-n * s * s)
-        slope_deficit = s * jet.d1
         r = gm - (0.5 * g1 + 0.5 * g2)
-    ran = ~np.isnan(jet.v)
-    lhs_bad = ran & ~(lhs >= -band)
-    # at n = 1, g is f itself and f' <= 0 is no condition
-    fprime_bad = ran & ~(jet.d1 <= band) & (n > 1)
-    mid_ran = ~(np.isnan(g1) | np.isnan(g2) | np.isnan(gm))
-    values, skipped = [], []
-    for j in range(num_samples):
-        if ran[j] or mid_ran[j]:
-            values.append((j, bool(lhs_bad[j]), float(lhs_deficit[j]), bool(fprime_bad[j]),
-                           float(slope_deficit[j]) if n > 1 else np.nan, float(r[j])))
-        else:
-            skipped.append(j)
-    return values, skipped, e
-
-
-def _worst(values, k):
-    """The first index of the largest finite entry k of ``values``, and
-    that entry; (-1, -inf) when none is finite."""
-    finite = [(v[k], v[0]) for v in values if np.isfinite(v[k])]
-    top = max((x for x, _ in finite), default=-np.inf)
-    return next((j for x, j in finite if x == top), -1), top
+    ran = ~(np.isnan(g1) | np.isnan(g2) | np.isnan(gm))
+    values = [(j, float(r[j])) for j in range(num_samples) if ran[j]]
+    return values, [j for j in range(num_samples) if not ran[j]], e
 
 
 def summary(values, skipped) -> ConvexitySampleDiagnostics:
     """The diagnostics of a sweep whose samples that ran have the
     ``values`` of ``reference_kernel`` and whose skipped samples are the
     indices ``skipped``, one sample at a time."""
-    residuals = [v[5] for v in values]
-    max_mid_at, max_mid = _worst(values, 5)
+    finite = [(r, j) for j, r in values if np.isfinite(r)]
+    top = max((r for r, _ in finite), default=-np.inf)
     return ConvexitySampleDiagnostics(
         samples_run=len(values),
         samples_skipped=len(skipped),
-        lhs_failures=sum(v[1] for v in values),
-        worst_lhs_sample=_worst(values, 2)[0],
-        fprime_failures=sum(v[3] for v in values),
-        worst_fprime_sample=_worst(values, 4)[0],
-        min_midpoint_residual=min(filter(np.isfinite, residuals), default=np.inf),
-        max_midpoint_residual=max_mid,
+        min_midpoint_residual=min((r for r, _ in finite), default=np.inf),
+        max_midpoint_residual=top,
         # infinite residuals fail or pass and NaN fails none
-        midpoint_failures=sum(r > SWEEP_FAIL_TOL for r in residuals),
-        max_midpoint_sample=max_mid_at,
+        midpoint_failures=sum(r > SWEEP_FAIL_TOL for _, r in values),
+        # the first index of the largest finite residual
+        max_midpoint_sample=next((j for r, j in finite if r == top), -1),
     )
 
 
@@ -372,15 +302,14 @@ def prefix(values, skipped, num):
 
 
 def assert_worst_draws_replay(diag, seed, n, spectra):
-    """The worst samples' spectra replay from their index."""
-    for i in (diag.worst_lhs_sample, diag.worst_fprime_sample, diag.max_midpoint_sample):
-        if i >= 0:
-            assert np.array_equal(replay(seed, n, i)[0][0], spectra[i])
+    """The largest residual's spectra replay from its index."""
+    i = diag.max_midpoint_sample
+    if i >= 0:
+        assert np.array_equal(replay(seed, n, i)[0][0], spectra[i])
 
 
-# 8e307*s^2 overflows its jets on most samples, which skip the conditions
-# or both checks, and its lhs to +inf on the others; exp(exp(s)) and
-# ln(s-5) skip samples too
+# 8e307*s^2 and exp(exp(s)) overflow at some determinants and ln(s-5)
+# fails its domain, which skip samples
 KERNEL_FUNCTIONS = ["-ln(s)", "s", "-s^0.34", "-ln(s)+1e-7*s^2", "ln(s-5)", "exp(exp(s))",
                     "8e307*s^2"]
 
@@ -400,26 +329,7 @@ def test_sweep_equals_the_kernel_reference_bit_for_bit(text, n, num):
     if num == 1000 and text in ("ln(s-5)", "exp(exp(s))", "8e307*s^2"):
         assert skipped
     if num == 1000 and text == "s" and n > 1:
-        assert diag.fprime_failures == 1000 and diag.midpoint_failures
-    # at n = 10, det C reaches 1e10, where the lhs of -s^0.34 lies inside
-    # the band's absolute floor
-    if num == 1000 and text == "-s^0.34" and n in (3, 5):
-        assert diag.lhs_failures == 1000
-    if text == "8e307*s^2" and n > 1:
-        # every lhs that ran overflowed, so none names a worst sample
-        assert diag.worst_lhs_sample == -1
-
-
-@pytest.mark.parametrize("tol", [1e-13, 0.5])
-def test_the_band_is_the_tolerance_given(tol):
-    # 1e-12*s has f' = 1e-12, inside a band of about 1e-9 and outside
-    # one of 1e-13; -s^0.34 fails lhs by far more than half its size
-    for text in ("1e-12*s", "-s^0.34", "s"):
-        f = parse(text)
-        diag = sample_convexity(f, 3, 300, seed=2, tol=tol)
-        assert diag == summary(*reference_kernel(f, 3, 300, 2, tol)[:2])
-    assert sample_convexity(parse("1e-12*s"), 3, 300, seed=2, tol=1e-13).fprime_failures == 300
-    assert sample_convexity(parse("1e-12*s"), 3, 300, seed=2).fprime_failures == 0
+        assert diag.midpoint_failures
 
 
 @pytest.mark.parametrize("text", ["s", "ln(s-5)"])
@@ -433,9 +343,9 @@ def test_failures_of_a_shorter_sweep_are_a_prefix(text):
 
 
 def test_the_sweep_solves_no_linear_system(monkeypatch):
-    # C, A1 and A2 are drawn as spectra: the conditions need only det C
-    # and the midpoint pair's determinant is a product, so the sweep
-    # calls no LAPACK routine, builds no frame and forms no quadratic form
+    # A1 and A2 are drawn as spectra and the midpoint's determinant is a
+    # product, so the sweep calls no LAPACK routine, builds no frame and
+    # forms no quadratic form
     def refuse(*args, **kwargs):
         raise AssertionError("the sweep called a LAPACK routine or a form")
 
@@ -446,19 +356,19 @@ def test_the_sweep_solves_no_linear_system(monkeypatch):
     monkeypatch.setattr(linalg, "sym_build", refuse)
     diag = sample_convexity(parse("s"), 3, 257, seed=5)
     assert diag.samples_run == 257
-    assert diag.fprime_failures and diag.midpoint_failures
+    assert diag.midpoint_failures
 
 
 def pass_rows(n):
-    """Rows of one evaluation pass at n: as many as keep rows * 3n within
+    """Rows of one evaluation pass at n: as many as keep rows * 2n within
     SWEEP_PASS_ENTRIES, and at least one."""
-    return max(1, SWEEP_PASS_ENTRIES // (3 * n))
+    return max(1, SWEEP_PASS_ENTRIES // (2 * n))
 
 
 def test_pass_sizes():
-    # a default 1000-sample sweep is one pass up to n = 10
-    assert [pass_rows(n) for n in (1, 2, 3, 5, 6, 10, 24, 64)] == [
-        10922, 5461, 3640, 2184, 1820, 1092, 455, 170
+    # a default 1000-sample sweep is one pass up to n = 16
+    assert [pass_rows(n) for n in (1, 2, 3, 5, 6, 10, 16, 17, 24, 64)] == [
+        16384, 8192, 5461, 3276, 2730, 1638, 1024, 963, 682, 256
     ]
 
 
@@ -497,9 +407,10 @@ def boundary_counts(p):
     return sorted({1, p - 1, p, p + 1, 3 * p, 300} - {0})
 
 
-# the domain failure of ln(s-5) skips samples, the lhs of 8e307*s^2 and
-# the sums g1 + g2 of -8e307*s^0.1 overflow, and -ln(s)+1e-7*s^2 fails
-# its slope on a few samples only, so that a pass may hold none
+# the domain failure of ln(s-5) and the overflow of 8e307*s^2 skip
+# samples, the sums g1 + g2 of -8e307*s^0.1 overflow, and s fails on some
+# samples only and -ln(s)+1e-7*s^2 on a few at n >= 10, so that a pass
+# may hold none
 BOUNDARY_FUNCTIONS = ["s", "ln(s-5)", "8e307*s^2", "-8e307*s^0.1", "-ln(s)+1e-7*s^2"]
 
 
@@ -509,7 +420,7 @@ BOUNDARY_FUNCTIONS = ["s", "ln(s-5)", "8e307*s^2", "-8e307*s^0.1", "-ln(s)+1e-7*
 def test_passes_equal_the_kernel_reference_bit_for_bit(monkeypatch, text, n, rows):
     # a pass of one row, of seven rows, and the default
     if rows is not None:
-        monkeypatch.setattr(certifier, "SWEEP_PASS_ENTRIES", rows * 3 * n)
+        monkeypatch.setattr(certifier, "SWEEP_PASS_ENTRIES", rows * 2 * n)
     p = pass_rows(n) if rows is None else rows
     f = parse(text)
     seed = 40 + n
@@ -521,11 +432,13 @@ def test_passes_equal_the_kernel_reference_bit_for_bit(monkeypatch, text, n, row
         assert diag == summary(*prefix(values, skipped, num)), num
         assert_worst_draws_replay(diag, seed, n, spectra)
     # each function exercises what it was chosen for over the longest sweep
-    if text == "ln(s-5)":
+    if text == "ln(s-5)" and n > 1:
         assert skipped
     if text == "-8e307*s^0.1" and n > 1:
         # the midpoint sums overflow and the residuals stay finite
         assert diag.midpoint_failures == 0 and np.isfinite(diag.max_midpoint_residual)
+    if text == "-ln(s)+1e-7*s^2" and n >= 10:
+        assert 0 < diag.midpoint_failures < counts[-1] // 2
 
 
 # --------------------------------------------------------------------------
@@ -582,7 +495,7 @@ def test_hess_form_is_the_weighted_sum_of_the_two_conditions(n, seed):
 
 
 # --------------------------------------------------------------------------
-# the weighted-form sweep the two conditions replaced, as evidence
+# the older sweeps, as evidence for what replaced them
 
 
 def weighted_form_sweep(f, n, num_samples, seed):
@@ -607,16 +520,16 @@ def weighted_form_sweep(f, n, num_samples, seed):
 
 @pytest.mark.parametrize("n", [3, 5, 10])
 def test_every_failing_form_has_a_failing_check(n):
+    # a failing form fails a condition at its det C, which lies in
+    # [10^-n, 10^n], or it is a midpoint failure itself
     failing = 0
     for text in EXPRESSION_CORPUS:
         f = parse(text)
         for seed in range(5):
             if weighted_form_sweep(f, n, 1000, seed)[0]:
                 failing += 1
-                diag = sample_convexity(f, n, 1000, seed)
-                assert diag.lhs_failures + diag.fprime_failures + diag.midpoint_failures, (
-                    text, seed,
-                )
+                rep = certify(f, n, samples=1000, seed=seed)
+                assert rep.verdict != CERTIFIED or rep.diagnostics.midpoint_failures, (text, seed)
     assert failing >= 30
 
 
@@ -626,6 +539,54 @@ def test_a_form_hides_what_the_conditions_show(text, n):
     # weight outweighs the failing term on each of these draws
     f = parse(text)
     assert weighted_form_sweep(f, n, 1000, 42)[0] == 0
-    diag = sample_convexity(f, n, 1000, 42)
-    assert diag.samples_run == diag.lhs_failures == 1000
-    assert diag.fprime_failures == 0
+    rep = certify(f, n)
+    assert rep.verdict != CERTIFIED
+    assert not rep.lhs_ok.any() and rep.fprime_ok.all()
+    beyond = rep.beyond_grid
+    assert beyond is None or (beyond.lhs_bad.all() and not beyond.fprime_bad.any())
+
+
+def per_term_failures(f, n, num_samples, seed, tol=DEFAULT_TOL_BASE):
+    """(s, lhs fails, f' fails) at the samples of the sweep that checked
+    the grid's two conditions at s = det C, whose rows held 3n uniforms,
+    the log eigenvalues of the diagonal C, A1 and A2, and whose det C was
+    the exp of C's logs summed left to right; NaN jets fail neither."""
+    lo, hi = DEFAULT_LOG_EIG_RANGE
+    u = stream(seed).random((num_samples, 3, n))
+    s = np.exp(left_fold(np.add, u[:, 0] * (hi - lo) + lo))
+    jet = eval_jet(f, s)
+    _, _, fprime_ok, lhs_ok = condition_flags(jet, s, n, tol)
+    ran = ~np.isnan(jet.v)
+    return s, ran & ~lhs_ok, ran & ~fprime_ok
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10, 24])
+def test_every_per_term_failure_is_a_failure_of_the_passes(n):
+    # each failure the per-term draw finds, the grid or the beyond-grid
+    # pass finds too, of the same kind, at one of the two points of their
+    # joint columns that bracket its s
+    failing = 0
+    for text in EXPRESSION_CORPUS:
+        f = parse(text)
+        rep = certify(f, n)
+        if rep.domain_failure:
+            # the beyond-grid pass does not run after a grid domain failure
+            assert rep.verdict != CERTIFIED and rep.beyond_grid is None
+            continue
+        columns = [(rep.s, ~rep.lhs_ok, ~rep.fprime_ok)]
+        if rep.beyond_grid is not None:
+            b = rep.beyond_grid
+            columns.append((b.s, b.lhs_bad, b.fprime_bad))
+        points, lhs_bad, fprime_bad = (np.concatenate(c) for c in zip(*columns))
+        order = np.argsort(points)
+        points, lhs_bad, fprime_bad = points[order], lhs_bad[order], fprime_bad[order]
+        for seed in (1, 7, 42):
+            s, *kinds = per_term_failures(f, n, 1000, seed)
+            # the columns span every det C the draw can reach
+            assert points[0] <= s.min() and s.max() <= points[-1]
+            above = np.clip(np.searchsorted(points, s), 1, len(points) - 1)
+            for drawn, found in zip(kinds, (lhs_bad, fprime_bad)):
+                failing += int(drawn.any())
+                bracketed = found[above - 1] | found[above]
+                assert bracketed[drawn].all(), (text, seed, s[drawn & ~bracketed])
+    assert failing >= 50

@@ -258,6 +258,7 @@ def _records():
         "Witness": report.witnesses[0],
         "CertificationReport": report,
         "ConvexitySampleDiagnostics": certifier.sample_convexity(parse("-ln(s)"), 3, 5, 1),
+        "BeyondGrid": certifier.beyond_grid(parse("s"), 3, GridSpec(0.5, 2.0, 5), 1e-9),
         "OracleSweepResult": detcalculus.oracle_sweep(3, 7, 1),
         "CheckResult": selftest.CheckResult("c00", "name", True, "detail"),
         "PosDefMatrix": linalg.PosDefMatrix.from_sym(np.diag([1.0, 2.0])),
@@ -270,13 +271,13 @@ RECORD_FIELDS = {
     ),
     "CertificationReport": (
         "verdict", "n", "grid", "s", "fprime", "lhs", "band", "fprime_ok", "lhs_ok",
-        "witnesses", "tol", "analytic_convex", "annotations", "diagnostics",
+        "witnesses", "tol", "analytic_convex", "annotations", "diagnostics", "beyond_grid",
     ),
     "ConvexitySampleDiagnostics": (
-        "samples_run", "samples_skipped", "lhs_failures", "worst_lhs_sample",
-        "fprime_failures", "worst_fprime_sample", "min_midpoint_residual",
+        "samples_run", "samples_skipped", "min_midpoint_residual",
         "max_midpoint_residual", "midpoint_failures", "max_midpoint_sample",
     ),
+    "BeyondGrid": ("grid", "s", "fprime", "lhs", "fprime_bad", "lhs_bad", "skipped"),
     "OracleSweepResult": ("samples", "hess_disc", "grad_disc", "richardson", "skipped"),
     "CheckResult": ("cid", "name", "passed", "detail"),
     "PosDefMatrix": ("a", "det"),
