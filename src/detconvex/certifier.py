@@ -22,8 +22,9 @@ The certifier samples both conditions on a logarithmic grid, and again
 on a fixed log grid over the decades [10^-n, 10^n] outside it.  A pass
 is reported as CertifiedOnGrid, never as a proof over all of (0, inf).  A
 violation is only promoted to Refuted once an explicit counterexample pair
-(C, H) with a negative quadratic form has been confirmed by the
-finite-difference oracle; otherwise the verdict is Inconclusive.
+(C, H) with a negative quadratic form has been confirmed, by a
+three-point gap of f or, where f is too flat in floating point to show
+it, by the jet alone; otherwise the verdict is Inconclusive.
 """
 
 from __future__ import annotations
@@ -34,12 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import detcalculus, scalarfun
-from .errors import (
-    DegenerateDirectionError,
-    DimensionError,
-    NotPositiveDefiniteError,
-    ParameterError,
-)
+from .errors import DimensionError, NotPositiveDefiniteError, ParameterError
 from .linalg import DEFAULT_LOG_EIG_RANGE, PosDefMatrix
 from .scalarfun import FamilyA, Jet2, LogFamily, NeoHookeVolumetric, PowerLaw, Value
 
@@ -51,8 +47,12 @@ KIND_POSITIVE_FPRIME = "PositiveFPrime"
 KIND_SECOND_ORDER = "SecondOrderDeficit"
 
 DEFAULT_TOL_BASE = 1e-9
-WITNESS_CONFIRM_TOL = 1e-4
 SWEEP_FAIL_TOL = 1e-8  # sweep midpoint residuals above it fail
+# The steps tau = 2^-1, ..., 2^-30 of a witness's three-point gap, its
+# rounding bound per unit of |f(a)| + |f(b)| + 2 |f(det C)|, and its labels.
+GAP_TAUS = 0.5 ** np.arange(1.0, 31.0)
+GAP_ROUNDING = 16.0 * float(np.finfo(float).eps)
+BY_GAP, BY_JET = "gap", "jet"
 
 
 class GridSpec(Value):
@@ -81,20 +81,24 @@ class GridSpec(Value):
 
 
 class Witness(NamedTuple):
-    """One witness attempt: the pair (C, H) of ``kind`` at s_star, its
-    quadratic form D2g(C).(H,H) = analytic_value, and fd_value, the
-    finite-difference oracle's estimate with outer step ``step``.  The
-    pair is a counterexample when ``confirmed``: analytic_value < 0 and
-    the two agree within WITNESS_CONFIRM_TOL relative."""
+    """One witness attempt: the pair (C, H) of ``kind`` at s_star, det_c =
+    det C, the form D2g(C).(H,H) = analytic_value from the jet at s_star,
+    and the gap g(C + tau H) + g(C - tau H) - 2 g(C) with its rounding
+    bound.  A finite negative form is confirmed: BY_GAP at the largest tau
+    whose gap is below minus its bound, else BY_JET on its sign alone
+    (tau, gap and bound NaN).  ``confirmed_by`` is None otherwise."""
 
     kind: str
     s_star: float
     c: PosDefMatrix
     h: np.ndarray
+    det_c: float
     analytic_value: float
-    fd_value: float
-    step: float
-    confirmed: bool
+    tau: float
+    gap: float
+    gap_bound: float
+    confirmed_by: str | None
+    confirmed = property(lambda w: w.confirmed_by is not None)
 
 
 class CertificationReport(NamedTuple):
@@ -156,14 +160,11 @@ def witness_pair(kind: str, s: float, n: int):
     """The counterexample pair (C, H) of ``kind`` at s: C = r I and H = r D
     with r = s^(1/n), so det C = s up to the rounding of r.
 
-    For KIND_POSITIVE_FPRIME, D = diag(1,-1,0,...,0): <C^-1,H> = 0 and
-    <HC^-1,C^-1H> = 2, so D2g(C).(H,H) = -2 s f'(s); it needs n >= 2
-    (DimensionError).  For KIND_SECOND_ORDER, D = I and H = C, so
-    f(det(C + tau H)) = u(r(1 + tau)) with u(t) = f(t^n), and the form is
-    r^2 u''(r) = n^2 s^2 lhs(s).  Either way |C| and |H| are r times a
-    constant, so the fd step, (1 + |C|) / (1 + |H|) times a constant,
-    stays within a factor sqrt(n/2) of one value at every s, and so does
-    the relative move of det C.
+    For KIND_POSITIVE_FPRIME, D = diag(1,-1,0,...,0), so D2g(C).(H,H) =
+    -2 s f'(s) and det(C +- tau H) = det C (1 - tau^2); it needs n >= 2
+    (DimensionError).  For KIND_SECOND_ORDER, D = I, so f(det(C + tau H))
+    = u(r(1 + tau)) with u(t) = f(t^n), det(C +- tau H) = det C (1 +- tau)^n
+    and the form is r^2 u''(r) = (n s)(n s f''(s) + (n-1) f'(s)).
     """
     if n < 1:
         raise ParameterError(f"dimension n={n} must be >= 1")
@@ -181,58 +182,60 @@ def witness_pair(kind: str, s: float, n: int):
 def witness_attempt(f, kind: str, s: float, n: int) -> Witness:
     """The ``Witness`` record of the pair of ``kind`` at s, confirmed or not.
 
-    The analytic form and its Richardson central second difference come
-    from ``directional_forms`` on the one-row stack at the LU determinant
-    of the diagonal C.  Errors of the construction (DimensionError for a
-    slope witness at n = 1) propagate; DegenerateDirectionError when f
-    fails at a stencil point or no step is admissible.
+    One evaluation of f gives the jet at s, for the form, and the values
+    at det C and det(C +- tau H), for the gaps at every tau of GAP_TAUS.
+    A gap above its bound contradicts nothing: the form is the limit
+    tau -> 0, and at a larger tau the gap also sees where f is convex.
+    Errors of the construction (DimensionError for a slope witness at
+    n = 1) propagate.
     """
     c, h = witness_pair(kind, s, n)
-    # an overflow, quiet in directional_forms, leaves the pair unconfirmed
-    forms = detcalculus.directional_forms((f,), c.a[None], h[None], np.array([c.det]))
-    analytic, fd, step = (float(x[0]) for x in (forms.hess, forms.fd_hess, forms.step))
-    if math.isnan(fd):
-        raise DegenerateDirectionError(
-            f"no finite difference at s={s!r}: f fails at a stencil point or no step is admissible"
-        )
-    confirmed = analytic < 0 and abs(analytic - fd) <= WITNESS_CONFIRM_TOL * max(
-        1.0, abs(analytic)
-    )
-    return Witness(kind, float(s), c, h, analytic, fd, step, confirmed)
+    slope = kind == KIND_POSITIVE_FPRIME
+    # an overflow, to a quiet inf or NaN, confirms nothing
+    with np.errstate(all="ignore"):
+        taus = np.append(GAP_TAUS, -GAP_TAUS)
+        ratios = 1.0 - taus * taus if slope else (1.0 + taus) ** n
+        jet = scalarfun.eval_jet(f, np.append((s, c.det), c.det * ratios))
+        fc, (fa, fb) = jet.v[1], jet.v[2:].reshape(2, -1)
+        ns = n * s
+        form = -2.0 * s * jet.d1[0] if slope else ns * (ns * jet.d2[0] + (n - 1) * jet.d1[0])
+        gap = (fa - fc) + (fb - fc)
+        bound = GAP_ROUNDING * (np.abs(fa) + np.abs(fb) + 2.0 * abs(fc))
+    below = np.flatnonzero(np.isfinite(gap) & (gap < -bound))
+    by = None
+    if form < 0 and math.isfinite(form):
+        by = BY_GAP if below.size else BY_JET
+    i = below[0] if by == BY_GAP else None
+    tau, g, b = (math.nan,) * 3 if i is None else (GAP_TAUS[i], gap[i], bound[i])
+    return Witness(kind, float(s), c, h, c.det, float(form), float(tau), float(g), float(b), by)
 
 
 def _confirmed_witness(f, kind: str, s: float, n: int) -> Witness | None:
     """The confirmed pair for ``kind`` at s, or None when it cannot be
     built (at n = 1 and a subnormal s, C = s is below the positivity
-    floor), evaluated or confirmed."""
+    floor) or is not confirmed."""
     try:
         w = witness_attempt(f, kind, s, n)
-    except (
-        DegenerateDirectionError,
-        DimensionError,
-        NotPositiveDefiniteError,
-    ):
+    except (DimensionError, NotPositiveDefiniteError):
         return None
     return w if w.confirmed else None
 
 
 def _grid_witness(f, kind: str, s, candidates, n: int) -> Witness | None:
-    """The confirmed pair for ``kind`` at the first point of ``s``
-    that the mask ``candidates`` marks or, failing that, at the marked
-    point nearest s = 1 in log s; None when neither confirms.
-
-    The pair moves det C by about the same relative amount at every s, but
-    the form it is checked on can still fall out of the float range at an
-    extreme s: for ln(s+1) at n = 1, the form t^2 u''(t) = -s^2/(s+1)^2
-    rounds to zero at s = 1e-300, which is no negative form, and the
-    pair on GridSpec(1e-300, 1e300, 2000) confirms at s = 0.708.
-    """
+    """The confirmed pair for ``kind`` at the first point of ``s`` that
+    the mask ``candidates`` marks or, unless its gap confirms it, at the
+    marked point nearest s = 1 in log s; a gap beats the jet, and the
+    first point a tie.  None when neither confirms.  The form can round
+    to zero at an extreme s: -s^2/(s+1)^2 of ln(s+1) at n = 1 does at
+    s = 1e-300, and the pair on GridSpec(1e-300, 1e300, 2000) confirms at
+    s = 0.708."""
     first = int(np.argmax(candidates))
     w = _confirmed_witness(f, kind, float(s[first]), n)
-    if w is None:
+    if w is None or w.confirmed_by != BY_GAP:
         nearest = int(np.argmin(np.where(candidates, np.abs(np.log(s)), np.inf)))
-        if nearest != first:
-            w = _confirmed_witness(f, kind, float(s[nearest]), n)
+        retry = _confirmed_witness(f, kind, float(s[nearest]), n) if nearest != first else None
+        if retry is not None and (w is None or retry.confirmed_by == BY_GAP):
+            w = retry
     return w
 
 
@@ -326,9 +329,9 @@ def certify(
     Per-point tolerance band: tol + tol*|f'(s)| + tol*|f''(s)|, with
     0 < tol < 1, each term scaled before the sum so that the band stays
     finite wherever f' and f'' are.  Any violation triggers witness
-    construction at the first violating point of its kind and, when that
-    pair is not confirmed, at the violating point of that kind nearest
-    s = 1; Refuted requires a confirmed witness.
+    construction at the first violating point of its kind and, unless its
+    gap confirms that pair, at the violating point of that kind nearest
+    s = 1 (``_grid_witness``); Refuted requires a confirmed witness.
     Scalar domain failures annotate the report and force Inconclusive.
 
     Without a domain failure, the ``beyond_grid`` pass checks both
@@ -400,7 +403,7 @@ def certify(
             witnesses.append(w)
         else:
             s_bad = float(columns[np.argmax(candidates)])
-            annotations.append(f"{label} violation {where}at s={s_bad:.6g} not confirmed by the fd oracle")
+            annotations.append(f"{label} violation {where}at s={s_bad:.6g} not confirmed by its witness pair")
 
     for where, columns, slope_bad, second_bad in passes:
         attempt(where, columns, KIND_POSITIVE_FPRIME, "slope", slope_bad)

@@ -204,10 +204,12 @@ def _report_json(args, report) -> dict:
             {
                 "kind": w.kind,
                 "s": w.s_star,
+                "det_c": w.det_c,
                 "C": w.c.a.tolist(),
                 "H": w.h.tolist(),
                 "analytic": w.analytic_value,
-                "fd": w.fd_value,
+                **{key: _finite(getattr(w, key)) for key in ("tau", "gap", "gap_bound")},
+                "confirmed_by": w.confirmed_by,
             }
             for w in report.witnesses
         ],
@@ -258,13 +260,12 @@ def _cmd_witness(args) -> int:
         return EXIT_INCONCLUSIVE
     w = report.witnesses[0]
     print(f"witness kind={w.kind} at s={w.s_star!r}")
-    print("C =")
-    print(_fmt_matrix(w.c.a))
-    print("H =")
-    print(_fmt_matrix(w.h))
+    print(f"det C = {w.det_c!r}")
+    print("C =", _fmt_matrix(w.c.a), "H =", _fmt_matrix(w.h), sep="\n")
     print(f"analytic D2g(C).(H,H) = {w.analytic_value!r}")
-    print(f"fd oracle (h={w.step!r}) = {w.fd_value!r}")
+    print(f"gap g(C+tau H) + g(C-tau H) - 2 g(C) at tau={w.tau!r} = {w.gap!r}, bound {w.gap_bound!r}")
     print(f"confirmed: {'yes' if w.confirmed else 'no'}")
+    print(f"confirmed by: {w.confirmed_by}")
     return EXIT_CERTIFIED
 
 

@@ -19,7 +19,7 @@ point is factored once by Cholesky for both the step's admissibility and
 its determinant, and one evaluator call per function over the five
 points of each of its rows.
 ``g_hess_form``, ``g_grad_form`` and the fd functions are the arithmetic
-on top.  The oracle runs it on one seeded draw, a witness on one row.
+on top.  The oracle runs it on one seeded draw.
 """
 
 from __future__ import annotations
@@ -196,40 +196,36 @@ def fd_first_directional(g, steps, halved):
 
 class DirectionalForms(NamedTuple):
     """Per row of a stack of pairs: the analytic D2g(C).(H,H) and Dg(C).H,
-    their Richardson central differences, the outer step both take, and
-    the Richardson estimates |D(T) - D(T/2)| of both
-    differences.  NaN marks a row whose f failed at one of its points
-    (outside the domain, or overflowing) or that has no admissible step."""
+    their Richardson central differences, and the Richardson estimates
+    |D(T) - D(T/2)| of both differences.  NaN marks a row whose f failed
+    at one of its points (outside the domain, or overflowing) or that has
+    no admissible step."""
 
     hess: np.ndarray
     fd_hess: np.ndarray
     grad: np.ndarray
     fd_grad: np.ndarray
-    step: np.ndarray
     hess_est: np.ndarray
     grad_est: np.ndarray
 
 
 @np.errstate(all="ignore")
-def directional_forms(functions, c, h, s) -> DirectionalForms:
+def directional_forms(functions, c, h) -> DirectionalForms:
     """Analytic and finite-difference forms for every pair of the
-    (N, n, n) stacks c and h, with s the N determinants of c; row i takes
-    f = functions[i % len(functions)].
+    (N, n, n) stacks c and h; row i takes f = functions[i % len(functions)].
 
-    One ``hess_terms`` solve gives both inner products, one ``_stencil``
-    the four points both differences share, their determinants from the
-    Cholesky factors that admit the step, and one evaluator call per
-    function f at its rows' five points, with no warning on overflow.  A
-    caller passes the determinants it trusts: the oracle LAPACK's, a
-    witness the LU determinant of its diagonal C, the product of its entries.
+    One ``hess_terms`` solve gives both inner products, LAPACK's
+    ``det`` the centres, one ``_stencil`` the four points both differences
+    share, their determinants from the Cholesky factors that admit the
+    step, and one evaluator call per function f at its rows' five points,
+    with no warning on overflow.
     """
     if not functions:
         raise ParameterError("directional_forms needs at least one function")
-    c, h, s = (np.asarray(x, dtype=float) for x in (c, h, s))
-    if c.ndim != 3 or c.shape[1] != c.shape[2] or h.shape != c.shape or s.shape != c.shape[:1]:
-        raise DimensionError(
-            f"expected (N, n, n) stacks and N determinants, got {c.shape}, {h.shape}, {s.shape}"
-        )
+    c, h = (np.asarray(x, dtype=float) for x in (c, h))
+    if c.ndim != 3 or c.shape[1] != c.shape[2] or h.shape != c.shape:
+        raise DimensionError(f"expected (N, n, n) stacks, got {c.shape} and {h.shape}")
+    s = np.linalg.det(c)
     steps, halved, dets = _stencil(c, h)
     inner, cross = hess_terms(c, h)
     points = np.concatenate([s[:, None], dets], axis=1)
@@ -246,7 +242,6 @@ def directional_forms(functions, c, h, s) -> DirectionalForms:
         fd_hess=fd_hess,
         grad=g_grad_form(centre, s, inner),
         fd_grad=fd_grad,
-        step=steps,
         hess_est=hess_est,
         grad_est=grad_est,
     )
@@ -322,7 +317,7 @@ def oracle_sweep(n: int, num_samples: int, seed: int, functions=None) -> OracleS
         raise ParameterError("num_samples must be >= 1")
     c, h = linalg.random_pairs(n, seed, num_samples)
     funcs = builtin_corpus(n) if functions is None else tuple(functions)
-    forms = directional_forms(funcs, c, h, np.linalg.det(c))
+    forms = directional_forms(funcs, c, h)
     # an infinite form makes inf - inf or inf / inf, a NaN discrepancy
     with np.errstate(all="ignore"):
         hess_disc = _relative(np.abs(forms.hess - forms.fd_hess), forms.hess)

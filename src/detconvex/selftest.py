@@ -72,7 +72,8 @@ def check_known_convex():
 
 def check_necessity_witness_slope():
     """f(s) = s is refuted through the slope witness with its exact
-    inner-product identities at s = det C and fd agreement."""
+    inner-product identities, its form -2 s f'(s) at the grid's s, and
+    a three-point gap below its rounding bound."""
     failures = []
     rep = certifier.certify(parse("s"), n=3)
     s0 = float(rep.grid.points()[0])
@@ -93,17 +94,16 @@ def check_necessity_witness_slope():
         failures.append(f"<C^-1,H> = {inner!r} != 0 exactly")
     if cross != 2.0:
         failures.append(f"<HC^-1,C^-1H> = {cross!r} != 2 exactly")
-    s = w.c.det
-    expect = -2.0 * s * float(eval_jet(parse("s"), s).d1)
+    expect = -2.0 * s0 * float(eval_jet(parse("s"), s0).d1)
     if w.analytic_value != expect:
-        failures.append(f"analytic {w.analytic_value!r} != -2 det C f'(det C) = {expect!r}")
-    if not _rel_err(w.fd_value, w.analytic_value) <= 1e-4:
-        failures.append(f"fd {w.fd_value!r} disagrees with analytic {w.analytic_value!r}")
+        failures.append(f"analytic {w.analytic_value!r} != -2 s f'(s) = {expect!r}")
+    if w.confirmed_by != certifier.BY_GAP or not w.gap < -w.gap_bound:
+        failures.append(f"confirmed by {w.confirmed_by}, gap {w.gap!r}, bound {w.gap_bound!r}")
     return _result(
         "c02",
         "slope-necessity witness",
         failures,
-        f"witness at s={w.s_star:.3e}, analytic {w.analytic_value:.6e}, fd {w.fd_value:.6e}",
+        f"witness at s={w.s_star:.3e}, analytic {w.analytic_value:.6e}, gap {w.gap:.6e} at tau={w.tau}",
     )
 
 
@@ -112,7 +112,8 @@ def check_necessity_witness_slope():
 
 def check_necessity_witness_second_order():
     """f(s) = -s is refuted through the second-order witness; the diagonal
-    condition value at (s=1, k=1) is exactly -6 and fd agrees."""
+    condition value at (s=1, k=1) is exactly -6, and so is the form, and
+    a three-point gap confirms it."""
     failures = []
     f = parse("-s")
     rep = certifier.certify(f, n=3)
@@ -123,17 +124,16 @@ def check_necessity_witness_second_order():
     if any(w.kind == KIND_POSITIVE_FPRIME for w in rep.witnesses):
         failures.append("unexpected slope witness for a decreasing function")
     w = certifier.witness_attempt(f, KIND_SECOND_ORDER, 1.0, 3)
-    analytic, fd = w.analytic_value, w.fd_value
     val = detcalculus.condition_lhs_diag(f, 1.0 / np.diag(w.c.a), w.h)
-    if val != -6.0:
-        failures.append(f"diagonal condition value {val!r} != -6 exactly")
-    if not _rel_err(fd, analytic) <= 1e-4:
-        failures.append(f"fd {fd!r} disagrees with analytic {analytic!r}")
+    if val != -6.0 or w.analytic_value != -6.0:
+        failures.append(f"diagonal condition value {val!r}, form {w.analytic_value!r} != -6 exactly")
+    if w.confirmed_by != certifier.BY_GAP:
+        failures.append(f"confirmed by {w.confirmed_by}, not by its gap")
     return _result(
         "c03",
         "second-order-necessity witness",
         failures,
-        f"diag condition -6 exact, analytic {analytic:.6e}, fd {fd:.6e}",
+        f"diag condition -6 exact, gap {w.gap:.6e} at tau={w.tau}",
     )
 
 

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import re
 import runpy
@@ -58,7 +59,11 @@ class TestCertifyCommand:
         r = s_star ** (1.0 / 3.0)
         assert w["C"] == [[r, 0.0, 0.0], [0.0, r, 0.0], [0.0, 0.0, r]]
         assert w["H"] == [[r, 0.0, 0.0], [0.0, -r, 0.0], [0.0, 0.0, 0.0]]
-        assert w["analytic"] == pytest.approx(-2.0 * s_star, rel=1e-15)
+        # -2 s f'(s) at the grid's s exactly, beside det C = r^3, and a gap
+        # of f at tau = 1/2 below its bound
+        assert w["analytic"] == -2.0 * s_star
+        assert w["det_c"] == pytest.approx(s_star, rel=1e-15)
+        assert (w["tau"], w["confirmed_by"]) == (0.5, "gap") and w["gap"] < -w["gap_bound"]
         # f' = 1 at every point: one run over the grid, the first point worst
         assert doc["grid_failures"] == {
             "points": 50,
@@ -249,7 +254,7 @@ class TestCertifyCommand:
         assert proc.stderr == "verdict: Refuted\n"
         doc = json.loads(proc.stdout)
         assert doc["annotations"] == [
-            "second-order violation at s=0.6 not confirmed by the fd oracle"
+            "second-order violation at s=0.6 not confirmed by its witness pair"
         ]
         assert [(w["kind"], w["s"]) for w in doc["witnesses"]] == [("SecondOrderDeficit", 1e-3)]
 
@@ -621,30 +626,31 @@ class TestWitnessCommand:
             doc = json.loads(out)
             assert doc["verdict"] == "Inconclusive" and doc["witnesses"] == []
             assert doc["annotations"] == [
-                "second-order violation at s=9.99989e-321 not confirmed by the fd oracle"
+                "second-order violation at s=9.99989e-321 not confirmed by its witness pair"
             ]
             # witness prints certify's annotation instead of building a pair
             code, out, err = run(capsys, "witness", *argv)
             assert code == 2 and err == ""
             assert out == (
-                "second-order violation at s=9.99989e-321 not confirmed by the fd oracle\n"
+                "second-order violation at s=9.99989e-321 not confirmed by its witness pair\n"
             )
 
 
 def _witness_text(w) -> re.Pattern:
-    """The witness command's text for one witness of the certify JSON; the
-    fd step is not in the JSON and matches any float."""
+    """The witness command's text for one witness of the certify JSON, in
+    which a jet witness's tau, gap and bound are null (printed nan)."""
 
     def rows(m):
         return "".join("  [" + ", ".join(map(repr, r)) + "]\n" for r in m)
 
+    tau, gap, bound = (math.nan if w[k] is None else w[k] for k in ("tau", "gap", "gap_bound"))
     return re.compile(
         re.escape(
-            f"witness kind={w['kind']} at s={w['s']!r}\nC =\n{rows(w['C'])}H =\n{rows(w['H'])}"
-            f"analytic D2g(C).(H,H) = {w['analytic']!r}\nfd oracle (h="
+            f"witness kind={w['kind']} at s={w['s']!r}\ndet C = {w['det_c']!r}\n"
+            f"C =\n{rows(w['C'])}H =\n{rows(w['H'])}analytic D2g(C).(H,H) = {w['analytic']!r}\n"
+            f"gap g(C+tau H) + g(C-tau H) - 2 g(C) at tau={tau!r} = {gap!r}, bound {bound!r}\n"
+            f"confirmed: yes\nconfirmed by: {w['confirmed_by']}\n"
         )
-        + r"[0-9.e+-]+"
-        + re.escape(f") = {w['fd']!r}\nconfirmed: yes\n")
     )
 
 
@@ -798,8 +804,7 @@ class TestOracleCommand:
         estimates = []
         for i in range(28):
             row = slice(i, i + 1)
-            s = np.linalg.det(c[row])
-            forms = detcalculus.directional_forms((corpus[i % 7],), c[row], h[row], s)
+            forms = detcalculus.directional_forms((corpus[i % 7],), c[row], h[row])
             pairs = (
                 (forms.hess, forms.fd_hess, forms.hess_est),
                 (forms.grad, forms.fd_grad, forms.grad_est),

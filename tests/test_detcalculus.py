@@ -60,14 +60,12 @@ def _hess(f, c, h):
 
 
 def _forms(f, c, h):
-    """directional_forms of one pair as a one-row stack, at its LU
-    determinant, as a witness calls it."""
-    return directional_forms((f,), c.a[None], np.asarray(h, dtype=float)[None], np.array([c.det]))
+    """directional_forms of one pair as a one-row stack."""
+    return directional_forms((f,), c.a[None], np.asarray(h, dtype=float)[None])
 
 
 def _stacks(pairs):
-    c = np.stack([p[0].a for p in pairs])
-    return c, np.stack([p[1] for p in pairs]), np.linalg.det(c)
+    return np.stack([p[0].a for p in pairs]), np.stack([p[1] for p in pairs])
 
 
 class TestGradForm:
@@ -87,9 +85,9 @@ class TestGradForm:
         assert _grad(IDENT, c, h) == 1.0
 
     def test_matches_first_differences(self):
-        c, h, s = _stacks(list(_samples(3, 40, seed=11)))
+        c, h = _stacks(list(_samples(3, 40, seed=11)))
         for f in (NEG_LN, IDENT, FamilyA(a=0.5, c=-1.0, d=0.0, n=3)):
-            forms = directional_forms((f,), c, h, s)
+            forms = directional_forms((f,), c, h)
             bound = 1e-6 * np.maximum(1.0, np.abs(forms.grad))
             assert np.all(np.abs(forms.grad - forms.fd_grad) <= bound)
 
@@ -97,7 +95,7 @@ class TestGradForm:
         c = _posdef(3, 4)
         for h in (np.eye(2)[None], np.eye(3), np.zeros((2, 3, 3))):
             with pytest.raises(DimensionError):
-                directional_forms((NEG_LN,), c.a[None], h, np.array([c.det]))
+                directional_forms((NEG_LN,), c.a[None], h)
 
 
 class TestHessForm:
@@ -285,14 +283,14 @@ class TestFdOracles:
     def test_explicit_step_example(self):
         # |C| = |H|, so the default step is the scale itself
         c = _diag([1.0, 1.0])
-        forms = _forms(NEG_LN, c, np.eye(2))
-        assert forms.step[0] == FD_STEP
-        assert abs(forms.fd_hess[0] - 2.0) <= 1e-6
+        steps, halved, _ = detcalculus._stencil(c.a[None], np.eye(2)[None])
+        assert steps[0] == FD_STEP and not halved[0]
+        assert abs(_forms(NEG_LN, c, np.eye(2)).fd_hess[0] - 2.0) <= 1e-6
 
     def test_zero_direction_exact(self):
         # every stencil point is C itself, at the determinant the oracle uses
         c = _posdef(3, 6).a[None]
-        forms = directional_forms((NEG_LN,), c, np.zeros((1, 3, 3)), np.linalg.det(c))
+        forms = directional_forms((NEG_LN,), c, np.zeros((1, 3, 3)))
         assert forms.fd_hess[0] == 0.0 and forms.fd_grad[0] == 0.0
         assert forms.hess_est[0] == 0.0 and forms.grad_est[0] == 0.0
 
@@ -314,8 +312,10 @@ class TestFdOracles:
         assert step < 1e-9 and halvings == int(halvings) > 0
         assert linalg.cholesky_posdef(np.stack([c[0] + step * h[0], c[0] - step * h[0]]))[0].all()
         assert not linalg.cholesky_posdef(c[0] - 2.0 * step * h[0])[0]
+        # the forms take the differences at that step
         forms = _forms(IDENT, PosDefMatrix.from_sym(c[0]), h[0])
-        assert forms.step[0] == step
+        second, first, ref_step = _reference_differences(IDENT, c[0], h[0], np.linalg.det(c[0]))
+        assert ref_step == step and (forms.fd_hess[0], forms.fd_grad[0]) == (second, first)
         assert abs(forms.fd_hess[0] - forms.hess[0]) <= 1e-5
         assert abs(forms.fd_grad[0] - forms.grad[0]) <= 1e-6
 
@@ -324,7 +324,6 @@ class TestFdOracles:
         # 1e-20: no step, no difference, but the analytic forms
         c = _diag([1e-20, 1e-20])
         forms = _forms(NEG_LN, c, np.eye(2))
-        assert np.isnan(forms.step[0])
         assert np.isnan(forms.fd_hess[0]) and np.isnan(forms.fd_grad[0])
         assert np.isfinite(forms.hess[0]) and np.isfinite(forms.grad[0])
         steps, _, _ = detcalculus._stencil(c.a[None], np.eye(2)[None])
@@ -349,13 +348,14 @@ class TestFdOracles:
                 (PosDefMatrix.from_sym(c.a - (np.linalg.eigh(c.a)[0][0] - lam_min) * np.eye(3)), h)
                 for c, h in pairs
             ]
-        c, h, s = _stacks(pairs)
+        c, h = _stacks(pairs)
+        s, steps = np.linalg.det(c), detcalculus._stencil(c, h)[0]
         halved = 0
         for f in builtin_corpus(3) + (IDENT, parse("s^2*exp(-s)")):
-            forms = directional_forms((f,), c, h, s)
+            forms = directional_forms((f,), c, h)
             for i in range(len(pairs)):
                 second, first, step = _reference_differences(f, c[i], h[i], s[i])
-                assert (forms.fd_hess[i], forms.fd_grad[i], forms.step[i]) == (second, first, step)
+                assert (forms.fd_hess[i], forms.fd_grad[i], steps[i]) == (second, first, step)
                 halved += step < _default_step(c[i], h[i])
         assert (halved > 0) == (lam_min is not None)
 
@@ -519,7 +519,7 @@ class TestOracleDefects:
         c, h = _old_draw(727168335, 3, 10)
         f = builtin_corpus(10)[3]
         assert f == scalarfun.PowerLaw(c=1.0, p=1.0, d=-1.0)
-        forms = directional_forms((f,), c, h, np.linalg.det(c))
+        forms = directional_forms((f,), c, h)
         assert _disc(forms.hess[0], forms.fd_hess[0]) <= detcalculus.ORACLE_HESS_TOL
         assert _disc(forms.grad[0], forms.fd_grad[0]) <= detcalculus.ORACLE_GRAD_TOL
 
@@ -527,17 +527,17 @@ class TestOracleDefects:
         # oracle --dim 10 --samples 28 --seed 520700057, sample 6: grad
         # discrepancy 1.0022e-6 before
         c, h = _old_draw(520700057, 6, 10)
-        forms = directional_forms((builtin_corpus(10)[6],), c, h, np.linalg.det(c))
+        forms = directional_forms((builtin_corpus(10)[6],), c, h)
         assert _disc(forms.grad[0], forms.fd_grad[0]) <= detcalculus.ORACLE_GRAD_TOL
         assert _disc(forms.hess[0], forms.fd_hess[0]) <= detcalculus.ORACLE_HESS_TOL
 
 
-def _row_loop(functions, c, h, s):
+def _row_loop(functions, c, h):
     """directional_forms one row at a time, each row a one-row stack."""
     rows = []
     for i in range(len(c)):
         row = slice(i, i + 1)
-        rows.append(directional_forms((functions[i % len(functions)],), c[row], h[row], s[row]))
+        rows.append(directional_forms((functions[i % len(functions)],), c[row], h[row]))
     return detcalculus.DirectionalForms(*(np.concatenate(x) for x in zip(*rows)))
 
 
@@ -556,25 +556,24 @@ class TestStackedOracle:
         # row 4 needs halving: its smallest eigenvalue is 1e-9
         lam = np.linalg.eigvalsh(c[4])[0]
         c[4] = c[4] - (lam - 1e-9) * np.eye(n)
-        s = np.linalg.det(c)
         # row 9 takes ln(s-5) below its domain
         partial = parse("ln(s-5)")
         c[9] = np.eye(n)
-        s[9] = 1.0
         functions = tuple(builtin_corpus(n)[i % 7] for i in range(30))
         functions = functions[:9] + (partial,) + functions[10:]
-        stacked = directional_forms(functions, c, h, s)
-        loop = _row_loop(functions, c, h, s)
+        stacked = directional_forms(functions, c, h)
+        loop = _row_loop(functions, c, h)
         for name, a, b in zip(stacked._fields, stacked, loop):
             assert _same(a, b), name
-        assert stacked.step[4] < _default_step(c[4], h[4]) and np.isfinite(stacked.fd_hess[4])
+        steps = detcalculus._stencil(c, h)[0]
+        assert steps[4] < _default_step(c[4], h[4]) and np.isfinite(stacked.fd_hess[4])
         assert np.isnan(stacked.hess[9]) and np.isnan(stacked.fd_grad[9])
         assert np.isfinite(np.delete(stacked.fd_hess, 9)).all()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_sweep_equals_the_row_loop(self, n):
         c, h = linalg.random_pairs(n, 400 + n, 40)
-        loop = _row_loop(builtin_corpus(n), c, h, np.linalg.det(c))
+        loop = _row_loop(builtin_corpus(n), c, h)
         res = oracle_sweep(n, 40, seed=400 + n)
         assert res.skipped == 0 and list(res.samples) == list(range(40))
         want_hess = [_disc(a, b) for a, b in zip(loop.hess, loop.fd_hess)]
@@ -586,7 +585,7 @@ class TestStackedOracle:
         # ln(s-5) fails wherever det C is near or below 5
         partial = parse("ln(s-5)")
         c, h = linalg.random_pairs(3, 3, 60)
-        loop = _row_loop((partial,), c, h, np.linalg.det(c))
+        loop = _row_loop((partial,), c, h)
         failed = np.isnan(loop.fd_hess + loop.fd_grad + loop.hess + loop.grad)
         res = oracle_sweep(3, 60, seed=3, functions=[partial])
         assert 0 < res.skipped == failed.sum()

@@ -71,6 +71,16 @@ it gained that witness.  ``certify_neg_ln_dim10.json`` holds a pass
 that fails nothing.  ``witness_s.txt`` and ``witness_neg_s.txt`` (n = 3)
 did not change.
 
+The six files that hold a witness (``certify_s.json``,
+``certify_grid_mixed.json``, ``certify_mixed_dim5.json``,
+``certify_ln_dim1.json``, ``witness_s.txt``, ``witness_neg_s.txt``) were
+regenerated when both witnesses moved from the fd oracle to a
+three-point gap of f: each witness lost its ``fd`` (and the witness
+command its ``fd oracle (h=...)`` line) and gained ``det_c``, ``tau``,
+``gap``, ``gap_bound`` and ``confirmed_by``, and its ``analytic`` moved
+by an ulp or two, now read from the jet at the grid's s.  No verdict,
+exit code or other byte changed.
+
 ``curves/`` holds the five CSV files of ``curves --count 20`` with one
 extra family member, written before the curve export moved from its own
 module into ``scalarfun``.  The files were renamed, with their bytes
@@ -78,8 +88,10 @@ unchanged, when the file names began to keep the labels' signs as ``m``
 and ``p``, which made ``-3*s^(1/3)+3`` and ``3*s^(-1/3)-3`` differ.
 """
 
+import json
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from detconvex.cli import main
@@ -138,3 +150,29 @@ def test_curve_files_match_the_golden_files(capsys, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [p.name for p in golden]
     for path in golden:
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+# f of each certify golden that holds a witness, in mpmath at the floats
+# the parser reads
+MP_F = {
+    "certify_s.json": lambda s: s,
+    "certify_mixed_dim5.json": lambda s: -mpmath.log(s) + mpmath.mpf(1e-7) * s**2,
+    "certify_grid_mixed.json": lambda s: -s * mpmath.log(s) + s**2 / (1 + s),
+    "certify_ln_dim1.json": mpmath.log,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MP_F))
+def test_gap_witnesses_recompute_below_zero(name):
+    # g(C + tau H) + g(C - tau H) - 2 g(C) from the reported C, H and tau
+    # at 50 digits: a counterexample to convexity, and the reported gap
+    # to within its rounding bound
+    witnesses = json.loads((GOLDEN / name).read_text())["witnesses"]
+    assert witnesses and all(w["confirmed_by"] == "gap" for w in witnesses)
+    f = MP_F[name]
+    with mpmath.workdps(50):
+        for w in witnesses:
+            c, h, tau = mpmath.matrix(w["C"]), mpmath.matrix(w["H"]), mpmath.mpf(w["tau"])
+            gap = f(mpmath.det(c + tau * h)) + f(mpmath.det(c - tau * h)) - 2 * f(mpmath.det(c))
+            assert gap < 0, w["kind"]
+            assert abs(gap - w["gap"]) <= w["gap_bound"], (w["kind"], gap)

@@ -470,7 +470,7 @@ def test_hess_form_is_the_weighted_sum_of_the_two_conditions(n, seed):
     c, h = linalg.random_pairs(n, seed, len(functions))
     s = np.linalg.det(c)
     with np.errstate(all="ignore"):
-        forms = directional_forms(functions, c, h, s).hess
+        forms = directional_forms(functions, c, h).hess
     t2, x0, fro2 = condition_weights(c, h)
     assert np.all(x0 >= -1e-12 * fro2)
     checked = 0

@@ -267,7 +267,8 @@ def _records():
 
 RECORD_FIELDS = {
     "Witness": (
-        "kind", "s_star", "c", "h", "analytic_value", "fd_value", "step", "confirmed",
+        "kind", "s_star", "c", "h", "det_c", "analytic_value", "tau", "gap", "gap_bound",
+        "confirmed_by",
     ),
     "CertificationReport": (
         "verdict", "n", "grid", "s", "fprime", "lhs", "band", "fprime_ok", "lhs_ok",
