@@ -18,9 +18,9 @@ keeps every point's values.
 
 Exit codes for certify: 0 certified on grid, 1 refuted, 2 inconclusive,
 3 usage or parse error, or an output path that cannot be written.  Any
-command that cannot finish because a function fails to evaluate, no
-finite-difference step exists, an eigensolver does not converge or a
-matrix falls below the positivity floor exits 2.
+command that cannot finish because a function fails to evaluate, an
+eigensolver does not converge, or a matrix falls below the positivity
+floor or has no Cholesky factor exits 2.
 """
 
 from __future__ import annotations

@@ -14,10 +14,10 @@ stack of pairs, or from C's spectrum alone through ``diag_terms``.
 
 ``directional_forms`` checks a stack of pairs at once: one solve for the
 inner products, one Richardson stencil at one step per pair for both
-central differences of t -> f(det(C + tH)) (``_stencil``), whose every
-point is factored once by Cholesky for both the step's admissibility and
-its determinant, and one evaluator call per function over the five
-points of each of its rows.
+central differences of t -> f(det(C + tH)) (``_stencil``), whose four
+points per pair are factored in one Cholesky call for their
+determinants, and one evaluator call per function over the five points
+of each of its rows.
 ``g_hess_form``, ``g_grad_form`` and the fd functions are the arithmetic
 on top.  The oracle runs it on one seeded draw.
 """
@@ -34,7 +34,6 @@ from .errors import DegenerateDirectionError, DimensionError, ParameterError
 from .linalg import frob_norm
 
 _EPS = float(np.finfo(float).eps)
-FD_MAX_HALVINGS = 40
 
 # Outer step T of both central differences, as a multiple of the
 # direction scale (1 + |C|) / (1 + |H|).  Each difference is also taken at
@@ -120,52 +119,32 @@ _OFFSETS = np.array([1.0, -1.0, 0.5, -0.5])
 
 
 def _stencil(c, h):
-    """(steps, halved, dets) of the stencil of both central differences of
+    """(steps, dets) of the stencil of both central differences of
     t -> f(det(C + tH)), for the (N, n, n) stacks c and h.
 
-    steps[i] is the outer step T at row i: FD_STEP_SCALE times
-    (1 + |C_i|) / (1 + |H_i|), halved while C_i + T H_i or C_i - T H_i has
-    no Cholesky factor; ``halved`` marks the steps that were.  dets[i]
-    holds det(C_i + o T H_i) for o = 1, -1, 1/2, -1/2, from the factors
-    that test the step: one ``cholesky_posdef`` call over the whole
-    stencil, then one per halving round over the rows it halved.
-    C_i +/- (T/2) H_i lies in the cone by its convexity and is factored
-    only for its determinant.  A step is NaN when FD_MAX_HALVINGS halvings
-    leave no admissible one or a point has no positive determinant.
+    steps[i] is the outer step T at row i, FD_STEP_SCALE times
+    (1 + |C_i|) / (1 + |H_i|), and dets[i] holds det(C_i + o T H_i) for
+    o = 1, -1, 1/2, -1/2, from one ``cholesky_posdef`` call over the whole
+    stencil.  NotPositiveDefiniteError names row i and offset k where C_i
+    is within about T |H_i| of the cone's boundary, which no draw of
+    ``linalg.random_pairs`` is: T |H| < FD_STEP_SCALE (1 + 10 sqrt(n)) <=
+    0.026 < 0.1, its smallest eigenvalue, up to n = 64.
     """
-    default = FD_STEP_SCALE * (1.0 + frob_norm(c)) / (1.0 + frob_norm(h))
-    if not np.all(default > 0):
+    steps = FD_STEP_SCALE * (1.0 + frob_norm(c)) / (1.0 + frob_norm(h))
+    if not np.all(steps > 0):
         # the norm of an H overflowed
         raise ParameterError("finite-difference step must be positive")
-    steps = default.copy()
-    posdef = np.empty(c.shape[:1] + _OFFSETS.shape, dtype=bool)
-    dets = np.empty(posdef.shape)
-    # every row's stencil first (a zero direction's is C itself), then
-    # the rows whose C +/- TH has no factor
-    i = slice(None)
-    for _ in range(FD_MAX_HALVINGS + 1):
-        t = steps[i, None] * _OFFSETS
-        posdef[i], dets[i] = linalg.cholesky_posdef(c[i, None] + t[..., None, None] * h[i, None])
-        i = np.flatnonzero(~posdef[:, :2].all(axis=-1))
-        if not i.size:
-            break
-        steps[i] *= 0.5
-    failed = ~np.all(dets > 0.0, axis=-1)
-    return np.where(failed, np.nan, steps), steps < default, dets
+    t = steps[:, None] * _OFFSETS
+    return steps, linalg.cholesky_posdef(c[:, None] + t[..., None, None] * h[:, None])
 
 
-def _richardson(full, half, halved):
-    """(value, estimate): Richardson's (4 D(T/2) - D(T)) / 3, or D(T) where
-    the step was halved, and the estimate |D(T) - D(T/2)| of the h^2 term.
-
-    A halved step is set by the distance to the cone's boundary, not by
-    truncation, and there the extrapolation multiplies roundoff: at
-    C = diag(1e-9, 1), H = I and f = s it gives 2 + 3.7e-5, D(T) 2 + 1.6e-6.
-    """
-    return np.where(halved, full, (4.0 * half - full) / 3.0), np.abs(full - half)
+def _richardson(full, half):
+    """(value, estimate): Richardson's (4 D(T/2) - D(T)) / 3 and the
+    estimate |D(T) - D(T/2)| of the h^2 term."""
+    return (4.0 * half - full) / 3.0, np.abs(full - half)
 
 
-def fd_second_directional_with_step(g0, g, steps, halved):
+def fd_second_directional_with_step(g0, g, steps):
     """(value, estimate) of the Richardson second difference at t = 0 of
     t -> f(det(C + tH)), from f at the centre, g0, and at the stencil
     points, g[..., :] at t = T, -T, T/2, -T/2, with the outer step
@@ -173,33 +152,30 @@ def fd_second_directional_with_step(g0, g, steps, halved):
 
         D(T) = (g(T) - 2 g0 + g(-T)) / T^2,   value = (4 D(T/2) - D(T)) / 3
 
-    (D(T) where ``halved``).  The name is historical (this returned the
-    step it chose); the benchmark's trace records the call under it."""
+    The name is historical (this returned the step it chose); the
+    benchmark's trace records the call under it."""
     half = 0.5 * steps
     return _richardson(
         (g[..., 0] - 2.0 * g0 + g[..., 1]) / (steps * steps),
         (g[..., 2] - 2.0 * g0 + g[..., 3]) / (half * half),
-        halved,
     )
 
 
-def fd_first_directional(g, steps, halved):
+def fd_first_directional(g, steps):
     """(value, estimate) of the Richardson first difference at t = 0 of
     t -> f(det(C + tH)), from f at the stencil points g[..., :] (t = T,
     -T, T/2, -T/2) with the outer step T = ``steps``:
-    D(T) = (g(T) - g(-T)) / (2T), and D(T) where ``halved``.  It does not
-    read the centre, so a failure of f there leaves it finite."""
-    return _richardson(
-        (g[..., 0] - g[..., 1]) / (2.0 * steps), (g[..., 2] - g[..., 3]) / steps, halved
-    )
+    D(T) = (g(T) - g(-T)) / (2T).  It does not read the centre, so a
+    failure of f there leaves it finite."""
+    return _richardson((g[..., 0] - g[..., 1]) / (2.0 * steps), (g[..., 2] - g[..., 3]) / steps)
 
 
 class DirectionalForms(NamedTuple):
     """Per row of a stack of pairs: the analytic D2g(C).(H,H) and Dg(C).H,
     their Richardson central differences, and the Richardson estimates
     |D(T) - D(T/2)| of both differences.  NaN marks a row whose f failed
-    at one of its points (outside the domain, or overflowing) or that has
-    no admissible step."""
+    at one of its points: outside the domain, overflowing, or at a
+    determinant that under- or overflowed."""
 
     hess: np.ndarray
     fd_hess: np.ndarray
@@ -216,17 +192,20 @@ def directional_forms(functions, c, h) -> DirectionalForms:
 
     One ``hess_terms`` solve gives both inner products, LAPACK's
     ``det`` the centres, one ``_stencil`` the four points both differences
-    share, their determinants from the Cholesky factors that admit the
-    step, and one evaluator call per function f at its rows' five points,
-    with no warning on overflow.
+    share with their determinants, and one evaluator call per function f
+    at its rows' five points, with no warning on overflow.  Non-finite
+    entries raise ParameterError, and a C too close to the cone's
+    boundary for the step NotPositiveDefiniteError (``_stencil``).
     """
     if not functions:
         raise ParameterError("directional_forms needs at least one function")
     c, h = (np.asarray(x, dtype=float) for x in (c, h))
     if c.ndim != 3 or c.shape[1] != c.shape[2] or h.shape != c.shape:
         raise DimensionError(f"expected (N, n, n) stacks, got {c.shape} and {h.shape}")
+    if not (np.isfinite(c).all() and np.isfinite(h).all()):
+        raise ParameterError("matrix entries must be finite")
     s = np.linalg.det(c)
-    steps, halved, dets = _stencil(c, h)
+    steps, dets = _stencil(c, h)
     inner, cross = hess_terms(c, h)
     points = np.concatenate([s[:, None], dets], axis=1)
     v, d1, d2 = jets = np.empty((3,) + points.shape)
@@ -235,8 +214,8 @@ def directional_forms(functions, c, h) -> DirectionalForms:
         rows = points[j::k]
         jets[:, j::k] = np.reshape(scalarfun.eval_jet(f, rows.ravel()), (3,) + rows.shape)
     centre = scalarfun.Jet2(v[:, 0], d1[:, 0], d2[:, 0])
-    fd_hess, hess_est = fd_second_directional_with_step(v[:, 0], v[:, 1:], steps, halved)
-    fd_grad, grad_est = fd_first_directional(v[:, 1:], steps, halved)
+    fd_hess, hess_est = fd_second_directional_with_step(v[:, 0], v[:, 1:], steps)
+    fd_grad, grad_est = fd_first_directional(v[:, 1:], steps)
     return DirectionalForms(
         hess=g_hess_form(centre, s, inner, cross),
         fd_hess=fd_hess,
@@ -309,9 +288,8 @@ def oracle_sweep(n: int, num_samples: int, seed: int, functions=None) -> OracleS
     The pairs are the rows of ``linalg.random_pairs(n, seed, num_samples)``
     and sample i pairs with functions[i % len(functions)] (the built-in
     corpus by default).  A sample whose function fails to evaluate at one
-    of its points (outside its domain or overflowing) or that admits no
-    finite-difference step is skipped; DegenerateDirectionError if every
-    sample is.
+    of its points (outside its domain or overflowing) is skipped;
+    DegenerateDirectionError if every sample is.
     """
     if num_samples < 1:
         raise ParameterError("num_samples must be >= 1")

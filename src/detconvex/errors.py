@@ -28,7 +28,7 @@ class NotPositiveDefiniteError(ValueError):
 
 
 class DegenerateDirectionError(RuntimeError):
-    """No admissible finite-difference step could be found for a direction."""
+    """Every sample of an oracle sweep was skipped: f failed at one of its points."""
 
 
 class ParseError(ValueError):

@@ -2,13 +2,14 @@
 
 Sized for the certification workloads (n up to ``cli.MAX_DIM``, 64):
 LAPACK eigenvalues of symmetric matrices, a hand LU determinant that is
-exact on diagonal input (the witnesses' C; stacks take LAPACK's), one
-Cholesky factorization per matrix of a stack giving both whether it is
-positive definite and its determinant, and seeded sampling of test
-matrices as (N, n, n) stacks from one seed word each, their frames the
-LAPACK QR factors of Gaussian matrices, a shorter stack a prefix of a
-longer one (``random_pairs`` draws the (C, H) pairs of the oracle and
-the self-test).  ``sym_build`` turns rows of uniforms into a
+exact on diagonal input (the witnesses' C; stacks take LAPACK's), the
+determinants of a positive definite stack from one stacked Cholesky
+call, which names the first matrix that has no factor, and seeded
+sampling of test matrices as (N, n, n) stacks from one seed word each,
+their spectra in [0.1, 10] and their frames the LAPACK QR factors of
+Gaussian matrices, a shorter stack a prefix of a longer one
+(``random_pairs`` draws the (C, H) pairs of the oracle and the
+self-test).  ``sym_build`` turns rows of uniforms into a
 symmetric stack for ``random_sym``; the randomized sweep draws only
 spectra of diagonal matrices, which it never builds.  A matrix is validated once where it enters,
 by ``symmetric`` (square, finite, lower triangle mirrored, read-only) or
@@ -31,8 +32,9 @@ from .errors import (
     ParameterError,
 )
 
-# Log eigenvalue range of the default draws: eigenvalues in [0.1, 10], so that
-# up to n = 64 every draw clears the positivity floor by construction.
+# Log eigenvalue range of every positive definite draw: eigenvalues in
+# [0.1, 10], so that up to n = 64 every draw clears the positivity floor by
+# construction, and the oracle's stencil stays far inside the cone.
 DEFAULT_LOG_EIG_RANGE = (float(np.log(0.1)), float(np.log(10.0)))
 
 POSDEF_EIG_FLOOR = 1e-12  # relative to the Frobenius norm
@@ -195,70 +197,62 @@ def jacobi_eigen(a):
     return eigenvalues, q
 
 
-def cholesky_posdef(a) -> tuple:
-    """(posdef, dets) of an (..., n, n) stack, both of shape
-    ``a.shape[:-2]``: whether each matrix has finite entries and a
-    Cholesky factor L from LAPACK, and its determinant from that factor,
-    exp(2 sum_i log L_ii), NaN where there is none.
-
-    Summed in the log domain, as ``np.linalg.det`` sums the logarithms of
-    its LU pivots, the determinant over- or underflows only where the
-    product of the eigenvalues does.  One factorization serves both the
-    finite-difference stencil's admissibility test and its determinants.
+def cholesky_posdef(a) -> np.ndarray:
+    """The determinants of an (..., n, n) stack of positive definite
+    matrices, of shape ``a.shape[:-2]``: exp(2 sum_i log L_ii) of each
+    Cholesky factor L, from one LAPACK call over the stack.  Summed in the
+    log domain, as ``np.linalg.det`` sums the logarithms of its LU pivots,
+    a determinant over- or underflows only where the product of the
+    eigenvalues does.  NotPositiveDefiniteError names the index of the
+    first matrix that has no factor.  The entries must be finite: LAPACK
+    may factor a NaN into a NaN determinant.
     """
     m = np.asarray(a, dtype=float)
-    flat = m.reshape((-1,) + m.shape[-2:])
-    ok = np.isfinite(flat).all(axis=(-2, -1))
-    diag = np.full(flat.shape[:-1], np.nan)
     try:
-        diag[ok] = np.linalg.cholesky(flat[ok]).diagonal(axis1=-2, axis2=-1)
+        diag = np.linalg.cholesky(m).diagonal(axis1=-2, axis2=-1)
     except np.linalg.LinAlgError:
-        # the stacked call names no matrix; factor the finite ones singly
-        for k in np.flatnonzero(ok):
+        # the stacked call names no matrix; the first that fails alone is named
+        for k, x in enumerate(m.reshape((-1,) + m.shape[-2:])):
             try:
-                diag[k] = np.linalg.cholesky(flat[k]).diagonal()
+                np.linalg.cholesky(x)
             except np.linalg.LinAlgError:
-                ok[k] = False
-    dets = np.exp(2.0 * np.log(diag).sum(axis=-1))
-    return ok.reshape(m.shape[:-2]), dets.reshape(m.shape[:-2])
+                where = tuple(int(i) for i in np.unravel_index(k, m.shape[:-2]))
+                raise NotPositiveDefiniteError(f"matrix {where} of the stack has no Cholesky factor") from None
+        raise
+    return np.exp(2.0 * np.log(diag).sum(axis=-1))
 
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def random_posdef_stack(n: int, log_eig_range: tuple, seed: int, count: int) -> tuple:
+def random_posdef_stack(n: int, seed: int, count: int) -> tuple:
     """``count`` positive definite samples as a (count, n, n) stack, with
     their (count, n) log eigenvalues.
 
     Two PCG64 streams come from ``seed``: ``PCG64(seed)`` gives the
-    uniform log eigenvalues over ``log_eig_range`` and its ``jumped()``
-    stream an n x n Gaussian matrix per row, whose LAPACK QR factor Q is
-    a Haar frame up to the signs of its columns (Mezzadri, Notices AMS
-    54(5), 2007); the signs cancel in Q diag Q^T.  Row j is
-    Q diag(exp(logs[j])) Q^T, lower triangle mirrored, from row j of each
-    stream's block, so a stack of k rows is the first k rows of any
-    longer stack from the same seed.
+    uniform log eigenvalues over DEFAULT_LOG_EIG_RANGE, so every
+    eigenvalue lies in [0.1, 10], and its ``jumped()`` stream an n x n
+    Gaussian matrix per row, whose LAPACK QR factor Q is a Haar frame up
+    to the signs of its columns (Mezzadri, Notices AMS 54(5), 2007); the
+    signs cancel in Q diag Q^T.  Row j is Q diag(exp(logs[j])) Q^T, lower
+    triangle mirrored, from row j of each stream's block, so a stack of k
+    rows is the first k rows of any longer stack from the same seed.
     """
     if n < 1:
         raise DimensionError("dimension must be >= 1")
-    lo, hi = float(log_eig_range[0]), float(log_eig_range[1])
-    if lo > hi:
-        raise ParameterError(f"log eigenvalue range has lo={lo} > hi={hi}")
     # the two streams start from the seeded state, so count cannot move either
     bits = np.random.PCG64(int(seed))
     q = np.linalg.qr(np.random.Generator(bits.jumped()).standard_normal((count, n, n)))[0]
-    logs = np.random.Generator(bits).uniform(lo, hi, size=(count, n))
-    out = _mirror_lower((q * np.exp(logs)[:, None, :]) @ np.swapaxes(q, -1, -2))
-    _check_finite(out)
-    return out, logs
+    logs = np.random.Generator(bits).uniform(*DEFAULT_LOG_EIG_RANGE, size=(count, n))
+    return _mirror_lower((q * np.exp(logs)[:, None, :]) @ np.swapaxes(q, -1, -2)), logs
 
 
-def random_posdef_array(n: int, log_eig_range: tuple, seed: int) -> np.ndarray:
+def random_posdef_array(n: int, seed: int) -> np.ndarray:
     """Raw positive definite sample as a plain symmetric ndarray; the
     count-1 case of ``random_posdef_stack``.  Identical seeds give
     identical output."""
-    return random_posdef_stack(n, log_eig_range, seed, 1)[0][0]
+    return random_posdef_stack(n, seed, 1)[0][0]
 
 
 def sym_build(vals: np.ndarray, n: int) -> np.ndarray:
@@ -289,5 +283,5 @@ def random_pairs(n: int, seed: int, count: int):
     word 0 of ``seed_words(seed, 2)``; H is symmetric, from word 1.  Fewer
     pairs are a prefix of more."""
     words = seed_words(seed, 2)
-    c = random_posdef_stack(n, DEFAULT_LOG_EIG_RANGE, words[0], count)[0]
+    c = random_posdef_stack(n, words[0], count)[0]
     return c, random_sym(n, words[1], count)

@@ -30,7 +30,6 @@ from detconvex.errors import DimensionError, NotPositiveDefiniteError, Parameter
 from detconvex.linalg import random_posdef_array, random_sym
 from detconvex.scalarfun import FamilyA, LogFamily, NeoHookeVolumetric, PowerLaw, eval_jet, parse
 
-LOG_RANGE = certifier.DEFAULT_LOG_EIG_RANGE
 SMALL_GRID = GridSpec(1e-3, 1e3, 200)
 
 
@@ -540,7 +539,7 @@ class TestReductionCheck:
         assert abs(full - reduced) <= 1e-13 * max(1.0, abs(full))
 
     def test_zero_direction(self):
-        c = random_posdef_array(3, LOG_RANGE, seed=10)
+        c = random_posdef_array(3, seed=10)
         assert reduction_check(parse("-ln(s)"), c, np.zeros((3, 3))) == (0.0, 0.0)
 
     def test_random_sweep(self):
@@ -548,7 +547,7 @@ class TestReductionCheck:
             corpus = detcalculus.builtin_corpus(n)
             seeds = np.random.SeedSequence(90 + n).generate_state(200, dtype=np.uint64)
             for i in range(100):
-                c = random_posdef_array(n, LOG_RANGE, int(seeds[2 * i]))
+                c = random_posdef_array(n, int(seeds[2 * i]))
                 h = random_sym(n, int(seeds[2 * i + 1]), 1)[0]
                 full, reduced = reduction_check(corpus[i % len(corpus)], c, h)
                 assert abs(full - reduced) <= 1e-9 * max(1.0, abs(full), abs(reduced))
@@ -556,7 +555,7 @@ class TestReductionCheck:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_stack_gives_each_pair_its_single_values(self, n):
         words = linalg.seed_words(95 + n, 2)
-        c = linalg.random_posdef_stack(n, LOG_RANGE, words[0], 30)[0]
+        c = linalg.random_posdef_stack(n, words[0], 30)[0]
         h = linalg.random_sym(n, words[1], 30)
         for f in detcalculus.builtin_corpus(n):
             full, reduced = reduction_check(f, c, h)

@@ -831,6 +831,16 @@ class TestOracleCommand:
         code, _, err = run(capsys, "oracle", "--dim", "10", "--samples", str(samples + 1))
         assert code == 3 and "exceeds the limit" in err
 
+    def test_rows_whose_f_fails_are_skipped(self, capsys):
+        # ln(s-1) fails where det C or a stencil determinant is at most 1:
+        # those rows are skipped, and the others are compared
+        code, out, _ = run(capsys, "oracle", "-f", "ln(s-1)", "--samples", "30")
+        assert code == 1 and "skipped: 13\n" in out
+        c, h = linalg.random_pairs(3, 42, 30)
+        t = detcalculus.FD_STEP_SCALE * (1 + linalg.frob_norm(c)) / (1 + linalg.frob_norm(h))
+        points = [c] + [c + (o * t)[:, None, None] * h for o in (1, -1, 0.5, -0.5)]
+        assert np.count_nonzero(np.min([np.linalg.det(m) for m in points], axis=0) <= 1) == 13
+
     def test_every_sample_skipped_exits_two(self, capsys):
         code, out, err = run(capsys, "oracle", "-f", "ln(s-1e9)", "--samples", "3")
         assert code == 2

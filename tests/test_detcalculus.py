@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from detconvex import detcalculus, linalg, scalarfun
+from detconvex import cli, detcalculus, linalg, scalarfun
 from detconvex.detcalculus import (
     builtin_corpus,
     condition_bracket,
@@ -16,7 +16,7 @@ from detconvex.detcalculus import (
     hess_terms,
     oracle_sweep,
 )
-from detconvex.errors import DimensionError, ParameterError
+from detconvex.errors import DimensionError, NotPositiveDefiniteError, ParameterError
 from detconvex.linalg import PosDefMatrix, random_posdef_array, random_sym
 from detconvex.scalarfun import FamilyA, LogFamily, eval_jet, parse
 
@@ -28,7 +28,7 @@ FD_STEP = detcalculus.FD_STEP_SCALE
 
 def _posdef(n, seed):
     """A seeded positive definite draw with its LU determinant."""
-    return PosDefMatrix.from_sym(random_posdef_array(n, LOG_RANGE, seed))
+    return PosDefMatrix.from_sym(random_posdef_array(n, seed))
 
 
 def _diag(d):
@@ -262,20 +262,17 @@ def _cholesky_det(m):
 
 def _reference_differences(f, c, h, s):
     """Both central differences of one pair as their own formulas: the
-    default outer step T, halved until C +/- TH has a Cholesky factor, f
-    at det(C +/- TH) and det(C +/- (T/2) H) one point at a time, each
-    from its own factor, and Richardson's (4 D(T/2) - D(T)) / 3 of each,
-    or D(T) after a halving.  (second, first, T)."""
-    default = t = _default_step(c, h)
-    while not (linalg.cholesky_posdef(c + t * h)[0] and linalg.cholesky_posdef(c - t * h)[0]):
-        t *= 0.5
+    default outer step T, f at det(C +/- TH) and det(C +/- (T/2) H) one
+    point at a time, each from its own factor, and Richardson's
+    (4 D(T/2) - D(T)) / 3 of each.  (second, first, T)."""
+    t = _default_step(c, h)
     gp, gm, gp2, gm2 = (eval_jet(f, _cholesky_det(c + o * t * h)).v for o in (1, -1, 0.5, -0.5))
     g0 = eval_jet(f, s).v
     differences = (
         ((gp - 2.0 * g0 + gm) / (t * t), (gp2 - 2.0 * g0 + gm2) / ((0.5 * t) * (0.5 * t))),
         ((gp - gm) / (2.0 * t), (gp2 - gm2) / t),
     )
-    second, first = (full if t < default else (4.0 * half - full) / 3.0 for full, half in differences)
+    second, first = ((4.0 * half - full) / 3.0 for full, half in differences)
     return second, first, t
 
 
@@ -283,8 +280,9 @@ class TestFdOracles:
     def test_explicit_step_example(self):
         # |C| = |H|, so the default step is the scale itself
         c = _diag([1.0, 1.0])
-        steps, halved, _ = detcalculus._stencil(c.a[None], np.eye(2)[None])
-        assert steps[0] == FD_STEP and not halved[0]
+        steps, dets = detcalculus._stencil(c.a[None], np.eye(2)[None])
+        assert steps[0] == FD_STEP
+        assert list(dets[0]) == [_cholesky_det((1.0 + o * FD_STEP) * np.eye(2)) for o in (1, -1, 0.5, -0.5)]
         assert abs(_forms(NEG_LN, c, np.eye(2)).fd_hess[0] - 2.0) <= 1e-6
 
     def test_zero_direction_exact(self):
@@ -299,35 +297,26 @@ class TestFdOracles:
         h = np.diag([1.0, -1.0, 0.0])
         assert abs(_forms(IDENT, c, h).fd_hess[0] - (-4.0)) <= 1e-5 * 4.0
 
-    def test_step_halves_until_admissible(self):
-        # the default step leaves the cone at C = diag(1e-9, 1); it stops
-        # at the first halving that clears it
-        c = np.diag([1e-9, 1.0])[None]
-        h = np.eye(2)[None]
-        steps, halved, dets = detcalculus._stencil(c, h)
-        assert steps.shape == halved.shape == (1,) and dets.shape == (1, 4)
-        assert halved.all()
-        step = steps[0]
-        halvings = math.log2(_default_step(c[0], h[0]) / step)
-        assert step < 1e-9 and halvings == int(halvings) > 0
-        assert linalg.cholesky_posdef(np.stack([c[0] + step * h[0], c[0] - step * h[0]]))[0].all()
-        assert not linalg.cholesky_posdef(c[0] - 2.0 * step * h[0])[0]
-        # the forms take the differences at that step
-        forms = _forms(IDENT, PosDefMatrix.from_sym(c[0]), h[0])
-        second, first, ref_step = _reference_differences(IDENT, c[0], h[0], np.linalg.det(c[0]))
-        assert ref_step == step and (forms.fd_hess[0], forms.fd_grad[0]) == (second, first)
-        assert abs(forms.fd_hess[0] - forms.hess[0]) <= 1e-5
-        assert abs(forms.fd_grad[0] - forms.grad[0]) <= 1e-6
+    @pytest.mark.parametrize("d", [[1e-9, 1.0], [1e-20, 1e-20]], ids=["diag_1e-9_1", "diag_1e-20"])
+    def test_a_pair_at_the_boundary_is_refused_by_row(self, d):
+        # the default step leaves the cone at C = diag(d), H = I: the stack
+        # is refused, naming the row and its first point with no factor,
+        # C - TH; the rows before it factor
+        c, h = linalg.random_pairs(2, 5, 3)
+        c[2], h[2] = np.diag(d), np.eye(2)
+        assert _default_step(c[2], h[2]) > d[0]
+        with pytest.raises(NotPositiveDefiniteError, match=r"matrix \(2, 1\) of the stack"):
+            directional_forms((IDENT,), c, h)
+        directional_forms((IDENT,), c[:2], h[:2])
 
-    def test_halving_cap_reported(self):
-        # 40 halvings of a step near 1.3e-4 stay above the eigenvalues
-        # 1e-20: no step, no difference, but the analytic forms
-        c = _diag([1e-20, 1e-20])
-        forms = _forms(NEG_LN, c, np.eye(2))
-        assert np.isnan(forms.fd_hess[0]) and np.isnan(forms.fd_grad[0])
-        assert np.isfinite(forms.hess[0]) and np.isfinite(forms.grad[0])
-        steps, _, _ = detcalculus._stencil(c.a[None], np.eye(2)[None])
-        assert np.isnan(steps).all()
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["c", "h"])
+    def test_non_finite_entries_are_refused(self, bad, where):
+        c, h = linalg.random_pairs(3, 5, 4)
+        # an upper entry, which no Cholesky factor reads
+        (c if where == "c" else h)[1, 0, 2] = bad
+        with pytest.raises(ParameterError, match="entries must be finite"):
+            directional_forms((NEG_LN,), c, h)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_direction_norm_is_refused(self):
@@ -336,12 +325,12 @@ class TestFdOracles:
         with pytest.raises(ParameterError):
             _forms(NEG_LN, c, np.full((2, 2), 1.5e308))
 
-    @pytest.mark.parametrize("lam_min", [None, 1e-5, 1e-9])
+    @pytest.mark.parametrize("lam_min", [None, 1e-2])
     def test_values_match_the_one_stencil(self, lam_min):
         # the stacked stencil against both central differences of each
-        # pair as separate formulas at the one step, with its own default,
-        # halving and evaluation of f; a shift of C to the smallest
-        # eigenvalue lam_min makes the default steps halve
+        # pair as separate formulas at the one step, with its own default
+        # and evaluation of f; a shift of C to the smallest eigenvalue
+        # lam_min, below the draws' 0.1, puts it nearer the boundary
         pairs = list(_samples(3, 10, seed=21))
         if lam_min is not None:
             pairs = [
@@ -350,27 +339,25 @@ class TestFdOracles:
             ]
         c, h = _stacks(pairs)
         s, steps = np.linalg.det(c), detcalculus._stencil(c, h)[0]
-        halved = 0
         for f in builtin_corpus(3) + (IDENT, parse("s^2*exp(-s)")):
             forms = directional_forms((f,), c, h)
             for i in range(len(pairs)):
                 second, first, step = _reference_differences(f, c[i], h[i], s[i])
                 assert (forms.fd_hess[i], forms.fd_grad[i], steps[i]) == (second, first, step)
-                halved += step < _default_step(c[i], h[i])
-        assert (halved > 0) == (lam_min is not None)
 
     def test_difference_functions_are_richardson(self):
         # D(T) = 4, D(T/2) = 1 for both: (4 * 1 - 4) / 3 = 0, estimate 3;
-        # after a halving the value is D(T)
+        # at T = 2 the second difference's D scale by 1/4 and the first's
+        # by 1/2: values 0, estimates 3/4 and 3/2
         g0 = np.array([1.0, 1.0])
         g2 = np.array([[3.0, 3.0, 1.125, 1.125]] * 2)
         g1 = np.array([[4.0, -4.0, 0.5, -0.5]] * 2)
-        halved = np.array([False, True])
-        for value, estimate in (
-            fd_second_directional_with_step(g0, g2, 1.0, halved),
-            fd_first_directional(g1, 1.0, halved),
+        steps = np.array([1.0, 2.0])
+        for (value, estimate), scaled in (
+            (fd_second_directional_with_step(g0, g2, steps), 0.75),
+            (fd_first_directional(g1, steps), 1.5),
         ):
-            assert list(value) == [0.0, 4.0] and list(estimate) == [3.0, 3.0]
+            assert list(value) == [0.0, 0.0] and list(estimate) == [3.0, scaled]
 
     def test_first_difference_skips_the_centre(self):
         # f has a pole at det C = 2, but not at det(C +/- tH); the second
@@ -386,6 +373,31 @@ class TestFdOracles:
         forms = _forms(f, c, h)
         assert forms.fd_grad[0] == want
         assert np.isnan(forms.fd_hess[0]) and np.isnan(forms.hess[0])
+
+
+class TestStencilStaysInTheCone:
+    """The stencil has no fallback step: every pair the oracle can draw
+    must keep C +/- T H in the cone.  |T H|_F < FD_STEP_SCALE (1 + |C|_F),
+    and |C|_F <= 10 sqrt(n) for eigenvalues in [0.1, 10], so
+    lambda_min(C +/- T H) >= lambda_min(C) - T |H|_F stays above 0.1 minus
+    that bound."""
+
+    def test_the_step_bound_is_below_the_smallest_eigenvalue(self):
+        lo = linalg.DEFAULT_LOG_EIG_RANGE[0]
+        assert FD_STEP * (1 + 10 * math.sqrt(cli.MAX_DIM)) < math.exp(lo)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 24, 64])
+    def test_the_oracle_draws_keep_half_the_smallest_eigenvalue(self, n):
+        # the oracle command's default 1000 samples, or the most its entry
+        # limit admits; the points C +/- (T/2) H lie between C and C +/- T H
+        count = min(1000, cli.MAX_ORACLE_ENTRIES // n**2)
+        for seed in range(5):
+            c, h = linalg.random_pairs(n, seed, count)
+            steps = detcalculus._stencil(c, h)[0]
+            lowest = np.linalg.eigvalsh(c)[:, 0]
+            for sign in (1.0, -1.0):
+                moved = np.linalg.eigvalsh(c + (sign * steps)[:, None, None] * h)[:, 0]
+                assert np.all(moved >= 0.5 * lowest), (seed, sign)
 
 
 class TestOracleSweep:
@@ -461,7 +473,7 @@ class TestOracleSweep:
         # each: C from word 0 and H from word 1 of seed_words(seed, 2)
         c, h = linalg.random_pairs(3, 17, 9)
         words = linalg.seed_words(17, 2)
-        assert np.array_equal(c, linalg.random_posdef_stack(3, LOG_RANGE, words[0], 9)[0])
+        assert np.array_equal(c, linalg.random_posdef_stack(3, words[0], 9)[0])
         assert np.array_equal(h, linalg.random_sym(3, words[1], 9))
 
     @pytest.mark.parametrize("n", [2, 3, 10])
@@ -553,22 +565,22 @@ class TestStackedOracle:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_stack_equals_the_row_loop(self, n):
         c, h = linalg.random_pairs(n, 300 + n, 30)
-        # row 4 needs halving: its smallest eigenvalue is 1e-9
-        lam = np.linalg.eigvalsh(c[4])[0]
-        c[4] = c[4] - (lam - 1e-9) * np.eye(n)
+        # row 4 takes f = s, which fails only where its determinants
+        # underflow to 0: from n = 2 on, with its stencil points (1 + oT) C
+        # in the cone
+        c[4] = h[4] = 1e-200 * np.eye(n)
         # row 9 takes ln(s-5) below its domain
         partial = parse("ln(s-5)")
         c[9] = np.eye(n)
         functions = tuple(builtin_corpus(n)[i % 7] for i in range(30))
-        functions = functions[:9] + (partial,) + functions[10:]
+        functions = functions[:4] + (IDENT,) + functions[5:9] + (partial,) + functions[10:]
         stacked = directional_forms(functions, c, h)
         loop = _row_loop(functions, c, h)
         for name, a, b in zip(stacked._fields, stacked, loop):
             assert _same(a, b), name
-        steps = detcalculus._stencil(c, h)[0]
-        assert steps[4] < _default_step(c[4], h[4]) and np.isfinite(stacked.fd_hess[4])
+        assert np.isnan(stacked.fd_hess[4]) == np.isnan(stacked.hess[4]) == (n > 1)
         assert np.isnan(stacked.hess[9]) and np.isnan(stacked.fd_grad[9])
-        assert np.isfinite(np.delete(stacked.fd_hess, 9)).all()
+        assert np.isfinite(np.delete(stacked.fd_hess, [4, 9])).all()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_sweep_equals_the_row_loop(self, n):

@@ -137,14 +137,14 @@ class TestDet:
 
     def test_matches_eigenvalue_product(self):
         for seed in range(10):
-            c = random_posdef_array(4, LOG_RANGE, seed=seed)
+            c = random_posdef_array(4, seed=seed)
             prod = float(np.prod(np.linalg.eigvalsh(c)))
             assert abs(det(c) - prod) <= 1e-10 * abs(prod)
 
     def test_directional_derivative(self):
         # Jacobi's formula: d/dt det(C + tH) at 0 is det C <C^-1, H>; check
         # against central differences
-        c = random_posdef_array(4, LOG_RANGE, seed=77)
+        c = random_posdef_array(4, seed=77)
         h = random_sym(4, seed=78, count=1)[0]
         analytic = det(c) * np.sum(np.linalg.inv(c) * h)
         step = 1e-6
@@ -172,54 +172,57 @@ class TestCholeskyPosdef:
 
     @pytest.mark.parametrize("n, count", [(1, 8), (2, 8), (3, 8), (10, 8), (64, 2)])
     def test_random_stacks_match_mpmath(self, n, count):
-        c = linalg.random_posdef_stack(n, LOG_RANGE, 5, count)[0]
-        posdef, dets = linalg.cholesky_posdef(c)
-        assert posdef.all()
+        c = linalg.random_posdef_stack(n, 5, count)[0]
+        dets = linalg.cholesky_posdef(c)
+        assert dets.shape == (count,)
         for m, got in zip(c, dets):
             err, log_det = _mp_det_error(m, got)
             assert err <= self._bound(m, log_det), (n, err)
 
     @pytest.mark.parametrize("s", [1e-300, 1e-3, 1e300])
     @pytest.mark.parametrize("n", [1, 2, 3, 10])
-    def test_witness_stencils_match_mpmath(self, s, n):
-        # C = s^(1/n) I and the four points C + o T H of each witness kind,
-        # whose determinants span about 1e-300 to 1e300
+    def test_scaled_identity_stencils_match_mpmath(self, s, n):
+        # C = s^(1/n) I with the witnesses' directions, and the oracle's
+        # stencil C + o T H at each, whose determinants span about 1e-300
+        # to 1e300
         for kind in (certifier.KIND_POSITIVE_FPRIME, certifier.KIND_SECOND_ORDER):
             if kind == certifier.KIND_POSITIVE_FPRIME and n < 2:
                 continue
             c, h = certifier.witness_pair(kind, s, n)
-            step = detcalculus._stencil(c.a[None], h[None])[0][0]
-            points = np.concatenate([c.a[None], c.a + (step * detcalculus._OFFSETS)[:, None, None] * h])
-            posdef, dets = linalg.cholesky_posdef(points)
-            assert posdef.all()
+            steps, stencil = detcalculus._stencil(c.a[None], h[None])
+            points = np.concatenate([c.a[None], c.a + (steps[0] * detcalculus._OFFSETS)[:, None, None] * h])
+            dets = linalg.cholesky_posdef(points)
+            assert np.array_equal(dets[1:], stencil[0])
             for m, got in zip(points, dets):
                 err, log_det = _mp_det_error(m, got)
                 assert err <= self._bound(m, log_det), (kind, err)
 
-    def test_failing_members_leave_the_others(self):
-        # an indefinite, a singular and a non-finite member make the stacked
-        # LAPACK call fail; each other member keeps the determinant it gets
-        # alone.  The NaN sits in the upper triangle, which LAPACK does not read.
-        c = linalg.random_posdef_stack(3, LOG_RANGE, 9, 3)[0]
+    def test_a_member_with_no_factor_raises_and_is_named(self):
+        # an indefinite, a singular and a negative definite member each
+        # make the stacked LAPACK call fail; the first such member is named
+        # by its index over the stack's leading axes.  (A NaN entry need
+        # not: LAPACK may factor it with a NaN diagonal, so the oracle
+        # refuses non-finite pairs before their stencil.)
+        c = linalg.random_posdef_stack(3, 9, 3)[0]
         v = np.array([1.0, 2.0, -1.0])
-        nonfinite = c[2].copy()
-        nonfinite[0, 2] = np.nan
-        stack = np.stack([c[0], np.diag([1.0, -1.0, 2.0]), c[1], np.outer(v, v), nonfinite, c[2]])
-        posdef, dets = linalg.cholesky_posdef(stack)
-        assert list(posdef) == [True, False, True, False, False, True]
-        assert np.isnan(dets[~posdef]).all()
-        for k, m in zip((0, 2, 5), c):
-            alone = linalg.cholesky_posdef(m)
-            assert alone[0] and dets[k] == alone[1]
-            assert dets[k] == pytest.approx(np.linalg.det(m), rel=1e-13)
+        for bad in (np.diag([1.0, -1.0, 2.0]), np.outer(v, v), -c[2]):
+            stack = np.stack([c[0], c[1], bad, c[2], -c[0]])
+            with pytest.raises(NotPositiveDefiniteError, match=r"matrix \(2,\) of the stack"):
+                linalg.cholesky_posdef(stack)
+            with pytest.raises(NotPositiveDefiniteError, match=r"matrix \(1, 0\) of the stack"):
+                linalg.cholesky_posdef(stack[:4].reshape(2, 2, 3, 3))
+        # in a stack, each member gets the determinant it gets alone
+        dets = linalg.cholesky_posdef(c)
+        for m, got in zip(c, dets):
+            assert got == linalg.cholesky_posdef(m)
+            assert got == pytest.approx(np.linalg.det(m), rel=1e-13)
 
     def test_stencil_shape_is_kept(self):
         c, h = linalg.random_pairs(4, 3, 5)
         points = c[:, None] + 1e-3 * detcalculus._OFFSETS[:, None, None] * h[:, None]
-        posdef, dets = linalg.cholesky_posdef(points)
-        assert posdef.shape == dets.shape == (5, 4)
-        assert posdef.all()
-        assert np.array_equal(dets, linalg.cholesky_posdef(points.reshape(20, 4, 4))[1].reshape(5, 4))
+        dets = linalg.cholesky_posdef(points)
+        assert dets.shape == (5, 4)
+        assert np.array_equal(dets, linalg.cholesky_posdef(points.reshape(20, 4, 4)).reshape(5, 4))
 
 
 class TestJacobiEigen:
@@ -297,55 +300,42 @@ class TestPosDefMatrix:
 
 class TestRandomPosdef:
     def test_deterministic(self):
-        a = random_posdef_array(3, LOG_RANGE, seed=7)
-        b = random_posdef_array(3, LOG_RANGE, seed=7)
+        a = random_posdef_array(3, seed=7)
+        b = random_posdef_array(3, seed=7)
         assert np.array_equal(a, b)
 
-    def test_degenerate_range_gives_identity(self):
-        c = random_posdef_array(3, (0.0, 0.0), seed=123)
-        assert max_entry(c - np.eye(3)) <= 1e-12
-
     def test_eigenvalues_inside_range(self):
-        eigenvalues = np.linalg.eigvalsh(random_posdef_array(3, LOG_RANGE, seed=7))
+        eigenvalues = np.linalg.eigvalsh(random_posdef_array(3, seed=7))
         assert np.all(eigenvalues >= 0.1 - 1e-12)
         assert np.all(eigenvalues <= 10.0 + 1e-12)
 
-    def test_bad_range_rejected(self):
-        with pytest.raises(ParameterError):
-            random_posdef_array(3, (1.0, 0.0), seed=1)
-
     def test_zero_dimension_rejected(self):
         with pytest.raises(DimensionError):
-            random_posdef_array(0, LOG_RANGE, seed=1)
-
-    def test_overflowing_range_rejected(self):
-        # exp of the log eigenvalues overflows to inf
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ParameterError):
-            random_posdef_array(3, (800.0, 800.0), seed=1)
+            random_posdef_array(0, seed=1)
 
 
 DRAW_DIMS = [1, 2, 3, 5, 10, 64]
 
 
 def draw_frames(n, seed, count):
-    """The frames of ``random_posdef_stack(n, ..., seed, count)``: the Q
+    """The frames of ``random_posdef_stack(n, seed, count)``: the Q
     factors of its ``count`` n x n Gaussian matrices, from the
     ``jumped()`` stream of ``PCG64(seed)``."""
     gauss = np.random.Generator(np.random.PCG64(int(seed)).jumped())
     return np.linalg.qr(gauss.standard_normal((count, n, n)))[0]
 
 
-def reference_posdef_rows(n, log_eig_range, seed, k, signs=False):
+def reference_posdef_rows(n, seed, k, signs=False):
     """k positive definite matrices, lower triangle mirrored, and their log
-    eigenvalues, one row at a time: the eigenvalue row from the stream
-    ``PCG64(seed)``, the frame from the QR factors of an n x n Gaussian
+    eigenvalues, one row at a time: the log eigenvalues uniform over
+    LOG_RANGE from the stream ``PCG64(seed)``, the frame from the QR factors of an n x n Gaussian
     matrix of its ``jumped()`` stream.  With ``signs``, each column of Q
     takes the sign of R's diagonal entry, Mezzadri's convention that
     makes the frame Haar."""
     bits = np.random.PCG64(int(seed))
     gauss = np.random.Generator(bits.jumped())
     uniform = np.random.Generator(bits)
-    logs = [uniform.uniform(log_eig_range[0], log_eig_range[1], size=n) for _ in range(k)]
+    logs = [uniform.uniform(*LOG_RANGE, size=n) for _ in range(k)]
     mats = []
     for lg in logs:
         q, r = np.linalg.qr(gauss.standard_normal((n, n)))
@@ -374,7 +364,7 @@ class TestQRFrameDraw:
 
     @pytest.mark.parametrize("n", DRAW_DIMS)
     def test_spectrum_is_the_drawn_one(self, n):
-        c, logs = linalg.random_posdef_stack(n, LOG_RANGE, 60 + n, 200)
+        c, logs = linalg.random_posdef_stack(n, 60 + n, 200)
         lam = np.sort(np.exp(logs), axis=1)
         cond = lam[:, -1] / lam[:, 0]
         bound = 8 * n * cond * EPS * lam[:, 0]
@@ -387,18 +377,18 @@ class TestQRFrameDraw:
         # seed, and a shorter stack is a prefix of a longer one
         seeds = np.random.SeedSequence(500 + n).generate_state(40, dtype=np.uint64)
         for seed in seeds:
-            pd, logs = linalg.random_posdef_stack(n, LOG_RANGE, seed, 1)
+            pd, logs = linalg.random_posdef_stack(n, seed, 1)
             assert pd.shape == (1, n, n) and logs.shape == (1, n)
-            assert np.array_equal(pd[0], linalg.random_posdef_array(n, LOG_RANGE, int(seed)))
-            ref_pd, ref_logs = reference_posdef_rows(n, LOG_RANGE, int(seed), 1)
+            assert np.array_equal(pd[0], linalg.random_posdef_array(n, int(seed)))
+            ref_pd, ref_logs = reference_posdef_rows(n, int(seed), 1)
             assert np.array_equal(pd[0], ref_pd[0]) and np.array_equal(logs[0], ref_logs[0])
         k, seed = 40, int(seeds[0])
-        pd, logs = linalg.random_posdef_stack(n, LOG_RANGE, seed, k)
-        ref_pd, ref_logs = reference_posdef_rows(n, LOG_RANGE, seed, k)
+        pd, logs = linalg.random_posdef_stack(n, seed, k)
+        ref_pd, ref_logs = reference_posdef_rows(n, seed, k)
         for j in range(k):
             assert np.array_equal(pd[j], ref_pd[j]) and np.array_equal(logs[j], ref_logs[j])
         for short in (1, 7, k - 1):
-            pd_short, logs_short = linalg.random_posdef_stack(n, LOG_RANGE, seed, short)
+            pd_short, logs_short = linalg.random_posdef_stack(n, seed, short)
             assert np.array_equal(pd_short, pd[:short]) and np.array_equal(logs_short, logs[:short])
 
     def test_frames_need_no_sign_convention(self):
@@ -409,8 +399,8 @@ class TestQRFrameDraw:
         k = 64
         for n in range(1, 34):
             seed = 900 + n
-            got = linalg.random_posdef_stack(n, LOG_RANGE, seed, k)[0]
-            want = reference_posdef_rows(n, LOG_RANGE, seed, k, signs=True)[0]
+            got = linalg.random_posdef_stack(n, seed, k)[0]
+            want = reference_posdef_rows(n, seed, k, signs=True)[0]
             assert all(np.array_equal(got[j], want[j]) for j in range(k)), n
 
     @pytest.mark.parametrize("n", DRAW_DIMS)
@@ -443,7 +433,7 @@ class TestDrawsClearTheFloor:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, cli.MAX_DIM])
     def test_default_draws_are_far_above_the_floor(self, n):
-        c = linalg.random_posdef_stack(n, linalg.DEFAULT_LOG_EIG_RANGE, 80 + n, 512)[0]
+        c = linalg.random_posdef_stack(n, 80 + n, 512)[0]
         assert np.all(np.linalg.eigvalsh(c)[:, 0] > 1e6 * linalg.posdef_floor(c))
 
 
