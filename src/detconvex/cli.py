@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, certifier, detcalculus, scalarfun, selftest
+from . import __version__, certifier, detcalculus, scalarfun
 from .certifier import CERTIFIED, INCONCLUSIVE, REFUTED, RNG_ALGORITHM, GridSpec
 from .errors import (
     ConvergenceError,
@@ -65,8 +65,9 @@ MAX_DIM = 64
 MAX_GRID_COUNT = 200_000
 MAX_SAMPLES = 1_000_000
 # The oracle holds all its samples as (--samples, n, n) stacks and its
-# stencil as eight perturbed copies of them: --samples * n^2 entries per
-# stack at most, about 70 MB of stencil.
+# stencil as four perturbed copies of them, plus a temporary and their
+# Cholesky factors of the same size: --samples * n^2 entries per stack at
+# most; oracle --dim 64 --samples 256 peaks at about 129 MB.
 MAX_ORACLE_ENTRIES = 2**20
 
 
@@ -421,6 +422,9 @@ def main(argv=None) -> int:
             return _cmd_curves(args)
         if args.command == "oracle":
             return _cmd_oracle(args)
+        # only a self-test run loads the self-test
+        from . import selftest
+
         return selftest.run_selftest()
     except ParseError as e:
         print(f"error: cannot parse function: {e}", file=sys.stderr)

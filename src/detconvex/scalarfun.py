@@ -8,8 +8,10 @@ which lowers to the same AST once per instance.  One evaluator,
 roundoff by truncated second-order Taylor (jet) arithmetic on numpy
 ufuncs.  An expression is compiled once, in one post-order pass that
 folds its constant subexpressions, to a flat program of op kernels that
-is cached on it.  An evaluation runs the program over one workspace of
-(rows, points) floats, and a row is reused once its one reader has run.
+is cached on it.  An evaluation runs the program over (rows, points)
+floats, and a row is reused once its one reader has run.  The jet's own
+rows are one array and the scratch rows another, which the evaluation
+frees on return, so a caller that keeps the jet keeps its rows alone.
 
 ``eval_jet`` evaluates an array of points: a failure at any op marks the
 point and the walk goes on, and a point that failed is NaN in all three
@@ -356,11 +358,12 @@ _ZERO_REG, _ONE_REG = -2, -3  # the first constants of every program
 
 class _Compiler:
     """One post-order pass over an expression, to ops (kernel, registers)
-    in walk order.  Register i >= 0 is row i of the workspace, -1 is s and
-    -2, -3, ... are the constants.  A node's jet is three registers: each
-    node but s and a constant writes v to a new row and d1 and d2 to new
-    rows or to those of an operand, and frees its operands' rows, since it
-    is their one reader."""
+    in walk order.  Register i >= 0 is row i, -1 is s and -2, -3, ... are
+    the constants.  A node's jet is three registers: each node but s and a
+    constant writes v to a new row and d1 and d2 to new rows or to those
+    of an operand, and frees its operands' rows, since it is their one
+    reader.  The rows are renumbered at the end so that the result's rows,
+    three, or two for f = s, come before the scratch rows."""
 
     def __init__(self):
         self.ops, self.consts, self.free, self.rows = [], [_ZERO, _ONE], [], 0
@@ -418,14 +421,20 @@ class _Compiler:
         return self.op(*_RULES[kind], self.node(e.arg))
 
     def compile(self, e: Expr) -> tuple:
-        """(ops, rows, constants from the end, the jet's registers)."""
+        """(ops, rows, the jet's rows, constants from the end, the jet's
+        registers); the jet's rows are renumbered to come first."""
         result = list(self.node(e))
         # a constant field fills a row; s stays the caller's array
         for i, r in enumerate(result):
             if r < -1:
                 result[i] = self.row()
                 self.ops.append((_fill, (r, result[i])))
-        return tuple(self.ops), self.rows, tuple(reversed(self.consts)), tuple(result)
+        own = [r for r in result if r >= 0]
+        order = own + [r for r in range(self.rows) if r not in own]
+        new = {r: i for i, r in enumerate(order)}
+        rename = lambda regs: tuple(new.get(r, r) for r in regs)
+        ops = tuple((kernel, rename(args)) for kernel, args in self.ops)
+        return ops, self.rows, len(own), tuple(reversed(self.consts)), rename(result)
 
 
 # --------------------------------------------------------------------------
@@ -722,7 +731,7 @@ def eval_jet(f, s) -> Jet2:
     the domain or where evaluation overflows.  A float (or a numpy scalar
     or 0-d array) is evaluated as a one-point array and raises there:
     DomainError, or NonFiniteError on overflow.  The fields of an array's
-    jet are rows of the evaluation's one workspace, shaped like s; a
+    jet are rows of one array that holds them alone, shaped like s; a
     float64 array is read without a copy, so a field may be s itself (the
     value of f = s is).
     """
@@ -732,11 +741,12 @@ def eval_jet(f, s) -> Jet2:
     walk = _Walk(s)
     with np.errstate(all="ignore"):
         try:
-            ops, rows, consts, result = e._program
+            ops, rows, own, consts, result = e._program
         except AttributeError:
             _set(e, "_program", _Compiler().compile(e))
-            ops, rows, consts, result = e._program
-        regs = [*np.empty((rows,) + s.shape), *consts, s]
+            ops, rows, own, consts, result = e._program
+        # the jet's rows apart from the scratch rows, which the call frees
+        regs = [*np.empty((own,) + s.shape), *np.empty((rows - own,) + s.shape), *consts, s]
         for kernel, args in ops:
             kernel(walk, *[regs[i] for i in args])
     jet = Jet2(*(regs[i] for i in result))

@@ -714,6 +714,23 @@ def test_the_program_peaks_within_a_column_of_the_walk(spec):
     assert peak <= walk_peak + s.nbytes, (peak / s.nbytes, walk_peak / s.nbytes)
 
 
+@pytest.mark.parametrize("spec", GRID_SPECS)
+def test_a_returned_jet_holds_only_its_own_rows(spec):
+    # a caller that keeps the jet keeps its three columns and frees the
+    # scratch rows; the value of f = s is s itself, so that jet holds two
+    f = cli.parse_function_spec(spec, 3)
+    s = GridSpec(1e-3, 1e3, 20000).points()
+    eval_jet(f, s)
+    tracemalloc.start()
+    try:
+        jet = eval_jet(f, s)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    columns = 2 if spec == "s" else 3
+    assert held <= 1.01 * columns * s.nbytes, held / s.nbytes
+
+
 def test_a_program_is_compiled_once_per_expression():
     f = parse("-ln(s)+1e-7*s^2")
     eval_jet(f, 2.0)
