@@ -8,10 +8,13 @@ which lowers to the same AST once per instance.  One evaluator,
 roundoff by truncated second-order Taylor (jet) arithmetic on numpy
 ufuncs.  An expression is compiled once, in one post-order pass that
 folds its constant subexpressions, to a flat program of op kernels that
-is cached on it.  An evaluation runs the program over (rows, points)
-floats, and a row is reused once its one reader has run.  The jet's own
-rows are one array and the scratch rows another, which the evaluation
-frees on return, so a caller that keeps the jet keeps its rows alone.
+is cached on it.  The pass fixes each power's rule: the monomial rule for
+a constant exponent, the ops of exp(e ln b) for any other.  A constant
+subexpression whose fold fails stays an op, which fails every point.  An
+evaluation runs the program over (rows, points) floats, and a row is
+reused once its one reader has run.  The jet's own rows are one array
+and the scratch rows another, which the evaluation frees on return, so
+a caller that keeps the jet keeps its rows alone.
 
 ``eval_jet`` evaluates an array of points: a failure at any op marks the
 point and the walk goes on, and a point that failed is NaN in all three
@@ -69,10 +72,9 @@ class _Walk:
     of the first point that failed; the exception is built where it is
     raised, since one kept here would hold its traceback, whose frames
     hold this walk, in a cycle that keeps the arrays alive until the
-    cyclic collector runs.  ``scope`` restricts a check to the points that
-    a per-point branch applies to.  Overflow inside exp and pow is a
-    failure; elsewhere an infinity only fails the point if the final jet
-    is not finite.
+    cyclic collector runs.  Overflow inside exp and pow is a failure;
+    elsewhere an infinity only fails the point if the final jet is not
+    finite.
     """
 
     def __init__(self, s):
@@ -82,11 +84,9 @@ class _Walk:
         # NaN fails both
         if not (s.min(initial=_INF) > 0.0 and s.max(initial=0.0) < _INF):
             domain = (s > 0.0) & np.isfinite(s)
-            self.fail(~domain, True, DomainError, "scalar functions are defined for s > 0, got s={}", s)
+            self.fail(~domain, DomainError, "scalar functions are defined for s > 0, got s={}", s)
 
-    def fail(self, bad, scope, error, template, *values):
-        if scope is not True:
-            bad = bad & scope
+    def fail(self, bad, error, template, *values):
         # quicker than bad.any() on the few points of a small call
         if np.count_nonzero(bad):
             self.failed = self.failed | bad
@@ -126,17 +126,17 @@ def jet_mul(walk, av, a1, a2, bv, b1, b2, v, d1, d2, t, t2):
 
 
 def jet_div(walk, av, a1, a2, bv, b1, b2, v, d1, d2, t):
-    walk.fail(bv == 0.0, True, DomainError, "division by zero")
+    walk.fail(bv == 0.0, DomainError, "division by zero")
     np.divide(av, bv, v)  # q
     np.divide(np.subtract(a1, np.multiply(v, b1, t), d1), bv, d1)  # q1 = (a1 - q b1) / bv
     np.subtract(a2, np.multiply(np.multiply(2.0, d1, t), b1, t), d2)
     np.divide(np.subtract(d2, np.multiply(v, b2, t), d2), bv, d2)  # (a2 - 2 q1 b1 - q b2) / bv
 
 
-def jet_ln(walk, uv, u1, u2, v, d1, d2, t, c=1.0, scope=True):
+def jet_ln(walk, uv, u1, u2, v, d1, d2, t, c=1.0):
     """c * ln(u); the constant factor enters before the divisions by u, so
     c * ln(s) has the closed-form slope c/s."""
-    walk.fail(uv <= 0.0, scope, DomainError, "ln of non-positive value {}", uv)
+    walk.fail(uv <= 0.0, DomainError, "ln of non-positive value {}", uv)
     np.divide(u1, uv, t)  # r1
     np.divide(np.multiply(c, u2, d2), uv, d2)
     np.divide(np.multiply(c, u1, d1), uv, d1)  # w1 = c u1 / uv
@@ -144,73 +144,54 @@ def jet_ln(walk, uv, u1, u2, v, d1, d2, t, c=1.0, scope=True):
     np.multiply(c, np.log(uv, v), v)
 
 
-def jet_exp(walk, uv, u1, u2, v, d1, d2, t, scope=True):
+def jet_exp(walk, uv, u1, u2, v, d1, d2, t):
     np.exp(uv, v)
-    walk.fail((v == _INF) & (uv < _INF), scope, NonFiniteError, "exp overflow at {}", uv)
+    walk.fail((v == _INF) & (uv < _INF), NonFiniteError, "exp overflow at {}", uv)
     np.multiply(v, np.add(u2, np.multiply(u1, u1, t), d2), d2)  # w (u2 + u1 u1)
     np.multiply(v, u1, d1)
 
 
 def jet_sqrt(walk, uv, u1, u2, v, d1, d2, t):
-    walk.fail(uv <= 0.0, True, DomainError, "sqrt of non-positive value {}", uv)
+    walk.fail(uv <= 0.0, DomainError, "sqrt of non-positive value {}", uv)
     np.sqrt(uv, v)
     np.divide(u1, np.multiply(2.0, v, t), d1)  # w1 = u1 / (2 w)
     np.subtract(u2, np.multiply(np.multiply(2.0, d1, t), d1, t), d2)
     np.divide(d2, np.multiply(2.0, v, t), d2)  # (u2 - 2 w1 w1) / (2 w)
 
 
-def jet_pow_const(walk, uv, u1, u2, p, v, d1, d2, t, t2, t3=None, scope=True):
-    """Monomial rule u^p for an exponent p that is constant at each point.
+def jet_pow_const(walk, uv, u1, u2, p, v, d1, d2, t, t2):
+    """Monomial rule u^p for a constant exponent p, a numpy scalar.
 
     Valid for u > 0 with any real p, and for u < 0 / u == 0 when p is an
-    integer (non-negative in the zero case).  A scalar p keeps p - 1 and
-    p - 2 scalars; t3 is scratch for a p that is a row.
+    integer (non-negative in the zero case).
     """
-    row = t3 is not None
     pos = uv > 0.0
     all_pos = pos.all()
     used1 = used2 = True
     if not all_pos:
         # p % 1 is nan for nan and inf exponents, which are not integers either
-        fractional = (np.remainder(p, 1.0, t) if row else p % 1.0) != 0.0
-        walk.fail(~pos & fractional, scope, DomainError, "{} raised to non-integer power {}", uv, p)
-        walk.fail((uv == 0.0) & (p < 0.0), scope, DomainError, "0 raised to a negative power")
+        walk.fail(~pos & (p % 1.0 != 0.0), DomainError, "{} raised to non-integer power {}", uv, p)
+        walk.fail((uv == 0.0) & (p < 0.0), DomainError, "0 raised to a negative power")
         # an integer power skips the factors that its zero coefficient cancels
         used1 = pos | (p != 0.0)
         used2 = used1 & (pos | (p != 1.0))
     np.power(uv, p, v)
-    np.power(uv, np.subtract(p, 1.0, t) if row else p - 1.0, t)
-    np.power(uv, np.subtract(p, 2.0, t2) if row else p - 2.0, t2)
+    np.power(uv, p - 1.0, t)
+    np.power(uv, p - 2.0, t2)
     # math.pow and ** raise on an infinite result from finite arguments; a
     # sum of finite powers is finite unless it overflows, so where it is
     # finite no power overflowed
     if not np.isfinite(v.sum() + t.sum() + t2.sum()):
         over = np.isinf(v) | used1 & np.isinf(t) | used2 & np.isinf(t2)
         over &= np.isfinite(uv) & np.isfinite(p)
-        walk.fail(over, scope, NonFiniteError, "overflow in {} ** {}", uv, p)
+        walk.fail(over, NonFiniteError, "overflow in {} ** {}", uv, p)
     np.multiply(p, t, t)  # wp1
-    np.multiply(np.multiply(p, np.subtract(p, 1.0, t3), t3) if row else p * (p - 1.0), t2, t2)
+    np.multiply(p * (p - 1.0), t2, t2)
     if not all_pos:
         np.copyto(t, 0.0, where=~used1)
         np.copyto(t2, 0.0, where=~used2)
     np.add(np.multiply(np.multiply(t2, u1, t2), u1, t2), np.multiply(t, u2, d2), d2)
     np.multiply(t, u1, d1)
-
-
-def jet_pow(walk, bv, b1, b2, ev, e1, e2, v, d1, d2, t, t2, t3, t4, t5, t6):
-    """General power b^e, chosen per point: the monomial rule where the
-    exponent's jet is constant, exp(e ln b) (b > 0) where it varies."""
-    const = (e1 == 0.0) & (e2 == 0.0)
-    if const.all():
-        return jet_pow_const(walk, bv, b1, b2, ev, v, d1, d2, t, t2, t3)
-    varying = ~const
-    jet_ln(walk, bv, b1, b2, t, t2, t3, t4, 1.0, varying)
-    jet_mul(walk, ev, e1, e2, t, t2, t3, t5, t2, t3, t4, t6)
-    jet_exp(walk, t5, t2, t3, v, d1, d2, t, varying)
-    if not varying.all():
-        jet_pow_const(walk, bv, b1, b2, ev, t, t2, t3, t4, t5, t6, const)
-        for x, m in ((v, t), (d1, t2), (d2, t3)):
-            np.copyto(x, m, where=const)
 
 
 # --------------------------------------------------------------------------
@@ -335,12 +316,6 @@ def _fill(walk, x, out):
     out[...] = x
 
 
-def _fail_everywhere(walk, error, message):
-    """The failure of a constant subexpression, found when it was folded."""
-    walk.failed = np.True_
-    walk.first = walk.first or (error, message)
-
-
 # node class: kernel, scratch rows, and the operands (offsets into the
 # op's operand registers) whose d1 and d2 rows the jet may take over
 _RULES = {
@@ -362,8 +337,10 @@ class _Compiler:
     the constants.  A node's jet is three registers: each node but s and a
     constant writes v to a new row and d1 and d2 to new rows or to those
     of an operand, and frees its operands' rows, since it is their one
-    reader.  The rows are renumbered at the end so that the result's rows,
-    three, or two for f = s, come before the scratch rows."""
+    reader.  A power's rule is fixed here: a constant exponent takes the
+    monomial rule, any other exponent e the ops of exp(e ln b).  The rows
+    are renumbered at the end so that the result's rows, three, or two for
+    f = s, come before the scratch rows."""
 
     def __init__(self):
         self.ops, self.consts, self.free, self.rows = [], [_ZERO, _ONE], [], 0
@@ -381,13 +358,13 @@ class _Compiler:
     def op(self, kernel, temps, donors, ins, *extra) -> tuple:
         if max(ins) < -1:
             # over constants alone: run it now, on one point, and keep its
-            # jet and its first failure as constants
+            # jet as constants; one that fails is left to fail every point
+            # at run time, in walk order
             out = np.empty((3 + temps, 1))
             walk = _Walk(np.ones(1))
             kernel(walk, *[self.consts[-2 - r] for r in ins], *out, *extra)
-            if walk.first is not None:
-                self.ops.append((_fail_everywhere, tuple(map(self.const, walk.first))))
-            return tuple(self.const(x[0]) for x in out[:3])
+            if walk.first is None:
+                return tuple(self.const(x[0]) for x in out[:3])
         v = self.row()
         for k in donors:
             if ins[k] >= 0:
@@ -408,10 +385,9 @@ class _Compiler:
             return -1, _ONE_REG, _ZERO_REG
         if kind is Pow:
             base, expo = self.node(e.base), self.node(e.exponent)
-            # a constant exponent with a constant jet stays a scalar
-            if expo[0] < -1 and self.consts[-2 - expo[1]] == self.consts[-2 - expo[2]] == 0.0:
+            if expo[0] < -1:
                 return self.op(jet_pow_const, 2, (0,), base + expo[:1])
-            return self.op(jet_pow, 6, (), base + expo)
+            return self.op(*_RULES[Exp], self.op(*_RULES[Mul], expo + self.op(*_RULES[Ln], base)))
         if kind is Mul and type(e.left) is Constant and type(e.right) is Ln:
             return self.op(jet_ln, 1, (0,), self.node(e.right.arg), float(e.left.value))
         if kind not in _RULES:

@@ -141,8 +141,20 @@ def ref_pow_const(u, p):
     return RefJet(w, wp1 * u.d1, wp2 * u.d1 * u.d1 + wp1 * u.d2)
 
 
-def ref_pow(base, expo):
-    if expo.d1 == 0.0 and expo.d2 == 0.0:
+def varies(node):
+    """Whether s occurs in the expression; a power's rule is decided on its
+    exponent's AST: the monomial rule for a constant, exp(e ln b) for any
+    other."""
+    match node:
+        case Variable():
+            return True
+        case Constant():
+            return False
+    return any(varies(getattr(node, name)) for name in node.__match_args__)
+
+
+def ref_pow(base, expo, varying):
+    if not varying:
         return ref_pow_const(base, expo.v)
     return ref_exp(expo * ref_ln(base))
 
@@ -164,7 +176,7 @@ def ref_node(node, s):
         case Div(left=l, right=r):
             return ref_node(l, s) / ref_node(r, s)
         case Pow(base=b, exponent=e):
-            return ref_pow(ref_node(b, s), ref_node(e, s))
+            return ref_pow(ref_node(b, s), ref_node(e, s), varies(e))
         case Ln(arg=a):
             return ref_ln(ref_node(a, s))
         case Exp(arg=a):
@@ -280,11 +292,9 @@ class Walk:
         self.first = None
         if not (s.min(initial=_INF) > 0.0 and s.max(initial=0.0) < _INF):
             domain = (s > 0.0) & np.isfinite(s)
-            self.fail(~domain, True, DomainError, "scalar functions are defined for s > 0, got s={}", s)
+            self.fail(~domain, DomainError, "scalar functions are defined for s > 0, got s={}", s)
 
-    def fail(self, bad, scope, error, template, *values):
-        if scope is not True:
-            bad = bad & scope
+    def fail(self, bad, error, template, *values):
         if np.count_nonzero(bad):
             self.failed = self.failed | bad
             if self.first is None:
@@ -294,41 +304,41 @@ class Walk:
 
 
 def walk_div(walk, a, b):
-    walk.fail(b.v == 0.0, True, DomainError, "division by zero")
+    walk.fail(b.v == 0.0, DomainError, "division by zero")
     q = a.v / b.v
     q1 = (a.d1 - q * b.d1) / b.v
     q2 = (a.d2 - 2.0 * q1 * b.d1 - q * b.d2) / b.v
     return Jet2(q, q1, q2)
 
 
-def walk_ln(walk, u, scope=True, c=1.0):
-    walk.fail(u.v <= 0.0, scope, DomainError, "ln of non-positive value {}", u.v)
+def walk_ln(walk, u, c=1.0):
+    walk.fail(u.v <= 0.0, DomainError, "ln of non-positive value {}", u.v)
     r1 = u.d1 / u.v
     w1 = c * u.d1 / u.v
     return Jet2(c * np.log(u.v), w1, c * u.d2 / u.v - w1 * r1)
 
 
-def walk_exp(walk, u, scope=True):
+def walk_exp(walk, u):
     w = np.exp(u.v)
-    walk.fail((w == _INF) & (u.v < _INF), scope, NonFiniteError, "exp overflow at {}", u.v)
+    walk.fail((w == _INF) & (u.v < _INF), NonFiniteError, "exp overflow at {}", u.v)
     return Jet2(w, w * u.d1, w * (u.d2 + u.d1 * u.d1))
 
 
 def walk_sqrt(walk, u):
-    walk.fail(u.v <= 0.0, True, DomainError, "sqrt of non-positive value {}", u.v)
+    walk.fail(u.v <= 0.0, DomainError, "sqrt of non-positive value {}", u.v)
     w = np.sqrt(u.v)
     w1 = u.d1 / (2.0 * w)
     return Jet2(w, w1, (u.d2 - 2.0 * w1 * w1) / (2.0 * w))
 
 
-def walk_pow_const(walk, u, p, scope=True):
+def walk_pow_const(walk, u, p):
     pos = u.v > 0.0
     all_pos = pos.all()
     used1 = used2 = True
     if not all_pos:
         fractional = p % 1.0 != 0.0
-        walk.fail(~pos & fractional, scope, DomainError, "{} raised to non-integer power {}", u.v, p)
-        walk.fail((u.v == 0.0) & (p < 0.0), scope, DomainError, "0 raised to a negative power")
+        walk.fail(~pos & fractional, DomainError, "{} raised to non-integer power {}", u.v, p)
+        walk.fail((u.v == 0.0) & (p < 0.0), DomainError, "0 raised to a negative power")
         used1 = pos | (p != 0.0)
         used2 = used1 & (pos | (p != 1.0))
     w = np.power(u.v, p)
@@ -337,7 +347,7 @@ def walk_pow_const(walk, u, p, scope=True):
     if not np.isfinite(np.sum(w) + np.sum(pw1) + np.sum(pw2)):
         over = (abs(w) == _INF) | used1 & (abs(pw1) == _INF) | used2 & (abs(pw2) == _INF)
         over &= (abs(u.v) < _INF) & (abs(p) < _INF)
-        walk.fail(over, scope, NonFiniteError, "overflow in {} ** {}", u.v, p)
+        walk.fail(over, NonFiniteError, "overflow in {} ** {}", u.v, p)
     wp1 = p * pw1
     wp2 = p * (p - 1.0) * pw2
     if not all_pos:
@@ -346,16 +356,10 @@ def walk_pow_const(walk, u, p, scope=True):
     return Jet2(w, wp1 * u.d1, wp2 * u.d1 * u.d1 + wp1 * u.d2)
 
 
-def walk_pow(walk, base, expo):
-    const = (expo.d1 == 0.0) & (expo.d2 == 0.0)
-    if const.all():
+def walk_pow(walk, base, expo, varying):
+    if not varying:
         return walk_pow_const(walk, base, expo.v)
-    varying = ~const
-    w = walk_exp(walk, expo * walk_ln(walk, base, varying), varying)
-    if varying.all():
-        return w
-    m = walk_pow_const(walk, base, expo.v, const)
-    return Jet2(*(np.where(const, a, b) for a, b in zip(m, w)))
+    return walk_exp(walk, expo * walk_ln(walk, base))
 
 
 def walk_node(node, walk):
@@ -377,7 +381,7 @@ def walk_node(node, walk):
         case Div(left=l, right=r):
             return walk_div(walk, walk_node(l, walk), walk_node(r, walk))
         case Pow(base=b, exponent=e):
-            return walk_pow(walk, walk_node(b, walk), walk_node(e, walk))
+            return walk_pow(walk, walk_node(b, walk), walk_node(e, walk), varies(e))
         case Ln(arg=a):
             return walk_ln(walk, walk_node(a, walk))
         case Exp(arg=a):
@@ -451,7 +455,8 @@ EDGE_CASES = {
     "exp(exp(s))": straddle(math.log(709.78)),
     "exp(-exp(s))": straddle(709.78),
     "(ln(s-2))^0": straddle(2.0, 3.0),
-    # the exponent's jet is constant only at s = 1
+    # a varying exponent: exp(e ln b) fails wherever b <= 0, s = 1 too,
+    # where e's jet is (0, 0, 0)
     "(s-2)^((s-1)^3)": straddle(1.0, 2.0),
     "-ln(s)": np.array([-1.0, 0.0, np.nan, np.inf, 1e-320, 1.0, 1e300]),
     # the monomial rule skips its overflow mask where all three powers are
@@ -532,13 +537,18 @@ def test_some_points_fail_and_some_do_not():
             assert failed.any() and not failed.all(), text
 
 
-def test_constant_exponent_chosen_per_point():
+def test_a_varying_exponent_needs_a_positive_base():
+    s = straddle(1.0, 2.0)
+    # exp(e ln b) at every point, s = 1 included, where e = (s-1)^3 is 0
+    # with a zero jet
     f = parse("(s-2)^((s-1)^3)")
-    s = np.array([0.5, 1.0, 1.5, 2.5])
-    jet = eval_jet(f, s)
-    # (-1)^0 at s = 1 through the monomial rule, exp(e ln b) beyond 2
-    assert np.isnan(jet.v).tolist() == [True, False, True, False]
-    assert jet.v[1] == 1.0
+    failed = np.isnan(eval_jet(f, s).v)
+    assert np.array_equal(failed[s <= 5.0], s[s <= 5.0] <= 2.0)
+    for x in s[s < 2.0].tolist():
+        assert _returned(failure_at(f, x)) == (DomainError, f"ln of non-positive value {x - 2.0}")
+    # an exponent in s varies, even one that is 2 at every point
+    assert np.array_equal(np.isnan(eval_jet(parse("(s-1)^(s-s+2)"), s).v), s <= 1.0)
+    assert np.isfinite(eval_jet(parse("(s-1)^2"), s)).all()
 
 
 @pytest.mark.parametrize(
@@ -611,9 +621,18 @@ GRID_SPECS = (
 FAILING = ("ln(s-1)", "exp(s)", "(s-2)^3", "s^s", "1/(s-1)")
 
 # constant subexpressions, which the compiler folds: failing ones, named
-# first or after another failure in walk order, an exponent whose jet is
-# not finite, and constant functions
-FOLDED = ("ln(0-1) + s", "sqrt(s-3) + 1/(1-1)", "s^(exp(1000)*0)", "ln(2)", "3", "-(2^0.5)*s")
+# first or after another failure in walk order, as a power's base and as
+# its exponent, an exponent whose jet is not finite, and constant functions
+FOLDED = (
+    "ln(0-1) + s",
+    "sqrt(s-3) + 1/(1-1)",
+    "(0-2)^s",
+    "s^ln(0-1)",
+    "s^(exp(1000)*0)",
+    "ln(2)",
+    "3",
+    "-(2^0.5)*s",
+)
 
 BIT_CASES = list(
     {
@@ -669,6 +688,29 @@ def test_program_has_the_walks_bytes(label, f, size):
 @pytest.mark.parametrize("text", EDGE_CASES)
 def test_program_has_the_walks_bytes_at_the_edges(text):
     _same_outcome(parse(text), EDGE_CASES[text])
+
+
+VARYING_POWERS = (
+    ("s^s", "exp(s*ln(s))"),
+    ("2^s", "exp(s*ln(2))"),
+    ("s^(s/100)", "exp((s/100)*ln(s))"),
+    ("(1+s)^(1-s)", "exp((1-s)*ln(1+s))"),
+    ("(s-2)^((s-1)^3)", "exp((s-1)^3*ln(s-2))"),
+)
+
+
+@pytest.mark.parametrize("power,form", VARYING_POWERS, ids=[p for p, _ in VARYING_POWERS])
+def test_a_varying_power_is_its_exp_ln_program(power, form):
+    # one rule per power, fixed when it is compiled: b^e is the program of
+    # exp(e*ln(b)), its rows, its bytes and its first failure
+    f, g = parse(power), parse(form)
+    for s in [bit_points(size) for size in (1, 36, 1000, 20000)] + [straddle(1.0, 2.0)]:
+        form_jet = eval_jet(g, s)
+        _same_bytes(eval_jet(f, s), form_jet)
+        failed = np.flatnonzero(np.isnan(form_jet.v))
+        for x in s[failed[:1]].tolist():
+            assert _raised(eval_jet, f, x) == _raised(eval_jet, g, x) is not None, x
+    assert f._program[1] == g._program[1]
 
 
 def test_the_failing_cases_take_their_paths():
