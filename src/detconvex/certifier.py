@@ -81,8 +81,9 @@ class GridSpec(Value):
 
 
 class Witness(NamedTuple):
-    """One witness attempt: the pair (C, H) of ``kind`` at s_star, det_c =
-    det C, the form D2g(C).(H,H) = analytic_value from the jet at s_star,
+    """One witness attempt: the pair (C, H) of ``kind`` at s_star, as
+    arrays (C validated against the positivity floor), det_c = det C,
+    the form D2g(C).(H,H) = analytic_value from the jet at s_star,
     and the gap g(C + tau H) + g(C - tau H) - 2 g(C) with its rounding
     bound.  A finite negative form is confirmed: BY_GAP at the largest tau
     whose gap is below minus its bound, else BY_JET on its sign alone
@@ -90,7 +91,7 @@ class Witness(NamedTuple):
 
     kind: str
     s_star: float
-    c: PosDefMatrix
+    c: np.ndarray
     h: np.ndarray
     det_c: float
     analytic_value: float
@@ -207,16 +208,17 @@ def witness_attempt(f, kind: str, s: float, n: int) -> Witness:
         by = BY_GAP if below.size else BY_JET
     i = below[0] if by == BY_GAP else None
     tau, g, b = (math.nan,) * 3 if i is None else (GAP_TAUS[i], gap[i], bound[i])
-    return Witness(kind, float(s), c, h, c.det, float(form), float(tau), float(g), float(b), by)
+    return Witness(kind, float(s), c.a, h, c.det, float(form), float(tau), float(g), float(b), by)
 
 
 def _confirmed_witness(f, kind: str, s: float, n: int) -> Witness | None:
     """The confirmed pair for ``kind`` at s, or None when it cannot be
     built (at n = 1 and a subnormal s, C = s is below the positivity
-    floor) or is not confirmed."""
+    floor) or is not confirmed.  No slope pair is asked for at n = 1,
+    where ``condition_flags`` passes every f'."""
     try:
         w = witness_attempt(f, kind, s, n)
-    except (DimensionError, NotPositiveDefiniteError):
+    except NotPositiveDefiniteError:
         return None
     return w if w.confirmed else None
 
@@ -326,13 +328,12 @@ def certify(
     """Evaluate both convexity conditions at every grid point, and gather
     the run's other evidence into the one report.
 
-    Per-point tolerance band: tol + tol*|f'(s)| + tol*|f''(s)|, with
-    0 < tol < 1, each term scaled before the sum so that the band stays
-    finite wherever f' and f'' are.  Any violation triggers witness
-    construction at the first violating point of its kind and, unless its
-    gap confirms that pair, at the violating point of that kind nearest
-    s = 1 (``_grid_witness``); Refuted requires a confirmed witness.
-    Scalar domain failures annotate the report and force Inconclusive.
+    The tolerance band is ``condition_flags``'s, with 0 < tol < 1.  Any
+    violation triggers witness construction at the first violating point
+    of its kind and, unless its gap confirms that pair, at the violating
+    point of that kind nearest s = 1 (``_grid_witness``); Refuted
+    requires a confirmed witness.  Scalar domain failures annotate the
+    report and force Inconclusive.
 
     Without a domain failure, the ``beyond_grid`` pass checks both
     conditions outside the grid, and a kind of violation it finds is
@@ -343,10 +344,12 @@ def certify(
     report's ``diagnostics``; otherwise they are None, and the seed is not
     read, so only a sweep that runs rejects a negative one.  samples < 0
     raises ParameterError.  The annotations are the grid pass's, in
-    order, then the beyond-grid pass's, then the Neo-Hooke note.  The
-    verdict is the one rule at the end: Refuted with a confirmed witness,
-    else Inconclusive when either pass fails or a point cut the grid.  It
-    does not read the sweep, whose failures no witness confirms yet.
+    order, then the beyond-grid pass's, then the Neo-Hooke note or the
+    closed form's.  The verdict is the one rule at the end: Refuted with
+    a confirmed witness, else Inconclusive when either pass fails, a
+    point cut the grid or the closed form (``analytic_convexity``) says
+    not convex.  It does not read the sweep, whose failures no witness
+    confirms yet.
     """
     if n < 1:
         raise ParameterError(f"dimension n={n} must be >= 1")
@@ -418,13 +421,16 @@ def certify(
             "term mu*<C-I,I> is linear in C, hence convex, so the full "
             "energy is convex in C exactly when this part is"
         )
+    analytic = analytic_convexity(f, n)
+    if analytic is False and not witnesses:
+        annotations.append(f"closed form of {f!r} is not convex at n={n}, but no witness pair confirms it")
     diagnostics = None
     if samples > 0 and not domain_failure:
         diagnostics = sample_convexity(f, n, samples, seed)
 
     if witnesses:
         verdict = REFUTED
-    elif domain_failure or any(bad.any() for _, _, *bads in passes for bad in bads):
+    elif domain_failure or analytic is False or any(bad.any() for _, _, *bads in passes for bad in bads):
         verdict = INCONCLUSIVE
     else:
         verdict = CERTIFIED
@@ -440,7 +446,7 @@ def certify(
         lhs_ok=lhs_ok,
         witnesses=tuple(witnesses),
         tol=tol,
-        analytic_convex=analytic_convexity(f, n),
+        analytic_convex=analytic,
         annotations=tuple(annotations),
         diagnostics=diagnostics,
         beyond_grid=beyond,

@@ -40,7 +40,6 @@ from . import __version__, certifier, detcalculus, scalarfun
 from .certifier import CERTIFIED, INCONCLUSIVE, REFUTED, RNG_ALGORITHM, GridSpec
 from .errors import (
     ConvergenceError,
-    DegenerateDirectionError,
     DimensionError,
     DomainError,
     NonFiniteError,
@@ -71,10 +70,6 @@ MAX_SAMPLES = 1_000_000
 MAX_ORACLE_ENTRIES = 2**20
 
 
-class UsageError(Exception):
-    pass
-
-
 # family name -> (class, default parameters); None marks a required one
 _FAMILIES = {
     "fa": (scalarfun.FamilyA, {"a": None, "c": -1.0, "d": 0.0}),
@@ -90,33 +85,30 @@ def parse_function_spec(spec: str, n: int):
         return scalarfun.parse(spec)
     parts = spec.split(":")
     if len(parts) not in (2, 3):
-        raise UsageError(f"malformed family spec {spec!r}")
+        raise ParameterError(f"malformed family spec {spec!r}")
     name = parts[1]
     if name not in _FAMILIES:
-        raise UsageError(f"unknown family {name!r}; choose from {sorted(_FAMILIES)}")
+        raise ParameterError(f"unknown family {name!r}; choose from {sorted(_FAMILIES)}")
     cls, defaults = _FAMILIES[name]
     params = dict(defaults)
     if len(parts) == 3 and parts[2]:
         for item in parts[2].split(","):
             if "=" not in item:
-                raise UsageError(f"malformed family parameter {item!r} (expected k=v)")
+                raise ParameterError(f"malformed family parameter {item!r} (expected k=v)")
             k, v = item.split("=", 1)
             k = k.strip()
             if k not in params:
-                raise UsageError(f"unknown parameter {k!r} for family {name!r}")
+                raise ParameterError(f"unknown parameter {k!r} for family {name!r}")
             try:
                 params[k] = float(v)
             except ValueError:
-                raise UsageError(f"parameter {k}={v!r} is not a number") from None
+                raise ParameterError(f"parameter {k}={v!r} is not a number") from None
     missing = [k for k, v in params.items() if v is None]
     if missing:
-        raise UsageError(f"family {name!r} requires parameters: {', '.join(missing)}")
+        raise ParameterError(f"family {name!r} requires parameters: {', '.join(missing)}")
     if cls is scalarfun.FamilyA:
         params["n"] = n
-    try:
-        return cls(**params)
-    except ParameterError as e:
-        raise UsageError(str(e)) from e
+    return cls(**params)
 
 
 def _grid_failures(report) -> dict:
@@ -206,7 +198,7 @@ def _report_json(args, report) -> dict:
                 "kind": w.kind,
                 "s": w.s_star,
                 "det_c": w.det_c,
-                "C": w.c.a.tolist(),
+                "C": w.c.tolist(),
                 "H": w.h.tolist(),
                 "analytic": w.analytic_value,
                 **{key: _finite(getattr(w, key)) for key in ("tau", "gap", "gap_bound")},
@@ -225,22 +217,16 @@ def _report_json(args, report) -> dict:
     return doc
 
 
-def _emit(text: str, path: str):
-    if path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        Path(path).write_text(text if text.endswith("\n") else text + "\n")
-
-
 def _cmd_certify(args) -> int:
-    if args.samples < 0:
-        raise UsageError(f"--samples must be >= 0, got {args.samples}")
     f = parse_function_spec(args.function, args.dim)
     grid = GridSpec(args.s_min, args.s_max, args.grid_count)
     report = certifier.certify(f, args.dim, grid, args.tol, args.samples, args.seed)
-    _emit(json.dumps(_report_json(args, report), indent=2), args.output)
+    # json.dumps ends the document without a newline
+    text = json.dumps(_report_json(args, report), indent=2) + "\n"
+    if args.output == "-":
+        sys.stdout.write(text)
+    else:
+        Path(args.output).write_text(text)
     print(f"verdict: {report.verdict}", file=sys.stderr)
     return _VERDICT_EXIT[report.verdict]
 
@@ -262,7 +248,7 @@ def _cmd_witness(args) -> int:
     w = report.witnesses[0]
     print(f"witness kind={w.kind} at s={w.s_star!r}")
     print(f"det C = {w.det_c!r}")
-    print("C =", _fmt_matrix(w.c.a), "H =", _fmt_matrix(w.h), sep="\n")
+    print("C =", _fmt_matrix(w.c), "H =", _fmt_matrix(w.h), sep="\n")
     print(f"analytic D2g(C).(H,H) = {w.analytic_value!r}")
     print(f"gap g(C+tau H) + g(C-tau H) - 2 g(C) at tau={w.tau!r} = {w.gap!r}, bound {w.gap_bound!r}")
     print(f"confirmed: {'yes' if w.confirmed else 'no'}")
@@ -278,12 +264,7 @@ def _slug(label: str) -> str:
 
 
 def _cmd_curves(args) -> int:
-    extras = []
-    if args.function:
-        f = parse_function_spec(args.function, args.dim)
-        if not isinstance(f, scalarfun.FamilyA):
-            raise UsageError("curves accepts only family:fa:... extra members")
-        extras.append(f)
+    extras = [parse_function_spec(args.function, args.dim)] if args.function else []
     curves = scalarfun.export_family_curves(extras, GridSpec(args.s_min, args.s_max, args.count))
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -296,7 +277,7 @@ def _cmd_curves(args) -> int:
 
 def _cmd_oracle(args) -> int:
     if args.samples * args.dim**2 > MAX_ORACLE_ENTRIES:
-        raise UsageError(
+        raise ParameterError(
             f"--samples {args.samples} at --dim {args.dim} exceeds the limit of "
             f"{MAX_ORACLE_ENTRIES} entries per stack (--samples * --dim^2)"
         )
@@ -401,7 +382,7 @@ def _check_sizes(args):
         ("--samples", args.samples, MAX_SAMPLES),
     ):
         if value > limit:
-            raise UsageError(f"{flag} {value} exceeds the limit {limit}")
+            raise ParameterError(f"{flag} {value} exceeds the limit {limit}")
 
 
 def main(argv=None) -> int:
@@ -429,17 +410,11 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"error: cannot parse function: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (UsageError, ParameterError, DimensionError, OSError) as e:
+    except (ParameterError, DimensionError, OSError) as e:
         # OSError: the report or a curve file cannot be written
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        DomainError,
-        NonFiniteError,
-        DegenerateDirectionError,
-        ConvergenceError,
-        NotPositiveDefiniteError,
-    ) as e:
+    except (DomainError, NonFiniteError, ConvergenceError, NotPositiveDefiniteError) as e:
         # the run cannot reach an answer; 1 would claim a refutation or a
         # discrepancy
         print(f"error: {e}", file=sys.stderr)

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg, scalarfun
-from .errors import DegenerateDirectionError, DimensionError, ParameterError
+from .errors import DimensionError, DomainError, ParameterError
 from .linalg import frob_norm
 
 _EPS = float(np.finfo(float).eps)
@@ -193,9 +193,11 @@ def directional_forms(functions, c, h) -> DirectionalForms:
     One ``hess_terms`` solve gives both inner products, LAPACK's
     ``det`` the centres, one ``_stencil`` the four points both differences
     share with their determinants, and one evaluator call per function f
-    at its rows' five points, with no warning on overflow.  Non-finite
-    entries raise ParameterError, and a C too close to the cone's
-    boundary for the step NotPositiveDefiniteError (``_stencil``).
+    at its rows' five points, with no warning on overflow.  C and H must
+    be finite and equal to their transposes exactly, since a Cholesky
+    factor reads only the lower triangle of each stencil matrix
+    (ParameterError), and C far enough inside the cone for the step
+    (NotPositiveDefiniteError, ``_stencil``).
     """
     if not functions:
         raise ParameterError("directional_forms needs at least one function")
@@ -204,6 +206,8 @@ def directional_forms(functions, c, h) -> DirectionalForms:
         raise DimensionError(f"expected (N, n, n) stacks, got {c.shape} and {h.shape}")
     if not (np.isfinite(c).all() and np.isfinite(h).all()):
         raise ParameterError("matrix entries must be finite")
+    if not (np.array_equal(c, c.swapaxes(1, 2)) and np.array_equal(h, h.swapaxes(1, 2))):
+        raise ParameterError("C and H must be symmetric")
     s = np.linalg.det(c)
     steps, dets = _stencil(c, h)
     inner, cross = hess_terms(c, h)
@@ -289,7 +293,7 @@ def oracle_sweep(n: int, num_samples: int, seed: int, functions=None) -> OracleS
     and sample i pairs with functions[i % len(functions)] (the built-in
     corpus by default).  A sample whose function fails to evaluate at one
     of its points (outside its domain or overflowing) is skipped;
-    DegenerateDirectionError if every sample is.
+    DomainError if every sample is.
     """
     if num_samples < 1:
         raise ParameterError("num_samples must be >= 1")
@@ -305,7 +309,7 @@ def oracle_sweep(n: int, num_samples: int, seed: int, functions=None) -> OracleS
         )
     kept = ~np.isnan(hess_disc + grad_disc)
     if not kept.any():
-        raise DegenerateDirectionError("every sample was skipped")
+        raise DomainError("every sample was skipped")
     return OracleSweepResult(
         samples=np.flatnonzero(kept),
         hess_disc=hess_disc[kept],

@@ -12,7 +12,7 @@ class ParameterError(ValueError):
 class DomainError(ValueError):
     """A scalar function was evaluated outside its domain (s <= 0, ln/sqrt
     of a non-positive argument, division by zero, 0 raised to a negative
-    power)."""
+    power), or at every sample of an oracle sweep, which skipped them all."""
 
 
 class NonFiniteError(ArithmeticError):
@@ -20,15 +20,11 @@ class NonFiniteError(ArithmeticError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative routine hit its iteration cap before converging."""
+    """A LAPACK routine (the symmetric eigensolver) did not converge."""
 
 
 class NotPositiveDefiniteError(ValueError):
     """A matrix required to be positive definite is not."""
-
-
-class DegenerateDirectionError(RuntimeError):
-    """Every sample of an oracle sweep was skipped: f failed at one of its points."""
 
 
 class ParseError(ValueError):

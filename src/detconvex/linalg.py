@@ -11,11 +11,13 @@ Gaussian matrices, a shorter stack a prefix of a longer one
 (``random_pairs`` draws the (C, H) pairs of the oracle and the
 self-test).  ``sym_build`` turns rows of uniforms into a
 symmetric stack for ``random_sym``; the randomized sweep draws only
-spectra of diagonal matrices, which it never builds.  A matrix is validated once where it enters,
-by ``symmetric`` (square, finite, lower triangle mirrored, read-only) or
-by the seeded draws, and is passed on as a plain array.
-``PosDefMatrix`` is such an array checked against the positivity floor,
-with its determinant.  All operations are pure functions.
+spectra of diagonal matrices, which it never builds.  Matrices are plain
+arrays, checked by the routine that needs the check: ``symmetric``
+(square, finite, lower triangle mirrored, read-only) for
+``PosDefMatrix``, such an array above the positivity floor with its
+determinant, and ``detcalculus.directional_forms`` for its stacks
+(finite, equal to their transposes); the seeded draws are symmetric by
+construction.  All operations are pure functions.
 """
 
 from __future__ import annotations

@@ -417,37 +417,33 @@ class _Compiler:
 # parser
 #
 # precedence, lowest to highest:
-#   additive (+ -, left assoc)
-#   multiplicative (* /, left assoc)
+#   the levels of _BINARY (+ -, then * /; each left assoc)
 #   unary minus
 #   power (^, right assoc)
 #   atoms: number, s, ln(e), exp(e), sqrt(e), ( e )
 
+# every character starts a match: whitespace, a token, or a bad character
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"(?P<space>\s+)"
+    r"|(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>.)"
 )
 
 _FUNCTIONS = {"ln": Ln, "exp": Exp, "sqrt": Sqrt}
+_BINARY = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        while pos < n and text[pos].isspace():
-            pos += 1
-        if pos >= n:
-            break
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    tokens.append(("end", "", n))
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        if kind != "space":
+            tokens.append((kind, m.group(), m.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -510,33 +506,24 @@ class _Parser:
         return cls(*(e for e, _ in parts)), depth
 
     def parse(self) -> Expr:
-        e, _ = self.additive()
+        e, _ = self.binary()
         kind, text, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {text!r}", pos)
         return e
 
-    def additive(self) -> tuple[Expr, int]:
-        e = self.multiplicative()
+    def binary(self, level: int = 0) -> tuple[Expr, int]:
+        """A left-associative chain of the operators of _BINARY[level]
+        over operands of the next level, the last level's unary ones."""
+        ops = _BINARY[level]
+        operand = partial(self.binary, level + 1) if level + 1 < len(_BINARY) else self.unary
+        e = operand()
         while True:
             kind, text, pos = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.multiplicative()
-                e = self._node(Add if text == "+" else Sub, pos, e, rhs)
-            else:
+            if kind != "op" or text not in ops:
                 return e
-
-    def multiplicative(self) -> tuple[Expr, int]:
-        e = self.unary()
-        while True:
-            kind, text, pos = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                rhs = self.unary()
-                e = self._node(Mul if text == "*" else Div, pos, e, rhs)
-            else:
-                return e
+            self.advance()
+            e = self._node(ops[text], pos, e, operand())
 
     def unary(self) -> tuple[Expr, int]:
         kind, text, pos = self.peek()
@@ -564,19 +551,15 @@ class _Parser:
         if kind == "ident":
             if text == "s":
                 return Variable(), 0
-            if text in _FUNCTIONS:
-                self.expect_op("(")
-                arg = self._nested(self.additive, pos)
-                self.expect_op(")")
-                return self._node(_FUNCTIONS[text], pos, arg)
-            raise UnknownIdentifierError(f"unknown identifier {text!r}", pos)
-        if kind == "op" and text == "(":
-            e, depth = self._nested(self.additive, pos)
-            self.expect_op(")")
-            if depth + 1 > MAX_DEPTH:
-                raise self._too_deep(pos)
-            return e, depth + 1
-        raise ParseError(f"expected a value, got {text!r}" if text else "unexpected end of input", pos)
+            if text not in _FUNCTIONS:
+                raise UnknownIdentifierError(f"unknown identifier {text!r}", pos)
+            self.expect_op("(")
+        elif kind != "op" or text != "(":
+            raise ParseError(f"expected a value, got {text!r}" if text else "unexpected end of input", pos)
+        # a call or a parenthesis pair, one level around its argument
+        arg = self._nested(self.binary, pos)
+        self.expect_op(")")
+        return self._node(_FUNCTIONS.get(text, lambda e: e), pos, arg)
 
 
 def parse(text: str) -> Expr:
@@ -773,19 +756,14 @@ def failure_at(f, s: float) -> DomainError | NonFiniteError:
 
 
 class CurveTable(Value):
-    """A sampled curve: finite positive x samples and their values."""
+    """A sampled curve: the points xs of a GridSpec and the values ys of
+    a family member there."""
 
     __slots__ = __match_args__ = ("label", "params", "xs", "ys")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
     def __init__(self, label: str, params: dict, xs, ys):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if xs.ndim != 1 or xs.shape != ys.shape:
-            raise ParameterError("xs and ys must be 1-d arrays of equal length")
-        if not np.all(np.isfinite(xs) & (xs > 0)):
-            raise ParameterError("x samples must be finite and positive")
         super().__init__(label, params, xs, ys)
 
     def to_csv(self) -> str:
@@ -822,7 +800,7 @@ def export_family_curves(extras, grid):
     members = list(figure_families())
     for fam in extras:
         if not isinstance(fam, FamilyA):
-            raise ParameterError(f"extra curves must be family members, got {type(fam).__name__}")
+            raise ParameterError("curves accepts only family:fa:... extra members")
         members.append((f"fa(a={fam.a!r},c={fam.c!r},d={fam.d!r},n={fam.n})", fam))
     return [
         CurveTable(

@@ -87,7 +87,7 @@ def check_necessity_witness_slope():
     if w.s_star != s0:
         failures.append(f"witness at s={w.s_star}, expected first grid point {s0}")
     # C^-1 H by division, exact for C = r I
-    x = w.h / np.diag(w.c.a)[:, None]
+    x = w.h / np.diag(w.c)[:, None]
     inner = float(x.trace())
     cross = float(np.sum(x * x.T))
     if inner != 0.0:
@@ -124,7 +124,7 @@ def check_necessity_witness_second_order():
     if any(w.kind == KIND_POSITIVE_FPRIME for w in rep.witnesses):
         failures.append("unexpected slope witness for a decreasing function")
     w = certifier.witness_attempt(f, KIND_SECOND_ORDER, 1.0, 3)
-    val = detcalculus.condition_lhs_diag(f, 1.0 / np.diag(w.c.a), w.h)
+    val = detcalculus.condition_lhs_diag(f, 1.0 / np.diag(w.c), w.h)
     if val != -6.0 or w.analytic_value != -6.0:
         failures.append(f"diagonal condition value {val!r}, form {w.analytic_value!r} != -6 exactly")
     if w.confirmed_by != certifier.BY_GAP:

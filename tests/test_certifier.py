@@ -77,9 +77,11 @@ class TestCertify:
         # -2 s f'(s) at the grid's s, and a gap of f that shows it
         assert w.analytic_value == -2.0 * w.s_star
         assert w.confirmed_by == certifier.BY_GAP and w.gap < -w.gap_bound
-        # C = s^(1/3) I: det C is s up to the rounding of the cube root
-        assert np.array_equal(w.c.a, w.s_star ** (1.0 / 3.0) * np.eye(3))
-        assert w.det_c == w.c.det == pytest.approx(w.s_star, rel=1e-14)
+        # C = s^(1/3) I, a plain array: det C is s up to the rounding of
+        # the cube root
+        assert type(w.c) is np.ndarray
+        assert np.array_equal(w.c, w.s_star ** (1.0 / 3.0) * np.eye(3))
+        assert w.det_c == linalg.det(w.c) == pytest.approx(w.s_star, rel=1e-14)
 
     def test_decreasing_linear_refuted_second_order(self):
         rep = certify(parse("-s"), 3, SMALL_GRID)
@@ -340,7 +342,7 @@ class TestWitnessConstructions:
             a = certifier.witness_attempt(f, kind, w.s_star, 3)
             assert a.confirmed_by == w.confirmed_by == certifier.BY_GAP
             assert a[4:] == w[4:]
-            assert np.array_equal(a.c.a, w.c.a) and np.array_equal(a.h, w.h)
+            assert np.array_equal(a.c, w.c) and np.array_equal(a.h, w.h)
 
     def test_witness_attempt_unconfirmed_and_dimension_error(self):
         # -ln(s) is convex: its second-order pair has a positive form
@@ -818,6 +820,24 @@ class TestVerdictConsistency:
 
     def test_expression_has_no_analytic_verdict(self):
         assert analytic_convexity(parse("-ln(s)"), 3) is None
+
+    @pytest.mark.parametrize(
+        "f", [PowerLaw(c=1e-12, p=1.0), PowerLaw(c=1e-12, p=1.0 / 3.0), PowerLaw(c=-1e-12, p=0.34)]
+    )
+    def test_a_closed_form_that_says_not_convex_is_never_certified(self, f):
+        # the band hides these scaled violations on the grid, but the
+        # family's own closed form says not convex
+        rep = certify(f, 3)
+        assert rep.analytic_convex is False and rep.witnesses == ()
+        assert rep.verdict == INCONCLUSIVE
+        assert rep.annotations == (
+            f"closed form of {f!r} is not convex at n=3, but no witness pair confirms it",
+        )
+
+    def test_a_refuted_family_keeps_its_witness(self):
+        rep = certify(PowerLaw(c=-1.0, p=0.5), 3)
+        assert rep.verdict == REFUTED and rep.analytic_convex is False
+        assert rep.annotations == ()
 
     @pytest.mark.parametrize("grid", [GridSpec(1e-3, 1e3), GridSpec(1e-20, 1e-15)],
                              ids=["unit", "tiny"])

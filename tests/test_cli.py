@@ -14,6 +14,7 @@ import pytest
 
 from detconvex import certifier, cli, detcalculus, linalg, scalarfun, selftest
 from detconvex.cli import main
+from detconvex.errors import ParameterError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -81,6 +82,14 @@ class TestCertifyCommand:
         )
         assert code == 0
         assert json.loads(out)["analytic_convex"] is True
+
+    def test_a_family_the_closed_form_refuses_is_not_certified(self, capsys):
+        # the band hides f = 1e-12 s on the grid; f' > 0 all the same
+        code, out, err = run(capsys, "certify", "-f", "family:power:c=1e-12,p=1")
+        doc = json.loads(out)
+        assert (code, err, doc["verdict"]) == (2, "verdict: Inconclusive\n", "Inconclusive")
+        assert doc["analytic_convex"] is False and doc["witnesses"] == []
+        assert [a.startswith("closed form of PowerLaw(") for a in doc["annotations"]] == [True]
 
     def test_neo_hooke_annotates_trace_term(self, capsys):
         code, out, _ = run(capsys, "certify", "-f", "family:neohooke:mu=2.0", *CERT_FAST)
@@ -268,6 +277,7 @@ import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 from workloads import WORKLOADS
 from detconvex.cli import main
+from detconvex.errors import ParameterError
 for name in ("certify_sweep", "certify_grid"):
     for call in WORKLOADS[name].calls(1):
         out = io.StringIO()
@@ -413,6 +423,41 @@ class TestUsageErrors:
         assert code == 3
         assert out == "" and "nested deeper" in err and "offset" in err
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (("certify", "-f", "2^^3"), "cannot parse function: expected a value, got '^' (at offset 2)"),
+            (("certify", "-f", "family:fa:a=1:x"), "malformed family spec 'family:fa:a=1:x'"),
+            (("certify", "-f", "family:fa:a"), "malformed family parameter 'a' (expected k=v)"),
+            (("certify", "-f", "family:mystery:a=1"),
+             "unknown family 'mystery'; choose from ['fa', 'log', 'neohooke', 'power']"),
+            (("certify", "-f", "family:fa:q=1"), "unknown parameter 'q' for family 'fa'"),
+            (("certify", "-f", "family:fa:c=-1"), "family 'fa' requires parameters: a"),
+            (("certify", "-f", "family:fa:a=zzz"), "parameter a='zzz' is not a number"),
+            (("certify", "-f", "family:fa:a=-1,c=-1,d=0"), "family parameter a=-1.0 must be >= 0"),
+            (("oracle", "-f", "family:neohooke:mu=0", "--samples", "3"), "shear modulus mu=0.0 must be > 0"),
+            (("certify", "-f", "s", "--dim", "65"), "--dim 65 exceeds the limit 64"),
+            (("oracle", "--dim", "10", "--samples", "20000"),
+             "--samples 20000 at --dim 10 exceeds the limit of 1048576 entries per stack "
+             "(--samples * --dim^2)"),
+            # checked once, by certify and by export_family_curves
+            (("certify", "-f", "s", "--samples", "-1"), "samples=-1 must be >= 0"),
+            (("curves", "-f", "s"), "curves accepts only family:fa:... extra members"),
+        ],
+        ids=[
+            "unparseable", "malformed-spec", "malformed-parameter", "unknown-family",
+            "unknown-parameter", "missing-parameter", "non-numeric-parameter",
+            "invalid-family-parameter", "invalid-family-parameter-oracle", "oversized-run",
+            "oracle-entry-limit", "negative-samples", "curves-non-fa-extra",
+        ],
+    )
+    def test_every_user_error_exits_3_with_one_line(self, capsys, tmp_path, argv, err):
+        outdir = tmp_path / "x"
+        if argv[0] == "curves":
+            argv += ("--outdir", str(outdir))
+        assert run(capsys, *argv) == (3, "", f"error: {err}\n")
+        assert not outdir.exists()
+
     def test_negative_samples_rejected(self, capsys):
         assert run(capsys, "certify", "-f", "s", "--samples", "-5")[0] == 3
 
@@ -466,7 +511,7 @@ class TestUsageErrors:
              "error: seed -1 must be >= 0\n"),
             (("oracle", "--seed", "-1", "--samples", "3"), 3, "error: seed -1 must be >= 0\n"),
             (("certify", "-f", "-ln(s)", "--samples", "-1"), 3,
-             "error: --samples must be >= 0, got -1\n"),
+             "error: samples=-1 must be >= 0\n"),
             # no sweep draws, so the seed is never read
             (("certify", "-f", "-ln(s)", "--seed", "-1", "--samples", "0", "--no-timestamp"), 0,
              "verdict: CertifiedOnGrid\n"),
@@ -822,7 +867,7 @@ class TestOracleCommand:
 
     def test_samples_at_the_entry_limit_run(self, capsys, monkeypatch):
         def reached(*args, **kwargs):
-            raise cli.UsageError("reached the sweep")
+            raise ParameterError("reached the sweep")
 
         monkeypatch.setattr(cli.detcalculus, "oracle_sweep", reached)
         samples = cli.MAX_ORACLE_ENTRIES // 100

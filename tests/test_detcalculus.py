@@ -318,6 +318,24 @@ class TestFdOracles:
         with pytest.raises(ParameterError, match="entries must be finite"):
             directional_forms((NEG_LN,), c, h)
 
+    def test_non_symmetric_stacks_are_refused(self):
+        # a Cholesky factor reads only the lower triangle of each stencil
+        # matrix, so the differences of this H were those of another
+        # matrix: fd_hess -566.2 against an analytic -8.30
+        f = parse("-ln(s)+s^2")
+        c = linalg.random_posdef_stack(3, 7, 1)[0]
+        h = np.random.default_rng(1).uniform(-1.0, 1.0, (1, 3, 3))
+        with pytest.raises(ParameterError, match="must be symmetric"):
+            directional_forms((f,), c, h)
+        sym = 0.5 * (h + h.swapaxes(1, 2))
+        forms = directional_forms((f,), c, sym)
+        hess = forms.hess[0]
+        assert abs(forms.fd_hess[0] - hess) <= detcalculus.ORACLE_HESS_TOL * max(1.0, abs(hess))
+        # one ulp off in an upper entry of C
+        c[0, 0, 2] = np.nextafter(c[0, 0, 2], np.inf)
+        with pytest.raises(ParameterError, match="must be symmetric"):
+            directional_forms((f,), c, sym)
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_direction_norm_is_refused(self):
         # |H| overflows to inf, which makes the default step 0
