@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import detcalculus, scalarfun
-from .errors import DimensionError, NotPositiveDefiniteError, ParameterError
+from .errors import NotPositiveDefiniteError, ParameterError
 from .linalg import DEFAULT_LOG_EIG_RANGE, PosDefMatrix
 from .scalarfun import FamilyA, Jet2, LogFamily, NeoHookeVolumetric, PowerLaw, Value
 
@@ -163,14 +163,14 @@ def witness_pair(kind: str, s: float, n: int):
 
     For KIND_POSITIVE_FPRIME, D = diag(1,-1,0,...,0), so D2g(C).(H,H) =
     -2 s f'(s) and det(C +- tau H) = det C (1 - tau^2); it needs n >= 2
-    (DimensionError).  For KIND_SECOND_ORDER, D = I, so f(det(C + tau H))
+    (ParameterError).  For KIND_SECOND_ORDER, D = I, so f(det(C + tau H))
     = u(r(1 + tau)) with u(t) = f(t^n), det(C +- tau H) = det C (1 +- tau)^n
     and the form is r^2 u''(r) = (n s)(n s f''(s) + (n-1) f'(s)).
     """
     if n < 1:
         raise ParameterError(f"dimension n={n} must be >= 1")
     if kind == KIND_POSITIVE_FPRIME and n < 2:
-        raise DimensionError("the slope witness needs n >= 2 (two free diagonal slots)")
+        raise ParameterError("the slope witness needs n >= 2 (two free diagonal slots)")
     if not (s > 0):
         raise ParameterError(f"s={s} must be positive")
     r = s ** (1.0 / n)
@@ -187,7 +187,7 @@ def witness_attempt(f, kind: str, s: float, n: int) -> Witness:
     at det C and det(C +- tau H), for the gaps at every tau of GAP_TAUS.
     A gap above its bound contradicts nothing: the form is the limit
     tau -> 0, and at a larger tau the gap also sees where f is convex.
-    Errors of the construction (DimensionError for a slope witness at
+    Errors of the construction (ParameterError for a slope witness at
     n = 1) propagate.
     """
     c, h = witness_pair(kind, s, n)
@@ -472,7 +472,7 @@ def sigma_checks(p, a):
     parr = np.asarray(p, dtype=float)
     aarr = np.asarray(a, dtype=float)
     if parr.shape != aarr.shape or parr.ndim not in (2, 3) or parr.shape[-1] != parr.shape[-2]:
-        raise DimensionError(f"shape mismatch P{parr.shape} vs A{aarr.shape}")
+        raise ParameterError(f"shape mismatch P{parr.shape} vs A{aarr.shape}")
     eye = np.eye(parr.shape[-1], dtype=bool)
     if np.count_nonzero(parr - np.where(eye, parr, 0.0)) != 0:
         raise ParameterError("P must be diagonal")

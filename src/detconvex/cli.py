@@ -40,7 +40,6 @@ from . import __version__, certifier, detcalculus, scalarfun
 from .certifier import CERTIFIED, INCONCLUSIVE, REFUTED, RNG_ALGORITHM, GridSpec
 from .errors import (
     ConvergenceError,
-    DimensionError,
     DomainError,
     NonFiniteError,
     NotPositiveDefiniteError,
@@ -410,7 +409,7 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"error: cannot parse function: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParameterError, DimensionError, OSError) as e:
+    except (ParameterError, OSError) as e:
         # OSError: the report or a curve file cannot be written
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg, scalarfun
-from .errors import DimensionError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
 from .linalg import frob_norm
 
 _EPS = float(np.finfo(float).eps)
@@ -96,7 +96,7 @@ def condition_lhs_diag(f, dvec, h):
         raise ParameterError("dvec must hold positive finite reciprocal eigenvalues")
     harr = np.asarray(h, dtype=float)
     if harr.shape != d.shape + d.shape[-1:]:
-        raise DimensionError(f"direction shape {harr.shape} does not match dvec {d.shape}")
+        raise ParameterError(f"direction shape {harr.shape} does not match dvec {d.shape}")
     s = 1.0 / np.prod(d, axis=-1)
     jet = scalarfun.eval_jet(f, s)
     inner, cross = diag_terms(d, harr)
@@ -203,7 +203,7 @@ def directional_forms(functions, c, h) -> DirectionalForms:
         raise ParameterError("directional_forms needs at least one function")
     c, h = (np.asarray(x, dtype=float) for x in (c, h))
     if c.ndim != 3 or c.shape[1] != c.shape[2] or h.shape != c.shape:
-        raise DimensionError(f"expected (N, n, n) stacks, got {c.shape} and {h.shape}")
+        raise ParameterError(f"expected (N, n, n) stacks, got {c.shape} and {h.shape}")
     if not (np.isfinite(c).all() and np.isfinite(h).all()):
         raise ParameterError("matrix entries must be finite")
     if not (np.array_equal(c, c.swapaxes(1, 2)) and np.array_equal(h, h.swapaxes(1, 2))):

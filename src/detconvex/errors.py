@@ -1,12 +1,9 @@
 """Exception types shared across the package."""
 
 
-class DimensionError(ValueError):
-    """Matrix shapes or dimensions are incompatible with the operation."""
-
-
 class ParameterError(ValueError):
-    """A parameter violates a documented precondition."""
+    """A parameter violates a documented precondition, a dimension below 1
+    or an array of the wrong shape included."""
 
 
 class DomainError(ValueError):
@@ -28,7 +25,8 @@ class NotPositiveDefiniteError(ValueError):
 
 
 class ParseError(ValueError):
-    """Syntax error in a function expression.
+    """Syntax error in a function expression, an identifier other than
+    ``s`` / ``ln`` / ``exp`` / ``sqrt`` included.
 
     ``offset`` is the byte offset into the source text where the error was
     detected.
@@ -37,7 +35,3 @@ class ParseError(ValueError):
     def __init__(self, message, offset):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
-
-
-class UnknownIdentifierError(ParseError):
-    """An identifier other than ``s`` / ``ln`` / ``exp`` / ``sqrt``."""

@@ -27,12 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DimensionError,
-    NotPositiveDefiniteError,
-    ParameterError,
-)
+from .errors import ConvergenceError, NotPositiveDefiniteError, ParameterError
 
 # Log eigenvalue range of every positive definite draw: eigenvalues in
 # [0.1, 10], so that up to n = 64 every draw clears the positivity floor by
@@ -71,7 +66,7 @@ def _as_array(m) -> np.ndarray:
     """Any array-like as a 2-d float ndarray."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
-        raise DimensionError(f"expected a 2-d matrix, got ndim={a.ndim}")
+        raise ParameterError(f"expected a 2-d matrix, got ndim={a.ndim}")
     return a
 
 
@@ -81,9 +76,9 @@ def symmetric(a) -> np.ndarray:
     so ``m[i, j] == m[j, i]`` holds exactly."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+        raise ParameterError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
-        raise DimensionError("dimension must be >= 1")
+        raise ParameterError("dimension must be >= 1")
     _check_finite(a)
     sym = _mirror_lower(a)
     sym.setflags(write=False)
@@ -129,7 +124,7 @@ def frob_norm(m):
     then the entries are rescaled first."""
     a = np.asarray(m, dtype=float)
     if a.ndim < 2:
-        raise DimensionError(f"expected a matrix or a stack of them, got ndim={a.ndim}")
+        raise ParameterError(f"expected a matrix or a stack of them, got ndim={a.ndim}")
     with np.errstate(over="ignore"):
         squares = np.add.reduce(a * a, axis=(-2, -1))
     norms = np.sqrt(squares)
@@ -164,7 +159,7 @@ def det(a) -> float:
     """
     m = _as_array(a).astype(float, copy=True)
     if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"determinant needs a square matrix, got {m.shape}")
+        raise ParameterError(f"determinant needs a square matrix, got {m.shape}")
     n = m.shape[0]
     sign = 1.0
     for k in range(n - 1):
@@ -242,7 +237,7 @@ def random_posdef_stack(n: int, seed: int, count: int) -> tuple:
     rows is the first k rows of any longer stack from the same seed.
     """
     if n < 1:
-        raise DimensionError("dimension must be >= 1")
+        raise ParameterError("dimension must be >= 1")
     # the two streams start from the seeded state, so count cannot move either
     bits = np.random.PCG64(int(seed))
     q = np.linalg.qr(np.random.Generator(bits.jumped()).standard_normal((count, n, n)))[0]
@@ -274,7 +269,7 @@ def random_sym(n: int, seed: int, count: int) -> np.ndarray:
     uniform in [-1, 1], from one PCG64 stream seeded with ``seed``: the
     ``sym_build`` of its (count, n(n+1)/2) uniforms."""
     if n < 1:
-        raise DimensionError("dimension must be >= 1")
+        raise ParameterError("dimension must be >= 1")
     return sym_build(_rng(int(seed)).uniform(-1.0, 1.0, size=(count, n * (n + 1) // 2)), n)
 
 

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, ParameterError, ParseError, UnknownIdentifierError
+from .errors import DomainError, NonFiniteError, ParameterError, ParseError
 
 BRANCH_TOL = 1e-12  # |a - 1/n| below this selects the logarithmic branch
 _set = object.__setattr__  # how a Value sets its fields
@@ -552,7 +552,7 @@ class _Parser:
             if text == "s":
                 return Variable(), 0
             if text not in _FUNCTIONS:
-                raise UnknownIdentifierError(f"unknown identifier {text!r}", pos)
+                raise ParseError(f"unknown identifier {text!r}", pos)
             self.expect_op("(")
         elif kind != "op" or text != "(":
             raise ParseError(f"expected a value, got {text!r}" if text else "unexpected end of input", pos)
@@ -565,9 +565,8 @@ class _Parser:
 def parse(text: str) -> Expr:
     """Parse an expression in the variable ``s``.
 
-    Raises ParseError (with byte offset) on malformed input or on nesting
-    deeper than ``MAX_DEPTH``, and UnknownIdentifierError for identifiers
-    other than s/ln/exp/sqrt.
+    Raises ParseError (with byte offset) on malformed input, on nesting
+    deeper than ``MAX_DEPTH`` and on identifiers other than s/ln/exp/sqrt.
     """
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
@@ -731,16 +730,6 @@ def eval_jet(f, s) -> Jet2:
     return jet
 
 
-def eval_all(f, s: np.ndarray) -> np.ndarray:
-    """f at every point of the 1-D array s, from one evaluator call; the
-    first point that fails raises its own error."""
-    values = eval_jet(f, s).v
-    failed = np.isnan(values)
-    if failed.any():
-        raise failure_at(f, float(s[np.argmax(failed)]))
-    return values
-
-
 def failure_at(f, s: float) -> DomainError | NonFiniteError:
     """The error that evaluating f at the float s raises: the reason for a
     point that an array evaluation returned as NaN."""
@@ -794,7 +783,8 @@ def export_family_curves(extras, grid):
     sampled at the points of ``grid``, a ``certifier.GridSpec``.
 
     ``extras`` is a sequence of FamilyA instances appended after the four
-    standard curves.
+    standard curves.  Each member's values come from one evaluator call;
+    the first point that fails, in member order, raises its own error.
     """
     ss = grid.points()
     members = list(figure_families())
@@ -802,12 +792,11 @@ def export_family_curves(extras, grid):
         if not isinstance(fam, FamilyA):
             raise ParameterError("curves accepts only family:fa:... extra members")
         members.append((f"fa(a={fam.a!r},c={fam.c!r},d={fam.d!r},n={fam.n})", fam))
-    return [
-        CurveTable(
-            label=label,
-            params={"a": fam.a, "c": fam.c, "d": fam.d, "n": fam.n},
-            xs=ss,
-            ys=eval_all(fam, ss),
-        )
-        for label, fam in members
-    ]
+    tables = []
+    for label, fam in members:
+        ys = eval_jet(fam, ss).v
+        failed = np.isnan(ys)
+        if failed.any():
+            raise failure_at(fam, float(ss[np.argmax(failed)]))
+        tables.append(CurveTable(label, {"a": fam.a, "c": fam.c, "d": fam.d, "n": fam.n}, ss, ys))
+    return tables

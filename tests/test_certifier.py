@@ -26,7 +26,7 @@ from detconvex.certifier import (
     sigma_checks,
 )
 from detconvex.cli import MAX_GRID_COUNT
-from detconvex.errors import DimensionError, NotPositiveDefiniteError, ParameterError
+from detconvex.errors import NotPositiveDefiniteError, ParameterError, ParseError
 from detconvex.linalg import random_posdef_array, random_sym
 from detconvex.scalarfun import FamilyA, LogFamily, NeoHookeVolumetric, PowerLaw, eval_jet, parse
 
@@ -318,12 +318,12 @@ class TestWitnessConstructions:
         assert w.analytic_value == pytest.approx(-n, rel=1e-12)
 
     def test_slope_witness_needs_two_slots(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ParameterError):
             certifier.witness_pair(KIND_POSITIVE_FPRIME, 1.0, 1)
 
     @pytest.mark.parametrize(
         "kind, error",
-        [(KIND_POSITIVE_FPRIME, DimensionError), (KIND_SECOND_ORDER, NotPositiveDefiniteError)],
+        [(KIND_POSITIVE_FPRIME, ParameterError), (KIND_SECOND_ORDER, NotPositiveDefiniteError)],
     )
     def test_subnormal_s_builds_at_every_dimension_above_one(self, kind, error):
         # at n = 1 the slope pair has no two slots, and C = s at a
@@ -348,7 +348,7 @@ class TestWitnessConstructions:
         # -ln(s) is convex: its second-order pair has a positive form
         a = certifier.witness_attempt(parse("-ln(s)"), KIND_SECOND_ORDER, 1.0, 3)
         assert not a.confirmed
-        with pytest.raises(DimensionError):
+        with pytest.raises(ParameterError):
             certifier.witness_attempt(parse("s"), KIND_POSITIVE_FPRIME, 1.0, 1)
 
     def test_second_order_condition_identity(self):
@@ -516,9 +516,9 @@ class TestSigmaChecks:
         bad[1, 1, 1] = -1.0
         with pytest.raises(ParameterError, match="non-negative"):
             sigma_checks(bad, p)
-        with pytest.raises(DimensionError):
+        with pytest.raises(ParameterError):
             sigma_checks(p, p[:1])
-        with pytest.raises(DimensionError):
+        with pytest.raises(ParameterError):
             sigma_checks(np.ones((2, 2, 3)), np.ones((2, 2, 3)))
 
     def test_rejects_non_diagonal(self):
@@ -589,6 +589,20 @@ class TestSampleConvexity:
             [w] = rep.witnesses
             assert w.kind == KIND_POSITIVE_FPRIME and w.s_star > math.sqrt(5e6)
             assert w.s_star == rep.beyond_grid.s[np.argmax(rep.beyond_grid.fprime_bad)]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the sweep evaluates full jets, and an f'' that overflows makes the value NaN "
+        "too; ROADMAP item 10's value-only program would run these samples",
+    )
+    def test_a_finite_value_is_not_skipped_for_an_overflowing_derivative(self):
+        # f = -8e307*s^0.1 is finite at every determinant the sweep draws,
+        # but f'' = 7.2e306 s^-1.9 overflows below s of about 0.18
+        e, dets = certifier.sweep_draw(np.random.Generator(np.random.PCG64(0)), 3, 1000)
+        points = np.concatenate([dets.ravel(), np.prod(0.5 * (e[:, 0] + e[:, 1]), axis=1)])
+        assert points.size == 3000 and np.isfinite(-8e307 * points**0.1).all()
+        diag = sample_convexity(parse("-8e307*s^0.1"), 3, 1000, 0)
+        assert diag.samples_skipped == 0
 
     def test_slope_failure_beyond_sqrt_5e6_is_refuted(self):
         # -ln(s)+1e-7*s^2 at n = 5 has f' > 0 exactly past sqrt(5e6): on
@@ -989,6 +1003,44 @@ def _substitute_power(node, n: int):
     if isinstance(node, scalarfun.Constant):
         return node
     return type(node)(*(_substitute_power(getattr(node, k), n) for k in node.__match_args__))
+
+
+def _mismatched(shape_c, shape_h):
+    """Identity matrices of ``shape_c`` and zeros of ``shape_h``."""
+    return np.broadcast_to(np.eye(shape_c[-1]), shape_c), np.zeros(shape_h)
+
+
+# each rule raises one class: a dimension or shape check ParameterError,
+# an unknown identifier ParseError at its offset
+ONE_ERROR_CLASS = {
+    "certify-n0": (ParameterError, lambda: certify(parse("s"), 0)),
+    "sample_convexity-n0": (ParameterError, lambda: sample_convexity(parse("s"), 0, 10, 1)),
+    "witness_pair-slope-n1": (ParameterError, lambda: certifier.witness_pair(KIND_POSITIVE_FPRIME, 1.0, 1)),
+    "random_sym-n0": (ParameterError, lambda: linalg.random_sym(0, 1, 1)),
+    "random_posdef_stack-n0": (ParameterError, lambda: linalg.random_posdef_stack(0, 1, 1)),
+    "symmetric-non-square": (ParameterError, lambda: linalg.symmetric(np.ones((1, 3)))),
+    "frob_norm-vector": (ParameterError, lambda: linalg.frob_norm(np.ones(3))),
+    "directional_forms-mismatch": (
+        ParameterError,
+        lambda: detcalculus.directional_forms([parse("-ln(s)")], *_mismatched((2, 3, 3), (2, 2, 2))),
+    ),
+    "sigma_checks-mismatch": (ParameterError, lambda: sigma_checks(*_mismatched((2, 3, 3), (1, 3, 3)))),
+    "condition_lhs_diag-mismatch": (
+        ParameterError,
+        lambda: detcalculus.condition_lhs_diag(parse("-ln(s)"), np.ones((4, 3)), np.zeros((4, 3, 2))),
+    ),
+    "parse-unknown-identifier": (ParseError, lambda: parse("x+s")),
+}
+
+
+@pytest.mark.parametrize("check", ONE_ERROR_CLASS)
+def test_each_check_raises_its_one_error_class(check):
+    error, call = ONE_ERROR_CLASS[check]
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error
+    if error is ParseError:
+        assert exc.value.offset == 0
 
 
 class TestScalarReduction:

@@ -1,11 +1,15 @@
-"""The package imports without ``dataclasses``.
+"""The package imports without ``dataclasses``, and ``detconvex`` itself
+imports nothing.
 
 Each ``@dataclass`` decoration generates and compiles its methods at
 import time, which every fresh ``detconvex`` process pays; the package's
 records are named tuples and ``scalarfun.Value`` subclasses instead.
+Each object has one import path, its module's, so ``import detconvex``
+loads neither numpy nor a submodule.
 """
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -52,3 +56,21 @@ def test_importing_the_cli_loads_no_dataclasses():
     ).stdout.split()
     before, after = out
     assert after == before
+
+
+_SURFACE_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import detconvex
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy" or m.startswith("detconvex."))
+public = [name for name in vars(detconvex) if not name.startswith("__")]
+print(json.dumps([detconvex.__version__, public, loaded]))
+"""
+
+
+def test_the_package_holds_only_its_version():
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", _SURFACE_PROBE, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert json.loads(out) == ["0.1.0", [], []]

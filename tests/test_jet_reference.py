@@ -47,7 +47,6 @@ from detconvex.scalarfun import (
     Sqrt,
     Sub,
     Variable,
-    eval_all,
     eval_jet,
     failure_at,
     parse,
@@ -424,14 +423,6 @@ def walk_failure_at(f, s):
     return NonFiniteError(f"non-finite jet at s={s}")
 
 
-def walk_eval_all(f, s):
-    values = walk_eval_jet(f, s).v
-    failed = np.isnan(values)
-    if failed.any():
-        raise walk_failure_at(f, float(s[np.argmax(failed)]))
-    return values
-
-
 # --------------------------------------------------------------------------
 # inputs
 
@@ -673,7 +664,6 @@ def _same_bytes(new, ref):
 def _same_outcome(f, s):
     ref = walk_eval_jet(f, s)
     _same_bytes(eval_jet(f, s), ref)
-    assert _raised(eval_all, f, s) == _raised(walk_eval_all, f, s)
     failed = np.flatnonzero(np.isnan(ref.v))
     for x in {float(s[i]) for i in (*failed[:1], *failed[-1:], 0)}:
         assert _returned(failure_at(f, x)) == _returned(walk_failure_at(f, x))

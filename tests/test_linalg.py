@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from detconvex import certifier, cli, detcalculus, linalg
-from detconvex.errors import DimensionError, NotPositiveDefiniteError, ParameterError
+from detconvex.errors import NotPositiveDefiniteError, ParameterError
 from detconvex.linalg import (
     PosDefMatrix,
     det,
@@ -80,7 +80,7 @@ class TestFrobNorm:
             assert norms.tolist() == [linalg.frob_norm(m) for m in stack]
 
     def test_rejects_a_vector(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ParameterError):
             linalg.frob_norm(np.ones(3))
 
 
@@ -102,9 +102,9 @@ class TestSymMatrix:
 
     def test_rejects_non_square(self):
         for bad in (np.zeros((2, 3)), np.zeros((0, 0)), np.ones(3), np.ones((1, 2, 2))):
-            with pytest.raises(DimensionError):
+            with pytest.raises(ParameterError):
                 symmetric(bad)
-            with pytest.raises(DimensionError):
+            with pytest.raises(ParameterError):
                 PosDefMatrix.from_sym(bad)
 
     def test_rejects_non_finite(self):
@@ -310,7 +310,7 @@ class TestRandomPosdef:
         assert np.all(eigenvalues <= 10.0 + 1e-12)
 
     def test_zero_dimension_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ParameterError):
             random_posdef_array(0, seed=1)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detconvex.certifier import CERTIFIED, GridSpec, certify
-from detconvex.errors import DomainError, NonFiniteError, ParameterError, ParseError, UnknownIdentifierError
+from detconvex.errors import DomainError, NonFiniteError, ParameterError, ParseError
 from detconvex.scalarfun import (
     MAX_DEPTH,
     Add,
@@ -88,7 +88,7 @@ class TestParser:
             assert eval_jet(parse(text), 1.0).v == value
 
     def test_unknown_identifier(self):
-        with pytest.raises(UnknownIdentifierError) as exc:
+        with pytest.raises(ParseError) as exc:
             parse("s + t")
         assert exc.value.offset == 4
 
