@@ -25,6 +25,10 @@ violation is only promoted to Refuted once an explicit counterexample pair
 (C, H) with a negative quadratic form has been confirmed, by a
 three-point gap of f or, where f is too flat in floating point to show
 it, by the jet alone; otherwise the verdict is Inconclusive.
+
+This module holds only that path: the grid and beyond-grid passes, the
+witnesses and the midpoint sweep.  It loads neither ``detcalculus`` nor
+``selftest``, which holds the acceptance suite's cross-check kernels.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import detcalculus, scalarfun
+from . import scalarfun
 from .errors import NotPositiveDefiniteError, ParameterError
 from .linalg import DEFAULT_LOG_EIG_RANGE, PosDefMatrix
 from .scalarfun import FamilyA, Jet2, LogFamily, NeoHookeVolumetric, PowerLaw, Value
@@ -451,57 +455,6 @@ def certify(
         diagnostics=diagnostics,
         beyond_grid=beyond,
     )
-
-
-# --------------------------------------------------------------------------
-# supporting suites
-
-
-def sigma_checks(p, a):
-    """(sigma, sigma_tilde, pa_ap) for diagonal P >= 0 and general A, as
-    floats for one pair of n x n matrices and as arrays for (N, n, n)
-    stacks of pairs.
-
-    sigma   = <P, A>            (equals <P, diag A> exactly)
-    sigma~  = <P diagA, diagA P>
-    pa_ap   = <PA, AP> = sum_i p_i^2 a_ii^2 + sum_{i != k} p_i p_k a_ik^2
-
-    The suite asserts pa_ap >= sigma~ and sigma^2 <= n * sigma~ up to an
-    additive 1e-10 slack.
-    """
-    parr = np.asarray(p, dtype=float)
-    aarr = np.asarray(a, dtype=float)
-    if parr.shape != aarr.shape or parr.ndim not in (2, 3) or parr.shape[-1] != parr.shape[-2]:
-        raise ParameterError(f"shape mismatch P{parr.shape} vs A{aarr.shape}")
-    eye = np.eye(parr.shape[-1], dtype=bool)
-    if np.count_nonzero(parr - np.where(eye, parr, 0.0)) != 0:
-        raise ParameterError("P must be diagonal")
-    if np.any(np.diagonal(parr, axis1=-2, axis2=-1) < 0):
-        raise ParameterError("P must have non-negative entries")
-    diag_a = np.where(eye, aarr, 0.0)
-    # the trace inner products sum(X * Y), per pair: P is diagonal, so
-    # every matrix product is exact
-    sums = tuple(
-        np.add.reduce(x * y, axis=(-2, -1))
-        for x, y in ((parr, aarr), (parr @ diag_a, diag_a @ parr), (parr @ aarr, aarr @ parr))
-    )
-    return tuple(map(float, sums)) if parr.ndim == 2 else sums
-
-
-def reduction_check(f, c, h):
-    """Full-basis versus eigenbasis evaluation of the convexity condition
-    for one pair (C, H) of n x n arrays or for (N, n, n) stacks of pairs.
-
-    Returns (full, reduced): full is ``condition_bracket`` over
-    ``hess_terms`` at s = det C, divided by s; reduced evaluates
-    ``condition_lhs_diag`` on Q^T H Q with C = Q diag(eig) Q^T from
-    ``np.linalg.eigh``.  The two agree up to eigensolver accuracy."""
-    s = np.linalg.det(c)
-    inner, cross = detcalculus.hess_terms(c, h)
-    full = detcalculus.condition_bracket(scalarfun.eval_jet(f, s), s, inner, cross) / s
-    eigenvalues, q = np.linalg.eigh(c)
-    reduced = detcalculus.condition_lhs_diag(f, 1.0 / eigenvalues, np.swapaxes(q, -1, -2) @ h @ q)
-    return full, reduced
 
 
 # Generator family and stream layout of the sampling routines, recorded in

@@ -63,9 +63,9 @@ MAX_DIM = 64
 MAX_GRID_COUNT = 200_000
 MAX_SAMPLES = 1_000_000
 # The oracle holds all its samples as (--samples, n, n) stacks and its
-# stencil as four perturbed copies of them, plus a temporary and their
-# Cholesky factors of the same size: --samples * n^2 entries per stack at
-# most; oracle --dim 64 --samples 256 peaks at about 129 MB.
+# stencil as five copies of them, C and four perturbed, plus a temporary
+# and their Cholesky factors of the same size: --samples * n^2 entries per
+# stack at most; oracle --dim 64 --samples 256 peaks at about 144 MB.
 MAX_ORACLE_ENTRIES = 2**20
 
 

@@ -7,19 +7,20 @@ The second directional derivative in a symmetric direction H is
                              - f'(det C) <H C^-1, C^-1 H> }
 
 where <.,.> is the trace inner product.  ``condition_bracket`` is the
-bracket without the leading det C factor; ``condition_lhs_diag`` is its
-diagonalized normal form (divided once more by det C).  The inner
-products come from ``hess_terms``, one solve for a pair or an (N, n, n)
-stack of pairs, or from C's spectrum alone through ``diag_terms``.
+bracket without the leading det C factor.  The inner products come from
+``hess_terms``, one solve for a pair or an (N, n, n) stack of pairs.
 
 ``directional_forms`` checks a stack of pairs at once: one solve for the
 inner products, one Richardson stencil at one step per pair for both
-central differences of t -> f(det(C + tH)) (``_stencil``), whose four
-points per pair are factored in one Cholesky call for their
-determinants, and one evaluator call per function over the five points
-of each of its rows.
+central differences of t -> f(det(C + tH)) (``_stencil``), whose five
+points per pair, the centre C among them, are factored in one Cholesky
+call for their determinants, and one evaluator call per function over
+the five points of each of its rows.
 ``g_hess_form``, ``g_grad_form`` and the fd functions are the arithmetic
 on top.  The oracle runs it on one seeded draw.
+
+It holds only the analytic forms and their fd oracle; the acceptance
+suite's own kernels live in ``selftest``.
 """
 
 from __future__ import annotations
@@ -79,43 +80,11 @@ def g_hess_form(jet, s, inner, cross):
     return s * condition_bracket(jet, s, inner, cross)
 
 
-def condition_lhs_diag(f, dvec, h):
-    """Diagonal normal form of the convexity condition for one pair or for
-    stacks: ``dvec`` of shape (..., n) holds the diagonal of D^-1
-    (reciprocal eigenvalues), ``h`` has shape (..., n, n).  With
-    s = 1/prod(dvec) the returned value is
-
-        (f''(s) + f'(s)/s) <D^-1,H>^2 - (f'(s)/s) <D^-1 H, H D^-1>
-
-    with the sums of ``diag_terms``.  It equals condition_bracket / det C
-    after rotating H into the eigenbasis, and takes no solve, so it stays
-    a check on the kernel ``hess_terms``.
-    """
-    d = np.asarray(dvec, dtype=float)
-    if d.ndim < 1 or np.any(d <= 0) or not np.all(np.isfinite(d)):
-        raise ParameterError("dvec must hold positive finite reciprocal eigenvalues")
-    harr = np.asarray(h, dtype=float)
-    if harr.shape != d.shape + d.shape[-1:]:
-        raise ParameterError(f"direction shape {harr.shape} does not match dvec {d.shape}")
-    s = 1.0 / np.prod(d, axis=-1)
-    jet = scalarfun.eval_jet(f, s)
-    inner, cross = diag_terms(d, harr)
-    return (jet.d2 + jet.d1 / s) * inner * inner - (jet.d1 / s) * cross
-
-
-def diag_terms(d, h):
-    """``hess_terms`` at C = diag(1/d) without a solve, d of shape (..., n):
-    <D^-1,H> = sum_i d_i h_ii and <D^-1 H, H D^-1> = sum_ij d_i d_j h_ij^2,
-    as tr X and sum(X * X^T) of X = D^-1 H, X_ij = d_i h_ij."""
-    x = d[..., :, None] * h
-    return x.trace(axis1=-2, axis2=-1), (x * x.swapaxes(-1, -2)).sum(axis=(-2, -1))
-
-
 # --------------------------------------------------------------------------
 # finite-difference oracles
 
-# the stencil points C + o T H of both differences
-_OFFSETS = np.array([1.0, -1.0, 0.5, -0.5])
+# the stencil points C + o T H of both differences, the centre first
+_OFFSETS = np.array([0.0, 1.0, -1.0, 0.5, -0.5])
 
 
 def _stencil(c, h):
@@ -124,9 +93,11 @@ def _stencil(c, h):
 
     steps[i] is the outer step T at row i, FD_STEP_SCALE times
     (1 + |C_i|) / (1 + |H_i|), and dets[i] holds det(C_i + o T H_i) for
-    o = 1, -1, 1/2, -1/2, from one ``cholesky_posdef`` call over the whole
-    stencil.  NotPositiveDefiniteError names row i and offset k where C_i
-    is within about T |H_i| of the cone's boundary, which no draw of
+    o = 0, 1, -1, 1/2, -1/2, from one ``cholesky_posdef`` call over the
+    whole stencil, so the centre's determinant has the same rounding as
+    the four it is differenced against.  NotPositiveDefiniteError names
+    row i and offset k where C_i is outside the cone (k = 0) or within
+    about T |H_i| of its boundary, which no draw of
     ``linalg.random_pairs`` is: T |H| < FD_STEP_SCALE (1 + 10 sqrt(n)) <=
     0.026 < 0.1, its smallest eigenvalue, up to n = 64.
     """
@@ -190,10 +161,10 @@ def directional_forms(functions, c, h) -> DirectionalForms:
     """Analytic and finite-difference forms for every pair of the
     (N, n, n) stacks c and h; row i takes f = functions[i % len(functions)].
 
-    One ``hess_terms`` solve gives both inner products, LAPACK's
-    ``det`` the centres, one ``_stencil`` the four points both differences
-    share with their determinants, and one evaluator call per function f
-    at its rows' five points, with no warning on overflow.  C and H must
+    One ``hess_terms`` solve gives both inner products, one ``_stencil``
+    the determinants of the centre and of the four points both differences
+    share, and one evaluator call per function f at its rows' five points,
+    with no warning on overflow.  C and H must
     be finite and equal to their transposes exactly, since a Cholesky
     factor reads only the lower triangle of each stencil matrix
     (ParameterError), and C far enough inside the cone for the step
@@ -208,10 +179,9 @@ def directional_forms(functions, c, h) -> DirectionalForms:
         raise ParameterError("matrix entries must be finite")
     if not (np.array_equal(c, c.swapaxes(1, 2)) and np.array_equal(h, h.swapaxes(1, 2))):
         raise ParameterError("C and H must be symmetric")
-    s = np.linalg.det(c)
-    steps, dets = _stencil(c, h)
+    steps, points = _stencil(c, h)
+    s = points[:, 0]
     inner, cross = hess_terms(c, h)
-    points = np.concatenate([s[:, None], dets], axis=1)
     v, d1, d2 = jets = np.empty((3,) + points.shape)
     k = len(functions)
     for j, f in enumerate(functions[: len(points)]):

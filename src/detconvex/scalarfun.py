@@ -163,7 +163,8 @@ def jet_pow_const(walk, uv, u1, u2, p, v, d1, d2, t, t2):
     """Monomial rule u^p for a constant exponent p, a numpy scalar.
 
     Valid for u > 0 with any real p, and for u < 0 / u == 0 when p is an
-    integer (non-negative in the zero case).
+    integer (non-negative in the zero case).  An overflow names the first
+    of u^p, u^(p-1), u^(p-2) to overflow at the first failing point.
     """
     pos = uv > 0.0
     all_pos = pos.all()
@@ -184,7 +185,8 @@ def jet_pow_const(walk, uv, u1, u2, p, v, d1, d2, t, t2):
     if not np.isfinite(v.sum() + t.sum() + t2.sum()):
         over = np.isinf(v) | used1 & np.isinf(t) | used2 & np.isinf(t2)
         over &= np.isfinite(uv) & np.isfinite(p)
-        walk.fail(over, NonFiniteError, "overflow in {} ** {}", uv, p)
+        q = np.where(np.isinf(v), p, np.where(np.isinf(t), p - 1.0, p - 2.0))
+        walk.fail(over, NonFiniteError, "overflow in {} ** {}", uv, q)
     np.multiply(p, t, t)  # wp1
     np.multiply(p * (p - 1.0), t2, t2)
     if not all_pos:

@@ -5,6 +5,11 @@ both by ``detconvex selftest`` and by the pytest acceptance module.  The
 checks cross-validate the analytic machinery against independent oracles:
 closed forms, finite differences, exact inner-product identities and
 brute-force sampling.
+
+The kernels of the paper's two lemmas, the diagonal-projection
+inequalities (``sigma_checks``, c07) and the reduction to C's eigenbasis
+(``reduction_check``, ``condition_lhs_diag``, ``diag_terms``; c03, c08),
+are the suite's own: they take its well-formed draws unchecked.
 """
 
 from __future__ import annotations
@@ -110,6 +115,33 @@ def check_necessity_witness_slope():
 # -- 3 ----------------------------------------------------------------------
 
 
+def diag_terms(d, h):
+    """``detcalculus.hess_terms`` at C = diag(1/d) without a solve, d of
+    shape (..., n): <D^-1,H> = sum_i d_i h_ii and <D^-1 H, H D^-1> =
+    sum_ij d_i d_j h_ij^2, as tr X and sum(X * X^T) of X = D^-1 H,
+    X_ij = d_i h_ij."""
+    x = d[..., :, None] * h
+    return x.trace(axis1=-2, axis2=-1), (x * x.swapaxes(-1, -2)).sum(axis=(-2, -1))
+
+
+def condition_lhs_diag(f, dvec, h):
+    """Diagonal normal form of the convexity condition for one pair or for
+    stacks: the array ``dvec`` of shape (..., n) holds the diagonal of D^-1
+    (positive reciprocal eigenvalues), the array ``h`` has shape
+    (..., n, n).  With s = 1/prod(dvec) the returned value is
+
+        (f''(s) + f'(s)/s) <D^-1,H>^2 - (f'(s)/s) <D^-1 H, H D^-1>
+
+    with the sums of ``diag_terms``.  It equals condition_bracket / det C
+    after rotating H into the eigenbasis, and takes no solve, so it stays
+    a check on the kernel ``hess_terms``.
+    """
+    s = 1.0 / np.prod(dvec, axis=-1)
+    jet = eval_jet(f, s)
+    inner, cross = diag_terms(dvec, h)
+    return (jet.d2 + jet.d1 / s) * inner * inner - (jet.d1 / s) * cross
+
+
 def check_necessity_witness_second_order():
     """f(s) = -s is refuted through the second-order witness; the diagonal
     condition value at (s=1, k=1) is exactly -6, and so is the form, and
@@ -124,7 +156,7 @@ def check_necessity_witness_second_order():
     if any(w.kind == KIND_POSITIVE_FPRIME for w in rep.witnesses):
         failures.append("unexpected slope witness for a decreasing function")
     w = certifier.witness_attempt(f, KIND_SECOND_ORDER, 1.0, 3)
-    val = detcalculus.condition_lhs_diag(f, 1.0 / np.diag(w.c), w.h)
+    val = condition_lhs_diag(f, 1.0 / np.diag(w.c), w.h)
     if val != -6.0 or w.analytic_value != -6.0:
         failures.append(f"diagonal condition value {val!r}, form {w.analytic_value!r} != -6 exactly")
     if w.confirmed_by != certifier.BY_GAP:
@@ -234,6 +266,29 @@ def sigma_draws(n: int):
     return p, -1.0 + 2.0 * u[:, n:].reshape(-1, n, n)
 
 
+def sigma_checks(p, a):
+    """(sigma, sigma_tilde, pa_ap) for diagonal P >= 0 and general A, as
+    floats for one pair of n x n arrays and as arrays for (N, n, n)
+    stacks of pairs.
+
+    sigma   = <P, A>            (equals <P, diag A> exactly)
+    sigma~  = <P diagA, diagA P>
+    pa_ap   = <PA, AP> = sum_i p_i^2 a_ii^2 + sum_{i != k} p_i p_k a_ik^2
+
+    The suite asserts pa_ap >= sigma~ and sigma^2 <= n * sigma~ up to an
+    additive 1e-10 slack.
+    """
+    eye = np.eye(p.shape[-1], dtype=bool)
+    diag_a = np.where(eye, a, 0.0)
+    # the trace inner products sum(X * Y), per pair: P is diagonal, so
+    # every matrix product is exact
+    sums = tuple(
+        np.add.reduce(x * y, axis=(-2, -1))
+        for x, y in ((p, a), (p @ diag_a, diag_a @ p), (p @ a, a @ p))
+    )
+    return tuple(map(float, sums)) if p.ndim == 2 else sums
+
+
 def check_sigma_suite():
     """Diagonal-projection identities and the Cauchy-Schwarz link hold over
     10^4 random (P, A) per dimension, with equality at P = A = I."""
@@ -242,7 +297,7 @@ def check_sigma_suite():
     worst_gap2 = np.inf
     for n in (2, 3, 5):
         p, a = sigma_draws(n)
-        sigma, sigma_tilde, pa_ap = certifier.sigma_checks(p, a)
+        sigma, sigma_tilde, pa_ap = sigma_checks(p, a)
         exact = sigma == np.sum(p * (a * np.eye(n)), axis=(-2, -1))
         gap1 = pa_ap - sigma_tilde
         gap2 = n * sigma_tilde - sigma * sigma
@@ -254,7 +309,7 @@ def check_sigma_suite():
                 f"<PA,AP> - sigma~ = {gap1[i]:.3e}, n sigma~ - sigma^2 = {gap2[i]:.3e}"
             )
         eye = np.eye(n)
-        sigma, sigma_tilde, pa_ap = certifier.sigma_checks(eye, eye)
+        sigma, sigma_tilde, pa_ap = sigma_checks(eye, eye)
         if not (sigma == float(n) and sigma_tilde == float(n) and pa_ap == float(n)):
             failures.append(f"n={n}: identity case gave {(sigma, sigma_tilde, pa_ap)}")
         if sigma * sigma != n * sigma_tilde:
@@ -270,6 +325,22 @@ def check_sigma_suite():
 # -- 8 ----------------------------------------------------------------------
 
 
+def reduction_check(f, c, h):
+    """Full-basis versus eigenbasis evaluation of the convexity condition
+    for one pair (C, H) of n x n arrays or for (N, n, n) stacks of pairs.
+
+    Returns (full, reduced): full is ``condition_bracket`` over
+    ``hess_terms`` at s = det C, divided by s; reduced evaluates
+    ``condition_lhs_diag`` on Q^T H Q with C = Q diag(eig) Q^T from
+    ``np.linalg.eigh``.  The two agree up to eigensolver accuracy."""
+    s = np.linalg.det(c)
+    inner, cross = detcalculus.hess_terms(c, h)
+    full = detcalculus.condition_bracket(eval_jet(f, s), s, inner, cross) / s
+    eigenvalues, q = np.linalg.eigh(c)
+    reduced = condition_lhs_diag(f, 1.0 / eigenvalues, np.swapaxes(q, -1, -2) @ h @ q)
+    return full, reduced
+
+
 def check_reduction_suite():
     """Full-basis and eigenbasis condition values agree to 1e-9 over 10^3
     random cases per dimension; sample i takes corpus member i % 7."""
@@ -280,7 +351,7 @@ def check_reduction_suite():
         corpus = detcalculus.builtin_corpus(n)
         m = len(corpus)
         for k, f in enumerate(corpus):
-            full, reduced = certifier.reduction_check(f, c[k::m], h[k::m])
+            full, reduced = reduction_check(f, c[k::m], h[k::m])
             err = np.abs(full - reduced) / np.maximum(1.0, np.abs([full, reduced]).max(axis=0))
             worst = max(worst, float(err.max()))
             for j in np.flatnonzero(~(err <= 1e-9))[:1]:

@@ -21,14 +21,13 @@ from detconvex.certifier import (
     analytic_convexity,
     certify,
     diff_ineq_lhs,
-    reduction_check,
     sample_convexity,
-    sigma_checks,
 )
 from detconvex.cli import MAX_GRID_COUNT
 from detconvex.errors import NotPositiveDefiniteError, ParameterError, ParseError
 from detconvex.linalg import random_posdef_array, random_sym
 from detconvex.scalarfun import FamilyA, LogFamily, NeoHookeVolumetric, PowerLaw, eval_jet, parse
+from detconvex.selftest import reduction_check, sigma_checks
 
 SMALL_GRID = GridSpec(1e-3, 1e3, 200)
 
@@ -364,7 +363,7 @@ class TestWitnessConstructions:
             for n in (1, 2, 3, 5):
                 for s in (0.2, 1.0, 9.0):
                     c, h = certifier.witness_pair(KIND_SECOND_ORDER, s, n)
-                    got = detcalculus.condition_lhs_diag(f, 1.0 / np.diag(c.a), h)
+                    got = selftest.condition_lhs_diag(f, 1.0 / np.diag(c.a), h)
                     expect = n * n * diff_ineq_lhs(f, c.det, n)
                     assert abs(got - expect) <= 1e-10 * max(1.0, abs(expect))
 
@@ -505,29 +504,6 @@ class TestSigmaChecks:
             a_i = gen.uniform(-1.0, 1.0, size=(n, n))
             assert np.array_equal(p[i], p_i) and np.array_equal(a[i], a_i)
             assert tuple(x[i] for x in stacked) == sigma_checks(p_i, a_i)
-
-    def test_stack_validation(self):
-        p = np.stack([np.eye(2), np.diag([1.0, 2.0])])
-        bad = p.copy()
-        bad[1, 0, 1] = 0.5
-        with pytest.raises(ParameterError, match="diagonal"):
-            sigma_checks(bad, p)
-        bad = p.copy()
-        bad[1, 1, 1] = -1.0
-        with pytest.raises(ParameterError, match="non-negative"):
-            sigma_checks(bad, p)
-        with pytest.raises(ParameterError):
-            sigma_checks(p, p[:1])
-        with pytest.raises(ParameterError):
-            sigma_checks(np.ones((2, 2, 3)), np.ones((2, 2, 3)))
-
-    def test_rejects_non_diagonal(self):
-        with pytest.raises(ParameterError):
-            sigma_checks(np.array([[1.0, 0.1], [0.1, 1.0]]), np.eye(2))
-
-    def test_rejects_negative_entries(self):
-        with pytest.raises(ParameterError):
-            sigma_checks(np.diag([1.0, -0.1]), np.eye(2))
 
 
 class TestReductionCheck:
@@ -1023,11 +999,6 @@ ONE_ERROR_CLASS = {
     "directional_forms-mismatch": (
         ParameterError,
         lambda: detcalculus.directional_forms([parse("-ln(s)")], *_mismatched((2, 3, 3), (2, 2, 2))),
-    ),
-    "sigma_checks-mismatch": (ParameterError, lambda: sigma_checks(*_mismatched((2, 3, 3), (1, 3, 3)))),
-    "condition_lhs_diag-mismatch": (
-        ParameterError,
-        lambda: detcalculus.condition_lhs_diag(parse("-ln(s)"), np.ones((4, 3)), np.zeros((4, 3, 2))),
     ),
     "parse-unknown-identifier": (ParseError, lambda: parse("x+s")),
 }

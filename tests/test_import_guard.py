@@ -5,7 +5,8 @@ Each ``@dataclass`` decoration generates and compiles its methods at
 import time, which every fresh ``detconvex`` process pays; the package's
 records are named tuples and ``scalarfun.Value`` subclasses instead.
 Each object has one import path, its module's, so ``import detconvex``
-loads neither numpy nor a submodule.
+loads neither numpy nor a submodule.  The certify path loads neither the
+fd oracle nor the acceptance suite, whose kernels are the suite's own.
 """
 
 import ast
@@ -74,3 +75,21 @@ def test_the_package_holds_only_its_version():
         capture_output=True, text=True, check=True,
     ).stdout
     assert json.loads(out) == ["0.1.0", [], []]
+
+
+_CERTIFY_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import detconvex.certifier
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("detconvex."))))
+"""
+
+
+def test_the_certify_path_loads_no_suite_code():
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", _CERTIFY_PROBE, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    loaded = json.loads(out)
+    assert "detconvex.certifier" in loaded
+    assert "detconvex.detcalculus" not in loaded and "detconvex.selftest" not in loaded

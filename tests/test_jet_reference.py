@@ -123,9 +123,10 @@ def ref_sqrt(u):
 def ref_pow_const(u, p):
     try:
         if u.v > 0.0:
-            w = math.pow(u.v, p)
-            wp1 = p * math.pow(u.v, p - 1.0)
-            wp2 = p * (p - 1.0) * math.pow(u.v, p - 2.0)
+            # each power raises on its own, so the first to overflow is named
+            w, pw1, pw2 = (_pow(u.v, q) for q in (p, p - 1.0, p - 2.0))
+            wp1 = p * pw1
+            wp2 = p * (p - 1.0) * pw2
         elif float(p).is_integer():
             k = int(p)
             if u.v == 0.0 and k < 0:
@@ -346,7 +347,9 @@ def walk_pow_const(walk, u, p):
     if not np.isfinite(np.sum(w) + np.sum(pw1) + np.sum(pw2)):
         over = (abs(w) == _INF) | used1 & (abs(pw1) == _INF) | used2 & (abs(pw2) == _INF)
         over &= (abs(u.v) < _INF) & (abs(p) < _INF)
-        walk.fail(over, NonFiniteError, "overflow in {} ** {}", u.v, p)
+        # the first power that overflowed, in the order p, p - 1, p - 2
+        q = np.where(abs(w) == _INF, p, np.where(abs(pw1) == _INF, p - 1.0, p - 2.0))
+        walk.fail(over, NonFiniteError, "overflow in {} ** {}", u.v, q)
     wp1 = p * pw1
     wp2 = p * (p - 1.0) * pw2
     if not all_pos:
@@ -545,7 +548,10 @@ def test_a_varying_exponent_needs_a_positive_base():
 @pytest.mark.parametrize(
     "text, s, error, message",
     [
-        ("s^0.5", 1e-300, NonFiniteError, "overflow in 1e-300 ** 0.5"),
+        # s^0.5 and its p - 1 power s^-0.5 are finite, its p - 2 power is not
+        ("s^0.5", 1e-300, NonFiniteError, "overflow in 1e-300 ** -1.5"),
+        # s^-0.5 is finite, its p - 1 power is not
+        ("s^-0.5", 1e-300, NonFiniteError, "overflow in 1e-300 ** -1.5"),
         ("s^400", 6.0, NonFiniteError, "overflow in 6.0 ** 400.0"),
         ("s^400", 5.8, NonFiniteError, "non-finite jet"),
         ("(s-1)^-2", 1.0, DomainError, "0 raised to a negative power"),

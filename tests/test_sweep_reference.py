@@ -42,7 +42,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detconvex import certifier, detcalculus, linalg
+from detconvex import certifier, detcalculus, linalg, selftest
 from detconvex.certifier import (
     CERTIFIED,
     DEFAULT_TOL_BASE,
@@ -54,11 +54,11 @@ from detconvex.certifier import (
     sample_convexity,
     sweep_draw,
 )
-from detconvex.detcalculus import builtin_corpus, diag_terms, directional_forms, g_hess_form
+from detconvex.detcalculus import builtin_corpus, directional_forms, g_hess_form
 from detconvex.errors import DomainError, NonFiniteError
 from detconvex.linalg import DEFAULT_LOG_EIG_RANGE
 from detconvex.scalarfun import eval_jet, parse
-from detconvex.selftest import EXPRESSION_CORPUS
+from detconvex.selftest import EXPRESSION_CORPUS, diag_terms
 
 EPS = float(np.finfo(float).eps)
 # Eigenvalues of the default draws lie in [0.1, 10].
@@ -351,8 +351,9 @@ def test_the_sweep_solves_no_linear_system(monkeypatch):
 
     for name in ("solve", "det", "slogdet", "inv", "eigh", "eigvalsh", "cholesky", "qr"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    for name in ("hess_terms", "diag_terms", "g_hess_form", "condition_bracket"):
+    for name in ("hess_terms", "g_hess_form", "condition_bracket"):
         monkeypatch.setattr(detcalculus, name, refuse)
+    monkeypatch.setattr(selftest, "diag_terms", refuse)
     monkeypatch.setattr(linalg, "sym_build", refuse)
     diag = sample_convexity(parse("s"), 3, 257, seed=5)
     assert diag.samples_run == 257
