@@ -104,6 +104,22 @@ class TestCertifyCommand:
         assert doc["verdict"] == "Inconclusive"
         assert any("domain failure" in a for a in doc["annotations"])
 
+    @pytest.mark.parametrize("spec, s_min, power", [
+        # s^0.2 and s^-0.8 are finite at 1e-300, s^-1.8, which f'' takes, is not
+        ("-s^0.2", "1e-300", "1e-300 ** -1.8"),
+        # s^-2.5 is finite at 1e-100, s^-3.5 is not
+        ("s^-2.5", "1e-100", "1e-100 ** -3.5"),
+        # at 1e-150 s^-2.5 itself overflows, and is the one named
+        ("s^-2.5", "1e-150", "1e-150 ** -2.5"),
+    ])
+    def test_an_overflowing_power_is_named_in_the_annotation(self, capsys, spec, s_min, power):
+        # the grid is cut at its first point, where the named power overflows
+        code, out, err = run(capsys, "certify", "-f", spec, "--s-min", s_min, "--s-max", "1e300",
+                             "--grid-count", "2000", "--samples", "0", "--no-timestamp")
+        doc = json.loads(out)
+        assert (code, err, doc["verdict"]) == (2, "verdict: Inconclusive\n", "Inconclusive")
+        assert doc["annotations"] == [f"domain failure during grid evaluation: overflow in {power}"]
+
     def test_json_schema_fields(self, capsys):
         _, out, _ = run(capsys, "certify", "-f", "-ln(s)", "--no-timestamp", *CERT_FAST)
         doc = json.loads(out)

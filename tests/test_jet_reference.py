@@ -552,6 +552,8 @@ def test_a_varying_exponent_needs_a_positive_base():
         ("s^0.5", 1e-300, NonFiniteError, "overflow in 1e-300 ** -1.5"),
         # s^-0.5 is finite, its p - 1 power is not
         ("s^-0.5", 1e-300, NonFiniteError, "overflow in 1e-300 ** -1.5"),
+        # all three powers of s^-2 overflow; the first, p itself, is named
+        ("s^-2", 1e-200, NonFiniteError, "overflow in 1e-200 ** -2.0"),
         ("s^400", 6.0, NonFiniteError, "overflow in 6.0 ** 400.0"),
         ("s^400", 5.8, NonFiniteError, "non-finite jet"),
         ("(s-1)^-2", 1.0, DomainError, "0 raised to a negative power"),
