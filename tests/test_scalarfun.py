@@ -1,5 +1,8 @@
 import gc
+import json
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +14,20 @@ from detconvex.errors import DomainError, NonFiniteError, ParameterError, ParseE
 from detconvex.scalarfun import (
     MAX_DEPTH,
     Add,
+    Constant,
     CurveTable,
+    Div,
+    Exp,
     FamilyA,
     LogFamily,
     Ln,
+    Mul,
     Negate,
     NeoHookeVolumetric,
+    Pow,
     PowerLaw,
+    Sqrt,
+    Sub,
     Variable,
     eval_jet,
     export_family_curves,
@@ -104,6 +114,128 @@ class TestParser:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse("1 + 2 )")
+
+
+# The parser's contract, pinned: each line of the file is a JSON pair of an
+# input and what parse returns for it, the AST's repr or the ParseError's
+# message with its offset.  ``python tests/test_scalarfun.py`` rewrites the
+# file from parse_case_texts(), which a change to the parser's results
+# needs to do on purpose.
+PARSE_CASES = Path(__file__).parent / "golden" / "parse_cases.txt"
+
+_TOKENS = (
+    "s", "s", "1", "2.5", ".5", "3.", "1e3", "1E+2", "2e-3", "1e999", "1e-999", "ln", "exp",
+    "sqrt", "ln(", "x", "e", "1.2.3", "+", "-", "*", "/", "^", "(", ")", " ", "@", "#", ",",
+    "!", "\u00e9", "\t",
+)
+_ATOMS = ("s", "s", "2", "0.5", "1e3", "3.")
+
+
+def _grammar_text(rng: random.Random, depth: int) -> str:
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(_ATOMS)
+    k = rng.randrange(5)
+    if k == 0:
+        return rng.choice(("ln", "exp", "sqrt")) + "(" + _grammar_text(rng, depth - 1) + ")"
+    if k == 1:
+        return "-" + _grammar_text(rng, depth - 1)
+    if k == 2:
+        return "(" + _grammar_text(rng, depth - 1) + ")"
+    op = rng.choice("+-*/^")
+    return _grammar_text(rng, depth - 1) + op + _grammar_text(rng, depth - 1)
+
+
+def _nested_text(construct: str, depth: int) -> str:
+    """``depth`` levels of one construct around s."""
+    if construct in "+*^":
+        return construct.join(["s"] * (depth + 1))
+    return construct * depth + "s" + ")" * construct.count("(") * depth
+
+
+def parse_case_texts(seed: int = 48) -> list:
+    """Random token strings, grammar strings with and without one inserted
+    fault, and nesting on either side of MAX_DEPTH."""
+    rng = random.Random(seed)
+    texts = ["", "   ", "ln(", "1e999", "s", "-", "()"]
+    texts += ["".join(rng.choice(_TOKENS) for _ in range(rng.randrange(1, 9))) for _ in range(1000)]
+    for i in range(1000):
+        text = _grammar_text(rng, rng.randrange(1, 5))
+        if i % 4:
+            at = rng.randrange(len(text) + 1)
+            text = text[:at] + rng.choice("+-*/^()s1. @") + text[at:]
+        texts.append(text)
+    for construct in ("(", "-", "+", "^", "*", "sqrt(", "-(", "(-"):
+        texts += [_nested_text(construct, d) for d in (98, 99, 100, 101, 102, 3000)]
+    return texts
+
+
+def parse_outcome(text: str) -> str:
+    try:
+        return repr(parse(text))
+    except ParseError as e:
+        return f"ParseError: {e}"
+
+
+def test_parse_matches_the_pinned_cases():
+    lines = PARSE_CASES.read_text(encoding="utf-8").splitlines()
+    assert len(lines) >= 2000
+    for line in lines:
+        text, want = json.loads(line)
+        assert parse_outcome(text) == want, text
+
+
+# Binding power of each node class by the README's precedence list, lowest
+# to highest: + -, then * /, unary minus, ^, and atoms (a number, s, a call).
+_LEVEL = {Add: 1, Sub: 1, Mul: 2, Div: 2, Negate: 3, Pow: 4}
+_INFIX = {Add: "+", Sub: "-", Mul: "*", Div: "/", Pow: "^"}
+_CALLS = {Ln: "ln", Exp: "exp", Sqrt: "sqrt"}
+
+
+def show(e, least: int = 0) -> str:
+    """e as text with the fewest parentheses the precedence list allows;
+    ``least`` is the lowest level that may stand unparenthesized here."""
+    kind = type(e)
+    if kind is Constant:
+        return repr(e.value)
+    if kind is Variable:
+        return "s"
+    if kind in _CALLS:
+        return f"{_CALLS[kind]}({show(e.arg)})"
+    level = _LEVEL[kind]
+    if kind is Negate:
+        # the operand of a unary minus is unary
+        text = "-" + show(e.arg, 3)
+    elif kind is Pow:
+        # right associative: an atom below, a unary operand above
+        text = show(e.base, 5) + "^" + show(e.exponent, 3)
+    else:
+        # left associative
+        text = show(e.left, level) + _INFIX[kind] + show(e.right, level + 1)
+    return text if level >= least else f"({text})"
+
+
+_leaves = st.one_of(
+    st.builds(Variable),
+    st.builds(Constant, st.floats(0.0, allow_infinity=False, allow_nan=False).map(abs)),
+)
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(lambda cls, a: cls(a), st.sampled_from([Negate, Ln, Exp, Sqrt]), children),
+        st.builds(lambda cls, a, b: cls(a, b), st.sampled_from([Add, Sub, Mul, Div, Pow]), children, children),
+    )
+
+
+def _depth(e) -> int:
+    parts = [getattr(e, name) for name in e.__match_args__]
+    return 1 + max((_depth(p) for p in parts if not isinstance(p, float)), default=0)
+
+
+@given(st.recursive(_leaves, _extend, max_leaves=40).filter(lambda e: _depth(e) <= 8))
+@settings(max_examples=500, deadline=None)
+def test_printed_trees_parse_back(tree):
+    assert parse(show(tree)) == tree
 
 
 class TestEvalJet:
@@ -421,3 +553,9 @@ class TestFigureCurves:
             export_family_curves([], GridSpec(0.0, 8.0, 10))
         with pytest.raises(ParameterError):
             export_family_curves(["not a family"], GridSpec(0.05, 8.0, 10))
+
+
+if __name__ == "__main__":
+    with open(PARSE_CASES, "w", encoding="utf-8") as out:
+        for text in parse_case_texts():
+            out.write(json.dumps([text, parse_outcome(text)]) + "\n")
