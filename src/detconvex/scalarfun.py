@@ -2,8 +2,9 @@
 derivatives.
 
 Two input channels: a small expression language over the single variable
-``s``, parsed to an AST, and four closed-form built-in families, each of
-which lowers to the same AST once per instance.  One evaluator,
+``s``, parsed to an AST by one binding-power loop over one operator table,
+and four closed-form built-in families, each of which lowers to the same
+AST once per instance.  One evaluator,
 :func:`eval_jet`, returns the (value, f', f'') triple exact up to
 roundoff by truncated second-order Taylor (jet) arithmetic on numpy
 ufuncs.  An expression is compiled once, in one post-order pass that
@@ -418,11 +419,13 @@ class _Compiler:
 # --------------------------------------------------------------------------
 # parser
 #
-# precedence, lowest to highest:
-#   the levels of _BINARY (+ -, then * /; each left assoc)
-#   unary minus
-#   power (^, right assoc)
-#   atoms: number, s, ln(e), exp(e), sqrt(e), ( e )
+# One binding-power loop (Pratt, "Top down operator precedence", 1973).
+# An operator joins its left operand to the expression that follows when
+# its binding power in _BINARY exceeds that of the loop it meets: + - at 1
+# and * / at 2, so each is left associative, and ^ at 4.  A unary minus
+# parses its operand at _PREFIX, 3, and so does ^ its right operand, so ^
+# is right associative and its exponent may carry a minus.  The prefixes:
+# a unary minus, a number, s, ln(e), exp(e), sqrt(e) and ( e ).
 
 # every character starts a match: whitespace, a token, or a bad character
 _TOKEN_RE = re.compile(
@@ -434,7 +437,8 @@ _TOKEN_RE = re.compile(
 )
 
 _FUNCTIONS = {"ln": Ln, "exp": Exp, "sqrt": Sqrt}
-_BINARY = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})
+_BINARY = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div), "^": (4, Pow)}
+_PREFIX = 3
 
 
 def _tokenize(text: str):
@@ -457,113 +461,6 @@ def _tokenize(text: str):
 MAX_DEPTH = 100
 
 
-class _Parser:
-    """Recursive descent that also tracks the depth of what it builds.
-
-    The grammar methods return (expr, depth).  ``level`` counts the
-    constructs open on the way down, so excessive nesting is refused
-    before it recurses; ``_node`` checks the finished depth, which also
-    covers the iteratively built left-associative chains.
-    """
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.level = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, text, pos = self.peek()
-        if kind != "op" or text != op:
-            raise ParseError(f"expected {op!r}", pos)
-        return self.advance()
-
-    @staticmethod
-    def _too_deep(pos: int) -> ParseError:
-        return ParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
-
-    def _nested(self, parse, pos: int) -> tuple[Expr, int]:
-        """Run ``parse`` one level further down; pos is where that level
-        opens."""
-        if self.level >= MAX_DEPTH:
-            raise self._too_deep(pos)
-        self.level += 1
-        e, depth = parse()
-        self.level -= 1
-        return e, depth
-
-    def _node(self, cls, pos: int, *parts) -> tuple[Expr, int]:
-        """Build cls over (expr, depth) parts; pos is its operator."""
-        depth = 1 + max(d for _, d in parts)
-        if depth > MAX_DEPTH:
-            raise self._too_deep(pos)
-        return cls(*(e for e, _ in parts)), depth
-
-    def parse(self) -> Expr:
-        e, _ = self.binary()
-        kind, text, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {text!r}", pos)
-        return e
-
-    def binary(self, level: int = 0) -> tuple[Expr, int]:
-        """A left-associative chain of the operators of _BINARY[level]
-        over operands of the next level, the last level's unary ones."""
-        ops = _BINARY[level]
-        operand = partial(self.binary, level + 1) if level + 1 < len(_BINARY) else self.unary
-        e = operand()
-        while True:
-            kind, text, pos = self.peek()
-            if kind != "op" or text not in ops:
-                return e
-            self.advance()
-            e = self._node(ops[text], pos, e, operand())
-
-    def unary(self) -> tuple[Expr, int]:
-        kind, text, pos = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return self._node(Negate, pos, self._nested(self.unary, pos))
-        return self.power()
-
-    def power(self) -> tuple[Expr, int]:
-        base = self.atom()
-        kind, text, pos = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            # right associative; the exponent may carry a unary minus
-            return self._node(Pow, pos, base, self._nested(self.unary, pos))
-        return base
-
-    def atom(self) -> tuple[Expr, int]:
-        kind, text, pos = self.advance()
-        if kind == "num":
-            value = float(text)
-            if not math.isfinite(value):
-                raise ParseError(f"number {text!r} is not a finite float", pos)
-            return Constant(value), 0
-        if kind == "ident":
-            if text == "s":
-                return Variable(), 0
-            if text not in _FUNCTIONS:
-                raise ParseError(f"unknown identifier {text!r}", pos)
-            self.expect_op("(")
-        elif kind != "op" or text != "(":
-            raise ParseError(f"expected a value, got {text!r}" if text else "unexpected end of input", pos)
-        # a call or a parenthesis pair, one level around its argument
-        arg = self._nested(self.binary, pos)
-        self.expect_op(")")
-        return self._node(_FUNCTIONS.get(text, lambda e: e), pos, arg)
-
-
 def parse(text: str) -> Expr:
     """Parse an expression in the variable ``s``.
 
@@ -572,7 +469,71 @@ def parse(text: str) -> Expr:
     """
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
-    return _Parser(text).parse()
+    tokens = _tokenize(text)
+    at = 0  # the next token
+
+    def take(op=None):
+        nonlocal at
+        kind, tok, pos = tokens[at]
+        if op is not None and tok != op:
+            raise ParseError(f"expected {op!r}", pos)
+        at += 1
+        return kind, tok, pos
+
+    # A part is (expr, depth).  ``level`` counts the minuses, exponents,
+    # calls and parentheses open on the way down: nested refuses level
+    # MAX_DEPTH before it recurses, at pos, where that level opens; node
+    # checks the depth of each finished node, which also covers the
+    # left-associative chains the loop builds without recursing.
+    too_deep = f"expression nested deeper than {MAX_DEPTH} levels"
+
+    def nested(bp, level, pos):
+        if level >= MAX_DEPTH:
+            raise ParseError(too_deep, pos)
+        return expr(bp, level + 1)
+
+    def node(cls, pos, *parts):
+        depth = 1 + max(d for _, d in parts)
+        if depth > MAX_DEPTH:
+            raise ParseError(too_deep, pos)
+        return cls(*(e for e, _ in parts)), depth
+
+    def expr(bp, level):
+        """A prefix, then each operator that binds tighter than bp."""
+        kind, tok, pos = take()
+        if tok == "-":
+            left = node(Negate, pos, nested(_PREFIX, level, pos))
+        elif kind == "num":
+            value = float(tok)
+            if not math.isfinite(value):
+                raise ParseError(f"number {tok!r} is not a finite float", pos)
+            left = Constant(value), 0
+        elif tok == "s":
+            left = Variable(), 0
+        else:
+            if kind == "ident":
+                if tok not in _FUNCTIONS:
+                    raise ParseError(f"unknown identifier {tok!r}", pos)
+                take("(")
+            elif tok != "(":
+                raise ParseError(f"expected a value, got {tok!r}" if tok else "unexpected end of input", pos)
+            # a call or a parenthesis pair, one level around its argument
+            arg = nested(0, level, pos)
+            take(")")
+            left = node(_FUNCTIONS.get(tok, lambda e: e), pos, arg)
+        while True:
+            power, cls = _BINARY.get(tokens[at][1], (0, None))
+            if power <= bp:
+                return left
+            _, _, pos = take()
+            right = nested(_PREFIX, level, pos) if cls is Pow else expr(power, level)
+            left = node(cls, pos, left, right)
+
+    e, _ = expr(0, 0)
+    kind, tok, pos = tokens[at]
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input {tok!r}", pos)
+    return e
 
 
 # --------------------------------------------------------------------------

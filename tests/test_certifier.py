@@ -1039,3 +1039,26 @@ class TestScalarReduction:
         ok = np.isfinite(np.stack([*u, *jet, slope, curvature, terms])).all(axis=0)
         assert np.count_nonzero(ok) >= 100
         assert np.all(first[ok]) and np.all(second[ok])
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("text", selftest.EXPRESSION_CORPUS)
+    def test_certify_at_n_flags_the_points_of_u_at_n_1(self, text, n):
+        # certify(f, n) on [a, b] and u = f(t^n) on [a^(1/n), b^(1/n)], point
+        # by point: f' <= band where u' <= band, and lhs_ok where u's n = 1
+        # lhs_ok, since u' and u'' have the signs of f' and lhs.  A point
+        # where either side lies within ``margin`` (relative) of its band may
+        # round either way, and is skipped.
+        margin = 1e-6
+
+        def near(x, y):
+            return np.abs(x - y) <= margin * (np.abs(x) + np.abs(y))
+
+        f = parse(text)
+        rep = certify(f, n, GridSpec(1e-2, 1e2))
+        rep_u = certify(_substitute_power(f, n), 1, GridSpec(1e-2 ** (1.0 / n), 1e2 ** (1.0 / n)))
+        assert len(rep.s) == len(rep_u.s) == 1000
+        slope = ~near(rep.fprime, rep.band) & ~near(rep_u.fprime, rep_u.band)
+        second = ~near(rep.lhs, -rep.band) & ~near(rep_u.lhs, -rep_u.band)
+        assert np.count_nonzero(slope) >= 900 and np.count_nonzero(second) >= 900
+        assert np.array_equal(rep.fprime_ok[slope], (rep_u.fprime <= rep_u.band)[slope])
+        assert np.array_equal(rep.lhs_ok[second], rep_u.lhs_ok[second])
