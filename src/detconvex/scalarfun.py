@@ -2,20 +2,20 @@
 derivatives.
 
 Two input channels: a small expression language over the single variable
-``s``, parsed to an AST by one binding-power loop over one operator table,
-and four closed-form built-in families, each of which lowers to the same
-AST once per instance.  One evaluator,
-:func:`eval_jet`, returns the (value, f', f'') triple exact up to
-roundoff by truncated second-order Taylor (jet) arithmetic on numpy
-ufuncs.  An expression is compiled once, in one post-order pass that
-folds its constant subexpressions, to a flat program of op kernels that
-is cached on it.  The pass fixes each power's rule: the monomial rule for
-a constant exponent, the ops of exp(e ln b) for any other.  A constant
+``s``, parsed to an AST by one binding-power loop over one operator
+table, and four closed-form built-in families, each of which lowers to
+the same AST once per instance.  One evaluator, :func:`eval_jet`,
+returns the (value, f', f'') triple exact up to roundoff by truncated
+second-order Taylor (jet) arithmetic on numpy ufuncs.  An expression is
+compiled once, in one post-order pass that folds its constant
+subexpressions, to a flat program of op kernels that is cached on it.
+The pass fixes each power's rule: the monomial rule for a constant
+exponent, the ops of exp(e ln b) for any other.  A constant
 subexpression whose fold fails stays an op, which fails every point.  An
 evaluation runs the program over (rows, points) floats, and a row is
 reused once its one reader has run.  The jet's own rows are one array
-and the scratch rows another, which the evaluation frees on return, so
-a caller that keeps the jet keeps its rows alone.
+and the scratch rows another, which the evaluation frees on return, so a
+caller that keeps the jet keeps its rows alone.
 
 ``eval_jet`` evaluates an array of points: a failure at any op marks the
 point and the walk goes on, and a point that failed is NaN in all three
