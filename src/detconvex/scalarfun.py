@@ -11,11 +11,13 @@ compiled once, in one post-order pass that folds its constant
 subexpressions, to a flat program of op kernels that is cached on it.
 The pass fixes each power's rule: the monomial rule for a constant
 exponent, the ops of exp(e ln b) for any other.  A constant
-subexpression whose fold fails stays an op, which fails every point.  An
-evaluation runs the program over (rows, points) floats, and a row is
-reused once its one reader has run.  The jet's own rows are one array
-and the scratch rows another, which the evaluation frees on return, so a
-caller that keeps the jet keeps its rows alone.
+subexpression whose fold fails stays an op, which fails every point.
+Negation, + and - compile one jet field at a time, and a field over
+constants alone stays a constant: the derivatives of -s and 1 + s take
+no row.  An evaluation runs the program over (rows, points) floats, and
+a row is reused once its one reader has run.  The jet's own rows are one
+array and the scratch rows another, which the evaluation frees on
+return, so a caller that keeps the jet keeps its rows alone.
 
 ``eval_jet`` evaluates an array of points: a failure at any op marks the
 point and the walk goes on, and a point that failed is NaN in all three
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 import re
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -108,11 +110,18 @@ class _Walk:
 # them.  t, t2, ... are scratch rows.
 
 
-def jet_fieldwise(ufunc, walk, *fields):
-    """-a, a + b and a - b, which apply ufunc to each field alone."""
-    k = len(fields) - 3
-    for i in range(3):
-        ufunc(*fields[i:k:3], fields[k + i])
+# -a, a + b and a - b apply one ufunc to each field alone: an op per field
+# (see _Compiler.field), whose out may be an operand's row.
+def _negate_field(walk, a, out):
+    np.negative(a, out)
+
+
+def _add_field(walk, a, b, out):
+    np.add(a, b, out)
+
+
+def _sub_field(walk, a, b, out):
+    np.subtract(a, b, out)
 
 
 def jet_mul(walk, av, a1, a2, bv, b1, b2, v, d1, d2, t, t2):
@@ -320,30 +329,33 @@ def _fill(walk, x, out):
 
 
 # node class: kernel, scratch rows, and the operands (offsets into the
-# op's operand registers) whose d1 and d2 rows the jet may take over
+# op's operand registers) whose d1 and d2 rows the jet may take over, when
+# those registers are rows
 _RULES = {
-    Negate: (partial(jet_fieldwise, np.negative), 0, (0,)),
-    Add: (partial(jet_fieldwise, np.add), 0, (0, 3)),
-    Sub: (partial(jet_fieldwise, np.subtract), 0, (0, 3)),
     Mul: (jet_mul, 2, (0, 3)),
     Div: (jet_div, 1, (0,)),
     Ln: (jet_ln, 1, (0,)),
     Exp: (jet_exp, 1, (0,)),
     Sqrt: (jet_sqrt, 1, (0,)),
 }
+# node class: the op of each of its fields
+_FIELDWISE = {Negate: _negate_field, Add: _add_field, Sub: _sub_field}
 _ZERO_REG, _ONE_REG = -2, -3  # the first constants of every program
 
 
 class _Compiler:
     """One post-order pass over an expression, to ops (kernel, registers)
     in walk order.  Register i >= 0 is row i, -1 is s and -2, -3, ... are
-    the constants.  A node's jet is three registers: each node but s and a
-    constant writes v to a new row and d1 and d2 to new rows or to those
-    of an operand, and frees its operands' rows, since it is their one
-    reader.  A power's rule is fixed here: a constant exponent takes the
-    monomial rule, any other exponent e the ops of exp(e ln b).  The rows
-    are renumbered at the end so that the result's rows, three, or two for
-    f = s, come before the scratch rows."""
+    the constants.  A node's jet is three registers.  -a, a + b and a - b
+    compile field by field: a field over constants alone is a constant,
+    any other writes over an operand's row or to a new row.  Every other
+    node but s and a constant writes v to a new row and d1 and d2 to new
+    rows or to those of an operand.  A node frees its operands' rows,
+    since it is their one reader.  A power's rule is fixed here: a
+    constant exponent takes the monomial rule, any other exponent e the
+    ops of exp(e ln b).  The rows are renumbered at the end so that the
+    result's rows, three, or two for f = s, come before the scratch
+    rows."""
 
     def __init__(self):
         self.ops, self.consts, self.free, self.rows = [], [_ZERO, _ONE], [], 0
@@ -358,6 +370,19 @@ class _Compiler:
         self.rows += 1
         return self.rows - 1
 
+    def field(self, kernel, *ins) -> int:
+        """One field of -a, a + b or a - b."""
+        if max(ins) < -1:
+            # over constants alone: a constant, run now on one point
+            out = np.empty(1)
+            kernel(None, *[self.consts[-2 - r] for r in ins], out)
+            return self.const(out[0])
+        rows = [r for r in ins if r >= 0]
+        out = rows[0] if rows else self.row()
+        self.ops.append((kernel, (*ins, out)))
+        self.free += rows[1:]
+        return out
+
     def op(self, kernel, temps, donors, ins, *extra) -> tuple:
         if max(ins) < -1:
             # over constants alone: run it now, on one point, and keep its
@@ -370,7 +395,7 @@ class _Compiler:
                 return tuple(self.const(x[0]) for x in out[:3])
         v = self.row()
         for k in donors:
-            if ins[k] >= 0:
+            if min(ins[k + 1 : k + 3]) >= 0:
                 d = ins[k + 1 : k + 3]
                 break
         else:
@@ -393,6 +418,10 @@ class _Compiler:
             return self.op(*_RULES[Exp], self.op(*_RULES[Mul], expo + self.op(*_RULES[Ln], base)))
         if kind is Mul and type(e.left) is Constant and type(e.right) is Ln:
             return self.op(jet_ln, 1, (0,), self.node(e.right.arg), float(e.left.value))
+        if kind in _FIELDWISE:
+            operands = (e.left, e.right) if isinstance(e, _Binary) else (e.arg,)
+            jets = [self.node(a) for a in operands]
+            return tuple(self.field(_FIELDWISE[kind], *regs) for regs in zip(*jets))
         if kind not in _RULES:
             raise TypeError(f"unknown expression node {e!r}")
         if isinstance(e, _Binary):

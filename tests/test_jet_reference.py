@@ -633,12 +633,28 @@ FOLDED = (
     "-(2^0.5)*s",
 )
 
+# -a, a + b and a - b compile one field at a time: a field over constants
+# alone folds, any other writes over an operand's row or to a new one; the
+# last three fail where their operand does
+FIELDWISE = (
+    "s-s",
+    "-(-s)",
+    "2-(3-s)",
+    "-(s-1)",
+    "s+s",
+    "(s+1)*(s-2)",
+    "ln(s-1)+1",
+    "1/(s-1)-1",
+    "exp(s)+1",
+)
+
 BIT_CASES = list(
     {
         label: (label, f)
         for label, f in [(text, parse(text)) for text in EXPRESSION_CORPUS + FAILING + FOLDED]
         + [(f"n={n}:{f!r}", f) for n in (1, 3, 10) for f in builtin_corpus(n)]
         + [(spec, cli.parse_function_spec(spec, 3)) for spec in GRID_SPECS]
+        + [(text, parse(text)) for text in FIELDWISE]
     }.values()
 )
 
@@ -686,6 +702,26 @@ def test_program_has_the_walks_bytes(label, f, size):
 @pytest.mark.parametrize("text", EDGE_CASES)
 def test_program_has_the_walks_bytes_at_the_edges(text):
     _same_outcome(parse(text), EDGE_CASES[text])
+
+
+@pytest.mark.parametrize(
+    "text, rows",
+    [
+        ("-s*ln(s)+s^2/(1+s)", 9),
+        ("(s-2)*(s+3)", 7),
+        ("(s+1)*(s-2)", 7),
+        ("(1+s)^(1-s)", 7),
+        ("exp((1-s)*ln(1+s))", 7),
+        ("2-(3-s)", 3),
+        ("-(s-1)", 3),
+        ("1 - s + s", 3),
+    ],
+)
+def test_a_constant_field_takes_no_row(text, rows):
+    # the derivatives of -s and 1 + s are constants, which take no row
+    f = parse(text)
+    eval_jet(f, np.ones(2))
+    assert f._program[1] == rows
 
 
 VARYING_POWERS = (
@@ -752,6 +788,21 @@ def test_the_program_peaks_within_a_column_of_the_walk(spec):
             tracemalloc.stop()
     walk_peak, peak = peaks
     assert peak <= walk_peak + s.nbytes, (peak / s.nbytes, walk_peak / s.nbytes)
+
+
+def test_the_grid_peak_holds_the_rows_of_its_program():
+    # -s*ln(s)+s^2/(1+s) at 20000 points: its 9 rows of 160 KB and boolean
+    # masks of 20 KB
+    f = parse("-s*ln(s)+s^2/(1+s)")
+    s = GridSpec(1e-3, 1e3, 20000).points()
+    eval_jet(f, s)
+    tracemalloc.start()
+    try:
+        eval_jet(f, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.5 * s.nbytes, peak / s.nbytes
 
 
 @pytest.mark.parametrize("spec", GRID_SPECS)
