@@ -14,6 +14,11 @@ What the files pin:
   alone (``--samples 0``) at the grid benchmark's 20000 points; the first
   fails both conditions and holds both witness kinds, the second takes
   the n = 1 branch, where f' >= 0 is not a condition.
+- ``certify_neohooke.json``, ``certify_fa_dim5.json`` and
+  ``certify_power_flat.json``: family specs and the report lines that
+  the spec alone gives, the Neo-Hooke note at n = 3 and the note on the
+  fa family's exponent at n = 5, and the closed form's annotation for
+  c = 1e-12, p = 1, which no witness confirms.
 - ``witness_s.txt`` and ``witness_neg_s.txt``: the witness command's
   lines for each witness kind.
 - ``curves/``: the five CSV files of ``curves --count 20`` with one extra
@@ -71,6 +76,13 @@ CASES = [
         ("certify", "-f", "ln(s)", "--dim", "1", "--samples", "0", "--grid-count", "20000",
          "--no-timestamp"),
     ),
+    ("certify_neohooke.json", 0, ("certify", "-f", "family:neohooke:mu=2", *CERTIFY)),
+    (
+        "certify_fa_dim5.json",
+        0,
+        ("certify", "-f", "family:fa:a=0.5", *CERTIFY[2:], "--dim", "5"),
+    ),
+    ("certify_power_flat.json", 2, ("certify", "-f", "family:power:c=1e-12,p=1", *CERTIFY)),
     ("witness_s.txt", 0, ("witness", "-f", "s")),
     ("witness_neg_s.txt", 0, ("witness", "-f", "-s")),
 ]
