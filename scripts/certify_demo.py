@@ -12,18 +12,19 @@ compared at a glance.
 import argparse
 
 from detconvex.certifier import GridSpec, certify
-from detconvex.scalarfun import FamilyA, NeoHookeVolumetric, PowerLaw, parse
+from detconvex.cli import parse_function_spec
 
+# (label, function as the CLI's --function takes it)
 CASES = [
-    ("-ln(s)", parse("-ln(s)")),
-    ("s", parse("s")),
-    ("-s", parse("-s")),
-    ("-sqrt(s)", parse("-sqrt(s)")),
-    ("s^(1/3) (increasing)", parse("s^(1/3)")),
-    ("neo-hooke mu=2", NeoHookeVolumetric(mu=2.0)),
-    ("family a=0", FamilyA(a=0.0, c=-1.0, d=0.0, n=3)),
-    ("family a=2", FamilyA(a=2.0, c=-1.0, d=0.0, n=3)),
-    ("power p=0.5 c=-1", PowerLaw(c=-1.0, p=0.5, d=0.0)),
+    ("-ln(s)", "-ln(s)"),
+    ("s", "s"),
+    ("-s", "-s"),
+    ("-sqrt(s)", "-sqrt(s)"),
+    ("s^(1/3) (increasing)", "s^(1/3)"),
+    ("neo-hooke mu=2", "family:neohooke:mu=2"),
+    ("family a=0", "family:fa:a=0"),
+    ("family a=2", "family:fa:a=2"),
+    ("power p=0.5 c=-1", "family:power:p=0.5"),
 ]
 
 
@@ -38,9 +39,8 @@ def main():
 
     grid = GridSpec(1e-3, 1e3, 500)
     print(f"{'function':<24} {'verdict':<16} {'witness':<20} {'beyond lhs/slope':<18} midpoint")
-    for label, f in CASES:
-        if isinstance(f, FamilyA) and f.n != args.dim:
-            f = FamilyA(a=f.a, c=f.c, d=f.d, n=args.dim)
+    for label, spec in CASES:
+        f = parse_function_spec(spec, args.dim)
         rep = certify(f, args.dim, grid, samples=args.samples, seed=args.seed)
         kinds = ",".join(w.kind for w in rep.witnesses) or "-"
         b, diag = rep.beyond_grid, rep.diagnostics

@@ -41,7 +41,7 @@ import numpy as np
 from . import scalarfun
 from .errors import NotPositiveDefiniteError, ParameterError
 from .linalg import DEFAULT_LOG_EIG_RANGE, PosDefMatrix
-from .scalarfun import FamilyA, Jet2, LogFamily, NeoHookeVolumetric, PowerLaw, Value
+from .scalarfun import Add, Constant, Jet2, Ln, Mul, Pow, Value, Variable
 
 CERTIFIED = "CertifiedOnGrid"
 REFUTED = "Refuted"
@@ -245,23 +245,22 @@ def _grid_witness(f, kind: str, s, candidates, n: int) -> Witness | None:
     return w
 
 
-def analytic_convexity(f, n: int) -> bool | None:
-    """Closed-form verdict for built-in families; None for expressions.
+def analytic_convexity(f, n: int) -> tuple | None:
+    """(closed-form verdict, its term c*s^p or c*ln(s)) of the shapes
+    that ``scalarfun.family`` builds; None for any other expression.
 
-    PowerLaw d + c s^p is convex under det iff c*p == 0 or
-    (c*p < 0 and p <= 1/n), for n >= 2; at n = 1, where g is f itself,
-    iff c p (p-1) >= 0.  LogFamily iff c <= 0; FamilyA and the Neo-Hooke
-    volumetric part always.
+    d + c s^p is convex under det iff c p == 0 or (c p < 0 and p <= 1/n),
+    for n >= 2; at n = 1, where g is f itself, iff c p (p-1) >= 0.
+    d + c ln s and c ln s are iff c <= 0.
     """
-    if isinstance(f, NeoHookeVolumetric) or isinstance(f, FamilyA):
-        return True
-    if isinstance(f, LogFamily):
-        return f.c <= 0
-    if isinstance(f, PowerLaw):
-        cp = f.c * f.p
-        if n == 1:
-            return cp * (f.p - 1.0) >= 0
-        return cp == 0 or (cp < 0 and f.p <= 1.0 / n)
+    match f:
+        case Add(Constant(), Mul(Constant(c), Pow(Variable(), Constant(p)))):
+            cp = c * p
+            if n == 1:
+                return cp * (p - 1.0) >= 0, f"{c!r}*s^{p!r}"
+            return cp == 0 or (cp < 0 and p <= 1.0 / n), f"{c!r}*s^{p!r}"
+        case Add(Constant(), Mul(Constant(c), Ln(Variable()))) | Mul(Constant(c), Ln(Variable())):
+            return c <= 0, f"{c!r}*ln(s)"
     return None
 
 
@@ -348,11 +347,10 @@ def certify(
     report's ``diagnostics``; otherwise they are None, and the seed is not
     read, so only a sweep that runs rejects a negative one.  samples < 0
     raises ParameterError.  The annotations are the grid pass's, in
-    order, then the beyond-grid pass's, then the Neo-Hooke note or the
-    closed form's.  The verdict is the one rule at the end: Refuted with
-    a confirmed witness, else Inconclusive when either pass fails, a
-    point cut the grid or the closed form (``analytic_convexity``) says
-    not convex.  It does not read the sweep, whose failures no witness
+    order, then the beyond-grid pass's, then the closed form's.  The
+    verdict is the one rule at the end: Refuted with a confirmed witness,
+    else Inconclusive when either pass fails, a point cut the grid or the
+    closed form (``analytic_convexity``) says not convex.  It does not read the sweep, whose failures no witness
     confirms yet.
     """
     if n < 1:
@@ -363,18 +361,10 @@ def certify(
     # as large as the derivatives themselves
     if not (0 < tol < 1):
         raise ParameterError(f"tolerance {tol} must be positive and below 1")
-    if isinstance(f, FamilyA) and f.n != n:
-        raise ParameterError(f"family dimension {f.n} does not match certification dimension {n}")
     if grid is None:
         grid = GridSpec()
 
     annotations = []
-    if isinstance(f, FamilyA) and n != 3:
-        annotations.append(
-            f"family exponent uses the dimension-n generalization (n={n}); "
-            "the classical statement fixes n=3"
-        )
-
     points = grid.points()
     jet = scalarfun.eval_jet(f, points)
     # a failed point is NaN, which the minimum propagates
@@ -419,15 +409,11 @@ def certify(
         if not candidates.any() and not witnesses:
             candidates = second_bad
         attempt(where, columns, KIND_SECOND_ORDER, "second-order", candidates)
-    if isinstance(f, NeoHookeVolumetric):
-        annotations.append(
-            "volumetric part f(s) = -mu*ln(s) certified; the remaining trace "
-            "term mu*<C-I,I> is linear in C, hence convex, so the full "
-            "energy is convex in C exactly when this part is"
-        )
-    analytic = analytic_convexity(f, n)
+    analytic, term = analytic_convexity(f, n) or (None, None)
     if analytic is False and not witnesses:
-        annotations.append(f"closed form of {f!r} is not convex at n={n}, but no witness pair confirms it")
+        annotations.append(
+            f"closed form of the term {term} is not convex at n={n}, but no witness pair confirms it"
+        )
     diagnostics = None
     if samples > 0 and not domain_failure:
         diagnostics = sample_convexity(f, n, samples, seed)

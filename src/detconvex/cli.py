@@ -70,45 +70,56 @@ MAX_SAMPLES = 1_000_000
 MAX_ORACLE_ENTRIES = 2**20
 
 
-# family name -> (class, default parameters); None marks a required one
-_FAMILIES = {
-    "fa": (scalarfun.FamilyA, {"a": None, "c": -1.0, "d": 0.0}),
-    "power": (scalarfun.PowerLaw, {"p": None, "c": -1.0, "d": 0.0}),
-    "log": (scalarfun.LogFamily, {"c": -1.0, "d": 0.0}),
-    "neohooke": (scalarfun.NeoHookeVolumetric, {"mu": 1.0}),
-}
-
-
-def parse_function_spec(spec: str, n: int):
-    """Expression text or ``family:<name>:k=v,...`` -> evaluable function."""
+def _family_spec(spec: str):
+    """(name, parameters as given) of ``family:<name>:k=v,...``; None for text."""
     if not spec.startswith("family:"):
-        return scalarfun.parse(spec)
+        return None
     parts = spec.split(":")
     if len(parts) not in (2, 3):
         raise ParameterError(f"malformed family spec {spec!r}")
-    name = parts[1]
-    if name not in _FAMILIES:
-        raise ParameterError(f"unknown family {name!r}; choose from {sorted(_FAMILIES)}")
-    cls, defaults = _FAMILIES[name]
-    params = dict(defaults)
+    params = {}
     if len(parts) == 3 and parts[2]:
         for item in parts[2].split(","):
             if "=" not in item:
                 raise ParameterError(f"malformed family parameter {item!r} (expected k=v)")
             k, v = item.split("=", 1)
             k = k.strip()
-            if k not in params:
-                raise ParameterError(f"unknown parameter {k!r} for family {name!r}")
+            if k in params:
+                raise ParameterError(f"family parameter {k!r} given twice")
             try:
                 params[k] = float(v)
             except ValueError:
                 raise ParameterError(f"parameter {k}={v!r} is not a number") from None
-    missing = [k for k, v in params.items() if v is None]
-    if missing:
-        raise ParameterError(f"family {name!r} requires parameters: {', '.join(missing)}")
-    if cls is scalarfun.FamilyA:
-        params["n"] = n
-    return cls(**params)
+    return parts[1], params
+
+
+def parse_function_spec(spec: str, n: int):
+    """Expression text or ``family:<name>:k=v,...`` -> its expression."""
+    fam = _family_spec(spec)
+    return scalarfun.parse(spec) if fam is None else scalarfun.family(fam[0], n, **fam[1])
+
+
+def _certify(args, **sweep):
+    """``certify`` on the flags, with a family spec's notes: the fa family's
+    exponent at n != 3 first, the rest of the Neo-Hooke energy last."""
+    f = parse_function_spec(args.function, args.dim)
+    grid = GridSpec(args.s_min, args.s_max, args.grid_count)
+    report = certifier.certify(f, args.dim, grid, args.tol, **sweep)
+    spec = args.function.split(":")[:2]
+    notes = list(report.annotations)
+    if spec == ["family", "fa"] and args.dim != 3:
+        notes.insert(
+            0,
+            f"family exponent uses the dimension-n generalization (n={args.dim}); "
+            "the classical statement fixes n=3",
+        )
+    if spec == ["family", "neohooke"]:
+        notes.append(
+            "volumetric part f(s) = -mu*ln(s) certified; the remaining trace "
+            "term mu*<C-I,I> is linear in C, hence convex, so the full "
+            "energy is convex in C exactly when this part is"
+        )
+    return report._replace(annotations=tuple(notes))
 
 
 def _grid_failures(report) -> dict:
@@ -218,9 +229,7 @@ def _report_json(args, report) -> dict:
 
 
 def _cmd_certify(args) -> int:
-    f = parse_function_spec(args.function, args.dim)
-    grid = GridSpec(args.s_min, args.s_max, args.grid_count)
-    report = certifier.certify(f, args.dim, grid, args.tol, args.samples, args.seed)
+    report = _certify(args, samples=args.samples, seed=args.seed)
     # json.dumps ends the document without a newline
     text = json.dumps(_report_json(args, report), indent=2) + "\n"
     if args.output == "-":
@@ -236,9 +245,7 @@ def _fmt_matrix(m) -> str:
 
 
 def _cmd_witness(args) -> int:
-    f = parse_function_spec(args.function, args.dim)
-    grid = GridSpec(args.s_min, args.s_max, args.grid_count)
-    report = certifier.certify(f, args.dim, grid, args.tol)
+    report = _certify(args)
     if report.verdict == CERTIFIED:
         print("no violation found on grid")
         return EXIT_CERTIFIED
@@ -264,7 +271,9 @@ def _slug(label: str) -> str:
 
 
 def _cmd_curves(args) -> int:
-    extras = [parse_function_spec(args.function, args.dim)] if args.function else []
+    if args.function and not args.function.startswith("family:fa:"):
+        raise ParameterError("curves accepts only family:fa:... extra members")
+    extras = [dict(_family_spec(args.function)[1], n=args.dim)] if args.function else []
     curves = scalarfun.export_family_curves(extras, GridSpec(args.s_min, args.s_max, args.count))
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -237,7 +237,7 @@ class OracleSweepResult(NamedTuple):
 
 @cache
 def builtin_corpus(n: int):
-    """Family instances the sweep cycles through by default, one tuple per
+    """Family members the sweep cycles through by default, one tuple per
     n (at most the CLI's MAX_DIM), so each compiles its program once.
 
     Mixes convex and non-convex members; exponents stay moderate so the
@@ -245,13 +245,13 @@ def builtin_corpus(n: int):
     [0.1^n, 10^n].
     """
     return (
-        scalarfun.NeoHookeVolumetric(mu=1.0),
-        scalarfun.LogFamily(c=-2.0, d=0.5),
-        scalarfun.PowerLaw(c=-1.0, p=0.5),
-        scalarfun.PowerLaw(c=1.0, p=1.0, d=-1.0),
-        scalarfun.PowerLaw(c=-0.5, p=-0.5, d=0.2),
-        scalarfun.FamilyA(a=0.0, c=-1.0, d=0.0, n=n),
-        scalarfun.FamilyA(a=0.75, c=-2.0, d=1.0, n=n),
+        scalarfun.family("neohooke", mu=1.0),
+        scalarfun.family("log", c=-2.0, d=0.5),
+        scalarfun.family("power", c=-1.0, p=0.5),
+        scalarfun.family("power", c=1.0, p=1.0, d=-1.0),
+        scalarfun.family("power", c=-0.5, p=-0.5, d=0.2),
+        scalarfun.family("fa", n, a=0.0, c=-1.0, d=0.0),
+        scalarfun.family("fa", n, a=0.75, c=-2.0, d=1.0),
     )
 
 

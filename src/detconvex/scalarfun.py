@@ -1,10 +1,10 @@
 """Scalar functions f of one positive real with exact first and second
 derivatives.
 
-Two input channels: a small expression language over the single variable
-``s``, parsed to an AST by one binding-power loop over one operator
-table, and four closed-form built-in families, each of which lowers to
-the same AST once per instance.  One evaluator, :func:`eval_jet`,
+One kind of function, an expression AST over the single variable
+``s``, from two sources: text, parsed by one binding-power loop over one
+operator table, and four built-in families, whose members ``family``
+builds from their parameters.  One evaluator, :func:`eval_jet`,
 returns the (value, f', f'') triple exact up to roundoff by truncated
 second-order Taylor (jet) arithmetic on numpy ufuncs.  An expression is
 compiled once, in one post-order pass that folds its constant
@@ -26,7 +26,7 @@ so it has the bits it has in any array, and raises the first failure in
 walk order, the expression's post-order: DomainError outside the domain,
 NonFiniteError on overflow.
 
-The figure curves are family members sampled on a grid
+The figure curves are members of the fa family sampled on a grid
 (``export_family_curves``), one ``CurveTable`` each, written as CSV.
 """
 
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import re
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -214,8 +213,8 @@ class Value:
     """Immutable record of the fields ``__match_args__`` names.  Two are
     equal when of one class with equal fields (an Add never equals a Sub,
     as tuples would), hash alike, repr as ``Name(field=value, ...)`` and
-    pickle through the class.  ``__init__`` sets the fields once: as slots,
-    or in ``__dict__`` in a class that caches properties."""
+    pickle through the class.  ``__init__`` sets the fields once, as
+    slots."""
 
     __slots__ = ()
     __match_args__ = ()
@@ -567,117 +566,64 @@ def parse(text: str) -> Expr:
 
 # --------------------------------------------------------------------------
 # built-in families
-#
-# Each family keeps its parameters and validation and lowers to the
-# expression AST once per instance (``expr``); eval_jet compiles that AST.
+
+# family name -> default parameters, in checking order; None marks a required one
+_FAMILIES = {
+    "fa": {"a": None, "c": -1.0, "d": 0.0},
+    "power": {"c": -1.0, "p": None, "d": 0.0},
+    "log": {"c": -1.0, "d": 0.0},
+    "neohooke": {"mu": 1.0},
+}
 
 
-def require_finite(record: Value):
-    """Raise ParameterError naming the first field of ``record`` that is not finite."""
-    for name in record.__match_args__:
-        value = getattr(record, name)
-        if not math.isfinite(value):
-            raise ParameterError(f"{type(record).__name__} {name}={value} must be finite")
-
-
-def _affine(d: float, c: float, g: Expr) -> Expr:
-    """d + c * g."""
-    return Add(Constant(d), Mul(Constant(c), g))
-
-
-class PowerLaw(Value):
-    """f(s) = d + c * s^p."""
-
-    __match_args__ = ("c", "p", "d")
-
-    def __init__(self, c: float, p: float, d: float = 0.0):
-        super().__init__(c, p, d)
-        require_finite(self)
-
-    @cached_property
-    def expr(self) -> Expr:
-        return _affine(self.d, self.c, Pow(Variable(), Constant(self.p)))
-
-
-class LogFamily(Value):
-    """f(s) = d + c * ln s."""
-
-    __match_args__ = ("c", "d")
-
-    def __init__(self, c: float, d: float = 0.0):
-        super().__init__(c, d)
-        require_finite(self)
-
-    @cached_property
-    def expr(self) -> Expr:
-        return _affine(self.d, self.c, Ln(Variable()))
-
-
-class FamilyA(Value):
-    """Three-branch family, convex under composition with det by design.
-
-    With q = 1/n - a:
-        a in [0, 1/n)   ->  d + c * s^q
-        a == 1/n        ->  d + c * ln s
-        a in (1/n, inf) ->  d - c * s^q
-    Requires finite fields, a >= 0 and c <= 0.  The classical statement is
-    n = 3; other n generalize the exponent and are flagged by reports.
+def family(name: str, n: int = 3, **params) -> Expr:
+    """The expression of a member of a built-in family, from finite
+    parameters or their defaults in ``_FAMILIES``; ParameterError names a
+    bad name or parameter.  power is d + c s^p, log d + c ln s, neohooke
+    -mu ln s with mu > 0 (the determinant part of the compressible
+    Neo-Hooke energy) and fa the three-branch family, convex under det by
+    design: with a >= 0, c <= 0 and q = 1/n - a, d + c s^q for a < 1/n,
+    d + c ln s at a = 1/n (within BRANCH_TOL) and d - c s^q beyond.  Only
+    fa reads n; its classical statement is n = 3.
     """
-
-    __match_args__ = ("a", "c", "d", "n")
-
-    def __init__(self, a: float, c: float, d: float = 0.0, n: int = 3):
-        super().__init__(a, c, d, n)
-        require_finite(self)
-        if self.a < 0:
-            raise ParameterError(f"family parameter a={self.a} must be >= 0")
-        if self.c > 0:
-            raise ParameterError(f"family parameter c={self.c} must be <= 0")
-        if self.n < 1:
-            raise ParameterError(f"dimension n={self.n} must be >= 1")
-
-    @property
-    def branch(self) -> str:
-        inv_n = 1.0 / self.n
-        if abs(self.a - inv_n) <= BRANCH_TOL:
-            return "log"
-        return "power" if self.a < inv_n else "inverted-power"
-
-    @cached_property
-    def expr(self) -> Expr:
-        br = self.branch
-        if br == "log":
-            return _affine(self.d, self.c, Ln(Variable()))
-        coeff = self.c if br == "power" else -self.c
-        return _affine(self.d, coeff, Pow(Variable(), Constant(1.0 / self.n - self.a)))
-
-
-class NeoHookeVolumetric(Value):
-    """Determinant-dependent part of the compressible Neo-Hooke energy:
-    f(s) = -mu * ln s with shear modulus mu > 0."""
-
-    __match_args__ = ("mu",)
-
-    def __init__(self, mu: float):
-        super().__init__(mu)
-        require_finite(self)
-        if self.mu <= 0:
-            raise ParameterError(f"shear modulus mu={self.mu} must be > 0")
-
-    @cached_property
-    def expr(self) -> Expr:
-        return Mul(Constant(-self.mu), Ln(Variable()))
-
-
-BuiltinFamily = PowerLaw | LogFamily | FamilyA | NeoHookeVolumetric
+    if name not in _FAMILIES:
+        raise ParameterError(f"unknown family {name!r}; choose from {sorted(_FAMILIES)}")
+    for k in params:
+        if k not in _FAMILIES[name]:
+            raise ParameterError(f"unknown parameter {k!r} for family {name!r}")
+    params = {**_FAMILIES[name], **params}
+    missing = [k for k, v in params.items() if v is None]
+    if missing:
+        raise ParameterError(f"family {name!r} requires parameters: {', '.join(missing)}")
+    for k, v in params.items():
+        if not math.isfinite(v):
+            raise ParameterError(f"family {name!r} parameter {k}={v} must be finite")
+    if name == "neohooke":
+        if params["mu"] <= 0:
+            raise ParameterError(f"shear modulus mu={params['mu']} must be > 0")
+        return Mul(Constant(-params["mu"]), Ln(Variable()))
+    if name == "fa":
+        a, c = params["a"], params["c"]
+        if a < 0:
+            raise ParameterError(f"family parameter a={a} must be >= 0")
+        if c > 0:
+            raise ParameterError(f"family parameter c={c} must be <= 0")
+        if n < 1:
+            raise ParameterError(f"dimension n={n} must be >= 1")
+        if abs(a - 1.0 / n) <= BRANCH_TOL:
+            name = "log"
+        else:
+            name, params["c"], params["p"] = "power", c if a < 1.0 / n else -c, 1.0 / n - a
+    g = Ln(Variable()) if name == "log" else Pow(Variable(), Constant(params["p"]))
+    return Add(Constant(params["d"]), Mul(Constant(params["c"]), g))
 
 
 def eval_jet(f, s) -> Jet2:
     """Evaluate f to (f(s), f'(s), f''(s)) at a float s or at each point of
     an array s; s must be positive.
 
-    f is a parsed expression or a built-in family, compiled on its first
-    evaluation.  An array is NaN in all three fields at a point outside
+    f is an expression, parsed or built by ``family``, compiled on its
+    first evaluation.  An array is NaN in all three fields at a point outside
     the domain or where evaluation overflows.  A float (or a numpy scalar
     or 0-d array) is evaluated as a one-point array and raises there:
     DomainError, or NonFiniteError on overflow.  The fields of an array's
@@ -687,14 +633,13 @@ def eval_jet(f, s) -> Jet2:
     """
     point = not isinstance(s, np.ndarray) or s.ndim == 0
     s = np.array(s, dtype=float, ndmin=1, copy=None)
-    e = f.expr if isinstance(f, BuiltinFamily) else f
     walk = _Walk(s)
     with np.errstate(all="ignore"):
         try:
-            ops, rows, own, consts, result = e._program
+            ops, rows, own, consts, result = f._program
         except AttributeError:
-            _set(e, "_program", _Compiler().compile(e))
-            ops, rows, own, consts, result = e._program
+            _set(f, "_program", _Compiler().compile(f))
+            ops, rows, own, consts, result = f._program
         # the jet's rows apart from the scratch rows, which the call frees
         regs = [*np.empty((own,) + s.shape), *np.empty((rows - own,) + s.shape), *consts, s]
         for kernel, args in ops:
@@ -758,15 +703,16 @@ class CurveTable(Value):
 
 
 def figure_families():
-    """The four standard members shown in the reference figures, at n = 3.
+    """The four standard members shown in the reference figures, as
+    (label, parameters of the fa family at n = 3).
 
     All pass through (1, 0) with slope -1.
     """
     return (
-        ("-ln(s)", FamilyA(a=1.0 / 3.0, c=-1.0, d=0.0, n=3)),
-        ("-3*s^(1/3)+3", FamilyA(a=0.0, c=-3.0, d=3.0, n=3)),
-        ("-6*s^(1/6)+6", FamilyA(a=1.0 / 6.0, c=-6.0, d=6.0, n=3)),
-        ("3*s^(-1/3)-3", FamilyA(a=2.0 / 3.0, c=-3.0, d=-3.0, n=3)),
+        ("-ln(s)", {"a": 1.0 / 3.0, "c": -1.0, "d": 0.0, "n": 3}),
+        ("-3*s^(1/3)+3", {"a": 0.0, "c": -3.0, "d": 3.0, "n": 3}),
+        ("-6*s^(1/6)+6", {"a": 1.0 / 6.0, "c": -6.0, "d": 6.0, "n": 3}),
+        ("3*s^(-1/3)-3", {"a": 2.0 / 3.0, "c": -3.0, "d": -3.0, "n": 3}),
     )
 
 
@@ -774,21 +720,23 @@ def export_family_curves(extras, grid):
     """Curve tables for the standard figure set plus any extra members,
     sampled at the points of ``grid``, a ``certifier.GridSpec``.
 
-    ``extras`` is a sequence of FamilyA instances appended after the four
-    standard curves.  Each member's values come from one evaluator call;
-    the first point that fails, in member order, raises its own error.
+    ``extras`` is a sequence of keyword dicts of ``family("fa", ...)``,
+    whose curves follow the four standard ones; a table lists every
+    parameter, defaults included.  Each member's values come from one
+    evaluator call; the first point that fails, in member order, raises
+    its own error.
     """
     ss = grid.points()
     members = list(figure_families())
-    for fam in extras:
-        if not isinstance(fam, FamilyA):
-            raise ParameterError("curves accepts only family:fa:... extra members")
-        members.append((f"fa(a={fam.a!r},c={fam.c!r},d={fam.d!r},n={fam.n})", fam))
+    for extra in extras:
+        p = {**_FAMILIES["fa"], "n": 3, **extra}
+        members.append((f"fa(a={p['a']!r},c={p['c']!r},d={p['d']!r},n={p['n']})", p))
     tables = []
-    for label, fam in members:
-        ys = eval_jet(fam, ss).v
+    for label, params in members:
+        f = family("fa", **params)
+        ys = eval_jet(f, ss).v
         failed = np.isnan(ys)
         if failed.any():
-            raise failure_at(fam, float(ss[np.argmax(failed)]))
-        tables.append(CurveTable(label, {"a": fam.a, "c": fam.c, "d": fam.d, "n": fam.n}, ss, ys))
+            raise failure_at(f, float(ss[np.argmax(failed)]))
+        tables.append(CurveTable(label, params, ss, ys))
     return tables

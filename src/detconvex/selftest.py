@@ -21,7 +21,7 @@ import numpy as np
 
 from . import certifier, detcalculus, linalg, scalarfun
 from .certifier import CERTIFIED, KIND_POSITIVE_FPRIME, KIND_SECOND_ORDER, REFUTED, GridSpec
-from .scalarfun import Add, FamilyA, PowerLaw, eval_jet, parse
+from .scalarfun import Add, eval_jet, family, parse
 
 BASE_SEED = 42
 
@@ -178,7 +178,7 @@ def check_family_end_to_end():
     failures = []
     samples = 0
     for a in (0.0, 0.1, 1.0 / 3.0, 0.5, 1.0, 2.0):
-        f = FamilyA(a=a, c=-1.0, d=0.0, n=3)
+        f = family("fa", a=a, c=-1.0, d=0.0)
         rep = certifier.certify(f, n=3, samples=200, seed=BASE_SEED + int(1000 * a))
         if rep.verdict != CERTIFIED:
             failures.append(f"a={a}: verdict {rep.verdict}")
@@ -225,7 +225,7 @@ def check_identity_suite():
     of the explicit inverse Q diag(1/eig) Q^T to 1e-12; for -ln the
     quadratic form collapses to <HC^-1, C^-1H>."""
     failures = []
-    neg_log = scalarfun.LogFamily(c=-1.0, d=0.0)
+    neg_log = family("log", c=-1.0, d=0.0)
     worst_kernel = 0.0
     worst_log = 0.0
     for n in (2, 3, 5):
@@ -390,7 +390,7 @@ def check_integrating_factor():
                 failures.append(f"n={n} {f!r} at s={s[i]:.3e}: phi' rel err {err[i]:.2e}")
     xi, eta, q = 1.0, -1.5, 2.0 / 3.0
     xs = np.geomspace(1e-2, 1e2, 100)
-    jet = eval_jet(PowerLaw(c=eta * xi**q, p=-q), xs)
+    jet = eval_jet(family("power", c=eta * xi**q, p=-q), xs)
     res = np.abs(jet.d1 + (q / xs) * jet.v) / (1.0 + np.abs(jet.v))
     worst_res = float(res.max())
     for i in np.flatnonzero(~(res <= 1e-12))[:1]:
@@ -436,7 +436,7 @@ def check_phi_ordering():
     # y = a x^(-q) + b x
     b = eps / (q + 1.0)
     a = xi**q * eta - b * xi ** (q + 1.0)
-    forced = Add(PowerLaw(c=a, p=-q).expr, PowerLaw(c=b, p=1.0).expr)
+    forced = Add(family("power", c=a, p=-q), family("power", c=b, p=1.0))
     x_star = (xi ** (q + 1.0) - (q + 1.0) * xi**q * eta / eps) ** (1.0 / (q + 1.0))
     jet = eval_jet(forced, s)
     res = np.abs(jet.d1 + (q / s) * jet.v - eps) / (1.0 + np.abs(jet.d1))
@@ -464,8 +464,8 @@ def check_figure_reproduction():
     """All four figure curves pass through (1, 0) with slope -1; CSV export
     is deterministic."""
     failures = []
-    for label, fam in scalarfun.figure_families():
-        jet = eval_jet(fam, 1.0)
+    for label, params in scalarfun.figure_families():
+        jet = eval_jet(family("fa", **params), 1.0)
         if abs(jet.v) > 1e-12:
             failures.append(f"{label}: value at 1 is {jet.v!r}")
         if abs(jet.d1 + 1.0) > 1e-12:

@@ -26,7 +26,7 @@ from detconvex.certifier import (
 from detconvex.cli import MAX_GRID_COUNT
 from detconvex.errors import NotPositiveDefiniteError, ParameterError, ParseError
 from detconvex.linalg import random_posdef_array, random_sym
-from detconvex.scalarfun import FamilyA, LogFamily, NeoHookeVolumetric, PowerLaw, eval_jet, parse
+from detconvex.scalarfun import eval_jet, family, parse
 from detconvex.selftest import reduction_check, sigma_checks
 
 SMALL_GRID = GridSpec(1e-3, 1e3, 200)
@@ -48,7 +48,7 @@ class TestDiffIneqLhs:
             assert abs(diff_ineq_lhs(parse("-ln(s)"), s, 3) - 1.0 / (3 * s * s)) <= 1e-15 / s / s
 
     def test_limiting_branch_annihilated(self):
-        f = FamilyA(a=0.0, c=-1.0, d=0.0, n=3)
+        f = family("fa", a=0.0, c=-1.0, d=0.0, n=3)
         for s in np.geomspace(1e-2, 1e2, 25):
             assert abs(diff_ineq_lhs(f, float(s), 3)) <= 1e-12
 
@@ -131,15 +131,6 @@ class TestCertify:
             rep = certify(parse("-s^2"), 1, grid)
         assert rep.verdict == REFUTED and rep.annotations == (note,)
         assert [(w.kind, w.s_star) for w in rep.witnesses] == [(KIND_SECOND_ORDER, 0.1)]
-
-    def test_family_dimension_must_match(self):
-        with pytest.raises(ParameterError):
-            certify(FamilyA(a=0.5, c=-1.0, d=0.0, n=3), 4, SMALL_GRID)
-
-    def test_generalized_dimension_flagged(self):
-        rep = certify(FamilyA(a=0.5, c=-1.0, d=0.0, n=5), 5, SMALL_GRID)
-        assert rep.verdict == CERTIFIED
-        assert any("generalization" in a for a in rep.annotations)
 
     def test_grid_covariance_under_rescaling(self):
         # the violation set rescales with s: index-wise identical flags
@@ -354,8 +345,8 @@ class TestWitnessConstructions:
         # H = C makes the diagonal condition value n^2 lhs(s) for any f:
         # D2g(C).(C,C) = n^2 s^2 lhs(s), divided by det C = s
         functions = [
-            NeoHookeVolumetric(mu=1.0),
-            PowerLaw(c=-1.0, p=0.5, d=0.0),
+            family("neohooke", mu=1.0),
+            family("power", c=-1.0, p=0.5, d=0.0),
             parse("-s"),
             parse("s^2"),
         ]
@@ -511,7 +502,7 @@ class TestReductionCheck:
         # diagonal C gives a signed-permutation eigenframe; full and
         # reduced agree to plain roundoff
         c = np.diag([2.0, 0.5, 1.0])
-        f = NeoHookeVolumetric(mu=1.0)
+        f = family("neohooke", mu=1.0)
         h = random_sym(3, seed=9, count=1)[0]
         full, reduced = reduction_check(f, c, h)
         assert abs(full - reduced) <= 1e-13 * max(1.0, abs(full))
@@ -760,18 +751,18 @@ class TestBeyondGrid:
 
 
 CONVEX_BUILTINS = lambda n: [
-    NeoHookeVolumetric(mu=1.0),
-    LogFamily(c=-2.0, d=0.5),
-    PowerLaw(c=-1.0, p=0.15, d=0.0),
-    PowerLaw(c=2.0, p=-1.0, d=0.0),
-    FamilyA(a=0.0, c=-1.0, d=0.0, n=n),
-    FamilyA(a=1.0, c=-2.0, d=1.0, n=n),
+    family("neohooke", mu=1.0),
+    family("log", c=-2.0, d=0.5),
+    family("power", c=-1.0, p=0.15, d=0.0),
+    family("power", c=2.0, p=-1.0, d=0.0),
+    family("fa", a=0.0, c=-1.0, d=0.0, n=n),
+    family("fa", a=1.0, c=-2.0, d=1.0, n=n),
 ]
 
 NONCONVEX_BUILTINS = lambda n: [
-    PowerLaw(c=1.0, p=1.0, d=0.0),
-    PowerLaw(c=-1.0, p=2.0, d=0.0),
-    LogFamily(c=1.0, d=0.0),
+    family("power", c=1.0, p=1.0, d=0.0),
+    family("power", c=-1.0, p=2.0, d=0.0),
+    family("log", c=1.0, d=0.0),
 ]
 
 
@@ -797,35 +788,52 @@ class TestVerdictConsistency:
 
     def test_analytic_verdict_matches_grid_check(self):
         cases = [
-            (PowerLaw(c=-1.0, p=1.0 / 3.0, d=0.0), 3),
-            (PowerLaw(c=-1.0, p=0.34, d=0.0), 3),  # just past the threshold
-            (PowerLaw(c=0.0, p=5.0, d=2.0), 3),
-            (PowerLaw(c=3.0, p=-1.0 / 3.0, d=-3.0), 3),
-            (LogFamily(c=-1.0, d=0.0), 4),
-            (LogFamily(c=0.5, d=0.0), 4),
+            (family("power", c=-1.0, p=1.0 / 3.0, d=0.0), 3),
+            (family("power", c=-1.0, p=0.34, d=0.0), 3),  # just past the threshold
+            (family("power", c=0.0, p=5.0, d=2.0), 3),
+            (family("power", c=3.0, p=-1.0 / 3.0, d=-3.0), 3),
+            (family("log", c=-1.0, d=0.0), 4),
+            (family("log", c=0.5, d=0.0), 4),
         ]
         for f, n in cases:
             rep = certify(f, n, SMALL_GRID)
             assert rep.analytic_convex == (rep.verdict == CERTIFIED), (f, n, rep.verdict)
 
-    def test_expression_has_no_analytic_verdict(self):
-        assert analytic_convexity(parse("-ln(s)"), 3) is None
+    # -3 in text is Negate(Constant(3.0)), not a constant
+    @pytest.mark.parametrize(
+        "text", ["-ln(s)", "2*s^3", "0.5+2*s^3+s", "ln(s)+1", "0.5+2*ln(s+1)", "0+-3*s^0.25"]
+    )
+    def test_other_shapes_have_no_analytic_verdict(self, text):
+        assert analytic_convexity(parse(text), 3) is None
 
     @pytest.mark.parametrize(
-        "f", [PowerLaw(c=1e-12, p=1.0), PowerLaw(c=1e-12, p=1.0 / 3.0), PowerLaw(c=-1e-12, p=0.34)]
+        "text, closed",
+        [
+            ("0.5+2*s^3", (False, "2.0*s^3.0")),
+            ("1+2*ln(s)", (False, "2.0*ln(s)")),
+            ("2*ln(s)", (False, "2.0*ln(s)")),
+            ("0*ln(s)", (True, "0.0*ln(s)")),
+            ("2+0*s^5", (True, "0.0*s^5.0")),
+        ],
     )
-    def test_a_closed_form_that_says_not_convex_is_never_certified(self, f):
+    def test_parsed_family_shapes_have_their_closed_form(self, text, closed):
+        # the closed form reads the tree, so text that parses to a
+        # family's shape has it too
+        assert analytic_convexity(parse(text), 3) == closed
+
+    @pytest.mark.parametrize("c, p", [(1e-12, 1.0), (1e-12, 1.0 / 3.0), (-1e-12, 0.34)])
+    def test_a_closed_form_that_says_not_convex_is_never_certified(self, c, p):
         # the band hides these scaled violations on the grid, but the
         # family's own closed form says not convex
-        rep = certify(f, 3)
+        rep = certify(family("power", c=c, p=p), 3)
         assert rep.analytic_convex is False and rep.witnesses == ()
         assert rep.verdict == INCONCLUSIVE
         assert rep.annotations == (
-            f"closed form of {f!r} is not convex at n=3, but no witness pair confirms it",
+            f"closed form of the term {c!r}*s^{p!r} is not convex at n=3, but no witness pair confirms it",
         )
 
     def test_a_refuted_family_keeps_its_witness(self):
-        rep = certify(PowerLaw(c=-1.0, p=0.5), 3)
+        rep = certify(family("power", c=-1.0, p=0.5), 3)
         assert rep.verdict == REFUTED and rep.analytic_convex is False
         assert rep.annotations == ()
 
@@ -927,10 +935,10 @@ class TestOneDimensional:
     )
     def test_power_law_verdict(self, c, p):
         # d + c s^p at n = 1: convex iff c p (p - 1) >= 0
-        f = PowerLaw(c=c, p=p, d=0.5)
+        f = family("power", c=c, p=p, d=0.5)
         points = self.GRID.points().tolist()
         want = _mp_convex(lambda s: 0.5 + c * s ** mpmath.mpf(p), points)
-        assert analytic_convexity(f, 1) is want
+        assert analytic_convexity(f, 1)[0] is want
         rep = certify(f, 1, self.GRID)
         assert rep.analytic_convex is want
         assert rep.verdict in _one_dimensional_verdicts(want)

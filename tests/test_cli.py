@@ -89,13 +89,42 @@ class TestCertifyCommand:
         doc = json.loads(out)
         assert (code, err, doc["verdict"]) == (2, "verdict: Inconclusive\n", "Inconclusive")
         assert doc["analytic_convex"] is False and doc["witnesses"] == []
-        assert [a.startswith("closed form of PowerLaw(") for a in doc["annotations"]] == [True]
+        assert doc["annotations"] == [
+            "closed form of the term 1e-12*s^1.0 is not convex at n=3, but no witness pair confirms it"
+        ]
 
     def test_neo_hooke_annotates_trace_term(self, capsys):
         code, out, _ = run(capsys, "certify", "-f", "family:neohooke:mu=2.0", *CERT_FAST)
         assert code == 0
         doc = json.loads(out)
         assert any("trace" in note for note in doc["annotations"])
+
+    @pytest.mark.parametrize(
+        "spec, text",
+        [("family:power:c=2,p=3,d=0.5", "0.5+2*s^3"), ("family:log:c=2,d=1", "1+2*ln(s)")],
+    )
+    def test_a_family_spec_is_its_text(self, capsys, spec, text):
+        # the spec and the text parse to one tree, so their reports differ
+        # in the source alone, the closed form included
+        assert cli.parse_function_spec(spec, 3) == scalarfun.parse(text)
+        (code, out, _), (text_code, text_out, _) = (
+            run(capsys, "certify", "-f", f, "--no-timestamp", *CERT_FAST) for f in (spec, text)
+        )
+        assert code == text_code
+        docs = [json.loads(out), json.loads(text_out)]
+        assert [d.pop("function_source") for d in docs] == [spec, text]
+        assert docs[0] == docs[1] and docs[0]["analytic_convex"] is False
+
+    def test_the_spec_notes_come_first_and_last(self, capsys):
+        # the fa note leads at --dim != 3; the Neo-Hooke note ends the
+        # list, after a grid annotation
+        doc = json.loads(run(capsys, "certify", "-f", "family:fa:a=0", "--dim", "5", *CERT_FAST)[1])
+        assert [a.split(" ")[:3] for a in doc["annotations"]] == [["family", "exponent", "uses"]]
+        argv = ("certify", "-f", "family:neohooke:mu=1e308", *CERT_FAST)
+        code, out, _ = run(capsys, *argv)
+        notes = json.loads(out)["annotations"]
+        assert code == 2 and len(notes) == 2
+        assert notes[0].startswith("domain failure") and notes[1].startswith("volumetric part")
 
     def test_domain_failure_exits_two(self, capsys):
         code, out, _ = run(capsys, "certify", "-f", "ln(s-1)", *CERT_FAST)
@@ -451,6 +480,8 @@ class TestUsageErrors:
             (("certify", "-f", "family:fa:c=-1"), "family 'fa' requires parameters: a"),
             (("certify", "-f", "family:fa:a=zzz"), "parameter a='zzz' is not a number"),
             (("certify", "-f", "family:fa:a=-1,c=-1,d=0"), "family parameter a=-1.0 must be >= 0"),
+            (("certify", "-f", "family:power:p=1,p=0.5"), "family parameter 'p' given twice"),
+            (("curves", "-f", "family:fa:a=0.5,a=2"), "family parameter 'a' given twice"),
             (("oracle", "-f", "family:neohooke:mu=0", "--samples", "3"), "shear modulus mu=0.0 must be > 0"),
             (("certify", "-f", "s", "--dim", "65"), "--dim 65 exceeds the limit 64"),
             (("oracle", "--dim", "10", "--samples", "20000"),
@@ -463,7 +494,8 @@ class TestUsageErrors:
         ids=[
             "unparseable", "malformed-spec", "malformed-parameter", "unknown-family",
             "unknown-parameter", "missing-parameter", "non-numeric-parameter",
-            "invalid-family-parameter", "invalid-family-parameter-oracle", "oversized-run",
+            "invalid-family-parameter", "repeated-parameter", "repeated-parameter-curves",
+            "invalid-family-parameter-oracle", "oversized-run",
             "oracle-entry-limit", "negative-samples", "curves-non-fa-extra",
         ],
     )
@@ -786,7 +818,7 @@ class TestCurvesCommand:
     def test_slugs_of_the_figure_set_and_an_extra_member_are_distinct(self):
         # -3*s^(1/3)+3 and 3*s^(-1/3)-3 differ only in their signs, which
         # the slug dropped: both were 3_s_1_3_3
-        extra = scalarfun.FamilyA(a=0.9, c=-1.0, d=0.0, n=3)
+        extra = {"a": 0.9, "c": -1.0, "d": 0.0, "n": 3}
         curves = scalarfun.export_family_curves([extra], certifier.GridSpec(0.05, 8.0, 3))
         slugs = [cli._slug(curve.label) for curve in curves]
         assert len(set(slugs)) == len(slugs) == 5

@@ -17,11 +17,11 @@ from detconvex.detcalculus import (
 )
 from detconvex.errors import NotPositiveDefiniteError, ParameterError
 from detconvex.linalg import PosDefMatrix, random_posdef_array, random_sym
-from detconvex.scalarfun import FamilyA, LogFamily, eval_jet, parse
+from detconvex.scalarfun import eval_jet, family, parse
 from detconvex.selftest import condition_lhs_diag
 
 LOG_RANGE = (math.log(0.1), math.log(10.0))
-NEG_LN = LogFamily(c=-1.0, d=0.0)
+NEG_LN = family("log", c=-1.0, d=0.0)
 IDENT = parse("s")
 FD_STEP = detcalculus.FD_STEP_SCALE
 
@@ -86,7 +86,7 @@ class TestGradForm:
 
     def test_matches_first_differences(self):
         c, h = _stacks(list(_samples(3, 40, seed=11)))
-        for f in (NEG_LN, IDENT, FamilyA(a=0.5, c=-1.0, d=0.0, n=3)):
+        for f in (NEG_LN, IDENT, family("fa", a=0.5, c=-1.0, d=0.0, n=3)):
             forms = directional_forms((f,), c, h)
             bound = 1e-6 * np.maximum(1.0, np.abs(forms.grad))
             assert np.all(np.abs(forms.grad - forms.fd_grad) <= bound)
@@ -109,7 +109,7 @@ class TestHessForm:
         assert _hess(IDENT, c, h) == -4.0
 
     def test_limiting_family_annihilates_extremal_direction(self):
-        f = FamilyA(a=0.0, c=-3.0, d=3.0, n=3)
+        f = family("fa", a=0.0, c=-3.0, d=3.0, n=3)
         s, k = 2.0, 1.5
         c = _diag(np.full(3, s ** (1.0 / 3.0)))
         h = np.diag(np.full(3, k * s ** (-1.0 / 3.0)))
@@ -118,7 +118,7 @@ class TestHessForm:
         assert abs(forms.fd_hess[0]) <= 1e-4
 
     def test_quadratic_homogeneity(self):
-        f = FamilyA(a=0.75, c=-2.0, d=1.0, n=3)
+        f = family("fa", a=0.75, c=-2.0, d=1.0, n=3)
         for c, h in _samples(3, 25, seed=21):
             base = _hess(f, c, h)
             for t in (-2.0, 0.5, 3.0):
@@ -559,7 +559,7 @@ class TestOracleDefects:
         # hess discrepancy 1.25e-5 before
         c, h = _old_draw(727168335, 3, 10)
         f = builtin_corpus(10)[3]
-        assert f == scalarfun.PowerLaw(c=1.0, p=1.0, d=-1.0)
+        assert f == scalarfun.family("power", c=1.0, p=1.0, d=-1.0)
         forms = directional_forms((f,), c, h)
         assert _disc(forms.hess[0], forms.fd_hess[0]) <= detcalculus.ORACLE_HESS_TOL
         assert _disc(forms.grad[0], forms.fd_grad[0]) <= detcalculus.ORACLE_GRAD_TOL

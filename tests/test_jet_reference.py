@@ -31,24 +31,21 @@ from detconvex.certifier import GridSpec
 from detconvex.detcalculus import builtin_corpus
 from detconvex.errors import DomainError, NonFiniteError
 from detconvex.scalarfun import (
+    BRANCH_TOL,
     Add,
-    BuiltinFamily,
     Constant,
     Div,
     Exp,
-    FamilyA,
     Ln,
-    LogFamily,
     Mul,
     Negate,
-    NeoHookeVolumetric,
     Pow,
-    PowerLaw,
     Sqrt,
     Sub,
     Variable,
     eval_jet,
     failure_at,
+    family,
     parse,
 )
 from detconvex.selftest import EXPRESSION_CORPUS
@@ -203,26 +200,30 @@ def _log_jet(d, c, s):
     return RefJet(d + c * math.log(s), c / s, -c / (s * s))
 
 
-def ref_family_jet(f, s):
-    """The hand-coded family jets."""
-    if isinstance(f, PowerLaw):
-        return _power_jet(f.d, f.c, f.p, s)
-    if isinstance(f, LogFamily):
-        return _log_jet(f.d, f.c, s)
-    if isinstance(f, NeoHookeVolumetric):
-        return RefJet(-f.mu * math.log(s), -f.mu / s, f.mu / (s * s))
-    if f.branch == "log":
-        return _log_jet(f.d, f.c, s)
-    coeff = f.c if f.branch == "power" else -f.c
-    return _power_jet(f.d, coeff, 1.0 / f.n - f.a, s)
+def ref_family_jet(name, params, s):
+    """The hand-coded jets of the member ``family(name, **params)``."""
+    p = {"c": -1.0, "d": 0.0, "n": 3, **params}
+    if name == "power":
+        return _power_jet(p["d"], p["c"], p["p"], s)
+    if name == "log":
+        return _log_jet(p["d"], p["c"], s)
+    if name == "neohooke":
+        return RefJet(-p["mu"] * math.log(s), -p["mu"] / s, p["mu"] / (s * s))
+    a, inv_n = p["a"], 1.0 / p["n"]
+    if abs(a - inv_n) <= BRANCH_TOL:
+        return _log_jet(p["d"], p["c"], s)
+    coeff = p["c"] if a < inv_n else -p["c"]
+    return _power_jet(p["d"], coeff, inv_n - a, s)
 
 
 def ref_eval_jet(f, s: float) -> RefJet:
+    """The jet of an expression f, or of the family member f = (name,
+    params) by its hand-coded jet."""
     if not (s > 0.0) or not math.isfinite(s):
         raise DomainError(f"scalar functions are defined for s > 0, got s={s}")
-    if isinstance(f, (PowerLaw, LogFamily, NeoHookeVolumetric, FamilyA)):
+    if isinstance(f, tuple):
         try:
-            jet = ref_family_jet(f, s)
+            jet = ref_family_jet(*f, s)
         except ZeroDivisionError as e:
             # s * s underflows to 0 below s ~ 1e-162, where the old log jets
             # crashed; the second derivative there is past the float range
@@ -398,7 +399,7 @@ def walk_eval_jet(f, s):
     s = np.array(s, dtype=float, ndmin=1, copy=None)
     walk = Walk(s)
     with np.errstate(all="ignore"):
-        jet = walk_node(f.expr if isinstance(f, BuiltinFamily) else f, walk)
+        jet = walk_node(f, walk)
     jet = Jet2(*(x if isinstance(x, np.ndarray) and x.ndim else np.full(s.shape, x) for x in jet))
     ok = np.isfinite(jet.v)
     ok &= np.isfinite(jet.d1)
@@ -466,28 +467,33 @@ EDGE_CASES = {
 # beyond the corpus's own range, into overflow of 2^s, s^(s/100), exp(s)
 CORPUS_GRID = np.concatenate([np.geomspace(1e-3, 1e3, 401), np.geomspace(1e3, 1e5, 41)[1:]])
 
+# (name, parameters) of family members
 FAMILIES = (
-    PowerLaw(c=-1.0, p=0.5),
-    PowerLaw(c=2.0, p=-0.5, d=1.0),
-    PowerLaw(c=1.0, p=1.0, d=-1.0),
-    PowerLaw(c=-0.5, p=0.0, d=0.2),
-    PowerLaw(c=1.5, p=3.0, d=-2.0),
-    LogFamily(c=-2.0, d=0.5),
-    NeoHookeVolumetric(mu=2.5),
-    FamilyA(a=0.0, c=-3.0, d=3.0, n=3),
-    FamilyA(a=1.0 / 3.0, c=-1.0, d=0.0, n=3),
-    FamilyA(a=1.0, c=-2.0, d=1.0, n=3),
-    FamilyA(a=0.1, c=-1.0, d=0.5, n=5),
-    FamilyA(a=0.2, c=-1.0, d=0.0, n=5),
-    FamilyA(a=0.75, c=-2.0, d=1.0, n=5),
+    ("power", {"c": -1.0, "p": 0.5}),
+    ("power", {"c": 2.0, "p": -0.5, "d": 1.0}),
+    ("power", {"c": 1.0, "p": 1.0, "d": -1.0}),
+    ("power", {"c": -0.5, "p": 0.0, "d": 0.2}),
+    ("power", {"c": 1.5, "p": 3.0, "d": -2.0}),
+    ("log", {"c": -2.0, "d": 0.5}),
+    ("neohooke", {"mu": 2.5}),
+    ("fa", {"a": 0.0, "c": -3.0, "d": 3.0, "n": 3}),
+    ("fa", {"a": 1.0 / 3.0, "c": -1.0, "d": 0.0, "n": 3}),
+    ("fa", {"a": 1.0, "c": -2.0, "d": 1.0, "n": 3}),
+    ("fa", {"a": 0.1, "c": -1.0, "d": 0.5, "n": 5}),
+    ("fa", {"a": 0.2, "c": -1.0, "d": 0.0, "n": 5}),
+    ("fa", {"a": 0.75, "c": -2.0, "d": 1.0, "n": 5}),
 )
 # from underflow of the powers' second factor to overflow
 FAMILY_GRID = np.geomspace(1e-300, 1e300, 601)
 
+# (label, f, the reference's f, points)
 CASES = (
-    [(text, parse(text), CORPUS_GRID) for text in EXPRESSION_CORPUS]
-    + [(text, parse(text), s) for text, s in EDGE_CASES.items()]
-    + [(repr(f), f, FAMILY_GRID) for f in FAMILIES]
+    [(text, parse(text), parse(text), CORPUS_GRID) for text in EXPRESSION_CORPUS]
+    + [(text, parse(text), parse(text), s) for text, s in EDGE_CASES.items()]
+    + [
+        (f"{name}:{params}", family(name, **params), (name, params), FAMILY_GRID)
+        for name, params in FAMILIES
+    ]
 )
 
 
@@ -498,14 +504,14 @@ def _outcome(fn, *args):
         return None, type(e)
 
 
-@pytest.mark.parametrize("label,f,s", CASES, ids=[c[0] for c in CASES])
-def test_matches_the_reference(label, f, s):
+@pytest.mark.parametrize("label,f,ref_f,s", CASES, ids=[c[0] for c in CASES])
+def test_matches_the_reference(label, f, ref_f, s):
     arr = eval_jet(f, s)
     failed = np.isnan(arr.v)
     for field in arr:
         assert np.array_equal(np.isnan(field), failed)
     for i, x in enumerate(s.tolist()):
-        ref, ref_error = _outcome(ref_eval_jet, f, x)
+        ref, ref_error = _outcome(ref_eval_jet, ref_f, x)
         new, new_error = _outcome(eval_jet, f, x)
         assert new_error is ref_error, x
         assert failed[i] == (ref_error is not None), x
@@ -592,7 +598,9 @@ def test_grid_pass_matches_the_reference(spec):
     f = cli.parse_function_spec(spec, 3)
     grid = GridSpec(1e-3, 1e3, 20000)
     rep = certifier.certify(f, 3, grid)
-    flags, annotation = ref_certify_grid(f, 3, grid)
+    # a family member against its hand-coded jets
+    fam = cli._family_spec(spec)
+    flags, annotation = ref_certify_grid(f if fam is None else fam, 3, grid)
     assert list(zip(rep.fprime_ok.tolist(), rep.lhs_ok.tolist())) == flags
     failures = [a for a in rep.annotations if a.startswith("domain failure")]
     assert failures == ([] if annotation is None else [annotation])
@@ -831,6 +839,6 @@ def test_a_program_is_compiled_once_per_expression():
     # an equal expression is another object, with a program of its own
     twin = parse("-ln(s)+1e-7*s^2")
     assert twin == f and not hasattr(twin, "_program")
-    family = PowerLaw(c=-1.0, p=0.5)
-    eval_jet(family, 2.0)
-    assert family.expr._program is not None
+    member = family("power", c=-1.0, p=0.5)
+    eval_jet(member, 2.0)
+    assert member._program is not None

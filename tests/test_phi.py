@@ -16,7 +16,7 @@ import pytest
 
 from detconvex import certifier, detcalculus
 from detconvex.certifier import CERTIFIED, GridSpec, certify
-from detconvex.scalarfun import Add, PowerLaw, eval_jet
+from detconvex.scalarfun import Add, eval_jet, family
 
 GRID = GridSpec(1e-2, 1e2, 200)
 CORPUS = [(n, f) for n in (2, 3, 5) for f in detcalculus.builtin_corpus(n)]
@@ -48,7 +48,7 @@ SPEC = (1.0, -1.5, 3)  # xi, eta, n
 
 def constant_phi(xi, eta, n):
     q = (n - 1) / n
-    return PowerLaw(c=eta * xi**q, p=-q)
+    return family("power", c=eta * xi**q, p=-q)
 
 
 class TestConstantPhi:
@@ -80,7 +80,8 @@ FORCED = [(1.0, -1.5, 0.1, 3), (2.0, -0.5, 0.3, 2), (0.5, -2.0, 1.0, 5)]
 def test_forced_closed_form_crosses_zero_at_x_star(xi, eta, eps, n):
     q = (n - 1) / n
     b = eps / (q + 1.0)
-    forced = Add(PowerLaw(c=xi**q * eta - b * xi ** (q + 1.0), p=-q).expr, PowerLaw(c=b, p=1.0).expr)
+    a = xi**q * eta - b * xi ** (q + 1.0)
+    forced = Add(family("power", c=a, p=-q), family("power", c=b, p=1.0))
     x_star = (xi ** (q + 1.0) - (q + 1.0) * xi**q * eta / eps) ** (1.0 / (q + 1.0))
     xs = np.geomspace(1e-2, 1e3, 400)
     jet = eval_jet(forced, xs)

@@ -18,19 +18,16 @@ from detconvex.scalarfun import (
     CurveTable,
     Div,
     Exp,
-    FamilyA,
-    LogFamily,
     Ln,
     Mul,
     Negate,
-    NeoHookeVolumetric,
     Pow,
-    PowerLaw,
     Sqrt,
     Sub,
     Variable,
     eval_jet,
     export_family_curves,
+    family,
     failure_at,
     figure_families,
     parse,
@@ -247,20 +244,20 @@ class TestEvalJet:
         assert jet.d2 == 0.25
 
     def test_linear_power_law(self):
-        jet = eval_jet(PowerLaw(c=1.0, p=1.0, d=0.0), 5.0)
+        jet = eval_jet(family("power", c=1.0, p=1.0, d=0.0), 5.0)
         assert (jet.v, jet.d1, jet.d2) == (5.0, 1.0, 0.0)
 
     def test_family_limiting_branch_jet(self):
-        jet = eval_jet(FamilyA(a=0.0, c=-3.0, d=3.0, n=3), 1.0)
+        jet = eval_jet(family("fa", a=0.0, c=-3.0, d=3.0, n=3), 1.0)
         assert jet.v == 0.0
         assert jet.d1 == -1.0
         assert abs(jet.d2 - 2.0 / 3.0) <= 1e-15
         # cross-check the second derivative against central differences
         h = 1e-5
         fd2 = (
-            eval_jet(FamilyA(a=0.0, c=-3.0, d=3.0, n=3), 1.0 + h).v
+            eval_jet(family("fa", a=0.0, c=-3.0, d=3.0, n=3), 1.0 + h).v
             - 2.0 * jet.v
-            + eval_jet(FamilyA(a=0.0, c=-3.0, d=3.0, n=3), 1.0 - h).v
+            + eval_jet(family("fa", a=0.0, c=-3.0, d=3.0, n=3), 1.0 - h).v
         ) / (h * h)
         assert abs(jet.d2 - fd2) <= 1e-4
 
@@ -387,7 +384,7 @@ class TestEvalJet:
     )
     @settings(max_examples=60, deadline=None)
     def test_power_law_jets_match_central_differences(self, c, p, s):
-        f = PowerLaw(c=c, p=p, d=0.5)
+        f = family("power", c=c, p=p, d=0.5)
         jet = eval_jet(f, s)
         h = 1e-5 * max(1.0, s)
         vp, vm = eval_jet(f, s + h).v, eval_jet(f, s - h).v
@@ -401,15 +398,15 @@ class TestFamilies:
     @pytest.mark.parametrize(
         "f",
         [
-            PowerLaw(c=-1.0, p=0.5, d=0.0),
-            PowerLaw(c=2.0, p=-0.5, d=1.0),
-            LogFamily(c=-2.0, d=0.5),
-            NeoHookeVolumetric(mu=1.5),
-            FamilyA(a=0.0, c=-1.0, d=0.0, n=3),
-            FamilyA(a=1.0 / 3.0, c=-1.0, d=0.0, n=3),
-            FamilyA(a=1.0, c=-2.0, d=1.0, n=3),
+            family("power", c=-1.0, p=0.5, d=0.0),
+            family("power", c=2.0, p=-0.5, d=1.0),
+            family("log", c=-2.0, d=0.5),
+            family("neohooke", mu=1.5),
+            family("fa", a=0.0, c=-1.0, d=0.0, n=3),
+            family("fa", a=1.0 / 3.0, c=-1.0, d=0.0, n=3),
+            family("fa", a=1.0, c=-2.0, d=1.0, n=3),
         ],
-        ids=lambda f: type(f).__name__ + getattr(f, "branch", ""),
+        ids=["power", "power-negative", "log", "neohooke", "fa-power", "fa-log", "fa-inverted"],
     )
     def test_family_jets_match_central_differences(self, f):
         for s in np.geomspace(1e-2, 1e2, 50):
@@ -423,49 +420,75 @@ class TestFamilies:
             assert abs(jet.d2 - fd2) <= 1e-4 * max(1.0, abs(jet.d2))
 
     def test_log_branch_reproduces_neg_ln(self):
-        fam = FamilyA(a=1.0 / 3.0, c=-1.0, d=0.0, n=3)
-        assert fam.branch == "log"
+        fam = family("fa", a=1.0 / 3.0, c=-1.0, d=0.0, n=3)
+        assert fam == family("log", c=-1.0, d=0.0)
         for s in (0.2, 1.0, 9.0):
             assert abs(eval_jet(fam, s).v - (-math.log(s))) <= 1e-15
 
     def test_power_branch_values(self):
-        fam = FamilyA(a=0.0, c=-3.0, d=3.0, n=3)
+        fam = family("fa", a=0.0, c=-3.0, d=3.0, n=3)
         assert eval_jet(fam, 1.0).v == 0.0
         assert eval_jet(fam, 8.0).v == -3.0
 
     def test_inverted_branch_values(self):
-        fam = FamilyA(a=2.0 / 3.0, c=-3.0, d=-3.0, n=3)
-        assert fam.branch == "inverted-power"
+        fam = family("fa", a=2.0 / 3.0, c=-3.0, d=-3.0, n=3)
+        assert fam == family("power", c=3.0, p=1.0 / 3.0 - 2.0 / 3.0, d=-3.0)
         assert abs(eval_jet(fam, 8.0).v - (-1.5)) <= 1e-14
 
     def test_branch_point_tolerance(self):
-        assert FamilyA(a=1.0 / 3.0 + 5e-13, c=-1.0, d=0.0, n=3).branch == "log"
-        assert FamilyA(a=1.0 / 3.0 + 1e-6, c=-1.0, d=0.0, n=3).branch == "inverted-power"
+        a = 1.0 / 3.0 + 5e-13
+        assert family("fa", a=a, c=-1.0, d=0.0, n=3) == family("log", c=-1.0, d=0.0)
+        a = 1.0 / 3.0 + 1e-6
+        inverted = family("power", c=1.0, p=1.0 / 3.0 - a, d=0.0)
+        assert family("fa", a=a, c=-1.0, d=0.0, n=3) == inverted
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
-            FamilyA(a=-0.1, c=-1.0, d=0.0, n=3)
+            family("fa", a=-0.1, c=-1.0, d=0.0, n=3)
         with pytest.raises(ParameterError):
-            FamilyA(a=0.5, c=0.1, d=0.0, n=3)
+            family("fa", a=0.5, c=0.1, d=0.0, n=3)
         with pytest.raises(ParameterError):
-            NeoHookeVolumetric(mu=0.0)
+            family("neohooke", mu=0.0)
+
+    @pytest.mark.parametrize(
+        "name, params, tree",
+        [
+            ("power", {"p": 0.5}, (0.0, -1.0, Pow(Variable(), Constant(0.5)))),
+            ("log", {"c": 2.0, "d": 1.0}, (1.0, 2.0, Ln(Variable()))),
+            ("fa", {"a": 0.0, "n": 4}, (0.0, -1.0, Pow(Variable(), Constant(0.25)))),
+            ("fa", {"a": 0.25, "c": -2.0, "n": 4}, (0.0, -2.0, Ln(Variable()))),
+            ("fa", {"a": 1.0, "c": -2.0, "n": 2}, (0.0, 2.0, Pow(Variable(), Constant(-0.5)))),
+        ],
+    )
+    def test_family_builds_its_tree(self, name, params, tree):
+        # d + c * g, where the defaults fill what is not given: c = -1,
+        # d = 0 and n = 3
+        d, c, g = tree
+        assert family(name, **params) == Add(Constant(d), Mul(Constant(c), g))
+
+    def test_neo_hooke_takes_the_fused_log_rule(self):
+        f = family("neohooke", mu=2.0)
+        assert f == Mul(Constant(-2.0), Ln(Variable()))
+        eval_jet(f, 1.0)
+        ops = f._program[0]
+        assert [kernel.__name__ for kernel, _ in ops] == ["jet_ln"]
 
     def test_neo_hooke_is_scaled_neg_ln(self):
-        f = NeoHookeVolumetric(mu=2.5)
+        f = family("neohooke", mu=2.5)
         jet = eval_jet(f, 3.0)
         assert jet.v == -2.5 * math.log(3.0)
         assert jet.d1 == -2.5 / 3.0
         assert jet.d2 == 2.5 / 9.0
 
     def test_log_family(self):
-        jet = eval_jet(LogFamily(c=-2.0, d=1.0), 2.0)
+        jet = eval_jet(family("log", c=-2.0, d=1.0), 2.0)
         assert jet.v == 1.0 - 2.0 * math.log(2.0)
         assert jet.d1 == -1.0
 
 
 def boundary(c, d, n=3):
     """The boundary antiderivative c s^(1/n) + d, the family member a = 0."""
-    return FamilyA(a=0.0, c=c, d=d, n=n)
+    return family("fa", a=0.0, c=c, d=d, n=n)
 
 
 class TestFLimit:
@@ -483,7 +506,7 @@ class TestFLimit:
             boundary(0.1, 0.0)
 
     def test_annihilates_differential_operator(self):
-        fam = FamilyA(a=0.0, c=-2.0, d=0.7, n=3)
+        fam = family("fa", a=0.0, c=-2.0, d=0.7, n=3)
         for s in np.geomspace(1e-2, 1e2, 30):
             jet = eval_jet(fam, float(s))
             assert abs(jet.d2 + 2.0 / (3.0 * s) * jet.d1) <= 1e-12 * (1.0 + abs(jet.d1))
@@ -491,7 +514,7 @@ class TestFLimit:
     def test_every_member_certifies(self):
         # the whole boundary family composes convexly with det
         for c, d in ((-3.0, 3.0), (-1.0, 0.0), (0.0, 2.0)):
-            rep = certify(FamilyA(a=0.0, c=c, d=d, n=3), 3, GridSpec(1e-3, 1e3, 200))
+            rep = certify(family("fa", a=0.0, c=c, d=d, n=3), 3, GridSpec(1e-3, 1e3, 200))
             assert rep.verdict == CERTIFIED
 
 
@@ -508,16 +531,16 @@ class TestCurveTable:
 
 class TestFigureCurves:
     def test_standard_members_hit_unit_point_with_unit_slope(self):
-        for label, fam in figure_families():
-            jet = eval_jet(fam, 1.0)
+        for label, params in figure_families():
+            jet = eval_jet(family("fa", **params), 1.0)
             assert jet.v == 0.0, label
             assert jet.d1 == -1.0, label
 
     def test_export_includes_extras(self):
-        extra = FamilyA(a=0.9, c=-1.0, d=0.0, n=3)
-        curves = export_family_curves([extra], GridSpec(0.05, 8.0, 50))
+        curves = export_family_curves([{"a": 0.9}], GridSpec(0.05, 8.0, 50))
         assert len(curves) == 5
-        assert curves[-1].params["a"] == 0.9
+        assert curves[-1].params == {"a": 0.9, "c": -1.0, "d": 0.0, "n": 3}
+        assert curves[-1].label == "fa(a=0.9,c=-1.0,d=0.0,n=3)"
 
     def test_export_is_deterministic(self):
         a = [c.to_csv() for c in export_family_curves([], GridSpec(0.05, 8.0, 100))]
@@ -533,9 +556,10 @@ class TestFigureCurves:
     def test_csv_matches_a_per_point_reference(self):
         # one array evaluation per curve writes the bytes of one float
         # evaluation per point
-        extra = FamilyA(a=0.9, c=-1.0, d=0.0, n=3)
+        extra = {"a": 0.9, "c": -1.0, "d": 0.0, "n": 3}
         curves = export_family_curves([extra], GridSpec(0.05, 8.0, 2000))
-        members = [fam for _, fam in figure_families()] + [extra]
+        members = [family("fa", **params) for _, params in figure_families()]
+        members.append(family("fa", **extra))
         assert len(curves) == len(members)
         for curve, fam in zip(curves, members):
             header, rest = curve.to_csv().split("\n", 1)
@@ -546,14 +570,14 @@ class TestFigureCurves:
     def test_failing_point_raises_its_own_error(self):
         # s^(1/3 - 200) overflows at the small end of the range
         with pytest.raises(NonFiniteError, match="overflow"):
-            export_family_curves([FamilyA(a=200.0, c=-1.0, d=0.0, n=3)], GridSpec(1e-3, 8.0, 10))
+            export_family_curves([{"a": 200.0}], GridSpec(1e-3, 8.0, 10))
 
     def test_rejects_bad_range_and_extras(self):
         # the grid checks the range and count
         with pytest.raises(ParameterError):
             export_family_curves([], GridSpec(0.0, 8.0, 10))
-        with pytest.raises(ParameterError):
-            export_family_curves(["not a family"], GridSpec(0.05, 8.0, 10))
+        with pytest.raises(ParameterError, match="unknown parameter 'p' for family 'fa'"):
+            export_family_curves([{"p": 0.5}], GridSpec(0.05, 8.0, 10))
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Value semantics of the package's records.
 
-Expression nodes, the built-in families and ``GridSpec`` are
-immutable values: equal when they have the same class and equal fields,
+Expression nodes, the built-in families' among them, and ``GridSpec``
+are immutable values: equal when they have the same class and equal fields,
 hashable, with a ``Name(field=value, ...)`` repr, positional ``match``
 patterns, and pickle and deepcopy round trips.  The result records are
 pinned by their constructor's field names and order, and refuse
@@ -24,17 +24,15 @@ from detconvex.scalarfun import (
     CurveTable,
     Div,
     Exp,
-    FamilyA,
     Ln,
-    LogFamily,
     Mul,
     Negate,
-    NeoHookeVolumetric,
     Pow,
-    PowerLaw,
     Sqrt,
     Sub,
     Variable,
+    eval_jet,
+    family,
     parse,
 )
 
@@ -55,11 +53,11 @@ NODES = (
     parse("-ln(s)+2*s^0.5/(1-exp(s))"),
 )
 FAMILIES = (
-    PowerLaw(c=1.0, p=2.0),
-    LogFamily(c=-2.0, d=0.5),
-    FamilyA(a=0.5, c=-1.0),
-    FamilyA(a=1.0 / 3.0, c=-1.0, d=2.0, n=3),
-    NeoHookeVolumetric(mu=2.0),
+    family("power", c=1.0, p=2.0),
+    family("log", c=-2.0, d=0.5),
+    family("fa", a=0.5, c=-1.0),
+    family("fa", a=1.0 / 3.0, c=-1.0, d=2.0, n=3),
+    family("neohooke", mu=2.0),
 )
 SPECS = (GridSpec(), GridSpec(0.05, 8.0, 200))
 VALUES = NODES + FAMILIES + SPECS
@@ -70,7 +68,6 @@ class TestEquality:
         assert Add(X, Y) != Sub(X, Y)
         assert Mul(X, Y) != Div(X, Y)
         assert Ln(X) != Exp(X) and Exp(X) != Sqrt(X) and Sqrt(X) != Negate(X)
-        assert PowerLaw(c=-1.0, p=2.0) != LogFamily(c=-1.0, d=2.0)
 
     def test_parsed_trees_equal_with_equal_hashes(self):
         a, b = parse("s+1"), parse("s+1")
@@ -89,9 +86,6 @@ class TestEquality:
         assert named == value
 
     def test_equality_is_by_fields(self):
-        assert PowerLaw(1.0, 2.0) == PowerLaw(c=1.0, p=2.0, d=0.0)
-        assert PowerLaw(1.0, 2.0) != PowerLaw(1.0, 2.0, 1.0)
-        assert FamilyA(a=0.5, c=-1.0) != FamilyA(a=0.5, c=-1.0, n=4)
         assert GridSpec() == GridSpec(1e-3, 1e3, 1000) != GridSpec(count=999)
         assert Constant(1.5) != 1.5 and Variable() != ()
         assert GridSpec() != (1e-3, 1e3, 1000)
@@ -107,10 +101,6 @@ class TestRepr:
     @pytest.mark.parametrize(
         "value, text",
         [
-            (PowerLaw(c=1.0, p=2.0), "PowerLaw(c=1.0, p=2.0, d=0.0)"),
-            (LogFamily(c=-2.0, d=0.5), "LogFamily(c=-2.0, d=0.5)"),
-            (FamilyA(a=0.5, c=-1.0), "FamilyA(a=0.5, c=-1.0, d=0.0, n=3)"),
-            (NeoHookeVolumetric(mu=2), "NeoHookeVolumetric(mu=2)"),
             (GridSpec(), "GridSpec(s_min=0.001, s_max=1000.0, count=1000)"),
             (Variable(), "Variable()"),
             (Sqrt(X), "Sqrt(arg=Variable())"),
@@ -126,10 +116,13 @@ class TestRepr:
     def test_dataclass_style_repr(self, value, text):
         assert repr(value) == text
 
-    def test_cached_expr_stays_out_of_the_repr(self):
-        f = FamilyA(a=0.5, c=-1.0)
-        f.expr
-        assert repr(f) == "FamilyA(a=0.5, c=-1.0, d=0.0, n=3)"
+    def test_compiled_program_stays_out_of_the_repr(self):
+        f = family("fa", a=0.5, c=-1.0)
+        eval_jet(f, 1.0)
+        assert repr(f) == (
+            "Add(left=Constant(value=0.0), right=Mul(left=Constant(value=1.0), right="
+            "Pow(base=Variable(), exponent=Constant(value=-0.16666666666666669))))"
+        )
 
 
 class TestImmutable:
@@ -143,11 +136,11 @@ class TestImmutable:
         with pytest.raises(AttributeError):
             value.extra = 1.0
 
-    def test_cached_expr_cannot_be_assigned(self):
-        f = PowerLaw(c=1.0, p=2.0)
+    def test_compiled_program_cannot_be_assigned(self):
+        f = family("power", c=1.0, p=2.0)
         with pytest.raises(AttributeError):
-            f.expr = Variable()
-        assert f.expr == Add(Constant(0.0), Mul(Constant(1.0), Pow(Variable(), Constant(2.0))))
+            f._program = ()
+        assert f == Add(Constant(0.0), Mul(Constant(1.0), Pow(Variable(), Constant(2.0))))
 
 
 class TestMatch:
@@ -165,10 +158,6 @@ class TestMatch:
             (Ln, ("arg",)),
             (Exp, ("arg",)),
             (Sqrt, ("arg",)),
-            (PowerLaw, ("c", "p", "d")),
-            (LogFamily, ("c", "d")),
-            (FamilyA, ("a", "c", "d", "n")),
-            (NeoHookeVolumetric, ("mu",)),
             (GridSpec, ("s_min", "s_max", "count")),
         ],
     )
@@ -193,19 +182,19 @@ class TestRoundTrips:
             assert type(twin) is type(value)
             assert twin == value and repr(twin) == repr(value)
 
-    @pytest.mark.parametrize("family", FAMILIES, ids=repr)
-    def test_family_with_cached_expr(self, family):
-        expr = family.expr
-        for twin in (pickle.loads(pickle.dumps(family)), copy.deepcopy(family)):
-            assert twin == family and twin.expr == expr
+    @pytest.mark.parametrize("member", FAMILIES, ids=repr)
+    def test_family_with_compiled_program(self, member):
+        jet = eval_jet(member, 2.0)
+        for twin in (pickle.loads(pickle.dumps(member)), copy.deepcopy(member)):
+            assert twin == member and eval_jet(twin, 2.0) == jet
 
 
-# A valid value of every field of the families.
+# A valid value of every parameter of the families.
 FINITE_FIELDS = {
-    PowerLaw: {"c": -1.0, "p": 0.5, "d": 0.0},
-    LogFamily: {"c": -1.0, "d": 0.0},
-    FamilyA: {"a": 0.5, "c": -1.0, "d": 0.0, "n": 3},
-    NeoHookeVolumetric: {"mu": 1.0},
+    "power": {"c": -1.0, "p": 0.5, "d": 0.0},
+    "log": {"c": -1.0, "d": 0.0},
+    "fa": {"a": 0.5, "c": -1.0, "d": 0.0},
+    "neohooke": {"mu": 1.0},
 }
 
 
@@ -213,10 +202,10 @@ class TestValidation:
     @pytest.mark.parametrize(
         "build, message",
         [
-            (lambda: FamilyA(a=-1, c=-1), "family parameter a=-1 must be >= 0"),
-            (lambda: FamilyA(a=1, c=1), "family parameter c=1 must be <= 0"),
-            (lambda: FamilyA(a=1, c=-1, n=0), "dimension n=0 must be >= 1"),
-            (lambda: NeoHookeVolumetric(mu=0), "shear modulus mu=0 must be > 0"),
+            (lambda: family("fa", a=-1, c=-1), "family parameter a=-1 must be >= 0"),
+            (lambda: family("fa", a=1, c=1), "family parameter c=1 must be <= 0"),
+            (lambda: family("fa", a=1, c=-1, n=0), "dimension n=0 must be >= 1"),
+            (lambda: family("neohooke", mu=0), "shear modulus mu=0 must be > 0"),
             (lambda: GridSpec(s_min=0), "s_min=0 must be positive"),
             (
                 lambda: GridSpec(s_max=float("inf")),
@@ -233,23 +222,15 @@ class TestValidation:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=repr)
     @pytest.mark.parametrize(
-        "cls, field",
-        [(cls, field) for cls, fields in FINITE_FIELDS.items() for field in fields],
-        ids=lambda x: x if isinstance(x, str) else x.__name__,
+        "name, field", [(name, field) for name, fields in FINITE_FIELDS.items() for field in fields]
     )
-    def test_non_finite_field_is_refused(self, cls, field, bad):
+    def test_non_finite_field_is_refused(self, name, field, bad):
         # a NaN passed every comparison, and each of these built
-        # (NeoHookeVolumetric(mu=nan) certified as Inconclusive)
-        fields = dict(FINITE_FIELDS[cls], **{field: bad})
+        # (neohooke with mu=nan certified as Inconclusive)
+        fields = dict(FINITE_FIELDS[name], **{field: bad})
         with pytest.raises(ParameterError) as info:
-            cls(**fields)
-        assert str(info.value).endswith(f"{field}={bad} must be finite")
-
-
-class TestFamilyExpr:
-    @pytest.mark.parametrize("family", FAMILIES, ids=repr)
-    def test_expr_is_built_once(self, family):
-        assert family.expr is family.expr
+            family(name, **fields)
+        assert str(info.value) == f"family {name!r} parameter {field}={bad} must be finite"
 
 
 def _records():
