@@ -1,9 +1,9 @@
 """Value semantics of the package's records.
 
-Expression nodes, the built-in families' among them, and ``GridSpec``
-are immutable values: equal when they have the same class and equal fields,
-hashable, with a ``Name(field=value, ...)`` repr, positional ``match``
-patterns, and pickle and deepcopy round trips.  The result records are
+Expression nodes, the trees of family members among them, and
+``GridSpec`` are immutable values: equal when they have the same class
+and equal fields, hashable, with a ``Name(field=value, ...)`` repr,
+positional ``match`` patterns, and pickle and deepcopy round trips.  The result records are
 pinned by their constructor's field names and order, and refuse
 assignment.
 """
