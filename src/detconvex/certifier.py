@@ -350,8 +350,8 @@ def certify(
     order, then the beyond-grid pass's, then the closed form's.  The
     verdict is the one rule at the end: Refuted with a confirmed witness,
     else Inconclusive when either pass fails, a point cut the grid or the
-    closed form (``analytic_convexity``) says not convex.  It does not read the sweep, whose failures no witness
-    confirms yet.
+    closed form (``analytic_convexity``) says not convex.  It does not
+    read the sweep, whose failures no witness confirms yet.
     """
     if n < 1:
         raise ParameterError(f"dimension n={n} must be >= 1")

@@ -102,18 +102,18 @@ def parse_function_spec(spec: str, n: int):
 def _certify(args, **sweep):
     """``certify`` on the flags, with a family spec's notes: the fa family's
     exponent at n != 3 first, the rest of the Neo-Hooke energy last."""
+    name = (_family_spec(args.function) or ("",))[0]
     f = parse_function_spec(args.function, args.dim)
     grid = GridSpec(args.s_min, args.s_max, args.grid_count)
     report = certifier.certify(f, args.dim, grid, args.tol, **sweep)
-    spec = args.function.split(":")[:2]
     notes = list(report.annotations)
-    if spec == ["family", "fa"] and args.dim != 3:
+    if name == "fa" and args.dim != 3:
         notes.insert(
             0,
             f"family exponent uses the dimension-n generalization (n={args.dim}); "
             "the classical statement fixes n=3",
         )
-    if spec == ["family", "neohooke"]:
+    if name == "neohooke":
         notes.append(
             "volumetric part f(s) = -mu*ln(s) certified; the remaining trace "
             "term mu*<C-I,I> is linear in C, hence convex, so the full "
@@ -271,10 +271,11 @@ def _slug(label: str) -> str:
 
 
 def _cmd_curves(args) -> int:
-    if args.function and not args.function.startswith("family:fa:"):
+    fam = args.function and _family_spec(args.function)
+    if args.function and not (fam and fam[0] == "fa"):
         raise ParameterError("curves accepts only family:fa:... extra members")
-    extras = [dict(_family_spec(args.function)[1], n=args.dim)] if args.function else []
-    curves = scalarfun.export_family_curves(extras, GridSpec(args.s_min, args.s_max, args.count))
+    grid = GridSpec(args.s_min, args.s_max, args.count)
+    curves = scalarfun.export_family_curves([fam[1]] if fam else [], grid, args.dim)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for i, curve in enumerate(curves):

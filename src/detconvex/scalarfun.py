@@ -576,7 +576,7 @@ _FAMILIES = {
 }
 
 
-def family(name: str, n: int = 3, **params) -> Expr:
+def family(name: str, n: int = 3, /, **params) -> Expr:
     """The expression of a member of a built-in family, from finite
     parameters or their defaults in ``_FAMILIES``; ParameterError names a
     bad name or parameter.  power is d + c s^p, log d + c ln s, neohooke
@@ -584,7 +584,7 @@ def family(name: str, n: int = 3, **params) -> Expr:
     Neo-Hooke energy) and fa the three-branch family, convex under det by
     design: with a >= 0, c <= 0 and q = 1/n - a, d + c s^q for a < 1/n,
     d + c ln s at a = 1/n (within BRANCH_TOL) and d - c s^q beyond.  Only
-    fa reads n; its classical statement is n = 3.
+    fa reads n, positional like name; its classical statement is n = 3.
     """
     if name not in _FAMILIES:
         raise ParameterError(f"unknown family {name!r}; choose from {sorted(_FAMILIES)}")
@@ -604,6 +604,8 @@ def family(name: str, n: int = 3, **params) -> Expr:
         return Mul(Constant(-params["mu"]), Ln(Variable()))
     if name == "fa":
         a, c = params["a"], params["c"]
+        if not math.isfinite(n):
+            raise ParameterError(f"dimension n={n} must be finite")
         if a < 0:
             raise ParameterError(f"family parameter a={a} must be >= 0")
         if c > 0:
@@ -703,40 +705,37 @@ class CurveTable(Value):
 
 
 def figure_families():
-    """The four standard members shown in the reference figures, as
-    (label, parameters of the fa family at n = 3).
-
-    All pass through (1, 0) with slope -1.
-    """
+    """(label, fa parameters) of the four standard members of the
+    reference figures, at n = 3; all pass through (1, 0) with slope -1."""
     return (
-        ("-ln(s)", {"a": 1.0 / 3.0, "c": -1.0, "d": 0.0, "n": 3}),
-        ("-3*s^(1/3)+3", {"a": 0.0, "c": -3.0, "d": 3.0, "n": 3}),
-        ("-6*s^(1/6)+6", {"a": 1.0 / 6.0, "c": -6.0, "d": 6.0, "n": 3}),
-        ("3*s^(-1/3)-3", {"a": 2.0 / 3.0, "c": -3.0, "d": -3.0, "n": 3}),
+        ("-ln(s)", {"a": 1.0 / 3.0, "c": -1.0, "d": 0.0}),
+        ("-3*s^(1/3)+3", {"a": 0.0, "c": -3.0, "d": 3.0}),
+        ("-6*s^(1/6)+6", {"a": 1.0 / 6.0, "c": -6.0, "d": 6.0}),
+        ("3*s^(-1/3)-3", {"a": 2.0 / 3.0, "c": -3.0, "d": -3.0}),
     )
 
 
-def export_family_curves(extras, grid):
+def export_family_curves(extras, grid, n: int = 3):
     """Curve tables for the standard figure set plus any extra members,
     sampled at the points of ``grid``, a ``certifier.GridSpec``.
 
-    ``extras`` is a sequence of keyword dicts of ``family("fa", ...)``,
-    whose curves follow the four standard ones; a table lists every
-    parameter, defaults included.  Each member's values come from one
-    evaluator call; the first point that fails, in member order, raises
-    its own error.
+    ``extras`` is a sequence of keyword dicts of ``family("fa", n, ...)``,
+    whose curves follow the four standard ones at n = 3; a table lists
+    every parameter, defaults and n included.  Each member's values come
+    from one evaluator call; the first point that fails, in member order,
+    raises its own error.
     """
     ss = grid.points()
-    members = list(figure_families())
+    members = [(label, 3, params) for label, params in figure_families()]
     for extra in extras:
-        p = {**_FAMILIES["fa"], "n": 3, **extra}
-        members.append((f"fa(a={p['a']!r},c={p['c']!r},d={p['d']!r},n={p['n']})", p))
+        p = {**_FAMILIES["fa"], **extra}
+        members.append((f"fa(a={p['a']!r},c={p['c']!r},d={p['d']!r},n={n})", n, p))
     tables = []
-    for label, params in members:
-        f = family("fa", **params)
+    for label, dim, params in members:
+        f = family("fa", dim, **params)
         ys = eval_jet(f, ss).v
         failed = np.isnan(ys)
         if failed.any():
             raise failure_at(f, float(ss[np.argmax(failed)]))
-        tables.append(CurveTable(label, params, ss, ys))
+        tables.append(CurveTable(label, {**params, "n": dim}, ss, ys))
     return tables

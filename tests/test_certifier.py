@@ -48,7 +48,7 @@ class TestDiffIneqLhs:
             assert abs(diff_ineq_lhs(parse("-ln(s)"), s, 3) - 1.0 / (3 * s * s)) <= 1e-15 / s / s
 
     def test_limiting_branch_annihilated(self):
-        f = family("fa", a=0.0, c=-1.0, d=0.0, n=3)
+        f = family("fa", 3, a=0.0, c=-1.0, d=0.0)
         for s in np.geomspace(1e-2, 1e2, 25):
             assert abs(diff_ineq_lhs(f, float(s), 3)) <= 1e-12
 
@@ -755,8 +755,8 @@ CONVEX_BUILTINS = lambda n: [
     family("log", c=-2.0, d=0.5),
     family("power", c=-1.0, p=0.15, d=0.0),
     family("power", c=2.0, p=-1.0, d=0.0),
-    family("fa", a=0.0, c=-1.0, d=0.0, n=n),
-    family("fa", a=1.0, c=-2.0, d=1.0, n=n),
+    family("fa", n, a=0.0, c=-1.0, d=0.0),
+    family("fa", n, a=1.0, c=-2.0, d=1.0),
 ]
 
 NONCONVEX_BUILTINS = lambda n: [

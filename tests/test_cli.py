@@ -485,6 +485,11 @@ class TestUsageErrors:
             (("certify", "-f", "family:fa:a=-1,c=-1,d=0"), "family parameter a=-1.0 must be >= 0"),
             (("certify", "-f", "family:power:p=1,p=0.5"), "family parameter 'p' given twice"),
             (("curves", "-f", "family:fa:a=0.5,a=2"), "family parameter 'a' given twice"),
+            (("certify", "-f", "family:fa:a=0.5,n=5"), "unknown parameter 'n' for family 'fa'"),
+            (("certify", "-f", "family:power:p=1,name=1"),
+             "unknown parameter 'name' for family 'power'"),
+            (("oracle", "-f", "family:power:p=1,n=2"), "unknown parameter 'n' for family 'power'"),
+            (("curves", "-f", "family:fa:a=0.5,n=7"), "unknown parameter 'n' for family 'fa'"),
             (("oracle", "-f", "family:neohooke:mu=0", "--samples", "3"), "shear modulus mu=0.0 must be > 0"),
             (("certify", "-f", "s", "--dim", "65"), "--dim 65 exceeds the limit 64"),
             (("oracle", "--dim", "10", "--samples", "20000"),
@@ -498,6 +503,8 @@ class TestUsageErrors:
             "unparseable", "malformed-spec", "malformed-parameter", "unknown-family",
             "unknown-parameter", "missing-parameter", "non-numeric-parameter",
             "invalid-family-parameter", "repeated-parameter", "repeated-parameter-curves",
+            "dimension-parameter", "name-parameter", "dimension-parameter-oracle",
+            "dimension-parameter-curves",
             "invalid-family-parameter-oracle", "oversized-run",
             "oracle-entry-limit", "negative-samples", "curves-non-fa-extra",
         ],
@@ -821,7 +828,7 @@ class TestCurvesCommand:
     def test_slugs_of_the_figure_set_and_an_extra_member_are_distinct(self):
         # -3*s^(1/3)+3 and 3*s^(-1/3)-3 differ only in their signs, which
         # the slug dropped: both were 3_s_1_3_3
-        extra = {"a": 0.9, "c": -1.0, "d": 0.0, "n": 3}
+        extra = {"a": 0.9, "c": -1.0, "d": 0.0}
         curves = scalarfun.export_family_curves([extra], certifier.GridSpec(0.05, 8.0, 3))
         slugs = [cli._slug(curve.label) for curve in curves]
         assert len(set(slugs)) == len(slugs) == 5

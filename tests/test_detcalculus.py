@@ -86,7 +86,7 @@ class TestGradForm:
 
     def test_matches_first_differences(self):
         c, h = _stacks(list(_samples(3, 40, seed=11)))
-        for f in (NEG_LN, IDENT, family("fa", a=0.5, c=-1.0, d=0.0, n=3)):
+        for f in (NEG_LN, IDENT, family("fa", 3, a=0.5, c=-1.0, d=0.0)):
             forms = directional_forms((f,), c, h)
             bound = 1e-6 * np.maximum(1.0, np.abs(forms.grad))
             assert np.all(np.abs(forms.grad - forms.fd_grad) <= bound)
@@ -109,7 +109,7 @@ class TestHessForm:
         assert _hess(IDENT, c, h) == -4.0
 
     def test_limiting_family_annihilates_extremal_direction(self):
-        f = family("fa", a=0.0, c=-3.0, d=3.0, n=3)
+        f = family("fa", 3, a=0.0, c=-3.0, d=3.0)
         s, k = 2.0, 1.5
         c = _diag(np.full(3, s ** (1.0 / 3.0)))
         h = np.diag(np.full(3, k * s ** (-1.0 / 3.0)))
@@ -118,7 +118,7 @@ class TestHessForm:
         assert abs(forms.fd_hess[0]) <= 1e-4
 
     def test_quadratic_homogeneity(self):
-        f = family("fa", a=0.75, c=-2.0, d=1.0, n=3)
+        f = family("fa", 3, a=0.75, c=-2.0, d=1.0)
         for c, h in _samples(3, 25, seed=21):
             base = _hess(f, c, h)
             for t in (-2.0, 0.5, 3.0):

@@ -200,16 +200,16 @@ def _log_jet(d, c, s):
     return RefJet(d + c * math.log(s), c / s, -c / (s * s))
 
 
-def ref_family_jet(name, params, s):
-    """The hand-coded jets of the member ``family(name, **params)``."""
-    p = {"c": -1.0, "d": 0.0, "n": 3, **params}
+def ref_family_jet(name, n, params, s):
+    """The hand-coded jets of the member ``family(name, n, **params)``."""
+    p = {"c": -1.0, "d": 0.0, **params}
     if name == "power":
         return _power_jet(p["d"], p["c"], p["p"], s)
     if name == "log":
         return _log_jet(p["d"], p["c"], s)
     if name == "neohooke":
         return RefJet(-p["mu"] * math.log(s), -p["mu"] / s, p["mu"] / (s * s))
-    a, inv_n = p["a"], 1.0 / p["n"]
+    a, inv_n = p["a"], 1.0 / n
     if abs(a - inv_n) <= BRANCH_TOL:
         return _log_jet(p["d"], p["c"], s)
     coeff = p["c"] if a < inv_n else -p["c"]
@@ -217,7 +217,7 @@ def ref_family_jet(name, params, s):
 
 
 def ref_eval_jet(f, s: float) -> RefJet:
-    """The jet of an expression f, or of the family member f = (name,
+    """The jet of an expression f, or of the family member f = (name, n,
     params) by its hand-coded jet."""
     if not (s > 0.0) or not math.isfinite(s):
         raise DomainError(f"scalar functions are defined for s > 0, got s={s}")
@@ -467,21 +467,21 @@ EDGE_CASES = {
 # beyond the corpus's own range, into overflow of 2^s, s^(s/100), exp(s)
 CORPUS_GRID = np.concatenate([np.geomspace(1e-3, 1e3, 401), np.geomspace(1e3, 1e5, 41)[1:]])
 
-# (name, parameters) of family members
+# (name, dimension, parameters) of family members
 FAMILIES = (
-    ("power", {"c": -1.0, "p": 0.5}),
-    ("power", {"c": 2.0, "p": -0.5, "d": 1.0}),
-    ("power", {"c": 1.0, "p": 1.0, "d": -1.0}),
-    ("power", {"c": -0.5, "p": 0.0, "d": 0.2}),
-    ("power", {"c": 1.5, "p": 3.0, "d": -2.0}),
-    ("log", {"c": -2.0, "d": 0.5}),
-    ("neohooke", {"mu": 2.5}),
-    ("fa", {"a": 0.0, "c": -3.0, "d": 3.0, "n": 3}),
-    ("fa", {"a": 1.0 / 3.0, "c": -1.0, "d": 0.0, "n": 3}),
-    ("fa", {"a": 1.0, "c": -2.0, "d": 1.0, "n": 3}),
-    ("fa", {"a": 0.1, "c": -1.0, "d": 0.5, "n": 5}),
-    ("fa", {"a": 0.2, "c": -1.0, "d": 0.0, "n": 5}),
-    ("fa", {"a": 0.75, "c": -2.0, "d": 1.0, "n": 5}),
+    ("power", 3, {"c": -1.0, "p": 0.5}),
+    ("power", 3, {"c": 2.0, "p": -0.5, "d": 1.0}),
+    ("power", 3, {"c": 1.0, "p": 1.0, "d": -1.0}),
+    ("power", 3, {"c": -0.5, "p": 0.0, "d": 0.2}),
+    ("power", 3, {"c": 1.5, "p": 3.0, "d": -2.0}),
+    ("log", 3, {"c": -2.0, "d": 0.5}),
+    ("neohooke", 3, {"mu": 2.5}),
+    ("fa", 3, {"a": 0.0, "c": -3.0, "d": 3.0}),
+    ("fa", 3, {"a": 1.0 / 3.0, "c": -1.0, "d": 0.0}),
+    ("fa", 3, {"a": 1.0, "c": -2.0, "d": 1.0}),
+    ("fa", 5, {"a": 0.1, "c": -1.0, "d": 0.5}),
+    ("fa", 5, {"a": 0.2, "c": -1.0, "d": 0.0}),
+    ("fa", 5, {"a": 0.75, "c": -2.0, "d": 1.0}),
 )
 # from underflow of the powers' second factor to overflow
 FAMILY_GRID = np.geomspace(1e-300, 1e300, 601)
@@ -491,8 +491,8 @@ CASES = (
     [(text, parse(text), parse(text), CORPUS_GRID) for text in EXPRESSION_CORPUS]
     + [(text, parse(text), parse(text), s) for text, s in EDGE_CASES.items()]
     + [
-        (f"{name}:{params}", family(name, **params), (name, params), FAMILY_GRID)
-        for name, params in FAMILIES
+        (f"{name}:{n}:{params}", family(name, n, **params), (name, n, params), FAMILY_GRID)
+        for name, n, params in FAMILIES
     ]
 )
 
@@ -600,7 +600,7 @@ def test_grid_pass_matches_the_reference(spec):
     rep = certifier.certify(f, 3, grid)
     # a family member against its hand-coded jets
     fam = cli._family_spec(spec)
-    flags, annotation = ref_certify_grid(f if fam is None else fam, 3, grid)
+    flags, annotation = ref_certify_grid(f if fam is None else (fam[0], 3, fam[1]), 3, grid)
     assert list(zip(rep.fprime_ok.tolist(), rep.lhs_ok.tolist())) == flags
     failures = [a for a in rep.annotations if a.startswith("domain failure")]
     assert failures == ([] if annotation is None else [annotation])

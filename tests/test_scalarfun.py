@@ -248,16 +248,16 @@ class TestEvalJet:
         assert (jet.v, jet.d1, jet.d2) == (5.0, 1.0, 0.0)
 
     def test_family_limiting_branch_jet(self):
-        jet = eval_jet(family("fa", a=0.0, c=-3.0, d=3.0, n=3), 1.0)
+        jet = eval_jet(family("fa", 3, a=0.0, c=-3.0, d=3.0), 1.0)
         assert jet.v == 0.0
         assert jet.d1 == -1.0
         assert abs(jet.d2 - 2.0 / 3.0) <= 1e-15
         # cross-check the second derivative against central differences
         h = 1e-5
         fd2 = (
-            eval_jet(family("fa", a=0.0, c=-3.0, d=3.0, n=3), 1.0 + h).v
+            eval_jet(family("fa", 3, a=0.0, c=-3.0, d=3.0), 1.0 + h).v
             - 2.0 * jet.v
-            + eval_jet(family("fa", a=0.0, c=-3.0, d=3.0, n=3), 1.0 - h).v
+            + eval_jet(family("fa", 3, a=0.0, c=-3.0, d=3.0), 1.0 - h).v
         ) / (h * h)
         assert abs(jet.d2 - fd2) <= 1e-4
 
@@ -402,9 +402,9 @@ class TestFamilies:
             family("power", c=2.0, p=-0.5, d=1.0),
             family("log", c=-2.0, d=0.5),
             family("neohooke", mu=1.5),
-            family("fa", a=0.0, c=-1.0, d=0.0, n=3),
-            family("fa", a=1.0 / 3.0, c=-1.0, d=0.0, n=3),
-            family("fa", a=1.0, c=-2.0, d=1.0, n=3),
+            family("fa", 3, a=0.0, c=-1.0, d=0.0),
+            family("fa", 3, a=1.0 / 3.0, c=-1.0, d=0.0),
+            family("fa", 3, a=1.0, c=-2.0, d=1.0),
         ],
         ids=["power", "power-negative", "log", "neohooke", "fa-power", "fa-log", "fa-inverted"],
     )
@@ -420,51 +420,58 @@ class TestFamilies:
             assert abs(jet.d2 - fd2) <= 1e-4 * max(1.0, abs(jet.d2))
 
     def test_log_branch_reproduces_neg_ln(self):
-        fam = family("fa", a=1.0 / 3.0, c=-1.0, d=0.0, n=3)
+        fam = family("fa", 3, a=1.0 / 3.0, c=-1.0, d=0.0)
         assert fam == family("log", c=-1.0, d=0.0)
         for s in (0.2, 1.0, 9.0):
             assert abs(eval_jet(fam, s).v - (-math.log(s))) <= 1e-15
 
     def test_power_branch_values(self):
-        fam = family("fa", a=0.0, c=-3.0, d=3.0, n=3)
+        fam = family("fa", 3, a=0.0, c=-3.0, d=3.0)
         assert eval_jet(fam, 1.0).v == 0.0
         assert eval_jet(fam, 8.0).v == -3.0
 
     def test_inverted_branch_values(self):
-        fam = family("fa", a=2.0 / 3.0, c=-3.0, d=-3.0, n=3)
+        fam = family("fa", 3, a=2.0 / 3.0, c=-3.0, d=-3.0)
         assert fam == family("power", c=3.0, p=1.0 / 3.0 - 2.0 / 3.0, d=-3.0)
         assert abs(eval_jet(fam, 8.0).v - (-1.5)) <= 1e-14
 
     def test_branch_point_tolerance(self):
         a = 1.0 / 3.0 + 5e-13
-        assert family("fa", a=a, c=-1.0, d=0.0, n=3) == family("log", c=-1.0, d=0.0)
+        assert family("fa", 3, a=a, c=-1.0, d=0.0) == family("log", c=-1.0, d=0.0)
         a = 1.0 / 3.0 + 1e-6
         inverted = family("power", c=1.0, p=1.0 / 3.0 - a, d=0.0)
-        assert family("fa", a=a, c=-1.0, d=0.0, n=3) == inverted
+        assert family("fa", 3, a=a, c=-1.0, d=0.0) == inverted
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
-            family("fa", a=-0.1, c=-1.0, d=0.0, n=3)
+            family("fa", 3, a=-0.1, c=-1.0, d=0.0)
         with pytest.raises(ParameterError):
-            family("fa", a=0.5, c=0.1, d=0.0, n=3)
+            family("fa", 3, a=0.5, c=0.1, d=0.0)
         with pytest.raises(ParameterError):
             family("neohooke", mu=0.0)
 
     @pytest.mark.parametrize(
-        "name, params, tree",
+        "name, n, params, tree",
         [
-            ("power", {"p": 0.5}, (0.0, -1.0, Pow(Variable(), Constant(0.5)))),
-            ("log", {"c": 2.0, "d": 1.0}, (1.0, 2.0, Ln(Variable()))),
-            ("fa", {"a": 0.0, "n": 4}, (0.0, -1.0, Pow(Variable(), Constant(0.25)))),
-            ("fa", {"a": 0.25, "c": -2.0, "n": 4}, (0.0, -2.0, Ln(Variable()))),
-            ("fa", {"a": 1.0, "c": -2.0, "n": 2}, (0.0, 2.0, Pow(Variable(), Constant(-0.5)))),
+            ("power", 3, {"p": 0.5}, (0.0, -1.0, Pow(Variable(), Constant(0.5)))),
+            ("log", 3, {"c": 2.0, "d": 1.0}, (1.0, 2.0, Ln(Variable()))),
+            ("fa", 4, {"a": 0.0}, (0.0, -1.0, Pow(Variable(), Constant(0.25)))),
+            ("fa", 4, {"a": 0.25, "c": -2.0}, (0.0, -2.0, Ln(Variable()))),
+            ("fa", 2, {"a": 1.0, "c": -2.0}, (0.0, 2.0, Pow(Variable(), Constant(-0.5)))),
         ],
     )
-    def test_family_builds_its_tree(self, name, params, tree):
-        # d + c * g, where the defaults fill what is not given: c = -1,
-        # d = 0 and n = 3
+    def test_family_builds_its_tree(self, name, n, params, tree):
+        # d + c * g, where the defaults fill what is not given: c = -1 and
+        # d = 0
         d, c, g = tree
-        assert family(name, **params) == Add(Constant(d), Mul(Constant(c), g))
+        assert family(name, n, **params) == Add(Constant(d), Mul(Constant(c), g))
+
+    @pytest.mark.parametrize("key", ["n", "name"])
+    def test_name_and_dimension_are_not_parameters(self, key):
+        # both are positional, so a parameter of either name reaches the
+        # unknown-parameter check instead of colliding with the argument
+        with pytest.raises(ParameterError, match=f"unknown parameter '{key}' for family 'fa'"):
+            family("fa", 3, a=0.5, **{key: 5.0})
 
     def test_neo_hooke_takes_the_fused_log_rule(self):
         f = family("neohooke", mu=2.0)
@@ -488,7 +495,7 @@ class TestFamilies:
 
 def boundary(c, d, n=3):
     """The boundary antiderivative c s^(1/n) + d, the family member a = 0."""
-    return family("fa", a=0.0, c=c, d=d, n=n)
+    return family("fa", n, a=0.0, c=c, d=d)
 
 
 class TestFLimit:
@@ -506,7 +513,7 @@ class TestFLimit:
             boundary(0.1, 0.0)
 
     def test_annihilates_differential_operator(self):
-        fam = family("fa", a=0.0, c=-2.0, d=0.7, n=3)
+        fam = family("fa", 3, a=0.0, c=-2.0, d=0.7)
         for s in np.geomspace(1e-2, 1e2, 30):
             jet = eval_jet(fam, float(s))
             assert abs(jet.d2 + 2.0 / (3.0 * s) * jet.d1) <= 1e-12 * (1.0 + abs(jet.d1))
@@ -514,7 +521,7 @@ class TestFLimit:
     def test_every_member_certifies(self):
         # the whole boundary family composes convexly with det
         for c, d in ((-3.0, 3.0), (-1.0, 0.0), (0.0, 2.0)):
-            rep = certify(family("fa", a=0.0, c=c, d=d, n=3), 3, GridSpec(1e-3, 1e3, 200))
+            rep = certify(family("fa", 3, a=0.0, c=c, d=d), 3, GridSpec(1e-3, 1e3, 200))
             assert rep.verdict == CERTIFIED
 
 
@@ -542,6 +549,13 @@ class TestFigureCurves:
         assert curves[-1].params == {"a": 0.9, "c": -1.0, "d": 0.0, "n": 3}
         assert curves[-1].label == "fa(a=0.9,c=-1.0,d=0.0,n=3)"
 
+    def test_extras_take_the_given_dimension(self):
+        # the standard members stay at n = 3
+        curves = export_family_curves([{"a": 0.9}], GridSpec(0.05, 8.0, 5), 5)
+        assert [c.params["n"] for c in curves] == [3, 3, 3, 3, 5]
+        assert curves[-1].label == "fa(a=0.9,c=-1.0,d=0.0,n=5)"
+        assert curves[-1].ys.tolist() == eval_jet(family("fa", 5, a=0.9), curves[-1].xs).v.tolist()
+
     def test_export_is_deterministic(self):
         a = [c.to_csv() for c in export_family_curves([], GridSpec(0.05, 8.0, 100))]
         b = [c.to_csv() for c in export_family_curves([], GridSpec(0.05, 8.0, 100))]
@@ -556,7 +570,7 @@ class TestFigureCurves:
     def test_csv_matches_a_per_point_reference(self):
         # one array evaluation per curve writes the bytes of one float
         # evaluation per point
-        extra = {"a": 0.9, "c": -1.0, "d": 0.0, "n": 3}
+        extra = {"a": 0.9, "c": -1.0, "d": 0.0}
         curves = export_family_curves([extra], GridSpec(0.05, 8.0, 2000))
         members = [family("fa", **params) for _, params in figure_families()]
         members.append(family("fa", **extra))
@@ -578,6 +592,9 @@ class TestFigureCurves:
             export_family_curves([], GridSpec(0.0, 8.0, 10))
         with pytest.raises(ParameterError, match="unknown parameter 'p' for family 'fa'"):
             export_family_curves([{"p": 0.5}], GridSpec(0.05, 8.0, 10))
+        # the extras' dimension is an argument, not a key of their own
+        with pytest.raises(ParameterError, match="unknown parameter 'n' for family 'fa'"):
+            export_family_curves([{"a": 0.5, "n": 5}], GridSpec(0.05, 8.0, 10))
 
 
 if __name__ == "__main__":

@@ -56,7 +56,7 @@ FAMILIES = (
     family("power", c=1.0, p=2.0),
     family("log", c=-2.0, d=0.5),
     family("fa", a=0.5, c=-1.0),
-    family("fa", a=1.0 / 3.0, c=-1.0, d=2.0, n=3),
+    family("fa", 3, a=1.0 / 3.0, c=-1.0, d=2.0),
     family("neohooke", mu=2.0),
 )
 SPECS = (GridSpec(), GridSpec(0.05, 8.0, 200))
@@ -204,7 +204,7 @@ class TestValidation:
         [
             (lambda: family("fa", a=-1, c=-1), "family parameter a=-1 must be >= 0"),
             (lambda: family("fa", a=1, c=1), "family parameter c=1 must be <= 0"),
-            (lambda: family("fa", a=1, c=-1, n=0), "dimension n=0 must be >= 1"),
+            (lambda: family("fa", 0, a=1, c=-1), "dimension n=0 must be >= 1"),
             (lambda: family("neohooke", mu=0), "shear modulus mu=0 must be > 0"),
             (lambda: GridSpec(s_min=0), "s_min=0 must be positive"),
             (
@@ -231,6 +231,13 @@ class TestValidation:
         with pytest.raises(ParameterError) as info:
             family(name, **fields)
         assert str(info.value) == f"family {name!r} parameter {field}={bad} must be finite"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=repr)
+    def test_non_finite_dimension_is_refused(self, bad):
+        # n = nan passed the n >= 1 check and built a NaN exponent
+        with pytest.raises(ParameterError) as info:
+            family("fa", bad, a=0.5, c=-1.0)
+        assert str(info.value) == f"dimension n={bad} must be finite"
 
 
 def _records():
