@@ -34,6 +34,7 @@ witnesses and the midpoint sweep.  It loads neither ``detcalculus`` nor
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +42,7 @@ import numpy as np
 from . import scalarfun
 from .errors import NotPositiveDefiniteError, ParameterError
 from .linalg import DEFAULT_LOG_EIG_RANGE, PosDefMatrix
-from .scalarfun import Add, Constant, Jet2, Ln, Mul, Pow, Value, Variable
+from .scalarfun import Add, Constant, Jet2, Ln, Mul, Negate, Pow, Sub, Value, Variable
 
 CERTIFIED = "CertifiedOnGrid"
 REFUTED = "Refuted"
@@ -72,6 +73,10 @@ class GridSpec(Value):
             raise ParameterError(
                 f"s_max={self.s_max} must be finite and exceed s_min={self.s_min}"
             )
+        try:
+            operator.index(self.count)
+        except TypeError:
+            raise ParameterError(f"grid count={self.count!r} must be an integer") from None
         if self.count < 2:
             raise ParameterError(f"grid count={self.count} must be >= 2")
 
@@ -245,21 +250,42 @@ def _grid_witness(f, kind: str, s, candidates, n: int) -> Witness | None:
     return w
 
 
+def _literal(e):
+    """The value of a constant or of a negated one, as text writes a
+    negative constant (``-2`` is Negate(Constant(2.0))); else None."""
+    match e:
+        case Constant(x):
+            return x
+        case Negate(Constant(x)):
+            return -x
+    return None
+
+
 def analytic_convexity(f, n: int) -> tuple | None:
-    """(closed-form verdict, its term c*s^p or c*ln(s)) of the shapes
-    that ``scalarfun.family`` builds; None for any other expression.
+    """(closed-form verdict, its term c*s^p or c*ln(s)) of the term, of
+    d + term or of d - term, whose coefficient is then -c, with c, p and
+    d constants or negated constants: the shapes that ``scalarfun.family``
+    builds, and their spellings in text; None for any other expression.
 
     d + c s^p is convex under det iff c p == 0 or (c p < 0 and p <= 1/n),
     for n >= 2; at n = 1, where g is f itself, iff c p (p-1) >= 0.
-    d + c ln s and c ln s are iff c <= 0.
+    d + c ln s is iff c <= 0.
     """
+    sign, term = 1, f
     match f:
-        case Add(Constant(), Mul(Constant(c), Pow(Variable(), Constant(p)))):
+        case Add(d, right) if _literal(d) is not None:
+            term = right
+        case Sub(d, right) if _literal(d) is not None:
+            sign, term = -1, right
+    match term:
+        case Mul(c, Pow(Variable(), p)) if _literal(c) is not None and _literal(p) is not None:
+            c, p = sign * _literal(c), _literal(p)
             cp = c * p
             if n == 1:
                 return cp * (p - 1.0) >= 0, f"{c!r}*s^{p!r}"
             return cp == 0 or (cp < 0 and p <= 1.0 / n), f"{c!r}*s^{p!r}"
-        case Add(Constant(), Mul(Constant(c), Ln(Variable()))) | Mul(Constant(c), Ln(Variable())):
+        case Mul(c, Ln(Variable())) if _literal(c) is not None:
+            c = sign * _literal(c)
             return c <= 0, f"{c!r}*ln(s)"
     return None
 

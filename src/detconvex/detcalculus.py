@@ -14,8 +14,8 @@ bracket without the leading det C factor.  The inner products come from
 inner products, one Richardson stencil at one step per pair for both
 central differences of t -> f(det(C + tH)) (``_stencil``), whose five
 points per pair, the centre C among them, are factored in one Cholesky
-call for their determinants, and one evaluator call per function over
-the five points of each of its rows.
+call for their determinants, and one ``scalarfun.eval_jets`` call over
+the five points of every pair, each function's program over its rows.
 ``g_hess_form``, ``g_grad_form`` and the fd functions are the arithmetic
 on top.  The oracle runs it on one seeded draw.
 
@@ -163,9 +163,9 @@ def directional_forms(functions, c, h) -> DirectionalForms:
 
     One ``hess_terms`` solve gives both inner products, one ``_stencil``
     the determinants of the centre and of the four points both differences
-    share, and one evaluator call per function f at its rows' five points,
-    with no warning on overflow.  C and H must
-    be finite and equal to their transposes exactly, since a Cholesky
+    share, and one ``scalarfun.eval_jets`` call the jets of every row's f
+    at its five points, with no warning on overflow.  C and H must be
+    finite and equal to their transposes exactly, since a Cholesky
     factor reads only the lower triangle of each stencil matrix
     (ParameterError), and C far enough inside the cone for the step
     (NotPositiveDefiniteError, ``_stencil``).
@@ -182,11 +182,7 @@ def directional_forms(functions, c, h) -> DirectionalForms:
     steps, points = _stencil(c, h)
     s = points[:, 0]
     inner, cross = hess_terms(c, h)
-    v, d1, d2 = jets = np.empty((3,) + points.shape)
-    k = len(functions)
-    for j, f in enumerate(functions[: len(points)]):
-        rows = points[j::k]
-        jets[:, j::k] = np.reshape(scalarfun.eval_jet(f, rows.ravel()), (3,) + rows.shape)
+    v, d1, d2 = scalarfun.eval_jets(functions, points)
     centre = scalarfun.Jet2(v[:, 0], d1[:, 0], d2[:, 0])
     fd_hess, hess_est = fd_second_directional_with_step(v[:, 0], v[:, 1:], steps)
     fd_grad, grad_est = fd_first_directional(v[:, 1:], steps)

@@ -24,7 +24,11 @@ point and the walk goes on, and a point that failed is NaN in all three
 fields of the returned Jet2.  A float is evaluated as a one-point array,
 so it has the bits it has in any array, and raises the first failure in
 walk order, the expression's post-order: DomainError outside the domain,
-NonFiniteError on overflow.
+NonFiniteError on overflow.  ``eval_jets`` is the same evaluator over
+several functions, one per row of a point array in turn: each program
+runs over its rows, with the bits ``eval_jet`` gives them, and the
+functions share one walk, so one domain check, one error state and one
+NaN pass.
 
 The figure curves are members of the fa family sampled on a grid
 (``export_family_curves``), one ``CurveTable`` each, written as CSV.
@@ -76,12 +80,16 @@ class _Walk:
     hold this walk, in a cycle that keeps the arrays alive until the
     cyclic collector runs.  Overflow inside exp and pow is a failure;
     elsewhere an infinity only fails the point if the final jet is not
-    finite.
+    finite.  ``failed`` is shaped like s; one walk may run several
+    programs, each over some rows of s (``eval_jets``), and ``rows``
+    indexes those of the one that runs.
     """
 
     def __init__(self, s):
         self.failed = False
         self.first = None
+        self.shape = s.shape
+        self.rows = ...  # the rows of s that the running program reads
         # two reductions decide a grid, whose points all lie in the domain;
         # NaN fails both
         if not (s.min(initial=_INF) > 0.0 and s.max(initial=0.0) < _INF):
@@ -91,7 +99,9 @@ class _Walk:
     def fail(self, bad, error, template, *values):
         # quicker than bad.any() on the few points of a small call
         if np.count_nonzero(bad):
-            self.failed = self.failed | bad
+            if self.failed is False:
+                self.failed = np.zeros(self.shape, dtype=bool)
+            self.failed[self.rows] |= bad
             if self.first is None:
                 k = np.argmax(bad)
                 at = (float(np.broadcast_to(v, bad.shape).flat[k]) for v in values)
@@ -620,6 +630,22 @@ def family(name: str, n: int = 3, /, **params) -> Expr:
     return Add(Constant(params["d"]), Mul(Constant(params["c"]), g))
 
 
+def _run(f, walk, s) -> list:
+    """The fields of f's jet at the points s, from f's program, compiled
+    on its first run, in ``walk``: rows of one new array that holds them
+    alone, or s itself for the value of f = s."""
+    try:
+        ops, rows, own, consts, result = f._program
+    except AttributeError:
+        _set(f, "_program", _Compiler().compile(f))
+        ops, rows, own, consts, result = f._program
+    # the jet's rows apart from the scratch rows, which the call frees
+    regs = [*np.empty((own,) + s.shape), *np.empty((rows - own,) + s.shape), *consts, s]
+    for kernel, args in ops:
+        kernel(walk, *[regs[i] for i in args])
+    return [regs[i] for i in result]
+
+
 def eval_jet(f, s) -> Jet2:
     """Evaluate f to (f(s), f'(s), f''(s)) at a float s or at each point of
     an array s; s must be positive.
@@ -637,16 +663,7 @@ def eval_jet(f, s) -> Jet2:
     s = np.array(s, dtype=float, ndmin=1, copy=None)
     walk = _Walk(s)
     with np.errstate(all="ignore"):
-        try:
-            ops, rows, own, consts, result = f._program
-        except AttributeError:
-            _set(f, "_program", _Compiler().compile(f))
-            ops, rows, own, consts, result = f._program
-        # the jet's rows apart from the scratch rows, which the call frees
-        regs = [*np.empty((own,) + s.shape), *np.empty((rows - own,) + s.shape), *consts, s]
-        for kernel, args in ops:
-            kernel(walk, *[regs[i] for i in args])
-    jet = Jet2(*(regs[i] for i in result))
+        jet = Jet2(*_run(f, walk, s))
     ok = np.isfinite(jet.v)
     ok &= np.isfinite(jet.d1)
     ok &= np.isfinite(jet.d2)
@@ -667,6 +684,39 @@ def eval_jet(f, s) -> Jet2:
         for x in jet:
             np.copyto(x, np.nan, where=bad)
     return jet
+
+
+def eval_jets(functions, s) -> Jet2:
+    """The jets of several functions at once: row i of the array s (its
+    first axis) takes f = functions[i % len(functions)], and the jet's
+    fields are rows of one new (3,) + s.shape array.
+
+    Each function's program runs, as ``eval_jet``'s does over an array,
+    over a contiguous copy of its rows, so every field has eval_jet's
+    bits, and its jet is copied into its rows of the one array.  The
+    functions share one domain check, one error state and one pass that
+    makes a point NaN in all three fields where it is outside the domain
+    or its function fails there.
+    """
+    if not functions:
+        raise ParameterError("eval_jets needs at least one function")
+    s = np.asarray(s, dtype=float)
+    jet = np.empty((3,) + s.shape)
+    walk = _Walk(s)
+    k = len(functions)
+    with np.errstate(all="ignore"):
+        for j, f in enumerate(functions[: len(s)]):
+            walk.rows = slice(j, None, k)
+            # ufuncs over strided rows run slower than over a copy
+            rows = np.ascontiguousarray(s[walk.rows])
+            for x, field in zip(jet[:, walk.rows], _run(f, walk, rows)):
+                x[...] = field
+    ok = np.isfinite(jet).all(axis=0)
+    if walk.failed is not False:
+        ok &= ~walk.failed
+    if not ok.all():
+        np.copyto(jet, np.nan, where=~ok)
+    return Jet2(*jet)
 
 
 def failure_at(f, s: float) -> DomainError | NonFiniteError:

@@ -243,6 +243,16 @@ class TestGridSpec:
         with pytest.raises(ParameterError):
             GridSpec(**{**dict(s_min=1e-3, s_max=1e3, count=10), **bad})
 
+    @pytest.mark.parametrize("count", [10.0, math.nan, math.inf, "10", None, np.float64(10)])
+    def test_a_count_that_is_not_an_integer_is_refused(self, count):
+        # not numpy's TypeError from points(), later
+        with pytest.raises(ParameterError, match="must be an integer"):
+            GridSpec(1e-3, 1e3, count)
+
+    @pytest.mark.parametrize("count", [np.int64(10), np.int32(10), np.uint8(10)])
+    def test_a_numpy_integer_count_is_taken(self, count):
+        assert GridSpec(1e-3, 1e3, count).points().tobytes() == GridSpec(1e-3, 1e3, 10).points().tobytes()
+
 
 KINDS = (KIND_POSITIVE_FPRIME, KIND_SECOND_ORDER)
 
@@ -799,27 +809,41 @@ class TestVerdictConsistency:
             rep = certify(f, n, SMALL_GRID)
             assert rep.analytic_convex == (rep.verdict == CERTIFIED), (f, n, rep.verdict)
 
-    # -3 in text is Negate(Constant(3.0)), not a constant
+    # a term with no literal coefficient, or one beside other terms, has none
     @pytest.mark.parametrize(
-        "text", ["-ln(s)", "2*s^3", "0.5+2*s^3+s", "ln(s)+1", "0.5+2*ln(s+1)", "0+-3*s^0.25"]
+        "text",
+        ["-ln(s)", "ln(s)", "s^(1/3)", "0.5+2*s^3+s", "ln(s)+1", "0.5+2*ln(s+1)",
+         "s-2*s^3", "2*s^3+1", "s^3*2", "--2*s^3", "2*s^(-(-3))", "(1+1)*s^3"],
     )
     def test_other_shapes_have_no_analytic_verdict(self, text):
         assert analytic_convexity(parse(text), 3) is None
 
     @pytest.mark.parametrize(
-        "text, closed",
+        "text, closed, twin",
         [
-            ("0.5+2*s^3", (False, "2.0*s^3.0")),
-            ("1+2*ln(s)", (False, "2.0*ln(s)")),
-            ("2*ln(s)", (False, "2.0*ln(s)")),
-            ("0*ln(s)", (True, "0.0*ln(s)")),
-            ("2+0*s^5", (True, "0.0*s^5.0")),
+            ("0.5+2*s^3", (False, "2.0*s^3.0"), ("power", dict(c=2.0, p=3.0, d=0.5))),
+            ("1+2*ln(s)", (False, "2.0*ln(s)"), ("log", dict(c=2.0, d=1.0))),
+            ("2*ln(s)", (False, "2.0*ln(s)"), ("log", dict(c=2.0))),
+            ("0*ln(s)", (True, "0.0*ln(s)"), ("log", dict(c=0.0))),
+            ("2+0*s^5", (True, "0.0*s^5.0"), ("power", dict(c=0.0, p=5.0, d=2.0))),
+            # -3 in text is Negate(Constant(3.0)), and d - c*term has
+            # the coefficient -c
+            ("2*s^3", (False, "2.0*s^3.0"), ("power", dict(c=2.0, p=3.0))),
+            ("0+-3*s^0.25", (True, "-3.0*s^0.25"), ("power", dict(c=-3.0, p=0.25))),
+            ("-1e-12*s^0.34", (False, "-1e-12*s^0.34"), ("power", dict(c=-1e-12, p=0.34))),
+            ("1-2*s^3", (False, "-2.0*s^3.0"), ("power", dict(c=-2.0, p=3.0, d=1.0))),
+            ("0.2-0.5*s^-0.5", (False, "-0.5*s^-0.5"), ("power", dict(c=-0.5, p=-0.5, d=0.2))),
+            ("1--2*s^0.25", (False, "2.0*s^0.25"), ("power", dict(c=2.0, p=0.25, d=1.0))),
+            ("-2*ln(s)", (True, "-2.0*ln(s)"), ("log", dict(c=-2.0))),
+            ("-0.5-2*ln(s)", (True, "-2.0*ln(s)"), ("log", dict(c=-2.0, d=-0.5))),
+            ("3--2*ln(s)", (False, "2.0*ln(s)"), ("log", dict(c=2.0, d=3.0))),
         ],
     )
-    def test_parsed_family_shapes_have_their_closed_form(self, text, closed):
-        # the closed form reads the tree, so text that parses to a
-        # family's shape has it too
+    def test_parsed_family_shapes_have_their_closed_form(self, text, closed, twin):
+        # the closed form reads the tree, so text of a family's shape has
+        # the closed form of its family twin
         assert analytic_convexity(parse(text), 3) == closed
+        assert analytic_convexity(family(twin[0], **twin[1]), 3) == closed
 
     @pytest.mark.parametrize("c, p", [(1e-12, 1.0), (1e-12, 1.0 / 3.0), (-1e-12, 0.34)])
     def test_a_closed_form_that_says_not_convex_is_never_certified(self, c, p):

@@ -116,6 +116,25 @@ class TestCertifyCommand:
         assert docs[0] == docs[1] and docs[0]["analytic_convex"] is False
 
     @pytest.mark.parametrize(
+        "spec, text, want",
+        [
+            ("family:power:c=-1e-12,p=0.34", "-1e-12*s^0.34", 2),
+            ("family:power:c=-2,p=3,d=1", "1-2*s^3", 1),
+            ("family:log:c=-2,d=-0.5", "-0.5-2*ln(s)", 0),
+        ],
+    )
+    def test_a_signed_coefficient_has_its_familys_report(self, capsys, spec, text, want):
+        # a negated literal and d - c*term give the family's closed form,
+        # so the reports differ in the source alone
+        (code, out, _), (text_code, text_out, _) = (
+            run(capsys, "certify", "-f", f, "--no-timestamp", "--samples", "20") for f in (spec, text)
+        )
+        assert code == text_code == want
+        docs = [json.loads(out), json.loads(text_out)]
+        assert [d.pop("function_source") for d in docs] == [spec, text]
+        assert docs[0] == docs[1] and docs[0]["analytic_convex"] is (want == 0)
+
+    @pytest.mark.parametrize(
         "spec, dim, first, last",
         [
             # s^(0.2 - 200) and mu/s^2 overflow at the grid's first point

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from detconvex import detcalculus, linalg
 from detconvex.certifier import CERTIFIED, GridSpec, certify
 from detconvex.errors import DomainError, NonFiniteError, ParameterError, ParseError
 from detconvex.scalarfun import (
@@ -26,6 +27,7 @@ from detconvex.scalarfun import (
     Sub,
     Variable,
     eval_jet,
+    eval_jets,
     export_family_curves,
     family,
     failure_at,
@@ -392,6 +394,81 @@ class TestEvalJet:
         fd2 = (vp - 2 * jet.v + vm) / (h * h)
         assert abs(jet.d1 - fd1) <= 1e-6 * max(1.0, abs(jet.d1))
         assert abs(jet.d2 - fd2) <= 1e-4 * max(1.0, abs(jet.d2))
+
+
+def _per_member_jets(functions, s):
+    """The reference: one eval_jet call per function over a flat copy of
+    its rows, reshaped into the jet array, as directional_forms ran it
+    before eval_jets."""
+    jets = np.empty((3,) + s.shape)
+    k = len(functions)
+    for j, f in enumerate(functions[: len(s)]):
+        rows = s[j::k]
+        jets[:, j::k] = np.reshape(eval_jet(f, rows.ravel()), (3,) + rows.shape)
+    return jets
+
+
+def _stencil_points(n, rows, seed=3):
+    c, h = linalg.random_pairs(n, seed, rows)
+    return detcalculus._stencil(c, h)[1]
+
+
+FAILING = ("ln(s-1)", "1/(s-1)", "exp(exp(s))", "sqrt(s-2)")
+# log-spaced points with 1 and 2 among them, where 1/(s-1), ln(s-1) and
+# sqrt(s-2) fail, and points outside the domain in rows 3, 8 and 12
+ODD_POINTS = np.concatenate([np.geomspace(1e-3, 1e3, 95), [1.0, 2.0, 0.0, -1.0, np.nan]])
+ODD_POINTS[[15, 40, 60]] = ODD_POINTS[[97, 98, 99]]
+ODD_POINTS = ODD_POINTS.reshape(20, 5)
+
+
+class TestEvalJets:
+    """One walk over the rows of several functions has the bytes of one
+    eval_jet call per function, NaN rows included."""
+
+    def assert_same_bytes(self, functions, s):
+        got = eval_jets(functions, s)
+        want = _per_member_jets(functions, s)
+        assert np.stack(got).tobytes() == want.tobytes()
+        return got
+
+    @pytest.mark.parametrize("rows", [1, 3, 7, 28])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    def test_the_corpus_at_its_stencil(self, n, rows):
+        # 1 and 3 rows: more functions than rows
+        self.assert_same_bytes(detcalculus.builtin_corpus(n), _stencil_points(n, rows))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    def test_functions_that_fail_on_some_rows(self, n):
+        functions = tuple(parse(text) for text in FAILING) + detcalculus.builtin_corpus(n)
+        for s in (_stencil_points(n, 40), ODD_POINTS, 1e2 * ODD_POINTS):
+            got = self.assert_same_bytes(functions, s)
+            assert np.isnan(got.v).any() and not np.isnan(got.v).all()
+
+    # s^2 is finite outside the domain, and 1/(s-1) then fails at s = 1;
+    # 1e306*ln(s) is finite where its slope overflows
+    @pytest.mark.parametrize(
+        "text", FAILING + ("s", "2", "ln(0-1)+s", "-ln(s)", "s^2", "s^2+1/(s-1)", "1e306*ln(s)")
+    )
+    def test_one_function(self, text):
+        got = self.assert_same_bytes((parse(text),), ODD_POINTS)
+        assert np.isnan(got.v[~(ODD_POINTS > 0)]).all()
+        # a point is NaN in all three fields or in none
+        assert np.array_equal(np.isnan(got.v), np.isnan(got.d1))
+        assert np.array_equal(np.isnan(got.v), np.isnan(got.d2))
+
+    def test_a_function_that_fails_everywhere_marks_its_rows_alone(self):
+        # a constant that fails to fold fails every point of its rows
+        functions = (parse("ln(0-1)+s"), parse("s"), parse("2"), parse("-ln(s)"))
+        s = _stencil_points(3, 9)
+        got = self.assert_same_bytes(functions, s)
+        assert np.isnan(got.v[0::4]).all() and np.isnan(got.d2[4::4]).all()
+        assert not np.isnan(np.stack(got)[:, [1, 2, 3, 5, 6, 7]]).any()
+        # the value of f = s is a copy of its rows of s
+        assert np.array_equal(got.v[1::4], s[1::4])
+
+    def test_no_function_is_refused(self):
+        with pytest.raises(ParameterError):
+            eval_jets((), np.ones((2, 5)))
 
 
 class TestFamilies:
