@@ -82,9 +82,11 @@ class GridSpec(Value):
 
     def points(self) -> np.ndarray:
         """``np.geomspace(s_min, s_max, count)`` bit for bit: its arithmetic
-        for a positive range, without its sign handling and copies."""
+        for a positive range, without its sign handling and copies.  numpy's
+        pow runs about twice as fast with the base as an array, allocated
+        after the exponents so that it is freed first."""
         s = np.linspace(np.log10(self.s_min), np.log10(self.s_max), self.count)
-        np.power(10.0, s, out=s)
+        np.power(np.full(self.count, 10.0), s, out=s)
         s[0], s[-1] = self.s_min, self.s_max
         return s
 

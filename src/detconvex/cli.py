@@ -278,9 +278,9 @@ def _cmd_curves(args) -> int:
     curves = scalarfun.export_family_curves([fam[1]] if fam else [], grid, args.dim)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for i, curve in enumerate(curves):
-        path = outdir / f"curve{i:02d}_{_slug(curve.label)}.csv"
-        path.write_text(curve.to_csv())
+    for i, (label, text) in enumerate(curves):
+        path = outdir / f"curve{i:02d}_{_slug(label)}.csv"
+        path.write_text(text)
         print(path)
     return EXIT_CERTIFIED
 

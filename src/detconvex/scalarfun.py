@@ -31,7 +31,7 @@ functions share one walk, so one domain check, one error state and one
 NaN pass.
 
 The figure curves are members of the fa family sampled on a grid
-(``export_family_curves``), one ``CurveTable`` each, written as CSV.
+(``export_family_curves``), each returned as its CSV text.
 """
 
 from __future__ import annotations
@@ -733,59 +733,44 @@ def failure_at(f, s: float) -> DomainError | NonFiniteError:
 # figure curves
 
 
-class CurveTable(Value):
-    """A sampled curve: the points xs of a GridSpec and the values ys of
-    a family member there."""
-
-    __slots__ = __match_args__ = ("label", "params", "xs", "ys")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(self, label: str, params: dict, xs, ys):
-        super().__init__(label, params, xs, ys)
-
-    def to_csv(self) -> str:
-        def fmt(v):
-            return repr(float(v)) if isinstance(v, (float, np.floating)) else repr(v)
-
-        pieces = ",".join(f"{k}={fmt(v)}" for k, v in self.params.items())
-        lines = [f"# {self.label}" + (f" [{pieces}]" if pieces else ""), "x,y"]
-        lines.extend(f"{float(x)!r},{float(y)!r}" for x, y in zip(self.xs, self.ys))
-        return "\n".join(lines) + "\n"
-
-
-def figure_families():
-    """(label, fa parameters) of the four standard members of the
-    reference figures, at n = 3; all pass through (1, 0) with slope -1."""
-    return (
-        ("-ln(s)", {"a": 1.0 / 3.0, "c": -1.0, "d": 0.0}),
-        ("-3*s^(1/3)+3", {"a": 0.0, "c": -3.0, "d": 3.0}),
-        ("-6*s^(1/6)+6", {"a": 1.0 / 6.0, "c": -6.0, "d": 6.0}),
-        ("3*s^(-1/3)-3", {"a": 2.0 / 3.0, "c": -3.0, "d": -3.0}),
-    )
+# (label, fa parameters) of the four standard members of the reference
+# figures, at n = 3; all pass through (1, 0) with slope -1.
+FIGURE_FAMILIES = (
+    ("-ln(s)", {"a": 1.0 / 3.0, "c": -1.0, "d": 0.0}),
+    ("-3*s^(1/3)+3", {"a": 0.0, "c": -3.0, "d": 3.0}),
+    ("-6*s^(1/6)+6", {"a": 1.0 / 6.0, "c": -6.0, "d": 6.0}),
+    ("3*s^(-1/3)-3", {"a": 2.0 / 3.0, "c": -3.0, "d": -3.0}),
+)
 
 
 def export_family_curves(extras, grid, n: int = 3):
-    """Curve tables for the standard figure set plus any extra members,
+    """(label, CSV text) of the standard figure set plus any extra members,
     sampled at the points of ``grid``, a ``certifier.GridSpec``.
 
     ``extras`` is a sequence of keyword dicts of ``family("fa", n, ...)``,
-    whose curves follow the four standard ones at n = 3; a table lists
-    every parameter, defaults and n included.  Each member's values come
-    from one evaluator call; the first point that fails, in member order,
-    raises its own error.
+    whose curves follow the four standard ones at n = 3.  A text's header
+    is ``# label [k=v,...]`` and lists every parameter, defaults and n
+    included; then come ``x,y`` and one ``repr,repr`` row per point.  Each
+    member's values come from one evaluator call; the first point that
+    fails, in member order, raises its own error.
     """
     ss = grid.points()
-    members = [(label, 3, params) for label, params in figure_families()]
+    xs = ss.tolist()
+    members = [(label, 3, params) for label, params in FIGURE_FAMILIES]
     for extra in extras:
         p = {**_FAMILIES["fa"], **extra}
         members.append((f"fa(a={p['a']!r},c={p['c']!r},d={p['d']!r},n={n})", n, p))
-    tables = []
+    curves = []
     for label, dim, params in members:
         f = family("fa", dim, **params)
         ys = eval_jet(f, ss).v
         failed = np.isnan(ys)
         if failed.any():
             raise failure_at(f, float(ss[np.argmax(failed)]))
-        tables.append(CurveTable(label, {**params, "n": dim}, ss, ys))
-    return tables
+        pieces = ",".join(
+            f"{k}={(float(v) if isinstance(v, (float, np.floating)) else v)!r}"
+            for k, v in {**params, "n": dim}.items()
+        )
+        rows = "".join(f"{x!r},{y!r}\n" for x, y in zip(xs, ys.tolist()))
+        curves.append((label, f"# {label} [{pieces}]\nx,y\n{rows}"))
+    return curves

@@ -227,6 +227,20 @@ class TestGridSpec:
     def test_points_are_geomspace_at_large_counts(self, s_min, s_max, count):
         assert _same_as_geomspace(GridSpec(s_min, s_max, count))
 
+    @given(
+        st.floats(5e-324, 1e-300),
+        st.floats(1e300, np.finfo(float).max),
+        st.integers(2, 20001),
+    )
+    @example(5e-324, np.finfo(float).max, 20001)
+    @example(5e-324, 1e300, 2)
+    @settings(max_examples=100, deadline=None)
+    def test_points_are_geomspace_from_subnormals_to_the_float_limit(self, s_min, s_max, count):
+        # 10 to the rounded log10 of the top float overflows, in geomspace
+        # as in points(); the endpoint is then set to s_max in both
+        with np.errstate(over="ignore"):
+            assert _same_as_geomspace(GridSpec(s_min, s_max, count))
+
     @pytest.mark.parametrize(
         "bad",
         [
@@ -907,6 +921,46 @@ class TestVerdictConsistency:
                         assert np.array_equal(got, ref, equal_nan=True), text
             unswept = certify(f, n, grid, tol, samples=0, seed=seed)
             assert unswept.diagnostics is None and unswept.verdict == rep.verdict, text
+
+
+def _known_unsound(text, n, item, why, samples=0, refuted_by=None):
+    return pytest.param(
+        text, n, samples, refuted_by, id=f"{text}-n{n}",
+        marks=pytest.mark.xfail(strict=True, reason=f"ROADMAP item {item}: {why}"),
+    )
+
+
+class TestKnownUnsoundVerdicts:
+    # Each case is a verdict given today against the package's own or exact
+    # evidence.  The named ROADMAP item flips it, and its marker comes off
+    # with that change.
+    @pytest.mark.parametrize(
+        "text, n, samples, refuted_by",
+        [
+            _known_unsound(
+                "exp(s)", 3, 2, "f' > 0 at the grid points before the overflow cut, which no "
+                "witness search reaches: Inconclusive", refuted_by=KIND_POSITIVE_FPRIME,
+            ),
+            _known_unsound("1e-12*s", 3, 5, "f' = 1e-12 lies under the band's absolute floor"),
+            _known_unsound(
+                "2.4657238866534505e-08*(-ln(s)+1e-7*s^2)+(-38805981.673672505)", 5, 5,
+                "the unscaled f is Refuted; the scale hides its slope failure in the band",
+            ),
+            _known_unsound(
+                "1e-9*s", 3, 27, "its own sweep counts 95 midpoint failures", samples=1000
+            ),
+            _known_unsound(
+                "-1e-09*s^(3/2)-ln(s)", 10, 28,
+                "n s^2 lhs = 1 - 2.1e-8 s^1.5 < 0 for s > 1.3e5, under the band's floor",
+            ),
+        ],
+    )
+    def test_is_not_certified(self, text, n, samples, refuted_by):
+        rep = certify(parse(text), n, samples=samples, seed=42)
+        assert rep.verdict != CERTIFIED
+        if refuted_by:
+            assert rep.verdict == REFUTED
+            assert any(w.kind == refuted_by and w.confirmed_by for w in rep.witnesses)
 
 
 # f at n = 1, where g = f: convex iff f'' >= 0.  Each spec evaluates f with

@@ -849,7 +849,7 @@ class TestCurvesCommand:
         # the slug dropped: both were 3_s_1_3_3
         extra = {"a": 0.9, "c": -1.0, "d": 0.0}
         curves = scalarfun.export_family_curves([extra], certifier.GridSpec(0.05, 8.0, 3))
-        slugs = [cli._slug(curve.label) for curve in curves]
+        slugs = [cli._slug(label) for label, _ in curves]
         assert len(set(slugs)) == len(slugs) == 5
         assert slugs[1] == "m_3_s_1_3_p_3" and slugs[3] == "3_s_m_1_3_m_3"
 

@@ -13,10 +13,10 @@ from detconvex import detcalculus, linalg
 from detconvex.certifier import CERTIFIED, GridSpec, certify
 from detconvex.errors import DomainError, NonFiniteError, ParameterError, ParseError
 from detconvex.scalarfun import (
+    FIGURE_FAMILIES,
     MAX_DEPTH,
     Add,
     Constant,
-    CurveTable,
     Div,
     Exp,
     Ln,
@@ -31,7 +31,6 @@ from detconvex.scalarfun import (
     export_family_curves,
     family,
     failure_at,
-    figure_families,
     parse,
 )
 
@@ -602,61 +601,69 @@ class TestFLimit:
             assert rep.verdict == CERTIFIED
 
 
-class TestCurveTable:
-    def test_csv_shape(self):
-        t = CurveTable("demo", {"a": 0.5}, np.array([1.0, 2.0]), np.array([0.5, 0.25]))
-        lines = t.to_csv().splitlines()
-        assert lines[0].startswith("# demo")
-        assert "a=0.5" in lines[0]
-        assert lines[1] == "x,y"
-        assert lines[2] == "1.0,0.5"
-        assert len(lines) == 4
+def _rows(text):
+    """The (x, y) floats of a curve's CSV text, below its two header lines."""
+    return [tuple(map(float, row.split(","))) for row in text.splitlines()[2:]]
 
 
 class TestFigureCurves:
     def test_standard_members_hit_unit_point_with_unit_slope(self):
-        for label, params in figure_families():
+        for label, params in FIGURE_FAMILIES:
             jet = eval_jet(family("fa", **params), 1.0)
             assert jet.v == 0.0, label
             assert jet.d1 == -1.0, label
 
+    def test_csv_shape(self):
+        label, text = export_family_curves([], GridSpec(1.0, 8.0, 2))[0]
+        assert label == "-ln(s)"
+        assert text.splitlines() == [
+            "# -ln(s) [a=0.3333333333333333,c=-1.0,d=0.0,n=3]",
+            "x,y",
+            "1.0,0.0",
+            "8.0,-2.0794415416798357",
+        ]
+        assert text.endswith("\n")
+
     def test_export_includes_extras(self):
         curves = export_family_curves([{"a": 0.9}], GridSpec(0.05, 8.0, 50))
         assert len(curves) == 5
-        assert curves[-1].params == {"a": 0.9, "c": -1.0, "d": 0.0, "n": 3}
-        assert curves[-1].label == "fa(a=0.9,c=-1.0,d=0.0,n=3)"
+        label, text = curves[-1]
+        assert label == "fa(a=0.9,c=-1.0,d=0.0,n=3)"
+        assert text.startswith(f"# {label} [a=0.9,c=-1.0,d=0.0,n=3]\nx,y\n")
 
     def test_extras_take_the_given_dimension(self):
         # the standard members stay at n = 3
-        curves = export_family_curves([{"a": 0.9}], GridSpec(0.05, 8.0, 5), 5)
-        assert [c.params["n"] for c in curves] == [3, 3, 3, 3, 5]
-        assert curves[-1].label == "fa(a=0.9,c=-1.0,d=0.0,n=5)"
-        assert curves[-1].ys.tolist() == eval_jet(family("fa", 5, a=0.9), curves[-1].xs).v.tolist()
+        grid = GridSpec(0.05, 8.0, 5)
+        curves = export_family_curves([{"a": 0.9}], grid, 5)
+        headers = [text.split("\n", 1)[0] for _, text in curves]
+        assert [h[-4:] for h in headers] == ["n=3]", "n=3]", "n=3]", "n=3]", "n=5]"]
+        assert curves[-1][0] == "fa(a=0.9,c=-1.0,d=0.0,n=5)"
+        want = eval_jet(family("fa", 5, a=0.9), grid.points()).v
+        assert _rows(curves[-1][1]) == list(zip(grid.points().tolist(), want.tolist()))
 
     def test_export_is_deterministic(self):
-        a = [c.to_csv() for c in export_family_curves([], GridSpec(0.05, 8.0, 100))]
-        b = [c.to_csv() for c in export_family_curves([], GridSpec(0.05, 8.0, 100))]
+        a = export_family_curves([], GridSpec(0.05, 8.0, 100))
+        b = export_family_curves([], GridSpec(0.05, 8.0, 100))
         assert a == b
 
     def test_inverse_branch_value(self):
         # the inverted-power curve at s=8: 3*8^(-1/3) - 3 = -1.5
-        curves = export_family_curves([], GridSpec(1.0, 8.0, 4))
-        inv = curves[3]
-        assert abs(inv.ys[-1] - (-1.5)) <= 1e-12
+        _, text = export_family_curves([], GridSpec(1.0, 8.0, 4))[3]
+        assert abs(_rows(text)[-1][1] - (-1.5)) <= 1e-12
 
     def test_csv_matches_a_per_point_reference(self):
         # one array evaluation per curve writes the bytes of one float
         # evaluation per point
         extra = {"a": 0.9, "c": -1.0, "d": 0.0}
         curves = export_family_curves([extra], GridSpec(0.05, 8.0, 2000))
-        members = [family("fa", **params) for _, params in figure_families()]
+        members = [family("fa", **params) for _, params in FIGURE_FAMILIES]
         members.append(family("fa", **extra))
         assert len(curves) == len(members)
-        for curve, fam in zip(curves, members):
-            header, rest = curve.to_csv().split("\n", 1)
-            rows = [f"{float(s)!r},{eval_jet(fam, float(s)).v!r}" for s in curve.xs]
+        xs = np.geomspace(0.05, 8.0, 2000).tolist()
+        for (_, text), fam in zip(curves, members):
+            header, rest = text.split("\n", 1)
+            rows = [f"{s!r},{eval_jet(fam, s).v!r}" for s in xs]
             assert rest == "x,y\n" + "\n".join(rows) + "\n"
-            assert curve.xs.tolist() == np.geomspace(0.05, 8.0, 2000).tolist()
 
     def test_failing_point_raises_its_own_error(self):
         # s^(1/3 - 200) overflows at the small end of the range

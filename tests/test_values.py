@@ -21,7 +21,6 @@ from detconvex.errors import ParameterError
 from detconvex.scalarfun import (
     Add,
     Constant,
-    CurveTable,
     Div,
     Exp,
     Ln,
@@ -89,12 +88,6 @@ class TestEquality:
         assert GridSpec() == GridSpec(1e-3, 1e3, 1000) != GridSpec(count=999)
         assert Constant(1.5) != 1.5 and Variable() != ()
         assert GridSpec() != (1e-3, 1e3, 1000)
-
-    def test_curve_table_compares_by_identity(self):
-        table = CurveTable("c", {}, np.array([1.0, 2.0]), np.array([0.0, -1.0]))
-        assert table == table
-        assert table != copy.deepcopy(table)
-        assert hash(table) == hash(table)
 
 
 class TestRepr:
