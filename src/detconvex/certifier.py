@@ -81,13 +81,18 @@ class GridSpec(Value):
             raise ParameterError(f"grid count={self.count} must be >= 2")
 
     def points(self) -> np.ndarray:
-        """``np.geomspace(s_min, s_max, count)`` bit for bit: its arithmetic
-        for a positive range, without its sign handling and copies.  numpy's
-        pow runs about twice as fast with the base as an array, allocated
-        after the exponents so that it is freed first."""
+        """``np.geomspace(s_min, s_max, count)`` bit for bit wherever it is
+        finite: its arithmetic for a positive range, without its sign
+        handling and copies.  numpy's pow runs about twice as fast with the
+        base as an array, allocated after the exponents so that it is freed
+        first.  At the top of the float range 10 to the rounded log10 of
+        s_max overflows, silently; a point that overflowed is s_max."""
         s = np.linspace(np.log10(self.s_min), np.log10(self.s_max), self.count)
-        np.power(np.full(self.count, 10.0), s, out=s)
+        with np.errstate(over="ignore"):
+            np.power(np.full(self.count, 10.0), s, out=s)
         s[0], s[-1] = self.s_min, self.s_max
+        if s[-2] == math.inf:  # the points rise, so any overflow reaches s[-2]
+            np.copyto(s, self.s_max, where=s == math.inf)
         return s
 
 

@@ -14,7 +14,7 @@ bracket without the leading det C factor.  The inner products come from
 inner products, one Richardson stencil at one step per pair for both
 central differences of t -> f(det(C + tH)) (``_stencil``), whose five
 points per pair, the centre C among them, are factored in one Cholesky
-call for their determinants, and one ``scalarfun.eval_jets`` call over
+call for their determinants, and one ``scalarfun.eval_jet`` call over
 the five points of every pair, each function's program over its rows.
 ``g_hess_form``, ``g_grad_form`` and the fd functions are the arithmetic
 on top.  The oracle runs it on one seeded draw.
@@ -163,7 +163,7 @@ def directional_forms(functions, c, h) -> DirectionalForms:
 
     One ``hess_terms`` solve gives both inner products, one ``_stencil``
     the determinants of the centre and of the four points both differences
-    share, and one ``scalarfun.eval_jets`` call the jets of every row's f
+    share, and one ``scalarfun.eval_jet`` call the jets of every row's f
     at its five points, with no warning on overflow.  C and H must be
     finite and equal to their transposes exactly, since a Cholesky
     factor reads only the lower triangle of each stencil matrix
@@ -182,7 +182,7 @@ def directional_forms(functions, c, h) -> DirectionalForms:
     steps, points = _stencil(c, h)
     s = points[:, 0]
     inner, cross = hess_terms(c, h)
-    v, d1, d2 = scalarfun.eval_jets(functions, points)
+    v, d1, d2 = scalarfun.eval_jet(functions, points)
     centre = scalarfun.Jet2(v[:, 0], d1[:, 0], d2[:, 0])
     fd_hess, hess_est = fd_second_directional_with_step(v[:, 0], v[:, 1:], steps)
     fd_grad, grad_est = fd_first_directional(v[:, 1:], steps)

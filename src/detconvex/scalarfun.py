@@ -24,11 +24,10 @@ point and the walk goes on, and a point that failed is NaN in all three
 fields of the returned Jet2.  A float is evaluated as a one-point array,
 so it has the bits it has in any array, and raises the first failure in
 walk order, the expression's post-order: DomainError outside the domain,
-NonFiniteError on overflow.  ``eval_jets`` is the same evaluator over
-several functions, one per row of a point array in turn: each program
-runs over its rows, with the bits ``eval_jet`` gives them, and the
-functions share one walk, so one domain check, one error state and one
-NaN pass.
+NonFiniteError on overflow.  ``eval_jet`` also takes a sequence of
+functions, one per row of a point array in turn: each program runs over
+its rows, with the bits one function gives them, and the functions share
+one walk, so one domain check, one error state and one NaN pass.
 
 The figure curves are members of the fa family sampled on a grid
 (``export_family_curves``), each returned as its CSV text.
@@ -81,8 +80,8 @@ class _Walk:
     cyclic collector runs.  Overflow inside exp and pow is a failure;
     elsewhere an infinity only fails the point if the final jet is not
     finite.  ``failed`` is shaped like s; one walk may run several
-    programs, each over some rows of s (``eval_jets``), and ``rows``
-    indexes those of the one that runs.
+    programs, each over some rows of s (``eval_jet`` over a sequence of
+    functions), and ``rows`` indexes those of the one that runs.
     """
 
     def __init__(self, s):
@@ -651,19 +650,36 @@ def eval_jet(f, s) -> Jet2:
     an array s; s must be positive.
 
     f is an expression, parsed or built by ``family``, compiled on its
-    first evaluation.  An array is NaN in all three fields at a point outside
-    the domain or where evaluation overflows.  A float (or a numpy scalar
-    or 0-d array) is evaluated as a one-point array and raises there:
-    DomainError, or NonFiniteError on overflow.  The fields of an array's
-    jet are rows of one array that holds them alone, shaped like s; a
-    float64 array is read without a copy, so a field may be s itself (the
-    value of f = s is).
+    first evaluation, or a non-empty sequence of k expressions, where row
+    i of s (its first axis) takes f[i % k].  An array is NaN in all three
+    fields at a point outside the domain or where evaluation overflows.
+    A float (or a numpy scalar or 0-d array) is evaluated as a one-point
+    array and raises there: DomainError, or NonFiniteError on overflow.
+    The fields of an array's jet are rows of one array that holds them
+    alone, shaped like s.  One expression reads a float64 array without a
+    copy, so a field may be s itself (the value of f = s is).  Each of a
+    sequence's programs runs over a contiguous copy of its rows, so every
+    field has the bits one expression gives it, and its jet is written
+    into its rows of one new array; the sequence shares one walk, so one
+    domain check, one error state and one NaN pass.
     """
     point = not isinstance(s, np.ndarray) or s.ndim == 0
     s = np.array(s, dtype=float, ndmin=1, copy=None)
+    one = isinstance(f, Expr)
+    if not one and len(f) == 0:
+        raise ParameterError("eval_jet needs at least one function")
     walk = _Walk(s)
     with np.errstate(all="ignore"):
-        jet = Jet2(*_run(f, walk, s))
+        if one:
+            jet = Jet2(*_run(f, walk, s))
+        else:
+            jet = Jet2(*np.empty((3,) + s.shape))
+            for j, fj in enumerate(f[: len(s)]):
+                walk.rows = slice(j, None, len(f))
+                # ufuncs over strided rows run slower than over a copy
+                fields = _run(fj, walk, np.ascontiguousarray(s[walk.rows]))
+                for x, field in zip(jet, fields):
+                    x[walk.rows] = field
     ok = np.isfinite(jet.v)
     ok &= np.isfinite(jet.d1)
     ok &= np.isfinite(jet.d2)
@@ -684,39 +700,6 @@ def eval_jet(f, s) -> Jet2:
         for x in jet:
             np.copyto(x, np.nan, where=bad)
     return jet
-
-
-def eval_jets(functions, s) -> Jet2:
-    """The jets of several functions at once: row i of the array s (its
-    first axis) takes f = functions[i % len(functions)], and the jet's
-    fields are rows of one new (3,) + s.shape array.
-
-    Each function's program runs, as ``eval_jet``'s does over an array,
-    over a contiguous copy of its rows, so every field has eval_jet's
-    bits, and its jet is copied into its rows of the one array.  The
-    functions share one domain check, one error state and one pass that
-    makes a point NaN in all three fields where it is outside the domain
-    or its function fails there.
-    """
-    if not functions:
-        raise ParameterError("eval_jets needs at least one function")
-    s = np.asarray(s, dtype=float)
-    jet = np.empty((3,) + s.shape)
-    walk = _Walk(s)
-    k = len(functions)
-    with np.errstate(all="ignore"):
-        for j, f in enumerate(functions[: len(s)]):
-            walk.rows = slice(j, None, k)
-            # ufuncs over strided rows run slower than over a copy
-            rows = np.ascontiguousarray(s[walk.rows])
-            for x, field in zip(jet[:, walk.rows], _run(f, walk, rows)):
-                x[...] = field
-    ok = np.isfinite(jet).all(axis=0)
-    if walk.failed is not False:
-        ok &= ~walk.failed
-    if not ok.all():
-        np.copyto(jet, np.nan, where=~ok)
-    return Jet2(*jet)
 
 
 def failure_at(f, s: float) -> DomainError | NonFiniteError:

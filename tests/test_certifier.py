@@ -193,7 +193,12 @@ class TestCertify:
 
 
 def _same_as_geomspace(grid):
-    want = np.geomspace(grid.s_min, grid.s_max, grid.count)
+    """points() is geomspace bit for bit wherever geomspace is finite, and
+    s_max at a point where 10 to the rounded log10 of the top float
+    overflows; points() warns of no overflow."""
+    with np.errstate(over="ignore"):
+        want = np.geomspace(grid.s_min, grid.s_max, grid.count)
+    want[np.isinf(want)] = grid.s_max
     got = grid.points()
     return got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -238,8 +243,30 @@ class TestGridSpec:
     def test_points_are_geomspace_from_subnormals_to_the_float_limit(self, s_min, s_max, count):
         # 10 to the rounded log10 of the top float overflows, in geomspace
         # as in points(); the endpoint is then set to s_max in both
-        with np.errstate(over="ignore"):
-            assert _same_as_geomspace(GridSpec(s_min, s_max, count))
+        assert _same_as_geomspace(GridSpec(s_min, s_max, count))
+
+    @given(
+        st.floats(1e308, np.finfo(float).max),
+        st.floats(1e308, np.finfo(float).max),
+        st.integers(2, 2001),
+    )
+    @example(1.7976931348623e308, np.finfo(float).max, 1000)
+    @example(np.nextafter(np.finfo(float).max, 0), np.finfo(float).max, 3)
+    @settings(max_examples=100, deadline=None)
+    def test_points_at_the_top_of_the_float_range_are_finite(self, s_min, s_max, count):
+        assume(s_min < s_max)
+        grid = GridSpec(s_min, s_max, count)
+        assert np.isfinite(grid.points()).all()
+        assert _same_as_geomspace(grid)
+
+    @pytest.mark.parametrize("count", [2, 3, 1000, 20001])
+    def test_a_narrow_grid_at_the_top_lies_in_its_range(self, count):
+        # every interior point of geomspace overflows here
+        grid = GridSpec(1.7976931348623e308, 1.7976931348623157e308, count)
+        s = grid.points()
+        assert np.isfinite(s).all()
+        assert ((grid.s_min <= s) & (s <= grid.s_max)).all()
+        assert s[0] == grid.s_min and s[-1] == grid.s_max
 
     @pytest.mark.parametrize(
         "bad",

@@ -874,6 +874,37 @@ class TestCurvesCommand:
         assert err.startswith("error: non-finite jet")
 
 
+class TestTopOfTheFloatRange:
+    """10 to the rounded log10 of the top float overflows; the grid's points
+    warned there, which under the suite's warnings-as-errors, as under
+    python -W error, was a traceback and exit 1, "refuted"."""
+
+    TOP = "1.7976931348623157e308"
+
+    def test_certify(self, capsys):
+        argv = ("certify", "-f", "-ln(s)", "--s-max", self.TOP, "--samples", "0", "--no-timestamp")
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and "Warning" not in err
+        assert json.loads(out)["grid"]["s_max"] == float(self.TOP)
+
+    def test_certify_on_a_narrow_grid_at_the_top(self, capsys):
+        # its interior points were inf: Inconclusive, "got s=inf"
+        argv = ("--s-min", "1.7976931348623e308", "--s-max", self.TOP, "--samples", "0")
+        code, out, err = run(capsys, "certify", "-f", "-ln(s)", *argv, "--no-timestamp")
+        assert code == 0 and "Warning" not in err
+        assert json.loads(out)["verdict"] == "CertifiedOnGrid"
+
+    def test_witness(self, capsys):
+        code, _, err = run(capsys, "witness", "-f", "s", "--s-max", self.TOP)
+        assert code == 0 and "Warning" not in err
+
+    def test_curves(self, capsys, tmp_path):
+        outdir = tmp_path / "curves"
+        code, _, err = run(capsys, "curves", "--s-max", self.TOP, "--outdir", str(outdir))
+        assert code == 0 and "Warning" not in err
+        assert len(list(outdir.glob("*.csv"))) == 4
+
+
 class TestOracleCommand:
     def test_builtin_sweep(self, capsys):
         code, out, _ = run(capsys, "oracle", "--dim", "2", "--samples", "60")

@@ -631,3 +631,21 @@ class TestStackedOracle:
         res = oracle_sweep(3, 60, seed=3, functions=[partial])
         assert 0 < res.skipped == failed.sum()
         assert np.array_equal(res.samples, np.flatnonzero(~failed))
+
+    @pytest.mark.parametrize("seed", [0, 1, 931])
+    def test_the_oracle_evaluates_in_one_eval_jet_call(self, seed, monkeypatch):
+        # through the module attribute, which a caller may wrap to count or
+        # time the evaluator
+        want = oracle_sweep(10, 28, seed)
+        calls = []
+        evaluate = scalarfun.eval_jet
+
+        def counting(f, s):
+            calls.append(f)
+            return evaluate(f, s)
+
+        monkeypatch.setattr(scalarfun, "eval_jet", counting)
+        got = oracle_sweep(10, 28, seed)
+        assert calls == [builtin_corpus(10)]
+        for name, a, b in zip(want._fields, want, got):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name

@@ -27,7 +27,6 @@ from detconvex.scalarfun import (
     Sub,
     Variable,
     eval_jet,
-    eval_jets,
     export_family_curves,
     family,
     failure_at,
@@ -398,7 +397,7 @@ class TestEvalJet:
 def _per_member_jets(functions, s):
     """The reference: one eval_jet call per function over a flat copy of
     its rows, reshaped into the jet array, as directional_forms ran it
-    before eval_jets."""
+    before it passed eval_jet the sequence."""
     jets = np.empty((3,) + s.shape)
     k = len(functions)
     for j, f in enumerate(functions[: len(s)]):
@@ -418,14 +417,23 @@ FAILING = ("ln(s-1)", "1/(s-1)", "exp(exp(s))", "sqrt(s-2)")
 ODD_POINTS = np.concatenate([np.geomspace(1e-3, 1e3, 95), [1.0, 2.0, 0.0, -1.0, np.nan]])
 ODD_POINTS[[15, 40, 60]] = ODD_POINTS[[97, 98, 99]]
 ODD_POINTS = ODD_POINTS.reshape(20, 5)
+ONE_FUNCTION_TEXTS = FAILING + (
+    "s",
+    "2",
+    "ln(0-1)+s",
+    "-ln(s)",
+    "s^2",
+    "s^2+1/(s-1)",
+    "1e306*ln(s)",
+)
 
 
-class TestEvalJets:
-    """One walk over the rows of several functions has the bytes of one
-    eval_jet call per function, NaN rows included."""
+class TestSequenceOfFunctions:
+    """eval_jet over a sequence of functions, one walk over their rows,
+    has the bytes of one eval_jet call per function, NaN rows included."""
 
     def assert_same_bytes(self, functions, s):
-        got = eval_jets(functions, s)
+        got = eval_jet(functions, s)
         want = _per_member_jets(functions, s)
         assert np.stack(got).tobytes() == want.tobytes()
         return got
@@ -445,15 +453,56 @@ class TestEvalJets:
 
     # s^2 is finite outside the domain, and 1/(s-1) then fails at s = 1;
     # 1e306*ln(s) is finite where its slope overflows
-    @pytest.mark.parametrize(
-        "text", FAILING + ("s", "2", "ln(0-1)+s", "-ln(s)", "s^2", "s^2+1/(s-1)", "1e306*ln(s)")
-    )
+    @pytest.mark.parametrize("text", ONE_FUNCTION_TEXTS)
     def test_one_function(self, text):
         got = self.assert_same_bytes((parse(text),), ODD_POINTS)
         assert np.isnan(got.v[~(ODD_POINTS > 0)]).all()
         # a point is NaN in all three fields or in none
         assert np.array_equal(np.isnan(got.v), np.isnan(got.d1))
         assert np.array_equal(np.isnan(got.v), np.isnan(got.d2))
+
+    @pytest.mark.parametrize("text", ONE_FUNCTION_TEXTS)
+    def test_a_sequence_of_one_is_its_function(self, text):
+        f = parse(text)
+        for s in (ODD_POINTS, ODD_POINTS.ravel(), 1e2 * ODD_POINTS):
+            got, want = eval_jet((f,), s), eval_jet(f, s)
+            assert np.stack(got).tobytes() == np.stack(want).tobytes()
+
+    @pytest.mark.parametrize(
+        "s, text",
+        [
+            (0.0, "s"),
+            (-1.0, "-ln(s)"),
+            (math.nan, "s^2"),
+            (math.inf, "s"),
+            (1.0, "ln(s-1)"),
+            (1.0, "1/(s-1)"),
+            (1e3, "exp(exp(s))"),
+            (1e300, "1e306*ln(s)"),
+            (1.0, "s^2+1/(s-1)"),
+        ],
+    )
+    def test_a_float_takes_the_first_function_and_raises_as_it_does(self, s, text):
+        functions = (parse(text), parse("s"), parse("2"))
+        with pytest.raises((DomainError, NonFiniteError)) as want:
+            eval_jet(functions[0], s)
+        with pytest.raises(want.type) as got:
+            eval_jet(functions, s)
+        assert str(got.value) == str(want.value)
+
+    def test_a_float_is_not_refused_where_only_a_later_function_fails(self):
+        functions = (parse("s^2"), parse("ln(s-1)"))
+        assert eval_jet(functions, 1.0) == eval_jet(functions[0], 1.0) == (1.0, 2.0, 2.0)
+        assert eval_jet(functions, np.float64(1.0)) == eval_jet(functions[0], 1.0)
+
+    def test_the_value_of_s_in_a_sequence_is_a_copy(self):
+        s = _stencil_points(3, 4)
+        before = s.copy()
+        got = eval_jet((parse("s"),), s)
+        assert np.array_equal(got.v, s) and not np.shares_memory(got.v, s)
+        assert np.array_equal(s, before)
+        # the bare expression reads s itself
+        assert eval_jet(parse("s"), s).v is s
 
     def test_a_function_that_fails_everywhere_marks_its_rows_alone(self):
         # a constant that fails to fold fails every point of its rows
@@ -467,7 +516,7 @@ class TestEvalJets:
 
     def test_no_function_is_refused(self):
         with pytest.raises(ParameterError):
-            eval_jets((), np.ones((2, 5)))
+            eval_jet((), np.ones((2, 5)))
 
 
 class TestFamilies:
