@@ -41,7 +41,7 @@ import numpy as np
 
 from . import scalarfun
 from .errors import NotPositiveDefiniteError, ParameterError
-from .linalg import DEFAULT_LOG_EIG_RANGE, PosDefMatrix
+from .linalg import DEFAULT_LOG_EIG_RANGE, PosDefMatrix, dimension
 from .scalarfun import Add, Constant, Jet2, Ln, Mul, Negate, Pow, Sub, Value, Variable
 
 CERTIFIED = "CertifiedOnGrid"
@@ -81,19 +81,18 @@ class GridSpec(Value):
             raise ParameterError(f"grid count={self.count} must be >= 2")
 
     def points(self) -> np.ndarray:
-        """``np.geomspace(s_min, s_max, count)`` bit for bit wherever it is
-        finite: its arithmetic for a positive range, without its sign
-        handling and copies.  numpy's pow runs about twice as fast with the
-        base as an array, allocated after the exponents so that it is freed
-        first.  At the top of the float range 10 to the rounded log10 of
-        s_max overflows, silently; a point that overflowed is s_max."""
+        """``np.geomspace(s_min, s_max, count)`` bit for bit wherever that
+        lies in the range, clipped to it elsewhere: its arithmetic for a
+        positive range, without its sign handling and copies.  numpy's pow
+        runs about twice as fast with the base as an array, allocated after
+        the exponents so that it is freed first.  The rounding of 10 to a
+        log10 can put a point of a narrow range an ulp outside it, and at
+        the top of the float range it overflows, silently, to inf."""
         s = np.linspace(np.log10(self.s_min), np.log10(self.s_max), self.count)
         with np.errstate(over="ignore"):
             np.power(np.full(self.count, 10.0), s, out=s)
         s[0], s[-1] = self.s_min, self.s_max
-        if s[-2] == math.inf:  # the points rise, so any overflow reaches s[-2]
-            np.copyto(s, self.s_max, where=s == math.inf)
-        return s
+        return np.clip(s, self.s_min, self.s_max, out=s)
 
 
 class Witness(NamedTuple):
@@ -168,8 +167,7 @@ def _lhs_from_jet(jet, s, n: int):
 def diff_ineq_lhs(f, s, n: int):
     """f''(s) + ((n-1)/(n*s)) * f'(s) at a float s, or at each point of an
     array s (NaN where f fails to evaluate)."""
-    if n < 1:
-        raise ParameterError(f"dimension n={n} must be >= 1")
+    n = dimension(n)
     return _lhs_from_jet(scalarfun.eval_jet(f, s), s, n)
 
 
@@ -183,8 +181,7 @@ def witness_pair(kind: str, s: float, n: int):
     = u(r(1 + tau)) with u(t) = f(t^n), det(C +- tau H) = det C (1 +- tau)^n
     and the form is r^2 u''(r) = (n s)(n s f''(s) + (n-1) f'(s)).
     """
-    if n < 1:
-        raise ParameterError(f"dimension n={n} must be >= 1")
+    n = dimension(n)
     if kind == KIND_POSITIVE_FPRIME and n < 2:
         raise ParameterError("the slope witness needs n >= 2 (two free diagonal slots)")
     if not (s > 0):
@@ -386,8 +383,7 @@ def certify(
     closed form (``analytic_convexity``) says not convex.  It does not
     read the sweep, whose failures no witness confirms yet.
     """
-    if n < 1:
-        raise ParameterError(f"dimension n={n} must be >= 1")
+    n = dimension(n)
     if samples < 0:
         raise ParameterError(f"samples={samples} must be >= 0")
     # a band of tol + tol*|f'| + tol*|f''| with tol >= 1 swallows violations
@@ -583,8 +579,7 @@ def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleD
     pass's whatever the failures, and no field depends on how the rows
     are split into passes.  A negative seed raises ParameterError.
     """
-    if n < 1:
-        raise ParameterError(f"dimension n={n} must be >= 1")
+    n = dimension(n)
     if num_samples < 1:
         raise ParameterError("num_samples must be >= 1")
     if seed < 0:

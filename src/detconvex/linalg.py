@@ -22,6 +22,7 @@ construction.  All operations are pure functions.
 
 from __future__ import annotations
 
+import operator
 import sys
 from typing import NamedTuple
 
@@ -37,6 +38,18 @@ DEFAULT_LOG_EIG_RANGE = (float(np.log(0.1)), float(np.log(10.0)))
 POSDEF_EIG_FLOOR = 1e-12  # relative to the Frobenius norm
 
 _FLOAT_TINY = sys.float_info.min  # smallest normal float
+
+
+def dimension(n) -> int:
+    """The dimension n as an int; ParameterError unless it is an integer
+    >= 1 (a numpy integer is one)."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ParameterError(f"dimension n={n!r} must be an integer") from None
+    if n < 1:
+        raise ParameterError(f"dimension n={n} must be >= 1")
+    return n
 
 
 def seed_words(seed: int, count: int) -> np.ndarray:
@@ -236,8 +249,7 @@ def random_posdef_stack(n: int, seed: int, count: int) -> tuple:
     triangle mirrored, from row j of each stream's block, so a stack of k
     rows is the first k rows of any longer stack from the same seed.
     """
-    if n < 1:
-        raise ParameterError("dimension must be >= 1")
+    n = dimension(n)
     # the two streams start from the seeded state, so count cannot move either
     bits = np.random.PCG64(int(seed))
     q = np.linalg.qr(np.random.Generator(bits.jumped()).standard_normal((count, n, n)))[0]
@@ -268,8 +280,7 @@ def random_sym(n: int, seed: int, count: int) -> np.ndarray:
     """``count`` symmetric samples as a (count, n, n) stack, entries
     uniform in [-1, 1], from one PCG64 stream seeded with ``seed``: the
     ``sym_build`` of its (count, n(n+1)/2) uniforms."""
-    if n < 1:
-        raise ParameterError("dimension must be >= 1")
+    n = dimension(n)
     return sym_build(_rng(int(seed)).uniform(-1.0, 1.0, size=(count, n * (n + 1) // 2)), n)
 
 

@@ -8,14 +8,15 @@ builds from their parameters.  One evaluator, :func:`eval_jet`,
 returns the (value, f', f'') triple exact up to roundoff by truncated
 second-order Taylor (jet) arithmetic on numpy ufuncs.  An expression is
 compiled once, in one post-order pass that folds its constant
-subexpressions, to a flat program of op kernels that is cached on it.
-The pass fixes each power's rule: the monomial rule for a constant
-exponent, the ops of exp(e ln b) for any other.  A constant
-subexpression whose fold fails stays an op, which fails every point.
-Negation, + and - compile one jet field at a time, and a field over
-constants alone stays a constant: the derivatives of -s and 1 + s take
-no row.  An evaluation runs the program over (rows, points) floats, and
-a row is reused once its one reader has run.  The jet's own rows are one
+subexpressions, to a flat program that is cached on it: numpy calls over
+one register file of rows, s, the walk and constants.  The pass fixes
+each power's rule: the monomial rule for a constant exponent, the ops of
+exp(e ln b) for any other.  A constant subexpression whose fold fails
+stays an op, which fails every point.  Negation, + and - compile to one
+ufunc call per jet field, and a field over constants alone stays a
+constant: the derivatives of -s and 1 + s take no row.  An evaluation
+runs the program over (rows, points) floats, and a row is reused once
+its one reader has run.  The jet's own rows are one
 array and the scratch rows another, which the evaluation frees on
 return, so a caller that keeps the jet keeps its rows alone.
 
@@ -110,26 +111,15 @@ class _Walk:
 # --------------------------------------------------------------------------
 # op kernels
 #
-# A kernel reads its operands' fields, arrays over the points or numpy
-# scalars, and writes its jet to the rows v, d1 and d2 with out= ufuncs in
-# the order of operations of the jet formula, so with its bits.  v is a
-# row of its own; d1 and d2 may be the rows of the same fields of an
-# operand (see _Compiler.op), which a kernel reads before it writes over
-# them.  t, t2, ... are scratch rows.
-
-
-# -a, a + b and a - b apply one ufunc to each field alone: an op per field
-# (see _Compiler.field), whose out may be an operand's row.
-def _negate_field(walk, a, out):
-    np.negative(a, out)
-
-
-def _add_field(walk, a, b, out):
-    np.add(a, b, out)
-
-
-def _sub_field(walk, a, b, out):
-    np.subtract(a, b, out)
+# A compiled program is a list of numpy calls over one register file (see
+# _Compiler).  A kernel jet_* takes the walk first, then its operands'
+# fields, arrays over the points or numpy scalars, and writes its jet to
+# the rows v, d1 and d2 with out= ufuncs in the order of operations of the
+# jet formula, so with its bits.  v is a row of its own; d1 and d2 may be
+# the rows of the same fields of an operand (see _Compiler.op), which a
+# kernel reads before it writes over them.  t, t2, ... are scratch rows.
+# -a, a + b and a - b need no kernel: each of their fields is one call of
+# np.negative, np.add or np.subtract, whose out may be an operand's row.
 
 
 def jet_mul(walk, av, a1, a2, bv, b1, b2, v, d1, d2, t, t2):
@@ -151,9 +141,10 @@ def jet_div(walk, av, a1, a2, bv, b1, b2, v, d1, d2, t):
     np.divide(np.subtract(d2, np.multiply(v, b2, t), d2), bv, d2)  # (a2 - 2 q1 b1 - q b2) / bv
 
 
-def jet_ln(walk, uv, u1, u2, v, d1, d2, t, c=1.0):
-    """c * ln(u); the constant factor enters before the divisions by u, so
-    c * ln(s) has the closed-form slope c/s."""
+def jet_ln(walk, uv, u1, u2, c, v, d1, d2, t):
+    """c * ln(u) for a constant factor c, a numpy scalar (1 for ln(u)); c
+    enters before the divisions by u, so c * ln(s) has the closed-form
+    slope c/s."""
     walk.fail(uv <= 0.0, DomainError, "ln of non-positive value {}", uv)
     np.divide(u1, uv, t)  # r1
     np.divide(np.multiply(c, u2, d2), uv, d2)
@@ -332,10 +323,6 @@ class Sqrt(_Unary):
 # the compiler
 
 
-def _fill(walk, x, out):
-    out[...] = x
-
-
 # node class: kernel, scratch rows, and the operands (offsets into the
 # op's operand registers) whose d1 and d2 rows the jet may take over, when
 # those registers are rows
@@ -346,31 +333,32 @@ _RULES = {
     Exp: (jet_exp, 1, (0,)),
     Sqrt: (jet_sqrt, 1, (0,)),
 }
-# node class: the op of each of its fields
-_FIELDWISE = {Negate: _negate_field, Add: _add_field, Sub: _sub_field}
-_ZERO_REG, _ONE_REG = -2, -3  # the first constants of every program
+# node class: the ufunc of each of its fields
+_FIELDWISE = {Negate: np.negative, Add: np.add, Sub: np.subtract}
+_WALK, _ZERO_REG, _ONE_REG = -2, -3, -4  # the walk and the first constants
 
 
 class _Compiler:
-    """One post-order pass over an expression, to ops (kernel, registers)
-    in walk order.  Register i >= 0 is row i, -1 is s and -2, -3, ... are
-    the constants.  A node's jet is three registers.  -a, a + b and a - b
-    compile field by field: a field over constants alone is a constant,
-    any other writes over an operand's row or to a new row.  Every other
-    node but s and a constant writes v to a new row and d1 and d2 to new
-    rows or to those of an operand.  A node frees its operands' rows,
-    since it is their one reader.  A power's rule is fixed here: a
-    constant exponent takes the monomial rule, any other exponent e the
-    ops of exp(e ln b).  The rows are renumbered at the end so that the
-    result's rows, three, or two for f = s, come before the scratch
-    rows."""
+    """One post-order pass over an expression, to ops (fn, registers) in
+    walk order; an op runs as fn(*registers).  Register i >= 0 is row i,
+    -1 is s, -2 the walk and -3, -4, ... are the constants.  A node's jet
+    is three registers.  -a, a + b and a - b compile field by field, to a
+    ufunc: a field over constants alone is a constant, any other writes
+    over an operand's row or to a new row.  Every other node but s and a
+    constant is a kernel op, which takes the walk first, and writes v to a
+    new row and d1 and d2 to new rows or to those of an operand.  A node
+    frees its operands' rows, since it is their one reader.  A power's
+    rule is fixed here: a constant exponent takes the monomial rule, any
+    other exponent e the ops of exp(e ln b).  The rows are renumbered at
+    the end so that the result's rows, three, or two for f = s, come
+    before the scratch rows."""
 
     def __init__(self):
         self.ops, self.consts, self.free, self.rows = [], [_ZERO, _ONE], [], 0
 
     def const(self, x) -> int:
         self.consts.append(x)
-        return -1 - len(self.consts)
+        return -2 - len(self.consts)
 
     def row(self) -> int:
         if self.free:
@@ -378,27 +366,25 @@ class _Compiler:
         self.rows += 1
         return self.rows - 1
 
-    def field(self, kernel, *ins) -> int:
+    def field(self, ufunc, *ins) -> int:
         """One field of -a, a + b or a - b."""
-        if max(ins) < -1:
-            # over constants alone: a constant, run now on one point
-            out = np.empty(1)
-            kernel(None, *[self.consts[-2 - r] for r in ins], out)
-            return self.const(out[0])
+        if max(ins) < _WALK:
+            # over constants alone: a constant
+            return self.const(ufunc(*[self.consts[-3 - r] for r in ins]))
         rows = [r for r in ins if r >= 0]
         out = rows[0] if rows else self.row()
-        self.ops.append((kernel, (*ins, out)))
+        self.ops.append((ufunc, (*ins, out)))
         self.free += rows[1:]
         return out
 
-    def op(self, kernel, temps, donors, ins, *extra) -> tuple:
-        if max(ins) < -1:
+    def op(self, kernel, temps, donors, ins) -> tuple:
+        if max(ins) < _WALK:
             # over constants alone: run it now, on one point, and keep its
             # jet as constants; one that fails is left to fail every point
             # at run time, in walk order
             out = np.empty((3 + temps, 1))
             walk = _Walk(np.ones(1))
-            kernel(walk, *[self.consts[-2 - r] for r in ins], *out, *extra)
+            kernel(walk, *[self.consts[-3 - r] for r in ins], *out)
             if walk.first is None:
                 return tuple(self.const(x[0]) for x in out[:3])
         v = self.row()
@@ -409,7 +395,7 @@ class _Compiler:
         else:
             d = self.row(), self.row()
         scratch = [self.row() for _ in range(temps)]
-        self.ops.append((kernel, (*ins, v, *d, *scratch, *map(self.const, extra))))
+        self.ops.append((kernel, (_WALK, *ins, v, *d, *scratch)))
         self.free += scratch + [r for r in ins if r >= 0 and r not in d]
         return v, *d
 
@@ -419,37 +405,37 @@ class _Compiler:
             return self.const(np.float64(e.value)), _ZERO_REG, _ZERO_REG
         if kind is Variable:
             return -1, _ONE_REG, _ZERO_REG
-        if kind is Pow:
-            base, expo = self.node(e.base), self.node(e.exponent)
-            if expo[0] < -1:
-                return self.op(jet_pow_const, 2, (0,), base + expo[:1])
-            return self.op(*_RULES[Exp], self.op(*_RULES[Mul], expo + self.op(*_RULES[Ln], base)))
         if kind is Mul and type(e.left) is Constant and type(e.right) is Ln:
-            return self.op(jet_ln, 1, (0,), self.node(e.right.arg), float(e.left.value))
-        if kind in _FIELDWISE:
-            operands = (e.left, e.right) if isinstance(e, _Binary) else (e.arg,)
-            jets = [self.node(a) for a in operands]
-            return tuple(self.field(_FIELDWISE[kind], *regs) for regs in zip(*jets))
-        if kind not in _RULES:
+            # c * ln(u) is one op, whose last operand is c
+            return self.op(*_RULES[Ln], self.node(e.right.arg) + self.node(e.left)[:1])
+        if kind not in _FIELDWISE and kind not in _RULES and kind is not Pow:
             raise TypeError(f"unknown expression node {e!r}")
-        if isinstance(e, _Binary):
-            return self.op(*_RULES[kind], self.node(e.left) + self.node(e.right))
-        return self.op(*_RULES[kind], self.node(e.arg))
+        jets = [self.node(a) for a in e.__reduce__()[1]]  # the operands, in field order
+        if kind in _FIELDWISE:
+            return tuple(self.field(_FIELDWISE[kind], *regs) for regs in zip(*jets))
+        if kind is Pow and jets[1][0] < _WALK:
+            return self.op(jet_pow_const, 2, (0,), jets[0] + jets[1][:1])
+        if kind is Pow:
+            ln = self.op(*_RULES[Ln], jets[0] + (_ONE_REG,))
+            return self.op(*_RULES[Exp], self.op(*_RULES[Mul], jets[1] + ln))
+        if kind is Ln:
+            jets.append((_ONE_REG,))
+        return self.op(*_RULES[kind], sum(jets, ()))
 
     def compile(self, e: Expr) -> tuple:
         """(ops, rows, the jet's rows, constants from the end, the jet's
         registers); the jet's rows are renumbered to come first."""
         result = list(self.node(e))
-        # a constant field fills a row; s stays the caller's array
+        # a constant field is copied to a row; s stays the caller's array
         for i, r in enumerate(result):
-            if r < -1:
+            if r < _WALK:
                 result[i] = self.row()
-                self.ops.append((_fill, (r, result[i])))
+                self.ops.append((np.copyto, (result[i], r)))
         own = [r for r in result if r >= 0]
         order = own + [r for r in range(self.rows) if r not in own]
         new = {r: i for i, r in enumerate(order)}
         rename = lambda regs: tuple(new.get(r, r) for r in regs)
-        ops = tuple((kernel, rename(args)) for kernel, args in self.ops)
+        ops = tuple((fn, rename(args)) for fn, args in self.ops)
         return ops, self.rows, len(own), tuple(reversed(self.consts)), rename(result)
 
 
@@ -639,9 +625,9 @@ def _run(f, walk, s) -> list:
         _set(f, "_program", _Compiler().compile(f))
         ops, rows, own, consts, result = f._program
     # the jet's rows apart from the scratch rows, which the call frees
-    regs = [*np.empty((own,) + s.shape), *np.empty((rows - own,) + s.shape), *consts, s]
-    for kernel, args in ops:
-        kernel(walk, *[regs[i] for i in args])
+    regs = [*np.empty((own,) + s.shape), *np.empty((rows - own,) + s.shape), *consts, walk, s]
+    for fn, args in ops:
+        fn(*[regs[i] for i in args])
     return [regs[i] for i in result]
 
 

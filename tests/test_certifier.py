@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -193,14 +194,27 @@ class TestCertify:
 
 
 def _same_as_geomspace(grid):
-    """points() is geomspace bit for bit wherever geomspace is finite, and
-    s_max at a point where 10 to the rounded log10 of the top float
+    """points() is geomspace bit for bit wherever geomspace lies in the
+    range, and geomspace clipped to the range elsewhere: an ulp outside a
+    narrow range, or inf where 10 to the rounded log10 of the top float
     overflows; points() warns of no overflow."""
     with np.errstate(over="ignore"):
         want = np.geomspace(grid.s_min, grid.s_max, grid.count)
-    want[np.isinf(want)] = grid.s_max
+    np.clip(want, grid.s_min, grid.s_max, out=want)
     got = grid.points()
     return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _narrow_range(draw):
+    """(s_min, s_max) a relative 1e-15 to 1e-8 apart, anywhere in
+    [1e-300, 1e300] or at the top of the float range."""
+    width = 1.0 + draw(st.floats(1e-15, 1e-8))
+    if draw(st.booleans()):
+        s_max = draw(st.floats(1e308, np.finfo(float).max))
+        return s_max / width, s_max
+    s_min = 10.0 ** draw(st.floats(-300.0, 300.0))
+    return s_min, s_min * width
 
 
 class TestGridSpec:
@@ -267,6 +281,17 @@ class TestGridSpec:
         assert np.isfinite(s).all()
         assert ((grid.s_min <= s) & (s <= grid.s_max)).all()
         assert s[0] == grid.s_min and s[-1] == grid.s_max
+
+    @given(_narrow_range(), st.integers(2, 1000))
+    # the rounding of 10 to a log10 put a point below s_min in both
+    @example((10.000000000000002, 10.000000000000004), 3)
+    @example((1.7976931348e308, 1.79769313486e308), 1000)
+    @settings(max_examples=200, deadline=None)
+    def test_a_narrow_grid_lies_in_its_range(self, limits, count):
+        grid = GridSpec(*limits, count)
+        s = grid.points()
+        assert ((grid.s_min <= s) & (s <= grid.s_max)).all()
+        assert _same_as_geomspace(grid)
 
     @pytest.mark.parametrize(
         "bad",
@@ -1125,6 +1150,31 @@ def test_each_check_raises_its_one_error_class(check):
     assert type(exc.value) is error
     if error is ParseError:
         assert exc.value.offset == 0
+
+
+# a dimension is an integer: where n was only compared, n = 2.5 certified
+# and NaN gave a NaN lhs, and elsewhere numpy raised TypeError or ValueError
+NEEDS_AN_INTEGER_DIMENSION = {
+    "certify": lambda n: certify(parse("-ln(s)"), n),
+    "sample_convexity": lambda n: sample_convexity(parse("s"), n, 10, 1),
+    "witness_pair": lambda n: certifier.witness_pair(KIND_SECOND_ORDER, 2.0, n),
+    "diff_ineq_lhs": lambda n: diff_ineq_lhs(parse("-ln(s)"), 1.0, n),
+    "oracle_sweep": lambda n: detcalculus.oracle_sweep(n, 3, 0),
+}
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, math.nan, "3"])
+@pytest.mark.parametrize("check", NEEDS_AN_INTEGER_DIMENSION)
+def test_a_dimension_is_an_integer(check, n):
+    with pytest.raises(ParameterError, match=re.escape(f"dimension n={n!r} must be an integer")) as exc:
+        NEEDS_AN_INTEGER_DIMENSION[check](n)
+    assert type(exc.value) is ParameterError
+
+
+def test_a_numpy_integer_dimension_is_taken():
+    rep = certify(parse("-ln(s)"), np.int64(3), GridSpec(1e-2, 1e2, 50))
+    assert rep.verdict == CERTIFIED and type(rep.n) is int
+    assert np.array_equal(diff_ineq_lhs(parse("s"), rep.s, np.int64(3)), diff_ineq_lhs(parse("s"), rep.s, 3))
 
 
 class TestScalarReduction:

@@ -384,6 +384,15 @@ for name in ("certify_sweep", "certify_grid"):
         assert out == ""
         assert json.loads(target.read_text())["verdict"] == "CertifiedOnGrid"
 
+    def test_a_narrow_grid_stays_in_its_range(self, capsys):
+        # every s in the range is in the domain of -ln(s-10); the rounding
+        # of 10 to a log10 put the middle point at 10.0, below s_min:
+        # Inconclusive, "ln of non-positive value 0.0"
+        argv = ("--s-min", "10.000000000000002", "--s-max", "10.000000000000004", "--grid-count", "3")
+        code, out, err = run(capsys, "certify", "-f", "-ln(s-10)", *argv, "--samples", "0", "--no-timestamp")
+        assert code == 0 and err == "verdict: CertifiedOnGrid\n"
+        assert json.loads(out)["annotations"] == []
+
 
 class TestRepeatedCalls:
     """main() builds its parser once per process and reuses it; no call
@@ -466,6 +475,11 @@ class TestUsageErrors:
 
     def test_bad_numeric_argument(self, capsys):
         assert run(capsys, "certify", "-f", "s", "--dim", "three")[0] == 3
+
+    def test_an_oracle_dimension_below_one_names_n(self, capsys):
+        # as certify's does; it read "dimension must be >= 1"
+        code, out, err = run(capsys, "oracle", "--dim", "0")
+        assert (code, out, err) == (3, "", "error: dimension n=0 must be >= 1\n")
 
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 3

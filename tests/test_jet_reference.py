@@ -732,6 +732,22 @@ def test_a_constant_field_takes_no_row(text, rows):
     assert f._program[1] == rows
 
 
+@pytest.mark.parametrize(
+    "text, fieldwise",
+    [("1-(s-2)", {np.subtract, np.copyto}), ("-s*ln(s)+s^2/(1+s)", {np.negative, np.add})],
+)
+def test_a_programs_field_ops_are_numpys_own_ufuncs(text, fieldwise):
+    # an op runs as fn(*registers): -a, a + b and a - b as numpy's ufunc on
+    # each field and a constant result field as np.copyto, while a jet_*
+    # kernel takes register -2, the walk, first
+    f = parse(text)
+    eval_jet(f, np.ones(2))
+    ops = f._program[0]
+    assert {fn for fn, _ in ops if not fn.__name__.startswith("jet_")} == fieldwise
+    for fn, args in ops:
+        assert (args[0] == -2) == (-2 in args) == fn.__name__.startswith("jet_"), (fn, args)
+
+
 VARYING_POWERS = (
     ("s^s", "exp(s*ln(s))"),
     ("2^s", "exp(s*ln(2))"),
