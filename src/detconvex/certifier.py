@@ -236,24 +236,6 @@ def _confirmed_witness(f, kind: str, s: float, n: int) -> Witness | None:
     return w if w.confirmed else None
 
 
-def _grid_witness(f, kind: str, s, candidates, n: int) -> Witness | None:
-    """The confirmed pair for ``kind`` at the first point of ``s`` that
-    the mask ``candidates`` marks or, unless its gap confirms it, at the
-    marked point nearest s = 1 in log s; a gap beats the jet, and the
-    first point a tie.  None when neither confirms.  The form can round
-    to zero at an extreme s: -s^2/(s+1)^2 of ln(s+1) at n = 1 does at
-    s = 1e-300, and the pair on GridSpec(1e-300, 1e300, 2000) confirms at
-    s = 0.708."""
-    first = int(np.argmax(candidates))
-    w = _confirmed_witness(f, kind, float(s[first]), n)
-    if w is None or w.confirmed_by != BY_GAP:
-        nearest = int(np.argmin(np.where(candidates, np.abs(np.log(s)), np.inf)))
-        retry = _confirmed_witness(f, kind, float(s[nearest]), n) if nearest != first else None
-        if retry is not None and (w is None or retry.confirmed_by == BY_GAP):
-            w = retry
-    return w
-
-
 def _literal(e):
     """The value of a constant or of a negated one, as text writes a
     negative constant (``-2`` is Negate(Constant(2.0))); else None."""
@@ -364,9 +346,12 @@ def certify(
     The tolerance band is ``condition_flags``'s, with 0 < tol < 1.  Any
     violation triggers witness construction at the first violating point
     of its kind and, unless its gap confirms that pair, at the violating
-    point of that kind nearest s = 1 (``_grid_witness``); Refuted
-    requires a confirmed witness.  Scalar domain failures annotate the
-    report and force Inconclusive.
+    point of that kind nearest s = 1 in log s; a gap beats the jet, and
+    the first point a tie.  The retry is there because the form can
+    round to zero at an extreme s: -s^2/(s+1)^2 of ln(s+1) at n = 1 does
+    at s = 1e-300, and on GridSpec(1e-300, 1e300, 2000) the pair confirms
+    at s = 0.708.  Refuted requires a confirmed witness.  Scalar domain
+    failures annotate the report and force Inconclusive.
 
     Without a domain failure, the ``beyond_grid`` pass checks both
     conditions outside the grid, and a kind of violation it finds is
@@ -409,27 +394,31 @@ def certify(
     lhs, band, fprime_ok, lhs_ok = condition_flags(jet, s, n, tol)
 
     # a domain failure is reported with the columns before it, unsearched
-    if domain_failure:
-        fprime_bad = lhs_bad = np.zeros(cut, dtype=bool)
-    else:
-        fprime_bad, lhs_bad = ~fprime_ok, ~lhs_ok
     beyond = None if domain_failure else beyond_grid(f, n, grid, tol)
-    passes = [("", s, fprime_bad, lhs_bad)]
+    passes = [] if domain_failure else [("", s, ~fprime_ok, ~lhs_ok)]
     if beyond is not None:
         passes.append(("beyond the grid ", beyond.s, beyond.fprime_bad, beyond.lhs_bad))
     witnesses = []
 
     def attempt(where: str, columns, kind: str, label: str, candidates) -> None:
-        """A witness of ``kind`` at ``candidates`` of ``columns``, or else an
-        annotation; none when a witness of ``kind`` is already confirmed."""
+        """The witness of ``kind`` by the rule above at the points of
+        ``columns`` that ``candidates`` marks, or else an annotation; none
+        when a witness of ``kind`` is already confirmed."""
         if not candidates.any() or any(w.kind == kind for w in witnesses):
             return
-        w = _grid_witness(f, kind, columns, candidates, n)
+        first = int(np.argmax(candidates))
+        w = _confirmed_witness(f, kind, float(columns[first]), n)
+        if w is None or w.confirmed_by != BY_GAP:
+            nearest = int(np.argmin(np.where(candidates, np.abs(np.log(columns)), np.inf)))
+            retry = _confirmed_witness(f, kind, float(columns[nearest]), n) if nearest != first else None
+            if retry is not None and (w is None or retry.confirmed_by == BY_GAP):
+                w = retry
         if w is not None:
             witnesses.append(w)
         else:
-            s_bad = float(columns[np.argmax(candidates)])
-            annotations.append(f"{label} violation {where}at s={s_bad:.6g} not confirmed by its witness pair")
+            annotations.append(
+                f"{label} violation {where}at s={float(columns[first]):.6g} not confirmed by its witness pair"
+            )
 
     for where, columns, slope_bad, second_bad in passes:
         attempt(where, columns, KIND_POSITIVE_FPRIME, "slope", slope_bad)

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, certifier, detcalculus, scalarfun
+from . import __version__, certifier, detcalculus, linalg, scalarfun
 from .certifier import CERTIFIED, INCONCLUSIVE, REFUTED, RNG_ALGORITHM, GridSpec
 from .errors import (
     ConvergenceError,
@@ -275,7 +275,7 @@ def _cmd_curves(args) -> int:
     if args.function and not (fam and fam[0] == "fa"):
         raise ParameterError("curves accepts only family:fa:... extra members")
     grid = GridSpec(args.s_min, args.s_max, args.count)
-    curves = scalarfun.export_family_curves([fam[1]] if fam else [], grid, args.dim)
+    curves = scalarfun.export_family_curves([fam[1]] if fam else [], grid, linalg.dimension(args.dim))
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for i, (label, text) in enumerate(curves):

@@ -192,6 +192,50 @@ class TestCertify:
         assert rep.verdict == REFUTED
         assert rep.witnesses[0].kind == KIND_SECOND_ORDER
 
+    @pytest.mark.parametrize(
+        "text, n, grid, expected",
+        [
+            # the first slope pair confirms by its gap, so nothing is retried
+            ("s", 3, None, [(KIND_POSITIVE_FPRIME, 1e-3, "gap")]),
+            # the form rounds to zero at 1e-300; the retry nearest s = 1 confirms
+            (
+                "ln(s+1)",
+                1,
+                GridSpec(1e-300, 1e300, 2000),
+                [(KIND_SECOND_ORDER, 1e-300, None), (KIND_SECOND_ORDER, 0.7078234758854919, "gap")],
+            ),
+            # one attempt per kind, the second order on points no slope pair covers
+            (
+                "-s*ln(s)+s^2/(1+s)",
+                3,
+                None,
+                [(KIND_POSITIVE_FPRIME, 1e-3, "gap"), (KIND_SECOND_ORDER, 0.7126115430111746, "gap")],
+            ),
+            # a violation only beyond the grid is searched there
+            ("-ln(s)+1e-7*s^2", 5, None, [(KIND_POSITIVE_FPRIME, 2238.7211385683377, "gap")]),
+            # a domain failure leaves the columns unsearched
+            ("exp(s)", 3, None, []),
+            ("ln(s-1)", 3, None, []),
+        ],
+    )
+    def test_witness_search_tries_the_first_point_then_the_one_nearest_s_one(
+        self, monkeypatch, text, n, grid, expected
+    ):
+        calls = []
+        confirmed_witness = certifier._confirmed_witness
+
+        def spy(f, kind, s, n):
+            w = confirmed_witness(f, kind, s, n)
+            calls.append((kind, s, None if w is None else w.confirmed_by))
+            return w
+
+        monkeypatch.setattr(certifier, "_confirmed_witness", spy)
+        rep = certify(parse(text), n, grid)
+        assert [kind for kind, _, _ in calls] == [kind for kind, _, _ in expected]
+        assert [by for _, _, by in calls] == [by for _, _, by in expected]
+        assert [s for _, s, _ in calls] == pytest.approx([s for _, s, _ in expected], rel=1e-12)
+        assert [w.s_star for w in rep.witnesses] == [s for _, s, by in calls if by is not None]
+
 
 def _same_as_geomspace(grid):
     """points() is geomspace bit for bit wherever geomspace lies in the

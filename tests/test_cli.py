@@ -851,6 +851,15 @@ class TestCurvesCommand:
         assert code == 0
         assert len(list(outdir.glob("*.csv"))) == 5
 
+    @pytest.mark.parametrize("dim", ["0", "-3"])
+    def test_a_dimension_below_one_is_refused_before_any_file(self, capsys, tmp_path, dim):
+        # as certify, witness and oracle refuse it; curves wrote its files
+        # and exited 0
+        outdir = tmp_path / "curves"
+        code, out, err = run(capsys, "curves", "--dim", dim, "--outdir", str(outdir))
+        assert (code, out, err) == (3, "", f"error: dimension n={dim} must be >= 1\n")
+        assert not outdir.exists()
+
     def test_deterministic_output(self, capsys, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         run(capsys, "curves", "--outdir", str(d1), "--count", "30")
