@@ -39,7 +39,7 @@ midpoint failure, and a form can hide a failing term.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detconvex import certifier, detcalculus, linalg, selftest
@@ -464,12 +464,17 @@ WEIGHT_FUNCTIONS = {
 
 
 @given(st.sampled_from([1, 2, 3, 5, 10]), st.integers(0, 2**32 - 1))
+# exp(s)/(1+s^2) at s = 1.00047: f' and f'' both cancel, so two roundings
+# of det C give jets that differ by more than the bound
+@example(n=2, seed=331604463)
 @settings(max_examples=60, deadline=None)
 def test_hess_form_is_the_weighted_sum_of_the_two_conditions(n, seed):
     # on the oracle's full, non-diagonal pairs, one per function
     functions = WEIGHT_FUNCTIONS[n]
     c, h = linalg.random_pairs(n, seed, len(functions))
-    s = np.linalg.det(c)
+    # the determinant the oracle evaluates f at, so that both sides share
+    # one jet and the bound covers only the weights and the solve
+    s = linalg.cholesky_posdef(c)
     with np.errstate(all="ignore"):
         forms = directional_forms(functions, c, h).hess
     t2, x0, fro2 = condition_weights(c, h)
