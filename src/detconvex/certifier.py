@@ -34,14 +34,13 @@ witnesses and the midpoint sweep.  It loads neither ``detcalculus`` nor
 from __future__ import annotations
 
 import math
-import operator
 from typing import NamedTuple
 
 import numpy as np
 
 from . import scalarfun
 from .errors import NotPositiveDefiniteError, ParameterError
-from .linalg import DEFAULT_LOG_EIG_RANGE, PosDefMatrix, dimension
+from .linalg import DEFAULT_LOG_EIG_RANGE, PosDefMatrix, dimension, integer
 from .scalarfun import Add, Constant, Jet2, Ln, Mul, Negate, Pow, Sub, Value, Variable
 
 CERTIFIED = "CertifiedOnGrid"
@@ -66,19 +65,11 @@ class GridSpec(Value):
     __slots__ = __match_args__ = ("s_min", "s_max", "count")
 
     def __init__(self, s_min: float = 1e-3, s_max: float = 1e3, count: int = 1000):
-        super().__init__(s_min, s_max, count)
-        if not (self.s_min > 0):
-            raise ParameterError(f"s_min={self.s_min} must be positive")
-        if not (self.s_min < self.s_max < math.inf):
-            raise ParameterError(
-                f"s_max={self.s_max} must be finite and exceed s_min={self.s_min}"
-            )
-        try:
-            operator.index(self.count)
-        except TypeError:
-            raise ParameterError(f"grid count={self.count!r} must be an integer") from None
-        if self.count < 2:
-            raise ParameterError(f"grid count={self.count} must be >= 2")
+        if not (s_min > 0):
+            raise ParameterError(f"s_min={s_min} must be positive")
+        if not (s_min < s_max < math.inf):
+            raise ParameterError(f"s_max={s_max} must be finite and exceed s_min={s_min}")
+        super().__init__(s_min, s_max, integer(count, "grid count", 2))
 
     def points(self) -> np.ndarray:
         """``np.geomspace(s_min, s_max, count)`` bit for bit wherever that
@@ -179,16 +170,20 @@ def witness_pair(kind: str, s: float, n: int):
     -2 s f'(s) and det(C +- tau H) = det C (1 - tau^2); it needs n >= 2
     (ParameterError).  For KIND_SECOND_ORDER, D = I, so f(det(C + tau H))
     = u(r(1 + tau)) with u(t) = f(t^n), det(C +- tau H) = det C (1 +- tau)^n
-    and the form is r^2 u''(r) = (n s)(n s f''(s) + (n-1) f'(s)).
+    and the form is r^2 u''(r) = (n s)(n s f''(s) + (n-1) f'(s)).  Any
+    other kind raises ParameterError.
     """
-    n = dimension(n)
-    if kind == KIND_POSITIVE_FPRIME and n < 2:
-        raise ParameterError("the slope witness needs n >= 2 (two free diagonal slots)")
+    slope = kind == KIND_POSITIVE_FPRIME
+    if not (slope or kind == KIND_SECOND_ORDER):
+        raise ParameterError(
+            f"witness kind {kind!r} must be {KIND_POSITIVE_FPRIME!r} or {KIND_SECOND_ORDER!r}"
+        )
+    n = integer(n, "the slope witness's dimension n", 2) if slope else dimension(n)
     if not (s > 0):
         raise ParameterError(f"s={s} must be positive")
     r = s ** (1.0 / n)
     d = np.ones(n)
-    if kind == KIND_POSITIVE_FPRIME:
+    if slope:
         d[1], d[2:] = -1.0, 0.0
     return PosDefMatrix.from_sym(np.diag(np.full(n, r))), np.diag(r * d)
 
@@ -368,9 +363,7 @@ def certify(
     closed form (``analytic_convexity``) says not convex.  It does not
     read the sweep, whose failures no witness confirms yet.
     """
-    n = dimension(n)
-    if samples < 0:
-        raise ParameterError(f"samples={samples} must be >= 0")
+    n, samples = dimension(n), integer(samples, "samples", 0)
     # a band of tol + tol*|f'| + tol*|f''| with tol >= 1 swallows violations
     # as large as the derivatives themselves
     if not (0 < tol < 1):
@@ -568,12 +561,8 @@ def sample_convexity(f, n: int, num_samples: int, seed: int) -> ConvexitySampleD
     pass's whatever the failures, and no field depends on how the rows
     are split into passes.  A negative seed raises ParameterError.
     """
-    n = dimension(n)
-    if num_samples < 1:
-        raise ParameterError("num_samples must be >= 1")
-    if seed < 0:
-        raise ParameterError(f"seed {seed} must be >= 0")
-    gen = np.random.Generator(np.random.PCG64(seed))
+    n, num_samples = dimension(n), integer(num_samples, "num_samples", 1)
+    gen = np.random.Generator(np.random.PCG64(integer(seed, "seed", 0)))
     rows = max(1, SWEEP_PASS_ENTRIES // (2 * n))
     run = fails = 0
     low, high, at = np.inf, -np.inf, -1

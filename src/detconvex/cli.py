@@ -286,7 +286,7 @@ def _cmd_curves(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.samples * args.dim**2 > MAX_ORACLE_ENTRIES:
+    if args.samples * linalg.dimension(args.dim) ** 2 > MAX_ORACLE_ENTRIES:
         raise ParameterError(
             f"--samples {args.samples} at --dim {args.dim} exceeds the limit of "
             f"{MAX_ORACLE_ENTRIES} entries per stack (--samples * --dim^2)"

@@ -261,8 +261,7 @@ def oracle_sweep(n: int, num_samples: int, seed: int, functions=None) -> OracleS
     of its points (outside its domain or overflowing) is skipped;
     DomainError if every sample is.
     """
-    if num_samples < 1:
-        raise ParameterError("num_samples must be >= 1")
+    num_samples = linalg.integer(num_samples, "num_samples", 1)
     c, h = linalg.random_pairs(n, seed, num_samples)
     funcs = builtin_corpus(n) if functions is None else tuple(functions)
     forms = directional_forms(funcs, c, h)

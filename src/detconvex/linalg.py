@@ -17,7 +17,9 @@ arrays, checked by the routine that needs the check: ``symmetric``
 ``PosDefMatrix``, such an array above the positivity floor with its
 determinant, and ``detcalculus.directional_forms`` for its stacks
 (finite, equal to their transposes); the seeded draws are symmetric by
-construction.  All operations are pure functions.
+construction.  ``integer`` is the one rule of the package's integer
+inputs: dimensions, sample counts and seeds.  All operations are pure
+functions.
 """
 
 from __future__ import annotations
@@ -40,16 +42,21 @@ POSDEF_EIG_FLOOR = 1e-12  # relative to the Frobenius norm
 _FLOAT_TINY = sys.float_info.min  # smallest normal float
 
 
-def dimension(n) -> int:
-    """The dimension n as an int; ParameterError unless it is an integer
-    >= 1 (a numpy integer is one)."""
+def integer(value, name: str, least: int) -> int:
+    """``value`` as an int; ParameterError, naming ``name``, unless it is
+    an integer (a numpy integer is one) >= ``least``."""
     try:
-        n = operator.index(n)
+        value = operator.index(value)
     except TypeError:
-        raise ParameterError(f"dimension n={n!r} must be an integer") from None
-    if n < 1:
-        raise ParameterError(f"dimension n={n} must be >= 1")
-    return n
+        raise ParameterError(f"{name}={value!r} must be an integer") from None
+    if value < least:
+        raise ParameterError(f"{name}={value} must be >= {least}")
+    return value
+
+
+def dimension(n) -> int:
+    """The dimension n as an int, an integer >= 1."""
+    return integer(n, "dimension n", 1)
 
 
 def seed_words(seed: int, count: int) -> np.ndarray:
@@ -58,9 +65,7 @@ def seed_words(seed: int, count: int) -> np.ndarray:
     replays from its index alone.  The words for a smaller count are a
     prefix of those for a larger one.  A negative seed raises
     ParameterError."""
-    if seed < 0:
-        raise ParameterError(f"seed {seed} must be >= 0")
-    return np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
+    return np.random.SeedSequence(integer(seed, "seed", 0)).generate_state(count, dtype=np.uint64)
 
 
 def _check_finite(a: np.ndarray):
@@ -90,8 +95,7 @@ def symmetric(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] < 1:
-        raise ParameterError("dimension must be >= 1")
+    dimension(a.shape[0])
     _check_finite(a)
     sym = _mirror_lower(a)
     sym.setflags(write=False)
@@ -232,10 +236,6 @@ def cholesky_posdef(a) -> np.ndarray:
     return np.exp(2.0 * np.log(diag).sum(axis=-1))
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
-
-
 def random_posdef_stack(n: int, seed: int, count: int) -> tuple:
     """``count`` positive definite samples as a (count, n, n) stack, with
     their (count, n) log eigenvalues.
@@ -251,7 +251,8 @@ def random_posdef_stack(n: int, seed: int, count: int) -> tuple:
     """
     n = dimension(n)
     # the two streams start from the seeded state, so count cannot move either
-    bits = np.random.PCG64(int(seed))
+    bits = np.random.PCG64(integer(seed, "seed", 0))
+    count = integer(count, "count", 0)
     q = np.linalg.qr(np.random.Generator(bits.jumped()).standard_normal((count, n, n)))[0]
     logs = np.random.Generator(bits).uniform(*DEFAULT_LOG_EIG_RANGE, size=(count, n))
     return _mirror_lower((q * np.exp(logs)[:, None, :]) @ np.swapaxes(q, -1, -2)), logs
@@ -281,7 +282,8 @@ def random_sym(n: int, seed: int, count: int) -> np.ndarray:
     uniform in [-1, 1], from one PCG64 stream seeded with ``seed``: the
     ``sym_build`` of its (count, n(n+1)/2) uniforms."""
     n = dimension(n)
-    return sym_build(_rng(int(seed)).uniform(-1.0, 1.0, size=(count, n * (n + 1) // 2)), n)
+    gen = np.random.Generator(np.random.PCG64(integer(seed, "seed", 0)))
+    return sym_build(gen.uniform(-1.0, 1.0, size=(integer(count, "count", 0), n * (n + 1) // 2)), n)
 
 
 def random_pairs(n: int, seed: int, count: int):

@@ -43,6 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NonFiniteError, ParameterError, ParseError
+from .linalg import dimension
 
 BRANCH_TOL = 1e-12  # |a - 1/n| below this selects the logarithmic branch
 _set = object.__setattr__  # how a Value sets its fields
@@ -579,7 +580,7 @@ def family(name: str, n: int = 3, /, **params) -> Expr:
     Neo-Hooke energy) and fa the three-branch family, convex under det by
     design: with a >= 0, c <= 0 and q = 1/n - a, d + c s^q for a < 1/n,
     d + c ln s at a = 1/n (within BRANCH_TOL) and d - c s^q beyond.  Only
-    fa reads n, positional like name; its classical statement is n = 3.
+    fa reads n >= 1, positional like name; its classical statement is n = 3.
     """
     if name not in _FAMILIES:
         raise ParameterError(f"unknown family {name!r}; choose from {sorted(_FAMILIES)}")
@@ -598,15 +599,11 @@ def family(name: str, n: int = 3, /, **params) -> Expr:
             raise ParameterError(f"shear modulus mu={params['mu']} must be > 0")
         return Mul(Constant(-params["mu"]), Ln(Variable()))
     if name == "fa":
-        a, c = params["a"], params["c"]
-        if not math.isfinite(n):
-            raise ParameterError(f"dimension n={n} must be finite")
+        n, a, c = dimension(n), params["a"], params["c"]
         if a < 0:
             raise ParameterError(f"family parameter a={a} must be >= 0")
         if c > 0:
             raise ParameterError(f"family parameter c={c} must be <= 0")
-        if n < 1:
-            raise ParameterError(f"dimension n={n} must be >= 1")
         if abs(a - 1.0 / n) <= BRANCH_TOL:
             name = "log"
         else:

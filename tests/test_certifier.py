@@ -1,5 +1,6 @@
 import functools
 import math
+import pickle
 import re
 import tracemalloc
 import warnings
@@ -432,6 +433,19 @@ class TestWitnessConstructions:
             certifier.witness_pair(KIND_POSITIVE_FPRIME, 1.0, 1)
 
     @pytest.mark.parametrize(
+        "build",
+        [certifier.witness_pair, functools.partial(certifier.witness_attempt, parse("s"))],
+        ids=["witness_pair", "witness_attempt"],
+    )
+    def test_an_unknown_kind_builds_no_pair(self, build):
+        # it built the second-order pair, and its attempt a Witness of kind
+        # "Nope" with the second-order form
+        with pytest.raises(ParameterError) as exc:
+            build("Nope", 1.0, 3)
+        assert type(exc.value) is ParameterError
+        assert str(exc.value) == "witness kind 'Nope' must be 'PositiveFPrime' or 'SecondOrderDeficit'"
+
+    @pytest.mark.parametrize(
         "kind, error",
         [(KIND_POSITIVE_FPRIME, ParameterError), (KIND_SECOND_ORDER, NotPositiveDefiniteError)],
     )
@@ -781,7 +795,7 @@ class TestSampleConvexity:
     def test_rejects_negative_seed(self):
         # SeedSequence raised a bare ValueError, which the CLI reported as
         # a traceback with exit 1
-        with pytest.raises(ParameterError, match="seed -1"):
+        with pytest.raises(ParameterError, match="seed=-1 must be >= 0"):
             sample_convexity(parse("s"), 3, 5, seed=-1)
 
     def test_overflowing_samples_are_skipped(self):
@@ -1196,29 +1210,82 @@ def test_each_check_raises_its_one_error_class(check):
         assert exc.value.offset == 0
 
 
-# a dimension is an integer: where n was only compared, n = 2.5 certified
-# and NaN gave a NaN lhs, and elsewhere numpy raised TypeError or ValueError
-NEEDS_AN_INTEGER_DIMENSION = {
-    "certify": lambda n: certify(parse("-ln(s)"), n),
-    "sample_convexity": lambda n: sample_convexity(parse("s"), n, 10, 1),
-    "witness_pair": lambda n: certifier.witness_pair(KIND_SECOND_ORDER, 2.0, n),
-    "diff_ineq_lhs": lambda n: diff_ineq_lhs(parse("-ln(s)"), 1.0, n),
-    "oracle_sweep": lambda n: detcalculus.oracle_sweep(n, 3, 0),
+# every integer input takes linalg.integer's one rule: a dimension n, a
+# sample count or a seed.  Where n was only compared, n = 2.5 certified and
+# NaN gave a NaN lhs; a float count or seed raised TypeError, a float seed
+# of a draw replayed its integer part, and a negative count raised numpy's
+# ValueError.  Each entry is (parameter name, least value, call).
+INTEGER_INPUTS = {
+    "certify-n": ("dimension n", 1, lambda v: certify(parse("-ln(s)"), v)),
+    "certify-samples": ("samples", 0, lambda v: certify(parse("-ln(s)"), 3, SMALL_GRID, samples=v)),
+    "certify-seed": ("seed", 0, lambda v: certify(parse("-ln(s)"), 3, SMALL_GRID, samples=3, seed=v)),
+    "GridSpec-count": ("grid count", 2, lambda v: GridSpec(1e-3, 1e3, v)),
+    "sample_convexity-n": ("dimension n", 1, lambda v: sample_convexity(parse("s"), v, 10, 1)),
+    "sample_convexity-num_samples": ("num_samples", 1, lambda v: sample_convexity(parse("s"), 3, v, 1)),
+    "sample_convexity-seed": ("seed", 0, lambda v: sample_convexity(parse("s"), 3, 3, v)),
+    "witness_pair-n": ("dimension n", 1, lambda v: certifier.witness_pair(KIND_SECOND_ORDER, 2.0, v)),
+    "witness_pair-slope-n": (
+        "the slope witness's dimension n", 2, lambda v: certifier.witness_pair(KIND_POSITIVE_FPRIME, 2.0, v)
+    ),
+    "diff_ineq_lhs-n": ("dimension n", 1, lambda v: diff_ineq_lhs(parse("-ln(s)"), 1.0, v)),
+    "oracle_sweep-n": ("dimension n", 1, lambda v: detcalculus.oracle_sweep(v, 3, 0)),
+    "oracle_sweep-num_samples": ("num_samples", 1, lambda v: detcalculus.oracle_sweep(3, v, 0)),
+    "oracle_sweep-seed": ("seed", 0, lambda v: detcalculus.oracle_sweep(3, 3, v)),
+    "seed_words-seed": ("seed", 0, lambda v: linalg.seed_words(v, 2)),
+    "random_posdef_stack-n": ("dimension n", 1, lambda v: linalg.random_posdef_stack(v, 1, 2)),
+    "random_posdef_stack-seed": ("seed", 0, lambda v: linalg.random_posdef_stack(3, v, 2)),
+    "random_posdef_stack-count": ("count", 0, lambda v: linalg.random_posdef_stack(3, 1, v)),
+    "random_sym-n": ("dimension n", 1, lambda v: random_sym(v, 1, 2)),
+    "random_sym-seed": ("seed", 0, lambda v: random_sym(3, v, 2)),
+    "random_sym-count": ("count", 0, lambda v: random_sym(3, 1, v)),
+    "family-fa-n": ("dimension n", 1, lambda v: family("fa", v, a=0.1)),
 }
 
 
-@pytest.mark.parametrize("n", [2.5, 3.0, math.nan, "3"])
-@pytest.mark.parametrize("check", NEEDS_AN_INTEGER_DIMENSION)
-def test_a_dimension_is_an_integer(check, n):
-    with pytest.raises(ParameterError, match=re.escape(f"dimension n={n!r} must be an integer")) as exc:
-        NEEDS_AN_INTEGER_DIMENSION[check](n)
-    assert type(exc.value) is ParameterError
+@pytest.mark.parametrize("value", [2.5, 3.0, math.nan, "3", "below"])
+@pytest.mark.parametrize("check", INTEGER_INPUTS)
+def test_an_integer_input_is_an_integer_at_or_above_its_least(check, value):
+    name, least, call = INTEGER_INPUTS[check]
+    if value == "below":
+        value, message = least - 1, f"{name}={least - 1} must be >= {least}"
+    else:
+        message = f"{name}={value!r} must be an integer"
+    with pytest.raises(ParameterError) as exc:
+        call(value)
+    assert type(exc.value) is ParameterError and str(exc.value) == message
 
 
-def test_a_numpy_integer_dimension_is_taken():
-    rep = certify(parse("-ln(s)"), np.int64(3), GridSpec(1e-2, 1e2, 50))
-    assert rep.verdict == CERTIFIED and type(rep.n) is int
-    assert np.array_equal(diff_ineq_lhs(parse("s"), rep.s, np.int64(3)), diff_ineq_lhs(parse("s"), rep.s, 3))
+@pytest.mark.parametrize(
+    "call",
+    [lambda: linalg.random_posdef_stack(3, 1.5, 2), lambda: random_sym(3, 2.9, 2)],
+    ids=["random_posdef_stack", "random_sym"],
+)
+def test_a_float_seed_replays_no_integer_seed(call):
+    # these drew from seeds 1 and 2
+    with pytest.raises(ParameterError, match=re.escape("must be an integer")):
+        call()
+
+
+# each call with its integer inputs from one converter
+WITH_INTEGERS = {
+    "certify": lambda i: certify(parse("s"), i(3), GridSpec(1e-2, 1e2, i(50)), samples=i(20), seed=i(7)),
+    "sample_convexity": lambda i: sample_convexity(parse("s"), i(3), i(20), i(7)),
+    "witness_pair": lambda i: certifier.witness_pair(KIND_POSITIVE_FPRIME, 2.0, i(3)),
+    "diff_ineq_lhs": lambda i: diff_ineq_lhs(parse("-ln(s)"), np.geomspace(1e-2, 1e2, 9), i(3)),
+    "oracle_sweep": lambda i: detcalculus.oracle_sweep(i(3), i(5), i(7)),
+    "seed_words": lambda i: linalg.seed_words(i(7), 4),
+    "random_posdef_stack": lambda i: linalg.random_posdef_stack(i(3), i(7), i(4)),
+    "random_sym": lambda i: random_sym(i(3), i(7), i(4)),
+    "family-fa": lambda i: family("fa", i(3), a=0.1),
+    "GridSpec": lambda i: GridSpec(1e-2, 1e2, i(50)).points(),
+}
+
+
+@pytest.mark.parametrize("convert", [np.int64, np.uint8])
+@pytest.mark.parametrize("check", WITH_INTEGERS)
+def test_a_numpy_integer_input_is_taken(check, convert):
+    # the same draws and reports, bit for bit, and no numpy integer in them
+    assert pickle.dumps(WITH_INTEGERS[check](convert)) == pickle.dumps(WITH_INTEGERS[check](int))
 
 
 class TestScalarReduction:

@@ -481,6 +481,11 @@ class TestUsageErrors:
         code, out, err = run(capsys, "oracle", "--dim", "0")
         assert (code, out, err) == (3, "", "error: dimension n=0 must be >= 1\n")
 
+    def test_a_negative_oracle_dimension_is_blamed_before_the_entry_limit(self, capsys):
+        # the limit squared -5 and blamed --samples
+        code, out, err = run(capsys, "oracle", "--dim", "-5", "--samples", "1000000")
+        assert (code, out, err) == (3, "", "error: dimension n=-5 must be >= 1\n")
+
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 3
 
@@ -599,8 +604,8 @@ class TestUsageErrors:
         "argv, code, err",
         [
             (("certify", "-f", "-ln(s)", "--seed", "-1", *CERT_FAST), 3,
-             "error: seed -1 must be >= 0\n"),
-            (("oracle", "--seed", "-1", "--samples", "3"), 3, "error: seed -1 must be >= 0\n"),
+             "error: seed=-1 must be >= 0\n"),
+            (("oracle", "--seed", "-1", "--samples", "3"), 3, "error: seed=-1 must be >= 0\n"),
             (("certify", "-f", "-ln(s)", "--samples", "-1"), 3,
              "error: samples=-1 must be >= 0\n"),
             # no sweep draws, so the seed is never read

@@ -457,7 +457,7 @@ class TestOracleSweep:
     def test_rejects_negative_seed(self):
         # SeedSequence raised a bare ValueError, which the CLI reported as
         # a traceback with exit 1
-        with pytest.raises(ParameterError, match="seed -1"):
+        with pytest.raises(ParameterError, match="seed=-1 must be >= 0"):
             oracle_sweep(3, 3, seed=-1)
 
     def test_domain_failures_counted_not_fatal(self):

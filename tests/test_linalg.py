@@ -519,7 +519,7 @@ class TestSeedWords:
         assert np.array_equal(linalg.seed_words(17, 12), expected)
 
     def test_rejects_negative_seed(self):
-        with pytest.raises(ParameterError, match="seed -1 must be >= 0"):
+        with pytest.raises(ParameterError, match="seed=-1 must be >= 0"):
             linalg.seed_words(-1, 4)
 
 

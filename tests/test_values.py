@@ -230,7 +230,7 @@ class TestValidation:
         # n = nan passed the n >= 1 check and built a NaN exponent
         with pytest.raises(ParameterError) as info:
             family("fa", bad, a=0.5, c=-1.0)
-        assert str(info.value) == f"dimension n={bad} must be finite"
+        assert str(info.value) == f"dimension n={bad!r} must be an integer"
 
 
 def _records():
