@@ -252,6 +252,7 @@ def analytic_convexity(f, n: int) -> tuple | None:
     for n >= 2; at n = 1, where g is f itself, iff c p (p-1) >= 0.
     d + c ln s is iff c <= 0.
     """
+    n = dimension(n)
     sign, term = 1, f
     match f:
         case Add(d, right) if _literal(d) is not None:
@@ -278,7 +279,12 @@ def condition_flags(jet, s, n: int, tol: float):
     n = 1, where g is f itself and only f'' >= 0 applies) and
     lhs >= -band.  Each band term is scaled before the sum, so the band
     stays finite wherever f' and f'' are.  A point whose jet is NaN
-    fails lhs >= -band, and f' <= band at n >= 2."""
+    fails lhs >= -band, and f' <= band at n >= 2.  ParameterError unless
+    0 < tol < 1."""
+    # a band of tol + tol*|f'| + tol*|f''| with tol >= 1 swallows violations
+    # as large as the derivatives themselves
+    if not (0 < tol < 1):
+        raise ParameterError(f"tolerance {tol} must be positive and below 1")
     # overflow goes to inf without a warning, as in float arithmetic
     with np.errstate(all="ignore"):
         lhs = _lhs_from_jet(jet, s, n)
@@ -316,10 +322,11 @@ class BeyondGrid(NamedTuple):
 
 def beyond_grid(f, n: int, grid: GridSpec, tol: float) -> BeyondGrid | None:
     """The ``BeyondGrid`` pass of f at n around ``grid``, with certify's
-    band ``tol``, or None when it adds no point.  Its range holds det C of
-    every spectrum in DEFAULT_LOG_EIG_RANGE, [exp(n lo), exp(n hi)], which
-    is [10^-n, 10^n]; its ends are rounded to whole decades, so at n = 3
-    it is the default grid's range, exactly."""
+    band ``tol``, or None when it adds no point, without reading ``tol``.
+    Its range holds det C of every spectrum in DEFAULT_LOG_EIG_RANGE,
+    [exp(n lo), exp(n hi)], which is [10^-n, 10^n]; its ends are rounded
+    to whole decades, so at n = 3 it is the default grid's range, exactly."""
+    n = dimension(n)
     lo, hi = (round(n * x / math.log(10)) for x in DEFAULT_LOG_EIG_RANGE)
     wide = GridSpec(10.0**lo, 10.0**hi, (hi - lo) * BEYOND_GRID_PER_DECADE + 1)
     if grid.s_min <= wide.s_min and wide.s_max <= grid.s_max:
@@ -338,7 +345,7 @@ def certify(
     """Evaluate both convexity conditions at every grid point, and gather
     the run's other evidence into the one report.
 
-    The tolerance band is ``condition_flags``'s, with 0 < tol < 1.  Any
+    The band is ``condition_flags``'s, which needs 0 < tol < 1.  Any
     violation triggers witness construction at the first violating point
     of its kind and, unless its gap confirms that pair, at the violating
     point of that kind nearest s = 1 in log s; a gap beats the jet, and
@@ -364,10 +371,6 @@ def certify(
     read the sweep, whose failures no witness confirms yet.
     """
     n, samples = dimension(n), integer(samples, "samples", 0)
-    # a band of tol + tol*|f'| + tol*|f''| with tol >= 1 swallows violations
-    # as large as the derivatives themselves
-    if not (0 < tol < 1):
-        raise ParameterError(f"tolerance {tol} must be positive and below 1")
     if grid is None:
         grid = GridSpec()
 

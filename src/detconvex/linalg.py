@@ -44,8 +44,10 @@ _FLOAT_TINY = sys.float_info.min  # smallest normal float
 
 def integer(value, name: str, least: int) -> int:
     """``value`` as an int; ParameterError, naming ``name``, unless it is
-    an integer (a numpy integer is one) >= ``least``."""
+    an integer (a numpy integer is one, a bool is not) >= ``least``."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ParameterError(f"{name}={value!r} must be an integer") from None
@@ -81,10 +83,11 @@ def _mirror_lower(a: np.ndarray) -> np.ndarray:
 
 
 def _as_array(m) -> np.ndarray:
-    """Any array-like as a 2-d float ndarray."""
+    """Any array-like as a square 2-d float ndarray, the one check of a
+    single matrix's shape, or ParameterError."""
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2:
-        raise ParameterError(f"expected a 2-d matrix, got ndim={a.ndim}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ParameterError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
@@ -92,9 +95,7 @@ def symmetric(a) -> np.ndarray:
     """A matrix entering the package: square, n >= 1 and finite.  Returns
     a read-only copy with the lower triangle mirrored onto the upper one,
     so ``m[i, j] == m[j, i]`` holds exactly."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ParameterError(f"expected a square matrix, got shape {a.shape}")
+    a = _as_array(a)
     dimension(a.shape[0])
     _check_finite(a)
     sym = _mirror_lower(a)
@@ -175,8 +176,6 @@ def det(a) -> float:
     and the benchmark's trace records the call under this name.
     """
     m = _as_array(a).astype(float, copy=True)
-    if m.shape[0] != m.shape[1]:
-        raise ParameterError(f"determinant needs a square matrix, got {m.shape}")
     n = m.shape[0]
     sign = 1.0
     for k in range(n - 1):

@@ -149,6 +149,14 @@ class TestCertify:
             with pytest.raises(ParameterError):
                 certify(parse("s"), 3, SMALL_GRID, tol=tol)
 
+    @pytest.mark.parametrize("tol", [0, 1, 5.0, math.nan])
+    def test_the_beyond_grid_pass_refuses_certifys_bad_tolerance(self, tol):
+        # at tol = 5.0 it marked none of the 400 points of s, whose f' = 1 > 0,
+        # and at NaN every point of -ln(s) as failing both conditions
+        for f in (parse("s"), parse("-ln(s)")):
+            with pytest.raises(ParameterError, match=re.escape(f"tolerance {tol} must be positive and below 1")):
+                certifier.beyond_grid(f, 5, GridSpec(), tol)
+
     def test_band_stays_finite_where_the_derivatives_are(self):
         # f' = 1.6e308 s and f'' = 1.6e308 are finite, but their sum
         # overflowed, and an infinite band passed f' <= band at every
@@ -1191,6 +1199,11 @@ ONE_ERROR_CLASS = {
     "random_sym-n0": (ParameterError, lambda: linalg.random_sym(0, 1, 1)),
     "random_posdef_stack-n0": (ParameterError, lambda: linalg.random_posdef_stack(0, 1, 1)),
     "symmetric-non-square": (ParameterError, lambda: linalg.symmetric(np.ones((1, 3)))),
+    # jacobi_eigen raised LAPACK's error on a (2, 3) array as ConvergenceError
+    "jacobi_eigen-non-square": (ParameterError, lambda: linalg.jacobi_eigen(np.ones((2, 3)))),
+    "jacobi_eigen-vector": (ParameterError, lambda: linalg.jacobi_eigen(np.ones(3))),
+    "det-non-square": (ParameterError, lambda: linalg.det(np.ones((2, 3)))),
+    "det-vector": (ParameterError, lambda: linalg.det(np.ones(3))),
     "frob_norm-vector": (ParameterError, lambda: linalg.frob_norm(np.ones(3))),
     "directional_forms-mismatch": (
         ParameterError,
@@ -1239,10 +1252,13 @@ INTEGER_INPUTS = {
     "random_sym-seed": ("seed", 0, lambda v: random_sym(3, v, 2)),
     "random_sym-count": ("count", 0, lambda v: random_sym(3, 1, v)),
     "family-fa-n": ("dimension n", 1, lambda v: family("fa", v, a=0.1)),
+    "analytic_convexity-n": ("dimension n", 1, lambda v: analytic_convexity(family("power", c=-1.0, p=0.5), v)),
+    "beyond_grid-n": ("dimension n", 1, lambda v: certifier.beyond_grid(parse("s"), v, GridSpec(), 1e-9)),
 }
 
 
-@pytest.mark.parametrize("value", [2.5, 3.0, math.nan, "3", "below"])
+# a bool is an int to operator.index: True drew the n = 1 member or seed 1
+@pytest.mark.parametrize("value", [2.5, 3.0, math.nan, "3", True, False, "below"])
 @pytest.mark.parametrize("check", INTEGER_INPUTS)
 def test_an_integer_input_is_an_integer_at_or_above_its_least(check, value):
     name, least, call = INTEGER_INPUTS[check]
@@ -1278,6 +1294,8 @@ WITH_INTEGERS = {
     "random_sym": lambda i: random_sym(i(3), i(7), i(4)),
     "family-fa": lambda i: family("fa", i(3), a=0.1),
     "GridSpec": lambda i: GridSpec(1e-2, 1e2, i(50)).points(),
+    "analytic_convexity": lambda i: analytic_convexity(family("power", c=-1.0, p=0.5), i(3)),
+    "beyond_grid": lambda i: certifier.beyond_grid(parse("-ln(s)"), i(5), GridSpec(), 1e-9),
 }
 
 
