@@ -272,6 +272,13 @@ def analytic_convexity(f, n: int) -> tuple | None:
     return None
 
 
+def _check_tol(tol: float) -> None:
+    """ParameterError unless 0 < tol < 1: a band of tol + tol*|f'| +
+    tol*|f''| with tol >= 1 swallows violations as large as f' and f''."""
+    if not (0 < tol < 1):
+        raise ParameterError(f"tolerance {tol} must be positive and below 1")
+
+
 def condition_flags(jet, s, n: int, tol: float):
     """(lhs, band, fprime_ok, lhs_ok) of the jets of f at the 1-D array of
     points s: the condition's left-hand side, the tolerance band
@@ -279,12 +286,9 @@ def condition_flags(jet, s, n: int, tol: float):
     n = 1, where g is f itself and only f'' >= 0 applies) and
     lhs >= -band.  Each band term is scaled before the sum, so the band
     stays finite wherever f' and f'' are.  A point whose jet is NaN
-    fails lhs >= -band, and f' <= band at n >= 2.  ParameterError unless
-    0 < tol < 1."""
-    # a band of tol + tol*|f'| + tol*|f''| with tol >= 1 swallows violations
-    # as large as the derivatives themselves
-    if not (0 < tol < 1):
-        raise ParameterError(f"tolerance {tol} must be positive and below 1")
+    fails lhs >= -band, and f' <= band at n >= 2.  ``_check_tol``
+    refuses a bad tol first."""
+    _check_tol(tol)
     # overflow goes to inf without a warning, as in float arithmetic
     with np.errstate(all="ignore"):
         lhs = _lhs_from_jet(jet, s, n)
@@ -322,11 +326,12 @@ class BeyondGrid(NamedTuple):
 
 def beyond_grid(f, n: int, grid: GridSpec, tol: float) -> BeyondGrid | None:
     """The ``BeyondGrid`` pass of f at n around ``grid``, with certify's
-    band ``tol``, or None when it adds no point, without reading ``tol``.
-    Its range holds det C of every spectrum in DEFAULT_LOG_EIG_RANGE,
+    band ``tol``, checked first, or None when it adds no point.  Its
+    range holds det C of every spectrum in DEFAULT_LOG_EIG_RANGE,
     [exp(n lo), exp(n hi)], which is [10^-n, 10^n]; its ends are rounded
     to whole decades, so at n = 3 it is the default grid's range, exactly."""
     n = dimension(n)
+    _check_tol(tol)
     lo, hi = (round(n * x / math.log(10)) for x in DEFAULT_LOG_EIG_RANGE)
     wide = GridSpec(10.0**lo, 10.0**hi, (hi - lo) * BEYOND_GRID_PER_DECADE + 1)
     if grid.s_min <= wide.s_min and wide.s_max <= grid.s_max:
@@ -345,7 +350,8 @@ def certify(
     """Evaluate both convexity conditions at every grid point, and gather
     the run's other evidence into the one report.
 
-    The band is ``condition_flags``'s, which needs 0 < tol < 1.  Any
+    The band is ``condition_flags``'s.  A bad n, samples, tol or, with
+    samples > 0, seed raises ParameterError before the grid pass.  Any
     violation triggers witness construction at the first violating point
     of its kind and, unless its gap confirms that pair, at the violating
     point of that kind nearest s = 1 in log s; a gap beats the jet, and
@@ -361,16 +367,18 @@ def certify(
     already confirmed; its points that fail to evaluate are skipped.
     With samples > 0 and no domain failure, the midpoint sweep
     ``sample_convexity(f, n, samples, seed)`` runs and its result is the
-    report's ``diagnostics``; otherwise they are None, and the seed is not
-    read, so only a sweep that runs rejects a negative one.  samples < 0
-    raises ParameterError.  The annotations are the grid pass's, in
-    order, then the beyond-grid pass's, then the closed form's.  The
-    verdict is the one rule at the end: Refuted with a confirmed witness,
-    else Inconclusive when either pass fails, a point cut the grid or the
-    closed form (``analytic_convexity``) says not convex.  It does not
-    read the sweep, whose failures no witness confirms yet.
+    report's ``diagnostics``; otherwise they are None.  The annotations
+    are the grid pass's, in order, then the beyond-grid pass's, then the
+    closed form's.  The verdict is the one rule at the end: Refuted with
+    a confirmed witness, else Inconclusive when either pass fails, a point
+    cut the grid or the closed form (``analytic_convexity``) says not
+    convex.  It does not read the sweep, whose failures no witness
+    confirms yet.
     """
     n, samples = dimension(n), integer(samples, "samples", 0)
+    _check_tol(tol)
+    if samples > 0:
+        integer(seed, "seed", 0)
     if grid is None:
         grid = GridSpec()
 

@@ -17,10 +17,10 @@ beyond-grid pass by its counts and first failures; the library report
 keeps every point's values.
 
 Exit codes for certify: 0 certified on grid, 1 refuted, 2 inconclusive,
-3 usage or parse error, or an output path that cannot be written.  Any
-command that cannot finish because a function fails to evaluate, an
-eigensolver does not converge, or a matrix falls below the positivity
-floor or has no Cholesky factor exits 2.
+3 usage or parse error, refused before the first evaluation, or an
+output path that cannot be written.  Any command that cannot finish
+because a function fails to evaluate, a LAPACK routine fails, or a matrix
+falls below the positivity floor or has no Cholesky factor exits 2.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import numpy as np
 from . import __version__, certifier, detcalculus, linalg, scalarfun
 from .certifier import CERTIFIED, INCONCLUSIVE, REFUTED, RNG_ALGORITHM, GridSpec
 from .errors import (
-    ConvergenceError,
     DomainError,
     NonFiniteError,
     NotPositiveDefiniteError,
@@ -275,7 +274,7 @@ def _cmd_curves(args) -> int:
     if args.function and not (fam and fam[0] == "fa"):
         raise ParameterError("curves accepts only family:fa:... extra members")
     grid = GridSpec(args.s_min, args.s_max, args.count)
-    curves = scalarfun.export_family_curves([fam[1]] if fam else [], grid, linalg.dimension(args.dim))
+    curves = scalarfun.export_family_curves([fam[1]] if fam else [], grid, args.dim)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for i, (label, text) in enumerate(curves):
@@ -286,11 +285,6 @@ def _cmd_curves(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.samples * linalg.dimension(args.dim) ** 2 > MAX_ORACLE_ENTRIES:
-        raise ParameterError(
-            f"--samples {args.samples} at --dim {args.dim} exceeds the limit of "
-            f"{MAX_ORACLE_ENTRIES} entries per stack (--samples * --dim^2)"
-        )
     functions = None
     label = "builtin corpus"
     if args.function:
@@ -324,8 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Certify or refute convexity of C -> f(det C) on positive definite matrices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # the sizes _check_sizes reads, for the subcommands that lack them
-    parser.set_defaults(dim=0, grid_count=0, count=0, samples=0)
 
     def add_common(p, function_required=True):
         p.add_argument(
@@ -385,14 +377,22 @@ def _normalize_argv(argv):
 
 
 def _check_sizes(args):
-    for flag, value, limit in (
-        ("--dim", args.dim, MAX_DIM),
-        ("--grid-count", args.grid_count, MAX_GRID_COUNT),
-        ("--count", args.count, MAX_GRID_COUNT),
-        ("--samples", args.samples, MAX_SAMPLES),
+    """The one gate of the flags: sizes, then the dimension, then the oracle's entries."""
+    for flag, key, limit in (
+        ("--dim", "dim", MAX_DIM),
+        ("--grid-count", "grid_count", MAX_GRID_COUNT),
+        ("--count", "count", MAX_GRID_COUNT),
+        ("--samples", "samples", MAX_SAMPLES),
     ):
-        if value > limit:
+        if (value := getattr(args, key, 0)) > limit:
             raise ParameterError(f"{flag} {value} exceeds the limit {limit}")
+    if hasattr(args, "dim"):
+        linalg.dimension(args.dim)
+    if getattr(args, "command", None) == "oracle" and args.samples * args.dim**2 > MAX_ORACLE_ENTRIES:
+        raise ParameterError(
+            f"--samples {args.samples} at --dim {args.dim} exceeds the limit of "
+            f"{MAX_ORACLE_ENTRIES} entries per stack (--samples * --dim^2)"
+        )
 
 
 def main(argv=None) -> int:
@@ -424,7 +424,7 @@ def main(argv=None) -> int:
         # OSError: the report or a curve file cannot be written
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DomainError, NonFiniteError, ConvergenceError, NotPositiveDefiniteError) as e:
+    except (DomainError, NonFiniteError, NotPositiveDefiniteError, np.linalg.LinAlgError) as e:
         # the run cannot reach an answer; 1 would claim a refutation or a
         # discrepancy
         print(f"error: {e}", file=sys.stderr)

@@ -175,8 +175,7 @@ def directional_forms(functions, c, h) -> DirectionalForms:
     c, h = (np.asarray(x, dtype=float) for x in (c, h))
     if c.ndim != 3 or c.shape[1] != c.shape[2] or h.shape != c.shape:
         raise ParameterError(f"expected (N, n, n) stacks, got {c.shape} and {h.shape}")
-    if not (np.isfinite(c).all() and np.isfinite(h).all()):
-        raise ParameterError("matrix entries must be finite")
+    linalg._check_finite(c, h)
     if not (np.array_equal(c, c.swapaxes(1, 2)) and np.array_equal(h, h.swapaxes(1, 2))):
         raise ParameterError("C and H must be symmetric")
     steps, points = _stencil(c, h)

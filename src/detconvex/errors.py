@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; a LAPACK failure stays numpy's LinAlgError."""
 
 
 class ParameterError(ValueError):
@@ -14,10 +14,6 @@ class DomainError(ValueError):
 
 class NonFiniteError(ArithmeticError):
     """Evaluation produced an overflow, NaN or infinity."""
-
-
-class ConvergenceError(RuntimeError):
-    """A LAPACK routine (the symmetric eigensolver) did not converge."""
 
 
 class NotPositiveDefiniteError(ValueError):

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, NotPositiveDefiniteError, ParameterError
+from .errors import NotPositiveDefiniteError, ParameterError
 
 # Log eigenvalue range of every positive definite draw: eigenvalues in
 # [0.1, 10], so that up to n = 64 every draw clears the positivity floor by
@@ -70,8 +70,8 @@ def seed_words(seed: int, count: int) -> np.ndarray:
     return np.random.SeedSequence(integer(seed, "seed", 0)).generate_state(count, dtype=np.uint64)
 
 
-def _check_finite(a: np.ndarray):
-    if not np.all(np.isfinite(a)):
+def _check_finite(*arrays: np.ndarray):
+    if not all(np.isfinite(a).all() for a in arrays):
         raise ParameterError("matrix entries must be finite")
 
 
@@ -201,13 +201,9 @@ def jacobi_eigen(a):
     The name is historical (this was a cyclic Jacobi solver); the
     benchmark's trace still records the call under it.  Exact on diagonal
     input: the eigenvalues are the sorted entries and Q is a signed
-    permutation.  Raises ConvergenceError if LAPACK does not converge.
+    permutation.  A LAPACK failure raises numpy's LinAlgError.
     """
-    try:
-        eigenvalues, q = np.linalg.eigh(_as_array(a))
-    except np.linalg.LinAlgError as e:
-        raise ConvergenceError(f"symmetric eigensolver failed: {e}") from e
-    return eigenvalues, q
+    return np.linalg.eigh(_as_array(a))
 
 
 def cholesky_posdef(a) -> np.ndarray:

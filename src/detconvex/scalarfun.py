@@ -716,19 +716,19 @@ def export_family_curves(extras, grid, n: int = 3):
     ``extras`` is a sequence of keyword dicts of ``family("fa", n, ...)``,
     whose curves follow the four standard ones at n = 3.  A text's header
     is ``# label [k=v,...]`` and lists every parameter, defaults and n
-    included; then come ``x,y`` and one ``repr,repr`` row per point.  Each
-    member's values come from one evaluator call; the first point that
-    fails, in member order, raises its own error.
+    included; then come ``x,y`` and one ``repr,repr`` row per point.  All
+    members are built first, then each is evaluated in one call; the first
+    point that fails, in member order, raises its own error.
     """
-    ss = grid.points()
-    xs = ss.tolist()
     members = [(label, 3, params) for label, params in FIGURE_FAMILIES]
     for extra in extras:
         p = {**_FAMILIES["fa"], **extra}
         members.append((f"fa(a={p['a']!r},c={p['c']!r},d={p['d']!r},n={n})", n, p))
+    fs = [family("fa", dim, **params) for _, dim, params in members]
+    ss = grid.points()
+    xs = ss.tolist()
     curves = []
-    for label, dim, params in members:
-        f = family("fa", dim, **params)
+    for (label, dim, params), f in zip(members, fs):
         ys = eval_jet(f, ss).v
         failed = np.isnan(ys)
         if failed.any():

@@ -157,6 +157,41 @@ class TestCertify:
             with pytest.raises(ParameterError, match=re.escape(f"tolerance {tol} must be positive and below 1")):
                 certifier.beyond_grid(f, 5, GridSpec(), tol)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            *(
+                (lambda tol=tol: certify(parse("s"), 3, GridSpec(), tol=tol), f"tolerance {tol} must be positive and below 1")
+                for tol in (0, 1, math.nan)
+            ),
+            (lambda: certify(parse("s"), 3, GridSpec(), samples=5, seed=-1), "seed=-1 must be >= 0"),
+            # the grids cover [10^-n, 10^n], so the pass adds no point
+            (lambda: certifier.beyond_grid(parse("s"), 3, GridSpec(), 1), "tolerance 1 must be positive and below 1"),
+            (
+                lambda: certifier.beyond_grid(parse("s"), 5, GridSpec(1e-5, 1e5), math.nan),
+                "tolerance nan must be positive and below 1",
+            ),
+            (
+                lambda: scalarfun.export_family_curves([{"a": -1.0}], GridSpec(0.05, 8.0, 20)),
+                "family parameter a=-1.0 must be >= 0",
+            ),
+        ],
+        ids=["certify-tol-0", "certify-tol-1", "certify-tol-nan", "certify-seed", "beyond_grid-n3",
+             "beyond_grid-n5", "export_family_curves-extra"],
+    )
+    def test_a_bad_argument_is_refused_before_any_evaluation(self, monkeypatch, call, message):
+        # certify evaluated its grid before it read tol or seed, beyond_grid
+        # read no tol when it added no point, and the export formatted the
+        # four standard curves before it built the extra member
+        def refuse(*args):
+            raise AssertionError("evaluated before the refusal")
+
+        monkeypatch.setattr(scalarfun, "eval_jet", refuse)
+        monkeypatch.setattr(GridSpec, "points", refuse)
+        with pytest.raises(ParameterError) as exc:
+            call()
+        assert str(exc.value) == message
+
     def test_band_stays_finite_where_the_derivatives_are(self):
         # f' = 1.6e308 s and f'' = 1.6e308 are finite, but their sum
         # overflowed, and an infinite band passed f' <= band at every
@@ -1190,8 +1225,9 @@ def _mismatched(shape_c, shape_h):
     return np.broadcast_to(np.eye(shape_c[-1]), shape_c), np.zeros(shape_h)
 
 
-# each rule raises one class: a dimension or shape check ParameterError,
-# an unknown identifier ParseError at its offset
+# each rule raises one class: a dimension, shape or point check
+# ParameterError, an unknown identifier ParseError at its offset and a node
+# the compiler does not know TypeError
 ONE_ERROR_CLASS = {
     "certify-n0": (ParameterError, lambda: certify(parse("s"), 0)),
     "sample_convexity-n0": (ParameterError, lambda: sample_convexity(parse("s"), 0, 10, 1)),
@@ -1199,7 +1235,7 @@ ONE_ERROR_CLASS = {
     "random_sym-n0": (ParameterError, lambda: linalg.random_sym(0, 1, 1)),
     "random_posdef_stack-n0": (ParameterError, lambda: linalg.random_posdef_stack(0, 1, 1)),
     "symmetric-non-square": (ParameterError, lambda: linalg.symmetric(np.ones((1, 3)))),
-    # jacobi_eigen raised LAPACK's error on a (2, 3) array as ConvergenceError
+    # jacobi_eigen raised LAPACK's error on a (2, 3) array: exit 2, not 3
     "jacobi_eigen-non-square": (ParameterError, lambda: linalg.jacobi_eigen(np.ones((2, 3)))),
     "jacobi_eigen-vector": (ParameterError, lambda: linalg.jacobi_eigen(np.ones(3))),
     "det-non-square": (ParameterError, lambda: linalg.det(np.ones((2, 3)))),
@@ -1210,6 +1246,12 @@ ONE_ERROR_CLASS = {
         lambda: detcalculus.directional_forms([parse("-ln(s)")], *_mismatched((2, 3, 3), (2, 2, 2))),
     ),
     "parse-unknown-identifier": (ParseError, lambda: parse("x+s")),
+    "eval_jet-unknown-node": (TypeError, lambda: eval_jet(scalarfun.Expr(), 1.0)),
+    **{
+        f"witness_pair-{kind}-s={s!r}": (ParameterError, lambda kind=kind, s=s: certifier.witness_pair(kind, s, 3))
+        for kind in (KIND_POSITIVE_FPRIME, KIND_SECOND_ORDER)
+        for s in (0.0, -1.0, math.nan)
+    },
 }
 
 

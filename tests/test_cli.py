@@ -591,6 +591,56 @@ class TestUsageErrors:
         assert code == 3
         assert out == "" and "exceeds the limit" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("certify", "-f", "bad(", "--dim", "0"),
+            ("witness", "-f", "s", "--dim", "-2"),
+            ("curves", "-f", "s", "--dim", "0"),
+            ("oracle", "--samples", "3", "--dim", "0"),
+        ],
+        ids=["certify", "witness", "curves", "oracle"],
+    )
+    def test_the_gate_refuses_a_dimension_before_any_work(self, capsys, monkeypatch, argv):
+        # certify reported the parse error of "bad(" first, and curves
+        # its non-fa extra
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run with a bad dimension started")
+
+        monkeypatch.setattr(cli, "parse_function_spec", refuse)
+        monkeypatch.setattr(cli.certifier, "certify", refuse)
+        monkeypatch.setattr(cli.detcalculus, "oracle_sweep", refuse)
+        monkeypatch.setattr(cli.scalarfun, "export_family_curves", refuse)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (3, "", f"error: dimension n={argv[-1]} must be >= 1\n")
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (("certify", "-f", "-s*ln(s)+s^2/(1+s)", "--tol", "1", "--samples", "0"),
+             "tolerance 1.0 must be positive and below 1"),
+            (("certify", "-f", "-s*ln(s)+s^2/(1+s)", "--seed", "-1"), "seed=-1 must be >= 0"),
+            # the grid's domain failure skipped the sweep: Inconclusive, exit 2
+            (("certify", "-f", "ln(s-1)", "--seed", "-1"), "seed=-1 must be >= 0"),
+            (("curves", "-f", "family:fa:a=-1"), "family parameter a=-1.0 must be >= 0"),
+            # the standard curves overflow at s = 1e-300 and exited 2
+            (("curves", "-f", "family:fa:a=-1", "--s-min", "1e-300"), "family parameter a=-1.0 must be >= 0"),
+        ],
+        ids=["certify-tol", "certify-seed", "certify-seed-domain-failure", "curves-extra",
+             "curves-extra-failing-curve"],
+    )
+    def test_a_bad_argument_is_refused_before_any_evaluation(self, capsys, monkeypatch, tmp_path, argv, err):
+        def refuse(*args):
+            raise AssertionError("evaluated before the refusal")
+
+        monkeypatch.setattr(scalarfun, "eval_jet", refuse)
+        monkeypatch.setattr(certifier.GridSpec, "points", refuse)
+        outdir = tmp_path / "x"
+        if argv[0] == "curves":
+            argv += ("--outdir", str(outdir))
+        assert run(capsys, *argv) == (3, "", f"error: {err}\n")
+        assert not outdir.exists()
+
     def test_sizes_at_the_limits_pass_the_check(self):
         args = argparse.Namespace(
             dim=cli.MAX_DIM,
@@ -707,6 +757,33 @@ class TestUsageErrors:
         assert code == 0 and out == "no violation found on grid\n"
         code, out, _ = run(capsys, "witness", "-f", "-s^2", "--dim", "1", "--grid-count", "50")
         assert code == 0 and "kind=SecondOrderDeficit" in out and "confirmed: yes" in out
+
+
+class TestLapackFailures:
+    """A LAPACK routine that fails leaves the run without an answer: exit 2
+    with numpy's message on one error line."""
+
+    def test_an_eigensolver_failure_exits_two(self, capsys, monkeypatch):
+        # s is refuted by a witness, whose C is checked by its eigenvalues;
+        # the message had a "symmetric eigensolver failed: " prefix
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        assert run(capsys, "certify", "-f", "s", *CERT_FAST) == (2, "", "error: Eigenvalues did not converge\n")
+
+    def test_a_stacked_cholesky_failure_exits_two(self, capsys, monkeypatch):
+        # every matrix of the oracle's stencil factors alone, so none is
+        # named; LAPACK's error escaped main, a traceback and exit 1
+        cholesky = np.linalg.cholesky
+
+        def fail_stacked(a):
+            if np.ndim(a) > 2:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail_stacked)
+        assert run(capsys, "oracle", "--samples", "5") == (2, "", "error: Matrix is not positive definite\n")
 
 
 class TestWitnessCommand:
